@@ -550,6 +550,15 @@ class Simulator:
             i = run._head
             if i < len(times):
                 heapq.heappush(heap, (times[i], seqs[i], run))
+                if i >= 1024 and 2 * i >= len(times):
+                    # Busy run that never drains: release the consumed
+                    # prefix once it is at least half the storage, so a
+                    # never-idle link holds O(pending) payloads
+                    # (amortised O(1) per item).
+                    del times[:i]
+                    del seqs[:i]
+                    del payloads[:i]
+                    run._head = 0
             elif i:
                 # Drained: reset storage so a long campaign's runs do
                 # not grow without bound.

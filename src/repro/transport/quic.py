@@ -19,12 +19,14 @@ QUIC unchanged.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Optional
 
 from repro.cca.base import WindowCca
 from repro.metrics.recorder import RateRecorder, RttRecorder
 from repro.net.packet import ACK_SIZE, FiveTuple, Packet, PacketKind
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
+from repro.transport.timer import DeadlineTimer
 
 TransmitCallback = Callable[[Packet], None]
 
@@ -44,15 +46,17 @@ class QuicSender:
         self.transmit: Optional[TransmitCallback] = None
 
         self._next_pn = 0
-        self._buffered: list[tuple[int, dict]] = []
+        self._buffered: deque[tuple[int, dict]] = deque()
         self._buffered_bytes = 0
-        # pn -> (size, sent_at, payload-descriptor)
+        # pn -> (size, sent_at, payload-descriptor).  Keys ascend in dict
+        # order: every emission, retransmissions included, takes a new pn.
         self._inflight: dict[int, tuple[int, float, dict]] = {}
+        self._inflight_bytes = 0        # sum of sizes in _inflight
         self._largest_acked = -1
         self._srtt = 0.0
         self._rttvar = 0.0
         self._loss_event_pn = -1
-        self._pto_event: Optional[Event] = None
+        self._pto_timer = DeadlineTimer(sim, self._on_pto)
         self.unlimited = False
 
         self.rtt_recorder = RttRecorder()
@@ -79,7 +83,7 @@ class QuicSender:
 
     @property
     def inflight_bytes(self) -> int:
-        return sum(size for size, _, _ in self._inflight.values())
+        return self._inflight_bytes
 
     @property
     def srtt(self) -> float:
@@ -106,7 +110,7 @@ class QuicSender:
             size = min(pending, self.mss)
             payload = dict(meta)
             if pending <= size:
-                self._buffered.pop(0)
+                self._buffered.popleft()
                 payload["last_of_write"] = True
             else:
                 self._buffered[0] = (pending - size, meta)
@@ -124,6 +128,7 @@ class QuicSender:
         # would be breaking encryption.
         packet.headers["quic_sealed"] = {"pn": pn, "payload": dict(payload)}
         self._inflight[pn] = (size, self.sim.now, dict(payload))
+        self._inflight_bytes += size
         self.packets_sent += 1
         if retransmission_of is not None:
             self.retransmissions += 1
@@ -147,6 +152,7 @@ class QuicSender:
             if entry is None:
                 continue
             size, sent_at, _ = entry
+            self._inflight_bytes -= size
             newly_acked_bytes += size
             if pn == largest:
                 rtt_sample = max(0.0, self.sim.now - sent_at - ack_delay)
@@ -166,16 +172,23 @@ class QuicSender:
 
     def _detect_losses(self) -> None:
         """QUIC packet-threshold loss detection (kPacketThreshold = 3)."""
-        lost = [pn for pn in self._inflight
-                if pn + 3 <= self._largest_acked]
+        lost: list[int] = []
+        for pn in self._inflight:
+            if pn + 3 > self._largest_acked:
+                break
+            lost.append(pn)
         if not lost:
             return
-        if max(lost) > self._loss_event_pn:
+        if lost[-1] > self._loss_event_pn:
             self.cca.on_loss(self.sim.now)
             self._loss_event_pn = self._next_pn - 1
-        for pn in sorted(lost):
-            size, _, payload = self._inflight.pop(pn)
-            self._emit(size, payload, retransmission_of=pn)
+        for pn in lost:
+            self._retransmit(pn)
+
+    def _retransmit(self, pn: int) -> None:
+        size, _, payload = self._inflight.pop(pn)
+        self._inflight_bytes -= size
+        self._emit(size, payload, retransmission_of=pn)
 
     def _update_rtt(self, rtt: float) -> None:
         if self._srtt == 0:
@@ -188,23 +201,18 @@ class QuicSender:
     # -- probe timeout ----------------------------------------------------------
 
     def _arm_pto(self) -> None:
-        if self._pto_event is not None:
-            self._pto_event.cancel()
-            self._pto_event = None
-        if not self._inflight:
-            return
-        timeout = max(self.rto_min, self.srtt + 4 * self._rttvar)
-        self._pto_event = self.sim.schedule(timeout * 2, self._on_pto)
+        if self._inflight:
+            timeout = max(self.rto_min, self.srtt + 4 * self._rttvar)
+            self._pto_timer.set(self.sim.now + timeout * 2)
+        else:
+            self._pto_timer.clear()
 
     def _on_pto(self) -> None:
-        self._pto_event = None
         if not self._inflight:
             return
         self.pto_count += 1
         self.cca.on_rto(self.sim.now)
-        pn = min(self._inflight)
-        size, _, payload = self._inflight.pop(pn)
-        self._emit(size, payload, retransmission_of=pn)
+        self._retransmit(next(iter(self._inflight)))
 
 
 class QuicReceiver:

@@ -17,6 +17,7 @@ without simulating actual payload bytes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from typing import Callable, Optional
 
@@ -24,6 +25,7 @@ from repro.cca.base import WindowCca
 from repro.metrics.recorder import RateRecorder, RttRecorder
 from repro.net.packet import ACK_SIZE, FiveTuple, Packet, PacketKind
 from repro.sim.engine import Event, Simulator
+from repro.transport.timer import DeadlineTimer
 
 TransmitCallback = Callable[[Packet], None]
 
@@ -47,13 +49,17 @@ class TcpSender:
         self._buffered: deque[tuple[int, dict]] = deque()  # (bytes, meta)
         self._buffered_bytes = 0
         self._inflight: dict[int, tuple[int, float, bool]] = {}
-        # seq -> (size, sent_at, retransmitted)
+        # seq -> (size, sent_at, retransmitted).  Keys ascend in dict
+        # order: a new segment takes the monotone _next_seq and a
+        # retransmission overwrites its key in place, so the first key
+        # is the lowest outstanding byte and walks can stop early.
+        self._inflight_bytes = 0        # sum of sizes in _inflight
         self._dup_acks = 0
         self._srtt = 0.0
         self._rttvar = 0.0
         self._rto = 1.0
         self._rto_backoff = 1
-        self._rto_event: Optional[Event] = None
+        self._rto_timer = DeadlineTimer(sim, self._on_rto)
         self._pacing_event: Optional[Event] = None
         self._recovery_until = 0        # seq: loss events collapse to one
         self.unlimited = False          # bulk mode: infinite data
@@ -83,7 +89,7 @@ class TcpSender:
 
     @property
     def inflight_bytes(self) -> int:
-        return sum(size for size, _, _ in self._inflight.values())
+        return self._inflight_bytes
 
     @property
     def srtt(self) -> float:
@@ -149,6 +155,8 @@ class TcpSender:
         self.segments_sent += 1
         if retransmitted:
             self.retransmissions += 1
+        else:
+            self._inflight_bytes += size
         if self.transmit is not None:
             self.transmit(packet)
         self._arm_rto()
@@ -199,19 +207,25 @@ class TcpSender:
         if not ranges:
             return
         highest_sacked = max(end for _, end in ranges)
-        for seq in list(self._inflight):
-            size, _, _ = self._inflight[seq]
+        inflight = self._inflight
+        sacked: list[int] = []
+        holes: list[int] = []
+        for seq, (size, _, _) in inflight.items():
+            if seq >= highest_sacked:
+                break   # nothing at or past the frontier can be sacked
             for start, end in ranges:
                 if start <= seq and seq + size <= end:
-                    del self._inflight[seq]
+                    sacked.append(seq)
                     break
+            else:
+                holes.append(seq)
+        for seq in sacked:
+            self._inflight_bytes -= inflight.pop(seq)[0]
         # Retransmit remaining holes below the sacked frontier.
-        if any(seq < highest_sacked for seq in self._inflight):
+        if holes:
             self._enter_recovery()
-            for seq in sorted(self._inflight):
-                if seq >= highest_sacked:
-                    break
-                size, sent_at, _ = self._inflight[seq]
+            for seq in holes:
+                size, sent_at, _ = inflight[seq]
                 if self.sim.now - sent_at > max(self.srtt, 0.01):
                     self._emit(seq, size, {}, retransmitted=True)
 
@@ -246,12 +260,16 @@ class TcpSender:
     def _ack_inflight(self, ack: int) -> Optional[float]:
         """Drop acked segments; return an RTT sample per Karn's rule."""
         sample: Optional[float] = None
-        for seq in sorted(self._inflight):
-            size, sent_at, retransmitted = self._inflight[seq]
-            if seq + size <= ack:
-                del self._inflight[seq]
-                if not retransmitted:
-                    sample = self.sim.now - sent_at
+        acked: list[int] = []
+        for seq, (size, sent_at, retransmitted) in self._inflight.items():
+            if seq + size > ack:
+                break
+            acked.append(seq)
+            self._inflight_bytes -= size
+            if not retransmitted:
+                sample = self.sim.now - sent_at
+        for seq in acked:
+            del self._inflight[seq]
         return sample
 
     def _update_rtt(self, rtt: float) -> None:
@@ -266,23 +284,19 @@ class TcpSender:
     # -- loss recovery ---------------------------------------------------------------
 
     def _arm_rto(self) -> None:
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-            self._rto_event = None
-        if not self._inflight:
-            return
-        timeout = self._rto * self._rto_backoff
-        self._rto_event = self.sim.schedule(timeout, self._on_rto)
+        if self._inflight:
+            self._rto_timer.set(self.sim.now + self._rto * self._rto_backoff)
+        else:
+            self._rto_timer.clear()
 
     def _on_rto(self) -> None:
-        self._rto_event = None
         if not self._inflight:
             return
         self.rto_count += 1
         self._rto_backoff = min(self._rto_backoff * 2, 64)
         self.cca.on_rto(self.sim.now)
         self._recovery_until = self._next_seq
-        first = min(self._inflight)
+        first = next(iter(self._inflight))
         size, _, _ = self._inflight[first]
         self._emit(first, size, {}, retransmitted=True)
 
@@ -292,7 +306,9 @@ class TcpReceiver:
 
     Tracks received byte ranges so out-of-order arrivals are buffered,
     and delivers in-order segment metadata to an application callback
-    (used by the video receiver to detect frame completion).
+    (used by the video receiver to detect frame completion).  SACK
+    ranges are merged as segments arrive, which relies on segments
+    tiling the byte stream (a sender never re-segments).
     """
 
     def __init__(self, sim: Simulator, flow: FiveTuple,
@@ -304,18 +320,23 @@ class TcpReceiver:
         self.on_deliver: Optional[Callable[[int, int, dict, float], None]] = None
         # (seq, end_seq, meta, arrival_time) for each in-order delivery
 
+        self._ack_flow = flow.reversed()
         self._ack_point = 0
         self._out_of_order: dict[int, tuple[int, dict, float]] = {}
+        self._sack: list[tuple[int, int]] = []  # merged held ranges, ascending
         self.packets_received = 0
         self.acks_sent = 0
         self.sack_enabled = True
 
     def on_data(self, packet: Packet) -> None:
         self.packets_received += 1
-        end_seq = packet.headers.get("end_seq", packet.seq + packet.size)
-        if packet.seq >= self._ack_point:
-            self._out_of_order.setdefault(
-                packet.seq, (end_seq, dict(packet.headers), self.sim.now))
+        seq = packet.seq
+        end_seq = packet.headers.get("end_seq", seq + packet.size)
+        if seq >= self._ack_point and seq not in self._out_of_order:
+            self._out_of_order[seq] = (end_seq, dict(packet.headers),
+                                       self.sim.now)
+            if seq > self._ack_point:   # else _advance takes it right back
+                self._hold(seq, end_seq)
         self._advance()
         self._send_ack(echo_mark=packet.headers.get("abc_mark"))
 
@@ -325,26 +346,33 @@ class TcpReceiver:
             if self.on_deliver is not None:
                 self.on_deliver(self._ack_point, end_seq, meta, self.sim.now)
             self._ack_point = end_seq
+        # Delivery ran through the whole first held range or none of it.
+        if self._sack and self._sack[0][0] < self._ack_point:
+            del self._sack[0]
+
+    def _hold(self, start: int, end: int) -> None:
+        """Fold a newly held segment into the merged SACK ranges."""
+        ranges = self._sack
+        i = bisect_left(ranges, (start,))   # first range at or after start
+        if i and ranges[i - 1][1] >= start:
+            i -= 1
+            start = ranges[i][0]
+        j = i
+        while j < len(ranges) and ranges[j][0] <= end:
+            end = max(end, ranges[j][1])
+            j += 1
+        ranges[i:j] = [(start, end)]
 
     def _sack_ranges(self, limit: int = 32) -> list[tuple[int, int]]:
         """Merged (start, end) ranges of out-of-order data held."""
-        if not self._out_of_order:
-            return []
-        ranges: list[tuple[int, int]] = []
-        for start in sorted(self._out_of_order):
-            end = self._out_of_order[start][0]
-            if ranges and start <= ranges[-1][1]:
-                ranges[-1] = (ranges[-1][0], max(ranges[-1][1], end))
-            else:
-                ranges.append((start, end))
-        return ranges[:limit]
+        return self._sack[:limit]
 
     def _send_ack(self, echo_mark: Optional[str]) -> None:
-        ack = Packet(self.flow.reversed(), self.ack_size, PacketKind.ACK,
+        ack = Packet(self._ack_flow, self.ack_size, PacketKind.ACK,
                      ack=self._ack_point, sent_at=self.sim.now)
         if echo_mark is not None:
             ack.headers["abc_mark"] = echo_mark
-        if self.sack_enabled:
+        if self.sack_enabled and self._out_of_order:
             ranges = self._sack_ranges()
             if ranges:
                 ack.headers["sack_ranges"] = ranges

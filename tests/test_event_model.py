@@ -163,6 +163,41 @@ class TestTimedRun:
         sim.schedule(3.0, lambda: None)
         assert sim.pending() == 3
 
+    def test_busy_run_releases_consumed_prefix(self):
+        """A run that never drains (a never-idle link) must not retain
+        the payloads it already fired: storage stays O(pending) over
+        100k pushes, while firing order and ``pending()`` are exactly
+        what one classic event per item gives."""
+        def drive(use_run):
+            sim = Simulator()
+            log = []
+            run = sim.timed_run(lambda k: log.append((k, sim.now)))
+            pushed = peak = 0
+
+            def produce():
+                nonlocal pushed, peak
+                due = sim.now + 0.050   # ~50 items pending at all times
+                if use_run:
+                    run.push(due, pushed)
+                else:
+                    sim.call_at(due, lambda k=pushed: log.append((k, sim.now)))
+                pushed += 1
+                log.append(("pending", sim.pending()))
+                peak = max(peak, len(run._payloads))
+                if pushed < 100_000:
+                    sim.schedule(0.001, produce)
+
+            sim.schedule(0.001, produce)
+            sim.run()
+            assert sim.pending() == 0
+            return log, peak
+
+        run_log, peak = drive(use_run=True)
+        classic_log, _ = drive(use_run=False)
+        assert run_log == classic_log
+        assert len(run_log) == 200_000
+        assert peak < 2048  # ~50 pending + the 1024-item release floor
+
 
 # ---------------------------------------------------------------------------
 # Cancel-compaction threshold regression (satellite 4)

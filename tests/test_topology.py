@@ -28,7 +28,8 @@ GOLDEN_PATH = "tests/data/golden_summaries.json"
 
 #: Entries re-simulated in tier-1 (the rest are spec-hash-checked only;
 #: the full set runs in the campaign-digest CI job).
-RESIMULATED = ("rtp-zhuge", "tcp-copa-fastack", "faulted-roam")
+RESIMULATED = ("rtp-zhuge", "tcp-copa-fastack", "faulted-roam",
+               "tcp-codel-competitors")
 
 
 def _canonical_sha(payload: dict) -> str:
