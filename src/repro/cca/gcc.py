@@ -46,10 +46,14 @@ class TrendlineEstimator:
         if len(self._samples) < 2:
             return 0.0
         n = len(self._samples)
-        mean_x = sum(x for x, _ in self._samples) / n
-        mean_y = sum(y for _, y in self._samples) / n
-        num = sum((x - mean_x) * (y - mean_y) for x, y in self._samples)
-        den = sum((x - mean_x) ** 2 for x, _ in self._samples)
+        # Column lists into the built-in sum: same elements, same order
+        # as a generator pass, without a frame resume per sample.
+        xs, ys = zip(*self._samples)
+        mean_x = sum(xs) / n
+        mean_y = sum(ys) / n
+        dxs = [x - mean_x for x in xs]
+        num = sum([dx * (y - mean_y) for dx, y in zip(dxs, ys)])
+        den = sum([dx ** 2 for dx in dxs])
         return num / den if den > 1e-12 else 0.0
 
 
@@ -104,6 +108,8 @@ class GccController(RateCca):
         self._delay_rate = initial_bps
         self._loss_rate = initial_bps
         self._recv_window = deque()  # (recv_time, size) for bitrate estimate
+        self._recv_bytes = 0  # running sum of sizes in _recv_window
+        self._recv_newest = float("-inf")  # running max of its recv_times
         self._rate_state = "increase"  # increase / hold / decrease
         self._num_deltas = 0
         self._last_recv_rate = initial_bps
@@ -146,17 +152,21 @@ class GccController(RateCca):
         per-feedback span is meaningless when a feedback interval holds
         one or two packets.
         """
+        window = self._recv_window
         for report in received:
-            self._recv_window.append((report.recv_time, report.size))
-        if not self._recv_window:
+            window.append((report.recv_time, report.size))
+            self._recv_bytes += report.size
+            if report.recv_time > self._recv_newest:
+                self._recv_newest = report.recv_time
+        if not window:
             return
-        newest = max(t for t, _ in self._recv_window)
-        horizon = newest - self.RECV_RATE_WINDOW
-        while self._recv_window and self._recv_window[0][0] < horizon:
-            self._recv_window.popleft()
-        if self._recv_window:
-            total_bits = sum(size for _, size in self._recv_window) * 8
-            self._last_recv_rate = total_bits / self.RECV_RATE_WINDOW
+        # The newest arrival is never evicted (eviction is < newest - W),
+        # so the running max stays the window's max and the window stays
+        # non-empty; sizes are ints, so the running total is exact.
+        horizon = self._recv_newest - self.RECV_RATE_WINDOW
+        while window[0][0] < horizon:
+            self._recv_bytes -= window.popleft()[1]
+        self._last_recv_rate = self._recv_bytes * 8 / self.RECV_RATE_WINDOW
 
     # WebRTC groups packets sent within a 5 ms burst window and computes
     # one delay variation per *group* (InterArrival). Per-packet deltas

@@ -37,7 +37,6 @@ class InBandFeedbackUpdater:
         self._predicted_arrivals: dict[int, float] = {}
         self._last_predicted = 0.0
         self._base_seq = 0
-        self._dropped_seqs: set[int] = set()
         self.feedback_constructed = 0
         self.client_feedback_dropped = 0
         #: Degraded-mode switch: while True the AP stops synthesizing
@@ -61,7 +60,6 @@ class InBandFeedbackUpdater:
         twcc_seq = packet.headers.get("twcc_seq")
         if twcc_seq is not None and twcc_seq in self._predicted_arrivals:
             del self._predicted_arrivals[twcc_seq]
-            self._dropped_seqs.add(twcc_seq)
 
     # -- Step 1: fortune recording ------------------------------------------
 
@@ -90,15 +88,13 @@ class InBandFeedbackUpdater:
         if not self._predicted_arrivals or self.send_uplink is None:
             return
         feedback = TwccFeedback(base_seq=self._base_seq,
-                                arrivals=dict(self._predicted_arrivals),
+                                arrivals=self._predicted_arrivals,
                                 constructed_at=self.sim.now,
                                 constructed_by="zhuge-ap")
         # Dropped seqs below the reported frontier are implicitly "not
         # in arrivals" => the sender marks them lost.
         self._base_seq = max(self._predicted_arrivals) + 1
-        self._dropped_seqs = {s for s in self._dropped_seqs
-                              if s >= self._base_seq}
-        self._predicted_arrivals.clear()
+        self._predicted_arrivals = {}  # the feedback owns the old dict now
         packet = Packet(self.flow.reversed(), self.feedback_size,
                         PacketKind.RTCP_TWCC, sent_at=self.sim.now)
         packet.headers["twcc_feedback"] = feedback
@@ -133,7 +129,6 @@ class InBandFeedbackUpdater:
         keeps the TWCC sequence frontier consistent for the sender.
         """
         self._predicted_arrivals.clear()
-        self._dropped_seqs.clear()
 
     def stop(self) -> None:
         self._timer.stop()

@@ -59,7 +59,9 @@ class RtpSender:
         # packets can be retransmitted with their frame metadata.
         self._history: dict[int, tuple[float, int, dict]] = {}
         self._oldest_seq = 0  # seqs below this have been evicted
-        self._reported: set[int] = set()
+        # Report frontier: every history entry below it has been handed
+        # to the CCA (received, or lost because a later seq arrived).
+        self._next_unreported = 0
         self._retransmitted: set[int] = set()
         self.rtt_recorder = RttRecorder()
         self.rate_recorder = RateRecorder()
@@ -92,7 +94,6 @@ class RtpSender:
             if entry is not None and entry[0] >= horizon:
                 break
             self._history.pop(self._oldest_seq, None)
-            self._reported.discard(self._oldest_seq)
             self._retransmitted.discard(self._oldest_seq)
             self._oldest_seq += 1
 
@@ -102,23 +103,29 @@ class RtpSender:
         if feedback is None:
             return
         self.feedback_received += 1
+        arrivals = feedback.arrivals
+        # Only [frontier, highest reported seq] can hold news; the clamp
+        # to the highest *sent* seq keeps a feedback naming never-sent
+        # seqs from looping over them or hiding packets sent later.
+        last = min(max(arrivals, default=-1), self._twcc_seq - 1)
+        now = self.sim.now
         reports = []
-        max_reported_seq = max(feedback.arrivals, default=-1)
-        for seq, (sent, size, _) in sorted(self._history.items()):
-            if seq in self._reported:
+        for seq in range(max(self._next_unreported, self._oldest_seq),
+                         last + 1):
+            entry = self._history.get(seq)
+            if entry is None:
                 continue
-            if seq in feedback.arrivals:
-                recv = feedback.arrivals[seq]
-                reports.append(FeedbackPacketReport(seq, size, sent, recv))
-                self._reported.add(seq)
-                self.rtt_recorder.record(self.sim.now, self.sim.now - sent)
-            elif seq < max_reported_seq:
-                # Skipped by the feedback window => treat as lost.
-                reports.append(FeedbackPacketReport(seq, size, sent, None))
-                self._reported.add(seq)
+            sent, size, _ = entry
+            recv = arrivals.get(seq)
+            # Absent below the highest reported seq => treat as lost.
+            reports.append(FeedbackPacketReport(seq, size, sent, recv))
+            if recv is not None:
+                self.rtt_recorder.record(now, now - sent)
+        if last >= self._next_unreported:
+            self._next_unreported = last + 1
         if reports:
-            self.cca.on_feedback(self.sim.now, reports)
-            self.rate_recorder.record(self.sim.now, self.cca.target_bps)
+            self.cca.on_feedback(now, reports)
+            self.rate_recorder.record(now, self.cca.target_bps)
 
     def on_nack(self, packet: Packet) -> None:
         """Retransmit media the receiver reports missing (RFC 4585 NACK).
@@ -212,11 +219,11 @@ class RtpReceiver:
         if not self._pending:
             return
         feedback = TwccFeedback(base_seq=self._base_seq,
-                                arrivals=dict(self._pending),
+                                arrivals=self._pending,
                                 constructed_at=self.sim.now,
                                 constructed_by="receiver")
         self._base_seq = max(self._pending) + 1
-        self._pending.clear()
+        self._pending = {}  # the feedback owns the old dict now
         packet = Packet(self.flow.reversed(), self.feedback_size,
                         PacketKind.RTCP_TWCC, sent_at=self.sim.now)
         packet.headers["twcc_feedback"] = feedback

@@ -71,8 +71,60 @@ class TestDropReporting:
         assert 2 in losses and 3 in losses
 
     def test_other_flow_drops_ignored(self, sim, small_queue, updater, flow):
+        sent = []
+        updater.send_uplink = sent.append
+        updater.on_data_packet(Packet(flow, 1200, headers={"twcc_seq": 0}))
         other = FiveTuple("x", "y", 9, 9)
         packet = Packet(other, 1200, headers={"twcc_seq": 0})
         small_queue.enqueue(Packet(other, 2400), 0.0)
         small_queue.enqueue(packet, 0.0)  # overflow drop of other flow
-        assert updater._dropped_seqs == set()
+        sim.run(until=0.050)
+        # Same twcc_seq, different flow: our fortune is still reported.
+        assert 0 in sent[0].headers["twcc_feedback"].arrivals
+
+
+class TestEachSeqReachesCcaOnce:
+    """Paper-level invariant (§5.3): the sender's CCA sees every TWCC
+    sequence at most once, exactly once after the report frontier has
+    passed it, and an AP queue drop as a loss."""
+
+    def test_overflowing_ap_queue(self, sim, small_queue, updater, flow):
+        from repro.cca.gcc import GccController
+        from repro.sim.engine import Timer
+        from repro.transport.rtp import RtpSender
+
+        sender = RtpSender(sim, flow, GccController(), history_window=0.5)
+
+        def downlink(packet):
+            updater.on_data_packet(packet)
+            small_queue.enqueue(packet, sim.now)
+
+        sender.transmit = downlink
+        updater.send_uplink = lambda packet: sim.schedule(
+            0.020, lambda: sender.on_feedback(packet))
+        dropped = set()
+        small_queue.on_drop.append(
+            lambda packet, reason: dropped.add(packet.headers["twcc_seq"]))
+        reports = []
+        original = sender.cca.on_feedback
+
+        def spy(now, batch):
+            reports.extend(batch)
+            original(now, batch)
+
+        sender.cca.on_feedback = spy
+        # 2 ms between packets against a 3 ms drain: the two-packet
+        # queue overflows every few packets for the whole run.
+        Timer(sim, 0.002, sender.send_packet)
+        Timer(sim, 0.003, lambda: small_queue.dequeue(sim.now))
+        sim.run(until=2.0)
+
+        seqs = [r.seq for r in reports]
+        frontier = sender._next_unreported
+        assert len(seqs) == len(set(seqs))
+        assert sender._oldest_seq > 0 and frontier > sender._oldest_seq
+        assert {s for s in sender._history if s < frontier} <= set(seqs)
+        assert all(s < frontier for s in seqs)
+        assert len(dropped) > 100
+        for report in reports:
+            assert (report.recv_time is None) == (report.seq in dropped)

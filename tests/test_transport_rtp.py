@@ -136,3 +136,63 @@ class TestHistoryEviction:
         sender.send_packet()  # triggers trim at t=1.0
         assert 0 not in sender._history
         assert 1 in sender._history
+
+
+class TestReportFrontier:
+    """Cases the report frontier makes explicit."""
+
+    @staticmethod
+    def _feedback(flow, arrivals):
+        from repro.net.packet import Packet
+        from repro.transport.rtp import TwccFeedback
+        packet = Packet(flow.reversed(), 120, PacketKind.RTCP_TWCC)
+        packet.headers["twcc_feedback"] = TwccFeedback(0, dict(arrivals))
+        return packet
+
+    @pytest.fixture
+    def spied(self, sim, pair):
+        sender, _ = pair
+        sender.transmit = lambda p: None
+        batches = []
+        original = sender.cca.on_feedback
+
+        def spy(now, reports):
+            batches.append([(r.seq, r.recv_time) for r in reports])
+            original(now, reports)
+
+        sender.cca.on_feedback = spy
+        for i in range(6):
+            sim.schedule(i * 0.005, sender.send_packet)
+        sim.run(until=0.1)
+        return sender, batches
+
+    def test_stale_feedback_after_newer_is_noop(self, spied, flow):
+        sender, batches = spied
+        sender.on_feedback(self._feedback(flow, {3: 0.05, 4: 0.06}))
+        samples = len(sender.rate_recorder.rates)
+        rtts = sender.rtt_recorder.count
+        # Older feedback overtaken in flight: max(arrivals) < frontier.
+        sender.on_feedback(self._feedback(flow, {0: 0.02, 1: 0.03}))
+        assert len(batches) == 1
+        assert len(sender.rate_recorder.rates) == samples
+        assert sender.rtt_recorder.count == rtts
+        assert sender.feedback_received == 2
+
+    def test_straggler_for_seq_declared_lost_ignored(self, spied, flow):
+        sender, batches = spied
+        sender.on_feedback(self._feedback(flow, {0: 0.02, 2: 0.04}))
+        assert batches == [[(0, 0.02), (1, None), (2, 0.04)]]
+        # Seq 1 turns up after all, riding along with seq 3.
+        sender.on_feedback(self._feedback(flow, {1: 0.07, 3: 0.08}))
+        assert batches[1:] == [[(3, 0.08)]]
+
+    def test_never_sent_seq_neither_loops_nor_hides_later_packets(
+            self, sim, spied, flow):
+        sender, batches = spied
+        assert sender._twcc_seq == 6
+        sender.on_feedback(self._feedback(flow, {0: 0.02, 10**12: 0.05}))
+        # Everything sent so far is below the named seq => lost.
+        assert batches == [[(0, 0.02)] + [(s, None) for s in range(1, 6)]]
+        later = sender.send_packet().headers["twcc_seq"]
+        sender.on_feedback(self._feedback(flow, {later: 0.2}))
+        assert batches[1:] == [[(later, 0.2)]]
