@@ -142,6 +142,10 @@ class RtpVideoApp:
         self.tracker = _FrameTracker()
         self.frames_sent = 0
         receiver.on_media = self._on_media
+        # A frame's packets ride one engine run: one heap sentinel, not
+        # one event per packet, at the same ``(time, seq)`` keys.
+        self._burst = sim.timed_run(lambda item: sender.send_packet(*item))
+        self._burst_end = 0.0  # latest time pushed onto the run
         self._timer = Timer(sim, 1.0 / encoder.fps, self._encode_tick,
                             first_delay=0.0)
         self._gc_timer = Timer(sim, 0.1, self._gc_tick)
@@ -151,7 +155,8 @@ class RtpVideoApp:
         return self.tracker.recorder
 
     def _encode_tick(self) -> None:
-        frame = self.encoder.next_frame(self.sim.now, self.sender.cca.target_bps)
+        now = self.sim.now
+        frame = self.encoder.next_frame(now, self.sender.cca.target_bps)
         packet_count = max(1, math.ceil(frame.size_bytes / RTP_PAYLOAD_SIZE))
         frame.packet_count = packet_count
         self.frames_sent += 1
@@ -161,16 +166,24 @@ class RtpVideoApp:
             gap = 0.8 / (self.encoder.fps * packet_count)
         else:
             gap = self.burst_gap
+        # One dict per frame; ``send_packet`` copies it into each packet.
+        headers = {
+            "frame_id": frame.frame_id,
+            "frame_encoded_at": frame.encoded_at,
+            "frame_packets": packet_count,
+        }
         for index in range(packet_count):
             size = min(RTP_PAYLOAD_SIZE, max(1, remaining))
             remaining -= size
-            headers = {
-                "frame_id": frame.frame_id,
-                "frame_encoded_at": frame.encoded_at,
-                "frame_packets": packet_count,
-            }
-            self.sim.schedule(index * gap, lambda s=size, h=headers:
-                              self.sender.send_packet(s, h))
+            at = now + index * gap
+            if at >= self._burst_end:
+                self._burst.push(at, (size, headers))
+                self._burst_end = at
+            else:
+                # The previous burst outlasted the frame interval, and
+                # a run only takes non-decreasing times.
+                self.sim.schedule(index * gap, lambda s=size, h=headers:
+                                  self.sender.send_packet(s, h))
 
     def _on_media(self, packet: Packet) -> None:
         frame_id = packet.headers.get("frame_id")

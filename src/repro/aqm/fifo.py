@@ -2,6 +2,6 @@
 
 from repro.net.queue import DropTailQueue
 
-
-class FifoQueue(DropTailQueue):
-    """Alias of :class:`DropTailQueue` under the name used in scenarios."""
+#: The same class object, not a subclass: the plain-queue fast paths are
+#: gated on class identity, and ``fifo`` edges must take them.
+FifoQueue = DropTailQueue

@@ -46,6 +46,7 @@ actually happened.
 
 from __future__ import annotations
 
+import gc
 import tempfile
 import time
 import warnings
@@ -158,9 +159,16 @@ def execute_spec(spec: ScenarioSpec,
     This is the whole worker: materialize the config, simulate, condense
     to the picklable summary. The full recorders never leave the worker.
     """
-    with cell_deadline(timeout, CellTimeout):
-        result = run_scenario(spec.to_config())
-        return ScenarioSummary.from_result(result, spec)
+    result = None
+    try:
+        with cell_deadline(timeout, CellTimeout):
+            result = run_scenario(spec.to_config())
+            return ScenarioSummary.from_result(result, spec)
+    finally:
+        # A finished cell's graph is all reference cycles: free it now,
+        # so peak memory is one cell's and not a matter of GC timing.
+        del result
+        gc.collect()
 
 
 def _cell_payload(worker: Optional[Callable], spec: ScenarioSpec,

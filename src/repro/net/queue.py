@@ -9,7 +9,9 @@ The queue exposes, at any instant:
   without the queue knowing about it.
 
 Queue disciplines that reorder or drop differently (CoDel, FQ-CoDel)
-wrap or subclass this class; see :mod:`repro.aqm`.
+wrap or subclass this class; see :mod:`repro.aqm`. The scenario kinds
+``fifo`` and ``droptail`` are both this class itself
+(``repro.aqm.FifoQueue`` is an alias, not a subclass).
 
 ``dequeue_burst`` (PR 6) drains a txop's worth of head packets in one
 call — the wireless link's AMPDU aggregation loop without the

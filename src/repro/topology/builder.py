@@ -36,7 +36,6 @@ from repro.core.zhuge_ap import ZhugeAP
 from repro.metrics.recorder import FrameRecorder, RttRecorder
 from repro.net.link import WiredLink
 from repro.net.packet import FiveTuple, Packet, PacketKind
-from repro.net.queue import DropTailQueue
 from repro.obs.session import TraceConfig, TraceSession
 from repro.sim.engine import Simulator
 from repro.sim.random import DeterministicRandom
@@ -246,12 +245,7 @@ class TopologyBuilder:
             interference = InterferenceModel(self.rng.fork(label),
                                              edge.interferers)
 
-        if edge.queue_kind == "droptail":
-            queue = DropTailQueue(capacity_bytes=edge.queue_capacity,
-                                  name=edge.name)
-        else:
-            queue = make_queue(edge.queue_kind, edge.queue_capacity,
-                               edge.name)
+        queue = make_queue(edge.queue_kind, edge.queue_capacity, edge.name)
 
         if edge.kind == "cellular":
             link = CellularLink(self.sim, channel, queue,
@@ -323,10 +317,8 @@ class TopologyBuilder:
                     capacity_fn=lambda now, s=share, ch=down.channel:
                         ch.rate_at(now) * s)
         runtime.ap = ap
-        ap.forward_downlink = lambda packet, name=node.name: \
-            self._forward(name, packet)
-        ap.forward_uplink = lambda packet, name=node.name: \
-            self._forward(name, packet)
+        ap.forward_downlink = ap.forward_uplink = \
+            self._make_forward(node.name)
         return runtime
 
     # -- datapath wiring -----------------------------------------------------
@@ -439,12 +431,18 @@ class TopologyBuilder:
                 handler(packet)
         return deliver
 
-    def _forward(self, node: str, packet: Packet) -> None:
-        er = self._routes[node].get(packet.flow)
-        if er is None:
-            self.undeliverable += 1
-            return
-        er.link.send(packet)
+    def _make_forward(self, node: str):
+        """Next-hop send out of ``node``, closed over its route table
+        (roaming mutates the table in place, never rebinds it)."""
+        routes = self._routes[node]
+
+        def forward(packet: Packet) -> None:
+            er = routes.get(packet.flow)
+            if er is None:
+                self.undeliverable += 1
+                return
+            er.link.send(packet)
+        return forward
 
     # -- routing -------------------------------------------------------------
 

@@ -72,14 +72,18 @@ class RtpSender:
 
     def send_packet(self, size: int = RTP_PAYLOAD_SIZE,
                     headers: Optional[dict] = None) -> Packet:
-        """Emit one RTP packet stamped with the next TWCC sequence number."""
-        packet = Packet(self.flow, size, PacketKind.DATA,
-                        seq=self._twcc_seq, sent_at=self.sim.now,
-                        headers=dict(headers or {}))
-        packet.headers["twcc_seq"] = self._twcc_seq
-        self._history[self._twcc_seq] = (self.sim.now, size,
-                                         dict(headers or {}))
-        self._twcc_seq += 1
+        """Emit one RTP packet stamped with the next TWCC sequence number.
+
+        ``headers`` is only read: the packet gets a copy (middleboxes
+        write to it), the history keeps the caller's, possibly shared.
+        """
+        now = self.sim._now
+        seq = self._twcc_seq
+        headers = headers or {}
+        packet = Packet(self.flow, size, PacketKind.DATA, seq=seq,
+                        sent_at=now, headers={**headers, "twcc_seq": seq})
+        self._history[seq] = (now, size, headers)
+        self._twcc_seq = seq + 1
         self.packets_sent += 1
         self._trim_history()
         if self.transmit is not None:

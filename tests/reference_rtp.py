@@ -1,19 +1,30 @@
-"""Full-scan oracles for the RTC feedback frontier.
+"""Oracles for the RTC path: full-scan feedback, per-packet send events.
 
-The bodies below are the pre-frontier implementations, kept verbatim:
-``RtpSender.on_feedback`` ``sorted()``s and walks the whole send
-history against a ``_reported`` set, GCC re-scans its receive window
-with a ``max`` and a ``sum`` generator on every feedback, and the
-trendline slope makes four generator passes over its samples.  They
-are slow on purpose and exist only so
+The bodies below are earlier implementations, kept verbatim.
+
+Feedback (PR 15): ``RtpSender.on_feedback`` ``sorted()``s and walks the
+whole send history against a ``_reported`` set, GCC re-scans its
+receive window with a ``max`` and a ``sum`` generator on every
+feedback, and the trendline slope makes four generator passes over its
+samples.  They are slow on purpose and exist only so
 ``tests/test_properties_rtc_feedback.py`` can require the
 O(newly reported) versions in ``src/repro`` to hand the CCA exactly
 the same reports and land on exactly the same floats.
+
+Send path (PR 16): ``RtpVideoApp._encode_tick`` schedules one classic
+event, one lambda and one headers dict per packet, and
+``RtpSender.send_packet`` copies the headers twice.
+``tests/test_properties_rtp_send.py`` requires the one-``TimedRun``
+version to emit the same packets at the same ``(time, seq)`` keys.
 """
 
+import math
+from typing import Optional
+
+from repro.app.video import RtpVideoApp
 from repro.cca.base import FeedbackPacketReport
 from repro.cca.gcc import GccController, TrendlineEstimator
-from repro.net.packet import Packet
+from repro.net.packet import Packet, PacketKind, RTP_PAYLOAD_SIZE
 from repro.transport.rtp import RtpSender, TwccFeedback
 
 
@@ -21,6 +32,22 @@ class ReferenceRtpSender(RtpSender):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._reported: set[int] = set()
+
+    def send_packet(self, size: int = RTP_PAYLOAD_SIZE,
+                    headers: Optional[dict] = None) -> Packet:
+        """Emit one RTP packet stamped with the next TWCC sequence number."""
+        packet = Packet(self.flow, size, PacketKind.DATA,
+                        seq=self._twcc_seq, sent_at=self.sim.now,
+                        headers=dict(headers or {}))
+        packet.headers["twcc_seq"] = self._twcc_seq
+        self._history[self._twcc_seq] = (self.sim.now, size,
+                                         dict(headers or {}))
+        self._twcc_seq += 1
+        self.packets_sent += 1
+        self._trim_history()
+        if self.transmit is not None:
+            self.transmit(packet)
+        return packet
 
     def _trim_history(self) -> None:
         # Seqs are emitted in send-time order, so evict from the front.
@@ -57,6 +84,30 @@ class ReferenceRtpSender(RtpSender):
         if reports:
             self.cca.on_feedback(self.sim.now, reports)
             self.rate_recorder.record(self.sim.now, self.cca.target_bps)
+
+
+class ReferenceRtpVideoApp(RtpVideoApp):
+    def _encode_tick(self) -> None:
+        frame = self.encoder.next_frame(self.sim.now, self.sender.cca.target_bps)
+        packet_count = max(1, math.ceil(frame.size_bytes / RTP_PAYLOAD_SIZE))
+        frame.packet_count = packet_count
+        self.frames_sent += 1
+        remaining = frame.size_bytes
+        if self.paced:
+            # Spread the frame across ~80% of the frame interval.
+            gap = 0.8 / (self.encoder.fps * packet_count)
+        else:
+            gap = self.burst_gap
+        for index in range(packet_count):
+            size = min(RTP_PAYLOAD_SIZE, max(1, remaining))
+            remaining -= size
+            headers = {
+                "frame_id": frame.frame_id,
+                "frame_encoded_at": frame.encoded_at,
+                "frame_packets": packet_count,
+            }
+            self.sim.schedule(index * gap, lambda s=size, h=headers:
+                              self.sender.send_packet(s, h))
 
 
 class ReferenceTrendlineEstimator(TrendlineEstimator):

@@ -5,8 +5,10 @@ be picklable for the process pool): slow cells for timeouts, raising
 cells for exceptions, and ``os._exit`` cells for hard worker crashes.
 """
 
+import gc
 import os
 import time
+import weakref
 
 import pytest
 
@@ -178,3 +180,38 @@ class TestTelemetry:
         assert payload["done"] == 3
         assert {e for e, _ in events} == {"cached", "ok"}
         assert stats.line().startswith("[3/3]")
+
+
+class _CyclicResult:
+    """What a finished cell leaves behind: a graph only the cycle
+    collector can free (builder <-> closures <-> links <-> timers)."""
+
+    flows = prediction_pairs = fault_log = ()
+    watchdog_transitions = control_transitions = steering_moves = ()
+    events_processed = ap_packets = 0
+
+    def __init__(self):
+        self.builder = self
+
+
+class TestCellBoundaryReclamation:
+    def test_cell_graph_is_dead_when_execute_spec_returns(self,
+                                                          monkeypatch):
+        """With the automatic collector off, nothing but
+        ``execute_spec`` itself can have freed the cycle."""
+        born = []
+
+        def run_scenario(config):
+            result = _CyclicResult()
+            born.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr("repro.campaign.runner.run_scenario",
+                            run_scenario)
+        gc.disable()
+        try:
+            summary = execute_spec(_stub_spec())
+            assert born[0]() is None
+        finally:
+            gc.enable()
+        assert summary.flows == []

@@ -196,3 +196,46 @@ class TestReportFrontier:
         later = sender.send_packet().headers["twcc_seq"]
         sender.on_feedback(self._feedback(flow, {later: 0.2}))
         assert batches[1:] == [[(later, 0.2)]]
+
+
+class TestHeadersAliasing:
+    """``Packet.headers`` is middlebox-writable; the sender's history
+    keeps the caller's (frame-shared) dict and must never see those
+    writes, nor make any of its own."""
+
+    FRAME = {"frame_id": 7, "frame_encoded_at": 0.25, "frame_packets": 2}
+
+    @staticmethod
+    def _nack(flow, seqs):
+        from repro.net.packet import Packet
+        packet = Packet(flow.reversed(), 120, PacketKind.RTCP_OTHER)
+        packet.headers["nack_seqs"] = list(seqs)
+        return packet
+
+    def test_middlebox_mark_reaches_neither_history_nor_retransmission(
+            self, sim, pair, flow):
+        sender, _ = pair
+        emitted = []
+        sender.transmit = emitted.append
+        frame = dict(self.FRAME)
+        first = sender.send_packet(1200, frame)
+        second = sender.send_packet(800, frame)
+        first.headers["abc_mark"] = "brake"        # an ABC router's write
+        assert "abc_mark" not in second.headers
+        assert sender._history[0][2] == self.FRAME
+        sender.on_nack(self._nack(flow, [0]))
+        retransmission = emitted[-1]
+        assert retransmission.headers == {**self.FRAME, "twcc_seq": 2}
+        retransmission.headers["abc_mark"] = "accelerate"
+        assert sender._history[2][2] == self.FRAME
+
+    def test_sending_leaves_the_callers_dict_unchanged(self, sim, pair,
+                                                       flow):
+        sender, _ = pair
+        sender.transmit = lambda p: None
+        frame = dict(self.FRAME)
+        packet = sender.send_packet(1200, frame)
+        sender.on_nack(self._nack(flow, [0]))
+        assert frame == self.FRAME
+        assert packet.headers["twcc_seq"] == 0
+        assert packet.headers is not frame
