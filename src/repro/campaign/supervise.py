@@ -9,8 +9,10 @@ Three independent guards keep a long campaign from wedging:
   :class:`~repro.campaign.runner.CellTimeout` asynchronously into the
   running thread via ``PyThreadState_SetAsyncExc``: it lands at the
   next bytecode boundary, which is immediate for the CPU-bound
-  simulation loops cells actually run (a cell blocked inside a single
-  C call is delayed until that call returns). Which mechanism enforced
+  simulation loops cells actually run. **Limit:** off the main thread
+  a single blocking C call (one long ``time.sleep``, a socket read, a
+  ``numpy`` kernel) is not interruptible — the exception is delivered
+  only when that call returns, however late. Which mechanism enforced
   each attempt is reported as ``timeout_mode`` telemetry.
 * :class:`WorkerHeartbeat` / :func:`read_heartbeats` — pool workers
   stamp a per-pid heartbeat file when a cell starts and every

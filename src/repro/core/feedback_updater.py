@@ -17,6 +17,12 @@ On each uplink feedback-packet arrival, the updater:
 
 The updater never parses transport payloads — it identifies flows by
 five-tuple only, so it works for encrypted QUIC exactly as for TCP.
+
+This module is orchestration only: ``on_data_packet`` is predict →
+delta → :meth:`~OutOfBandFeedbackUpdater.bank`, ``ack_delay`` is token
+expiry → ``DelayDeltaHistory.sample`` → ``TokenBank.spend`` → clamp,
+and ``on_feedback_packet`` calls ``ack_delay``.  The window and token
+arithmetic lives in :mod:`repro.core.sliding_window` and nowhere else.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import enum
 from collections import deque
 from typing import Callable, Optional
 
-from repro.core.fortune_teller import DelayPrediction, FortuneTeller
+from repro.core.fortune_teller import FortuneTeller
 from repro.core.sliding_window import (DEFAULT_WINDOW, DelayDeltaHistory,
                                        TokenBank)
 from repro.net.packet import Packet, PacketKind
@@ -34,9 +40,10 @@ from repro.sim.random import DeterministicRandom
 
 
 #: The uplink kinds the updater delays (hoisted: the per-ACK membership
-#: test must not rebuild the tuple of enum attributes per packet).
-_FEEDBACK_KINDS = frozenset((PacketKind.ACK, PacketKind.RTCP_TWCC,
-                             PacketKind.RTCP_OTHER))
+#: test must not rebuild the tuple of enum attributes per packet; a
+#: tuple, not a set: identity comparison, no ``Enum.__hash__`` frame).
+_FEEDBACK_KINDS = (PacketKind.ACK, PacketKind.RTCP_TWCC,
+                   PacketKind.RTCP_OTHER)
 
 
 class FeedbackKind(enum.Enum):
@@ -84,8 +91,7 @@ class OutOfBandFeedbackUpdater:
         # Bounded token FIFO with an exact O(1) running sum. The default
         # cap (65536) never binds in realistic traces — it is a memory
         # backstop against pathological monotone-improving stretches.
-        self.token_history = TokenBank(clock=lambda: self.sim.now,
-                                       max_entries=max_tokens,
+        self.token_history = TokenBank(max_entries=max_tokens,
                                        ttl=token_ttl)
         self._last_total_delay: Optional[float] = None
         self._last_sent_time = 0.0
@@ -104,7 +110,7 @@ class OutOfBandFeedbackUpdater:
         self.acks_delayed = 0
         self.total_injected_delay = 0.0
         #: Tracing probe (:class:`repro.obs.bus.TraceBus`); ``None`` =
-        #: disabled. Both datapath entry points read it exactly once.
+        #: disabled. Every probe site reads it exactly once.
         self.trace = None
         self._track = "ap"
         #: The AP's canonical uplink-forward callable.  When a delayed
@@ -125,162 +131,48 @@ class OutOfBandFeedbackUpdater:
     # -- Algorithm 1: on downlink data packets --------------------------------
 
     def on_data_packet(self, packet: Packet) -> float:
-        """Predict the packet's fortune; bank the delta. Returns the delta.
-
-        The ledger updates inline the bodies of
-        ``DelayDeltaHistory.push`` (+ its expiry/compaction) and
-        ``TokenBank.append`` — identical state transitions, exact-sum
-        operation order, and ``ops``/``capped`` accounting, without the
-        per-packet call frames.
-        """
+        """Predict the packet's fortune; bank the delta. Returns the delta."""
         teller = self.fortune_teller
-        if teller.record_predictions:
-            prediction = teller.observe_arrival(packet)
-        elif not teller._fast_predict:
-            prediction = teller.predict()
-        else:
-            # Inlined ``FortuneTeller.predict`` fast path — the same
-            # cache check, estimator state transitions, arithmetic
-            # order, and counters, sharing this frame (the predict call
-            # is the hottest per-packet edge in the AP datapath).
-            now = self.sim._now
-            if (teller.min_estimation_interval > 0
-                    and teller._cached_prediction is not None
-                    and now - teller._cached_at
-                    < teller.min_estimation_interval):
-                teller.cache_hits += 1
-                prediction = teller._cached_prediction
-            else:
-                queue = teller.queue
-                q_size = queue._bytes
-                if teller.burst_correction:
-                    bt = teller.burst_tracker
-                    bt.ops += 1
-                    horizon = now - bt.window
-                    bursts = bt._bursts
-                    bmax = bt._max
-                    while bursts and bursts[0][0] < horizon:
-                        entry = bursts.popleft()
-                        if bmax and bmax[0] is entry:
-                            bmax.popleft()
-                    start = bt._current_start
-                    if start is not None and now - start >= bt.window:
-                        bt._current_start = None
-                        bt._current_bytes = 0
-                    best = bt._current_bytes
-                    if bmax:
-                        cand = bmax[0][1]
-                        if cand > best:
-                            best = cand
-                    q_size -= best
-                    if q_size < 0:
-                        q_size = 0
-                txr = teller.tx_rate
-                txr.ops += 1
-                horizon = now - txr.window
-                events = txr._events
-                while events and events[0][0] < horizon:
-                    txr._bytes_in_window -= events.popleft()[1]
-                if events:
-                    span = txr.window
-                    first = txr._first_event
-                    if first is not None:
-                        elapsed = now - first
-                        if elapsed < span:
-                            span = elapsed
-                    if span < txr.min_span:
-                        span = txr.min_span
-                    rate = txr._bytes_in_window * 8 / span
-                else:
-                    rate = 0.0
-                if rate <= 0:
-                    rate = teller.tx_rate_long.rate_bps(now)
-                q_long = (q_size * 8 / rate) if rate > 0 else 0.0
-                qpackets = queue._packets
-                if qpackets:
-                    enqueued = qpackets[0].enqueued_at
-                    q_short = (max(0.0, now - enqueued)
-                               if enqueued is not None else 0.0)
-                else:
-                    q_short = 0.0
-                di = teller.dequeue_intervals
-                di.ops += 1
-                horizon = now - di.window
-                intervals = di._intervals
-                dsum = di._sum
-                while intervals and intervals[0][0] < horizon:
-                    dsum.subtract(intervals.popleft()[1])
-                if intervals:
-                    tx = dsum.value() / len(intervals)
-                else:
-                    dsum.reset()
-                    tx = 0.0
-                teller.predictions_made += 1
-                prediction = DelayPrediction(q_long, q_short, tx)
-                teller._cached_prediction = prediction
-                teller._cached_at = now
+        prediction = (teller.observe_arrival(packet)
+                      if teller.record_predictions else teller.predict())
         tr = self.trace
         if tr is not None:
             tr.ap_prediction(self._track, packet, prediction)
-        # ``prediction.total``, spelled out (property body: left-to-right).
+        # ``prediction.total`` without the property call.
         current = prediction.q_long + prediction.q_short + prediction.tx
         last = self._last_total_delay
+        self._last_total_delay = current
         if last is None:
-            self._last_total_delay = current
             return 0.0
         delta = current - last
-        self._last_total_delay = current
-        if self.passthrough:
-            # Degraded: keep observing (so health can recover) but bank
-            # nothing — stale predictions must not shape future ACKs.
-            return delta
+        # Degraded: keep observing (so health can recover) but bank
+        # nothing — stale predictions must not shape future ACKs.
+        if not self.passthrough:
+            self.bank(self.sim._now, delta)
+        return delta
+
+    def bank(self, now: float, delta: float) -> None:
+        """Algorithm 1's banking rule for one delay delta.
+
+        A non-negative delta joins the recent-delta distribution (and,
+        in the per-packet ablation mode, the one-to-one pending queue);
+        a negative one is banked as a token, since an ACK cannot be
+        delayed by a negative amount.
+        """
+        banked = False
         if delta >= 0:
-            now = self.sim._now
-            hist = self.delta_history
-            hist.ops += 1
-            times = hist._times
-            values = hist._values
-            hsum = hist._sum
-            times.append(now)
-            values.append(delta)
-            hsum.add(delta)
-            horizon = now - hist.window
-            head = hist._head
-            n = len(times)
-            while head < n and times[head] < horizon:
-                hsum.subtract(values[head])
-                head += 1
-            hist._head = head
-            if head == n:
-                times.clear()
-                values.clear()
-                hist._head = 0
-                hsum.reset()
-            elif head > hist._COMPACT_MIN and head * 2 > n:
-                del times[:head]
-                del values[:head]
-                hist._head = 0
+            self.delta_history.push(now, delta)
             if not self.distributional:
                 self._pending_deltas.append((now, delta))
                 self._expire_pending(now)
-            if tr is not None:
-                tr.ap_delta(self._track, delta, banked=False)
         elif self.use_tokens:
-            bank = self.token_history
-            entries = bank._entries
-            if len(entries) >= bank.max_entries:
-                _, old = entries.popleft()
-                bank._sum.subtract(old)
-                bank.capped += 1
-            token = -delta
-            entries.append((self.sim.now, token))
-            bank._sum.add(token)
-            if tr is not None:
-                tr.ap_delta(self._track, delta, banked=True)
+            self.token_history.append(-delta, now)
+            banked = True
+        tr = self.trace
+        if tr is not None:
+            tr.ap_delta(self._track, delta, banked=banked)
+            if banked:
                 tr.ap_tokens(self._track, self.outstanding_tokens)
-        elif tr is not None:
-            tr.ap_delta(self._track, delta, banked=False)
-        return delta
 
     def _expire_pending(self, now: float) -> None:
         horizon = now - self.window
@@ -308,79 +200,23 @@ class OutOfBandFeedbackUpdater:
         * *distributional equivalence* — the extra delay is sampled from
           the recent downlink delay-delta distribution.
         """
-        if self.passthrough:
-            # Degraded: no injected delay; only order preservation so
-            # release times stay monotone across the demote boundary.
-            release = max(arrival_time, self._last_sent_time)
-            self._last_sent_time = release
-            tr = self.trace
-            if tr is not None:
-                tr.ap_ack_delay(self._track, 0.0, release - arrival_time,
-                                self.outstanding_tokens)
-            return release - arrival_time
-        bank = self.token_history
-        if bank.ttl is not None:
-            bank.expire(arrival_time)
-        if self.distributional:
-            # Inlined ``DelayDeltaHistory.sample`` (expiry, compaction,
-            # and the single uniform index draw — same RNG sequence).
-            hist = self.delta_history
-            hist.ops += 1
-            times = hist._times
-            values = hist._values
-            hsum = hist._sum
-            horizon = arrival_time - hist.window
-            head = hist._head
-            n = len(times)
-            while head < n and times[head] < horizon:
-                hsum.subtract(values[head])
-                head += 1
-            hist._head = head
-            if head == n:
-                times.clear()
-                values.clear()
-                hist._head = 0
-                hsum.reset()
-                extra = 0.0
+        # Degraded: no injected delay; only order preservation so
+        # release times stay monotone across the demote boundary.
+        sampled = extra = 0.0
+        if not self.passthrough:
+            bank = self.token_history
+            if bank.ttl is not None:
+                bank.expire(arrival_time)
+            if self.distributional:
+                extra = self.delta_history.sample(arrival_time)
             else:
-                if head > hist._COMPACT_MIN and head * 2 > n:
-                    del times[:head]
-                    del values[:head]
-                    hist._head = 0
-                    n -= head
-                    head = 0
-                extra = values[head + hist.rng.randindex(n - head)]
-        else:
-            self._expire_pending(arrival_time)
-            if self._pending_deltas:
-                _, extra = self._pending_deltas.popleft()
-            else:
-                extra = 0.0
-        sampled = extra
-
-        # Spend banked tokens against the sampled delay (inlined
-        # ``TokenBank`` index/assign/popleft — same exact-sum op order).
-        if self.use_tokens and extra > 0:
-            entries = bank._entries
-            bsum = bank._sum
-            while entries:
-                stamp, front = entries[0]
-                if front > extra:
-                    remainder = front - extra
-                    entries[0] = (stamp, remainder)
-                    bsum.subtract(front)
-                    bsum.add(remainder)
-                    extra = 0.0
-                    break
-                extra -= front
-                entries.popleft()
-                bsum.subtract(front)
-                if not entries:
-                    bsum.reset()
-                if extra <= 0:
-                    break
-
-        extra = min(extra, self.max_extra_delay)
+                self._expire_pending(arrival_time)
+                if self._pending_deltas:
+                    _, extra = self._pending_deltas.popleft()
+            sampled = extra
+            if self.use_tokens and extra > 0:
+                extra = bank.spend(extra)
+            extra = min(extra, self.max_extra_delay)
         release = max(arrival_time + extra, self._last_sent_time)
         self._last_sent_time = release
         tr = self.trace
@@ -396,82 +232,7 @@ class OutOfBandFeedbackUpdater:
             forward(packet)
             return
         now = self.sim._now
-        # Inlined :meth:`ack_delay` — identical branch structure, RNG
-        # draw, and exact-sum operation order; the method remains the
-        # public/test API and must stay in lockstep with this body.
-        if self.passthrough:
-            release = max(now, self._last_sent_time)
-            self._last_sent_time = release
-            tr = self.trace
-            if tr is not None:
-                tr.ap_ack_delay(self._track, 0.0, release - now,
-                                self.outstanding_tokens)
-            delay = release - now
-        else:
-            bank = self.token_history
-            if bank.ttl is not None:
-                bank.expire(now)
-            if self.distributional:
-                hist = self.delta_history
-                hist.ops += 1
-                times = hist._times
-                values = hist._values
-                hsum = hist._sum
-                horizon = now - hist.window
-                head = hist._head
-                n = len(times)
-                while head < n and times[head] < horizon:
-                    hsum.subtract(values[head])
-                    head += 1
-                hist._head = head
-                if head == n:
-                    times.clear()
-                    values.clear()
-                    hist._head = 0
-                    hsum.reset()
-                    extra = 0.0
-                else:
-                    if head > hist._COMPACT_MIN and head * 2 > n:
-                        del times[:head]
-                        del values[:head]
-                        hist._head = 0
-                        n -= head
-                        head = 0
-                    extra = values[head + hist.rng.randindex(n - head)]
-            else:
-                self._expire_pending(now)
-                if self._pending_deltas:
-                    _, extra = self._pending_deltas.popleft()
-                else:
-                    extra = 0.0
-            sampled = extra
-            if self.use_tokens and extra > 0:
-                entries = bank._entries
-                bsum = bank._sum
-                while entries:
-                    stamp, front = entries[0]
-                    if front > extra:
-                        remainder = front - extra
-                        entries[0] = (stamp, remainder)
-                        bsum.subtract(front)
-                        bsum.add(remainder)
-                        extra = 0.0
-                        break
-                    extra -= front
-                    entries.popleft()
-                    bsum.subtract(front)
-                    if not entries:
-                        bsum.reset()
-                    if extra <= 0:
-                        break
-            extra = min(extra, self.max_extra_delay)
-            release = max(now + extra, self._last_sent_time)
-            self._last_sent_time = release
-            tr = self.trace
-            if tr is not None:
-                tr.ap_ack_delay(self._track, sampled, release - now,
-                                self.outstanding_tokens)
-            delay = release - now
+        delay = self.ack_delay(now)
         self.acks_delayed += 1
         self.total_injected_delay += delay
         if delay <= 0:

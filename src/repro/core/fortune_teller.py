@@ -14,6 +14,11 @@
 The teller attaches to a queue's callbacks; with FQ-CoDel it attaches to
 the RTC flow's own sub-queue (§4.1, "Calculation with queue
 disciplines").
+
+The teller is orchestration only: a departure (or a same-instant burst
+of them) is one ``record`` call per estimator, a prediction is two
+queue reads and one query per estimator.  The arithmetic lives in
+:mod:`repro.core.sliding_window` and nowhere else.
 """
 
 from __future__ import annotations
@@ -104,10 +109,9 @@ class FortuneTeller:
         #: per-flow sub-queues.  Read on every predict; the queue's
         #: class does not change after construction.
         self._has_flow_queue = hasattr(queue, "flow_queue")
-        #: Fast-path eligibility, resolved once: the aggregate-queue,
-        #: no-isolation case reads plain DropTailQueue attributes
-        #: directly (byte count, head packet), so :meth:`predict` can
-        #: inline the four estimator reads into one stack frame.
+        #: Resolved once: the aggregate-queue, no-isolation case reads
+        #: the plain DropTailQueue's byte count and head packet
+        #: directly in :meth:`predict` instead of through its accessors.
         self._fast_predict = flow is None and type(queue) is DropTailQueue
         if flow is None:
             # No flow filter: skip the `_on_queue_departure` trampoline
@@ -121,31 +125,20 @@ class FortuneTeller:
     # -- departure-side measurement ----------------------------------------
 
     def _on_queue_departure(self, packet: Packet, queue: DropTailQueue) -> None:
-        if self.flow is not None and packet.flow != self.flow:
-            return
-        self.observe_departure(packet)
+        if packet.flow == self.flow:
+            self.observe_departure(packet)
 
     def _on_queue_departure_batch(self, packets: list,
                                   queue: DropTailQueue = None) -> None:
-        """Flow-filtered twin of :meth:`observe_departure_batch`."""
-        flow = self.flow
-        if flow is None:
-            self.observe_departure_batch(packets)
-            return
-        matched = [packet for packet in packets if packet.flow == flow]
+        matched = [packet for packet in packets if packet.flow == self.flow]
         if matched:
             self.observe_departure_batch(matched)
 
     def observe_departure(self, packet: Packet, queue=None) -> None:
-        """Feed one departure to all four estimators (fused).
+        """Feed one departure — the burst of one — to the estimators.
 
-        The bodies of ``SlidingWindowRate.record`` (x2),
-        ``DequeueIntervalEstimator.record_departure`` and
-        ``BurstSizeTracker.record_departure`` are inlined here in their
-        exact original order — identical state transitions and ``ops``
-        accounting, one stack frame instead of eight on the per-packet
-        departure path.  ``queue`` is accepted (and ignored) so the
-        method can sit directly on ``queue.on_departure``.
+        ``queue`` is accepted (and ignored) so the method can sit
+        directly on ``queue.on_departure``.
         """
         # Trust the queue's dequeue stamp: it is the authoritative departure
         # time even when the queue is driven outside the event loop.
@@ -153,178 +146,41 @@ class FortuneTeller:
         if now is None:
             now = self.sim._now
         size = packet.size
-
-        for rate in (self.tx_rate, self.tx_rate_long):
-            rate.ops += 1
-            horizon = now - rate.window
-            events = rate._events
-            while events and events[0][0] < horizon:
-                rate._bytes_in_window -= events.popleft()[1]
-            if not events:
-                rate._first_event = now
-            events.append((now, size))
-            rate._bytes_in_window += size
-
-        di = self.dequeue_intervals
-        di.ops += 1
-        last = di._last_departure
-        if last is not None:
-            interval = now - last
-            if di.min_interval <= interval <= di.max_interval:
-                di._intervals.append((now, interval))
-                di._sum.add(interval)
-        di._last_departure = now
-        horizon = now - di.window
-        intervals = di._intervals
-        dsum = di._sum
-        while intervals and intervals[0][0] < horizon:
-            dsum.subtract(intervals.popleft()[1])
-        if not intervals:
-            dsum.reset()
-
-        bt = self.burst_tracker
-        bt.ops += 1
-        last = bt._last_departure
-        if last is None or now - last >= bt.resolution:
-            start = bt._current_start
-            if start is not None:
-                entry = (start, bt._current_bytes)
-                bt._bursts.append(entry)
-                bmax = bt._max
-                while bmax and bmax[-1][1] <= entry[1]:
-                    bmax.pop()
-                bmax.append(entry)
-            bt._current_start = now
-            bt._current_bytes = size
-        else:
-            bt._current_bytes += size
-        bt._last_departure = now
-        horizon = now - bt.window
-        bursts = bt._bursts
-        bmax = bt._max
-        while bursts and bursts[0][0] < horizon:
-            entry = bursts.popleft()
-            if bmax and bmax[0] is entry:
-                bmax.popleft()
-        start = bt._current_start
-        if start is not None and now - start >= bt.window:
-            bt._current_start = None
-            bt._current_bytes = 0
+        self.tx_rate.record(now, size)
+        self.tx_rate_long.record(now, size)
+        self.dequeue_intervals.record_departure(now)
+        self.burst_tracker.record_departure(now, size)
 
     def observe_departure_batch(self, packets: list, queue=None) -> None:
-        """Same-instant batch twin of :meth:`observe_departure`.
+        """Feed one AMPDU — departures sharing one dequeue instant.
 
-        ``dequeue_burst`` stamps every packet of an AMPDU with one
-        dequeue instant, so the per-packet loop repeats the expiry
-        scans and interval/burst checks for an unchanged ``now``: from
-        the second packet on, the tx windows reduce to appends, the
-        interval estimator sees only zero intervals (excluded by
-        ``min_interval``), and the burst tracker accumulates bytes into
-        the current burst.  This twin performs those identical state
-        transitions in one pass — the first packet plays the full
-        per-packet logic, the rest collapse to appends/byte sums.
-        Configs where same-instant departures are *not* inert fall
-        back to the loop (``min_interval <= 0``: zero intervals would
-        enter the window; ``resolution <= 0``: every departure would
-        close a burst).
+        ``dequeue_burst`` stamps every packet of a txop with the same
+        ``now``, so the estimators take the burst as one record each
+        (see their ``count`` arguments for why that is exact).  Configs
+        where same-instant departures are *not* inert go packet by
+        packet (``min_interval <= 0``: zero intervals would enter the
+        window; ``resolution <= 0``: every departure would close a
+        burst).
         """
-        di = self.dequeue_intervals
-        bt = self.burst_tracker
-        n = len(packets)
-        if n == 1 or di.min_interval <= 0.0 or bt.resolution <= 0.0:
-            observe = self.observe_departure
+        if (self.dequeue_intervals.min_interval <= 0.0
+                or self.burst_tracker.resolution <= 0.0):
             for packet in packets:
-                observe(packet)
+                self.observe_departure(packet)
             return
-        first = packets[0]
-        now = first.dequeued_at
+        head = packets[0]
+        now = head.dequeued_at
         if now is None:
             now = self.sim._now
+        count = len(packets)
         total = 0
-        pairs = []
         for packet in packets:
-            size = packet.size
-            total += size
-            pairs.append((now, size))
-
-        for rate in (self.tx_rate, self.tx_rate_long):
-            rate.ops += n
-            horizon = now - rate.window
-            events = rate._events
-            while events and events[0][0] < horizon:
-                rate._bytes_in_window -= events.popleft()[1]
-            if not events:
-                rate._first_event = now
-            events.extend(pairs)
-            rate._bytes_in_window += total
-
-        di.ops += n
-        last = di._last_departure
-        intervals = di._intervals
-        dsum = di._sum
-        if last is not None:
-            interval = now - last
-            if di.min_interval <= interval <= di.max_interval:
-                intervals.append((now, interval))
-                dsum.add(interval)
-        di._last_departure = now
-        horizon = now - di.window
-        while intervals and intervals[0][0] < horizon:
-            dsum.subtract(intervals.popleft()[1])
-        if not intervals:
-            dsum.reset()
-
-        bt.ops += n
-        last = bt._last_departure
-        s1 = first.size
-        bursts = bt._bursts
-        bmax = bt._max
-        if last is None or now - last >= bt.resolution:
-            start = bt._current_start
-            if start is not None:
-                entry = (start, bt._current_bytes)
-                bursts.append(entry)
-                while bmax and bmax[-1][1] <= entry[1]:
-                    bmax.pop()
-                bmax.append(entry)
-            bt._current_start = now
-            bt._current_bytes = total
-            bt._last_departure = now
-            horizon = now - bt.window
-            while bursts and bursts[0][0] < horizon:
-                entry = bursts.popleft()
-                if bmax and bmax[0] is entry:
-                    bmax.popleft()
-            # Stale-current check: the current burst just started at
-            # ``now``, so it cannot be stale.
-        else:
-            # Extend: the first packet joins the ongoing burst, then
-            # the per-packet stale check may retire it — the remaining
-            # packets extend whatever survives, exactly as the loop
-            # would.
-            bt._current_bytes += s1
-            bt._last_departure = now
-            horizon = now - bt.window
-            while bursts and bursts[0][0] < horizon:
-                entry = bursts.popleft()
-                if bmax and bmax[0] is entry:
-                    bmax.popleft()
-            start = bt._current_start
-            if start is not None and now - start >= bt.window:
-                bt._current_start = None
-                bt._current_bytes = 0
-            bt._current_bytes += total - s1
+            total += packet.size
+        self.tx_rate.record(now, total, count)
+        self.tx_rate_long.record(now, total, count)
+        self.dequeue_intervals.record_departure(now, count)
+        self.burst_tracker.record_departure(now, total, head.size, count)
 
     # -- arrival-side prediction ----------------------------------------------
-
-    def _observed_queue(self) -> DropTailQueue:
-        """The queue whose state this teller reads (flow sub-queue when
-        the discipline isolates flows)."""
-        if self.flow is not None and self._has_flow_queue:
-            sub = self.queue.flow_queue(self.flow)
-            if sub is not None:
-                return sub
-        return self.queue
 
     def predict(self) -> DelayPrediction:
         """Predict the remaining delay of a packet arriving right now."""
@@ -334,113 +190,39 @@ class FortuneTeller:
                 and now - self._cached_at < self.min_estimation_interval):
             self.cache_hits += 1
             return self._cached_prediction
-        if not self._fast_predict:
-            return self._predict_generic(now)
 
-        # Fast path: aggregate plain DropTailQueue, no flow isolation.
-        # The estimator reads below are the inlined bodies of
-        # ``max_burst_bytes`` / ``rate_bps`` / ``front_wait_time`` /
-        # ``average_interval``, in the exact order and arithmetic of
-        # :meth:`_predict_generic` — same state transitions, same
-        # ``ops`` accounting, one stack frame.
+        # The two queue reads are all the discipline decides; the
+        # formula below them is the same for every queue.
         queue = self.queue
-        q_size = queue._bytes
+        if self._fast_predict:
+            q_bytes = queue._bytes
+            packets = queue._packets
+            enqueued = packets[0].enqueued_at if packets else None
+            front_wait = (max(0.0, now - enqueued)
+                          if enqueued is not None else 0.0)
+        else:
+            if self.flow is not None and self._has_flow_queue:
+                # §4.1: the RTC flow's own sub-queue; until the
+                # discipline has made one, nothing of it is queued.
+                queue = queue.flow_queue(self.flow)
+            if queue is None:
+                q_bytes, front_wait = 0, 0.0
+            else:
+                q_bytes = queue.byte_length
+                front_wait = queue.front_wait_time(now)
+
         if self.burst_correction:
-            bt = self.burst_tracker
-            bt.ops += 1
-            horizon = now - bt.window
-            bursts = bt._bursts
-            bmax = bt._max
-            while bursts and bursts[0][0] < horizon:
-                entry = bursts.popleft()
-                if bmax and bmax[0] is entry:
-                    bmax.popleft()
-            start = bt._current_start
-            if start is not None and now - start >= bt.window:
-                bt._current_start = None
-                bt._current_bytes = 0
-            best = bt._current_bytes
-            if bmax:
-                cand = bmax[0][1]
-                if cand > best:
-                    best = cand
-            q_size -= best
-            if q_size < 0:
-                q_size = 0
-
-        tr = self.tx_rate
-        tr.ops += 1
-        horizon = now - tr.window
-        events = tr._events
-        while events and events[0][0] < horizon:
-            tr._bytes_in_window -= events.popleft()[1]
-        if events:
-            span = tr.window
-            first = tr._first_event
-            if first is not None:
-                elapsed = now - first
-                if elapsed < span:
-                    span = elapsed
-            if span < tr.min_span:
-                span = tr.min_span
-            rate = tr._bytes_in_window * 8 / span
-        else:
-            rate = 0.0
-        if rate <= 0:
-            rate = self.tx_rate_long.rate_bps(now)
-        q_long = (q_size * 8 / rate) if rate > 0 else 0.0
-
-        packets = queue._packets
-        if packets:
-            enqueued = packets[0].enqueued_at
-            q_short = (max(0.0, now - enqueued)
-                       if enqueued is not None else 0.0)
-        else:
-            q_short = 0.0
-
-        di = self.dequeue_intervals
-        di.ops += 1
-        horizon = now - di.window
-        intervals = di._intervals
-        dsum = di._sum
-        while intervals and intervals[0][0] < horizon:
-            dsum.subtract(intervals.popleft()[1])
-        if intervals:
-            tx = dsum.value() / len(intervals)
-        else:
-            dsum.reset()
-            tx = 0.0
-
-        self.predictions_made += 1
-        prediction = DelayPrediction(q_long, q_short, tx)
-        self._cached_prediction = prediction
-        self._cached_at = now
-        return prediction
-
-    def _predict_generic(self, now: float) -> DelayPrediction:
-        """The discipline-agnostic prediction path (flow isolation,
-        AQM subclasses) — the reference the fast path mirrors."""
-        if self.flow is None:
-            observed = self.queue
-            isolating_no_sub = False
-        else:
-            observed = self._observed_queue()
-            isolating_no_sub = (self._has_flow_queue
-                                and observed is self.queue)
-        q_size = observed.byte_length
-        if isolating_no_sub:
-            # Flow-isolating queue with no sub-queue yet: nothing queued.
-            q_size = 0
-        if self.burst_correction:
-            q_size = max(q_size - self.burst_tracker.max_burst_bytes(now), 0)
+            # Eq. 1: packets leaving in the current burst do not queue.
+            q_bytes = max(
+                q_bytes - self.burst_tracker.max_burst_bytes(now), 0)
         rate = self.tx_rate.rate_bps(now)
         if rate <= 0:
             rate = self.tx_rate_long.rate_bps(now)
-        q_long = (q_size * 8 / rate) if rate > 0 else 0.0
-        q_short = 0.0 if isolating_no_sub else observed.front_wait_time(now)
+        q_long = (q_bytes * 8 / rate) if rate > 0 else 0.0
         tx = self.dequeue_intervals.average_interval(now)
+
         self.predictions_made += 1
-        prediction = DelayPrediction(q_long, q_short, tx)
+        prediction = DelayPrediction(q_long, front_wait, tx)
         self._cached_prediction = prediction
         self._cached_at = now
         return prediction

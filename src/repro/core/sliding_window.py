@@ -4,33 +4,46 @@ The paper sets the window to 40 ms — roughly one frame interval of a
 25 fps stream — so that the average covers at least one sender burst
 (§4.2) while still tracking sub-RTT fluctuation.
 
+One body per estimator step
+---------------------------
+This module is the only place estimator state is touched: the Fortune
+Teller and the Feedback Updater call the methods below and never name
+an estimator attribute that starts with an underscore
+(``tests/test_core_single_copy.py`` pins that, and the number of Python
+frames one data packet, one ACK and one AMPDU may cost).  Each step is
+one frame — window expiry is written out in the record and query
+methods rather than shared through a helper call — and the record
+methods are batch-aware: ``count`` same-instant departures are one
+call, so the per-packet API is the burst of one, not a second body.
+
 Amortized-O(1) invariant
 ------------------------
-Every estimator in this module does amortized O(1) work per recorded
-event *and* per query.  This is the property that lets the Zhuge control
-loop run on every packet (Fig. 21: near-linear scaling in concurrent
-flows):
+Every estimator does amortized O(1) work per recorded event *and* per
+query.  This is the property that lets the Zhuge control loop run on
+every packet (Fig. 21: near-linear scaling in concurrent flows):
 
 * windowed sums are running sums maintained on push/expire, never
   re-scans (``SlidingWindowRate``, ``DequeueIntervalEstimator.average_interval``,
   ``DelayDeltaHistory.mean``);
 * the windowed maximum in ``BurstSizeTracker`` is a monotonic deque, so
   ``max_burst_bytes`` reads the front instead of scanning all bursts;
-* ``DelayDeltaHistory.sample`` indexes a ring buffer through a zero-copy
-  view instead of materializing the window as a list.
+* ``DelayDeltaHistory.sample`` indexes the live suffix of a ring buffer
+  instead of materializing the window as a list.
 
 Floating-point sums use :class:`ExactFloatSum` — exact binary
 fixed-point accumulation over Python big ints — so expiring events from
 the running sum introduces no rounding drift and every mean equals the
 correctly-rounded (``math.fsum``) re-scan of the live window,
 bit-for-bit.  ``tests/test_properties_hotpath.py`` asserts behavioural
-equivalence against the naive re-scan implementations kept in
+equivalence — burst calls included — against the naive per-packet
+re-scan implementations kept in
 :mod:`repro.core.sliding_window_reference`;
 ``benchmarks/bench_hotpath_regression.py`` records the speedup in
 ``BENCH_hotpath.json``.
 
-Each estimator counts its operations in ``.ops`` (one int increment per
-record/query) for the :mod:`repro.metrics.hotpath` profiling module.
+Each estimator counts its operations in ``.ops`` (one per recorded
+packet and per query) for the :mod:`repro.metrics.hotpath` profiling
+module.
 """
 
 from __future__ import annotations
@@ -100,29 +113,6 @@ class ExactFloatSum:
         return result
 
 
-class _RingView:
-    """Zero-copy sequence view over the live suffix of a ring buffer.
-
-    Implements just enough of the Sequence protocol (``__len__`` /
-    ``__getitem__``) for :meth:`DeterministicRandom.sample_from` to
-    index it without a per-call copy of the window.
-    """
-
-    __slots__ = ("_buf", "_head")
-
-    def __init__(self, buf: list, head: int):
-        self._buf = buf
-        self._head = head
-
-    def __len__(self) -> int:
-        return len(self._buf) - self._head
-
-    def __getitem__(self, index: int):
-        if index < 0:
-            index += len(self)
-        return self._buf[self._head + index]
-
-
 class SlidingWindowRate:
     """Average rate (bps) of recorded byte events over a sliding window.
 
@@ -146,38 +136,40 @@ class SlidingWindowRate:
         self._first_event: Optional[float] = None
         self.ops = 0
 
-    def record(self, now: float, nbytes: int) -> None:
-        self.ops += 1
-        self._expire(now)
-        if not self._events:
-            self._first_event = now
-        self._events.append((now, nbytes))
-        self._bytes_in_window += nbytes
+    def record(self, now: float, nbytes: int, count: int = 1) -> None:
+        """Record ``count`` same-instant events totalling ``nbytes``.
 
-    def _expire(self, now: float) -> None:
+        A burst is one window entry: its packets share one stamp, so
+        they expire at the same query, and byte sums are ints, so
+        ``_bytes_in_window`` — hence every rate — is exactly what
+        ``count`` single records would leave.
+        """
+        self.ops += count
         horizon = now - self.window
         events = self._events
         while events and events[0][0] < horizon:
-            _, nbytes = events.popleft()
-            self._bytes_in_window -= nbytes
+            self._bytes_in_window -= events.popleft()[1]
+        if not events:
+            self._first_event = now
+        events.append((now, nbytes))
+        self._bytes_in_window += nbytes
 
     def rate_bps(self, now: float) -> float:
         """Average rate over the (possibly warming-up) window; 0 when
         no events are in window."""
         self.ops += 1
-        self._expire(now)
-        if not self._events:
+        horizon = now - self.window
+        events = self._events
+        while events and events[0][0] < horizon:
+            self._bytes_in_window -= events.popleft()[1]
+        if not events:
             return 0.0
-        span = self.window
-        if self._first_event is not None:
-            span = min(span, now - self._first_event)
+        span = now - self._first_event  # warm-up: elapsed busy time
+        if span > self.window:
+            span = self.window
         if span < self.min_span:
             span = self.min_span
         return self._bytes_in_window * 8 / span
-
-    @property
-    def event_count(self) -> int:
-        return len(self._events)
 
     def reset(self) -> None:
         """Forget all events (AP restart / handover); keeps ``.ops``."""
@@ -212,32 +204,39 @@ class DequeueIntervalEstimator:
         self._last_departure: Optional[float] = None
         self.ops = 0
 
-    def record_departure(self, now: float) -> None:
-        self.ops += 1
+    def record_departure(self, now: float, count: int = 1) -> None:
+        """Record ``count`` same-instant departures.
+
+        Only the first packet of a burst can open a qualifying
+        interval; the rest are zero intervals, which ``min_interval``
+        excludes.  ``count > 1`` therefore needs ``min_interval > 0``
+        (the Fortune Teller feeds such configs packet by packet).
+        """
+        self.ops += count
+        intervals = self._intervals
         if self._last_departure is not None:
             interval = now - self._last_departure
             if self.min_interval <= interval <= self.max_interval:
-                self._intervals.append((now, interval))
+                intervals.append((now, interval))
                 self._sum.add(interval)
         self._last_departure = now
-        self._expire(now)
-
-    def _expire(self, now: float) -> None:
         horizon = now - self.window
-        intervals = self._intervals
         while intervals and intervals[0][0] < horizon:
-            _, interval = intervals.popleft()
-            self._sum.subtract(interval)
+            self._sum.subtract(intervals.popleft()[1])
         if not intervals:
             self._sum.reset()
 
     def average_interval(self, now: float) -> float:
         """Mean qualifying interval in the window; 0 with no samples."""
         self.ops += 1
-        self._expire(now)
-        if not self._intervals:
+        horizon = now - self.window
+        intervals = self._intervals
+        while intervals and intervals[0][0] < horizon:
+            self._sum.subtract(intervals.popleft()[1])
+        if not intervals:
+            self._sum.reset()
             return 0.0
-        return self._sum.value() / len(self._intervals)
+        return self._sum.value() / len(intervals)
 
     def reset(self) -> None:
         """Forget all intervals (AP restart / handover); keeps ``.ops``."""
@@ -266,40 +265,60 @@ class BurstSizeTracker:
         self.window = window
         self.resolution = resolution
         self._bursts: deque[tuple[float, int]] = deque()  # (start, bytes)
-        self._max: deque[tuple[float, int]] = deque()     # decreasing bytes
+        #: Decreasing bytes; holds the newest burst, so it is non-empty
+        #: whenever ``_bursts`` is.
+        self._max: deque[tuple[float, int]] = deque()
         self._current_start: Optional[float] = None
         self._current_bytes = 0
         self._last_departure: Optional[float] = None
         self.ops = 0
 
-    def record_departure(self, now: float, nbytes: int) -> None:
-        self.ops += 1
+    def record_departure(self, now: float, nbytes: int,
+                         head_bytes: Optional[int] = None,
+                         count: int = 1) -> None:
+        """Record ``count`` same-instant departures totalling ``nbytes``.
+
+        ``head_bytes`` is the first packet's share of a burst.  Fed one
+        by one, that packet either opens a burst or extends the current
+        one, the stale-current retire runs, and the others extend
+        whatever survived it — so the retire point sits between the
+        head and the rest, and the head's size is what reproduces it.
+        ``count > 1`` needs ``resolution > 0``, or every packet would
+        close its own burst (the Fortune Teller feeds such configs
+        packet by packet).
+        """
+        self.ops += count
+        head = nbytes if head_bytes is None else head_bytes
+        bursts = self._bursts
         if (self._last_departure is None
                 or now - self._last_departure >= self.resolution):
-            self._close_current()
+            if self._current_start is not None:
+                entry = (self._current_start, self._current_bytes)
+                bursts.append(entry)
+                while self._max and self._max[-1][1] <= entry[1]:
+                    self._max.pop()
+                self._max.append(entry)
             self._current_start = now
-            self._current_bytes = nbytes
+            self._current_bytes = head
         else:
-            self._current_bytes += nbytes
+            self._current_bytes += head
         self._last_departure = now
-        self._expire(now)
+        horizon = now - self.window
+        while bursts and bursts[0][0] < horizon:
+            if bursts.popleft() is self._max[0]:
+                self._max.popleft()
+        if (self._current_start is not None
+                and now - self._current_start >= self.window):
+            self._current_start = None
+            self._current_bytes = 0
+        self._current_bytes += nbytes - head
 
-    def _close_current(self) -> None:
-        if self._current_start is not None:
-            entry = (self._current_start, self._current_bytes)
-            self._bursts.append(entry)
-            while self._max and self._max[-1][1] <= entry[1]:
-                self._max.pop()
-            self._max.append(entry)
-        self._current_start = None
-        self._current_bytes = 0
-
-    def _expire(self, now: float) -> None:
+    def max_burst_bytes(self, now: float) -> int:
+        self.ops += 1
         horizon = now - self.window
         bursts = self._bursts
         while bursts and bursts[0][0] < horizon:
-            entry = bursts.popleft()
-            if self._max and self._max[0] is entry:
+            if bursts.popleft() is self._max[0]:
                 self._max.popleft()
         # Stale-current bugfix: an unclosed burst older than the window
         # must stop feeding the Eq. 1 correction.
@@ -307,10 +326,6 @@ class BurstSizeTracker:
                 and now - self._current_start >= self.window):
             self._current_start = None
             self._current_bytes = 0
-
-    def max_burst_bytes(self, now: float) -> int:
-        self.ops += 1
-        self._expire(now)
         best = self._current_bytes
         if self._max and self._max[0][1] > best:
             best = self._max[0][1]
@@ -355,27 +370,20 @@ class DelayDeltaHistory:
         if delta < 0:
             raise ValueError(f"delta history only stores non-negative: {delta}")
         self.ops += 1
-        self._times.append(now)
-        self._values.append(delta)
-        self._sum.add(delta)
-        self._expire(now)
-
-    def _expire(self, now: float) -> None:
-        horizon = now - self.window
         times, values, head = self._times, self._values, self._head
-        while head < len(times) and times[head] < horizon:
+        times.append(now)
+        values.append(delta)
+        self._sum.add(delta)
+        horizon = now - self.window
+        while times[head] < horizon:  # stops at the entry just pushed
             self._sum.subtract(values[head])
             head += 1
-        self._head = head
-        if head == len(times):
-            self._times.clear()
-            self._values.clear()
-            self._head = 0
-            self._sum.reset()
-        elif head > self._COMPACT_MIN and head * 2 > len(times):
+        # Storage only grows here, so compacting here bounds it.
+        if head > self._COMPACT_MIN and head * 2 > len(times):
             del times[:head]
             del values[:head]
-            self._head = 0
+            head = 0
+        self._head = head
 
     def clear(self) -> None:
         """Drop the whole window (e.g. when a flow's ledger resets)."""
@@ -387,22 +395,31 @@ class DelayDeltaHistory:
     def sample(self, now: float) -> float:
         """Random recent delta; 0.0 when the window is empty."""
         self.ops += 1
-        self._expire(now)
-        head = self._head
-        n = len(self._times) - head
-        if n == 0:
+        horizon = now - self.window
+        times, head = self._times, self._head
+        n = len(times)
+        while head < n and times[head] < horizon:
+            self._sum.subtract(self._values[head])
+            head += 1
+        self._head = head
+        if head == n:
+            self.clear()
             return 0.0
-        # One uniform index draw — the same single ``randrange(n)`` the
-        # ring-view sample_from path consumes, minus the view object.
-        return self._values[head + self.rng.randindex(n)]
+        return self._values[head + self.rng.randindex(n - head)]
 
     def mean(self, now: float) -> float:
         self.ops += 1
-        self._expire(now)
-        n = len(self._times) - self._head
-        if n == 0:
+        horizon = now - self.window
+        times, head = self._times, self._head
+        n = len(times)
+        while head < n and times[head] < horizon:
+            self._sum.subtract(self._values[head])
+            head += 1
+        self._head = head
+        if head == n:
+            self.clear()
             return 0.0
-        return self._sum.value() / n
+        return self._sum.value() / (n - head)
 
     def __len__(self) -> int:
         return len(self._times) - self._head
@@ -411,11 +428,9 @@ class DelayDeltaHistory:
 class TokenBank:
     """Bounded FIFO of delay-reduction tokens with an O(1) running sum.
 
-    Drop-in replacement for the bare deque the out-of-band updater used
-    as ``token_history`` (same append/extend/popleft/index protocol, so
-    existing call sites — including tests and the ablation driver that
-    push raw floats — keep working), plus the two things a deque cannot
-    do:
+    The out-of-band updater's ``token_history``: Alg. 1 banks a token
+    with :meth:`append`, Alg. 2 consumes them oldest-first with
+    :meth:`spend`.  Two things a bare deque cannot do:
 
     * ``total`` reads an :class:`ExactFloatSum` instead of
       ``sum(deque)`` — O(1) per query, exact to the last bit;
@@ -426,21 +441,19 @@ class TokenBank:
       blackout must not cancel delay that the post-recovery queue
       genuinely accrued.
 
-    Timestamps come from ``clock`` (the simulator's ``now``); when no
-    clock is given entries are stamped 0.0 and only the size cap
-    applies.
+    Every token carries the stamp its caller passes to :meth:`append`;
+    without one it is stamped 0.0 and only the size cap applies.
     """
 
-    __slots__ = ("clock", "max_entries", "ttl", "_entries", "_sum",
-                 "capped", "expired")
+    __slots__ = ("max_entries", "ttl", "_entries", "_sum", "capped",
+                 "expired")
 
-    def __init__(self, clock=None, max_entries: int = 65536,
+    def __init__(self, max_entries: int = 65536,
                  ttl: Optional[float] = None):
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1: {max_entries}")
         if ttl is not None and ttl <= 0:
             raise ValueError(f"ttl must be positive: {ttl}")
-        self.clock = clock
         self.max_entries = max_entries
         self.ttl = ttl
         self._entries: deque[tuple[float, float]] = deque()
@@ -448,15 +461,11 @@ class TokenBank:
         self.capped = 0    # tokens evicted by the size cap
         self.expired = 0   # tokens evicted by the ttl
 
-    def _now(self) -> float:
-        return self.clock() if self.clock is not None else 0.0
-
-    def append(self, value: float) -> None:
+    def append(self, value: float, now: float = 0.0) -> None:
         if len(self._entries) >= self.max_entries:
-            _, old = self._entries.popleft()
-            self._sum.subtract(old)
+            self.popleft()
             self.capped += 1
-        self._entries.append((self._now(), value))
+        self._entries.append((now, value))
         self._sum.add(value)
 
     def extend(self, values) -> None:
@@ -470,6 +479,20 @@ class TokenBank:
             self._sum.reset()
         return value
 
+    def spend(self, amount: float) -> float:
+        """Alg. 2's token loop: cancel ``amount`` of sampled delay
+        against the oldest tokens; returns what is left to inject."""
+        entries = self._entries
+        while entries and amount > 0:
+            stamp, front = entries[0]
+            if front > amount:
+                entries[0] = (stamp, front - amount)
+                self._sum.subtract(front)
+                self._sum.add(front - amount)
+                return 0.0
+            amount -= self.popleft()
+        return amount
+
     def expire(self, now: float) -> int:
         """Drop tokens older than ``ttl``; no-op when ttl is unset."""
         if self.ttl is None:
@@ -478,11 +501,8 @@ class TokenBank:
         dropped = 0
         entries = self._entries
         while entries and entries[0][0] < horizon:
-            _, value = entries.popleft()
-            self._sum.subtract(value)
+            self.popleft()
             dropped += 1
-        if not entries:
-            self._sum.reset()
         self.expired += dropped
         return dropped
 
@@ -496,15 +516,6 @@ class TokenBank:
         if not self._entries:
             return 0.0
         return self._sum.value()
-
-    def __getitem__(self, index: int) -> float:
-        return self._entries[index][1]
-
-    def __setitem__(self, index: int, value: float) -> None:
-        stamp, old = self._entries[index]
-        self._entries[index] = (stamp, value)
-        self._sum.subtract(old)
-        self._sum.add(value)
 
     def __len__(self) -> int:
         return len(self._entries)

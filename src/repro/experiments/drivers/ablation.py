@@ -137,13 +137,7 @@ def feedback_ablation(acks: int = 5000, seed: int = 1
         injected = []
         t = 0.0
         for _ in range(acks):
-            delta = rng.gauss(0.0, 0.003)
-            if delta >= 0:
-                updater.delta_history.push(t, delta)
-                if not updater.distributional:
-                    updater._pending_deltas.append((t, delta))
-            elif updater.use_tokens:
-                updater.token_history.append(-delta)
+            updater.bank(t, rng.gauss(0.0, 0.003))
             injected.append(updater.ack_delay(t))
             t += 0.002
         quarter = len(injected) // 4

@@ -69,13 +69,14 @@ class DropTailQueue:
         self.stats = QueueStats()
         self.on_arrival: list[ArrivalCallback] = []
         self.on_departure: list[DepartureCallback] = []
-        #: Same-instant batch twins of ``on_departure`` subscribers.
+        #: Burst forms of the ``on_departure`` subscribers.
         #: ``dequeue_burst`` fires one ``callback(burst, queue)`` per
-        #: subscriber instead of per packet — but only when *every*
-        #: per-packet subscriber registered a twin here (the lists are
-        #: appended to in pairs).  Twins must be observably identical
-        #: to looping the per-packet callback over the burst, must not
-        #: read queue state (they run after the whole burst drained,
+        #: subscriber instead of one per packet — bursts of one
+        #: included — but only when *every* per-packet subscriber
+        #: registered a burst form here (the lists are appended to in
+        #: pairs).  A burst form must be observably identical to
+        #: looping the per-packet callback over the burst, must not
+        #: read queue state (it runs after the whole burst drained,
         #: not mid-drain), and must not depend on ordering relative to
         #: other subscribers.
         self.on_departure_batch: list = []
@@ -83,9 +84,9 @@ class DropTailQueue:
         #: Tracing probe (:class:`repro.obs.bus.TraceBus`); ``None`` =
         #: disabled, and every probe site is a single attribute check.
         self.trace = None
-        #: True only for exact DropTailQueue instances: subclasses (AQMs,
-        #: probe-free benchmark shims) may override dequeue/_pop_head, so
-        #: ``dequeue_burst`` must take the generic per-packet path.
+        #: True only for exact DropTailQueue instances: subclasses (AQMs)
+        #: may override dequeue/_pop_head, so ``dequeue_burst`` must
+        #: take the generic per-packet path.
         self._plain = type(self) is DropTailQueue
 
     # -- state inspection -------------------------------------------------
@@ -180,9 +181,9 @@ class DropTailQueue:
         stats = self.stats
         trace = self.trace
         departures = self.on_departure
-        # Batch departure dispatch: when every subscriber has a
-        # same-instant twin, fire each twin once with the whole burst
-        # (all stamped with one ``now``) instead of once per packet.
+        # Batch departure dispatch: when every subscriber has a burst
+        # form, fire each once with the whole burst (all stamped with
+        # one ``now``) instead of once per packet.
         use_batch = (bool(departures)
                      and len(self.on_departure_batch) == len(departures))
         fire = bool(departures) and not use_batch
@@ -209,13 +210,8 @@ class DropTailQueue:
                 for callback in departures:
                     callback(head, self)
         if use_batch and burst:
-            if count == 1:
-                head = burst[0]
-                for callback in departures:
-                    callback(head, self)
-            else:
-                for callback in self.on_departure_batch:
-                    callback(burst, self)
+            for callback in self.on_departure_batch:
+                callback(burst, self)
         return burst
 
     def _pop_head(self, now: float) -> Optional[Packet]:

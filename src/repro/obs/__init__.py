@@ -6,7 +6,9 @@ The observability subsystem has four pieces:
   zero-cost-when-disabled event bus. Components hold a ``trace``
   attribute that is ``None`` by default; every probe site is guarded by
   an ``is not None`` check so the disabled path costs one attribute
-  load (guarded by ``benchmarks/bench_obs_overhead.py``).
+  load (guarded by ``benchmarks/bench_obs_overhead.py``, which times
+  the live datapath against the same classes with their probe sites
+  cut out of their own source).
 * :mod:`repro.obs.flight` — a bounded ring-buffer flight recorder with
   severity levels; :class:`~repro.obs.session.TraceSession` dumps its
   tail whenever a scenario dies, so campaign failures come with the

@@ -150,11 +150,7 @@ class TestAverageDelayInvariant:
         injected = []
         t = 0.0
         for _ in range(2000):
-            delta = rng.gauss(0.0, 0.002)  # zero mean, mixed signs
-            if delta >= 0:
-                updater.delta_history.push(t, delta)
-            else:
-                updater.token_history.append(-delta)
+            updater.bank(t, rng.gauss(0.0, 0.002))  # zero mean, mixed signs
             injected.append(updater.ack_delay(t))
             t += 0.001
         mean_injected = sum(injected) / len(injected)
@@ -179,10 +175,7 @@ class TestAverageDelayInvariant:
         for _ in range(2000):
             delta = rng.gauss(0.0, 0.002)
             for updater in (with_tokens, without_tokens):
-                if delta >= 0:
-                    updater.delta_history.push(t, delta)
-                elif updater.use_tokens:
-                    updater.token_history.append(-delta)
+                updater.bank(t, delta)
             drift_with = with_tokens.ack_delay(t)
             drift_without = without_tokens.ack_delay(t)
             t += 0.001

@@ -1,7 +1,8 @@
 """Which datapath a scenario's AP queue resolves to, per queue kind.
 
 The plain-queue fast paths (burst drain, batch departure observers,
-inlined ``predict``, inline enqueue) are gated on class identity.
+direct queue reads in ``predict``, inline enqueue) are gated on class
+identity.
 ``fifo`` — the default of every scenario spec — used to be an empty
 subclass of ``DropTailQueue`` and silently took the generic per-packet
 path; these tests pin what every ``QUEUE_KINDS`` entry resolves to and
@@ -50,9 +51,9 @@ def test_queue_kind_resolution(kind):
     # Burst drain (``dequeue_burst``'s direct-deque loop) and inline
     # enqueue (``WirelessLink.send``) both key on ``_plain``.
     assert queue._plain is fast
-    # Inlined ``FortuneTeller.predict``.
+    # ``FortuneTeller.predict`` reads the queue's fields directly.
     assert teller._fast_predict is fast
-    # Batch departure observers: every per-packet subscriber has a twin.
+    # Batch departure observers: every per-packet subscriber has one.
     assert queue.on_departure
     assert len(queue.on_departure_batch) == len(queue.on_departure)
     if fast:
@@ -63,7 +64,7 @@ def test_queue_kind_resolution(kind):
 def test_fifo_scenario_makes_no_per_packet_queue_calls(monkeypatch):
     """2 s of the headline scenario (W1, rtp/gcc, Zhuge, fifo): the AP
     queue is drained by ``dequeue_burst`` alone, and the Fortune Teller
-    sees per-packet departures only for one-packet txops."""
+    takes every txop — one-packet ones included — as a burst."""
     calls = Counter()
     real_dequeue = DropTailQueue.dequeue
     real_observe = FortuneTeller.observe_departure
@@ -84,8 +85,7 @@ def test_fifo_scenario_makes_no_per_packet_queue_calls(monkeypatch):
     down = builder.edges["down"]
     assert down.queue.stats.dequeued > 100
     assert calls["dequeue", "down"] == 0
-    assert calls["observe_departure"] <= down.link.txops
-    assert calls["observe_departure"] < down.queue.stats.dequeued
+    assert calls["observe_departure"] == 0
 
 
 class _GenericQueue(DropTailQueue):

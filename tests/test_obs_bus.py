@@ -84,6 +84,25 @@ class TestZeroCostDisabled:
         assert sim.trace is None
         sim.emit("sim", "error", message="ignored")  # must not raise
 
+    def test_overhead_guard_twins_differ_by_probe_sites_only(self):
+        """The <2% guard's probe-free side is the live source minus its
+        probe sites: nothing left that reads ``trace``, same state
+        trajectory, live methods back afterwards."""
+        from repro.experiments.drivers import obs_overhead
+        live = {cls: dict(vars(cls)) for cls in obs_overhead.PROBED_CLASSES}
+        trajectory = obs_overhead._drive(300)[1]
+        with obs_overhead.probes_stripped() as sites:
+            assert sites >= 5
+            swapped = [(cls, name) for cls, methods in live.items()
+                       for name, method in methods.items()
+                       if vars(cls)[name] is not method]
+            assert (DropTailQueue, "enqueue") in swapped
+            for cls, name in swapped:
+                assert "trace" not in vars(cls)[name].__code__.co_names
+            assert obs_overhead._drive(300)[1] == trajectory
+        assert all(dict(vars(cls)) == methods
+                   for cls, methods in live.items())
+
 
 class TestSimulatorSubscribe:
     def test_subscribe_creates_bus_lazily(self, sim):

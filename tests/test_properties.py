@@ -130,10 +130,7 @@ class TestFeedbackUpdaterProperties:
         t = 0.0
         last_release = 0.0
         for delta in deltas:
-            if delta >= 0:
-                updater.delta_history.push(t, delta)
-            else:
-                updater.token_history.append(-delta)
+            updater.bank(t, delta)
             delay = updater.ack_delay(t)
             assert delay >= 0.0
             release = t + delay
