@@ -68,14 +68,12 @@ def test_hotpath_regression(once):
 
     e2e = payload["end_to_end"]
     print(format_table(
-        "Hot path — end-to-end simulated datapath (per event model)",
-        ("model", "packets", "delivered", "events/pkt", "packets/s",
-         "events/s"),
-        [(model, cell["packets"], cell["delivered"],
-          f"{cell['events_per_packet']:.2f}",
-          f"{cell['packets_per_sec']:,.0f}/s",
-          f"{cell['events_per_sec']:,.0f}/s")
-         for model, cell in e2e.items()]))
+        "Hot path — end-to-end simulated datapath",
+        ("packets", "delivered", "events/pkt", "packets/s", "events/s"),
+        [(e2e["packets"], e2e["delivered"],
+          f"{e2e['events_per_packet']:.2f}",
+          f"{e2e['packets_per_sec']:,.0f}/s",
+          f"{e2e['events_per_sec']:,.0f}/s")]))
 
     for name in GUARDED:
         assert micro[name]["speedup"] >= MIN_SPEEDUP, (
@@ -88,37 +86,15 @@ def test_hotpath_regression(once):
     assert (by_flows[100]["on_data_packet_ops_per_sec"]
             >= by_flows[1]["on_data_packet_ops_per_sec"] / 3.0)
 
-    # End-to-end structural guards, per event model: every data packet
-    # must survive the trip (the paced sender stays under capacity — a
-    # drop means the batching changed queue occupancy), and each model
-    # must stay within its event budget per delivered packet.
-    budgets = {"classic": 5.0, "macro": 3.0}
-    for model, cell in e2e.items():
-        assert cell["delivered"] == cell["packets"], (
-            f"{model}: end-to-end dropped packets: "
-            f"{cell['delivered']}/{cell['packets']}")
-        assert cell["events_per_packet"] < budgets[model], (
-            f"{model}: event amplification regressed: "
-            f"{cell['events_per_packet']:.2f} events/packet "
-            f">= {budgets[model]}")
-    # The macro model must deliver the identical workload through fewer
-    # events — the whole point of the fused dispatch.  (Wall-clock
-    # throughput is noisy on shared runners, so the dispatch-count
-    # ratio is the guard; the non-smoke trajectory records both.)
-    assert (e2e["macro"]["events_per_packet"]
-            < e2e["classic"]["events_per_packet"]), (
-        f"macro is not cheaper in events/packet: "
-        f"{e2e['macro']['events_per_packet']:.2f} vs "
-        f"{e2e['classic']['events_per_packet']:.2f}")
-    # ...and must not be *slower* than classic.  Smoke mode gets a 10%
-    # noise allowance (shared CI runners, tiny workloads); the full run
-    # is best-of-5 per mode and must win outright.
-    floor = 0.9 if SMOKE else 1.0
-    assert (e2e["macro"]["packets_per_sec"]
-            >= e2e["classic"]["packets_per_sec"] * floor), (
-        f"macro end-to-end slower than classic: "
-        f"{e2e['macro']['packets_per_sec']:,.0f}/s vs "
-        f"{e2e['classic']['packets_per_sec']:,.0f}/s")
+    # End-to-end structural guards on the best-of-N cell: every data
+    # packet must survive the trip (the paced sender stays under
+    # capacity — a drop means the batching changed queue occupancy),
+    # and dispatch must stay within its event budget per packet.
+    assert e2e["delivered"] == e2e["packets"], (
+        f"end-to-end dropped packets: {e2e['delivered']}/{e2e['packets']}")
+    assert e2e["events_per_packet"] < 3.0, (
+        f"event amplification regressed: "
+        f"{e2e['events_per_packet']:.2f} events/packet >= 3.0")
 
     # GREEN-steady controller cell: on a healthy datapath the control
     # loop must never leave GREEN (no voter flaps), drop nothing, and

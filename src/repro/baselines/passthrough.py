@@ -28,7 +28,7 @@ class PassthroughAP:
             self.forward_uplink(packet)
 
     def on_data_batch(self, packets: list) -> None:
-        """Batch twin of :meth:`on_downlink` (macro event model)."""
+        """Batch twin of :meth:`on_downlink`."""
         self.packets_processed += len(packets)
         forward = self.forward_downlink
         if forward is not None:
@@ -36,7 +36,7 @@ class PassthroughAP:
                 forward(packet)
 
     def on_ack_batch(self, packets: list) -> None:
-        """Batch twin of :meth:`on_uplink` (macro event model)."""
+        """Batch twin of :meth:`on_uplink`."""
         self.packets_processed += len(packets)
         forward = self.forward_uplink
         if forward is not None:

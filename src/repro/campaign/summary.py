@@ -139,10 +139,11 @@ class ScenarioSummary:
         Everything observable about the simulated trajectory — per-packet
         timestamps, delays, drops, release times, counts — is pinned;
         ``events_processed`` is excluded because it counts engine
-        dispatches, which the macro event model legitimately fuses.
-        Two runs that differ only in event model must produce identical
-        payloads (``packets_processed`` stays: links count deliveries
-        the same way in both models).
+        dispatches, which the macro-event datapath legitimately fuses.
+        Two runs that differ only in how events are dispatched (e.g.
+        the per-packet reference links of ``tests/reference_links.py``)
+        must produce identical payloads (``packets_processed`` stays:
+        every link counts deliveries the same way).
         """
         payload = self.as_dict()
         del payload["events_processed"]

@@ -187,9 +187,9 @@ class FleetSummary:
         a different ``--shard-aps``) must produce the same digest —
         that equality is the bit-exactness contract of the sharder.
         ``events_processed`` is likewise excluded (digest contract v2):
-        it counts engine dispatches, which differ between the classic
-        and macro event models; ``packets_processed`` pins the
-        trajectory instead.
+        it counts engine dispatches, which move whenever a component
+        changes how it dispatches (not what it computes);
+        ``packets_processed`` pins the trajectory instead.
         """
         payload = self.as_dict()
         del payload["shards"]

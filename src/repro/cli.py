@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -45,6 +46,27 @@ AP_MODES = ("none", "zhuge", "fastack", "abc")
 
 #: Multi-AP presets emitted by ``repro topology`` (see repro.topology).
 TOPOLOGY_PRESETS = ("interference", "roaming", "first-mile")
+
+
+def _duration(text: str) -> float:
+    """argparse ``type=`` for durations: a finite float above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (0 < value < math.inf):
+        raise argparse.ArgumentTypeError(f"must be > 0 seconds: {text!r}")
+    return value
+
+
+def _fault_dsl(text: str) -> str:
+    """argparse ``type=`` for fault-plan DSL strings: parse to validate,
+    keep the text (the seed and watchdog policy are applied later)."""
+    try:
+        FaultPlan.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def _trace_spec(args) -> TraceSpec:
@@ -574,7 +596,7 @@ def _add_obs_options(parser: argparse.ArgumentParser) -> None:
 def _add_fault_options(parser: argparse.ArgumentParser) -> None:
     """Fault injection (repro.faults)."""
     group = parser.add_argument_group("fault injection (repro.faults)")
-    group.add_argument("--faults", default=None,
+    group.add_argument("--faults", default=None, type=_fault_dsl,
                        help="fault plan DSL: comma list of "
                             "kind@start[+duration][*magnitude][/target], "
                             "e.g. 'blackout@10+2,reset@12', "
@@ -612,7 +634,7 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
                         help="gcc/nada/scream (rtp) or copa/bbr/cubic/abc (tcp)")
     parser.add_argument("--queue", default="fifo",
                         choices=("fifo", "codel", "fq_codel"))
-    parser.add_argument("--duration", type=float, default=30.0)
+    parser.add_argument("--duration", type=_duration, default=30.0)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--max-mbps", type=float, default=4.0)
     parser.add_argument("--competitors", type=int, default=0)
@@ -710,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "(see drivers/traces_eval.py)")
     campaign_parser.add_argument("--seeds", default="1,2",
                                  help="comma list of seeds per cell")
-    campaign_parser.add_argument("--duration", type=float, default=None,
+    campaign_parser.add_argument("--duration", type=_duration, default=None,
                                  help="simulated seconds per cell "
                                       "(default 30, or 20 with --city)")
     city_group = campaign_parser.add_argument_group(
@@ -774,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
     resilience_parser.add_argument("--lengths", default="0.5,1,2",
                                    help="comma list of blackout lengths "
                                         "in seconds")
-    resilience_parser.add_argument("--duration", type=float, default=25.0)
+    resilience_parser.add_argument("--duration", type=_duration, default=25.0)
     resilience_parser.add_argument("--seeds", default="1",
                                    help="comma list of seeds per cell")
     resilience_parser.add_argument("--protocol", default="tcp",
@@ -792,15 +814,16 @@ def build_parser() -> argparse.ArgumentParser:
              "(repro.control)")
     control_parser.add_argument("--seeds", default="1,2",
                                 help="comma list of seeds per scheme")
-    control_parser.add_argument("--duration", type=float, default=None,
+    control_parser.add_argument("--duration", type=_duration, default=None,
                                 help="per-AP storm run length")
-    control_parser.add_argument("--storm", default=None,
+    control_parser.add_argument("--storm", default=None, type=_fault_dsl,
                                 help="per-AP fault-plan DSL override")
     control_parser.add_argument("--no-fleet", action="store_true",
                                 help="skip the two-AP steering comparison")
     control_parser.add_argument("--fleet-storm", default=None,
+                                type=_fault_dsl,
                                 help="fleet fault-plan DSL override")
-    control_parser.add_argument("--fleet-duration", type=float,
+    control_parser.add_argument("--fleet-duration", type=_duration,
                                 default=None)
     control_parser.add_argument("--out", default=None,
                                 help="write rows JSON here")
@@ -817,7 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "bandwidth-trace-file mode")
     trace_parser.add_argument("--family", default="W1",
                               choices=TRACE_CHOICES)
-    trace_parser.add_argument("--duration", type=float, default=60.0)
+    trace_parser.add_argument("--duration", type=_duration, default=60.0)
     trace_parser.add_argument("--seed", type=int, default=1)
     trace_parser.add_argument("--out", required=True)
     trace_parser.add_argument("--events",
@@ -853,7 +876,7 @@ def build_parser() -> argparse.ArgumentParser:
     topology_parser.add_argument("--interferers", type=int, default=5,
                                  help="contending stations "
                                       "(interference preset)")
-    topology_parser.add_argument("--duration", type=float, default=60.0,
+    topology_parser.add_argument("--duration", type=_duration, default=60.0,
                                  help="access-trace length "
                                       "(first-mile preset)")
     topology_parser.add_argument("--out", default=None,

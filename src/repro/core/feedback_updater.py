@@ -117,12 +117,11 @@ class OutOfBandFeedbackUpdater:
         #: ACK's ``forward`` *is* this callable, the hold is served by a
         #: :class:`~repro.sim.engine.TimedRun` instead of a scheduler
         #: event — one sentinel per burst instead of one heap event (and
-        #: one closure) per ACK.  Unknown forwards keep the classic
-        #: schedule; both assign their seq at ACK time, so the two are
-        #: tie-order identical.
+        #: one closure) per ACK.  Unknown forwards are scheduled; both
+        #: assign their seq at ACK time, so the two are tie-order
+        #: identical.
         self.release_forward: Optional[Callable[[Packet], None]] = None
         self._release_run = None
-        self._macro = sim.event_model == "macro"
 
     def enable_trace(self, bus, track: str = "ap") -> None:
         self.trace = bus
@@ -237,16 +236,14 @@ class OutOfBandFeedbackUpdater:
         self.total_injected_delay += delay
         if delay <= 0:
             forward(packet)
-        elif self._macro and forward is self.release_forward:
+        elif forward is self.release_forward:
             run = self._release_run
             if run is None:
                 run = self._release_run = self.sim.timed_run(forward)
-            # Same time expression the classic schedule produces
-            # (``now + delay``).  Releases are monotone by the
-            # ``_last_sent_time`` clamp, but the float round-trip
-            # ``arrival + (release - arrival)`` can regress by an ulp —
-            # the classic event heap tolerates that, so mirror it by
-            # falling back to a classic event for the stragglers.
+            # ``now + delay``, as ``schedule`` computes it.  The clamp
+            # keeps releases monotone, but ``arrival + (release -
+            # arrival)`` can regress by an ulp; a run refuses that, so
+            # those stragglers are scheduled as events.
             time = now + delay
             times = run._times
             if times and time < times[-1]:

@@ -332,7 +332,7 @@ class ZhugeAP:
             self._uplink_out(packet)
 
     def on_data_batch(self, packets: list) -> None:
-        """Batch twin of :meth:`on_downlink` (macro event model).
+        """Batch twin of :meth:`on_downlink`.
 
         Loops the exact per-packet logic without re-entering the
         scheduler between packets; a caller must only hand over packets
@@ -343,7 +343,7 @@ class ZhugeAP:
             on_downlink(packet)
 
     def on_ack_batch(self, packets: list) -> None:
-        """Batch twin of :meth:`on_uplink` (macro event model).
+        """Batch twin of :meth:`on_uplink`.
 
         One AMPDU's worth of uplink feedback in a single call: per
         packet the updater lookup, feedback handling and release

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import gc
 import json
-import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -180,8 +179,7 @@ def bench_datapath(flows: int, packets: int = 20_000) -> dict:
 def bench_end_to_end(packets: int = 30_000, flows: int = 4,
                      link_rate_bps: float = 300e6,
                      watchdog: bool = False,
-                     control: bool = False,
-                     mode: str | None = None) -> dict:
+                     control: bool = False) -> dict:
     """Wall-clock packets/sec of the full datapath through the event loop.
 
     A paced sender pushes ``packets`` data packets (split across
@@ -199,19 +197,7 @@ def bench_end_to_end(packets: int = 30_000, flows: int = 4,
     from repro.wireless.channel import WirelessChannel
     from repro.wireless.link import WirelessLink
 
-    # ``mode`` pins REPRO_EVENT_MODEL for this run (the engine reads it
-    # once per Simulator); ``None`` keeps the ambient default.
-    saved_mode = os.environ.get("REPRO_EVENT_MODEL")
-    if mode is not None:
-        os.environ["REPRO_EVENT_MODEL"] = mode
-    try:
-        sim = Simulator()
-    finally:
-        if mode is not None:
-            if saved_mode is None:
-                del os.environ["REPRO_EVENT_MODEL"]
-            else:
-                os.environ["REPRO_EVENT_MODEL"] = saved_mode
+    sim = Simulator()
     queue = DropTailQueue(capacity_bytes=4_000_000)
     ap = ZhugeAP(sim, queue, rng=DeterministicRandom(1))
     flow_objs = [FiveTuple("server", "client", 1000 + i, 2000 + i)
@@ -267,7 +253,7 @@ def bench_end_to_end(packets: int = 30_000, flows: int = 4,
         ack_send(ack)
 
     def client_deliver_batch(batch):
-        # The macro-mode AMPDU twin: one call per txop.  Without
+        # The AMPDU twin: one call per txop.  Without
         # sensing the whole txop's ACKs are built in one sweep and
         # pushed seq-consecutively onto the delay line's run —
         # identical to looping ``client_deliver`` (same construction
@@ -286,17 +272,11 @@ def bench_end_to_end(packets: int = 30_000, flows: int = 4,
     wifi.deliver_batch = client_deliver_batch
     ack_line.deliver = ap.on_uplink
     # One txop's deliveries ACK at the same instant, so the delay line
-    # hands the whole burst to the AP in one call (macro mode only; the
-    # classic path never forms batches).  ``forward_uplink`` stays None:
-    # the bench has no WAN side behind the AP, and the updater skips the
-    # forward without a callback trampoline.
+    # hands the whole burst to the AP in one call.  ``forward_uplink``
+    # stays None: the bench has no WAN side behind the AP, and the
+    # updater skips the forward without a callback trampoline.
     ack_line.deliver_batch = ap.on_ack_batch
 
-    # The wiring above is final, so resolve both wired links' event
-    # model now and let the hot closures capture the resolved fast-path
-    # ``send`` instead of re-resolving through the generic entry point.
-    wan._resolve_macro()
-    ack_line._resolve_macro()
     wan_send = wan.send
     ack_send = ack_line.send
     ack_send_batch = ack_line.send_batch
@@ -320,7 +300,7 @@ def bench_end_to_end(packets: int = 30_000, flows: int = 4,
     sim.schedule(0.0, send_burst)
     # Measure with the cyclic collector paused — the ``timeit``
     # convention — so GC pauses triggered by unrelated allocation
-    # history don't land inside one mode's cell and not the other's.
+    # history don't land inside one cell and not another.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     start = time.perf_counter()
@@ -333,7 +313,6 @@ def bench_end_to_end(packets: int = 30_000, flows: int = 4,
     result = {
         "packets": packets,
         "flows": flows,
-        "mode": sim.event_model,
         "delivered": delivered,
         "events": sim.events_processed,
         "events_per_packet": sim.events_processed / max(delivered, 1),
@@ -392,19 +371,6 @@ def bench_end_to_end_controller(packets: int = 30_000, flows: int = 4,
     }
 
 
-def _e2e_cells(e2e_packets: int, e2e_repeats: int) -> dict:
-    """Best-of-``e2e_repeats`` end-to-end cell per event model,
-    interleaved classic/macro (see ``run_hotpath_bench``)."""
-    best: dict = {}
-    for _ in range(e2e_repeats):
-        for model in ("classic", "macro"):
-            run = bench_end_to_end(packets=e2e_packets, mode=model)
-            cur = best.get(model)
-            if cur is None or run["packets_per_sec"] > cur["packets_per_sec"]:
-                best[model] = run
-    return best
-
-
 def run_hotpath_bench(queries: int = 20_000, packets: int = 20_000,
                       flow_counts=(1, 10, 100),
                       e2e_packets: int = 30_000,
@@ -413,13 +379,11 @@ def run_hotpath_bench(queries: int = 20_000, packets: int = 20_000,
         "micro": bench_estimator_micro(queries=queries),
         "datapath": [bench_datapath(flows, packets=packets)
                      for flows in flow_counts],
-        # One cell per event model: ``macro`` (the default fused
-        # dispatch) against the ``classic`` per-packet escape hatch —
-        # best-of-``e2e_repeats`` each, since a single wall-clock run
-        # is hostage to scheduler noise.  Repeats are interleaved
-        # classic/macro so CPU frequency drift over the block hits both
-        # models equally instead of biasing whichever runs later.
-        "end_to_end": _e2e_cells(e2e_packets, e2e_repeats),
+        # Best-of-``e2e_repeats``: a single wall-clock run is hostage
+        # to scheduler noise.
+        "end_to_end": max((bench_end_to_end(packets=e2e_packets)
+                           for _ in range(e2e_repeats)),
+                          key=lambda run: run["packets_per_sec"]),
         "controller": bench_end_to_end_controller(packets=e2e_packets,
                                                   repeats=e2e_repeats),
     }

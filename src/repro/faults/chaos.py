@@ -102,7 +102,9 @@ class ChaosState:
 
     * :meth:`next_count` — an atomic campaign-wide counter: every call
       appends one byte to ``counter`` (POSIX guarantees O_APPEND
-      single-byte writes are atomic) and returns the resulting size.
+      single-byte writes are atomic) and returns its own file offset
+      after the write — not the file size, which a concurrent append
+      may already have moved past it.
     * :meth:`fire_once` — at-most-once claims via ``O_CREAT | O_EXCL``
       marker files; the claim persists across crashes and resumes.
     """
@@ -119,9 +121,9 @@ class ChaosState:
                      os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
         try:
             os.write(fd, b".")
+            return os.lseek(fd, 0, os.SEEK_CUR)
         finally:
             os.close(fd)
-        return self._counter_path(name).stat().st_size
 
     def count(self, name: str = "cells") -> int:
         try:

@@ -1,33 +1,25 @@
-"""Wired point-to-point link.
+"""Wired point-to-point link: serialization (bytes / rate) plus fixed
+propagation delay.  The WAN segment between the sender and the AP is a
+``WiredLink``; the wireless hop is modelled in :mod:`repro.wireless`.
 
-Models serialization (bytes / rate) plus fixed propagation delay, with an
-attached :class:`~repro.net.queue.DropTailQueue` (or an AQM subclass).
-The WAN segment between the sender and the AP is a ``WiredLink``; the
-wireless hop is modelled separately in :mod:`repro.wireless`.
-
-Event models (PR 10)
---------------------
-Under ``REPRO_EVENT_MODEL=classic`` every packet costs three events
-(serialization finish, propagation arrival, plus the enqueue-side
-bookkeeping).  The default **macro** model replaces the whole chain
-with an *analytic virtual server*: ``send`` computes the packet's
+Analytic virtual server
+-----------------------
+The link never wakes up per hop.  ``send`` computes the packet's
 serialization start (``max(now, tail_finish)``), finish
-(``start + size*8/rate`` — the identical float expression the classic
-path evaluates) and arrival (``finish + delay``) in place, and pushes
-the packet onto a single :class:`~repro.sim.engine.TimedRun` arrival
-stream — one sentinel heap entry per burst instead of two events per
-packet.  Tail-drop fidelity is preserved by a *committed-bytes* ledger:
-packets whose serialization has not started yet still occupy queue
-capacity, exactly as the classic queue's ``_bytes`` would at the same
-instant.  Queue stats totals and per-packet ``enqueued_at`` /
-``dequeued_at`` stamps are identical in both modes; a link whose queue
-has trace probes or arrival/departure observers (or an AQM subclass)
-falls back to the classic path automatically, so observability and
-AQM semantics never silently change.
+(``start + size*8/rate``) and arrival (``finish + delay``) in place and
+pushes the packet onto one :class:`~repro.sim.engine.TimedRun` arrival
+stream — one sentinel heap entry per burst instead of a serialization
+and a propagation event per packet.  A *committed-bytes* ledger keeps
+tail drop exact: packets whose serialization has not started still
+occupy capacity, as in a FIFO that dequeues at each start instant; the
+queue's stats and the ``enqueued_at`` / ``dequeued_at`` stamps are that
+FIFO's.  ``tests/reference_links.py`` keeps the per-packet event chain
+as the oracle these trajectories are pinned against.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Optional
 
 from repro.net.packet import Packet
@@ -40,8 +32,16 @@ DeliverCallback = Callable[[Packet], None]
 class WiredLink:
     """Fixed-rate link with propagation delay and an egress queue.
 
-    ``rate_bps`` of 0 or ``None`` means infinite rate (pure delay line),
-    which is how we model uncongested reverse WAN paths.
+    ``rate_bps=None`` means infinite rate (pure delay line), which is
+    how we model uncongested reverse WAN paths.
+
+    ``send`` is bound once, at construction: the delay line when there
+    is no rate, the analytic server otherwise.  The queue is a capacity
+    and stats ledger — the server implements tail drop and nothing
+    else, never calls the queue's ``enqueue``/``dequeue`` and fires no
+    observers or trace probes — so a queue that is not exactly a
+    :class:`DropTailQueue` is rejected.  AQM, observers and probes
+    belong on wireless edges.
     """
 
     def __init__(self, sim: Simulator, rate_bps: Optional[float],
@@ -51,119 +51,66 @@ class WiredLink:
             raise ValueError(f"delay must be non-negative: {delay}")
         if rate_bps is not None and rate_bps <= 0:
             raise ValueError(f"rate must be positive or None: {rate_bps}")
+        # Explicit None check: an empty DropTailQueue is falsy (len == 0),
+        # so ``queue or default`` would silently discard a provided queue.
+        if queue is None:
+            queue = DropTailQueue(name=f"{name}-q")
+        elif type(queue) is not DropTailQueue:
+            raise TypeError(
+                f"WiredLink {name!r} serves a plain DropTailQueue (tail "
+                f"drop only); got {type(queue).__name__} — put AQM on a "
+                f"wireless edge")
         self.sim = sim
         self.rate_bps = rate_bps
         self.delay = delay
-        # Explicit None check: an empty DropTailQueue is falsy (len == 0),
-        # so ``queue or default`` would silently discard a provided queue.
-        self.queue = queue if queue is not None else DropTailQueue(name=f"{name}-q")
+        self.queue = queue
         self.name = name
         self.deliver: Optional[DeliverCallback] = None
-        #: Optional whole-batch delivery callback (macro mode): must be
-        #: observably identical to calling ``deliver`` per packet.  Used
-        #: for arrivals that share one instant (e.g. the ACK burst a
-        #: txop's worth of deliveries sends down a pure delay line).
+        #: Optional whole-batch delivery callback: must be observably
+        #: identical to calling ``deliver`` per packet.  Used for
+        #: arrivals that share one instant (e.g. the ACK burst a txop's
+        #: worth of deliveries sends down a pure delay line).
         self.deliver_batch: Optional[Callable[[list], None]] = None
-        self._busy = False
-        #: Packet currently serializing, and packets propagating toward
-        #: the far end (oldest first). Events are bound methods popping
-        #: from these instead of per-packet lambdas: the propagation
-        #: delay is fixed, so arrivals complete in send order.
-        self._tx_packet: Optional[Packet] = None
-        from collections import deque
-        self._inflight: "deque[Packet]" = deque()
-        #: Event model, resolved lazily at the first send (observers and
-        #: trace probes are attached between construction and the run):
-        #: None = undecided, then True (analytic macro path) or False
-        #: (classic per-packet events) for the link's lifetime.
-        self._macro: Optional[bool] = None
-        self._arrive_run = None
-        self._arrive_push = None
+        self._arrive_run = sim.timed_run(self._arrive)
+        self._arrive_run.fn_batch = self._arrive_batch
+        self._arrive_push = self._arrive_run.push
         #: Analytic-server state: absolute time the serializer frees,
         #: and the (start, size) ledger of accepted packets whose
         #: serialization has not begun — they still occupy capacity.
         self._tail_finish = 0.0
         self._committed: "deque[tuple[float, int]]" = deque()
         self._phantom_bytes = 0
-
-    def _resolve_macro(self) -> bool:
-        """Pick the event model once, at the first send."""
-        queue = self.queue
-        macro = (self.sim.event_model == "macro"
-                 and type(queue) is DropTailQueue
-                 and queue.trace is None
-                 and not queue.on_arrival
-                 and not queue.on_departure)
-        if macro:
-            self._arrive_run = self.sim.timed_run(self._macro_arrive)
-            self._arrive_run.fn_batch = self._macro_arrive_batch
-            self._arrive_push = self._arrive_run.push
-            # Rebind the entry point to the resolved fast path: callers
-            # that look ``link.send`` up per packet (the hot path) skip
-            # the mode dispatch from the second packet on.  Callers
-            # holding a reference bound before the first send still go
-            # through the generic ``send``, which stays correct.
-            self.send = (self._delay_send if self.rate_bps is None
-                         else self._macro_send)
-        self._macro = macro
-        return macro
-
-    def send(self, packet: Packet) -> None:
-        """Accept a packet for transmission (may queue or drop it)."""
-        macro = self._macro
-        if macro is None:
-            macro = self._resolve_macro()
-        if self.rate_bps is None:
-            # Infinite-rate delay line: bypass the queue entirely.
-            if macro:
-                self._delay_send(packet)
-            else:
-                self._inflight.append(packet)
-                self.sim.schedule(self.delay, self._arrive)
-            return
-        if macro:
-            self._macro_send(packet)
-            return
-        if self.queue.enqueue(packet, self.sim.now) and not self._busy:
-            self._start_transmission()
+        self.send: Callable[[Packet], None] = (
+            self._delay_send if rate_bps is None else self._send)
 
     def _delay_send(self, packet: Packet) -> None:
-        """Macro delay line: one run push per packet, no queue, no events.
-
-        Seq is taken at push time, exactly when the classic path would
-        schedule its arrival event: tie order against foreign events is
-        preserved.
-        """
+        """Delay line: one run push (and seq) per packet, no queue."""
         self._arrive_push(self.sim._now + self.delay, packet)
 
     def send_batch(self, packets: list) -> None:
         """Send several packets at one instant.
 
-        On a macro delay line the whole batch becomes one seq-consecutive
-        run extension — observably identical to looping :meth:`send`
-        (each packet would take the next seq with nothing in between).
-        Rate-limited or classic links just loop.
+        On a delay line the whole batch becomes one seq-consecutive run
+        extension — observably identical to looping ``send`` (each
+        packet would take the next seq with nothing in between).
+        Rate-limited links just loop.
         """
-        macro = self._macro
-        if macro is None:
-            macro = self._resolve_macro()
-        if macro and self.rate_bps is None:
+        if self.rate_bps is None:
             self._arrive_run.push_batch(self.sim._now + self.delay, packets)
             return
-        send = self.send
+        send = self._send
         for packet in packets:
             send(packet)
 
-    def _macro_send(self, packet: Packet) -> None:
+    def _send(self, packet: Packet) -> None:
         """Analytic virtual server: queue+serialize+propagate in place.
 
-        Arithmetic order matches the classic path operation for
-        operation (``start + size * 8 / rate``, then ``finish + delay``),
-        so computed timestamps are bit-identical.  The settle loop
-        releases capacity held by packets whose serialization has
-        started (``start <= now``) — the classic queue dequeues exactly
-        at those start times, so the ledger equals classic ``_bytes``
-        at every send instant.
+        The timestamps are the per-packet chain's float expressions in
+        its order (``start + size * 8 / rate``, then ``finish + delay``),
+        so they are bit-identical to it.  The settle loop releases
+        capacity held by packets whose serialization has started
+        (``start <= now``) — a FIFO dequeues exactly at those start
+        times, so the ledger equals its byte count at every send.
         """
         now = self.sim._now
         committed = self._committed
@@ -192,7 +139,7 @@ class WiredLink:
         self._phantom_bytes = phantom + size
         self._arrive_push(finish + self.delay, packet)
 
-    def _macro_arrive(self, packet: Packet) -> None:
+    def _arrive(self, packet: Packet) -> None:
         """TimedRun dispatcher: one delivered packet at its arrival time."""
         deliver = self.deliver
         if deliver is not None:
@@ -201,8 +148,8 @@ class WiredLink:
             packet.received_at = sim._now
             deliver(packet)
 
-    def _macro_arrive_batch(self, packets: list) -> None:
-        """Same-instant batch twin of :meth:`_macro_arrive`.
+    def _arrive_batch(self, packets: list) -> None:
+        """Same-instant batch twin of :meth:`_arrive`.
 
         Packet-for-packet identical bookkeeping; with a wired
         ``deliver_batch`` the whole burst lands in one receiver call
@@ -226,29 +173,6 @@ class WiredLink:
             for packet in packets:
                 packet.received_at = now
                 deliver(packet)
-
-    def _start_transmission(self) -> None:
-        packet = self.queue.dequeue(self.sim.now)
-        if packet is None:
-            self._busy = False
-            return
-        self._busy = True
-        self._tx_packet = packet
-        tx_time = packet.size * 8 / self.rate_bps
-        self.sim.schedule(tx_time, self._finish)
-
-    def _finish(self) -> None:
-        self._inflight.append(self._tx_packet)
-        self._tx_packet = None
-        self.sim.schedule(self.delay, self._arrive)
-        self._start_transmission()
-
-    def _arrive(self) -> None:
-        packet = self._inflight.popleft()
-        if self.deliver is not None:
-            self.sim.packets_processed += 1
-            packet.received_at = self.sim.now
-            self.deliver(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         rate = "inf" if self.rate_bps is None else f"{self.rate_bps / 1e6:.1f}Mbps"

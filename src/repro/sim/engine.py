@@ -38,37 +38,25 @@ a **single sentinel** in the future heap (for its head item) and the
 run loop *run-ahead* fires consecutive items inline — without any heap
 traffic — for as long as they are globally next in the exact
 ``(time, seq)`` total order.  Each push still consumes one ``seq`` from
-the shared counter, so a run item and a classic event scheduled for the
-same instant tie-break exactly as two classic events would: trajectories
-are bit-identical between the macro and classic event models.
+the shared counter, so a run item and an :class:`Event` at the same
+instant tie-break exactly as two events would: moving a component from
+one event per packet to a run keeps its trajectory bit for bit
+(``tests/reference_links.py`` holds the links' per-packet oracles).
 
-``REPRO_EVENT_MODEL`` (``macro``, the default, or ``classic``) selects
-which model datapath components use; the engine itself always supports
-both.  ``events_processed`` counts every dispatch (classic events and
-run items alike) and is engine *telemetry* — summary digests pin
-``packets_processed``, which the link layers increment per delivered
-packet identically in both modes.
+``events_processed`` counts every dispatch (events and run items
+alike) and is engine *telemetry*; summary digests pin
+``packets_processed``, the packets the link layers delivered.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import os
 from typing import Callable, Optional
 
 #: Compaction starts only beyond this many dead events, so small
 #: simulations never pay the rebuild.
 _COMPACT_MIN_DEAD = 64
-
-
-def _resolve_event_model() -> str:
-    """Read ``REPRO_EVENT_MODEL`` (macro | classic; default macro)."""
-    mode = os.environ.get("REPRO_EVENT_MODEL", "macro").strip().lower()
-    if mode not in ("macro", "classic"):
-        raise SimulationError(
-            f"REPRO_EVENT_MODEL must be 'macro' or 'classic', got {mode!r}")
-    return mode
 
 
 class SimulationError(RuntimeError):
@@ -128,15 +116,16 @@ class TimedRun:
     Created through :meth:`Simulator.timed_run`.  ``push(time, payload)``
     appends a record; the engine calls ``fn(payload)`` at exactly
     ``time`` in the global ``(time, seq)`` order (the seq is taken from
-    the simulator's shared counter at push time, so ties against classic
-    events resolve exactly as they would between two classic events).
+    the simulator's shared counter at push time, so ties against
+    :class:`Event` entries resolve exactly as they would between two
+    events).
 
     The run keeps at most one *sentinel* entry ``(time, seq, run)`` in
     the future heap — for its head item — so a thousand-packet burst
     costs one heap push instead of a thousand.  Push times must be
     non-decreasing within a run (each stream models a FIFO resource:
     a link's arrival line, an AP's release queue).  Runs cannot be
-    cancelled; components that need cancellation keep classic events.
+    cancelled; components that need cancellation schedule events.
     """
 
     __slots__ = ("_sim", "fn", "fn_batch", "_times", "_seqs", "_payloads",
@@ -249,6 +238,10 @@ class Simulator:
         sim.run(until=2.0)
     """
 
+    #: The datapath's one event model (TimedRun bursts); kept as a
+    #: constant because run records and ledger rows carry it.
+    event_model = "macro"
+
     def __init__(self) -> None:
         self._now = 0.0
         self._heap: list[tuple[float, int, Event]] = []
@@ -261,15 +254,10 @@ class Simulator:
         self._dead = 0
         self._running = False
         self._events_processed = 0
-        #: Packets delivered by the link layers.  Incremented identically
-        #: in both event models, so it is the dispatch-count metric that
-        #: summary digests pin (``events_processed`` is telemetry).
+        #: Packets delivered by the link layers: the dispatch-count
+        #: metric that summary digests pin (``events_processed`` is
+        #: telemetry).
         self.packets_processed = 0
-        #: Which event model datapath components should build for:
-        #: ``"macro"`` (fused TimedRun bursts) or ``"classic"``
-        #: (one event per packet hop).  Resolved once from
-        #: ``REPRO_EVENT_MODEL`` at construction.
-        self.event_model = _resolve_event_model()
         #: Number of lazy compactions performed (telemetry).
         self.compactions = 0
         #: Tracing hook (:class:`repro.obs.bus.TraceBus`); ``None`` means
@@ -285,8 +273,9 @@ class Simulator:
     def events_processed(self) -> int:
         """Number of dispatches executed so far (telemetry).
 
-        Counts classic events and macro-run items alike, so the value
-        depends on the event model; digests pin ``packets_processed``.
+        Counts events and run items alike, so the value moves whenever
+        a component changes how it dispatches; digests pin
+        ``packets_processed``.
         """
         return self._events_processed
 

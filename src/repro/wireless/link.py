@@ -12,7 +12,9 @@ The serving loop models one transmission opportunity (txop) at a time:
 
 Departure callbacks fire at dequeue time (when packets leave the
 network-layer queue to the driver), matching where Zhuge measures
-``txRate`` and ``dequeueIntvl``.
+``txRate`` and ``dequeueIntvl``.  An AMPDU's finish and arrival ride
+two :class:`~repro.sim.engine.TimedRun` streams instead of an event
+each; ``tests/reference_links.py`` keeps the per-event chain as oracle.
 """
 
 from __future__ import annotations
@@ -72,27 +74,14 @@ class WirelessLink:
         #: last traced rate so the track stays step-shaped.
         self.trace = None
         self._traced_rate: Optional[float] = None
-        #: AMPDU currently on the air (between transmit and finish) and
-        #: AMPDUs propagating to the client, oldest first. Bound-method
-        #: events pop from these instead of closing over per-txop
-        #: lambdas — one less allocation per txop on the hot path.
-        self._tx_ampdu: Optional[list[Packet]] = None
-        from collections import deque
-        self._arrivals: "deque[list[Packet]]" = deque()
-        #: Optional whole-AMPDU delivery callback (macro mode): must be
-        #: observably identical to calling ``deliver`` per packet; used
-        #: only when no fault predicate or trace hooks are active.
+        #: Optional whole-AMPDU delivery callback: must be observably
+        #: identical to calling ``deliver`` per packet; used only when
+        #: no fault predicate or trace hooks are active.
         self.deliver_batch: Optional[Callable[[list[Packet]], None]] = None
-        #: Macro event model: the per-txop finish/arrive event pair is
-        #: replaced by two TimedRun streams keyed on the same times and
-        #: seq-consumption points as the classic events, so trajectories
-        #: are bit-identical.  Serve/transmit stay classic events — the
-        #: contention RNG draws and queue reads must happen at their
-        #: exact classic instants.
-        self._macro = sim.event_model == "macro"
-        if self._macro:
-            self._finish_run = sim.timed_run(self._macro_finish)
-            self._arrive_run = sim.timed_run(self._macro_arrive)
+        #: Serve/transmit stay scheduled events: the contention RNG
+        #: draws and queue reads happen at those instants.
+        self._finish_run = sim.timed_run(self._finish)
+        self._arrive_run = sim.timed_run(self._arrive)
 
     def send(self, packet: Packet) -> None:
         """Accept a downlink packet (enqueue; kick the server if idle)."""
@@ -177,19 +166,17 @@ class WirelessLink:
                 self._traced_rate = rate
             self.trace.link_txop(self, len(ampdu), ampdu_bytes, airtime,
                                  rate)
-        if self._macro:
-            self._finish_run.push(self.sim._now + airtime, ampdu)
-        else:
-            self._tx_ampdu = ampdu
-            self.sim.schedule(airtime, self._finish)
+        self._finish_run.push(self.sim._now + airtime, ampdu)
 
-    def _macro_finish(self, ampdu: list[Packet]) -> None:
-        """TimedRun twin of :meth:`_finish` (same order of operations)."""
+    def _finish(self, ampdu: list[Packet]) -> None:
+        """The AMPDU left the air: start propagating it, grant the next
+        txop (only one AMPDU occupies the air at a time)."""
         self._arrive_run.push(self.sim._now + self.propagation_delay, ampdu)
         self._serve_txop()
 
-    def _macro_arrive(self, ampdu: list[Packet]) -> None:
-        """TimedRun twin of :meth:`_arrive`, with a batch fast path."""
+    def _arrive(self, ampdu: list[Packet]) -> None:
+        """The AMPDU reached the client; batch fast path when no fault
+        predicate or trace probe needs to see packets one by one."""
         if self.deliver is None:
             return
         sim = self.sim
@@ -213,32 +200,6 @@ class WirelessLink:
                 self.fault_dropped += 1
                 continue
             packet.received_at = sim.now
-            if self.trace is not None:
-                self.trace.link_delivery(self, packet)
-            self.deliver(packet)
-
-    def _finish(self) -> None:
-        # Only one AMPDU occupies the air at a time: the next txop is
-        # granted from here, so the slot is always ours to take.
-        self._arrivals.append(self._tx_ampdu)
-        self._tx_ampdu = None
-        self.sim.schedule(self.propagation_delay, self._arrive)
-        self._serve_txop()
-
-    def _arrive(self) -> None:
-        # Arrival events fire in the order their AMPDUs were appended
-        # (finish times and propagation delay are monotone), so the
-        # oldest in-flight AMPDU is the one landing now.
-        ampdu = self._arrivals.popleft()
-        if self.deliver is None:
-            return
-        self.sim.packets_processed += len(ampdu)
-        for packet in ampdu:
-            fault_drop = self.fault_drop
-            if fault_drop is not None and fault_drop(packet):
-                self.fault_dropped += 1
-                continue
-            packet.received_at = self.sim.now
             if self.trace is not None:
                 self.trace.link_delivery(self, packet)
             self.deliver(packet)

@@ -74,6 +74,24 @@ class TestChaosState:
         assert [state.next_count() for _ in range(3)] == [1, 2, 3]
         assert state.count() == 3
 
+    def test_concurrent_counts_are_unique(self, tmp_path):
+        """Every caller gets its own count even when appends interleave
+        (pool workers bump one counter; a duplicate skips a planned
+        action's count and the action never fires)."""
+        from concurrent.futures import ThreadPoolExecutor
+        state = ChaosState(tmp_path)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lambda: [state.next_count()
+                                                for _ in range(200)])
+                           for _ in range(8)]
+                counts = [c for f in futures for c in f.result(timeout=60)]
+        finally:
+            sys.setswitchinterval(old)
+        assert sorted(counts) == list(range(1, 1601))
+
     def test_fire_once_fires_once(self, tmp_path):
         state = ChaosState(tmp_path)
         assert state.fire_once("oom@2") is True

@@ -21,6 +21,43 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--trace", "W9"])
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--duration", "-5"],
+        ["run", "--duration", "0"],
+        ["run", "--duration", "nan"],
+        ["compare", "--duration", "-1"],
+        ["campaign", "--duration", "0"],
+        ["resilience", "--duration", "-2"],
+        ["control", "--duration", "-3"],
+        ["run", "--faults", "bogus@x"],
+        ["run", "--faults", "blackout@5"],  # a blackout needs a duration
+        ["control", "--storm", "reset@-1"],
+    ])
+    def test_bad_values_exit_2_at_parse_time(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --" in err
+        assert "Traceback" not in err
+
+    def test_negative_duration_runs_no_cell(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cell was dispatched")
+        monkeypatch.setattr("repro.cli.run_specs", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--duration", "-5"])
+        assert exc.value.code == 2
+        assert "must be > 0" in capsys.readouterr().err
+
+    def test_valid_faults_parse_to_the_same_plan(self):
+        from repro.cli import _fault_plan_from_args
+        from repro.faults.spec import FaultPlan
+        text = "blackout@10+2,reset@12,loss@5+3*0.3/up"
+        args = build_parser().parse_args(
+            ["run", "--faults", text, "--fault-seed", "7"])
+        assert _fault_plan_from_args(args) == FaultPlan.parse(text, seed=7)
+
 
 class TestCommands:
     def test_run_command(self, capsys):

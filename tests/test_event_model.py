@@ -1,12 +1,13 @@
-"""Event-model equivalence: macro fused dispatch == classic per-packet.
+"""Macro-event datapath == the per-packet event chain it replaced.
 
-PR 10 refactors the engine's event/time model so the common case costs
-one dispatch per txop/frame-batch instead of ~4 heap events per packet
-(`REPRO_EVENT_MODEL=macro`, the default), with the per-packet chain
-kept as the `classic` escape hatch.  The contract is *bit-exact
-trajectory equivalence*: both modes must produce identical
-:meth:`ScenarioSummary.digest` values — per-packet timestamps, delays,
-drops, release times, and delivery counts — differing only in
+The macro-event datapath cut the engine's common case to one dispatch
+per txop or frame-batch instead of ~4 heap events per packet, and it is
+the links' only path.  The contract is *bit-exact trajectory
+equivalence* against the per-packet chains kept verbatim in
+``tests/reference_links.py``: swapping ``ClassicWiredLink`` and
+``ClassicWirelessLink`` into the topology builder must reproduce every
+:meth:`ScenarioSummary.digest` — per-packet timestamps, delays, drops,
+release times and delivery counts — differing only in
 ``events_processed`` telemetry.
 
 Covers:
@@ -17,16 +18,14 @@ Covers:
 * the cancel-compaction threshold regression (it must scale with the
   live population, not a fixed count — the fixed threshold caused
   O(live) rebuilds every ~64 cancels under fault storms);
-* classic == pinned golden digests (macro is pinned by
-  ``tests/test_topology.py``; this closes the triangle);
-* hypothesis-generated random topologies — optionally with faults and
-  a control plane — run in both modes;
-* the campaign triangle (serial == pool == cache) in both modes.
+* reference and default links == pinned golden digests, and
+  reference == default on a controlled and a faulted scenario;
+* hypothesis-generated random topologies — optionally with faults —
+  run on both;
+* the campaign triangle (serial == pool == cache) on the default links.
 """
 
 import json
-import os
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -37,29 +36,28 @@ from repro.campaign import (ResultCache, ScenarioSpec, TraceSpec,
 from repro.control.spec import ControlSpec
 from repro.faults.spec import FaultPlan, FaultSpec
 from repro.sim.engine import SimulationError, Simulator
+from repro.topology import builder
 from repro.topology.spec import interference_topology
+from tests.reference_links import ClassicWiredLink, ClassicWirelessLink
 from tests.test_topology import GOLDEN_PATH, RESIMULATED, topology_specs
 
-MODES = ("classic", "macro")
+
+def _on_reference_links(run, spec):
+    """``run(spec)`` with the per-packet reference links built in."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(builder, "WiredLink", ClassicWiredLink)
+        patch.setattr(builder, "WirelessLink", ClassicWirelessLink)
+        return run(spec)
 
 
-@contextmanager
-def _event_model(mode):
-    """Pin ``REPRO_EVENT_MODEL`` for Simulators constructed inside.
+def _digest(spec):
+    return execute_spec(spec).digest()
 
-    The engine reads the variable once per :class:`Simulator`
-    construction, so toggling the environment is enough to run both
-    models in-process; pool workers inherit it through ``os.environ``.
-    """
-    old = os.environ.get("REPRO_EVENT_MODEL")
-    os.environ["REPRO_EVENT_MODEL"] = mode
-    try:
-        yield
-    finally:
-        if old is None:
-            del os.environ["REPRO_EVENT_MODEL"]
-        else:
-            os.environ["REPRO_EVENT_MODEL"] = old
+
+# ``classic``: the per-packet reference links; ``macro``: the links the
+# topology builder uses.
+LINK_SETS = {"classic": _on_reference_links,
+             "macro": lambda run, spec: run(spec)}
 
 
 # ---------------------------------------------------------------------------
@@ -247,20 +245,20 @@ class TestCancelCompaction:
 
 
 # ---------------------------------------------------------------------------
-# Golden equivalence: classic must reproduce the pinned digests
+# Golden equivalence: the reference links reproduce the pinned digests
 # ---------------------------------------------------------------------------
 
 
 class TestGoldenEquivalence:
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("links", LINK_SETS)
     @pytest.mark.parametrize("name", RESIMULATED)
-    def test_resimulated_goldens_match_pins(self, mode, name):
-        """Both event models reproduce the digest-v2 pins bit-exactly."""
+    def test_resimulated_goldens_match_pins(self, links, name):
+        """Both link sets reproduce the digest-v2 pins bit-exactly."""
         data = json.load(open(GOLDEN_PATH))
-        with _event_model(mode):
-            summary = execute_spec(ScenarioSpec.from_dict(data[name]["spec"]))
-        assert summary.digest() == data[name]["summary_digest_v2"], \
-            f"{name} diverged under REPRO_EVENT_MODEL={mode}"
+        spec = ScenarioSpec.from_dict(data[name]["spec"])
+        assert LINK_SETS[links](_digest, spec) \
+            == data[name]["summary_digest_v2"], \
+            f"{name} diverged on the {links} links"
 
     def test_controlled_scenario_equivalent_across_modes(self):
         """Full control plane (controller + steering) on a 2-AP cell."""
@@ -269,11 +267,7 @@ class TestGoldenEquivalence:
             duration=5.0, seed=3, warmup=2.0,
             topology=interference_topology(ap_mode="zhuge", interferers=2),
             control=ControlSpec.default())
-        digests = {}
-        for mode in MODES:
-            with _event_model(mode):
-                digests[mode] = execute_spec(spec).digest()
-        assert digests["classic"] == digests["macro"]
+        assert _on_reference_links(_digest, spec) == _digest(spec)
 
     def test_faulted_scenario_equivalent_across_modes(self):
         spec = ScenarioSpec(
@@ -283,22 +277,18 @@ class TestGoldenEquivalence:
                 FaultSpec(kind="blackout", start=2.5, duration=0.4),
                 FaultSpec(kind="loss_burst", start=3.5, duration=0.8,
                           magnitude=0.25))))
-        digests = {}
-        for mode in MODES:
-            with _event_model(mode):
-                digests[mode] = execute_spec(spec).digest()
-        assert digests["classic"] == digests["macro"]
+        assert _on_reference_links(_digest, spec) == _digest(spec)
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis: random topologies agree across modes
+# Hypothesis: random topologies agree with the reference links
 # ---------------------------------------------------------------------------
 
 
 def _run_or_error(spec):
     """Summary digest, or the exception type a bad spec raises.
 
-    Invalid random topologies must fail identically in both modes;
+    Invalid random topologies must fail identically on both link sets;
     valid ones must produce identical trajectories.
     """
     try:
@@ -321,22 +311,21 @@ class TestRandomTopologyEquivalence:
             trace=TraceSpec.for_family("W2", duration=5, seed=seed),
             duration=3.0, seed=seed, warmup=1.0,
             topology=topo, faults=faults)
-        outcomes = {}
-        for mode in MODES:
-            with _event_model(mode):
-                outcomes[mode] = _run_or_error(spec)
-        assert outcomes["classic"] == outcomes["macro"]
+        assert _on_reference_links(_run_or_error, spec) \
+            == _run_or_error(spec)
 
 
 # ---------------------------------------------------------------------------
-# Campaign triangle in both modes (satellite 2)
+# Campaign triangle on the macro datapath
 # ---------------------------------------------------------------------------
 
 
 class TestCampaignTriangleBothModes:
-    @pytest.mark.parametrize("mode", MODES)
-    def test_serial_pool_cache_agree(self, mode, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_EVENT_MODEL", mode)
+    # Pool workers build their own links, so the reference links cannot
+    # be patched into them; the triangle runs on the builder's links.
+    @pytest.mark.parametrize("mode", ("macro",))
+    def test_serial_pool_cache_agree(self, mode, tmp_path):
+        assert mode == Simulator.event_model
         spec = ScenarioSpec(trace=TraceSpec.for_family("W2", duration=6,
                                                        seed=2),
                             duration=4.0, seed=2, warmup=2.0,

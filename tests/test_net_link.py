@@ -73,6 +73,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             WiredLink(sim, 0.0, delay=0.0)
 
+    @pytest.mark.parametrize("kind", ["codel", "fq_codel"])
+    @pytest.mark.parametrize("rate", [1e6, None])
+    def test_aqm_queue_rejected(self, sim, kind, rate):
+        """The analytic server only implements tail drop: an AQM queue
+        must fail loudly instead of being served as a plain FIFO."""
+        from repro.aqm import make_queue
+        queue = make_queue(kind, 10_000, "wan")
+        with pytest.raises(TypeError, match=type(queue).__name__):
+            WiredLink(sim, rate, delay=0.0, queue=queue)
+
     def test_queue_overflow_drops(self, sim, flow):
         from repro.net.queue import DropTailQueue
         queue = DropTailQueue(capacity_bytes=2000)

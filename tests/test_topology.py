@@ -272,7 +272,8 @@ class TestGoldenSummaries:
         summary = execute_spec(spec)
         # Digest v2 (see _contract in the golden file): metric-level —
         # per-packet timestamps/delays/drops pinned, engine dispatch
-        # count excluded, so classic and macro event models both match.
+        # count excluded, so these links and the per-packet reference
+        # links of tests/reference_links.py both match.
         assert summary.digest() == data[name]["summary_digest_v2"], \
             f"summary drifted for {name}"
 
