@@ -17,8 +17,10 @@ The verdict is the ledger's rule for claiming a gain: ``better`` when B
 wins at least nine tenths of the pairs (ties count for neither side)
 and the medians differ by more than A's own interquartile range;
 ``worse`` is the mirror image; anything else is ``unresolved``.  The
-columns a simulator change must not move (digest, packets, events and
-the two ``sim_*`` columns) are compared for exact equality.
+columns a simulator change must not move (digest, packets and the two
+``sim_*`` columns) are compared for exact equality.  The engine's
+dispatch count may move, but must repeat exactly on every round of
+each side; both sides' counts are recorded.
 """
 
 from __future__ import annotations
@@ -37,8 +39,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = "ledger-pairs/v1"
 #: Lower is better for each of these; ``cpu_s`` carries the verdict.
 TIMED = ("cpu_s", "peak_rss_mb", "setup_s")
-EXACT = ("digest", "packets", "events", "sim_delay_p99_ms",
-         "sim_goodput_mbps")
+#: Equal on both sides and on every round.
+EXACT = ("digest", "packets", "sim_delay_p99_ms", "sim_goodput_mbps")
+#: Engine dispatches: telemetry a change may move on purpose, but a
+#: pure function of code and seed, so each side repeats exactly.
+COUNTS = ("events",)
 
 
 def run_round(checkout: Path, workload: str, seed: int) -> dict:
@@ -114,6 +119,9 @@ def paired_rounds(dir_a: Path, dir_b: Path, workload: str, seed: int,
     exact = {name: all(ra[name] == rb[name] == rounds["a"][0][name]
                        for ra, rb in zip(rounds["a"], rounds["b"]))
              for name in EXACT}
+    counts = {name: {side: sorted({r[name] for r in rounds[side]})
+                     for side in sides}
+              for name in COUNTS}
     checks_ok = all(all(r["checks"].values())
                     for side in rounds.values() for r in side)
     metrics = {name: judge([r[name] for r in rounds["a"]],
@@ -127,7 +135,8 @@ def paired_rounds(dir_a: Path, dir_b: Path, workload: str, seed: int,
                            for ra, rb in zip(rounds["a"], rounds["b"])]
                     for name in TIMED},
         "metrics": metrics, "verdict": metrics["cpu_s"]["verdict"],
-        "exact_equal": exact, "checks_ok": checks_ok,
+        "exact_equal": exact, "packets": rounds["a"][0]["packets"],
+        "counts": counts, "checks_ok": checks_ok,
     }
 
 
@@ -166,8 +175,16 @@ def main(argv: list) -> int:
     moved = [name for name, same in record["exact_equal"].items() if not same]
     print(f"  exact columns: {'all equal' if not moved else 'MOVED ' + str(moved)}"
           f"; checks {'ok' if record['checks_ok'] else 'FAILED'}")
+    for name, per_side in record["counts"].items():
+        shown = {side: (f"{values[0]} ({values[0] / record['packets']:.4f}"
+                        f"/pkt)" if len(values) == 1
+                        else f"NOT REPEATED {values}")
+                 for side, values in per_side.items()}
+        print(f"  {name:<12} A {shown['a']}  B {shown['b']}")
     print(f"  verdict (cpu_s): {record['verdict']}; appended to {args.out}")
-    return 0 if not moved and record["checks_ok"] else 1
+    repeated = all(len(values) == 1 for per_side in record["counts"].values()
+                   for values in per_side.values())
+    return 0 if not moved and repeated and record["checks_ok"] else 1
 
 
 if __name__ == "__main__":

@@ -24,35 +24,34 @@ __all__ = [
     "GccController",
     "NadaController",
     "ScreamController",
+    "RATE_CCAS",
     "make_rate_cca",
     "AbcSenderCca",
     "AbcRouter",
+    "WINDOW_CCAS",
     "make_window_cca",
 ]
+
+#: Window-based CCAs (TCP / QUIC senders) by scenario name.
+WINDOW_CCAS = {"cubic": CubicCca, "bbr": BbrCca, "copa": CopaCca,
+               "abc": AbcSenderCca}
+#: Rate-based CCAs (RTP senders) by scenario name.
+RATE_CCAS = {"gcc": GccController, "nada": NadaController,
+             "scream": ScreamController}
 
 
 def make_window_cca(name: str, mss: int = 1448) -> WindowCca:
     """Factory for window-based CCAs by scenario name."""
-    kinds = {
-        "cubic": CubicCca,
-        "bbr": BbrCca,
-        "copa": CopaCca,
-        "abc": AbcSenderCca,
-    }
-    if name not in kinds:
-        raise ValueError(f"unknown CCA {name!r}; expected one of {sorted(kinds)}")
-    return kinds[name](mss=mss)
+    if name not in WINDOW_CCAS:
+        raise ValueError(f"unknown CCA {name!r}; "
+                         f"expected one of {sorted(WINDOW_CCAS)}")
+    return WINDOW_CCAS[name](mss=mss)
 
 
 def make_rate_cca(name: str, initial_bps: float = 1e6,
                   max_bps: float = 50e6):
     """Factory for rate-based (RTP) CCAs by scenario name."""
-    kinds = {
-        "gcc": GccController,
-        "nada": NadaController,
-        "scream": ScreamController,
-    }
-    if name not in kinds:
+    if name not in RATE_CCAS:
         raise ValueError(f"unknown rate CCA {name!r}; "
-                         f"expected one of {sorted(kinds)}")
-    return kinds[name](initial_bps=initial_bps, max_bps=max_bps)
+                         f"expected one of {sorted(RATE_CCAS)}")
+    return RATE_CCAS[name](initial_bps=initial_bps, max_bps=max_bps)

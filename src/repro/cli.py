@@ -28,6 +28,7 @@ from pathlib import Path
 from repro.campaign import (ProgressPrinter, ResultCache, ScenarioSpec,
                             TraceSpec, run_campaign, run_specs,
                             summary_lines)
+from repro.cca import RATE_CCAS, WINDOW_CCAS
 from repro.city import CITY_PRESETS, CityGenSpec
 from repro.control import ControlSpec
 from repro.faults.spec import FaultPlan
@@ -46,6 +47,11 @@ AP_MODES = ("none", "zhuge", "fastack", "abc")
 
 #: Multi-AP presets emitted by ``repro topology`` (see repro.topology).
 TOPOLOGY_PRESETS = ("interference", "roaming", "first-mile")
+
+#: ``--cca`` names per ``--protocol``: the builder runs ``copa`` as gcc
+#: on rtp and ``gcc`` as copa on quic.
+CCA_CHOICES = {"rtp": {*RATE_CCAS, "copa"}, "tcp": set(WINDOW_CCAS),
+               "quic": {*WINDOW_CCAS, "gcc"}}
 
 
 def _duration(text: str) -> float:
@@ -69,12 +75,26 @@ def _fault_dsl(text: str) -> str:
     return text
 
 
-def _trace_spec(args) -> TraceSpec:
-    if getattr(args, "trace_file", None):
-        return TraceSpec.from_file(args.trace_file)
-    # +5 s of trace so playback never wraps during the measured window.
-    return TraceSpec.for_family(args.trace, duration=args.duration + 5,
-                                seed=args.seed)
+def _loaded(path: str, load):
+    """``load(path)`` at parse time: a bad input file is one argparse
+    error naming it, not a traceback from inside a cell."""
+    try:
+        return load(path)
+    except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise argparse.ArgumentTypeError(
+            f"cannot load {path}: {type(exc).__name__}: {exc}") from None
+
+
+def _topology_file(path: str) -> TopologySpec:
+    """argparse ``type=`` for ``--topology``: the parsed graph."""
+    return _loaded(path, lambda p: TopologySpec.from_dict(
+        json.loads(Path(p).read_text())))
+
+
+def _trace_file(path: str) -> TraceSpec:
+    """argparse ``type=`` for ``--trace-file``: a checked file spec."""
+    _loaded(path, BandwidthTrace.load)
+    return TraceSpec.from_file(path)
 
 
 def _trace_config_from_args(args, out: str | None = None) -> TraceConfig | None:
@@ -101,18 +121,12 @@ def _control_from_args(args) -> ControlSpec | None:
     return ControlSpec.default()
 
 
-def _topology_from_args(args) -> TopologySpec | None:
-    path = getattr(args, "topology", None)
-    if not path:
-        return None
-    with open(path) as handle:
-        return TopologySpec.from_dict(json.load(handle))
-
-
 def _spec_from_args(args, ap_mode: str,
                     trace_out: str | None = None) -> ScenarioSpec:
     return ScenarioSpec(
-        trace=_trace_spec(args),
+        # +5 s of trace so playback never wraps during the measured window.
+        trace=args.trace_file or TraceSpec.for_family(
+            args.trace, duration=args.duration + 5, seed=args.seed),
         protocol=args.protocol,
         cca=args.cca,
         ap_mode=ap_mode,
@@ -124,7 +138,7 @@ def _spec_from_args(args, ap_mode: str,
         interferers=args.interferers,
         trace_config=_trace_config_from_args(args, out=trace_out),
         faults=_fault_plan_from_args(args),
-        topology=_topology_from_args(args),
+        topology=args.topology,
         control=_control_from_args(args),
     )
 
@@ -298,12 +312,11 @@ def cmd_campaign(args) -> int:
         specs = [dataclasses.replace(spec, control=ControlSpec.default())
                  for spec in specs]
 
-    topology = _topology_from_args(args)
-    if topology is not None:
+    if args.topology is not None:
         # One explicit graph for the whole grid; the topology is part
         # of each spec (and its content hash), so multi-AP cells never
         # alias single-AP ones in the result cache.
-        specs = [dataclasses.replace(spec, topology=topology)
+        specs = [dataclasses.replace(spec, topology=args.topology)
                  for spec in specs]
 
     if args.trace_dir:
@@ -575,7 +588,7 @@ def _add_trace_options(parser: argparse.ArgumentParser) -> None:
     """Bandwidth-trace selection, shared by every scenario command."""
     group = parser.add_argument_group("bandwidth trace")
     group.add_argument("--trace", default="W1", choices=TRACE_CHOICES)
-    group.add_argument("--trace-file", default=None,
+    group.add_argument("--trace-file", default=None, type=_trace_file,
                        help="JSON trace file (overrides --trace)")
 
 
@@ -622,6 +635,7 @@ def _add_topology_options(parser: argparse.ArgumentParser) -> None:
     """Explicit experiment graphs (repro.topology)."""
     group = parser.add_argument_group("topology (repro.topology)")
     group.add_argument("--topology", default=None, metavar="JSON",
+                       type=_topology_file,
                        help="TopologySpec JSON file declaring an explicit "
                             "(possibly multi-AP) experiment graph; "
                             "generate presets with 'repro topology'")
@@ -892,7 +906,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    protocol = getattr(args, "protocol", None)
+    if protocol is not None and args.cca not in CCA_CHOICES[protocol]:
+        parser.exit(2, f"repro {args.command}: error: argument --cca: "
+                       f"{args.cca!r} is not valid with --protocol "
+                       f"{protocol}; expected one of "
+                       f"{sorted(CCA_CHOICES[protocol])}\n")
     return args.func(args)
 
 

@@ -129,7 +129,7 @@ class TimedRun:
     """
 
     __slots__ = ("_sim", "fn", "fn_batch", "_times", "_seqs", "_payloads",
-                 "_head", "_dispatching")
+                 "_head")
 
     #: Class attribute (not a slot): sentinels must look live to
     #: ``peek``/``_compact``, which test ``entry[2].cancelled``.
@@ -151,7 +151,6 @@ class TimedRun:
         self._seqs: list[int] = []
         self._payloads: list = []
         self._head = 0
-        self._dispatching = False
 
     def push(self, time: float, payload) -> None:
         """Append ``payload`` to fire at absolute ``time`` (monotone)."""
@@ -159,9 +158,8 @@ class TimedRun:
         if times:
             # Non-empty run: the last item is pending or being
             # dispatched right now, so it is never behind the clock —
-            # the monotone check subsumes the past-time check.  And
-            # outside dispatch a non-empty run always has its sentinel
-            # planted already, so no heap push is needed here.
+            # the monotone check subsumes the past-time check.  Its
+            # sentinel is planted (mid-dispatch: when the dispatch ends).
             if time < times[-1]:
                 raise SimulationError(
                     f"TimedRun push out of order: {time} < {times[-1]}")
@@ -176,11 +174,10 @@ class TimedRun:
                     f"cannot push in the past: {time} < {sim._now}")
             seq = sim._seq
             sim._seq = seq + 1
-            if not self._dispatching:
-                # Empty run coming live: plant the sentinel.  Always
-                # the heap, even at time == now — the run loop's tie
-                # compare orders a same-instant sentinel exactly by seq.
-                heapq.heappush(sim._heap, (time, seq, self))
+            # Empty run coming live: plant the sentinel.  Always the
+            # heap, even at time == now — the run loop's tie compare
+            # orders a same-instant sentinel exactly by seq.
+            heapq.heappush(sim._heap, (time, seq, self))
         times.append(time)
         self._seqs.append(seq)
         self._payloads.append(payload)
@@ -212,8 +209,7 @@ class TimedRun:
                     f"cannot push in the past: {time} < {sim._now}")
             seq = sim._seq
             sim._seq = seq + n
-            if not self._dispatching:
-                heapq.heappush(sim._heap, (time, seq, self))
+            heapq.heappush(sim._heap, (time, seq, self))
         times.extend([time] * n)
         self._seqs.extend(range(seq, seq + n))
         self._payloads.extend(payloads)
@@ -253,6 +249,8 @@ class Simulator:
         self._seq = 0
         self._dead = 0
         self._running = False
+        #: The run being dispatched (its sentinel is off the heap).
+        self._run: Optional[TimedRun] = None
         self._events_processed = 0
         #: Packets delivered by the link layers: the dispatch-count
         #: metric that summary digests pin (``events_processed`` is
@@ -275,7 +273,9 @@ class Simulator:
 
         Counts events and run items alike, so the value moves whenever
         a component changes how it dispatches; digests pin
-        ``packets_processed``.
+        ``packets_processed``.  A callback :meth:`tail_call` runs
+        inline is part of its caller's dispatch: it is not counted
+        here, nor toward ``run(max_events=)``.
         """
         return self._events_processed
 
@@ -304,6 +304,21 @@ class Simulator:
             event = Event(time, seq, callback, self)
             heapq.heappush(self._heap, (time, seq, event))
         return event
+
+    def tail_call(self, callback: Callable[[], None]) -> None:
+        """``schedule(0.0, callback)`` as a dispatch's last act, run
+        inline when that event would be the very next dispatch: the now
+        bucket is empty, the heap top lies after ``now`` and so does the
+        dispatching run's next item (DESIGN.md §13)."""
+        now = self._now
+        run = self._run
+        if (self._running and not self._ready
+                and (not self._heap or self._heap[0][0] > now)
+                and (run is None or run._head == len(run._times)
+                     or run._times[run._head] > now)):
+            callback()
+        else:
+            self.schedule(0.0, callback)
 
     def call_at(self, time: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at absolute virtual ``time``."""
@@ -477,7 +492,7 @@ class Simulator:
         heap = self._heap
         ready = self._ready
         fired = 0
-        run._dispatching = True  # push() must not plant a sentinel
+        self._run = run
         try:
             while True:
                 t = times[i]
@@ -535,7 +550,7 @@ class Simulator:
                     if h0t < t2 or (h0t == t2 and h0[1] < seqs[i]):
                         break
         finally:
-            run._dispatching = False
+            self._run = None
             i = run._head
             if i < len(times):
                 heapq.heappush(heap, (times[i], seqs[i], run))

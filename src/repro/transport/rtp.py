@@ -23,7 +23,7 @@ from repro.cca.base import FeedbackPacketReport, RateCca
 from repro.metrics.recorder import RateRecorder, RttRecorder
 from repro.net.packet import (FiveTuple, Packet, PacketKind, RTCP_SIZE,
                               RTP_PAYLOAD_SIZE)
-from repro.sim.engine import Simulator, Timer
+from repro.sim.engine import Event, SimulationError, Simulator, Timer
 
 TransmitCallback = Callable[[Packet], None]
 
@@ -182,7 +182,10 @@ class RtpReceiver:
         self.feedback_sent = 0
         self.nacks_sent = 0
         self._timer = Timer(sim, feedback_interval, self._emit_feedback)
-        self._nack_timer = Timer(sim, nack_delay, self._nack_tick)
+        if not nack_delay > 0:
+            raise SimulationError(f"nack_delay must be positive: {nack_delay}")
+        self._nack_next = sim.now + nack_delay
+        self._nack_event: Optional[Event] = None
 
     def on_data(self, packet: Packet) -> None:
         self.packets_received += 1
@@ -193,15 +196,28 @@ class RtpReceiver:
             if self.nack_enabled and twcc_seq > self._highest_seq + 1:
                 for gap_seq in range(self._highest_seq + 1, twcc_seq):
                     self._missing[gap_seq] = (self.sim.now, 0)
+                self._arm_nack()
             self._highest_seq = max(self._highest_seq, twcc_seq)
         if self.on_media is not None:
             self.on_media(packet)
 
-    def _nack_tick(self) -> None:
-        """Request retransmission of gaps that persisted past nack_delay."""
-        if not self._missing:
+    def _arm_nack(self) -> None:
+        """Plant the next NACK tick on the first instant after now of
+        the accumulated ``t + nack_delay`` grid (DESIGN.md §13)."""
+        if self._nack_event is not None or self._timer.stopped:
             return
+        grid = self._nack_next
+        while grid <= self.sim._now:
+            grid += self.nack_delay
+        self._nack_next = grid
+        self._nack_event = self.sim.call_at(grid, self._nack_tick)
+
+    def _nack_tick(self) -> None:
+        """Request retransmission of gaps that persisted past nack_delay;
+        the next tick is planted only while a gap stays open."""
         now = self.sim.now
+        self._nack_event = None
+        self._nack_next = now + self.nack_delay
         to_request: list[int] = []
         for seq, (since, tries) in list(self._missing.items()):
             if now - since < self.nack_delay:
@@ -211,13 +227,14 @@ class RtpReceiver:
                 continue
             to_request.append(seq)
             self._missing[seq] = (now, tries + 1)
-        if not to_request or self.transmit is None:
-            return
-        nack = Packet(self.flow.reversed(), self.feedback_size,
-                      PacketKind.RTCP_OTHER, sent_at=self.sim.now)
-        nack.headers["nack_seqs"] = to_request
-        self.nacks_sent += 1
-        self.transmit(nack)
+        if to_request and self.transmit is not None:
+            nack = Packet(self.flow.reversed(), self.feedback_size,
+                          PacketKind.RTCP_OTHER, sent_at=self.sim.now)
+            nack.headers["nack_seqs"] = to_request
+            self.nacks_sent += 1
+            self.transmit(nack)
+        if self._missing:
+            self._arm_nack()
 
     def _emit_feedback(self) -> None:
         if not self._pending:
@@ -237,4 +254,5 @@ class RtpReceiver:
 
     def stop(self) -> None:
         self._timer.stop()
-        self._nack_timer.stop()
+        if self._nack_event is not None:
+            self._nack_event.cancel()

@@ -78,8 +78,8 @@ class WirelessLink:
         #: identical to calling ``deliver`` per packet; used only when
         #: no fault predicate or trace hooks are active.
         self.deliver_batch: Optional[Callable[[list[Packet]], None]] = None
-        #: Serve/transmit stay scheduled events: the contention RNG
-        #: draws and queue reads happen at those instants.
+        #: Serve/transmit keep their own instants (contention RNG draws,
+        #: queue reads); a zero-delay transmit is a ``tail_call``.
         self._finish_run = sim.timed_run(self._finish)
         self._arrive_run = sim.timed_run(self._arrive)
 
@@ -130,7 +130,10 @@ class WirelessLink:
             access_delay = self.interference.access_delay()
         if self.domain is not None:
             access_delay += self.domain.access_delay(self.sim.now)
-        self.sim.schedule(access_delay, self._transmit_ampdu)
+        if access_delay == 0.0:
+            self.sim.tail_call(self._transmit_ampdu)
+        else:
+            self.sim.schedule(access_delay, self._transmit_ampdu)
 
     def _transmit_ampdu(self) -> None:
         if self.blocked:
@@ -145,7 +148,7 @@ class WirelessLink:
                                          self.max_ampdu_bytes)
         if not ampdu:
             # The AQM dropped the rest of the backlog; try again.
-            self.sim.schedule(0.0, self._serve_txop)
+            self.sim.tail_call(self._serve_txop)
             return
         ampdu_bytes = 0
         for packet in ampdu:

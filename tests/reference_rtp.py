@@ -16,16 +16,25 @@ event, one lambda and one headers dict per packet, and
 ``RtpSender.send_packet`` copies the headers twice.
 ``tests/test_properties_rtp_send.py`` requires the one-``TimedRun``
 version to emit the same packets at the same ``(time, seq)`` keys.
+
+NACK timer: ``RtpReceiver`` ran its NACK check from a ``Timer`` that
+ticked every ``nack_delay`` whether or not a gap was open.
+``tests/test_properties_rtp_nack.py`` requires the wake-up that is
+planted only while a gap is open to send the same NACKs at the same
+instants and to leave the same ``_missing`` behind.
 """
 
 import math
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.app.video import RtpVideoApp
 from repro.cca.base import FeedbackPacketReport
 from repro.cca.gcc import GccController, TrendlineEstimator
-from repro.net.packet import Packet, PacketKind, RTP_PAYLOAD_SIZE
-from repro.transport.rtp import RtpSender, TwccFeedback
+from repro.net.packet import (FiveTuple, Packet, PacketKind, RTCP_SIZE,
+                              RTP_PAYLOAD_SIZE)
+from repro.sim.engine import Simulator, Timer
+from repro.transport.rtp import (RtpReceiver, RtpSender, TransmitCallback,
+                                 TwccFeedback)
 
 
 class ReferenceRtpSender(RtpSender):
@@ -108,6 +117,73 @@ class ReferenceRtpVideoApp(RtpVideoApp):
             }
             self.sim.schedule(index * gap, lambda s=size, h=headers:
                               self.sender.send_packet(s, h))
+
+
+class ReferenceRtpReceiver(RtpReceiver):
+    def __init__(self, sim: Simulator, flow: FiveTuple,
+                 feedback_interval: float = 0.040,
+                 feedback_size: int = RTCP_SIZE,
+                 nack_enabled: bool = True,
+                 nack_delay: float = 0.015,
+                 nack_retries: int = 3):
+        self.sim = sim
+        self.flow = flow
+        self.feedback_interval = feedback_interval
+        self.feedback_size = feedback_size
+        self.nack_enabled = nack_enabled
+        self.nack_delay = nack_delay
+        self.nack_retries = nack_retries
+        self.transmit: Optional[TransmitCallback] = None
+        self.on_media: Optional[Callable[[Packet], None]] = None
+
+        self._pending: dict[int, float] = {}
+        self._base_seq = 0
+        self._highest_seq = -1
+        self._missing: dict[int, tuple[float, int]] = {}  # seq -> (since, tries)
+        self.packets_received = 0
+        self.feedback_sent = 0
+        self.nacks_sent = 0
+        self._timer = Timer(sim, feedback_interval, self._emit_feedback)
+        self._nack_timer = Timer(sim, nack_delay, self._nack_tick)
+
+    def on_data(self, packet: Packet) -> None:
+        self.packets_received += 1
+        twcc_seq = packet.headers.get("twcc_seq")
+        if twcc_seq is not None:
+            self._pending[twcc_seq] = self.sim.now
+            self._missing.pop(twcc_seq, None)
+            if self.nack_enabled and twcc_seq > self._highest_seq + 1:
+                for gap_seq in range(self._highest_seq + 1, twcc_seq):
+                    self._missing[gap_seq] = (self.sim.now, 0)
+            self._highest_seq = max(self._highest_seq, twcc_seq)
+        if self.on_media is not None:
+            self.on_media(packet)
+
+    def _nack_tick(self) -> None:
+        """Request retransmission of gaps that persisted past nack_delay."""
+        if not self._missing:
+            return
+        now = self.sim.now
+        to_request: list[int] = []
+        for seq, (since, tries) in list(self._missing.items()):
+            if now - since < self.nack_delay:
+                continue
+            if tries >= self.nack_retries:
+                del self._missing[seq]  # give up; the frame will be skipped
+                continue
+            to_request.append(seq)
+            self._missing[seq] = (now, tries + 1)
+        if not to_request or self.transmit is None:
+            return
+        nack = Packet(self.flow.reversed(), self.feedback_size,
+                      PacketKind.RTCP_OTHER, sent_at=self.sim.now)
+        nack.headers["nack_seqs"] = to_request
+        self.nacks_sent += 1
+        self.transmit(nack)
+
+    def stop(self) -> None:
+        self._timer.stop()
+        self._nack_timer.stop()
 
 
 class ReferenceTrendlineEstimator(TrendlineEstimator):

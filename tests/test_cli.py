@@ -50,6 +50,98 @@ class TestParser:
         assert exc.value.code == 2
         assert "must be > 0" in capsys.readouterr().err
 
+    @staticmethod
+    def _refuse_commands(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the command ran")
+        for name in ("cmd_run", "cmd_compare", "cmd_resilience",
+                     "cmd_trace", "cmd_campaign"):
+            monkeypatch.setattr(f"repro.cli.{name}", refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--cca", "nosuch"],
+        ["run", "--protocol", "tcp"],            # default gcc is rtp-only
+        ["compare", "--protocol", "tcp", "--cca", "nada"],
+        ["resilience", "--cca", "gcc"],          # default protocol tcp
+        ["resilience", "--protocol", "rtp", "--cca", "bbr"],
+        ["trace", "W1", "--out", "x.json", "--protocol", "quic",
+         "--cca", "scream"],
+    ])
+    def test_cca_checked_against_protocol_before_dispatch(
+            self, argv, capsys, monkeypatch):
+        self._refuse_commands(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "error: argument --cca:" in err and "--protocol" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["run"],
+        ["run", "--cca", "scream"],
+        ["run", "--cca", "copa"],                # run as gcc by the builder
+        ["compare", "--protocol", "tcp", "--cca", "bbr"],
+        ["resilience"],
+        ["trace", "W1", "--out", "x.json", "--protocol", "quic"],
+    ])
+    def test_valid_cca_reaches_the_command(self, argv, monkeypatch):
+        self._refuse_commands(monkeypatch)
+        with pytest.raises(AssertionError, match="the command ran"):
+            main(argv)
+
+    @pytest.mark.parametrize("command, flag, content", [
+        (command, "--topology", content)
+        for command in ("run", "compare", "campaign")
+        for content in ('{"nodes": 3}', '{"nodes": [], "edges": [{"x": 1}]}',
+                        "[1, 2]", "not json")
+    ] + [
+        (command, "--trace-file", content)
+        for command in ("run", "compare")
+        for content in ("not json", '{"interval": 0.2}',
+                        '{"rates_bps": [], "interval": 0.2}')
+    ])
+    def test_bad_input_file_exits_2_naming_it(self, command, flag, content,
+                                              tmp_path, capsys,
+                                              monkeypatch):
+        self._refuse_commands(monkeypatch)
+        path = tmp_path / "input.json"
+        path.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: cannot load {path}" in err
+        assert "Traceback" not in err
+
+    def test_missing_input_file_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["run", "--topology", str(tmp_path / "nope.json")])
+        assert exc.value.code == 2
+        assert "FileNotFoundError" in capsys.readouterr().err
+
+    def test_input_files_keep_the_spec_hash(self, tmp_path):
+        """Loading at parse time hands the spec the same trace
+        reference and the same graph, so content hashes stay put."""
+        from repro.campaign import TraceSpec
+        from repro.cli import _spec_from_args
+        from repro.topology.spec import TopologySpec, interference_topology
+        from repro.traces.synthetic import make_trace
+
+        trace_path = tmp_path / "w1.json"
+        make_trace("W1", duration=10.0, seed=1).save(trace_path)
+        topo_path = tmp_path / "topo.json"
+        topo_path.write_text(json.dumps(interference_topology().as_dict()))
+        args = build_parser().parse_args(
+            ["run", "--trace-file", str(trace_path),
+             "--topology", str(topo_path), "--duration", "5"])
+        spec = _spec_from_args(args, "zhuge")
+        # What the spec held when both files were read in the command.
+        assert spec.trace == TraceSpec.from_file(str(trace_path))
+        assert spec.topology == TopologySpec.from_dict(
+            json.loads(topo_path.read_text()))
+
     def test_valid_faults_parse_to_the_same_plan(self):
         from repro.cli import _fault_plan_from_args
         from repro.faults.spec import FaultPlan
