@@ -2,15 +2,21 @@
 
 All disciplines expose the :class:`~repro.net.queue.DropTailQueue`
 interface so links and the Zhuge Fortune Teller can observe them
-uniformly. ``FifoQueue`` is another name for ``DropTailQueue`` itself
-(no subclass, so ``fifo`` edges take the plain-queue fast paths);
+uniformly: each drains in bursts and calls its departure observers once
+per burst. ``FifoQueue`` is another name for ``DropTailQueue`` itself;
 ``CoDelQueue`` implements head-dropping CoDel; ``FqCoDelQueue`` isolates
 flows by five-tuple with deficit round-robin and a per-flow CoDel state.
+The two AQMs override one per-packet step,
+:meth:`~repro.net.queue.DropTailQueue._pop_head`.
 """
 
-from repro.aqm.fifo import FifoQueue
 from repro.aqm.codel import CoDelQueue
 from repro.aqm.fq_codel import FqCoDelQueue
+from repro.net.queue import DropTailQueue
+
+#: The same class object, not a subclass: ``fifo`` and ``droptail`` are
+#: two names for one discipline.
+FifoQueue = DropTailQueue
 
 __all__ = ["FifoQueue", "CoDelQueue", "FqCoDelQueue", "make_queue"]
 

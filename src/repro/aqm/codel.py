@@ -4,7 +4,9 @@ Head-drop variant: on dequeue, if the sojourn time of the head packet has
 exceeded ``target`` for at least ``interval``, the queue enters dropping
 state and drops head packets at a rate increasing with the square root of
 the drop count (the control-law schedule from the reference
-implementation / RFC 8289).
+implementation / RFC 8289).  The head drops are the queue's one
+per-packet step (:meth:`CoDelQueue._pop_head`), so a burst drain pops
+and drops exactly as repeated single dequeues would.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ import math
 from typing import Optional
 
 from repro.net.packet import Packet
-from repro.net.queue import DropTailQueue
+from repro.net.queue import AqmQueue
 
 
-class CoDelQueue(DropTailQueue):
+class CoDelQueue(AqmQueue):
     """Byte-bounded queue with CoDel head dropping."""
 
     def __init__(self, capacity_bytes: int = 375_000, name: str = "codel",
@@ -54,18 +56,9 @@ class CoDelQueue(DropTailQueue):
     def _control_law(self, t: float) -> float:
         return t + self.interval / math.sqrt(self._drop_count)
 
-    def _drop_popped(self, packet: Packet) -> None:
-        """Drop a packet already removed via ``_pop_head``.
-
-        ``_pop_head`` counted it as dequeued; reverse that so the stats
-        conserve packets (enqueued == dequeued + dropped + queued).
-        """
-        self.stats.dequeued -= 1
-        self.stats.bytes_dequeued -= packet.size
-        self._drop(packet, "codel")
-
-    def dequeue(self, now: float) -> Optional[Packet]:
-        packet = self._pop_head(now)
+    def _pop_head(self, now: float) -> Optional[Packet]:
+        pop = super()._pop_head
+        packet = pop(now)
         if packet is None:
             self._dropping = False
             return None
@@ -77,9 +70,9 @@ class CoDelQueue(DropTailQueue):
             else:
                 while (self._dropping and now >= self._drop_next
                        and packet is not None):
-                    self._drop_popped(packet)
+                    self._drop(packet, "codel")
                     self._drop_count += 1
-                    packet = self._pop_head(now)
+                    packet = pop(now)
                     if packet is None:
                         self._dropping = False
                         break
@@ -88,8 +81,8 @@ class CoDelQueue(DropTailQueue):
                     else:
                         self._drop_next = self._control_law(self._drop_next)
         elif self._should_enter_drop(now, packet):
-            self._drop_popped(packet)
-            packet = self._pop_head(now)
+            self._drop(packet, "codel")
+            packet = pop(now)
             self._dropping = True
             # Start closer to the last drop rate if we re-enter quickly.
             delta = self._drop_count - self._last_drop_count
@@ -99,8 +92,4 @@ class CoDelQueue(DropTailQueue):
                 self._drop_count = 1
             self._drop_next = self._control_law(now)
             self._last_drop_count = self._drop_count
-
-        if packet is not None:
-            for callback in self.on_departure:
-                callback(packet, self)
         return packet

@@ -3,7 +3,8 @@
 The paper notes (§4.1, "Calculation with queue disciplines") that real
 systems default to fq_codel, so the Fortune Teller must read the
 statistics of *the RTC flow's own sub-queue*. This class therefore
-exposes ``flow_queue(five_tuple)`` so Zhuge can observe a single flow.
+exposes ``flow_queue(five_tuple)``, and its ``backlog`` reads the named
+flow's sub-queue, so Zhuge can observe a single flow.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from typing import Optional
 
 from repro.aqm.codel import CoDelQueue
 from repro.net.packet import FiveTuple, Packet
-from repro.net.queue import DropTailQueue
+from repro.net.queue import AqmQueue
 
 
-class FqCoDelQueue(DropTailQueue):
+class FqCoDelQueue(AqmQueue):
     """Flow-isolating queue aggregate.
 
     Each five-tuple gets its own :class:`CoDelQueue`; dequeue serves
@@ -67,11 +68,15 @@ class FqCoDelQueue(DropTailQueue):
             return None
         return self._flows[flow].front()
 
-    def front_wait_time(self, now: float) -> float:
-        head = self.front()
-        if head is None or head.enqueued_at is None:
-            return 0.0
-        return max(0.0, now - head.enqueued_at)
+    def backlog(self, now: float, flow=None) -> tuple[int, float]:
+        """The aggregate's, or with ``flow`` that flow's own sub-queue's
+        (nothing is queued for a flow the discipline has not seen)."""
+        if flow is None:
+            return self.byte_length, self.front_wait_time(now)
+        sub = self._flows.get(flow)
+        if sub is None:
+            return 0, 0.0
+        return sub.backlog(now)
 
     def _next_flow_peek(self) -> Optional[FiveTuple]:
         for flow in self._active:
@@ -109,7 +114,8 @@ class FqCoDelQueue(DropTailQueue):
         for callback in self.on_drop:
             callback(packet, reason)
 
-    def dequeue(self, now: float) -> Optional[Packet]:
+    def _pop_head(self, now: float) -> Optional[Packet]:
+        """Deficit round-robin: the next sub-queue with credit serves."""
         rounds = 0
         max_rounds = 2 * len(self._active) + 2
         while self._active and rounds < max_rounds:
@@ -131,12 +137,30 @@ class FqCoDelQueue(DropTailQueue):
                 # CoDel dropped the whole sub-queue backlog.
                 continue
             self._deficit[flow] -= packet.size
-            self.stats.dequeued += 1
-            self.stats.bytes_dequeued += packet.size
-            for callback in self.on_departure:
-                callback(packet, self)
             return packet
         return None
+
+    def trim_head(self, limit_bytes: int, reason: str) -> int:
+        """Drop the oldest head across the sub-queues (ties go to the
+        earlier flow in round-robin order) until the backlog fits.
+
+        Emptied sub-queues stay in the round-robin; the next DRR pass
+        retires them, as it does one CoDel emptied.
+        """
+        dropped = 0
+        # ``max``: a negative limit empties the queue, as on every kind.
+        while self.byte_length > max(limit_bytes, 0):
+            backlogged = [sub for sub in map(self._flows.get, self._active)
+                          if len(sub)]
+            oldest = min(backlogged, key=lambda sub: sub.front().enqueued_at)
+            oldest._shed_head(reason)
+            dropped += 1
+        return dropped
+
+    def trim_aged(self, now: float, max_age: float, reason: str) -> int:
+        """Apply the sojourn ceiling to every sub-queue."""
+        return sum(self._flows[flow].trim_aged(now, max_age, reason)
+                   for flow in list(self._active))
 
     def clear(self) -> None:
         self._flows.clear()

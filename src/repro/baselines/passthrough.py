@@ -23,20 +23,9 @@ class PassthroughAP:
             self.forward_downlink(packet)
 
     def on_uplink(self, packet: Packet) -> None:
-        self.packets_processed += 1
-        if self.forward_uplink is not None:
-            self.forward_uplink(packet)
-
-    def on_data_batch(self, packets: list) -> None:
-        """Batch twin of :meth:`on_downlink`."""
-        self.packets_processed += len(packets)
-        forward = self.forward_downlink
-        if forward is not None:
-            for packet in packets:
-                forward(packet)
+        self.on_ack_batch([packet])
 
     def on_ack_batch(self, packets: list) -> None:
-        """Batch twin of :meth:`on_uplink`."""
         self.packets_processed += len(packets)
         forward = self.forward_uplink
         if forward is not None:

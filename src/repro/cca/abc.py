@@ -50,9 +50,10 @@ class AbcRouter:
         self._token_fraction = 0.0
         queue.on_departure.append(self._on_departure)
 
-    def _on_departure(self, packet: Packet, queue: DropTailQueue) -> None:
-        if packet.dequeued_at is not None:
-            self._departures.append((packet.dequeued_at, packet.size))
+    def _on_departure(self, packets: list, queue: DropTailQueue) -> None:
+        for packet in packets:
+            if packet.dequeued_at is not None:
+                self._departures.append((packet.dequeued_at, packet.size))
 
     def _rate(self, series: deque[tuple[float, int]], now: float) -> float:
         horizon = now - self.rate_window

@@ -54,14 +54,34 @@ CCA_CHOICES = {"rtp": {*RATE_CCAS, "copa"}, "tcp": set(WINDOW_CCAS),
                "quic": {*WINDOW_CCAS, "gcc"}}
 
 
-def _duration(text: str) -> float:
-    """argparse ``type=`` for durations: a finite float above zero."""
+def _positive(unit: str):
+    """argparse ``type=`` for a finite float above zero, in ``unit``."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a number: {text!r}") from None
+        if not (0 < value < math.inf):
+            raise argparse.ArgumentTypeError(
+                f"must be > 0 {unit}: {text!r}")
+        return value
+    return parse
+
+
+_duration = _positive("seconds")
+_rate_mbps = _positive("Mb/s")
+
+
+def _count(text: str) -> int:
+    """argparse ``type=`` for counts: an integer of zero or more."""
     try:
-        value = float(text)
+        value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (0 < value < math.inf):
-        raise argparse.ArgumentTypeError(f"must be > 0 seconds: {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0: {text!r}")
     return value
 
 
@@ -650,9 +670,9 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
                         choices=("fifo", "codel", "fq_codel"))
     parser.add_argument("--duration", type=_duration, default=30.0)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--max-mbps", type=float, default=4.0)
-    parser.add_argument("--competitors", type=int, default=0)
-    parser.add_argument("--interferers", type=int, default=0)
+    parser.add_argument("--max-mbps", type=_rate_mbps, default=4.0)
+    parser.add_argument("--competitors", type=_count, default=0)
+    parser.add_argument("--interferers", type=_count, default=0)
     _add_topology_options(parser)
     _add_obs_options(parser)
     _add_fault_options(parser)
@@ -887,7 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="optimization mode of the serving AP")
     topology_parser.add_argument("--queue", default="fq_codel",
                                  choices=("fifo", "codel", "fq_codel"))
-    topology_parser.add_argument("--interferers", type=int, default=5,
+    topology_parser.add_argument("--interferers", type=_count, default=5,
                                  help="contending stations "
                                       "(interference preset)")
     topology_parser.add_argument("--duration", type=_duration, default=60.0,

@@ -88,7 +88,7 @@ class ZhugeController:
         # controller-less scenarios keep their exact PR 4 semantics.
         self._drop_hook = None
         queue = getattr(zhuge, "downlink_queue", None)
-        if queue is not None and hasattr(queue, "on_drop"):
+        if queue is not None:
             self._drop_hook = (
                 lambda packet, reason: self.watchdog.note_drop(packet.pkt_id))
             queue.on_drop.append(self._drop_hook)
@@ -199,7 +199,7 @@ class ZhugeController:
         if policy is None or policy.max_sojourn is None:
             return
         queue = getattr(self.zhuge, "downlink_queue", None)
-        if queue is not None and hasattr(queue, "trim_aged"):
+        if queue is not None:
             queue.trim_aged(now, policy.max_sojourn, "control-sojourn")
 
     def _transition(self, state: str, reason: str) -> None:

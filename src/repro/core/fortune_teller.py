@@ -11,14 +11,14 @@
   measured as the mean inter-departure interval (ignoring sub-1 ms
   intervals inside one AMPDU).
 
-The teller attaches to a queue's callbacks; with FQ-CoDel it attaches to
-the RTC flow's own sub-queue (§4.1, "Calculation with queue
+The teller attaches to a queue's departure callbacks; with FQ-CoDel it
+reads the RTC flow's own sub-queue (§4.1, "Calculation with queue
 disciplines").
 
-The teller is orchestration only: a departure (or a same-instant burst
-of them) is one ``record`` call per estimator, a prediction is two
-queue reads and one query per estimator.  The arithmetic lives in
-:mod:`repro.core.sliding_window` and nowhere else.
+The teller is orchestration only: a burst of departures (a single one
+is the burst of one) is one ``record`` call per estimator, a prediction
+is one ``queue.backlog`` read and one query per estimator.  The
+arithmetic lives in :mod:`repro.core.sliding_window` and nowhere else.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ class FortuneTeller:
 
     Call :meth:`observe_arrival` when a downlink packet of the target
     flow arrives at the AP (before it is enqueued is fine — qSize is read
-    from the queue at call time), and wire ``queue.on_departure`` to
-    :meth:`observe_departure` so the estimators see the dequeue stream.
+    from the queue at call time).  The constructor subscribes the teller
+    to ``queue.on_departure``, so the estimators see the dequeue stream.
     """
 
     def __init__(self, sim: Simulator, queue: DropTailQueue,
@@ -80,9 +80,10 @@ class FortuneTeller:
         # §4.1, "Calculation with queue disciplines": with flow-isolating
         # disciplines (fq_codel, per-UE cellular queues) the teller must
         # read the statistics of the RTC flow's own sub-queue, not the
-        # aggregate. When ``flow`` is set and the queue exposes
-        # ``flow_queue``, qSize/qFrontWaitTime come from the sub-queue
-        # and only this flow's departures feed the rate estimators.
+        # aggregate. When ``flow`` is set, qSize/qFrontWaitTime come from
+        # ``queue.backlog(now, flow)`` (the sub-queue on a discipline that
+        # has them) and only this flow's departures feed the rate
+        # estimators.
         self.flow = flow
         self.burst_correction = burst_correction
         self.tx_rate = SlidingWindowRate(window)
@@ -105,69 +106,34 @@ class FortuneTeller:
         self.cache_hits = 0
         self.records: dict[int, PredictionRecord] = {}
         self.predictions_made = 0
-        #: Cached discipline capability: whether the queue exposes
-        #: per-flow sub-queues.  Read on every predict; the queue's
-        #: class does not change after construction.
-        self._has_flow_queue = hasattr(queue, "flow_queue")
-        #: Resolved once: the aggregate-queue, no-isolation case reads
-        #: the plain DropTailQueue's byte count and head packet
-        #: directly in :meth:`predict` instead of through its accessors.
-        self._fast_predict = flow is None and type(queue) is DropTailQueue
-        if flow is None:
-            # No flow filter: skip the `_on_queue_departure` trampoline
-            # and observe every departure directly.
-            queue.on_departure.append(self.observe_departure)
-            queue.on_departure_batch.append(self.observe_departure_batch)
-        else:
-            queue.on_departure.append(self._on_queue_departure)
-            queue.on_departure_batch.append(self._on_queue_departure_batch)
+        queue.on_departure.append(self.observe_departure if flow is None
+                                  else self._observe_flow_departure)
 
     # -- departure-side measurement ----------------------------------------
 
-    def _on_queue_departure(self, packet: Packet, queue: DropTailQueue) -> None:
-        if packet.flow == self.flow:
-            self.observe_departure(packet)
-
-    def _on_queue_departure_batch(self, packets: list,
-                                  queue: DropTailQueue = None) -> None:
-        matched = [packet for packet in packets if packet.flow == self.flow]
+    def _observe_flow_departure(self, packets: list,
+                                queue: DropTailQueue = None) -> None:
+        flow = self.flow
+        matched = [packet for packet in packets if packet.flow == flow]
         if matched:
-            self.observe_departure_batch(matched)
+            self.observe_departure(matched)
 
-    def observe_departure(self, packet: Packet, queue=None) -> None:
-        """Feed one departure — the burst of one — to the estimators.
+    def observe_departure(self, packets: list, queue=None) -> None:
+        """Feed one burst — departures sharing one ``dequeued_at``.
 
-        ``queue`` is accepted (and ignored) so the method can sit
-        directly on ``queue.on_departure``.
+        The estimators take it as one record each (see their ``count``
+        arguments for why that is exact).  Configs where same-instant
+        departures are *not* inert go packet by packet
+        (``min_interval <= 0``: zero intervals would enter the window;
+        ``resolution <= 0``: every departure would close a burst).
         """
-        # Trust the queue's dequeue stamp: it is the authoritative departure
-        # time even when the queue is driven outside the event loop.
-        now = packet.dequeued_at
-        if now is None:
-            now = self.sim._now
-        size = packet.size
-        self.tx_rate.record(now, size)
-        self.tx_rate_long.record(now, size)
-        self.dequeue_intervals.record_departure(now)
-        self.burst_tracker.record_departure(now, size)
-
-    def observe_departure_batch(self, packets: list, queue=None) -> None:
-        """Feed one AMPDU — departures sharing one dequeue instant.
-
-        ``dequeue_burst`` stamps every packet of a txop with the same
-        ``now``, so the estimators take the burst as one record each
-        (see their ``count`` arguments for why that is exact).  Configs
-        where same-instant departures are *not* inert go packet by
-        packet (``min_interval <= 0``: zero intervals would enter the
-        window; ``resolution <= 0``: every departure would close a
-        burst).
-        """
-        if (self.dequeue_intervals.min_interval <= 0.0
-                or self.burst_tracker.resolution <= 0.0):
+        if len(packets) > 1 and (self.dequeue_intervals.min_interval <= 0.0
+                                 or self.burst_tracker.resolution <= 0.0):
             for packet in packets:
-                self.observe_departure(packet)
+                self.observe_departure([packet])
             return
         head = packets[0]
+        # The queue's stamp is authoritative even off the event loop.
         now = head.dequeued_at
         if now is None:
             now = self.sim._now
@@ -191,25 +157,9 @@ class FortuneTeller:
             self.cache_hits += 1
             return self._cached_prediction
 
-        # The two queue reads are all the discipline decides; the
-        # formula below them is the same for every queue.
-        queue = self.queue
-        if self._fast_predict:
-            q_bytes = queue._bytes
-            packets = queue._packets
-            enqueued = packets[0].enqueued_at if packets else None
-            front_wait = (max(0.0, now - enqueued)
-                          if enqueued is not None else 0.0)
-        else:
-            if self.flow is not None and self._has_flow_queue:
-                # §4.1: the RTC flow's own sub-queue; until the
-                # discipline has made one, nothing of it is queued.
-                queue = queue.flow_queue(self.flow)
-            if queue is None:
-                q_bytes, front_wait = 0, 0.0
-            else:
-                q_bytes = queue.byte_length
-                front_wait = queue.front_wait_time(now)
+        # The queue read is all the discipline decides; the formula
+        # below it is the same for every queue.
+        q_bytes, front_wait = self.queue.backlog(now, self.flow)
 
         if self.burst_correction:
             # Eq. 1: packets leaving in the current burst do not queue.
@@ -279,9 +229,11 @@ class NaiveQueueEstimator:
         self.tx_rate = SlidingWindowRate(window)
         queue.on_departure.append(self._on_departure)
 
-    def _on_departure(self, packet: Packet, queue: DropTailQueue) -> None:
-        now = packet.dequeued_at if packet.dequeued_at is not None else self.sim.now
-        self.tx_rate.record(now, packet.size)
+    def _on_departure(self, packets: list, queue: DropTailQueue) -> None:
+        for packet in packets:
+            now = (packet.dequeued_at if packet.dequeued_at is not None
+                   else self.sim.now)
+            self.tx_rate.record(now, packet.size)
 
     def predict(self) -> DelayPrediction:
         rate = self.tx_rate.rate_bps(self.sim.now)

@@ -209,7 +209,7 @@ class ZhugeAP:
         head-trims immediately instead of waiting for the drain.
         """
         queue = self.downlink_queue
-        if queue is None or not hasattr(queue, "trim_head"):
+        if queue is None:
             return
         if policy.queue_limit is None:
             if self._native_queue_capacity is not None:
@@ -324,33 +324,11 @@ class ZhugeAP:
 
     def on_uplink(self, packet: Packet) -> None:
         """A packet arrived from the client heading to the WAN."""
-        self.packets_processed += 1
-        updater = self._uplink_updaters.get(packet.flow)
-        if updater is not None:
-            updater.on_feedback_packet(packet, self._uplink_out_cb)
-        else:
-            self._uplink_out(packet)
-
-    def on_data_batch(self, packets: list) -> None:
-        """Batch twin of :meth:`on_downlink`.
-
-        Loops the exact per-packet logic without re-entering the
-        scheduler between packets; a caller must only hand over packets
-        that genuinely share one delivery instant.
-        """
-        on_downlink = self.on_downlink
-        for packet in packets:
-            on_downlink(packet)
+        self.on_ack_batch([packet])
 
     def on_ack_batch(self, packets: list) -> None:
-        """Batch twin of :meth:`on_uplink`.
-
-        One AMPDU's worth of uplink feedback in a single call: per
-        packet the updater lookup, feedback handling and release
-        scheduling are identical to :meth:`on_uplink`, but delayed ACKs
-        land on the updater's release TimedRun instead of costing one
-        scheduler event each.
-        """
+        """Packets that arrived from the client together: each goes to its
+        flow's feedback updater (a held ACK rides its release run) or out."""
         self.packets_processed += len(packets)
         updaters = self._uplink_updaters
         out = self._uplink_out_cb

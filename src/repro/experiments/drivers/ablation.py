@@ -50,16 +50,17 @@ def _run_estimators(trace: BandwidthTrace, estimators: dict,
     pending: dict[int, tuple[float, dict[str, float]]] = {}
     errors: dict[str, list[float]] = {name: [] for name in built}
 
-    def deliver(packet: Packet) -> None:
-        entry = pending.pop(packet.pkt_id, None)
-        if entry is None:
-            return
-        arrived_at, predictions = entry
-        actual = sim.now - arrived_at
-        for name, predicted in predictions.items():
-            errors[name].append(abs(predicted - actual))
+    def deliver(packets: list) -> None:
+        for packet in packets:
+            entry = pending.pop(packet.pkt_id, None)
+            if entry is None:
+                continue
+            arrived_at, predictions = entry
+            actual = sim.now - arrived_at
+            for name, predicted in predictions.items():
+                errors[name].append(abs(predicted - actual))
 
-    link.deliver = deliver
+    link.deliver_batch = deliver
     interval = 1200 * 8 / rate_bps
 
     def send() -> None:

@@ -52,7 +52,7 @@ def fig7_qlong_qshort(drop_at_ms: float = 5.0,
     queue = DropTailQueue(capacity_bytes=1_000_000)
     link = WirelessLink(sim, WirelessChannel(trace), queue,
                         max_ampdu_packets=4, per_txop_overhead=0.0001)
-    link.deliver = lambda p: None
+    link.deliver_batch = lambda packets: None
     teller = FortuneTeller(sim, queue, window=0.010)
 
     flow = FiveTuple("s", "c", 1, 2)

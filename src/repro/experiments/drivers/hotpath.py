@@ -236,10 +236,20 @@ def bench_end_to_end(packets: int = 30_000, flows: int = 4,
     Packet_ = Packet
     _ACK = PacketKind.ACK
 
-    def client_deliver(packet):
+    def client_deliver(batch):
+        # One call per txop.  Without sensing the whole txop's ACKs are
+        # built in one sweep and pushed seq-consecutively onto the delay
+        # line's run — identical to sending them one by one (same
+        # construction order, same seq assignment, no sensing state to
+        # interleave).
         nonlocal delivered
-        delivered += 1
-        if sensing:
+        if not sensing:
+            delivered += len(batch)
+            ack_send_batch([Packet_(reverse_flow[p.flow], ACK_SIZE, _ACK,
+                                    ack=p.seq) for p in batch])
+            return
+        for packet in batch:
+            delivered += 1
             ap.on_wireless_delivery(packet)
             if delivered >= packets:
                 # The periodic control/watchdog timers would keep the
@@ -248,28 +258,10 @@ def bench_end_to_end(packets: int = 30_000, flows: int = 4,
                 if controller is not None:
                     controller.stop()
                 ap.watchdog.stop()
-        ack = Packet(reverse_flow[packet.flow], ACK_SIZE, PacketKind.ACK,
-                     ack=packet.seq)
-        ack_send(ack)
+            ack_send(Packet_(reverse_flow[packet.flow], ACK_SIZE, _ACK,
+                             ack=packet.seq))
 
-    def client_deliver_batch(batch):
-        # The AMPDU twin: one call per txop.  Without
-        # sensing the whole txop's ACKs are built in one sweep and
-        # pushed seq-consecutively onto the delay line's run —
-        # identical to looping ``client_deliver`` (same construction
-        # order, same seq assignment, no sensing state to interleave).
-        nonlocal delivered
-        if sensing:
-            for packet in batch:
-                client_deliver(packet)
-            return
-        delivered += len(batch)
-        acks = [Packet_(reverse_flow[p.flow], ACK_SIZE, _ACK, ack=p.seq)
-                for p in batch]
-        ack_send_batch(acks)
-
-    wifi.deliver = client_deliver
-    wifi.deliver_batch = client_deliver_batch
+    wifi.deliver_batch = client_deliver
     ack_line.deliver = ap.on_uplink
     # One txop's deliveries ACK at the same instant, so the delay line
     # hands the whole burst to the AP in one call.  ``forward_uplink``

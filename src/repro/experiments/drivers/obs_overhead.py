@@ -12,10 +12,9 @@ The probe-free side is *derived from the live source*, not kept by
 hand: :func:`probe_free` re-compiles a method without its
 ``tr = self.trace`` loads and ``if <trace> is not None:`` blocks, and
 :func:`probes_stripped` installs those twins on the live classes for
-the probe-free rounds. Both sides therefore resolve the same
-identity-gated fast paths and differ by the probe sites only (a
-hand-kept copy went stale when the live side was optimised, and the
-guard read 0.80 from then on).
+the probe-free rounds. Both sides therefore run the same datapath
+and differ by the probe sites only (a hand-kept copy went stale when
+the live side was optimised, and the guard read 0.80 from then on).
 
 ``benchmarks/bench_obs_overhead.py`` asserts
 ``overhead_ratio < OVERHEAD_CEILING``, that an injected probe trips

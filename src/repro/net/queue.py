@@ -8,16 +8,16 @@ The queue exposes, at any instant:
 * arrival/departure callbacks so a middlebox can observe every packet
   without the queue knowing about it.
 
-Queue disciplines that reorder or drop differently (CoDel, FQ-CoDel)
-wrap or subclass this class; see :mod:`repro.aqm`. The scenario kinds
-``fifo`` and ``droptail`` are both this class itself
+Every queue drains in bursts: ``dequeue_burst`` takes a txop's worth of
+packets at one instant (the wireless link's AMPDU) and ``dequeue`` is
+the burst of one.  Either way the departure observers are called once
+per burst with ``(burst, queue)``, and the stats are counted once per
+burst, by this class alone.  A discipline that drops or reorders at
+dequeue (CoDel, FQ-CoDel; see :mod:`repro.aqm`) subclasses
+:class:`AqmQueue` and overrides the one per-packet step,
+:meth:`DropTailQueue._pop_head`.  The scenario kinds ``fifo`` and
+``droptail`` are both :class:`DropTailQueue` itself
 (``repro.aqm.FifoQueue`` is an alias, not a subclass).
-
-``dequeue_burst`` (PR 6) drains a txop's worth of head packets in one
-call — the wireless link's AMPDU aggregation loop without the
-per-packet ``front``/``dequeue`` dispatch — while firing exactly the
-same per-packet stats, trace probes, and departure callbacks in the
-same order as repeated ``dequeue`` calls would.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class QueueStats:
 
 
 ArrivalCallback = Callable[[Packet, "DropTailQueue"], None]
-DepartureCallback = Callable[[Packet, "DropTailQueue"], None]
+DepartureCallback = Callable[[list[Packet], "DropTailQueue"], None]
 DropCallback = Callable[[Packet, str], None]
 
 
@@ -68,26 +68,13 @@ class DropTailQueue:
         self._bytes = 0
         self.stats = QueueStats()
         self.on_arrival: list[ArrivalCallback] = []
+        #: ``callback(burst, queue)`` once per burst, after the drain (so
+        #: after its drops); every packet carries the one ``dequeued_at``.
         self.on_departure: list[DepartureCallback] = []
-        #: Burst forms of the ``on_departure`` subscribers.
-        #: ``dequeue_burst`` fires one ``callback(burst, queue)`` per
-        #: subscriber instead of one per packet — bursts of one
-        #: included — but only when *every* per-packet subscriber
-        #: registered a burst form here (the lists are appended to in
-        #: pairs).  A burst form must be observably identical to
-        #: looping the per-packet callback over the burst, must not
-        #: read queue state (it runs after the whole burst drained,
-        #: not mid-drain), and must not depend on ordering relative to
-        #: other subscribers.
-        self.on_departure_batch: list = []
         self.on_drop: list[DropCallback] = []
         #: Tracing probe (:class:`repro.obs.bus.TraceBus`); ``None`` =
         #: disabled, and every probe site is a single attribute check.
         self.trace = None
-        #: True only for exact DropTailQueue instances: subclasses (AQMs)
-        #: may override dequeue/_pop_head, so ``dequeue_burst`` must
-        #: take the generic per-packet path.
-        self._plain = type(self) is DropTailQueue
 
     # -- state inspection -------------------------------------------------
 
@@ -116,6 +103,17 @@ class DropTailQueue:
             return 0.0
         return max(0.0, now - head.enqueued_at)
 
+    def backlog(self, now: float, flow=None) -> tuple[int, float]:
+        """``(bytes queued, head wait)``: the Fortune Teller's two reads.
+
+        ``flow`` names the flow whose own share to read; a queue that
+        does not isolate flows ignores it.
+        """
+        packets = self._packets
+        enqueued = packets[0].enqueued_at if packets else None
+        return self._bytes, (max(0.0, now - enqueued)
+                             if enqueued is not None else 0.0)
+
     # -- mutation ----------------------------------------------------------
 
     def enqueue(self, packet: Packet, now: float) -> bool:
@@ -135,58 +133,41 @@ class DropTailQueue:
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:
-        """Remove and return the head packet, or None when empty.
-
-        Subclasses (AQMs) may drop packets here before returning one.
-        """
+        """Remove and return the next packet (a burst of one), or None."""
         packet = self._pop_head(now)
         if packet is not None:
+            stats = self.stats
+            stats.dequeued += 1
+            stats.bytes_dequeued += packet.size
+            burst = [packet]
             for callback in self.on_departure:
-                callback(packet, self)
+                callback(burst, self)
         return packet
 
     def dequeue_burst(self, now: float, max_packets: int,
                       max_bytes: int) -> list[Packet]:
-        """Drain up to ``max_packets`` head packets in one call.
+        """Drain up to ``max_packets`` packets at one instant.
 
         The byte cap applies from the second packet on (the head always
-        transmits, even oversized), matching AMPDU aggregation. Per
-        packet, the stats / trace / departure-callback sequence is
-        exactly what repeated :meth:`dequeue` calls produce, so burst
-        draining is observably identical — just cheaper.
-
-        Subclasses that override :meth:`dequeue` or :meth:`_pop_head`
-        (AQMs that drop at the head) are served by a generic loop over
-        the public interface instead of the direct-deque fast path.
+        transmits, even oversized), matching AMPDU aggregation.
         """
-        if not self._plain:
-            burst: list[Packet] = []
-            burst_bytes = 0
-            while len(burst) < max_packets and not self.is_empty:
-                head = self.front()
-                if (burst and head is not None
-                        and burst_bytes + head.size > max_bytes):
-                    break
-                packet = self.dequeue(now)
-                if packet is None:
-                    break
-                burst.append(packet)
-                burst_bytes += packet.size
-            return burst
+        burst, burst_bytes = self._drain(now, max_packets, max_bytes)
+        if burst:
+            stats = self.stats
+            stats.dequeued += len(burst)
+            stats.bytes_dequeued += burst_bytes
+            for callback in self.on_departure:
+                callback(burst, self)
+        return burst
 
+    def _drain(self, now: float, max_packets: int,
+               max_bytes: int) -> tuple[list[Packet], int]:
+        """``(burst, its bytes)``: :meth:`AqmQueue._drain` with
+        :meth:`_pop_head`, ``front`` and ``is_empty`` written in place
+        (no call frame per packet on the default ``fifo`` kind)."""
         packets = self._packets
-        if not packets:
-            return []
         popleft = packets.popleft
-        stats = self.stats
         trace = self.trace
-        departures = self.on_departure
-        # Batch departure dispatch: when every subscriber has a burst
-        # form, fire each once with the whole burst (all stamped with
-        # one ``now``) instead of once per packet.
-        use_batch = (bool(departures)
-                     and len(self.on_departure_batch) == len(departures))
-        fire = bool(departures) and not use_batch
         burst = []
         append = burst.append
         burst_bytes = 0
@@ -199,29 +180,21 @@ class DropTailQueue:
             popleft()
             self._bytes -= size
             head.dequeued_at = now
-            stats.dequeued += 1
-            stats.bytes_dequeued += size
             if trace is not None:
                 trace.queue_dequeue(self, head)
             append(head)
             burst_bytes += size
             count += 1
-            if fire:
-                for callback in departures:
-                    callback(head, self)
-        if use_batch and burst:
-            for callback in self.on_departure_batch:
-                callback(burst, self)
-        return burst
+        return burst, burst_bytes
 
     def _pop_head(self, now: float) -> Optional[Packet]:
+        """Remove and stamp the packet served next, or None: the step a
+        discipline overrides (CoDel's head drops, FQ-CoDel's DRR pick)."""
         if not self._packets:
             return None
         packet = self._packets.popleft()
         self._bytes -= packet.size
         packet.dequeued_at = now
-        self.stats.dequeued += 1
-        self.stats.bytes_dequeued += packet.size
         if self.trace is not None:
             self.trace.queue_dequeue(self, packet)
         return packet
@@ -250,9 +223,7 @@ class DropTailQueue:
         """
         dropped = 0
         while self._packets and self._bytes > limit_bytes:
-            packet = self._packets.popleft()
-            self._bytes -= packet.size
-            self._drop(packet, reason)
+            self._shed_head(reason)
             dropped += 1
         return dropped
 
@@ -270,11 +241,15 @@ class DropTailQueue:
             head = self._packets[0]
             if head.enqueued_at is None or now - head.enqueued_at <= max_age:
                 break
-            self._packets.popleft()
-            self._bytes -= head.size
-            self._drop(head, reason)
+            self._shed_head(reason)
             dropped += 1
         return dropped
+
+    def _shed_head(self, reason: str) -> None:
+        """Drop the head packet (the control clamp and sojourn ceiling)."""
+        packet = self._packets.popleft()
+        self._bytes -= packet.size
+        self._drop(packet, reason)
 
     def drop_all(self, reason: str) -> int:
         """Drop every queued packet, firing stats and drop callbacks.
@@ -303,3 +278,28 @@ class DropTailQueue:
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"{type(self).__name__}({self.name}: "
                 f"{len(self._packets)} pkts, {self._bytes} B)")
+
+
+class AqmQueue(DropTailQueue):
+    """A discipline that drops or reorders at dequeue.
+
+    Subclasses override :meth:`_pop_head`; the burst is drained one
+    ``_pop_head`` at a time and capped on the bytes of the queue's
+    ``front()`` before each pop.
+    """
+
+    def _drain(self, now: float, max_packets: int,
+               max_bytes: int) -> tuple[list[Packet], int]:
+        burst: list[Packet] = []
+        burst_bytes = 0
+        while len(burst) < max_packets and not self.is_empty:
+            head = self.front()
+            if (burst and head is not None
+                    and burst_bytes + head.size > max_bytes):
+                break
+            packet = self._pop_head(now)
+            if packet is None:
+                break
+            burst.append(packet)
+            burst_bytes += packet.size
+        return burst, burst_bytes

@@ -328,16 +328,14 @@ class TopologyBuilder:
             if er.spec.dst in self.aps:
                 ap_rt = self.aps[er.spec.dst]
                 if er.spec.wireless:
-                    er.link.deliver = self._make_ap_wireless_in(ap_rt)
-                    if hasattr(er.link, "deliver_batch"):
-                        er.link.deliver_batch = \
-                            self._make_ap_wireless_in_batch(ap_rt)
+                    er.link.deliver_batch = self._make_ap_wireless_in(ap_rt)
                 else:
                     er.link.deliver = self._make_ap_wired_in(ap_rt)
             else:
-                er.link.deliver = self._make_terminal_in(er)
-                if er.spec.wireless and hasattr(er.link, "deliver_batch"):
-                    er.link.deliver_batch = self._make_terminal_in_batch(er)
+                body = er.link.deliver_batch = self._make_terminal_in(er)
+                if not er.spec.wireless:
+                    # A wired link hands over single arrivals one by one.
+                    er.link.deliver = lambda packet, body=body: body([packet])
 
     def _make_ap_wired_in(self, ap_rt: ApRuntime):
         """WAN-side ingress: ABC marking, then the AP downlink path."""
@@ -349,23 +347,10 @@ class TopologyBuilder:
         return deliver
 
     def _make_ap_wireless_in(self, ap_rt: ApRuntime):
-        """Client-side ingress: FastAck interception, then uplink path."""
-        def deliver(packet: Packet) -> None:
-            proxy = ap_rt.fastack.get(packet.flow.reversed())
-            if proxy is not None:
-                proxy.on_uplink(packet, ap_rt.ap.on_uplink)
-            else:
-                ap_rt.ap.on_uplink(packet)
-        return deliver
-
-    def _make_ap_wireless_in_batch(self, ap_rt: ApRuntime):
-        """Whole-AMPDU twin of :meth:`_make_ap_wireless_in`.
-
-        Packet-for-packet identical to calling the per-packet deliverer
-        in a loop; without FastAck proxies the batch drops straight into
-        the AP's ``on_ack_batch`` entry point.
-        """
-        def deliver_batch(packets: list) -> None:
+        """Client-side ingress: FastAck interception, then the uplink
+        path; without FastAck proxies the whole list goes to the AP's
+        ``on_ack_batch`` in one call."""
+        def deliver(packets: list) -> None:
             fastack = ap_rt.fastack
             if not fastack:
                 ap_rt.ap.on_ack_batch(packets)
@@ -377,15 +362,14 @@ class TopologyBuilder:
                     proxy.on_uplink(packet, on_uplink)
                 else:
                     on_uplink(packet)
-        return deliver_batch
+        return deliver
 
-    def _make_terminal_in_batch(self, er: EdgeRuntime):
-        """Whole-AMPDU twin of :meth:`_make_terminal_in` (hoisted
-        lookups; per-packet semantics unchanged)."""
+    def _make_terminal_in(self, er: EdgeRuntime):
+        """Delivery into a client/server node: bookkeeping + endpoint."""
         src_ap = self.aps.get(er.spec.src) if er.spec.wireless else None
         node = er.spec.dst
 
-        def deliver_batch(packets: list) -> None:
+        def deliver(packets: list) -> None:
             sim = self.sim
             handlers = self._handlers[node]
             network_rtt = self._network_rtt
@@ -407,28 +391,6 @@ class TopologyBuilder:
                 handler = handlers.get(packet.flow)
                 if handler is not None:
                     handler(packet)
-        return deliver_batch
-
-    def _make_terminal_in(self, er: EdgeRuntime):
-        """Delivery into a client/server node: bookkeeping + endpoint."""
-        src_ap = self.aps.get(er.spec.src) if er.spec.wireless else None
-        node = er.spec.dst
-
-        def deliver(packet: Packet) -> None:
-            if src_ap is not None:
-                if src_ap.zhuge is not None:
-                    src_ap.zhuge.on_wireless_delivery(packet)
-                for proxy in src_ap.fastack.values():
-                    proxy.on_wireless_delivery(packet)
-            recorder = self._network_rtt.get(packet.flow)
-            if recorder is not None and packet.kind == PacketKind.DATA:
-                one_way = self.sim.now - packet.sent_at
-                recorder.record(
-                    self.sim.now,
-                    max(0.0, one_way) + self._return_delay[packet.flow])
-            handler = self._handlers[node].get(packet.flow)
-            if handler is not None:
-                handler(packet)
         return deliver
 
     def _make_forward(self, node: str):

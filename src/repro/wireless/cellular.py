@@ -13,7 +13,8 @@ base stations differ from WiFi APs in two ways that matter here:
 :class:`CellularLink` serves a :class:`~repro.aqm.fq_codel.FqCoDelQueue`
 (or any flow-isolating queue) in round-robin TTIs at the trace-driven
 cell rate. The Fortune Teller observes it exactly as it observes WiFi —
-per-flow, through the queue callbacks.
+per-flow, through the queue callbacks.  Like the WiFi link it hands
+each TTI's surviving packets to one list receiver, ``deliver_batch``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.net.queue import DropTailQueue
 from repro.sim.engine import Simulator
 from repro.wireless.channel import WirelessChannel
 
-DeliverCallback = Callable[[Packet], None]
+DeliverCallback = Callable[[list[Packet]], None]
 
 
 class CellularLink:
@@ -43,7 +44,7 @@ class CellularLink:
         self.tti = tti
         self.propagation_delay = propagation_delay
         self.name = name
-        self.deliver: Optional[DeliverCallback] = None
+        self.deliver_batch: Optional[DeliverCallback] = None
         self._serving = False
         self._carryover_bytes = 0.0
         self.ttis = 0
@@ -106,16 +107,22 @@ class CellularLink:
         self.sim.schedule(self.tti, self._serve_tti)
 
     def _arrive(self, packets: list[Packet]) -> None:
-        if self.deliver is None:
+        deliver_batch = self.deliver_batch
+        if deliver_batch is None:
             return
-        self.sim.packets_processed += len(packets)
+        sim = self.sim
+        sim.packets_processed += len(packets)
+        now = sim._now
+        fault_drop = self.fault_drop
+        survivors = []
         for packet in packets:
-            fault_drop = self.fault_drop
             if fault_drop is not None and fault_drop(packet):
                 self.fault_dropped += 1
                 continue
-            packet.received_at = self.sim.now
-            self.deliver(packet)
+            packet.received_at = now
+            survivors.append(packet)
+        if survivors:
+            deliver_batch(survivors)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"CellularLink({self.name}, {self.ttis} TTIs)"

@@ -27,7 +27,7 @@ from repro.sim.engine import Simulator
 from repro.wireless.channel import WirelessChannel
 from repro.wireless.interference import InterferenceModel
 
-DeliverCallback = Callable[[Packet], None]
+DeliverCallback = Callable[[list[Packet]], None]
 
 
 class WirelessLink:
@@ -58,7 +58,9 @@ class WirelessLink:
         self.max_ampdu_bytes = max_ampdu_bytes
         self.per_txop_overhead = per_txop_overhead
         self.name = name
-        self.deliver: Optional[DeliverCallback] = None
+        #: The receiver: one call per AMPDU with the packets that
+        #: survived the air, in order.
+        self.deliver_batch: Optional[DeliverCallback] = None
         self._serving = False
         self.txops = 0
         self.packets_sent = 0
@@ -74,10 +76,6 @@ class WirelessLink:
         #: last traced rate so the track stays step-shaped.
         self.trace = None
         self._traced_rate: Optional[float] = None
-        #: Optional whole-AMPDU delivery callback: must be observably
-        #: identical to calling ``deliver`` per packet; used only when
-        #: no fault predicate or trace hooks are active.
-        self.deliver_batch: Optional[Callable[[list[Packet]], None]] = None
         #: Serve/transmit keep their own instants (contention RNG draws,
         #: queue reads); a zero-delay transmit is a ``tail_call``.
         self._finish_run = sim.timed_run(self._finish)
@@ -85,23 +83,7 @@ class WirelessLink:
 
     def send(self, packet: Packet) -> None:
         """Accept a downlink packet (enqueue; kick the server if idle)."""
-        queue = self.queue
-        if queue._plain and queue.trace is None and not queue.on_arrival:
-            # Inlined plain ``DropTailQueue.enqueue`` — identical stats,
-            # stamps, and drop path, one call frame less on the
-            # per-packet downlink edge.  Probed/subclassed queues take
-            # the generic call.
-            size = packet.size
-            if queue._bytes + size > queue.capacity_bytes:
-                queue._drop(packet, "tail-overflow")
-                return
-            packet.enqueued_at = self.sim._now
-            queue._packets.append(packet)
-            queue._bytes += size
-            stats = queue.stats
-            stats.enqueued += 1
-            stats.bytes_enqueued += size
-        elif not queue.enqueue(packet, self.sim.now):
+        if not self.queue.enqueue(packet, self.sim._now):
             return
         if not self._serving and not self.blocked:
             self._serving = True
@@ -178,34 +160,29 @@ class WirelessLink:
         self._serve_txop()
 
     def _arrive(self, ampdu: list[Packet]) -> None:
-        """The AMPDU reached the client; batch fast path when no fault
-        predicate or trace probe needs to see packets one by one."""
-        if self.deliver is None:
+        """The AMPDU reached the client: each packet passes the fault
+        predicate and the trace probe, then the survivors go to the
+        receiver in one call."""
+        deliver_batch = self.deliver_batch
+        if deliver_batch is None:
             return
         sim = self.sim
         sim.packets_processed += len(ampdu)
-        if self.fault_drop is None and self.trace is None:
-            now = sim._now
-            deliver_batch = self.deliver_batch
-            if deliver_batch is not None:
-                for packet in ampdu:
-                    packet.received_at = now
-                deliver_batch(ampdu)
-                return
-            deliver = self.deliver
-            for packet in ampdu:
-                packet.received_at = now
-                deliver(packet)
-            return
+        now = sim._now
+        fault_drop = self.fault_drop
+        trace = self.trace
+        survivors = []
+        append = survivors.append
         for packet in ampdu:
-            fault_drop = self.fault_drop
             if fault_drop is not None and fault_drop(packet):
                 self.fault_dropped += 1
                 continue
-            packet.received_at = sim.now
-            if self.trace is not None:
-                self.trace.link_delivery(self, packet)
-            self.deliver(packet)
+            packet.received_at = now
+            if trace is not None:
+                trace.link_delivery(self, packet)
+            append(packet)
+        if survivors:
+            deliver_batch(survivors)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"WirelessLink({self.name}, {self.txops} txops)"

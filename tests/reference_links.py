@@ -12,8 +12,9 @@ instead computes start, finish and arrival in place and pushes the
 packet onto one ``TimedRun``.
 
 ``ClassicWirelessLink`` schedules the AMPDU's finish and arrival as two
-events per txop; ``WirelessLink`` pushes them onto two ``TimedRun``
-streams.
+events per txop and hands each packet to the receiver as a list of
+one; ``WirelessLink`` pushes them onto two ``TimedRun`` streams and
+hands over the AMPDU's survivors in one list.
 
 The runs the base classes build in ``__init__`` stay empty here (they
 bind the overridden ``_finish``/``_arrive`` but nothing pushes onto
@@ -133,7 +134,7 @@ class ClassicWirelessLink(WirelessLink):
         # (finish times and propagation delay are monotone), so the
         # oldest in-flight AMPDU is the one landing now.
         ampdu = self._arrivals.popleft()
-        if self.deliver is None:
+        if self.deliver_batch is None:
             return
         self.sim.packets_processed += len(ampdu)
         for packet in ampdu:
@@ -144,4 +145,4 @@ class ClassicWirelessLink(WirelessLink):
             packet.received_at = self.sim.now
             if self.trace is not None:
                 self.trace.link_delivery(self, packet)
-            self.deliver(packet)
+            self.deliver_batch([packet])

@@ -41,6 +41,42 @@ class TestParser:
         assert "error: argument --" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        [command, flag, value]
+        for command in ("run", "compare")
+        for flag, values in (("--max-mbps", ("0", "-3", "nan", "inf", "x")),
+                             ("--competitors", ("-2", "1.5", "x")),
+                             ("--interferers", ("-1", "two")))
+        for value in values
+    ] + [["topology", "interference", "--interferers", "-1"]])
+    def test_bad_numeric_flags_exit_2_in_one_line(self, argv, capsys,
+                                                  monkeypatch):
+        self._refuse_commands(monkeypatch)
+        monkeypatch.setattr("repro.cli.cmd_topology", self._refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "Traceback" not in err
+        assert f"error: argument {argv[-2]}: " in errors[0]
+
+    def test_valid_numeric_flags_keep_the_spec_hash(self):
+        from repro.campaign import ScenarioSpec, TraceSpec
+        from repro.cli import _spec_from_args
+        args = build_parser().parse_args(
+            ["run", "--duration", "5", "--max-mbps", "2.5",
+             "--competitors", "2", "--interferers", "0"])
+        spec = _spec_from_args(args, "zhuge")
+        expected = ScenarioSpec(
+            trace=TraceSpec.for_family("W1", duration=10.0, seed=1),
+            ap_mode="zhuge", duration=5.0, max_bps=2.5e6, competitors=2,
+            interferers=0, trace_config=spec.trace_config)
+        assert spec.content_hash() == expected.content_hash()
+        assert build_parser().parse_args(
+            ["topology", "interference", "--interferers", "0"]
+        ).interferers == 0
+
     def test_negative_duration_runs_no_cell(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a cell was dispatched")
@@ -51,12 +87,14 @@ class TestParser:
         assert "must be > 0" in capsys.readouterr().err
 
     @staticmethod
-    def _refuse_commands(monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the command ran")
+    def _refuse(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    @classmethod
+    def _refuse_commands(cls, monkeypatch):
         for name in ("cmd_run", "cmd_compare", "cmd_resilience",
                      "cmd_trace", "cmd_campaign"):
-            monkeypatch.setattr(f"repro.cli.{name}", refuse)
+            monkeypatch.setattr(f"repro.cli.{name}", cls._refuse)
 
     @pytest.mark.parametrize("argv", [
         ["run", "--cca", "nosuch"],

@@ -21,6 +21,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.aqm import make_queue
 from repro.campaign import ResultCache, ScenarioSpec, TraceSpec, run_specs
 from repro.control import (ControllerConfig, ControlPolicy, ControlSpec,
                            SteeringConfig, ZhugeController)
@@ -135,6 +136,47 @@ class TestQueueTrims:
         queue.enqueue(_pkt(pkt_id=7), now=0.0)
         queue.trim_head(0, "control-trim")
         assert seen == [(7, "control-trim")]
+
+
+@pytest.mark.parametrize("kind", ["fifo", "codel", "fq_codel"])
+class TestQueueTrimsOnEveryKind:
+    """The clamp and the sojourn ceiling shed the oldest packets on
+    every queue kind, FQ-CoDel's sub-queues included, and leave a queue
+    that conserves packets and keeps serving."""
+
+    @staticmethod
+    def _filled(kind):
+        queue = make_queue(kind, capacity_bytes=100_000)
+        seen = []
+        queue.on_drop.append(lambda packet, reason: seen.append(
+            (packet.pkt_id, reason)))
+        flows = [FiveTuple("s", "c", port, 2, "udp") for port in (1, 3)]
+        for i in range(20):
+            queue.enqueue(Packet(flows[i % 2], 1200, pkt_id=i),
+                          now=i * 0.01)
+        return queue, seen
+
+    @staticmethod
+    def _drained_ids(queue):
+        burst = queue.dequeue_burst(1.0, 100, 1 << 30)
+        stats = queue.stats
+        assert stats.enqueued == stats.dequeued + stats.dropped
+        assert queue.is_empty
+        return sorted(p.pkt_id for p in burst)
+
+    def test_trim_head_drops_the_oldest(self, kind):
+        queue, seen = self._filled(kind)
+        assert queue.trim_head(6_000, "control-trim") == 15
+        assert seen == [(i, "control-trim") for i in range(15)]
+        assert queue.byte_length == 6_000
+        assert self._drained_ids(queue) == list(range(15, 20))
+
+    def test_trim_aged_sheds_stale_packets(self, kind):
+        queue, seen = self._filled(kind)
+        assert queue.trim_aged(0.2, max_age=0.055,
+                               reason="control-sojourn") == 15
+        assert sorted(seen) == [(i, "control-sojourn") for i in range(15)]
+        assert self._drained_ids(queue) == list(range(15, 20))
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,8 @@ class TestCallbacks:
 
     def test_departure_callback(self, queue, flow):
         seen = []
-        queue.on_departure.append(lambda p, q: seen.append(p.seq))
+        queue.on_departure.append(
+            lambda burst, q: seen.extend(p.seq for p in burst))
         queue.enqueue(Packet(flow, 100, seq=7), 0.0)
         queue.dequeue(1.0)
         assert seen == [7]

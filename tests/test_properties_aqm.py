@@ -105,7 +105,7 @@ class TestWirelessLinkProperties:
         queue = DropTailQueue(capacity_bytes=10**9)
         link = WirelessLink(sim, WirelessChannel(trace), queue)
         delivered = []
-        link.deliver = delivered.append
+        link.deliver_batch = delivered.extend
         flow = FiveTuple("a", "b", 1, 2)
         for size in sizes:
             sim.schedule(0.0, lambda s=size: link.send(Packet(flow, s)))

@@ -261,8 +261,8 @@ class TestBurstCallEquivalence:
     def test_teller_feeds_degenerate_configs_packet_by_packet(
             self, ops, config):
         """``min_interval <= 0`` / ``resolution <= 0``: same-instant
-        departures are not inert, and ``observe_departure_batch`` must
-        still equal the per-packet reference."""
+        departures are not inert, and ``observe_departure`` must still
+        equal the per-packet reference."""
         min_interval, resolution = config
         teller = FortuneTeller(Simulator(), DropTailQueue())
         teller.dequeue_intervals.min_interval = min_interval
@@ -283,7 +283,7 @@ class TestBurstCallEquivalence:
                 refs[1].record(t, packet.size)
                 refs[2].record_departure(t)
                 refs[3].record_departure(t, packet.size)
-            teller.observe_departure_batch(packets)
+            teller.observe_departure(packets)
             assert teller.tx_rate.rate_bps(t) == refs[0].rate_bps(t)
             assert teller.tx_rate_long.rate_bps(t) == refs[1].rate_bps(t)
             assert (teller.dequeue_intervals.average_interval(t)

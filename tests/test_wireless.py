@@ -111,7 +111,7 @@ class TestWirelessLink:
     def test_delivers_all_packets(self, sim, flow):
         link, _ = self._link(sim)
         got = []
-        link.deliver = got.append
+        link.deliver_batch = got.extend
         for i in range(20):
             sim.schedule(0.0, lambda i=i: link.send(Packet(flow, 1200, seq=i)))
         sim.run(until=1.0)
@@ -120,10 +120,11 @@ class TestWirelessLink:
     def test_ampdu_groups_departures(self, sim, flow):
         link, queue = self._link(sim, max_ampdu_packets=4)
         departures = []
-        queue.on_departure.append(lambda p, q: departures.append(sim.now))
+        queue.on_departure.append(
+            lambda burst, q: departures.extend([sim.now] * len(burst)))
         for i in range(8):
             sim.schedule(0.0, lambda: link.send(Packet(flow, 1200)))
-        link.deliver = lambda p: None
+        link.deliver_batch = lambda packets: None
         sim.run(until=1.0)
         # 8 packets in two AMPDUs of 4: two distinct departure instants.
         assert len(set(departures)) == 2
@@ -132,7 +133,7 @@ class TestWirelessLink:
     def test_ampdu_byte_cap(self, sim, flow):
         link, _ = self._link(sim, max_ampdu_packets=100,
                              max_ampdu_bytes=3000)
-        link.deliver = lambda p: None
+        link.deliver_batch = lambda packets: None
         for _ in range(6):
             sim.schedule(0.0, lambda: link.send(Packet(flow, 1200)))
         sim.run(until=1.0)
@@ -142,7 +143,8 @@ class TestWirelessLink:
     def test_throughput_tracks_channel_rate(self, sim, flow):
         link, _ = self._link(sim, rate_bps=2.4e6)  # 300 B/ms
         got = []
-        link.deliver = lambda p: got.append(sim.now)
+        link.deliver_batch = lambda packets: got.extend(
+            [sim.now] * len(packets))
         for _ in range(200):
             sim.schedule(0.0, lambda: link.send(Packet(flow, 1200)))
         sim.run(until=0.5)
@@ -152,7 +154,8 @@ class TestWirelessLink:
     def test_delivery_after_propagation(self, sim, flow):
         link, _ = self._link(sim, propagation_delay=0.004)
         got = []
-        link.deliver = lambda p: got.append(sim.now)
+        link.deliver_batch = lambda packets: got.extend(
+            [sim.now] * len(packets))
         sim.schedule(0.0, lambda: link.send(Packet(flow, 1200)))
         sim.run(until=1.0)
         assert got[0] >= 0.004
@@ -161,7 +164,7 @@ class TestWirelessLink:
         trace = BandwidthTrace([1e3], interval=10.0)  # ~dead channel
         queue = DropTailQueue(capacity_bytes=2400)
         link = WirelessLink(sim, WirelessChannel(trace), queue)
-        link.deliver = lambda p: None
+        link.deliver_batch = lambda packets: None
         for _ in range(5):
             sim.schedule(0.0, lambda: link.send(Packet(flow, 1200)))
         sim.run(until=0.1)
@@ -173,13 +176,15 @@ class TestWirelessLink:
         queue_a = DropTailQueue()
         quiet = WirelessLink(sim, WirelessChannel(trace), queue_a)
         quiet_times = []
-        quiet.deliver = lambda p: quiet_times.append(sim.now)
+        quiet.deliver_batch = lambda packets: quiet_times.extend(
+            [sim.now] * len(packets))
 
         queue_b = DropTailQueue()
         noisy = WirelessLink(sim, WirelessChannel(trace), queue_b,
                              interference=InterferenceModel(rng, 30))
         noisy_times = []
-        noisy.deliver = lambda p: noisy_times.append(sim.now)
+        noisy.deliver_batch = lambda packets: noisy_times.extend(
+            [sim.now] * len(packets))
 
         for _ in range(50):
             sim.schedule(0.0, lambda: quiet.send(Packet(flow, 1200)))

@@ -21,7 +21,7 @@ class TestService:
     def test_delivers_all(self, sim, flow):
         link, _ = make_link(sim)
         got = []
-        link.deliver = got.append
+        link.deliver_batch = got.extend
         for i in range(30):
             sim.schedule(0.0, lambda i=i: link.send(Packet(flow, 1200, seq=i)))
         sim.run(until=1.0)
@@ -30,7 +30,8 @@ class TestService:
     def test_throughput_tracks_rate(self, sim, flow):
         link, _ = make_link(sim, rate_bps=4.8e6)  # 600 B/ms
         got = []
-        link.deliver = lambda p: got.append(sim.now)
+        link.deliver_batch = lambda packets: got.extend(
+            [sim.now] * len(packets))
         for _ in range(500):
             sim.schedule(0.0, lambda: link.send(Packet(flow, 1200)))
         sim.run(until=0.5)
@@ -40,8 +41,9 @@ class TestService:
     def test_tti_paced_departures(self, sim, flow):
         link, queue = make_link(sim, rate_bps=9.6e6, tti=0.001)
         departures = []
-        queue.on_departure.append(lambda p, q: departures.append(sim.now))
-        link.deliver = lambda p: None
+        queue.on_departure.append(
+            lambda burst, q: departures.extend([sim.now] * len(burst)))
+        link.deliver_batch = lambda packets: None
         for _ in range(20):
             sim.schedule(0.0, lambda: link.send(Packet(flow, 1200)))
         sim.run(until=0.5)
@@ -52,7 +54,8 @@ class TestService:
     def test_propagation_delay(self, sim, flow):
         link, _ = make_link(sim, propagation_delay=0.015)
         got = []
-        link.deliver = lambda p: got.append(sim.now)
+        link.deliver_batch = lambda packets: got.extend(
+            [sim.now] * len(packets))
         sim.schedule(0.0, lambda: link.send(Packet(flow, 1200)))
         sim.run(until=1.0)
         assert got[0] >= 0.015
@@ -61,7 +64,8 @@ class TestService:
         # 1 Mbps = 125 B/ms: a 1200 B packet needs ~10 TTIs of carryover.
         link, _ = make_link(sim, rate_bps=1e6)
         got = []
-        link.deliver = lambda p: got.append(sim.now)
+        link.deliver_batch = lambda packets: got.extend(
+            [sim.now] * len(packets))
         sim.schedule(0.0, lambda: link.send(Packet(flow, 1200)))
         sim.run(until=1.0)
         assert len(got) == 1
@@ -82,11 +86,12 @@ class TestFlowIsolation:
         bulk = FiveTuple("s", "c", 3, 4)
         arrivals = {"rtc": [], "bulk": []}
 
-        def deliver(packet):
-            key = "rtc" if packet.flow == rtc else "bulk"
-            arrivals[key].append(sim.now)
+        def deliver(packets):
+            for packet in packets:
+                key = "rtc" if packet.flow == rtc else "bulk"
+                arrivals[key].append(sim.now)
 
-        link.deliver = deliver
+        link.deliver_batch = deliver
         # Bulk floods; RTC sends one packet per 50 ms.
         for i in range(200):
             sim.schedule(0.0, lambda: link.send(Packet(bulk, 1200)))
