@@ -54,35 +54,44 @@ CCA_CHOICES = {"rtp": {*RATE_CCAS, "copa"}, "tcp": set(WINDOW_CCAS),
                "quic": {*WINDOW_CCAS, "gcc"}}
 
 
-def _positive(unit: str):
-    """argparse ``type=`` for a finite float above zero, in ``unit``."""
+def _positive(unit: str, zero: bool = False):
+    """argparse ``type=`` for a finite float above zero (at least zero
+    with ``zero``), in ``unit``."""
     def parse(text: str) -> float:
         try:
             value = float(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"not a number: {text!r}") from None
-        if not (0 < value < math.inf):
+        if not (0 <= value < math.inf if zero else 0 < value < math.inf):
             raise argparse.ArgumentTypeError(
-                f"must be > 0 {unit}: {text!r}")
+                f"must be {'>=' if zero else '>'} 0 {unit}: {text!r}")
         return value
     return parse
 
 
 _duration = _positive("seconds")
 _rate_mbps = _positive("Mb/s")
+_megabytes = _positive("MB", zero=True)
 
 
-def _count(text: str) -> int:
-    """argparse ``type=`` for counts: an integer of zero or more."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0: {text!r}")
-    return value
+def _at_least(minimum: int):
+    """argparse ``type=`` for an integer of ``minimum`` or more."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}: {text!r}")
+        return value
+    return parse
+
+
+_count = _at_least(0)
+_positive_count = _at_least(1)
 
 
 def _fault_dsl(text: str) -> str:
@@ -325,6 +334,14 @@ def cmd_campaign(args) -> int:
         for trace, scheme in grid:
             specs.extend(scheme_specs(trace, SCHEMES_BY_NAME[scheme],
                                       args.duration, seeds))
+        # The grid's rows measure from the warm-up on: refuse a grid
+        # with nothing to measure before any cell runs.
+        warmup = max((spec.warmup for spec in specs), default=0.0)
+        if args.duration <= warmup:
+            print(f"repro campaign: error: argument --duration: must be > "
+                  f"the {warmup:g} s warm-up: {args.duration:g}",
+                  file=sys.stderr)
+            raise SystemExit(2)
 
     if getattr(args, "control", False):
         # The control spec is part of each spec (and its content hash),
@@ -688,11 +705,11 @@ def _add_campaign_exec_args(parser: argparse.ArgumentParser) -> None:
                              "repro-campaign)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the result cache")
-    parser.add_argument("--timeout", type=float, default=None,
+    parser.add_argument("--timeout", type=_duration, default=None,
                         help="per-cell wall-clock budget in seconds")
-    parser.add_argument("--retries", type=int, default=1,
+    parser.add_argument("--retries", type=_count, default=1,
                         help="extra attempts per failing cell")
-    parser.add_argument("--cache-prune", type=float, default=None,
+    parser.add_argument("--cache-prune", type=_megabytes, default=None,
                         metavar="MB",
                         help="after the run, shrink the result cache to "
                              "this many megabytes (LRU by last use)")
@@ -710,15 +727,16 @@ def _add_robustness_args(parser: argparse.ArgumentParser) -> None:
                             "--journal instead of recomputing them; the "
                             "result is bit-identical to an "
                             "uninterrupted run")
-    group.add_argument("--checkpoint-every", type=int, default=8,
+    group.add_argument("--checkpoint-every", type=_positive_count,
+                       default=8,
                        metavar="N",
                        help="journal a consumer-state checkpoint every "
                             "N completed cells (--city only)")
-    group.add_argument("--hang-timeout", type=float, default=None,
+    group.add_argument("--hang-timeout", type=_duration, default=None,
                        metavar="S",
                        help="SIGKILL and retry any pool worker whose "
                             "cell runs longer than S wall-clock seconds")
-    group.add_argument("--mem-limit-mb", type=float, default=None,
+    group.add_argument("--mem-limit-mb", type=_megabytes, default=None,
                        metavar="MB",
                        help="degrade fleet percentiles to sketch-only "
                             "when driver RSS crosses this limit "
@@ -778,14 +796,14 @@ def build_parser() -> argparse.ArgumentParser:
                                  "domains, and report fleet-wide delay "
                                  "percentiles (replaces the trace/scheme "
                                  "grid)")
-    city_group.add_argument("--aps", type=int, default=100,
+    city_group.add_argument("--aps", type=_positive_count, default=100,
                             help="AP count of the generated city")
     city_group.add_argument("--city-seed", type=int, default=1,
                             help="generator seed (same seed, same city)")
     city_group.add_argument("--shard-aps", type=int, default=32,
                             help="max APs per shard (<=0: run the city "
                                  "as one unsharded cell)")
-    city_group.add_argument("--sample-budget", type=int,
+    city_group.add_argument("--sample-budget", type=_count,
                             default=2_000_000,
                             help="max pooled delay samples kept exact; "
                                  "beyond it fleet percentiles come from "
@@ -899,7 +917,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  choices=sorted(CITY_PRESETS),
                                  help="city layout preset "
                                       "(generate preset)")
-    topology_parser.add_argument("--aps", type=int, default=100,
+    topology_parser.add_argument("--aps", type=_positive_count,
+                                 default=100,
                                  help="AP count (generate preset)")
     topology_parser.add_argument("--city-seed", type=int, default=1,
                                  help="generator seed (generate preset)")

@@ -238,10 +238,10 @@ def bench_end_to_end(packets: int = 30_000, flows: int = 4,
 
     def client_deliver(batch):
         # One call per txop.  Without sensing the whole txop's ACKs are
-        # built in one sweep and pushed seq-consecutively onto the delay
-        # line's run — identical to sending them one by one (same
-        # construction order, same seq assignment, no sensing state to
-        # interleave).
+        # built in one sweep and join one arrival burst on the delay
+        # line — identical to sending them one by one (same
+        # construction order, nothing scheduled in between, no sensing
+        # state to interleave).
         nonlocal delivered
         if not sensing:
             delivered += len(batch)

@@ -7,10 +7,12 @@ Analytic virtual server
 The link never wakes up per hop.  ``send`` computes the packet's
 serialization start (``max(now, tail_finish)``), finish
 (``start + size*8/rate``) and arrival (``finish + delay``) in place and
-pushes the packet onto one :class:`~repro.sim.engine.TimedRun` arrival
-stream — one sentinel heap entry per burst instead of a serialization
-and a propagation event per packet.  A *committed-bytes* ledger keeps
-tail drop exact: packets whose serialization has not started still
+extends one :class:`~repro.sim.engine.TimedRun` arrival stream with
+``[packet]`` — one sentinel heap entry per busy period instead of a
+serialization and a propagation event per packet; same-instant sends
+with nothing scheduled between them (a txop's worth of ACKs on a pure
+delay line) join one burst, one dispatch.  A *committed-bytes* ledger
+keeps tail drop exact: packets whose serialization has not started still
 occupy capacity, as in a FIFO that dequeues at each start instant; the
 queue's stats and the ``enqueued_at`` / ``dequeued_at`` stamps are that
 FIFO's.  ``tests/reference_links.py`` keeps the per-packet event chain
@@ -66,14 +68,12 @@ class WiredLink:
         self.queue = queue
         self.name = name
         self.deliver: Optional[DeliverCallback] = None
-        #: Optional whole-batch delivery callback: must be observably
-        #: identical to calling ``deliver`` per packet.  Used for
-        #: arrivals that share one instant (e.g. the ACK burst a txop's
-        #: worth of deliveries sends down a pure delay line).
+        #: Optional whole-burst delivery callback, preferred over
+        #: ``deliver`` when set: must be observably identical to calling
+        #: ``deliver`` per packet.  It receives each arrival burst (the
+        #: packets of one run item, in send order) in one call.
         self.deliver_batch: Optional[Callable[[list], None]] = None
-        self._arrive_run = sim.timed_run(self._arrive)
-        self._arrive_run.fn_batch = self._arrive_batch
-        self._arrive_push = self._arrive_run.push
+        self._arrive_extend = sim.timed_run(self._arrive).extend
         #: Analytic-server state: absolute time the serializer frees,
         #: and the (start, size) ledger of accepted packets whose
         #: serialization has not begun — they still occupy capacity.
@@ -84,23 +84,21 @@ class WiredLink:
             self._delay_send if rate_bps is None else self._send)
 
     def _delay_send(self, packet: Packet) -> None:
-        """Delay line: one run push (and seq) per packet, no queue."""
-        self._arrive_push(self.sim._now + self.delay, packet)
+        """Delay line: no queue; the packet joins the arrival burst."""
+        self._arrive_extend(self.sim._now + self.delay, [packet])
 
     def send_batch(self, packets: list) -> None:
         """Send several packets at one instant.
 
-        On a delay line the whole batch becomes one seq-consecutive run
-        extension — observably identical to looping ``send`` (each
-        packet would take the next seq with nothing in between).
-        Rate-limited links just loop.
+        On a delay line the batch is one burst extension (of a copy:
+        the caller keeps its list) — observably identical to looping
+        ``send``, which joins them one by one.  Rate-limited links loop.
         """
-        if self.rate_bps is None:
-            self._arrive_run.push_batch(self.sim._now + self.delay, packets)
-            return
-        send = self._send
-        for packet in packets:
-            send(packet)
+        if self.rate_bps is not None:
+            for packet in packets:
+                self._send(packet)
+        elif packets:
+            self._arrive_extend(self.sim._now + self.delay, list(packets))
 
     def _send(self, packet: Packet) -> None:
         """Analytic virtual server: queue+serialize+propagate in place.
@@ -137,39 +135,23 @@ class WiredLink:
         stats.bytes_dequeued += size
         committed.append((start, size))
         self._phantom_bytes = phantom + size
-        self._arrive_push(finish + self.delay, packet)
+        self._arrive_extend(finish + self.delay, [packet])
 
-    def _arrive(self, packet: Packet) -> None:
-        """TimedRun dispatcher: one delivered packet at its arrival time."""
-        deliver = self.deliver
+    def _arrive(self, packets: list) -> None:
+        """TimedRun dispatcher: one arrival burst, in send order, to
+        ``deliver_batch`` in one call, or else to ``deliver`` per packet
+        (each packet's ``received_at`` stamped just before its call)."""
+        sim = self.sim
+        now = sim._now
+        deliver = self.deliver_batch
         if deliver is not None:
-            sim = self.sim
-            sim.packets_processed += 1
-            packet.received_at = sim._now
-            deliver(packet)
-
-    def _arrive_batch(self, packets: list) -> None:
-        """Same-instant batch twin of :meth:`_arrive`.
-
-        Packet-for-packet identical bookkeeping; with a wired
-        ``deliver_batch`` the whole burst lands in one receiver call
-        (e.g. ``ZhugeAP.on_ack_batch``), otherwise the per-packet
-        deliverer is looped.
-        """
-        deliver_batch = self.deliver_batch
-        if deliver_batch is not None:
-            sim = self.sim
             sim.packets_processed += len(packets)
-            now = sim._now
             for packet in packets:
                 packet.received_at = now
-            deliver_batch(packets)
-            return
-        deliver = self.deliver
-        if deliver is not None:
-            sim = self.sim
+            deliver(packets)
+        elif self.deliver is not None:
             sim.packets_processed += len(packets)
-            now = sim._now
+            deliver = self.deliver
             for packet in packets:
                 packet.received_at = now
                 deliver(packet)

@@ -37,14 +37,21 @@ component pushes ``(time, payload)`` records onto a run; the run keeps
 a **single sentinel** in the future heap (for its head item) and the
 run loop *run-ahead* fires consecutive items inline — without any heap
 traffic — for as long as they are globally next in the exact
-``(time, seq)`` total order.  Each push still consumes one ``seq`` from
-the shared counter, so a run item and an :class:`Event` at the same
+``(time, seq)`` total order.  Each item consumes one ``seq`` from the
+shared counter, so a run item and an :class:`Event` at the same
 instant tie-break exactly as two events would: moving a component from
 one event per packet to a run keeps its trajectory bit for bit
 (``tests/reference_links.py`` holds the links' per-packet oracles).
 
+An item may be a *burst*: :meth:`TimedRun.extend` appends a list to the
+still-pending item at the same instant when that item took the last
+seq the simulator issued — nothing can sit between the two in the
+``(time, seq)`` order, so the burst fires exactly where its parts
+would have, in the same order.  The engine releases every payload as
+it dispatches it.
+
 ``events_processed`` counts every dispatch (events and run items
-alike) and is engine *telemetry*; summary digests pin
+alike, a burst as one) and is engine *telemetry*; summary digests pin
 ``packets_processed``, the packets the link layers delivered.
 """
 
@@ -52,6 +59,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from typing import Callable, Optional
 
 #: Compaction starts only beyond this many dead events, so small
@@ -114,11 +122,11 @@ class TimedRun:
     """A monotone stream of timed payloads sharing one dispatcher.
 
     Created through :meth:`Simulator.timed_run`.  ``push(time, payload)``
-    appends a record; the engine calls ``fn(payload)`` at exactly
-    ``time`` in the global ``(time, seq)`` order (the seq is taken from
-    the simulator's shared counter at push time, so ties against
-    :class:`Event` entries resolve exactly as they would between two
-    events).
+    appends a record (:meth:`extend` a burst); the engine calls
+    ``fn(payload)`` at exactly ``time`` in the global ``(time, seq)``
+    order (the seq is taken from the simulator's shared counter at push
+    time, so ties against :class:`Event` entries resolve exactly as they
+    would between two events).
 
     The run keeps at most one *sentinel* entry ``(time, seq, run)`` in
     the future heap — for its head item — so a thousand-packet burst
@@ -126,10 +134,10 @@ class TimedRun:
     non-decreasing within a run (each stream models a FIFO resource:
     a link's arrival line, an AP's release queue).  Runs cannot be
     cancelled; components that need cancellation schedule events.
+    The run drops its reference to a payload when it dispatches it.
     """
 
-    __slots__ = ("_sim", "fn", "fn_batch", "_times", "_seqs", "_payloads",
-                 "_head")
+    __slots__ = ("_sim", "fn", "_times", "_seqs", "_payloads", "_head")
 
     #: Class attribute (not a slot): sentinels must look live to
     #: ``peek``/``_compact``, which test ``entry[2].cancelled``.
@@ -138,84 +146,57 @@ class TimedRun:
     def __init__(self, sim: "Simulator", fn: Callable) -> None:
         self._sim = sim
         self.fn = fn
-        #: Optional batch dispatcher: ``fn_batch(payloads)`` must be
-        #: observably identical to ``for p in payloads: fn(p)``.  The
-        #: run loop uses it for a maximal prefix of items that share
-        #: one instant *and* are all globally next in ``(time, seq)``
-        #: order — exactly the items per-item dispatch would have fired
-        #: back to back anyway (anything the batch schedules gets a
-        #: larger seq than every gathered item, so it still fires
-        #: after them, as it would have per-item).
-        self.fn_batch: Optional[Callable] = None
         self._times: list[float] = []
         self._seqs: list[int] = []
         self._payloads: list = []
         self._head = 0
 
     def push(self, time: float, payload) -> None:
-        """Append ``payload`` to fire at absolute ``time`` (monotone)."""
+        """Append ``payload`` to fire at absolute ``time`` (monotone).
+
+        A non-empty run's last item is pending or being dispatched, so
+        it is never behind the clock: the monotone check subsumes the
+        past-time check, and its sentinel is planted (mid-dispatch: when
+        the dispatch ends).  An empty run coming live plants one — in
+        the heap even at ``time == now``, where the run loop's tie
+        compare orders it exactly by seq.
+        """
         times = self._times
+        sim = self._sim
+        seq = sim._seq
         if times:
-            # Non-empty run: the last item is pending or being
-            # dispatched right now, so it is never behind the clock —
-            # the monotone check subsumes the past-time check.  Its
-            # sentinel is planted (mid-dispatch: when the dispatch ends).
             if time < times[-1]:
                 raise SimulationError(
                     f"TimedRun push out of order: {time} < {times[-1]}")
-            sim = self._sim
-            seq = sim._seq
-            sim._seq = seq + 1
+        elif time < sim._now:
+            raise SimulationError(
+                f"cannot push in the past: {time} < {sim._now}")
         else:
-            sim = self._sim
-            if time < sim._now:
-                # A past sentinel would run the clock backwards.
-                raise SimulationError(
-                    f"cannot push in the past: {time} < {sim._now}")
-            seq = sim._seq
-            sim._seq = seq + 1
-            # Empty run coming live: plant the sentinel.  Always the
-            # heap, even at time == now — the run loop's tie compare
-            # orders a same-instant sentinel exactly by seq.
             heapq.heappush(sim._heap, (time, seq, self))
+        sim._seq = seq + 1
         times.append(time)
         self._seqs.append(seq)
         self._payloads.append(payload)
 
-    def push_batch(self, time: float, payloads: list) -> None:
-        """Push several payloads at one instant, seq-consecutive.
+    def extend(self, time: float, items: list) -> None:
+        """Append the burst ``items`` to fire at ``time`` (monotone) as
+        one ``fn(items)`` call; the run owns the list from here on.
 
-        Observably identical to looping :meth:`push` — each payload
-        takes the next seq in order, exactly as back-to-back pushes
-        with nothing scheduled between them would.
+        ``items`` joins the last item when that item is still pending,
+        fires at ``time`` and took the last seq the simulator issued:
+        nothing can fire between the two, so the joined burst fires
+        exactly where both would have, in the same order.  Otherwise
+        the list becomes a new item and takes one seq.
         """
-        n = len(payloads)
-        if n <= 1:
-            if n:
-                self.push(time, payloads[0])
-            return
         times = self._times
-        if times:
-            if time < times[-1]:
-                raise SimulationError(
-                    f"TimedRun push out of order: {time} < {times[-1]}")
-            sim = self._sim
-            seq = sim._seq
-            sim._seq = seq + n
+        if (times and time == times[-1] and len(times) > self._head
+                and self._seqs[-1] == self._sim._seq - 1):
+            self._payloads[-1] += items
         else:
-            sim = self._sim
-            if time < sim._now:
-                raise SimulationError(
-                    f"cannot push in the past: {time} < {sim._now}")
-            seq = sim._seq
-            sim._seq = seq + n
-            heapq.heappush(sim._heap, (time, seq, self))
-        times.extend([time] * n)
-        self._seqs.extend(range(seq, seq + n))
-        self._payloads.extend(payloads)
+            self.push(time, items)
 
     def pending(self) -> int:
-        """Number of items not yet dispatched."""
+        """Number of items not yet dispatched (a burst counts as one)."""
         return len(self._times) - self._head
 
     def __repr__(self) -> str:
@@ -241,10 +222,6 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0.0
         self._heap: list[tuple[float, int, Event]] = []
-        # deque is imported lazily nowhere: a plain list with an index
-        # head would also work, but deque popleft/append are C-speed and
-        # the bucket stays small (events at one instant).
-        from collections import deque
         self._ready: "deque[Event]" = deque()
         self._seq = 0
         self._dead = 0
@@ -309,7 +286,13 @@ class Simulator:
         """``schedule(0.0, callback)`` as a dispatch's last act, run
         inline when that event would be the very next dispatch: the now
         bucket is empty, the heap top lies after ``now`` and so does the
-        dispatching run's next item (DESIGN.md §13)."""
+        dispatching run's next item (DESIGN.md §13).
+
+        Precondition: the caller is not inside the delivery of a burst
+        (:meth:`TimedRun.extend`) — the rest of that burst would count
+        as already dispatched.  Its call sites, in ``WirelessLink``'s
+        ``_serve_txop`` and ``_transmit_ampdu``, are reached only from
+        events and from ``_finish``, whose run items are single AMPDUs."""
         now = self._now
         run = self._run
         if (self._running and not self._ready
@@ -382,7 +365,8 @@ class Simulator:
         """Run events in time order.
 
         Stops when no events remain, when the next event is strictly past
-        ``until``, or after ``max_events`` events.  The clock is advanced
+        ``until``, or after ``max_events`` events (a run item counts as
+        one event, a burst included).  The clock is advanced
         to ``until`` only when every remaining event (if any) lies beyond
         it — a ``max_events`` stop with work still pending before
         ``until`` leaves the clock at the last executed event, so a
@@ -479,7 +463,8 @@ class Simulator:
         smaller key).  On any tie or bound the loop stops and a fresh
         sentinel is planted for the new head, returning resolution to
         the main loop's full compare; correctness never depends on how
-        far run-ahead got.
+        far run-ahead got.  Each payload leaves the run's storage before
+        ``fn`` sees it, so a busy run pins only what is pending.
         """
         times = run._times
         i = run._head
@@ -488,7 +473,6 @@ class Simulator:
         seqs = run._seqs
         payloads = run._payloads
         fn = run.fn
-        fn_batch = run.fn_batch
         heap = self._heap
         ready = self._ready
         fired = 0
@@ -499,42 +483,10 @@ class Simulator:
                 if until is not None and t > until:
                     break
                 self._now = t
-                if fn_batch is not None and limit is None and not ready:
-                    # Gather the maximal same-instant prefix in which
-                    # every item is globally next (beats the heap top by
-                    # (time, seq)); ``until`` needs no re-check — the
-                    # head already passed it and the prefix shares its
-                    # time.  Per-item dispatch would fire exactly these
-                    # items consecutively, so one batch call with the
-                    # identical payload order is trajectory-equivalent.
-                    j = i + 1
-                    end = len(times)
-                    if heap:
-                        h0 = heap[0]
-                        h0t = h0[0]
-                        h0s = h0[1]
-                        while (j < end and times[j] == t
-                               and (h0t > t or seqs[j] < h0s)):
-                            j += 1
-                    else:
-                        while j < end and times[j] == t:
-                            j += 1
-                    if j > i + 1:
-                        run._head = j
-                        fn_batch(payloads[i:j])
-                        fired += j - i
-                        i = run._head
-                        if i == len(times) or ready:
-                            break
-                        t2 = times[i]
-                        if heap:
-                            h0 = heap[0]
-                            h0t = h0[0]
-                            if h0t < t2 or (h0t == t2 and h0[1] < seqs[i]):
-                                break
-                        continue
                 run._head = i + 1
-                fn(payloads[i])
+                payload = payloads[i]
+                payloads[i] = None
+                fn(payload)
                 fired += 1
                 if limit is not None and fired >= limit:
                     break
@@ -555,10 +507,10 @@ class Simulator:
             if i < len(times):
                 heapq.heappush(heap, (times[i], seqs[i], run))
                 if i >= 1024 and 2 * i >= len(times):
-                    # Busy run that never drains: release the consumed
-                    # prefix once it is at least half the storage, so a
-                    # never-idle link holds O(pending) payloads
-                    # (amortised O(1) per item).
+                    # Busy run that never drains: drop the consumed
+                    # prefix's slots once it is at least half the
+                    # storage, so a never-idle link's bookkeeping stays
+                    # O(pending) (amortised O(1) per item).
                     del times[:i]
                     del seqs[:i]
                     del payloads[:i]
@@ -614,7 +566,8 @@ class Simulator:
         return heap[0][0] if heap else None
 
     def pending(self) -> int:
-        """Number of pending (non-cancelled) events and run items."""
+        """Number of pending (non-cancelled) events and run items (a
+        burst counts as one item)."""
         count = sum(1 for event in self._ready if not event.cancelled)
         for _, _, obj in self._heap:
             if obj.__class__ is Event:

@@ -334,7 +334,8 @@ class TopologyBuilder:
             else:
                 body = er.link.deliver_batch = self._make_terminal_in(er)
                 if not er.spec.wireless:
-                    # A wired link hands over single arrivals one by one.
+                    # For callers that hand over one packet at a time
+                    # (``WiredLink`` prefers the list body).
                     er.link.deliver = lambda packet, body=body: body([packet])
 
     def _make_ap_wired_in(self, ap_rt: ApRuntime):

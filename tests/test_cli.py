@@ -61,6 +61,74 @@ class TestParser:
         assert len(errors) == 1 and "Traceback" not in err
         assert f"error: argument {argv[-2]}: " in errors[0]
 
+    @pytest.mark.parametrize("argv", [
+        [command, flag, value]
+        for command in ("campaign", "resilience", "control")
+        for flag, values in (("--timeout", ("-1", "0", "nan", "inf")),
+                             ("--retries", ("-2", "1.5")),
+                             ("--cache-prune", ("-5", "nan", "inf", "x")))
+        for value in values
+    ] + [
+        ["campaign", flag, value]
+        for flag, values in (("--hang-timeout", ("-1", "0", "nan")),
+                             ("--checkpoint-every", ("0", "-2", "x")),
+                             ("--sample-budget", ("-1", "2.5")),
+                             ("--mem-limit-mb", ("-1", "nan", "inf")),
+                             ("--aps", ("0", "-3")))
+        for value in values
+    ] + [["topology", "generate", "--aps", "0"]])
+    def test_bad_campaign_flags_exit_2_in_one_line(self, argv, capsys,
+                                                   monkeypatch):
+        self._refuse_commands(monkeypatch)
+        for name in ("cmd_control", "cmd_topology", "cmd_city_campaign"):
+            monkeypatch.setattr(f"repro.cli.{name}", self._refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "Traceback" not in err
+        assert f"error: argument {argv[-2]}: " in errors[0]
+
+    def test_campaign_flag_bounds_are_inclusive(self):
+        from repro.city import CityGenSpec
+        args = build_parser().parse_args(
+            ["campaign", "--timeout", "2.5", "--hang-timeout", "1",
+             "--retries", "0", "--cache-prune", "0", "--mem-limit-mb", "0",
+             "--checkpoint-every", "1", "--sample-budget", "0",
+             "--aps", "1"])
+        assert (args.timeout, args.hang_timeout, args.retries,
+                args.cache_prune, args.mem_limit_mb, args.checkpoint_every,
+                args.sample_budget, args.aps) == (2.5, 1.0, 0, 0.0, 0.0,
+                                                  1, 0, 1)
+        assert type(args.retries) is int and type(args.cache_prune) is float
+        assert CityGenSpec.for_preset(
+            "grid", aps=build_parser().parse_args(
+                ["campaign", "--aps", "6"]).aps, seed=1).content_hash() \
+            == CityGenSpec.for_preset("grid", aps=6, seed=1).content_hash()
+        assert build_parser().parse_args(
+            ["topology", "generate", "--aps", "1"]).aps == 1
+
+    @pytest.mark.parametrize("duration", ("3", "5"))
+    def test_grid_no_longer_than_the_warmup_runs_no_cell(
+            self, duration, capsys, monkeypatch):
+        monkeypatch.setattr("repro.cli.run_specs", self._refuse)
+        monkeypatch.setattr("repro.cli.run_campaign", self._refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "--traces", "W1", "--schemes", "Gcc+Zhuge",
+                  "--seeds", "1", "--duration", duration])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "error: argument --duration: must be > the 5 s warm-up" in err
+
+    def test_grid_longer_than_the_warmup_reaches_the_runner(
+            self, monkeypatch):
+        monkeypatch.setattr("repro.cli.run_campaign", self._refuse)
+        with pytest.raises(AssertionError, match="the command ran"):
+            main(["campaign", "--traces", "W1", "--schemes", "Gcc+Zhuge",
+                  "--seeds", "1", "--duration", "5.5"])
+
     def test_valid_numeric_flags_keep_the_spec_hash(self):
         from repro.campaign import ScenarioSpec, TraceSpec
         from repro.cli import _spec_from_args
