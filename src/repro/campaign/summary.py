@@ -15,64 +15,74 @@ from __future__ import annotations
 
 import hashlib
 import json
+from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.campaign.spec import ScenarioSpec
-from repro.metrics.recorder import FrameRecorder, RttRecorder
+from repro.metrics.recorder import FrameRecorder, RttRecorder, column
 from repro.metrics.stats import cdf_points, percentile, tail_fraction
+
+
+#: FlowSummary's per-sample series, in payload order.
+_SERIES = ("rtt_times", "rtt_values", "cca_rtt_times", "cca_rtt_values",
+           "frame_times", "frame_delays")
 
 
 @dataclass
 class FlowSummary:
-    """One RTC flow's summary series (all post-warmup)."""
+    """One RTC flow's summary series (all post-warmup).
 
-    rtt_times: list[float] = field(default_factory=list)
-    rtt_values: list[float] = field(default_factory=list)
-    cca_rtt_times: list[float] = field(default_factory=list)
-    cca_rtt_values: list[float] = field(default_factory=list)
-    frame_times: list[float] = field(default_factory=list)
-    frame_delays: list[float] = field(default_factory=list)
+    Every series is a packed ``array('d')`` column; any float sequence
+    passed in is coerced, and lists appear only at the JSON edge.
+    """
+
+    rtt_times: array = field(default_factory=column)
+    rtt_values: array = field(default_factory=column)
+    cca_rtt_times: array = field(default_factory=column)
+    cca_rtt_values: array = field(default_factory=column)
+    frame_times: array = field(default_factory=column)
+    frame_delays: array = field(default_factory=column)
     goodput_bps: float = 0.0
     mean_bitrate_bps: float = 0.0
 
+    def __post_init__(self) -> None:
+        for name in _SERIES:
+            series = getattr(self, name)
+            if not (isinstance(series, array) and series.typecode == "d"):
+                setattr(self, name, array("d", series))
+
     @classmethod
     def from_flow(cls, flow) -> "FlowSummary":
-        """Build from a :class:`~repro.experiments.scenario.FlowResult`."""
-        return cls(rtt_times=list(flow.rtt.times),
-                   rtt_values=list(flow.rtt.rtts),
-                   cca_rtt_times=list(flow.cca_rtt.times),
-                   cca_rtt_values=list(flow.cca_rtt.rtts),
-                   frame_times=list(flow.frames.frame_times),
-                   frame_delays=list(flow.frames.frame_delays),
+        """Build from a :class:`~repro.experiments.scenario.FlowResult`
+        (its recorders are fresh post-warmup slices: no copy)."""
+        return cls(rtt_times=flow.rtt.times,
+                   rtt_values=flow.rtt.rtts,
+                   cca_rtt_times=flow.cca_rtt.times,
+                   cca_rtt_values=flow.cca_rtt.rtts,
+                   frame_times=flow.frames.frame_times,
+                   frame_delays=flow.frames.frame_delays,
                    goodput_bps=flow.goodput_bps,
                    mean_bitrate_bps=flow.mean_bitrate_bps)
 
     @property
     def rtt(self) -> RttRecorder:
         """The network-RTT series as a recorder (fresh copy per call)."""
-        return RttRecorder(times=list(self.rtt_times),
-                           rtts=list(self.rtt_values))
+        return RttRecorder(self.rtt_times[:], self.rtt_values[:])
 
     @property
     def cca_rtt(self) -> RttRecorder:
-        return RttRecorder(times=list(self.cca_rtt_times),
-                           rtts=list(self.cca_rtt_values))
+        return RttRecorder(self.cca_rtt_times[:], self.cca_rtt_values[:])
 
     @property
     def frames(self) -> FrameRecorder:
-        return FrameRecorder(frame_times=list(self.frame_times),
-                             frame_delays=list(self.frame_delays))
+        return FrameRecorder(self.frame_times[:], self.frame_delays[:])
 
     def as_dict(self) -> dict:
-        return {"rtt_times": self.rtt_times,
-                "rtt_values": self.rtt_values,
-                "cca_rtt_times": self.cca_rtt_times,
-                "cca_rtt_values": self.cca_rtt_values,
-                "frame_times": self.frame_times,
-                "frame_delays": self.frame_delays,
-                "goodput_bps": self.goodput_bps,
-                "mean_bitrate_bps": self.mean_bitrate_bps}
+        payload = {name: getattr(self, name).tolist() for name in _SERIES}
+        payload["goodput_bps"] = self.goodput_bps
+        payload["mean_bitrate_bps"] = self.mean_bitrate_bps
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FlowSummary":

@@ -59,14 +59,13 @@ def timeout_mode(timeout: Optional[float]) -> str:
 
 
 def _async_raise(thread_id: int, exc_type) -> None:
-    """Queue ``exc_type`` in the thread with ident ``thread_id``.
-
-    ``exc_type=None`` clears a queued-but-undelivered exception (used
-    when the protected block wins the race against the watchdog).
-    """
-    target = ctypes.py_object(exc_type) if exc_type is not None else None
+    """Queue ``exc_type`` in the thread with ident ``thread_id``."""
     ctypes.pythonapi.PyThreadState_SetAsyncExc(
-        ctypes.c_ulong(thread_id), target)
+        ctypes.c_ulong(thread_id), ctypes.py_object(exc_type))
+
+
+class _Drain(BaseException):
+    """Throwaway async exception that unsets the interpreter's signal."""
 
 
 @contextmanager
@@ -114,11 +113,19 @@ def cell_deadline(timeout: Optional[float], exc_type, *,
         raise
     finally:
         timer.cancel()
+        timer.join()
         if fired.is_set():
-            # The timer fired but the body may have finished first;
-            # clear any still-queued exception so it cannot detonate
-            # in unrelated code later.
-            _async_raise(thread_id, None)
+            # The timer fired but the body may have finished first.
+            # Swap any still-queued exception for a throwaway one and
+            # consume it: clearing with NULL would leave CPython 3.11's
+            # async-exception signal set, and every later
+            # ``sys.settrace`` tracer would spin on its first line.
+            try:
+                _async_raise(thread_id, _Drain)
+                for _ in range(1_000_000):
+                    pass
+            except _Drain:
+                pass
 
 
 # -- worker heartbeats ---------------------------------------------------------

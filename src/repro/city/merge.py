@@ -32,11 +32,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional
 
 from repro.campaign.summary import ScenarioSummary
+from repro.metrics.recorder import column
 from repro.metrics.stats import percentile
 
 #: Delays below this resolve to bucket 0 (0.1 ms).
@@ -226,8 +228,8 @@ class _ShardRecord:
 
     rtt_sketch: DelayCdfSketch = field(default_factory=DelayCdfSketch)
     frame_sketch: DelayCdfSketch = field(default_factory=DelayCdfSketch)
-    rtt_values: Optional[List[float]] = field(default_factory=list)
-    frame_values: Optional[List[float]] = field(default_factory=list)
+    rtt_values: Optional[array] = field(default_factory=column)
+    frame_values: Optional[array] = field(default_factory=column)
     rtt_tail: int = 0
     frame_tail: int = 0
     flows: int = 0
@@ -254,8 +256,9 @@ class FleetAccumulator:
     peak memory is bounded no matter how large the city is.
     """
 
-    #: Default exact-percentile budget: ~2M floats ≈ 16 MB, far below
-    #: the per-packet state of even one mid-size shard.
+    #: Default exact-percentile budget: 2M samples, packed as C doubles
+    #: ≈ 16 MB (as Python floats in lists it would be ≈ 64 MB), far
+    #: below the per-packet state of even one mid-size shard.
     DEFAULT_SAMPLE_BUDGET = 2_000_000
 
     def __init__(self, sample_budget: int = DEFAULT_SAMPLE_BUDGET) -> None:
@@ -343,8 +346,10 @@ class FleetAccumulator:
             shards[str(index)] = {
                 "rtt_sketch": record.rtt_sketch.as_dict()["counts"],
                 "frame_sketch": record.frame_sketch.as_dict()["counts"],
-                "rtt_values": record.rtt_values,
-                "frame_values": record.frame_values,
+                "rtt_values": (None if record.rtt_values is None
+                               else record.rtt_values.tolist()),
+                "frame_values": (None if record.frame_values is None
+                                 else record.frame_values.tolist()),
                 "rtt_tail": record.rtt_tail,
                 "frame_tail": record.frame_tail,
                 "flows": record.flows,
@@ -381,8 +386,9 @@ class FleetAccumulator:
                 {"counts": payload["rtt_sketch"]})
             record.frame_sketch = DelayCdfSketch.from_dict(
                 {"counts": payload["frame_sketch"]})
-            record.rtt_values = payload["rtt_values"]
-            record.frame_values = payload["frame_values"]
+            record.rtt_values = _samples_column(payload, "rtt_values", key)
+            record.frame_values = _samples_column(payload, "frame_values",
+                                                  key)
             record.rtt_tail = int(payload["rtt_tail"])
             record.frame_tail = int(payload["frame_tail"])
             record.flows = int(payload["flows"])
@@ -405,8 +411,8 @@ class FleetAccumulator:
         """Fold all records (in shard-index order) into a FleetSummary."""
         rtt_sketch = DelayCdfSketch()
         frame_sketch = DelayCdfSketch()
-        rtt_values: List[float] = []
-        frame_values: List[float] = []
+        rtt_values = column()
+        frame_values = column()
         goodput_sum = Fraction(0)
         goodput_sq_sum = Fraction(0)
         bitrate_sum = Fraction(0)
@@ -446,8 +452,8 @@ class FleetAccumulator:
             out.rtt_p99 = rtt_sketch.quantile(99)
             out.frame_p99 = frame_sketch.quantile(99)
         else:
-            rtt_values.sort()
-            frame_values.sort()
+            rtt_values = sorted(rtt_values)
+            frame_values = sorted(frame_values)
             if rtt_values:
                 out.rtt_p50 = percentile(rtt_values, 50)
                 out.rtt_p95 = percentile(rtt_values, 95)
@@ -465,3 +471,15 @@ class FleetAccumulator:
             out.fairness = min(1.0, float(fairness))
         out.rtt_sketch = rtt_sketch.as_dict()
         return out
+
+
+def _samples_column(payload: dict, name: str, shard: str) -> Optional[array]:
+    """A checkpointed sample list back as a column: ``null`` or reals."""
+    values = payload[name]
+    if values is None:
+        return None
+    if not (isinstance(values, list)
+            and all(type(v) in (int, float) for v in values)):
+        raise ValueError(f"accumulator shard {shard}: {name} must be null "
+                         f"or a list of numbers")
+    return array("d", values)

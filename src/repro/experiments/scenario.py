@@ -17,7 +17,7 @@ Fig. 1)::
 and materialized by :class:`~repro.topology.builder.TopologyBuilder` —
 the same engine that runs multi-AP graphs. The historical
 ``_ScenarioBuilder`` name is the builder itself; result types and the
-warmup/goodput helpers re-export from :mod:`repro.topology.builder`.
+goodput helper re-export from :mod:`repro.topology.builder`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.faults.spec import FaultPlan
 from repro.obs.session import TraceConfig
 from repro.topology.builder import (FlowResult, ScenarioResult,
                                     TopologyBuilder, _BulkFlowAdapter,
-                                    _filtered_frames, _filtered_rtt,
                                     _flow_goodput)
 from repro.topology.spec import TopologySpec, single_ap_topology
 from repro.traces.trace import BandwidthTrace

@@ -12,7 +12,9 @@ compute the paper's metrics:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
+from bisect import bisect_left
+from dataclasses import dataclass, field, fields
 
 from repro.metrics.stats import tail_fraction
 
@@ -21,12 +23,31 @@ FRAME_DELAY_THRESHOLD = 0.400
 LOW_FPS_THRESHOLD = 10.0
 
 
+def column() -> array:
+    """An empty packed series: one C double per sample."""
+    return array("d")
+
+
+class _Columns:
+    """Two parallel columns, the first stamped by the simulator clock."""
+
+    def since(self, start: float):
+        """Samples stamped at or after ``start``, as fresh columns.
+
+        The clock column is non-decreasing (every ``record`` call is
+        stamped with simulator time), so the cut is one binary search.
+        """
+        times, values = (getattr(self, f.name) for f in fields(self))
+        i = bisect_left(times, start)
+        return type(self)(times[i:], values[i:])
+
+
 @dataclass
-class RttRecorder:
+class RttRecorder(_Columns):
     """Per-packet RTT samples measured at the sender."""
 
-    times: list[float] = field(default_factory=list)
-    rtts: list[float] = field(default_factory=list)
+    times: array = field(default_factory=column)
+    rtts: array = field(default_factory=column)
 
     def record(self, time: float, rtt: float) -> None:
         if rtt < 0:
@@ -51,11 +72,11 @@ class RttRecorder:
 
 
 @dataclass
-class FrameRecorder:
+class FrameRecorder(_Columns):
     """Frame-level delivery records measured at the receiver."""
 
-    frame_times: list[float] = field(default_factory=list)   # decode instants
-    frame_delays: list[float] = field(default_factory=list)  # encode->decode
+    frame_times: array = field(default_factory=column)   # decode instants
+    frame_delays: array = field(default_factory=column)  # encode->decode
 
     def record(self, decode_time: float, delay: float) -> None:
         if delay < 0:
@@ -126,18 +147,18 @@ class FrameRecorder:
 
 
 @dataclass
-class RateRecorder:
+class RateRecorder(_Columns):
     """Sender-side rate (bitrate / cwnd-equivalent) over time."""
 
-    times: list[float] = field(default_factory=list)
-    rates: list[float] = field(default_factory=list)
+    times: array = field(default_factory=column)
+    rates: array = field(default_factory=column)
 
     def record(self, time: float, rate: float) -> None:
         self.times.append(time)
         self.rates.append(rate)
 
     def mean_rate(self, start: float = 0.0) -> float:
-        values = [r for t, r in zip(self.times, self.rates) if t >= start]
+        values = self.since(start).rates
         if not values:
             return 0.0
         return sum(values) / len(values)

@@ -869,9 +869,9 @@ class TopologyBuilder:
         flows = []
         for fr in self._rtc:
             network = self._network_rtt[fr.flow]
-            rtt = _filtered_rtt(network, config.warmup)
-            cca_rtt = _filtered_rtt(fr.sender.rtt_recorder, config.warmup)
-            frames = _filtered_frames(fr.app.frame_recorder, config.warmup)
+            rtt = network.since(config.warmup)
+            cca_rtt = fr.sender.rtt_recorder.since(config.warmup)
+            frames = fr.app.frame_recorder.since(config.warmup)
             result = FlowResult(
                 rtt=rtt, frames=frames, cca_rtt=cca_rtt,
                 goodput_bps=_flow_goodput(fr.protocol, fr.receiver, config))
@@ -963,22 +963,6 @@ class _BulkFlowAdapter:
 
     def stop(self) -> None:
         self._bulk.stop()
-
-
-def _filtered_rtt(recorder: RttRecorder, warmup: float) -> RttRecorder:
-    out = RttRecorder()
-    for t, r in zip(recorder.times, recorder.rtts):
-        if t >= warmup:
-            out.record(t, r)
-    return out
-
-
-def _filtered_frames(recorder: FrameRecorder, warmup: float) -> FrameRecorder:
-    out = FrameRecorder()
-    for t, d in zip(recorder.frame_times, recorder.frame_delays):
-        if t >= warmup:
-            out.record(t, d)
-    return out
 
 
 #: Payload bytes per received packet, by protocol. The only difference

@@ -31,7 +31,7 @@ class TestTcpVideoApp:
         sim.run(until=2.0)
         assert app.frame_recorder.count >= 40
         times = app.frame_recorder.frame_times
-        assert times == sorted(times)
+        assert list(times) == sorted(times)
 
     def test_rate_follows_transport_estimate(self, sim, stack):
         sender, receiver, app = stack

@@ -60,7 +60,7 @@ class TestFrameTracker:
         tracker.on_packet(0, 0.0, 1, 0.06)
         assert tracker.recorder.count == 2
         # Frame 1 decoded at the same instant frame 0 unblocked it.
-        assert tracker.recorder.frame_times == [0.06, 0.06]
+        assert list(tracker.recorder.frame_times) == [0.06, 0.06]
 
     def test_skip_missing_frames(self):
         tracker = _FrameTracker()

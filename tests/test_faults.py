@@ -15,9 +15,14 @@ Covers the robustness acceptance criteria:
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -464,6 +469,41 @@ class TestTimeoutTelemetry:
         assert cell.status == "failed"
         assert "timeout" in cell.error
         assert box["result"].progress.timeout_modes.get("thread") == 1
+
+    def test_fired_deadline_leaves_tracing_working(self):
+        # A deadline that fires inside a body which catches it and then
+        # finishes must not leave the interpreter's async-exception
+        # signal set: a later ``sys.settrace`` tracer would spin on its
+        # first line. Run in a subprocess so a regression hangs there.
+        script = textwrap.dedent("""
+            import sys, time
+            from repro.campaign.supervise import TIMEOUT_THREAD, cell_deadline
+
+            class Late(Exception):
+                pass
+
+            with cell_deadline(0.05, Late, mode=TIMEOUT_THREAD):
+                try:
+                    for _ in range(100):
+                        time.sleep(0.01)
+                except Late:
+                    pass
+
+            def tracer(frame, event, arg):
+                return tracer
+
+            sys.settrace(tracer)
+            total = sum(i for i in range(9))
+            sys.settrace(None)
+            print(total)
+        """)
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1]
+                                  / "src"))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=20)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "36"
 
     def test_unenforceable_mode_warns_once(self, monkeypatch):
         import repro.campaign.runner as runner_mod

@@ -165,11 +165,8 @@ def test_oracle_catches_a_mutant_join(dropped, monkeypatch):
     scheduled between its parts; joining a burst that is already being
     delivered corrupts it.  The oracle finds both."""
     monkeypatch.setattr(TimedRun, "extend", _mutant_extend(dropped))
-    # Any counterexample will do: generate only (no shrinking, and no
-    # explain phase, whose ``sys.settrace`` tracer spins forever once a
-    # cleared ``cell_deadline`` thread timer has left CPython 3.11's
-    # async-exception signal set, as the thread-fallback test in
-    # ``tests/test_faults.py`` does).
+    # Any counterexample will do: generate only (no shrinking, no
+    # explain phase).
     find(PROGRAMS,
          lambda program: _trajectory(WiredLink, program)
          != _trajectory(ClassicWiredLink, program),
