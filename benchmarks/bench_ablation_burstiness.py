@@ -7,21 +7,21 @@ Teller's accuracy and (b) end-to-end tails — pacing smooths arrivals,
 shrinking the transient the estimators must capture.
 """
 
+from repro.campaign.spec import ScenarioSpec, TraceSpec
 from repro.experiments.drivers.format import format_table, ms, pct
-from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.metrics.stats import percentile
-from repro.traces.synthetic import make_trace
+from repro.topology.builder import TopologyBuilder
 
 
 def run_cases(duration=40.0, seed=1):
-    trace = make_trace("W1", duration=duration, seed=seed)
+    trace = TraceSpec.for_family("W1", duration=duration, seed=seed)
     rows = []
     for paced in (False, True):
-        config = ScenarioConfig(trace=trace, protocol="rtp",
-                                ap_mode="zhuge", duration=duration,
-                                seed=seed, record_predictions=True,
-                                paced_sender=paced)
-        result = run_scenario(config)
+        spec = ScenarioSpec(trace=trace, protocol="rtp",
+                            ap_mode="zhuge", duration=duration,
+                            seed=seed, record_predictions=True,
+                            paced_sender=paced)
+        result = TopologyBuilder(spec).run()
         errors = [abs(p - a) for p, a in result.prediction_pairs]
         rows.append(("paced" if paced else "bursty",
                      percentile(errors, 50) if errors else 0.0,

@@ -7,27 +7,27 @@ collapses at least as fast as waiting for server feedback, without
 giving up steady-state bitrate.
 """
 
+from repro.campaign.spec import ScenarioSpec, TraceSpec
 from repro.experiments.drivers.format import format_table, mbps, pct, seconds
-from repro.experiments.firstmile import FirstMileConfig, run_first_mile
-from repro.traces.synthetic import drop_trace, make_trace
+from repro.experiments.firstmile import run_first_mile
 
 
 def run_cases():
     rows = []
     # Trace-driven uplink.
-    trace = make_trace("W1", duration=40, seed=2)
+    trace = TraceSpec.for_family("W1", duration=40, seed=2)
     for zhuge in (False, True):
-        result = run_first_mile(FirstMileConfig(trace=trace, duration=40,
-                                                client_zhuge=zhuge))
+        result = run_first_mile(ScenarioSpec(trace=trace, duration=40),
+                                client_zhuge=zhuge)
         rows.append(("W1 uplink", "client-zhuge" if zhuge else "baseline",
                      result.rtt.tail_ratio(), result.frames.delayed_ratio(),
                      result.mean_bitrate_bps, None))
     # Single uplink collapse.
-    collapse = drop_trace(20e6, k=10, drop_at=12.0, duration=27.0)
+    collapse = TraceSpec.drop(20e6, k=10, drop_at=12.0, duration=27.0)
     for zhuge in (False, True):
-        result = run_first_mile(FirstMileConfig(trace=collapse, duration=27,
-                                                warmup=2.0, max_bps=8e6,
-                                                client_zhuge=zhuge))
+        result = run_first_mile(ScenarioSpec(trace=collapse, duration=27,
+                                             warmup=2.0, max_bps=8e6),
+                                client_zhuge=zhuge)
         rows.append(("10x collapse", "client-zhuge" if zhuge else "baseline",
                      result.rtt.tail_ratio(), result.frames.delayed_ratio(),
                      result.mean_bitrate_bps,

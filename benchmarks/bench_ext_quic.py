@@ -7,19 +7,20 @@ only five-tuples and manipulates ACK timing. We run video-over-QUIC
 tails with frames intact.
 """
 
+from repro.campaign.spec import ScenarioSpec, TraceSpec
 from repro.experiments.drivers.format import format_table, mbps, pct
-from repro.experiments.scenario import ScenarioConfig, run_scenario
-from repro.traces.synthetic import make_trace
+from repro.topology.builder import TopologyBuilder
 
 
 def run_cases(duration=40.0):
     rows = []
     for trace_name, seed in (("W1", 2), ("C2", 3)):
-        trace = make_trace(trace_name, duration=duration, seed=seed)
+        trace = TraceSpec.for_family(trace_name, duration=duration,
+                                     seed=seed)
         for mode in ("none", "zhuge"):
-            result = run_scenario(ScenarioConfig(
+            result = TopologyBuilder(ScenarioSpec(
                 trace=trace, protocol="quic", cca="copa", ap_mode=mode,
-                duration=duration, seed=seed))
+                duration=duration, seed=seed)).run()
             rows.append((trace_name, mode, result.rtt.tail_ratio(),
                          result.frames.delayed_ratio(),
                          result.frames.count,

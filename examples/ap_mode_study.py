@@ -13,7 +13,7 @@ Usage::
 
 import sys
 
-from repro import ScenarioConfig, make_trace, run_scenario
+from repro import ScenarioSpec, TopologyBuilder, TraceSpec
 
 SCHEMES = (
     ("FIFO", dict(ap_mode="none", queue_kind="fifo")),
@@ -28,11 +28,11 @@ def main() -> None:
     print(f"{'trace':8s}{'AP':8s}{'RTT>200ms':>12s}{'frame>400ms':>14s}"
           f"{'bitrate':>10s}")
     for trace_name in ("W1", "W2", "C1", "C2", "C3"):
-        trace = make_trace(trace_name, duration=duration, seed=1)
+        trace = TraceSpec.for_family(trace_name, duration=duration, seed=1)
         for label, overrides in SCHEMES:
-            config = ScenarioConfig(trace=trace, protocol="rtp",
-                                    duration=duration, seed=1, **overrides)
-            result = run_scenario(config)
+            spec = ScenarioSpec(trace=trace, protocol="rtp",
+                                duration=duration, seed=1, **overrides)
+            result = TopologyBuilder(spec).run()
             flow = result.flows[0]
             print(f"{trace_name:8s}{label:8s}"
                   f"{flow.rtt.tail_ratio() * 100:11.2f}%"

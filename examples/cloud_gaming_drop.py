@@ -14,8 +14,7 @@ Usage::
 
 import sys
 
-from repro import ScenarioConfig, run_scenario
-from repro.traces.synthetic import drop_trace
+from repro import ScenarioSpec, TopologyBuilder, TraceSpec
 
 
 def main() -> None:
@@ -23,7 +22,7 @@ def main() -> None:
     # can demand, so the drop congests the session.
     k = float(sys.argv[1]) if len(sys.argv) > 1 else 10.0
     drop_at, duration = 15.0, 30.0
-    trace = drop_trace(30e6, k=k, drop_at=drop_at, duration=duration)
+    trace = TraceSpec.drop(30e6, k=k, drop_at=drop_at, duration=duration)
     print(f"30 Mbps wireless link loses {k:g}x of its bandwidth at "
           f"t={drop_at:.0f}s.")
     print(f"{'AP mode':16s}{'RTT>200ms dur':>16s}{'frame>400ms dur':>18s}"
@@ -36,10 +35,10 @@ def main() -> None:
         ("Zhuge RTP/GCC", dict(protocol="rtp", ap_mode="zhuge")),
     )
     for label, overrides in schemes:
-        config = ScenarioConfig(trace=trace, duration=duration,
-                                wan_delay=0.025, max_bps=8e6, warmup=2.0,
-                                **overrides)
-        result = run_scenario(config)
+        spec = ScenarioSpec(trace=trace, duration=duration,
+                            wan_delay=0.025, max_bps=8e6, warmup=2.0,
+                            **overrides)
+        result = TopologyBuilder(spec).run()
         flow = result.flows[0]
         rtt_dur = flow.rtt.degradation_duration(0.200, start=drop_at)
         frame_dur = flow.frames.delay_degradation_duration(0.400,

@@ -13,23 +13,23 @@ Usage::
 
 import sys
 
-from repro import ScenarioConfig, make_trace, run_scenario
+from repro import ScenarioSpec, TopologyBuilder, TraceSpec
 from repro.metrics.stats import percentile
 
 
 def main() -> None:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 7
     duration = 40.0
-    trace = make_trace("W1", duration=duration, seed=seed)
+    trace = TraceSpec.for_family("W1", duration=duration, seed=seed)
     print(f"Trace W1 (restaurant WiFi): mean "
-          f"{trace.mean_bps / 1e6:.1f} Mbps, seed {seed}")
+          f"{trace.build().mean_bps / 1e6:.1f} Mbps, seed {seed}")
     print(f"{'':16s}{'plain AP':>14s}{'Zhuge AP':>14s}")
 
     results = {}
     for mode in ("none", "zhuge"):
-        config = ScenarioConfig(trace=trace, protocol="rtp", ap_mode=mode,
-                                duration=duration, seed=seed)
-        results[mode] = run_scenario(config)
+        spec = ScenarioSpec(trace=trace, protocol="rtp", ap_mode=mode,
+                            duration=duration, seed=seed)
+        results[mode] = TopologyBuilder(spec).run()
 
     rows = [
         ("P50 RTT", lambda r: f"{percentile(r.rtt.rtts, 50) * 1000:.0f} ms"),

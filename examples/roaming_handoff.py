@@ -13,19 +13,22 @@ stall.
 
 Usage::
 
-    python examples/roaming_handoff.py
+    python examples/roaming_handoff.py [duration_seconds]
 """
 
-from repro import ScenarioConfig, run_scenario, make_trace
+import sys
+
+from repro import ScenarioSpec, TopologyBuilder, TraceSpec
 from repro.faults.spec import FaultPlan
 from repro.metrics.stats import percentile
 from repro.topology import roaming_topology
 
-ROAM_AT, BLACKOUT, DURATION = 3.0, 0.4, 12.0
+ROAM_AT, BLACKOUT = 3.0, 0.4
 
 
 def main() -> None:
-    trace = make_trace("W2", duration=DURATION, seed=1)
+    duration = float(sys.argv[1]) if len(sys.argv) > 1 else 12.0
+    trace = TraceSpec.for_family("W2", duration=duration, seed=1)
     print(f"TCP/Copa call on Zhuge APs; optional roam ap-a -> ap-b at "
           f"t={ROAM_AT:g}s ({BLACKOUT * 1000:.0f} ms blackout).")
     print(f"{'scenario':14s}{'P50 RTT':>10s}{'P99 RTT':>10s}"
@@ -34,13 +37,13 @@ def main() -> None:
                           ("roam to ap-b", FaultPlan.parse(
                               f"roam@{ROAM_AT:g}+{BLACKOUT:g}"
                               f"/client:ap-b"))):
-        config = ScenarioConfig(
+        spec = ScenarioSpec(
             trace=trace, protocol="tcp", cca="copa", ap_mode="zhuge",
-            queue_kind="fq_codel", duration=DURATION, warmup=1.0,
+            queue_kind="fq_codel", duration=duration, warmup=1.0,
             topology=roaming_topology(ap_mode="zhuge",
                                       queue_kind="fq_codel"),
             faults=faults)
-        result = run_scenario(config)
+        result = TopologyBuilder(spec).run()
         flow = result.flows[0]
         post = [s for t, s in zip(flow.rtt.times, flow.rtt.rtts)
                 if t > ROAM_AT + BLACKOUT]

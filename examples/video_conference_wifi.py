@@ -11,7 +11,7 @@ Usage::
     python examples/video_conference_wifi.py
 """
 
-from repro import ScenarioConfig, make_trace, run_scenario
+from repro import ScenarioSpec, TopologyBuilder, TraceSpec
 
 
 def describe(result, label: str) -> None:
@@ -30,7 +30,7 @@ def describe(result, label: str) -> None:
 
 def main() -> None:
     duration = 60.0
-    trace = make_trace("W2", duration=duration, seed=3)
+    trace = TraceSpec.for_family("W2", duration=duration, seed=3)
     print("Scenario: WebRTC call over office WiFi (trace W2), one CUBIC")
     print("bulk flow toggling every 15 s, 30 s of wall-clock per AP mode.")
 
@@ -40,11 +40,11 @@ def main() -> None:
         ("Gcc + Zhuge AP", dict(ap_mode="zhuge", queue_kind="fifo")),
     )
     for label, overrides in schemes:
-        config = ScenarioConfig(trace=trace, protocol="rtp",
-                                duration=duration, seed=3,
-                                competitors=1, competitor_period=15.0,
-                                **overrides)
-        describe(run_scenario(config), label)
+        spec = ScenarioSpec(trace=trace, protocol="rtp",
+                            duration=duration, seed=3,
+                            competitors=1, competitor_period=15.0,
+                            **overrides)
+        describe(TopologyBuilder(spec).run(), label)
 
 
 if __name__ == "__main__":

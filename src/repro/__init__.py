@@ -9,12 +9,17 @@ constructing TWCC feedback at the AP (in-band protocols).
 
 Quick start::
 
-    from repro import ScenarioConfig, run_scenario, make_trace
+    from repro import ScenarioSpec, TopologyBuilder, TraceSpec
 
-    config = ScenarioConfig(trace=make_trace("W1", duration=30),
-                            protocol="rtp", ap_mode="zhuge")
-    result = run_scenario(config)
+    spec = ScenarioSpec(trace=TraceSpec.for_family("W1", duration=30,
+                                                   seed=1),
+                        protocol="rtp", ap_mode="zhuge", duration=30)
+    result = TopologyBuilder(spec).run()
     print(result.rtt.tail_ratio(), result.frames.delayed_ratio())
+
+A :class:`ScenarioSpec` is the one description of a run: the same spec
+goes to a campaign (:func:`run_specs`), into the result cache, and to
+the builder.
 """
 
 from repro.core import (
@@ -31,7 +36,7 @@ from repro.campaign import (
     run_campaign,
     run_specs,
 )
-from repro.experiments import ScenarioConfig, ScenarioResult, run_scenario
+from repro.topology.builder import ScenarioResult, TopologyBuilder
 from repro.traces import BandwidthTrace, make_trace, ethernet_trace
 
 __version__ = "1.0.0"
@@ -42,9 +47,8 @@ __all__ = [
     "InBandFeedbackUpdater",
     "ZhugeAP",
     "FeedbackKind",
-    "ScenarioConfig",
     "ScenarioResult",
-    "run_scenario",
+    "TopologyBuilder",
     "ScenarioSpec",
     "ScenarioSummary",
     "TraceSpec",

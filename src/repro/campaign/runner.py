@@ -67,9 +67,9 @@ from repro.campaign.supervise import (TIMEOUT_NONE, TIMEOUT_OFF,
                                       WorkerHeartbeat, cell_deadline,
                                       kill_worker, read_heartbeats,
                                       timeout_mode)
-from repro.experiments.scenario import run_scenario
 from repro.obs.events import WARN
 from repro.obs.harness import harness_event
+from repro.topology.builder import TopologyBuilder
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
@@ -156,13 +156,13 @@ def execute_spec(spec: ScenarioSpec,
                  timeout: Optional[float] = None) -> ScenarioSummary:
     """Run one cell in this process and summarize it.
 
-    This is the whole worker: materialize the config, simulate, condense
-    to the picklable summary. The full recorders never leave the worker.
+    This is the whole worker: build the spec, simulate, condense to the
+    picklable summary. The full recorders never leave the worker.
     """
     result = None
     try:
         with cell_deadline(timeout, CellTimeout):
-            result = run_scenario(spec.to_config())
+            result = TopologyBuilder(spec).run()
             return ScenarioSummary.from_result(result, spec)
     finally:
         # A finished cell's graph is all reference cycles: free it now,

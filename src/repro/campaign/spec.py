@@ -1,12 +1,14 @@
-"""Pure-data scenario specifications for experiment campaigns.
+"""Pure-data scenario specifications: the one description of a run.
 
-A :class:`ScenarioSpec` is the declarative mirror of
-:class:`repro.experiments.scenario.ScenarioConfig`: every field is a
-plain JSON value, the bandwidth trace is *referenced* (family/seed/
-duration, a constant rate, or a file path) rather than held as a live
-:class:`BandwidthTrace`, and the whole spec has a stable content hash.
-That makes specs safe to pickle across process boundaries, to store in
-campaign manifests, and to use as content-addressed cache keys.
+A :class:`ScenarioSpec` describes one experiment — protocol stack, AP
+mode, queue, timing, and the bandwidth trace, *referenced* as a
+:class:`TraceSpec` (family/seed/duration, a constant rate, step
+segments, or a file path) rather than held as a live
+:class:`BandwidthTrace`. Every field is a plain JSON value and the whole
+spec has a stable content hash, so specs are safe to pickle across
+process boundaries, to store in campaign manifests, and to use as
+content-addressed cache keys. :class:`repro.topology.builder.TopologyBuilder`
+takes a spec, builds its trace and graph, and runs it.
 
 The content hash covers the spec *and* a fingerprint of the ``repro``
 source tree, so cached results are invalidated automatically whenever
@@ -17,16 +19,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
 from repro.control.spec import ControlSpec
-from repro.experiments.scenario import ScenarioConfig
 from repro.faults.spec import FaultPlan
 from repro.obs.session import TraceConfig
-from repro.topology.spec import TopologySpec
+from repro.topology.spec import (AP_MODES, APPS, LINK_KINDS, PROTOCOLS,
+                                 QUEUE_KINDS, TopologySpec)
 # TraceSpec moved to repro.traces.spec (the topology layer references
 # traces per edge); re-exported here unchanged for existing importers.
 from repro.traces.spec import EXTRA_FAMILIES, TraceSpec  # noqa: F401
@@ -34,6 +36,10 @@ from repro.traces.spec import EXTRA_FAMILIES, TraceSpec  # noqa: F401
 #: Bumping this invalidates every cache entry regardless of code changes
 #: (e.g. when the summary schema itself evolves).
 SPEC_SCHEMA_VERSION = 1
+
+#: Spec fields holding a nested pure-data spec, in payload order.
+_NESTED = (("trace_config", TraceConfig), ("faults", FaultPlan),
+           ("topology", TopologySpec), ("control", ControlSpec))
 
 
 @lru_cache(maxsize=1)
@@ -55,37 +61,37 @@ def code_fingerprint() -> str:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """JSON-serializable mirror of :class:`ScenarioConfig`.
+    """Everything one experiment run needs, as plain data.
 
-    Field-for-field identical to the config except that ``trace`` is a
-    :class:`TraceSpec`; :meth:`to_config` materializes the live config
-    inside whichever process runs the cell.
+    ``topology=None`` runs the paper's single-AP chain
+    (:func:`repro.topology.spec.single_ap_topology`); ``trace`` is
+    built once, by the builder, in whichever process runs the cell.
     """
 
     trace: TraceSpec
-    protocol: str = "rtp"
-    cca: str = "gcc"
-    ap_mode: str = "none"
-    queue_kind: str = "fifo"
+    protocol: str = "rtp"          # rtp | tcp | quic
+    cca: str = "gcc"               # rtp: gcc; tcp: copa/bbr/cubic/abc
+    ap_mode: str = "none"          # none | zhuge | fastack | abc
+    queue_kind: str = "fifo"       # droptail | fifo | codel | fq_codel
     duration: float = 60.0
     seed: int = 1
-    wan_delay: float = 0.020
-    uplink_scale: float = 0.5
-    queue_capacity: int = 375_000
+    wan_delay: float = 0.020       # one-way WAN latency (sender <-> AP)
+    uplink_scale: float = 0.5      # uplink wireless capacity vs trace
+    queue_capacity: int = 375_000  # ~1 Mbit of buffer (bufferbloat-ish)
     fps: float = 24.0
     initial_bps: float = 1e6
-    max_bps: float = 4e6
-    competitors: int = 0
-    competitor_period: Optional[float] = None
-    interferers: int = 0
-    mcs_switch_period: Optional[float] = None
+    max_bps: float = 4e6           # encoder cap (paper: ~2 Mbps avg video)
+    competitors: int = 0           # CUBIC bulk flows sharing the AP queue
+    competitor_period: Optional[float] = None  # scp on/off period (§7.5)
+    interferers: int = 0           # stations on other APs, same channel
+    mcs_switch_period: Optional[float] = None  # §7.5 `mcs` scenario
     record_predictions: bool = False
-    app: str = "video"
-    paced_sender: bool = False
-    link_kind: str = "wifi"
-    rtc_flows: int = 1
-    zhuge_flow_mask: Optional[tuple[bool, ...]] = None
-    warmup: float = 5.0
+    app: str = "video"             # video | bulk (Fig. 4 CCA study)
+    paced_sender: bool = False     # spread frame packets (burstiness ablation)
+    link_kind: str = "wifi"        # wifi (AMPDU bursts) | cellular (TTI slots)
+    rtc_flows: int = 1             # fairness experiments use 2
+    zhuge_flow_mask: Optional[tuple[bool, ...]] = None  # which RTC flows get Zhuge
+    warmup: float = 5.0            # metrics ignore the first seconds
     #: Event tracing (repro.obs). Part of the spec, therefore part of
     #: the content hash: a traced cell never aliases an untraced one in
     #: the result cache.
@@ -107,6 +113,12 @@ class ScenarioSpec:
     control: Optional[ControlSpec] = None
 
     def __post_init__(self) -> None:
+        for name, allowed in (("protocol", PROTOCOLS), ("ap_mode", AP_MODES),
+                              ("queue_kind", QUEUE_KINDS),
+                              ("link_kind", LINK_KINDS), ("app", APPS)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}; "
+                                 f"expected one of {allowed}")
         if self.zhuge_flow_mask is not None:
             object.__setattr__(self, "zhuge_flow_mask",
                                tuple(bool(b) for b in self.zhuge_flow_mask))
@@ -115,11 +127,11 @@ class ScenarioSpec:
         if self.control is not None and not self.control.enabled:
             object.__setattr__(self, "control", None)
 
-    def to_config(self) -> ScenarioConfig:
-        """Build the live :class:`ScenarioConfig`, materializing the trace."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)
-                  if f.name != "trace"}
-        return ScenarioConfig(trace=self.trace.build(), **values)
+    def to_config(self) -> "ScenarioSpec":
+        """The spec itself. Pinned by ``benchmarks/ledger/workloads.py``,
+        which hands the result to :class:`TopologyBuilder`; nothing else
+        calls it."""
+        return self
 
     def label(self) -> str:
         """Short human-readable cell label for progress lines."""
@@ -134,26 +146,13 @@ class ScenarioSpec:
                    if f.name != "trace"}
         if payload["zhuge_flow_mask"] is not None:
             payload["zhuge_flow_mask"] = list(payload["zhuge_flow_mask"])
-        if payload["trace_config"] is not None:
-            payload["trace_config"] = self.trace_config.as_dict()
-        # Omitted entirely when None so payloads (and hashes) of
-        # un-faulted specs are byte-identical to pre-fault-layer ones.
-        if payload["faults"] is None:
-            del payload["faults"]
-        else:
-            payload["faults"] = self.faults.as_dict()
-        # Same rule for the topology: absent means "canonical single-AP
-        # graph" and hashes exactly like a pre-topology-layer spec.
-        if payload["topology"] is None:
-            del payload["topology"]
-        else:
-            payload["topology"] = self.topology.as_dict()
-        # And for the control plane: absent means "static configuration"
-        # and hashes exactly like a pre-control-layer spec.
-        if payload["control"] is None:
-            del payload["control"]
-        else:
-            payload["control"] = self.control.as_dict()
+        for name, _nested in _NESTED:
+            if payload[name] is not None:
+                payload[name] = payload[name].as_dict()
+            elif name != "trace_config":
+                # Absent, so a spec without faults, topology or control
+                # hashes exactly like one from before those layers.
+                del payload[name]
         payload["trace"] = self.trace.as_dict()
         return payload
 
@@ -161,21 +160,9 @@ class ScenarioSpec:
     def from_dict(cls, payload: dict) -> "ScenarioSpec":
         payload = dict(payload)
         payload["trace"] = TraceSpec.from_dict(payload["trace"])
-        mask = payload.get("zhuge_flow_mask")
-        if mask is not None:
-            payload["zhuge_flow_mask"] = tuple(mask)
-        trace_config = payload.get("trace_config")
-        if trace_config is not None:
-            payload["trace_config"] = TraceConfig.from_dict(trace_config)
-        faults = payload.get("faults")
-        if faults is not None:
-            payload["faults"] = FaultPlan.from_dict(faults)
-        topology = payload.get("topology")
-        if topology is not None:
-            payload["topology"] = TopologySpec.from_dict(topology)
-        control = payload.get("control")
-        if control is not None:
-            payload["control"] = ControlSpec.from_dict(control)
+        for name, nested in _NESTED:
+            if payload.get(name) is not None:
+                payload[name] = nested.from_dict(payload[name])
         return cls(**payload)
 
     def content_hash(self) -> str:

@@ -1,8 +1,8 @@
 """Picklable scenario summaries — the unit campaign workers return.
 
-A full :class:`~repro.experiments.scenario.ScenarioResult` drags the
-live :class:`ScenarioConfig` (with its materialized trace) along and is
-meant to stay inside the worker process. :class:`ScenarioSummary` keeps
+A full :class:`~repro.topology.builder.ScenarioResult` holds the live
+recorders and trace session and is meant to stay inside the worker
+process. :class:`ScenarioSummary` keeps
 exactly what every figure driver and the CLI read: the warmup-filtered
 per-flow sample series (network RTT, CCA-perceived RTT, frame delays),
 goodput/bitrate scalars, and the prediction pairs when recorded. It
@@ -54,7 +54,7 @@ class FlowSummary:
 
     @classmethod
     def from_flow(cls, flow) -> "FlowSummary":
-        """Build from a :class:`~repro.experiments.scenario.FlowResult`
+        """Build from a :class:`~repro.topology.builder.FlowResult`
         (its recorders are fresh post-warmup slices: no copy)."""
         return cls(rtt_times=flow.rtt.times,
                    rtt_values=flow.rtt.rtts,

@@ -37,13 +37,14 @@ from repro.experiments.drivers.format import format_table, mbps, pct
 from repro.experiments.drivers.traces_eval import (SCHEMES_BY_NAME,
                                                    row_from_summaries,
                                                    scheme_specs)
-from repro.topology.spec import (TopologySpec, first_mile_topology,
+from repro.topology.builder import TopologyBuilder
+from repro.topology.spec import (AP_MODES, PROTOCOLS, QUEUE_KINDS,
+                                 TopologySpec, first_mile_topology,
                                  interference_topology, roaming_topology)
 from repro.traces.synthetic import TRACE_NAMES
 from repro.traces.trace import BandwidthTrace
 
 TRACE_CHOICES = list(TRACE_NAMES) + ["eth", "abc-legacy"]
-AP_MODES = ("none", "zhuge", "fastack", "abc")
 
 #: Multi-AP presets emitted by ``repro topology`` (see repro.topology).
 TOPOLOGY_PRESETS = ("interference", "roaming", "first-mile")
@@ -124,6 +125,14 @@ def _trace_file(path: str) -> TraceSpec:
     """argparse ``type=`` for ``--trace-file``: a checked file spec."""
     _loaded(path, BandwidthTrace.load)
     return TraceSpec.from_file(path)
+
+
+def _specs_file(path: str) -> list[ScenarioSpec]:
+    """argparse ``type=`` for ``campaign --specs``: every spec built
+    (and so validated) before any cell runs."""
+    return _loaded(path, lambda p: [
+        ScenarioSpec.from_dict(entry)
+        for entry in json.loads(Path(p).read_text())])
 
 
 def _trace_config_from_args(args, out: str | None = None) -> TraceConfig | None:
@@ -313,9 +322,8 @@ def cmd_campaign(args) -> int:
     if args.duration is None:
         args.duration = 30.0
     seeds = tuple(int(s) for s in _csv(args.seeds))
-    if args.specs:
-        payload = json.loads(open(args.specs).read())
-        specs = [ScenarioSpec.from_dict(entry) for entry in payload]
+    if args.specs is not None:
+        specs = args.specs
         grid = None
     else:
         traces = _csv(args.traces)
@@ -533,15 +541,8 @@ def cmd_cache(args) -> int:
 def cmd_trace(args) -> int:
     if args.scenario:
         return _cmd_trace_events(args)
-    from repro.traces.synthetic import (abc_legacy_trace, ethernet_trace,
-                                        make_trace)
-    if args.family == "eth":
-        trace = ethernet_trace(duration=args.duration, seed=args.seed)
-    elif args.family == "abc-legacy":
-        trace = abc_legacy_trace(duration=args.duration, seed=args.seed)
-    else:
-        trace = make_trace(args.family, duration=args.duration,
-                           seed=args.seed)
+    trace = TraceSpec.for_family(args.family, duration=args.duration,
+                                 seed=args.seed).build()
     trace.save(args.out)
     print(f"wrote {args.out}: {len(trace)} samples, "
           f"mean {trace.mean_bps / 1e6:.1f} Mbps")
@@ -552,7 +553,6 @@ def _cmd_trace_events(args) -> int:
     """Run one traced scenario and write an event-trace artifact."""
     from collections import Counter
 
-    from repro.experiments.scenario import ScenarioConfig, run_scenario
     if args.scenario not in TRACE_CHOICES:
         raise SystemExit(f"unknown scenario {args.scenario!r}; "
                          f"expected one of {TRACE_CHOICES}")
@@ -562,12 +562,11 @@ def _cmd_trace_events(args) -> int:
     trace_config = TraceConfig(
         events=TraceConfig.parse_events(args.events),
         out=args.out, fmt=args.format)
-    config = ScenarioConfig(trace=trace_spec.build(),
-                            protocol=args.protocol, cca=args.cca,
-                            ap_mode=args.ap, duration=args.duration,
-                            seed=args.seed, trace_config=trace_config)
-    result = run_scenario(config)
-    session = result.trace_session
+    spec = ScenarioSpec(trace=trace_spec, protocol=args.protocol,
+                        cca=args.cca, ap_mode=args.ap,
+                        duration=args.duration, seed=args.seed,
+                        trace_config=trace_config)
+    session = TopologyBuilder(spec).run().trace_session
 
     counts = Counter(event.category for event in session.events)
     summary = ", ".join(f"{category}={count}"
@@ -683,8 +682,7 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--protocol", default="rtp", choices=("rtp", "tcp"))
     parser.add_argument("--cca", default="gcc",
                         help="gcc/nada/scream (rtp) or copa/bbr/cubic/abc (tcp)")
-    parser.add_argument("--queue", default="fifo",
-                        choices=("fifo", "codel", "fq_codel"))
+    parser.add_argument("--queue", default="fifo", choices=QUEUE_KINDS)
     parser.add_argument("--duration", type=_duration, default=30.0)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--max-mbps", type=_rate_mbps, default=4.0)
@@ -809,6 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "beyond it fleet percentiles come from "
                                  "the mergeable CDF sketch (~2%% error)")
     campaign_parser.add_argument("--specs", default=None,
+                                 type=_specs_file,
                                  help="JSON file with a list of raw "
                                       "ScenarioSpec dicts (overrides the "
                                       "grid flags)")
@@ -902,7 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument("--format", default="chrome",
                               choices=FORMATS)
     trace_parser.add_argument("--protocol", default="rtp",
-                              choices=("rtp", "tcp", "quic"))
+                              choices=PROTOCOLS)
     trace_parser.add_argument("--cca", default="gcc")
     trace_parser.add_argument("--ap", default="zhuge", choices=AP_MODES)
     trace_parser.set_defaults(func=cmd_trace)
@@ -925,7 +924,7 @@ def build_parser() -> argparse.ArgumentParser:
     topology_parser.add_argument("--ap", default="zhuge", choices=AP_MODES,
                                  help="optimization mode of the serving AP")
     topology_parser.add_argument("--queue", default="fq_codel",
-                                 choices=("fifo", "codel", "fq_codel"))
+                                 choices=QUEUE_KINDS)
     topology_parser.add_argument("--interferers", type=_count, default=5,
                                  help="contending stations "
                                       "(interference preset)")

@@ -1,9 +1,1 @@
-"""Experiment harness: scenario builder and per-figure drivers."""
-
-from repro.experiments.scenario import (
-    ScenarioConfig,
-    ScenarioResult,
-    run_scenario,
-)
-
-__all__ = ["ScenarioConfig", "ScenarioResult", "run_scenario"]
+"""Experiment harness: per-figure drivers and the first-mile extension."""

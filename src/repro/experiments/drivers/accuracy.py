@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.campaign.spec import ScenarioSpec, TraceSpec
 from repro.core.fortune_teller import FortuneTeller
-from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.net.packet import FiveTuple, Packet
 from repro.net.queue import DropTailQueue
 from repro.obs.audit import BINS, PredictionAuditor, bin_index
 from repro.sim.engine import Simulator
-from repro.traces.synthetic import make_trace
+from repro.topology.builder import TopologyBuilder
 from repro.traces.trace import BandwidthTrace
 from repro.wireless.channel import WirelessChannel
 from repro.wireless.link import WirelessLink
@@ -105,11 +105,12 @@ def fig19_prediction_accuracy(traces=("W1", "W2", "C1", "C2"),
     """Per-trace prediction error of the Fortune Teller under Zhuge."""
     results = []
     for trace_name in traces:
-        trace = make_trace(trace_name, duration=duration, seed=seed)
-        config = ScenarioConfig(trace=trace, protocol="rtp",
-                                ap_mode="zhuge", duration=duration,
-                                seed=seed, record_predictions=True)
-        result = run_scenario(config)
+        spec = ScenarioSpec(
+            trace=TraceSpec.for_family(trace_name, duration=duration,
+                                       seed=seed),
+            protocol="rtp", ap_mode="zhuge", duration=duration, seed=seed,
+            record_predictions=True)
+        result = TopologyBuilder(spec).run()
         report = PredictionAuditor.from_pairs(
             result.prediction_pairs).report(cdf_resolution=30)
         results.append(AccuracyResult(

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.scenario import ScenarioConfig, run_scenario
-from repro.traces.synthetic import drop_trace
+from repro.campaign.spec import ScenarioSpec, TraceSpec
+from repro.topology.builder import TopologyBuilder
 
 DROP_AT = 15.0
 OBSERVE = 15.0           # seconds after the drop
@@ -64,11 +64,12 @@ def run_drop(scheme: str, overrides: dict, k: float, seed: int = 1,
              max_bps: float = VIDEO_CAP) -> DropRow:
     """One bandwidth-drop run; measures degradation durations."""
     duration = DROP_AT + OBSERVE
-    trace = drop_trace(BASE_RATE, k=k, drop_at=DROP_AT, duration=duration)
-    config = ScenarioConfig(trace=trace, duration=duration, seed=seed,
-                            wan_delay=0.025, max_bps=max_bps,
-                            warmup=2.0, **overrides)
-    result = run_scenario(config)
+    trace = TraceSpec.drop(BASE_RATE, k=k, drop_at=DROP_AT,
+                           duration=duration)
+    spec = ScenarioSpec(trace=trace, duration=duration, seed=seed,
+                        wan_delay=0.025, max_bps=max_bps,
+                        warmup=2.0, **overrides)
+    result = TopologyBuilder(spec).run()
     flow = result.flows[0]
 
     rtt_duration = flow.rtt.degradation_duration(0.200, start=DROP_AT)

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.scenario import ScenarioConfig, run_scenario
-from repro.traces.synthetic import make_trace
-from repro.traces.trace import BandwidthTrace
+from repro.campaign.spec import ScenarioSpec, TraceSpec
+from repro.topology.builder import TopologyBuilder
 
 SCHEMES = (
     ("Gcc+FIFO", dict(ap_mode="none", queue_kind="fifo")),
@@ -39,22 +38,20 @@ class TestbedRow:
 
 
 def _scenario_config(scenario: str, duration: float, seed: int,
-                     overrides: dict) -> ScenarioConfig:
+                     overrides: dict) -> ScenarioSpec:
+    base = dict(protocol="rtp", duration=duration, seed=seed, **overrides)
     if scenario == "scp":
-        trace = BandwidthTrace.constant(30e6, duration, name="steady30")
-        return ScenarioConfig(trace=trace, protocol="rtp",
-                              duration=duration, seed=seed,
-                              competitors=1, competitor_period=15.0,
-                              **overrides)
+        return ScenarioSpec(
+            trace=TraceSpec.constant(30e6, duration, name="steady30"),
+            competitors=1, competitor_period=15.0, **base)
     if scenario == "mcs":
-        trace = BandwidthTrace.constant(60e6, duration, name="steady60")
-        return ScenarioConfig(trace=trace, protocol="rtp",
-                              duration=duration, seed=seed,
-                              mcs_switch_period=10.0, **overrides)
+        return ScenarioSpec(
+            trace=TraceSpec.constant(60e6, duration, name="steady60"),
+            mcs_switch_period=10.0, **base)
     if scenario == "raw":
-        trace = make_trace("W2", duration=duration, seed=seed)
-        return ScenarioConfig(trace=trace, protocol="rtp",
-                              duration=duration, seed=seed, **overrides)
+        return ScenarioSpec(
+            trace=TraceSpec.for_family("W2", duration=duration, seed=seed),
+            **base)
     raise ValueError(f"unknown testbed scenario {scenario!r}")
 
 
@@ -65,9 +62,9 @@ def fig18_testbed(scenarios=("scp", "mcs", "raw"), duration: float = 60.0,
         for scheme, overrides in SCHEMES:
             rtt_tails, delayed, bitrates = [], [], []
             for seed in seeds:
-                config = _scenario_config(scenario, duration, seed,
-                                          dict(overrides))
-                result = run_scenario(config)
+                spec = _scenario_config(scenario, duration, seed,
+                                        dict(overrides))
+                result = TopologyBuilder(spec).run()
                 rtt_tails.append(result.rtt.tail_ratio())
                 delayed.append(result.frames.delayed_ratio())
                 bitrates.append(result.flows[0].mean_bitrate_bps)

@@ -22,8 +22,9 @@ now crosses two wireless segments and the WAN on the way back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from repro.campaign.spec import ScenarioSpec
 from repro.cca.base import FeedbackPacketReport
 from repro.core.fortune_teller import FortuneTeller
 from repro.metrics.recorder import FrameRecorder, RttRecorder
@@ -31,29 +32,12 @@ from repro.net.packet import Packet, PacketKind
 from repro.sim.engine import Simulator, Timer
 from repro.topology.builder import TopologyBuilder
 from repro.topology.spec import first_mile_topology
-from repro.traces.trace import BandwidthTrace
 from repro.transport.rtp import RtpSender
 
 
 @dataclass
-class FirstMileConfig:
-    """Uplink-video scenario parameters."""
-
-    trace: BandwidthTrace
-    client_zhuge: bool = False
-    duration: float = 40.0
-    seed: int = 1
-    wan_delay: float = 0.020
-    fps: float = 24.0
-    initial_bps: float = 1e6
-    max_bps: float = 4e6
-    cca: str = "gcc"
-    warmup: float = 5.0
-
-
-@dataclass
 class FirstMileResult:
-    config: FirstMileConfig
+    config: ScenarioSpec
     rtt: RttRecorder = field(default_factory=RttRecorder)
     frames: FrameRecorder = field(default_factory=FrameRecorder)
     mean_bitrate_bps: float = 0.0
@@ -99,30 +83,25 @@ class LocalFortuneLoop:
         self._timer.stop()
 
 
-def run_first_mile(config: FirstMileConfig) -> FirstMileResult:
+def run_first_mile(spec: ScenarioSpec,
+                   client_zhuge: bool = False) -> FirstMileResult:
     """Simulate uplink video with or without client-side Zhuge.
 
-    Materializes :func:`first_mile_topology` — station, two APs, peer —
-    through the generic :class:`TopologyBuilder`, then grafts the
-    client-side fortune loop onto the station's endpoint: predictions
-    from the station's own uplink queue replace the peer's TWCC for
-    rate control (real NACK-driven loss recovery stays on).
+    Runs ``spec`` (its trace drives the station's uplink) on
+    :func:`first_mile_topology` — station, two APs, peer — through the
+    generic :class:`TopologyBuilder`, then grafts the client-side
+    fortune loop onto the station's endpoint: predictions from the
+    station's own uplink queue replace the peer's TWCC for rate control
+    (real NACK-driven loss recovery stays on).
     """
-    from repro.experiments.scenario import ScenarioConfig
-    scenario = ScenarioConfig(
-        trace=config.trace, protocol="rtp", cca=config.cca,
-        duration=config.duration, seed=config.seed,
-        wan_delay=config.wan_delay, fps=config.fps,
-        initial_bps=config.initial_bps, max_bps=config.max_bps,
-        warmup=config.warmup,
-        topology=first_mile_topology(wan_delay=config.wan_delay,
-                                     duration=config.duration))
-    builder = TopologyBuilder(scenario)
+    spec = replace(spec, topology=first_mile_topology(
+        wan_delay=spec.wan_delay, duration=spec.duration))
+    builder = TopologyBuilder(spec)
     fr = builder._rtc[0]
     sender = fr.sender
 
     local_loop = None
-    if config.client_zhuge:
+    if client_zhuge:
         teller = FortuneTeller(builder.sim,
                                builder.edges["a-up"].queue)
         local_loop = LocalFortuneLoop(builder.sim, sender, teller)
@@ -147,6 +126,6 @@ def run_first_mile(config: FirstMileConfig) -> FirstMileResult:
     flow = scenario_result.flows[0]
     if local_loop is not None:
         local_loop.stop()
-    return FirstMileResult(config=config, rtt=flow.rtt,
+    return FirstMileResult(config=spec, rtt=flow.rtt,
                            frames=flow.frames,
                            mean_bitrate_bps=flow.mean_bitrate_bps)

@@ -1,12 +1,10 @@
 """Declarative multi-AP topologies.
 
 :mod:`repro.topology.spec` holds the pure-data, content-hashable
-description (nodes, edges, flows); :mod:`repro.topology.builder`
-materializes it into the live simulation graph. The legacy single-AP
-scenario in :mod:`repro.experiments.scenario` is a thin adapter that
-converts a :class:`~repro.experiments.scenario.ScenarioConfig` into the
-canonical single-AP :class:`TopologySpec` and runs it through the same
-builder.
+description (nodes, edges, flows); :mod:`repro.topology.builder` lowers
+a :class:`~repro.campaign.spec.ScenarioSpec` — its trace, then its
+graph (``spec.topology`` or :func:`single_ap_topology`) — into the live
+simulation graph.
 """
 
 from repro.topology.spec import (AP_MODES, EDGE_KINDS, NODE_ROLES,

@@ -1,14 +1,13 @@
-"""Materializes a :class:`TopologySpec` into the live simulation graph.
+"""Materializes a :class:`ScenarioSpec` into the live simulation graph.
 
 The builder is the single construction path for every experiment: the
-legacy single-AP scenario (via :func:`repro.topology.spec.single_ap_topology`)
-and genuine multi-AP graphs (interference, roaming, first-mile) both go
-through here. Construction order mirrors the historical
-``_ScenarioBuilder`` exactly — edges, then APs, then flows, then
-tracing, then faults — and every RNG fork label, queue class, and
-component name of the canonical single-AP topology matches the old
-builder, so existing campaign results reproduce bit-identically
-(pinned by ``tests/data/golden_summaries.json``).
+paper's single-AP chain (via :func:`repro.topology.spec.single_ap_topology`,
+when the spec names no topology) and genuine multi-AP graphs
+(interference, roaming, first-mile) both go through here. It builds the
+spec's bandwidth trace once, then the graph in a fixed order — edges,
+then APs, then flows, then tracing, then faults — with pinned RNG fork
+labels, queue classes, and component names, so campaign results
+reproduce bit-identically (pinned by ``tests/data/golden_summaries.json``).
 
 Packets are steered by a per-flow routing table computed with BFS over
 *enabled* edges: each AP's forward callbacks look up
@@ -39,7 +38,7 @@ from repro.net.packet import FiveTuple, Packet, PacketKind
 from repro.obs.session import TraceConfig, TraceSession
 from repro.sim.engine import Simulator
 from repro.sim.random import DeterministicRandom
-from repro.topology.spec import (EdgeSpec, FlowSpec, NodeSpec, TopologySpec,
+from repro.topology.spec import (EdgeSpec, FlowSpec, NodeSpec,
                                  single_ap_topology)
 from repro.transport.rtp import RtpReceiver, RtpSender
 from repro.transport.tcp import TcpReceiver, TcpSender
@@ -74,7 +73,7 @@ class FlowResult:
 class ScenarioResult:
     """Everything the figures read after a run."""
 
-    config: "ScenarioConfig"  # noqa: F821 - duck-typed, see scenario.py
+    config: "ScenarioSpec"  # noqa: F821 - the spec that ran
     flows: list[FlowResult]
     prediction_pairs: list[tuple[float, float]] = field(default_factory=list)
     events_processed: int = 0
@@ -152,22 +151,23 @@ class FlowRuntime:
 
 
 class TopologyBuilder:
-    """Constructs and runs one topology; the engine behind every driver.
+    """Constructs and runs one :class:`ScenarioSpec`; the engine behind
+    every driver.
 
-    ``config`` supplies scenario-level knobs (protocol, CCA, duration,
-    seed, the default bandwidth trace, tracing/fault plans); the
-    topology comes from ``topology``, ``config.topology``, or — the
-    legacy path — the canonical single-AP graph derived from the
-    config itself.
+    The spec supplies scenario-level knobs (protocol, CCA, duration,
+    seed, the default bandwidth trace, tracing/fault/control plans) and
+    the graph: ``spec.topology``, or the paper's single-AP chain derived
+    from the spec itself.
     """
 
-    def __init__(self, config, topology: Optional[TopologySpec] = None):
-        self.config = config
-        self.topology = (topology
-                         or getattr(config, "topology", None)
-                         or single_ap_topology(config))
+    def __init__(self, spec):
+        self.spec = spec
+        #: The scenario-level trace, shared by every wireless edge that
+        #: does not carry its own.
+        self.trace = spec.trace.build()
+        self.topology = spec.topology or single_ap_topology(spec)
         self.sim = Simulator()
-        self.rng = DeterministicRandom(config.seed)
+        self.rng = DeterministicRandom(spec.seed)
 
         self.edges: dict[str, EdgeRuntime] = {}
         self.aps: dict[str, ApRuntime] = {}
@@ -196,18 +196,17 @@ class TopologyBuilder:
         self._build_flows()
 
         self.trace_session: Optional[TraceSession] = None
-        if config.trace_config is not None:
-            self._attach_tracing(config.trace_config)
+        if spec.trace_config is not None:
+            self._attach_tracing(spec.trace_config)
         self.fault_injector = None
-        if config.faults is not None and config.faults.faults:
-            self._attach_faults(config.faults)
+        if spec.faults is not None:
+            self._attach_faults(spec.faults)
         #: Per-AP adaptive controllers (repro.control), by AP node name.
         self.controllers: dict[str, object] = {}
         #: Fleet steering daemon; ``None`` unless the spec enables it.
         self.steering = None
-        control = getattr(config, "control", None)
-        if control is not None and control.enabled:
-            self._attach_control(control)
+        if spec.control is not None:
+            self._attach_control(spec.control)
 
     # -- edges ---------------------------------------------------------------
 
@@ -233,8 +232,7 @@ class TopologyBuilder:
                                            self.rng.fork(edge.mcs_group))
                 self._mcs_started.add(edge.mcs_group)
 
-        trace = edge.trace.build() if edge.trace is not None else \
-            self.config.trace
+        trace = edge.trace.build() if edge.trace is not None else self.trace
         if edge.trace_scale != 1.0:
             trace = trace.scaled(edge.trace_scale)
         channel = WirelessChannel(trace, mcs=mcs)
@@ -290,7 +288,7 @@ class TopologyBuilder:
         return wireless[0] if wireless else None
 
     def _build_ap(self, node: NodeSpec) -> ApRuntime:
-        config = self.config
+        spec = self.spec
         down = self._ap_downlink_edge(node.name)
         runtime = ApRuntime(node=node, ap=None)
         if node.ap_mode == "zhuge":
@@ -299,7 +297,7 @@ class TopologyBuilder:
                     f"zhuge AP {node.name!r} needs a wireless downlink edge")
             label = node.seed_label or f"zhuge-{node.name}"
             ap = ZhugeAP(self.sim, down.queue, rng=self.rng.fork(label),
-                         record_predictions=config.record_predictions)
+                         record_predictions=spec.record_predictions)
             ap.track_name = node.name
             runtime.zhuge = ap
         else:
@@ -495,16 +493,13 @@ class TopologyBuilder:
                          "udp" if protocol == "rtp" else "tcp")
 
     def _build_rtc_flow(self, fspec: FlowSpec, index: int) -> None:
-        config = self.config
-        protocol = fspec.protocol or config.protocol
+        protocol = fspec.protocol or self.spec.protocol
         if protocol == "rtp":
             self._build_rtp_flow(fspec, index)
         elif protocol == "tcp":
             self._build_tcp_flow(fspec, index)
-        elif protocol == "quic":
-            self._build_quic_flow(fspec, index)
         else:
-            raise ValueError(f"unknown protocol {protocol!r}")
+            self._build_quic_flow(fspec, index)
 
     def _register_rtc(self, fr: FlowRuntime, kind: FeedbackKind) -> None:
         """Zhuge/FastAck registration on the flow's serving AP."""
@@ -521,19 +516,19 @@ class TopologyBuilder:
             ap_rt.fastack[fr.flow] = proxy
 
     def _build_rtp_flow(self, fspec: FlowSpec, index: int) -> None:
-        config = self.config
-        cca_name = fspec.cca or config.cca
+        spec = self.spec
+        cca_name = fspec.cca or spec.cca
         cca = make_rate_cca(cca_name if cca_name != "copa" else "gcc",
-                            initial_bps=config.initial_bps,
-                            max_bps=config.max_bps)
+                            initial_bps=spec.initial_bps,
+                            max_bps=spec.max_bps)
         flow = self._flow_tuple(fspec, "rtp", 5000, 6000, index)
         sender = RtpSender(self.sim, flow, cca)
         receiver = RtpReceiver(self.sim, flow)
-        encoder = VideoEncoder(fps=config.fps,
+        encoder = VideoEncoder(fps=spec.fps,
                                rng=self.rng.fork(self._enc_label(fspec,
                                                                  index)))
         app = RtpVideoApp(self.sim, sender, receiver, encoder,
-                          paced=config.paced_sender)
+                          paced=spec.paced_sender)
         fr = FlowRuntime(spec=fspec, flow=flow, protocol="rtp",
                          sender=sender, receiver=receiver, app=app,
                          optimized=fspec.optimized)
@@ -553,21 +548,21 @@ class TopologyBuilder:
         self.video_apps.append((sender, receiver, app))
 
     def _build_tcp_flow(self, fspec: FlowSpec, index: int) -> None:
-        config = self.config
-        cca = make_window_cca(fspec.cca or config.cca)
+        spec = self.spec
+        cca = make_window_cca(fspec.cca or spec.cca)
         flow = self._flow_tuple(fspec, "tcp", 5000, 6000, index)
         sender = TcpSender(self.sim, flow, cca)
         receiver = TcpReceiver(self.sim, flow)
-        if (fspec.app or config.app) == "bulk":
+        if (fspec.app or spec.app) == "bulk":
             # Buffer-filling flow for the CCA studies (paper Fig. 4):
             # no encoder, the window is always tested.
             app = _BulkFlowAdapter(self.sim, sender)
         else:
-            encoder = VideoEncoder(fps=config.fps,
+            encoder = VideoEncoder(fps=spec.fps,
                                    rng=self.rng.fork(
                                        self._enc_label(fspec, index)))
             app = TcpVideoApp(self.sim, sender, receiver, encoder,
-                              max_rate_bps=config.max_bps)
+                              max_rate_bps=spec.max_bps)
         fr = FlowRuntime(spec=fspec, flow=flow, protocol="tcp",
                          sender=sender, receiver=receiver, app=app,
                          optimized=fspec.optimized)
@@ -588,18 +583,18 @@ class TopologyBuilder:
         """
         from repro.app.quic_video import QuicVideoApp
         from repro.transport.quic import QuicReceiver, QuicSender
-        config = self.config
-        cca_name = fspec.cca or config.cca
+        spec = self.spec
+        cca_name = fspec.cca or spec.cca
         cca = make_window_cca(cca_name if cca_name != "gcc" else "copa",
                               mss=1200)
         flow = self._flow_tuple(fspec, "quic", 5000, 6000, index)
         sender = QuicSender(self.sim, flow, cca, mss=1200)
         receiver = QuicReceiver(self.sim, flow)
-        encoder = VideoEncoder(fps=config.fps,
+        encoder = VideoEncoder(fps=spec.fps,
                                rng=self.rng.fork(self._enc_label(fspec,
                                                                  index)))
         app = QuicVideoApp(self.sim, sender, receiver, encoder,
-                           max_rate_bps=config.max_bps)
+                           max_rate_bps=spec.max_bps)
         fr = FlowRuntime(spec=fspec, flow=flow, protocol="quic",
                          sender=sender, receiver=receiver, app=app,
                          optimized=fspec.optimized)
@@ -858,9 +853,9 @@ class TopologyBuilder:
     # -- run -----------------------------------------------------------------
 
     def run(self) -> ScenarioResult:
-        config = self.config
+        spec = self.spec
         try:
-            self.sim.run(until=config.duration)
+            self.sim.run(until=spec.duration)
         except Exception as exc:
             if self.trace_session is not None:
                 self.trace_session.dump_on_error(exc)
@@ -869,19 +864,19 @@ class TopologyBuilder:
         flows = []
         for fr in self._rtc:
             network = self._network_rtt[fr.flow]
-            rtt = network.since(config.warmup)
-            cca_rtt = fr.sender.rtt_recorder.since(config.warmup)
-            frames = fr.app.frame_recorder.since(config.warmup)
+            rtt = network.since(spec.warmup)
+            cca_rtt = fr.sender.rtt_recorder.since(spec.warmup)
+            frames = fr.app.frame_recorder.since(spec.warmup)
             result = FlowResult(
                 rtt=rtt, frames=frames, cca_rtt=cca_rtt,
-                goodput_bps=_flow_goodput(fr.protocol, fr.receiver, config))
+                goodput_bps=_flow_goodput(fr.protocol, fr.receiver, spec))
             result.mean_bitrate_bps = fr.sender.rate_recorder.mean_rate(
-                start=config.warmup)
+                start=spec.warmup)
             flows.append(result)
 
         zhuge = self.zhuge
         pairs = []
-        if zhuge is not None and config.record_predictions:
+        if zhuge is not None and spec.record_predictions:
             pairs = zhuge.fortune_teller.accuracy_pairs()
 
         ap_packets = 0
@@ -917,7 +912,7 @@ class TopologyBuilder:
             self.steering.stop()
             steering_moves = list(self.steering.moves)
 
-        return ScenarioResult(config=config, flows=flows,
+        return ScenarioResult(config=spec, flows=flows,
                               prediction_pairs=pairs,
                               events_processed=self.sim.events_processed,
                               packets_processed=self.sim.packets_processed,
@@ -971,13 +966,13 @@ class _BulkFlowAdapter:
 _GOODPUT_PAYLOAD_BYTES = {"rtp": 1200, "quic": 1200, "tcp": 1448}
 
 
-def _flow_goodput(protocol: str, receiver, config) -> float:
+def _flow_goodput(protocol: str, receiver, spec) -> float:
     """Approximate goodput from the receiver's packet count.
 
     All packets are assumed payload-sized; the warmup share is removed
     proportionally.
     """
-    span = max(config.duration - config.warmup, 1e-9)
-    fraction = span / config.duration
+    span = max(spec.duration - spec.warmup, 1e-9)
+    fraction = span / spec.duration
     payload = _GOODPUT_PAYLOAD_BYTES[protocol]
     return receiver.packets_received * fraction * payload * 8 / span

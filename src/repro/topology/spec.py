@@ -15,11 +15,10 @@ campaign content hash, be pickled to worker processes, and be stored in
 manifests. The live simulation graph is materialized by
 :class:`repro.topology.builder.TopologyBuilder`.
 
-:func:`single_ap_topology` reproduces the legacy sender–WAN–AP–client
-chain bit-identically (same queue classes, RNG fork labels, and wiring
-order as the historical ``_ScenarioBuilder``); the other constructors
-build genuine ≥2-AP graphs for interference, roaming, and first-mile
-studies.
+:func:`single_ap_topology` is the paper's sender–WAN–AP–client chain,
+the graph a :class:`~repro.campaign.spec.ScenarioSpec` without an
+explicit topology runs on; the other constructors build genuine ≥2-AP
+graphs for interference, roaming, and first-mile studies.
 """
 
 from __future__ import annotations
@@ -34,10 +33,12 @@ TOPOLOGY_SCHEMA_VERSION = 1
 
 NODE_ROLES = ("server", "ap", "client")
 AP_MODES = ("none", "zhuge", "fastack", "abc")
-EDGE_KINDS = ("wired", "wifi", "cellular")
+LINK_KINDS = ("wifi", "cellular")
+EDGE_KINDS = ("wired",) + LINK_KINDS
 FLOW_ROLES = ("rtc", "competitor")
 PROTOCOLS = ("rtp", "tcp", "quic")
 QUEUE_KINDS = ("droptail", "fifo", "codel", "fq_codel")
+APPS = ("video", "bulk")
 
 
 def _clean(payload: dict) -> dict:
@@ -124,7 +125,7 @@ class EdgeSpec:
 
     @property
     def wireless(self) -> bool:
-        return self.kind in ("wifi", "cellular")
+        return self.kind in LINK_KINDS
 
     def as_dict(self) -> dict:
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -146,7 +147,7 @@ class FlowSpec:
     """One transport flow between two nodes.
 
     ``protocol``/``cca``/``app`` default to ``None`` meaning "inherit
-    from the scenario config" — the canonical adapter relies on this so
+    from the scenario spec" — the single-AP chain relies on this so
     one topology template serves every protocol sweep. ``role`` selects
     the endpoint stack: ``"rtc"`` builds the latency-sensitive video
     pipeline (and is eligible for AP optimization when ``optimized``),
@@ -177,6 +178,8 @@ class FlowSpec:
             raise ValueError(f"unknown flow role {self.role!r}")
         if self.protocol is not None and self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
+        if self.app is not None and self.app not in APPS:
+            raise ValueError(f"unknown app {self.app!r}")
 
     def as_dict(self) -> dict:
         return _clean({f.name: getattr(self, f.name) for f in fields(self)})
@@ -315,48 +318,47 @@ class TopologySpec:
 # ---------------------------------------------------------------------------
 
 
-def single_ap_topology(config) -> TopologySpec:
-    """The legacy sender–WAN–AP–wireless–client chain as a spec.
+def single_ap_topology(spec) -> TopologySpec:
+    """The sender–WAN–AP–wireless–client chain of paper Fig. 1.
 
-    Field-for-field mirror of the historical ``_ScenarioBuilder``
-    wiring (paper Fig. 1): every queue class, RNG fork label, capacity,
-    and name matches, so every existing single-AP scenario reproduces
-    bit-identically through :class:`TopologyBuilder`.
-    ``config`` is duck-typed (ScenarioConfig or ScenarioSpec — only the
-    topology-shaping fields are read; traces stay scenario-level).
+    Reads the topology-shaping fields of a
+    :class:`~repro.campaign.spec.ScenarioSpec` (the trace stays
+    scenario-level). Every queue class, RNG fork label, capacity, and
+    name is pinned, so single-AP scenarios reproduce the golden
+    summaries bit-identically.
     """
-    mcs_group = "mcs" if config.mcs_switch_period is not None else None
+    mcs_group = "mcs" if spec.mcs_switch_period is not None else None
     nodes = (
         NodeSpec("server", "server"),
-        NodeSpec("ap", "ap", ap_mode=config.ap_mode, seed_label="zhuge"),
+        NodeSpec("ap", "ap", ap_mode=spec.ap_mode, seed_label="zhuge"),
         NodeSpec("client", "client"),
     )
     edges = (
         EdgeSpec("server", "ap", name="wan-down", kind="wired",
-                 rate_bps=1e9, delay=config.wan_delay),
-        EdgeSpec("ap", "client", name="down", kind=config.link_kind,
-                 queue_kind=config.queue_kind,
-                 queue_capacity=config.queue_capacity,
-                 interferers=config.interferers,
-                 mcs_group=mcs_group, mcs_period=config.mcs_switch_period,
+                 rate_bps=1e9, delay=spec.wan_delay),
+        EdgeSpec("ap", "client", name="down", kind=spec.link_kind,
+                 queue_kind=spec.queue_kind,
+                 queue_capacity=spec.queue_capacity,
+                 interferers=spec.interferers,
+                 mcs_group=mcs_group, mcs_period=spec.mcs_switch_period,
                  seed_label="intf"),
         EdgeSpec("client", "ap", name="up", kind="wifi",
-                 trace_scale=config.uplink_scale,
+                 trace_scale=spec.uplink_scale,
                  queue_kind="droptail", queue_capacity=200_000,
-                 interferers=config.interferers, max_ampdu_packets=8,
+                 interferers=spec.interferers, max_ampdu_packets=8,
                  mcs_group=mcs_group, seed_label="intf-up"),
         EdgeSpec("ap", "server", name="wan-up", kind="wired",
-                 rate_bps=None, delay=config.wan_delay),
+                 rate_bps=None, delay=spec.wan_delay),
     )
-    mask = config.zhuge_flow_mask or tuple([True] * config.rtc_flows)
+    mask = spec.zhuge_flow_mask or tuple([True] * spec.rtc_flows)
     flows = tuple(
         FlowSpec("server", "client", role="rtc",
                  optimized=(i < len(mask) and bool(mask[i])))
-        for i in range(config.rtc_flows)
+        for i in range(spec.rtc_flows)
     ) + tuple(
         FlowSpec("server", "client", role="competitor",
-                 period=config.competitor_period)
-        for _ in range(config.competitors)
+                 period=spec.competitor_period)
+        for _ in range(spec.competitors)
     )
     return TopologySpec(nodes=nodes, edges=edges, flows=flows)
 

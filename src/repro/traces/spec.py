@@ -1,16 +1,13 @@
 """Pure-data references to bandwidth traces.
 
 A :class:`TraceSpec` names a trace (a calibrated synthetic family, a
-constant rate, or a file) without holding the live
+constant rate, a step function, or a file) without holding the live
 :class:`~repro.traces.trace.BandwidthTrace`, so it can be embedded in
 content-hashed specs (:class:`~repro.campaign.spec.ScenarioSpec`,
 :class:`~repro.topology.spec.EdgeSpec`), pickled across process
-boundaries, and rebuilt bit-identically in any worker.
-
-This module lives under :mod:`repro.traces` (rather than
-:mod:`repro.campaign`, where it was born) so the topology layer can
-reference traces per edge without importing the campaign machinery;
-:mod:`repro.campaign.spec` re-exports it unchanged.
+boundaries, and rebuilt bit-identically in any worker. It lives here,
+not in :mod:`repro.campaign`, so topology edges can reference traces;
+:mod:`repro.campaign.spec` re-exports it.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.traces.synthetic import (TRACE_NAMES, abc_legacy_trace,
-                                    ethernet_trace, make_trace)
+                                    drop_steps, ethernet_trace, make_trace)
 from repro.traces.trace import BandwidthTrace
 
 #: Families :meth:`TraceSpec.family` accepts, beyond the five synthetic
@@ -44,6 +41,8 @@ class TraceSpec:
     * ``"family"`` — a calibrated synthetic generator (``W1``..``C3``,
       ``eth``, ``abc-legacy``), identified by (family, duration, seed);
     * ``"constant"`` — a flat rate (fairness/competition scenarios);
+    * ``"steps"`` — ``(seconds, bps)`` segments sampled every
+      ``interval`` (the bandwidth-drop microbenchmarks);
     * ``"file"`` — a JSON trace file (the hash covers the file bytes).
     """
 
@@ -55,9 +54,10 @@ class TraceSpec:
     rate_bps: Optional[float] = None
     name: Optional[str] = None
     path: Optional[str] = None
+    steps: Optional[tuple[tuple[float, float], ...]] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("family", "constant", "file"):
+        if self.kind not in ("family", "constant", "steps", "file"):
             raise ValueError(f"unknown trace spec kind {self.kind!r}")
         if self.kind == "family":
             family = _canonical_family(self.family or "")
@@ -68,6 +68,13 @@ class TraceSpec:
                                           or self.rate_bps <= 0):
             raise ValueError(f"constant trace needs rate_bps > 0: "
                              f"{self.rate_bps}")
+        elif self.kind == "steps":
+            if not self.steps:
+                raise ValueError("steps trace needs (seconds, bps) steps")
+            # Nested tuples whatever the source (JSON gives lists), so
+            # the frozen spec stays hashable and compares equal.
+            object.__setattr__(self, "steps", tuple(
+                (float(seconds), float(bps)) for seconds, bps in self.steps))
         elif self.kind == "file" and not self.path:
             raise ValueError("file trace needs a path")
 
@@ -87,6 +94,24 @@ class TraceSpec:
                    interval=interval, name=name)
 
     @classmethod
+    def from_steps(cls, steps, interval: float = 0.010,
+                   name: str = "steps") -> "TraceSpec":
+        """:meth:`BandwidthTrace.from_steps` as a spec."""
+        steps = tuple(steps)
+        return cls(kind="steps", steps=steps,
+                   duration=sum(seconds for seconds, _bps in steps),
+                   interval=interval, name=name)
+
+    @classmethod
+    def drop(cls, base_bps: float, k: float, drop_at: float,
+             duration: float, recover_at: Optional[float] = None,
+             interval: float = 0.010) -> "TraceSpec":
+        """:func:`repro.traces.synthetic.drop_trace` as a spec."""
+        return cls.from_steps(
+            drop_steps(base_bps, k, drop_at, duration, recover_at),
+            interval, f"drop-{k:g}x")
+
+    @classmethod
     def from_file(cls, path: str | Path) -> "TraceSpec":
         return cls(kind="file", path=str(path))
 
@@ -100,6 +125,10 @@ class TraceSpec:
             return BandwidthTrace.constant(self.rate_bps, self.duration,
                                            self.interval or 0.200,
                                            self.name or "constant")
+        if self.kind == "steps":
+            return BandwidthTrace.from_steps(self.steps,
+                                             self.interval or 0.010,
+                                             self.name or "steps")
         kwargs = {} if self.interval is None else {"interval": self.interval}
         if self.family == "eth":
             return ethernet_trace(duration=self.duration, seed=self.seed,
@@ -113,8 +142,8 @@ class TraceSpec:
     def label(self) -> str:
         if self.kind == "family":
             return self.family
-        if self.kind == "constant":
-            return self.name or "constant"
+        if self.kind in ("constant", "steps"):
+            return self.name or self.kind
         return Path(self.path).stem
 
     # -- serialization -------------------------------------------------------

@@ -165,21 +165,28 @@ def abc_legacy_trace(duration: float = 300.0, seed: int = 1,
                           extra={"family": "abc-legacy", "seed": seed})
 
 
-def drop_trace(base_bps: float, k: float, drop_at: float,
-               duration: float, recover_at: float | None = None,
-               interval: float = 0.010) -> BandwidthTrace:
-    """Step trace for the bandwidth-drop microbenchmarks (Figs. 4/14/15).
+def drop_steps(base_bps: float, k: float, drop_at: float, duration: float,
+               recover_at: float | None = None
+               ) -> tuple[tuple[float, float], ...]:
+    """``(seconds, bps)`` segments of the bandwidth-drop step trace.
 
     Rate is ``base_bps`` until ``drop_at``, then ``base_bps / k`` until
     ``recover_at`` (or the end).
     """
     if k < 1:
         raise ValueError(f"drop factor k must be >= 1: {k}")
-    steps = [(drop_at, base_bps)]
     low = base_bps / k
     if recover_at is None:
-        steps.append((duration - drop_at, low))
-    else:
-        steps.append((recover_at - drop_at, low))
-        steps.append((duration - recover_at, base_bps))
-    return BandwidthTrace.from_steps(steps, interval, f"drop-{k:g}x")
+        return ((drop_at, base_bps), (duration - drop_at, low))
+    return ((drop_at, base_bps), (recover_at - drop_at, low),
+            (duration - recover_at, base_bps))
+
+
+def drop_trace(base_bps: float, k: float, drop_at: float,
+               duration: float, recover_at: float | None = None,
+               interval: float = 0.010) -> BandwidthTrace:
+    """Step trace for the bandwidth-drop microbenchmarks (Figs. 4/14/15);
+    :meth:`repro.traces.spec.TraceSpec.drop` references the same one."""
+    return BandwidthTrace.from_steps(
+        drop_steps(base_bps, k, drop_at, duration, recover_at), interval,
+        f"drop-{k:g}x")

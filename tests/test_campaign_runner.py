@@ -201,13 +201,16 @@ class TestCellBoundaryReclamation:
         ``execute_spec`` itself can have freed the cycle."""
         born = []
 
-        def run_scenario(config):
-            result = _CyclicResult()
-            born.append(weakref.ref(result))
-            return result
+        class Builder:
+            def __init__(self, spec):
+                pass
 
-        monkeypatch.setattr("repro.campaign.runner.run_scenario",
-                            run_scenario)
+            def run(self):
+                result = _CyclicResult()
+                born.append(weakref.ref(result))
+                return result
+
+        monkeypatch.setattr("repro.campaign.runner.TopologyBuilder", Builder)
         gc.disable()
         try:
             summary = execute_spec(_stub_spec())

@@ -1,11 +1,15 @@
 """Tests for ScenarioSpec / TraceSpec: round trips, hashing, building."""
 
 import json
+import pickle
 
 import pytest
 
 from repro.campaign.spec import (ScenarioSpec, TraceSpec, code_fingerprint)
-from repro.traces.synthetic import make_trace
+from repro.topology.builder import TopologyBuilder
+from repro.topology.spec import FlowSpec
+from repro.traces.synthetic import drop_trace, make_trace
+from repro.traces.trace import BandwidthTrace
 
 
 def _spec(**overrides) -> ScenarioSpec:
@@ -66,16 +70,15 @@ class TestScenarioSpec:
         assert again == spec
         assert isinstance(again.zhuge_flow_mask, tuple)
 
-    def test_to_config_mirrors_fields(self):
+    def test_builder_lowers_the_spec(self):
         spec = _spec(protocol="tcp", cca="copa", ap_mode="fastack",
                      competitors=2, warmup=1.5)
-        config = spec.to_config()
-        assert config.protocol == "tcp"
-        assert config.cca == "copa"
-        assert config.ap_mode == "fastack"
-        assert config.competitors == 2
-        assert config.warmup == 1.5
-        assert config.trace.rates_bps == spec.trace.build().rates_bps
+        builder = TopologyBuilder(spec)
+        assert builder.spec is spec
+        assert builder.aps["ap"].node.ap_mode == "fastack"
+        assert len(builder._competitors) == 2
+        assert builder.trace.rates_bps == spec.trace.build().rates_bps
+        assert builder.channel.trace is builder.trace
 
     def test_hash_is_stable(self):
         assert _spec().content_hash() == _spec().content_hash()
@@ -105,3 +108,91 @@ class TestScenarioSpec:
         assert "W2" in label
         assert "seed=3" in label
         assert "ap=zhuge" in label
+
+
+def _assert_round_trips(trace: TraceSpec) -> None:
+    """JSON and pickle copies are equal, hash equal, and give the
+    scenario the same content hash."""
+    for again in (TraceSpec.from_dict(json.loads(json.dumps(
+                      trace.as_dict()))),
+                  pickle.loads(pickle.dumps(trace))):
+        assert again == trace
+        assert hash(again) == hash(trace)
+        assert _spec(trace=again).content_hash() \
+            == _spec(trace=trace).content_hash()
+
+
+class TestStepsTraceSpec:
+    DROPS = [dict(base_bps=30e6, k=10, drop_at=1.0, duration=3.0),
+             dict(base_bps=20e6, k=2.5, drop_at=12, duration=27,
+                  recover_at=20, interval=0.005)]
+
+    @pytest.mark.parametrize("drop", DROPS)
+    def test_drop_builds_drop_trace_bit_for_bit(self, drop):
+        built = TraceSpec.drop(**drop).build()
+        direct = drop_trace(**drop)
+        assert built.rates_bps == direct.rates_bps
+        assert [float(r).hex() for r in built.rates_bps] \
+            == [float(r).hex() for r in direct.rates_bps]
+        assert (built.interval, built.name) == (direct.interval, direct.name)
+
+    def test_from_steps_builds_bandwidth_trace_from_steps(self):
+        steps = [(10.0, 16e6), (10.0, 4e6)]
+        built = TraceSpec.from_steps(steps, interval=0.01,
+                                     name="step").build()
+        direct = BandwidthTrace.from_steps(steps, interval=0.01, name="step")
+        assert built.rates_bps == direct.rates_bps
+        assert (built.interval, built.name) == (direct.interval, direct.name)
+
+    def test_label_and_defaults(self):
+        spec = TraceSpec(kind="steps", steps=[[1, 2e6]])
+        assert spec.label() == "steps"
+        assert spec.steps == ((1.0, 2e6),)
+        assert spec.build().interval == 0.010
+        assert TraceSpec.drop(30e6, k=4, drop_at=1.0,
+                              duration=2.0).label() == "drop-4x"
+
+    def test_needs_steps(self):
+        with pytest.raises(ValueError, match="steps"):
+            TraceSpec(kind="steps")
+
+    @pytest.mark.parametrize("drop", DROPS)
+    def test_round_trips_through_json_and_pickle(self, drop):
+        _assert_round_trips(TraceSpec.drop(**drop))
+
+    def test_mutant_from_dict_keeping_json_lists_is_killed(self,
+                                                           monkeypatch):
+        def keep_lists(cls, payload):
+            spec = cls(**payload)
+            object.__setattr__(spec, "steps", payload.get("steps"))
+            return spec
+
+        monkeypatch.setattr(TraceSpec, "from_dict", classmethod(keep_lists))
+        with pytest.raises((AssertionError, TypeError)):
+            _assert_round_trips(TraceSpec.drop(**self.DROPS[0]))
+
+
+class TestSpecValidation:
+    """A spec is checked when it is built: a misspelt field value is an
+    error, never a different run."""
+
+    @pytest.mark.parametrize("field, bad, good", [
+        ("protocol", "sctp", "quic"), ("ap_mode", "zhgue", "zhuge"),
+        ("queue_kind", "red", "droptail"), ("link_kind", "wired", "cellular"),
+        ("link_kind", "satellite", "wifi"), ("app", "vidoe", "bulk"),
+    ])
+    def test_unknown_value_rejected(self, field, bad, good):
+        with pytest.raises(ValueError, match=field):
+            _spec(**{field: bad})
+        assert getattr(_spec(**{field: good}), field) == good
+
+    def test_unknown_value_rejected_from_json(self):
+        payload = _spec().as_dict()
+        payload["app"] = "vidoe"
+        with pytest.raises(ValueError, match="app"):
+            ScenarioSpec.from_dict(payload)
+
+    def test_flow_spec_rejects_unknown_app(self):
+        with pytest.raises(ValueError, match="app"):
+            FlowSpec("server", "client", app="vidoe")
+        assert FlowSpec("server", "client", app="bulk").app == "bulk"

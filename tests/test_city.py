@@ -36,7 +36,7 @@ def _spec_for(topology, duration=10.0, seed=7):
 
 def _builder_accepts(topology):
     """Full builder validation: edges wire, every flow routes."""
-    TopologyBuilder(_spec_for(topology, duration=2.0).to_config())
+    TopologyBuilder(_spec_for(topology, duration=2.0))
 
 
 def _summary(flows, events=0, packets=0):

@@ -220,6 +220,45 @@ class TestParser:
         assert f"error: argument {flag}: cannot load {path}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("content", [
+        "not json",
+        '[{"trace": {"kind": "constant", "rate_bps": 1e6}, "nosuch": 1}]',
+        '[{"trace": {"kind": "constant", "rate_bps": 1e6}, '
+        '"protocol": "sctp"}]',
+    ])
+    def test_bad_specs_manifest_exits_2_naming_it(self, content, tmp_path,
+                                                  capsys, monkeypatch):
+        self._refuse_commands(monkeypatch)
+        path = tmp_path / "specs.json"
+        path.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "--specs", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --specs: cannot load {path}" in err
+        assert err.count("error: ") == 1
+        assert "Traceback" not in err
+
+    def test_specs_manifest_loads_at_parse_time(self, tmp_path):
+        from repro.campaign import ScenarioSpec, TraceSpec
+        specs = [ScenarioSpec(trace=TraceSpec.drop(30e6, k=10, drop_at=2.0,
+                                                   duration=4.0),
+                              duration=4.0, warmup=1.0),
+                 ScenarioSpec(trace=TraceSpec.for_family("W2", duration=4.0,
+                                                         seed=1),
+                              duration=4.0, warmup=1.0, ap_mode="zhuge")]
+        path = tmp_path / "specs.json"
+        path.write_text(json.dumps([spec.as_dict() for spec in specs]))
+        args = build_parser().parse_args(["campaign", "--specs", str(path)])
+        assert args.specs == specs
+
+    def test_ci_smoke_manifest_has_a_steps_and_a_family_cell(self):
+        path = "tests/data/campaign_smoke_specs.json"
+        specs = build_parser().parse_args(
+            ["campaign", "--specs", path]).specs
+        assert sorted(spec.trace.kind for spec in specs) \
+            == ["family", "steps"]
+
     def test_missing_input_file_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(

@@ -481,12 +481,11 @@ class TestControlTraceSchema:
 
     @pytest.fixture(scope="class")
     def session(self):
-        from repro.experiments.scenario import run_scenario
         from repro.obs.session import TraceConfig
-        config = _controlled_spec().to_config()
-        config = dataclasses.replace(
-            config, trace_config=TraceConfig(events=("control",)))
-        return run_scenario(config).trace_session
+        from repro.topology.builder import TopologyBuilder
+        spec = dataclasses.replace(
+            _controlled_spec(), trace_config=TraceConfig(events=("control",)))
+        return TopologyBuilder(spec).run().trace_session
 
     def test_control_events_emitted(self, session):
         names = {(e.category, e.name) for e in session.events}

@@ -9,17 +9,17 @@ from repro.experiments.drivers.traces_eval import (fig13_distributions,
 
 class TestTestbedDriver:
     def test_scp_config(self):
-        config = _scenario_config("scp", 30.0, 1, {})
-        assert config.competitors == 1
-        assert config.competitor_period == 15.0
+        spec = _scenario_config("scp", 30.0, 1, {})
+        assert spec.competitors == 1
+        assert spec.competitor_period == 15.0
 
     def test_mcs_config(self):
-        config = _scenario_config("mcs", 30.0, 1, {})
-        assert config.mcs_switch_period == 10.0
+        spec = _scenario_config("mcs", 30.0, 1, {})
+        assert spec.mcs_switch_period == 10.0
 
     def test_raw_config(self):
-        config = _scenario_config("raw", 30.0, 1, {})
-        assert config.trace.name == "W2"
+        spec = _scenario_config("raw", 30.0, 1, {})
+        assert spec.trace.build().name == "W2"
 
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):

@@ -27,6 +27,18 @@ class TestExamples:
         assert "RTT>200ms dur" in out
         assert "Zhuge" in out
 
+    def test_ap_mode_study(self, monkeypatch, capsys):
+        out = run_example(monkeypatch, capsys, "ap_mode_study.py", ["3"])
+        assert "3 s per cell" in out
+        for trace in ("W1", "W2", "C1", "C2", "C3"):
+            assert out.count(f"\n{trace} ") == 3
+        assert out.count("Zhuge") == 5
+
+    def test_roaming_handoff(self, monkeypatch, capsys):
+        out = run_example(monkeypatch, capsys, "roaming_handoff.py", ["5"])
+        assert "stay on ap-a" in out
+        assert "roam:begin@3.0s,roam:end@3.4s" in out
+
     def test_fortune_teller_demo(self, monkeypatch, capsys):
         out = run_example(monkeypatch, capsys, "fortune_teller_demo.py")
         assert "qShort leads" in out

@@ -24,7 +24,7 @@ def _builder(queue_kind: str, duration: float = 2.0) -> TopologyBuilder:
                                                    seed=1),
                         protocol="rtp", cca="gcc", ap_mode="zhuge",
                         queue_kind=queue_kind, duration=duration, warmup=0.5)
-    return TopologyBuilder(spec.to_config())
+    return TopologyBuilder(spec)
 
 
 def _run_counting(monkeypatch, kind: str):

@@ -545,13 +545,11 @@ class TestFaultTraceSchema:
 
     @pytest.fixture(scope="class")
     def session(self):
-        from repro.experiments.scenario import run_scenario
-        spec = dataclasses.replace(_faulted_spec())
         from repro.obs.session import TraceConfig
-        config = spec.to_config()
-        config = dataclasses.replace(
-            config, trace_config=TraceConfig(events=("fault",)))
-        return run_scenario(config).trace_session
+        from repro.topology.builder import TopologyBuilder
+        spec = dataclasses.replace(
+            _faulted_spec(), trace_config=TraceConfig(events=("fault",)))
+        return TopologyBuilder(spec).run().trace_session
 
     def test_fault_events_emitted(self, session):
         names = {(e.category, e.name) for e in session.events}

@@ -10,16 +10,16 @@ whenever the channel is the bottleneck.
 
 import pytest
 
-from repro.experiments.scenario import ScenarioConfig, _ScenarioBuilder
-from repro.traces.trace import BandwidthTrace
+from repro.campaign.spec import ScenarioSpec, TraceSpec
+from repro.topology.builder import TopologyBuilder
 
 
 def measure_abw_with_bulk_download(trace, duration=20.0):
     """The wget-style measurement: receiving rate in 200 ms windows."""
-    config = ScenarioConfig(trace=trace, protocol="tcp", cca="cubic",
-                            app="bulk", duration=duration, seed=1,
-                            wan_delay=0.010)
-    builder = _ScenarioBuilder(config)
+    spec = ScenarioSpec(trace=trace, protocol="tcp", cca="cubic",
+                          app="bulk", duration=duration, seed=1,
+                          wan_delay=0.010)
+    builder = TopologyBuilder(spec)
     receiver = builder.video_apps[0][1]
     arrivals = []
     original = receiver.on_data
@@ -40,7 +40,7 @@ def measure_abw_with_bulk_download(trace, duration=20.0):
 
 class TestAbwMeasurementMethodology:
     def test_recovers_constant_rate(self):
-        trace = BandwidthTrace.constant(12e6, 20.0)
+        trace = TraceSpec.constant(12e6, 20.0)
         measured = measure_abw_with_bulk_download(trace)
         # Skip slow-start; average the steady windows.
         steady = [rate for index, rate in measured.items() if index >= 25]
@@ -49,8 +49,8 @@ class TestAbwMeasurementMethodology:
         assert mean_measured == pytest.approx(12e6, rel=0.25)
 
     def test_tracks_rate_step(self):
-        trace = BandwidthTrace.from_steps([(10.0, 16e6), (10.0, 4e6)],
-                                          interval=0.01)
+        trace = TraceSpec.from_steps([(10.0, 16e6), (10.0, 4e6)],
+                                     interval=0.01)
         measured = measure_abw_with_bulk_download(trace, duration=20.0)
         first = [r for i, r in measured.items() if 25 <= i < 48]
         second = [r for i, r in measured.items() if 60 <= i < 98]

@@ -8,10 +8,9 @@ import pytest
 
 from repro.campaign import ScenarioSpec, TraceSpec, run_campaign
 from repro.campaign.summary import ScenarioSummary
-from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.obs.session import TraceConfig, TraceSession
 from repro.sim.engine import Simulator
-from repro.traces.synthetic import make_trace
+from repro.topology.builder import TopologyBuilder
 
 
 class TestTraceConfig:
@@ -38,11 +37,11 @@ class TestTraceConfig:
 class TestTracedScenario:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_scenario(ScenarioConfig(
-            trace=make_trace("W2", duration=12, seed=3),
+        return TopologyBuilder(ScenarioSpec(
+            trace=TraceSpec.for_family("W2", duration=12, seed=3),
             protocol="rtp", ap_mode="zhuge", duration=12,
             record_predictions=True,
-            trace_config=TraceConfig()))
+            trace_config=TraceConfig())).run()
 
     def test_events_collected(self, result):
         session = result.trace_session
@@ -77,8 +76,9 @@ class TestTracedScenario:
         assert {"t", "cat", "name", "track"} <= set(first)
 
     def test_untraced_run_has_no_session(self):
-        result = run_scenario(ScenarioConfig(
-            trace=make_trace("W2", duration=6, seed=3), duration=6))
+        result = TopologyBuilder(ScenarioSpec(
+            trace=TraceSpec.for_family("W2", duration=6, seed=3),
+            duration=6)).run()
         assert result.trace_session is None
 
 

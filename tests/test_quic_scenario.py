@@ -2,16 +2,16 @@
 
 import pytest
 
-from repro.experiments.scenario import ScenarioConfig, run_scenario
-from repro.traces.synthetic import make_trace
+from repro.campaign.spec import ScenarioSpec, TraceSpec
+from repro.topology.builder import TopologyBuilder
 
 
 class TestQuicScenario:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_scenario(ScenarioConfig(trace=make_trace("W1", 25, seed=2),
-                                           protocol="quic", cca="copa",
-                                           duration=25))
+        return TopologyBuilder(ScenarioSpec(
+            trace=TraceSpec.for_family("W1", 25, seed=2), protocol="quic",
+            cca="copa", duration=25)).run()
 
     def test_rtt_collected(self, result):
         assert result.rtt.count > 500
@@ -28,26 +28,25 @@ class TestQuicScenario:
 
 class TestQuicZhuge:
     def test_zhuge_over_quic_runs_and_not_worse(self):
-        trace = make_trace("W1", duration=25, seed=5)
-        base = run_scenario(ScenarioConfig(trace=trace, protocol="quic",
-                                           cca="copa", duration=25))
-        zhuge = run_scenario(ScenarioConfig(trace=trace, protocol="quic",
-                                            cca="copa", ap_mode="zhuge",
-                                            duration=25))
+        trace = TraceSpec.for_family("W1", duration=25, seed=5)
+        base = TopologyBuilder(ScenarioSpec(trace=trace, protocol="quic",
+                                            cca="copa", duration=25)).run()
+        zhuge = TopologyBuilder(ScenarioSpec(trace=trace, protocol="quic",
+                                             cca="copa", ap_mode="zhuge",
+                                             duration=25)).run()
         assert zhuge.rtt.tail_ratio() <= base.rtt.tail_ratio() + 0.02
         assert zhuge.frames.count >= base.frames.count * 0.8
 
     def test_bbr_over_quic(self):
-        result = run_scenario(ScenarioConfig(trace=make_trace("W2", 20,
-                                                              seed=3),
-                                             protocol="quic", cca="bbr",
-                                             duration=20))
+        result = TopologyBuilder(ScenarioSpec(
+            trace=TraceSpec.for_family("W2", 20, seed=3), protocol="quic",
+            cca="bbr", duration=20)).run()
         assert result.frames.count > 200
 
     def test_deterministic(self):
-        trace = make_trace("W2", duration=15, seed=4)
-        a = run_scenario(ScenarioConfig(trace=trace, protocol="quic",
-                                        cca="copa", duration=15))
-        b = run_scenario(ScenarioConfig(trace=trace, protocol="quic",
-                                        cca="copa", duration=15))
+        trace = TraceSpec.for_family("W2", duration=15, seed=4)
+        a = TopologyBuilder(ScenarioSpec(trace=trace, protocol="quic",
+                                         cca="copa", duration=15)).run()
+        b = TopologyBuilder(ScenarioSpec(trace=trace, protocol="quic",
+                                         cca="copa", duration=15)).run()
         assert a.rtt.rtts == b.rtt.rtts

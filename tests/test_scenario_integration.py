@@ -7,19 +7,19 @@ frames decode) and direction (Zhuge reduces tail latency vs baseline).
 
 import pytest
 
-from repro.experiments.scenario import ScenarioConfig, run_scenario
-from repro.traces.synthetic import drop_trace, make_trace
+from repro.campaign.spec import ScenarioSpec, TraceSpec
+from repro.topology.builder import TopologyBuilder
 
 
 def short_trace(seed=2):
-    return make_trace("W1", duration=25, seed=seed)
+    return TraceSpec.for_family("W1", duration=25, seed=seed)
 
 
 class TestRtpPlumbing:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_scenario(ScenarioConfig(trace=short_trace(),
-                                           protocol="rtp", duration=25))
+        return TopologyBuilder(ScenarioSpec(trace=short_trace(),
+                                            protocol="rtp", duration=25)).run()
 
     def test_rtt_samples_collected(self, result):
         assert result.rtt.count > 200
@@ -42,9 +42,9 @@ class TestRtpPlumbing:
 class TestTcpPlumbing:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_scenario(ScenarioConfig(trace=short_trace(),
-                                           protocol="tcp", cca="copa",
-                                           duration=25))
+        return TopologyBuilder(ScenarioSpec(trace=short_trace(),
+                                            protocol="tcp", cca="copa",
+                                            duration=25)).run()
 
     def test_rtt_samples_collected(self, result):
         assert result.rtt.count > 500
@@ -61,11 +61,11 @@ class TestZhugeImprovesTail:
 
     @pytest.fixture(scope="class")
     def pair(self):
-        trace = make_trace("W1", duration=40, seed=5)
-        base = run_scenario(ScenarioConfig(trace=trace, protocol="rtp",
-                                           ap_mode="none", duration=40))
-        zhuge = run_scenario(ScenarioConfig(trace=trace, protocol="rtp",
-                                            ap_mode="zhuge", duration=40))
+        trace = TraceSpec.for_family("W1", duration=40, seed=5)
+        base = TopologyBuilder(ScenarioSpec(trace=trace, protocol="rtp",
+                                            ap_mode="none", duration=40)).run()
+        zhuge = TopologyBuilder(ScenarioSpec(trace=trace, protocol="rtp",
+                                             ap_mode="zhuge", duration=40)).run()
         return base, zhuge
 
     def test_tail_latency_reduced(self, pair):
@@ -85,12 +85,12 @@ class TestZhugeImprovesTail:
 
 class TestZhugeTcp:
     def test_tcp_zhuge_not_worse(self):
-        trace = make_trace("W1", duration=30, seed=7)
-        base = run_scenario(ScenarioConfig(trace=trace, protocol="tcp",
-                                           cca="copa", duration=30))
-        zhuge = run_scenario(ScenarioConfig(trace=trace, protocol="tcp",
-                                            cca="copa", ap_mode="zhuge",
-                                            duration=30))
+        trace = TraceSpec.for_family("W1", duration=30, seed=7)
+        base = TopologyBuilder(ScenarioSpec(trace=trace, protocol="tcp",
+                                            cca="copa", duration=30)).run()
+        zhuge = TopologyBuilder(ScenarioSpec(trace=trace, protocol="tcp",
+                                             cca="copa", ap_mode="zhuge",
+                                             duration=30)).run()
         assert zhuge.rtt.tail_ratio() <= base.rtt.tail_ratio() + 0.01
 
 
@@ -100,56 +100,56 @@ class TestApModes:
         ("abc", "abc"),
     ])
     def test_baseline_modes_run(self, mode, cca):
-        result = run_scenario(ScenarioConfig(trace=short_trace(),
-                                             protocol="tcp", cca=cca,
-                                             ap_mode=mode, duration=20))
+        result = TopologyBuilder(ScenarioSpec(trace=short_trace(),
+                                              protocol="tcp", cca=cca,
+                                              ap_mode=mode, duration=20)).run()
         assert result.rtt.count > 100
         assert result.frames.count > 100
 
     def test_unknown_mode_raises(self):
         with pytest.raises(ValueError):
-            run_scenario(ScenarioConfig(trace=short_trace(),
-                                        ap_mode="bogus", duration=5))
+            TopologyBuilder(ScenarioSpec(trace=short_trace(),
+                                         ap_mode="bogus", duration=5)).run()
 
     def test_unknown_protocol_raises(self):
         with pytest.raises(ValueError):
-            run_scenario(ScenarioConfig(trace=short_trace(),
-                                        protocol="sctp", duration=5))
+            TopologyBuilder(ScenarioSpec(trace=short_trace(),
+                                         protocol="sctp", duration=5)).run()
 
 
 class TestCompetitorsAndInterferers:
     def test_competitors_degrade_rtc(self):
-        trace = make_trace("W1", duration=20, seed=3)
-        alone = run_scenario(ScenarioConfig(trace=trace, protocol="rtp",
-                                            duration=20))
-        crowded = run_scenario(ScenarioConfig(trace=trace, protocol="rtp",
-                                              duration=20, competitors=4))
+        trace = TraceSpec.for_family("W1", duration=20, seed=3)
+        alone = TopologyBuilder(ScenarioSpec(trace=trace, protocol="rtp",
+                                             duration=20)).run()
+        crowded = TopologyBuilder(ScenarioSpec(trace=trace, protocol="rtp",
+                                               duration=20, competitors=4)).run()
         assert (crowded.rtt.tail_ratio() >= alone.rtt.tail_ratio()
                 or crowded.flows[0].goodput_bps < alone.flows[0].goodput_bps)
 
     def test_interferers_steal_airtime(self):
-        trace = make_trace("W2", duration=20, seed=3)
-        quiet = run_scenario(ScenarioConfig(trace=trace, protocol="rtp",
-                                            duration=20))
-        noisy = run_scenario(ScenarioConfig(trace=trace, protocol="rtp",
-                                            duration=20, interferers=30))
+        trace = TraceSpec.for_family("W2", duration=20, seed=3)
+        quiet = TopologyBuilder(ScenarioSpec(trace=trace, protocol="rtp",
+                                             duration=20)).run()
+        noisy = TopologyBuilder(ScenarioSpec(trace=trace, protocol="rtp",
+                                             duration=20, interferers=30)).run()
         # 30 interferers leave ~1/31 of the airtime: goodput must drop.
         assert noisy.flows[0].goodput_bps < quiet.flows[0].goodput_bps
 
     def test_periodic_competitor_runs(self):
-        result = run_scenario(ScenarioConfig(trace=short_trace(),
-                                             protocol="rtp", duration=20,
-                                             competitors=1,
-                                             competitor_period=5.0))
+        result = TopologyBuilder(ScenarioSpec(trace=short_trace(),
+                                              protocol="rtp", duration=20,
+                                              competitors=1,
+                                              competitor_period=5.0)).run()
         assert result.rtt.count > 100
 
 
 class TestBandwidthDropScenario:
     def test_drop_inflates_then_recovers(self):
-        trace = drop_trace(30e6, k=10, drop_at=10.0, duration=25.0,
-                           recover_at=15.0)
-        result = run_scenario(ScenarioConfig(trace=trace, protocol="rtp",
-                                             duration=25, warmup=2.0))
+        trace = TraceSpec.drop(30e6, k=10, drop_at=10.0, duration=25.0,
+                               recover_at=15.0)
+        result = TopologyBuilder(ScenarioSpec(trace=trace, protocol="rtp",
+                                              duration=25, warmup=2.0)).run()
         during = [r for t, r in zip(result.rtt.times, result.rtt.rtts)
                   if 10.0 <= t < 15.0]
         before = [r for t, r in zip(result.rtt.times, result.rtt.rtts)
@@ -159,43 +159,43 @@ class TestBandwidthDropScenario:
 
 class TestDeterminism:
     def test_same_seed_same_result(self):
-        trace = make_trace("W2", duration=15, seed=4)
-        a = run_scenario(ScenarioConfig(trace=trace, protocol="rtp",
-                                        duration=15, seed=11))
-        b = run_scenario(ScenarioConfig(trace=trace, protocol="rtp",
-                                        duration=15, seed=11))
+        trace = TraceSpec.for_family("W2", duration=15, seed=4)
+        a = TopologyBuilder(ScenarioSpec(trace=trace, protocol="rtp",
+                                         duration=15, seed=11)).run()
+        b = TopologyBuilder(ScenarioSpec(trace=trace, protocol="rtp",
+                                         duration=15, seed=11)).run()
         assert a.rtt.rtts == b.rtt.rtts
         assert a.frames.frame_delays == b.frames.frame_delays
 
     def test_zhuge_deterministic(self):
-        trace = make_trace("W2", duration=15, seed=4)
-        a = run_scenario(ScenarioConfig(trace=trace, protocol="rtp",
-                                        ap_mode="zhuge", duration=15))
-        b = run_scenario(ScenarioConfig(trace=trace, protocol="rtp",
-                                        ap_mode="zhuge", duration=15))
+        trace = TraceSpec.for_family("W2", duration=15, seed=4)
+        a = TopologyBuilder(ScenarioSpec(trace=trace, protocol="rtp",
+                                         ap_mode="zhuge", duration=15)).run()
+        b = TopologyBuilder(ScenarioSpec(trace=trace, protocol="rtp",
+                                         ap_mode="zhuge", duration=15)).run()
         assert a.rtt.rtts == b.rtt.rtts
 
 
 class TestFairnessSetup:
     def test_two_rtc_flows(self):
-        result = run_scenario(ScenarioConfig(trace=short_trace(),
-                                             protocol="rtp", duration=20,
-                                             rtc_flows=2))
+        result = TopologyBuilder(ScenarioSpec(trace=short_trace(),
+                                              protocol="rtp", duration=20,
+                                              rtc_flows=2)).run()
         assert len(result.flows) == 2
         assert all(f.goodput_bps > 0 for f in result.flows)
 
     def test_partial_zhuge_mask(self):
-        result = run_scenario(ScenarioConfig(
+        result = TopologyBuilder(ScenarioSpec(
             trace=short_trace(), protocol="rtp", duration=20,
-            ap_mode="zhuge", rtc_flows=2, zhuge_flow_mask=(True, False)))
+            ap_mode="zhuge", rtc_flows=2, zhuge_flow_mask=(True, False))).run()
         assert len(result.flows) == 2
 
 
 class TestPredictionRecording:
     def test_accuracy_pairs_collected(self):
-        result = run_scenario(ScenarioConfig(
+        result = TopologyBuilder(ScenarioSpec(
             trace=short_trace(), protocol="rtp", ap_mode="zhuge",
-            duration=15, record_predictions=True))
+            duration=15, record_predictions=True)).run()
         assert len(result.prediction_pairs) > 100
         for predicted, actual in result.prediction_pairs[:50]:
             assert predicted >= 0

@@ -2,31 +2,29 @@
 
 import pytest
 
-from repro.experiments.scenario import ScenarioConfig, run_scenario
-from repro.traces.synthetic import make_trace
-from repro.traces.trace import BandwidthTrace
+from repro.campaign.spec import ScenarioSpec, TraceSpec
+from repro.topology.builder import TopologyBuilder
 
 
 def short_trace(seed=2):
-    return make_trace("W2", duration=15, seed=seed)
+    return TraceSpec.for_family("W2", duration=15, seed=seed)
 
 
 class TestOptions:
     def test_paced_sender_runs(self):
-        result = run_scenario(ScenarioConfig(trace=short_trace(),
-                                             protocol="rtp", duration=15,
-                                             paced_sender=True))
+        result = TopologyBuilder(ScenarioSpec(trace=short_trace(),
+                                              protocol="rtp", duration=15,
+                                              paced_sender=True)).run()
         assert result.frames.count > 150
 
     def test_paced_reduces_burstiness(self):
         """Paced arrivals spread packets: fewer per 5 ms bucket."""
-        from repro.experiments.scenario import _ScenarioBuilder
         counts = {}
         for paced in (False, True):
-            config = ScenarioConfig(trace=BandwidthTrace.constant(30e6, 10),
-                                    protocol="rtp", duration=10,
-                                    paced_sender=paced)
-            builder = _ScenarioBuilder(config)
+            spec = ScenarioSpec(trace=TraceSpec.constant(30e6, 10),
+                                  protocol="rtp", duration=10,
+                                  paced_sender=paced)
+            builder = TopologyBuilder(spec)
             arrivals = []
             builder.downlink_queue.on_arrival.append(
                 lambda p, q: arrivals.append(builder.sim.now))
@@ -36,40 +34,41 @@ class TestOptions:
         assert counts[True] > counts[False] * 1.5
 
     def test_cellular_link_kind(self):
-        result = run_scenario(ScenarioConfig(trace=short_trace(),
-                                             protocol="rtp", duration=15,
-                                             link_kind="cellular"))
+        result = TopologyBuilder(ScenarioSpec(trace=short_trace(),
+                                              protocol="rtp", duration=15,
+                                              link_kind="cellular")).run()
         assert result.frames.count > 150
 
     def test_invalid_link_kind(self):
         with pytest.raises(ValueError):
-            run_scenario(ScenarioConfig(trace=short_trace(),
-                                        link_kind="satellite", duration=5))
+            ScenarioSpec(trace=short_trace(), link_kind="satellite",
+                         duration=5)
 
     def test_mcs_switching_runs(self):
-        result = run_scenario(ScenarioConfig(
-            trace=BandwidthTrace.constant(60e6, 20), protocol="rtp",
-            duration=20, mcs_switch_period=5.0))
+        result = TopologyBuilder(ScenarioSpec(
+            trace=TraceSpec.constant(60e6, 20), protocol="rtp",
+            duration=20, mcs_switch_period=5.0)).run()
         assert result.frames.count > 200
 
     def test_nada_over_rtp_scenario(self):
-        result = run_scenario(ScenarioConfig(trace=short_trace(),
-                                             protocol="rtp", cca="nada",
-                                             duration=15))
+        result = TopologyBuilder(ScenarioSpec(trace=short_trace(),
+                                              protocol="rtp", cca="nada",
+                                              duration=15)).run()
         assert result.frames.count > 150
 
     def test_scream_over_rtp_scenario(self):
-        result = run_scenario(ScenarioConfig(trace=short_trace(),
-                                             protocol="rtp", cca="scream",
-                                             duration=15))
+        result = TopologyBuilder(ScenarioSpec(trace=short_trace(),
+                                              protocol="rtp", cca="scream",
+                                              duration=15)).run()
         assert result.frames.count > 150
 
 
 class TestResultFields:
     def test_cca_rtt_differs_from_network_rtt_under_zhuge(self):
-        trace = make_trace("W1", duration=25, seed=5)
-        result = run_scenario(ScenarioConfig(trace=trace, protocol="rtp",
-                                             ap_mode="zhuge", duration=25))
+        trace = TraceSpec.for_family("W1", duration=25, seed=5)
+        result = TopologyBuilder(ScenarioSpec(trace=trace, protocol="rtp",
+                                              ap_mode="zhuge",
+                                              duration=25)).run()
         flow = result.flows[0]
         assert flow.cca_rtt.count > 0
         assert flow.rtt.count > 0
@@ -78,25 +77,24 @@ class TestResultFields:
         assert flow.cca_rtt.rtts != flow.rtt.rtts
 
     def test_measured_duration(self):
-        config = ScenarioConfig(trace=short_trace(), duration=15,
-                                warmup=5.0)
-        result = run_scenario(config)
+        spec = ScenarioSpec(trace=short_trace(), duration=15,
+                              warmup=5.0)
+        result = TopologyBuilder(spec).run()
         assert result.measured_duration() == 10.0
 
     def test_events_processed_positive(self):
-        result = run_scenario(ScenarioConfig(trace=short_trace(),
-                                             duration=15))
+        result = TopologyBuilder(ScenarioSpec(trace=short_trace(),
+                                              duration=15)).run()
         assert result.events_processed > 1000
         assert result.ap_packets > 100
 
 
 class TestZhugeFlowMask:
     def test_mask_limits_optimization(self):
-        from repro.experiments.scenario import _ScenarioBuilder
-        config = ScenarioConfig(trace=short_trace(), protocol="rtp",
-                                ap_mode="zhuge", duration=5, rtc_flows=2,
-                                zhuge_flow_mask=(True, False))
-        builder = _ScenarioBuilder(config)
+        spec = ScenarioSpec(trace=short_trace(), protocol="rtp",
+                              ap_mode="zhuge", duration=5, rtc_flows=2,
+                              zhuge_flow_mask=(True, False))
+        builder = TopologyBuilder(spec)
         flows = [sender.flow for sender, _, _ in builder.video_apps]
         assert builder.zhuge.registered_kind(flows[0]) is not None
         assert builder.zhuge.registered_kind(flows[1]) is None

@@ -25,7 +25,7 @@ import pytest
 from repro.campaign import ScenarioSpec, TraceSpec
 from repro.campaign.summary import ScenarioSummary
 from repro.city.merge import FleetAccumulator
-from repro.experiments.scenario import run_scenario
+from repro.topology.builder import TopologyBuilder
 
 SUMMARY_BYTES_PER_RTT_SAMPLE = 45
 FLEET_BYTES_PER_SAMPLE = 12
@@ -50,8 +50,8 @@ def _headline_summary() -> ScenarioSummary:
                                                    seed=3),
                         duration=8.0, seed=1, warmup=2.0, ap_mode="zhuge",
                         protocol="rtp", cca="gcc", rtc_flows=2)
-    # The builder lives inside run_scenario; the result dies here.
-    return ScenarioSummary.from_result(run_scenario(spec.to_config()), spec)
+    # The builder dies with this expression; the result dies here.
+    return ScenarioSummary.from_result(TopologyBuilder(spec).run(), spec)
 
 
 def test_summary_retains_packed_series(traced):

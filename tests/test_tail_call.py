@@ -168,7 +168,7 @@ def _headline_run(monkeypatch):
                                                    seed=1),
                         protocol="rtp", cca="gcc", ap_mode="zhuge",
                         queue_kind="fifo", duration=2.0, warmup=0.5)
-    builder = TopologyBuilder(spec.to_config())
+    builder = TopologyBuilder(spec)
     builder.run()
     return builder, created
 

@@ -2,11 +2,12 @@
 
 Covers the pure-data spec (validation, serialization round trips,
 content-hash compatibility with pre-topology specs), the builder
-(single-AP adapter bit-identity, genuine 2-AP contention, inter-AP
+(single-AP chain bit-identity, genuine 2-AP contention, inter-AP
 roaming with release-time monotonicity), and the campaign triangle
 (serial == pool == cache) for an explicit multi-AP spec.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -16,13 +17,11 @@ from hypothesis import strategies as st
 
 from repro.campaign import (ResultCache, ScenarioSpec, TraceSpec,
                             execute_spec, run_campaign, run_specs)
-from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.faults.spec import FaultPlan, FaultSpec
 from repro.topology.builder import TopologyBuilder
 from repro.topology.spec import (EdgeSpec, FlowSpec, NodeSpec, TopologySpec,
                                  first_mile_topology, interference_topology,
                                  roaming_topology, single_ap_topology)
-from repro.traces.synthetic import make_trace
 
 GOLDEN_PATH = "tests/data/golden_summaries.json"
 
@@ -113,11 +112,11 @@ class TestPresets:
         assert topo.edge("b-down").trace is not None
 
     def test_single_ap_mirrors_config(self):
-        config = ScenarioConfig(trace=None, ap_mode="zhuge",
-                                queue_kind="codel", competitors=2,
-                                interferers=3, rtc_flows=2,
-                                zhuge_flow_mask=(True, False))
-        topo = single_ap_topology(config)
+        spec = ScenarioSpec(trace=TraceSpec.constant(1e6, 1.0),
+                            ap_mode="zhuge", queue_kind="codel",
+                            competitors=2, interferers=3, rtc_flows=2,
+                            zhuge_flow_mask=(True, False))
+        topo = single_ap_topology(spec)
         assert [n.name for n in topo.nodes] == ["server", "ap", "client"]
         assert [e.name for e in topo.edges] == ["wan-down", "down", "up",
                                                 "wan-up"]
@@ -260,7 +259,7 @@ class TestHashCompat:
 
 
 # ---------------------------------------------------------------------------
-# Builder: single-AP adapter bit-identity
+# Builder: single-AP chain bit-identity
 # ---------------------------------------------------------------------------
 
 
@@ -278,18 +277,16 @@ class TestGoldenSummaries:
             f"summary drifted for {name}"
 
     def test_explicit_canonical_topology_is_equivalent(self):
-        """Pinning topology=single_ap_topology(config) changes nothing
+        """Pinning topology=single_ap_topology(spec) changes nothing
         but the hash."""
-        trace = make_trace("W2", duration=8, seed=5)
-        implicit = ScenarioConfig(trace=trace, ap_mode="zhuge",
-                                  queue_kind="fq_codel", duration=6.0,
-                                  seed=5, warmup=2.0)
-        explicit = ScenarioConfig(trace=trace, ap_mode="zhuge",
-                                  queue_kind="fq_codel", duration=6.0,
-                                  seed=5, warmup=2.0)
-        explicit.topology = single_ap_topology(explicit)
-        a = run_scenario(implicit)
-        b = run_scenario(explicit)
+        trace = TraceSpec.for_family("W2", duration=8, seed=5)
+        implicit = ScenarioSpec(trace=trace, ap_mode="zhuge",
+                                queue_kind="fq_codel", duration=6.0,
+                                seed=5, warmup=2.0)
+        explicit = dataclasses.replace(
+            implicit, topology=single_ap_topology(implicit))
+        a = TopologyBuilder(implicit).run()
+        b = TopologyBuilder(explicit).run()
         assert a.flows[0].rtt.rtts == b.flows[0].rtt.rtts
         assert a.flows[0].frames.frame_delays \
             == b.flows[0].frames.frame_delays
@@ -303,17 +300,19 @@ class TestGoldenSummaries:
 
 def _scenario(topology, *, duration=6.0, protocol="rtp", cca="gcc",
               faults=None, seed=1):
-    return ScenarioConfig(trace=make_trace("W2", duration=duration + 2,
-                                           seed=seed),
-                          protocol=protocol, cca=cca, duration=duration,
-                          seed=seed, warmup=2.0, faults=faults,
-                          topology=topology)
+    return ScenarioSpec(trace=TraceSpec.for_family(
+                            "W2", duration=duration + 2, seed=seed),
+                        protocol=protocol, cca=cca, duration=duration,
+                        seed=seed, warmup=2.0, faults=faults,
+                        topology=topology)
 
 
 class TestInterferenceTopology:
     def test_neighbouring_ap_traffic_degrades_the_rtc_flow(self):
-        quiet = run_scenario(_scenario(interference_topology(interferers=0)))
-        busy = run_scenario(_scenario(interference_topology(interferers=20)))
+        quiet = TopologyBuilder(
+            _scenario(interference_topology(interferers=0))).run()
+        busy = TopologyBuilder(
+            _scenario(interference_topology(interferers=20))).run()
         assert busy.flows[0].rtt.count > 50
         quiet_mean = sum(quiet.flows[0].rtt.rtts) / quiet.flows[0].rtt.count
         busy_mean = sum(busy.flows[0].rtt.rtts) / busy.flows[0].rtt.count
@@ -328,9 +327,9 @@ class TestInterferenceTopology:
             assert fr.receiver.packets_received > 0
 
     def test_deterministic(self):
-        config = _scenario(interference_topology(interferers=5))
-        a = run_scenario(config)
-        b = run_scenario(config)
+        spec = _scenario(interference_topology(interferers=5))
+        a = TopologyBuilder(spec).run()
+        b = TopologyBuilder(spec).run()
         assert a.flows[0].rtt.rtts == b.flows[0].rtt.rtts
 
 
@@ -338,9 +337,9 @@ class TestRoaming:
     ROAM = FaultPlan.parse("roam@3+0.4/client:ap-b")
 
     def _run_builder(self):
-        config = _scenario(roaming_topology(), duration=8.0,
+        spec = _scenario(roaming_topology(), duration=8.0,
                            protocol="tcp", cca="copa", faults=self.ROAM)
-        builder = TopologyBuilder(config)
+        builder = TopologyBuilder(spec)
         result = builder.run()
         return builder, result
 
@@ -362,16 +361,16 @@ class TestRoaming:
     def test_release_floor_carries_across_aps(self):
         """Release-time monotonicity: AP-B's updater must never release
         feedback earlier than AP-A already did."""
-        config = _scenario(roaming_topology(), duration=8.0,
+        spec = _scenario(roaming_topology(), duration=8.0,
                            protocol="tcp", cca="copa", faults=self.ROAM)
-        builder = TopologyBuilder(config)
+        builder = TopologyBuilder(spec)
         fr = builder._rtc[0]
         zhuge_a = builder.aps["ap-a"].zhuge
         zhuge_b = builder.aps["ap-b"].zhuge
         builder.sim.run(until=3.35)  # mid-roam: detached from AP-A
         floor_a = zhuge_a.release_floor(fr.flow)
         assert floor_a > 0.0
-        builder.sim.run(until=config.duration)
+        builder.sim.run(until=spec.duration)
         assert zhuge_b.registered_kind(fr.flow) is not None
         assert zhuge_b.release_floor(fr.flow) >= floor_a
 
