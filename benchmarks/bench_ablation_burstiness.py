@@ -22,7 +22,8 @@ def run_cases(duration=40.0, seed=1):
                             seed=seed, record_predictions=True,
                             paced_sender=paced)
         result = TopologyBuilder(spec).run()
-        errors = [abs(p - a) for p, a in result.prediction_pairs]
+        errors = [abs(p - a) for p, a in zip(result.predicted,
+                                             result.actual)]
         rows.append(("paced" if paced else "bursty",
                      percentile(errors, 50) if errors else 0.0,
                      percentile(errors, 90) if errors else 0.0,

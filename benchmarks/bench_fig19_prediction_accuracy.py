@@ -6,9 +6,9 @@ is high (>64 ms) the real delay is also high — high enough to trigger
 the sender anyway.
 """
 
-from repro.experiments.drivers.accuracy import (_BINS,
-                                                fig19_prediction_accuracy)
+from repro.experiments.drivers.accuracy import fig19_prediction_accuracy
 from repro.experiments.drivers.format import format_table, ms
+from repro.obs.audit import BINS
 
 
 def test_fig19_prediction_accuracy(once):
@@ -24,8 +24,8 @@ def test_fig19_prediction_accuracy(once):
 
     # Heatmap for the first trace (Fig. 19b).
     heat = results[0].heatmap
-    bins = len(_BINS)
-    header = ["pred\\real"] + [ms(edge) for edge in _BINS]
+    bins = len(BINS)
+    header = ["pred\\real"] + [ms(edge) for edge in BINS]
     lines = []
     for pred_bin in range(bins):
         row_total = sum(heat.get((pred_bin, rb), 0) for rb in range(bins))
@@ -33,7 +33,7 @@ def test_fig19_prediction_accuracy(once):
         for real_bin in range(bins):
             count = heat.get((pred_bin, real_bin), 0)
             cells.append(f"{count / row_total:.2f}" if row_total else "-")
-        lines.append([ms(_BINS[pred_bin])] + cells)
+        lines.append([ms(BINS[pred_bin])] + cells)
     print()
     print(format_table("Fig. 19b — predicted vs real delay "
                        f"(rows normalized), trace {results[0].trace}",

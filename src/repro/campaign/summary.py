@@ -5,7 +5,7 @@ recorders and trace session and is meant to stay inside the worker
 process. :class:`ScenarioSummary` keeps
 exactly what every figure driver and the CLI read: the warmup-filtered
 per-flow sample series (network RTT, CCA-perceived RTT, frame delays),
-goodput/bitrate scalars, and the prediction pairs when recorded. It
+goodput/bitrate scalars, and the prediction columns when recorded. It
 round-trips through JSON bit-exactly, so a summary recomputed in a
 subprocess or replayed from the cache is indistinguishable from one
 computed in-process.
@@ -29,6 +29,14 @@ _SERIES = ("rtt_times", "rtt_values", "cca_rtt_times", "cca_rtt_values",
            "frame_times", "frame_delays")
 
 
+def _pack(summary, names) -> None:
+    """Coerce the float sequences ``names`` of ``summary`` to columns."""
+    for name in names:
+        series = getattr(summary, name)
+        if not (isinstance(series, array) and series.typecode == "d"):
+            setattr(summary, name, array("d", series))
+
+
 @dataclass
 class FlowSummary:
     """One RTC flow's summary series (all post-warmup).
@@ -47,10 +55,7 @@ class FlowSummary:
     mean_bitrate_bps: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in _SERIES:
-            series = getattr(self, name)
-            if not (isinstance(series, array) and series.typecode == "d"):
-                setattr(self, name, array("d", series))
+        _pack(self, _SERIES)
 
     @classmethod
     def from_flow(cls, flow) -> "FlowSummary":
@@ -101,7 +106,10 @@ class ScenarioSummary:
     #: ``events_processed`` which depends on how dispatches are fused.
     packets_processed: int = 0
     ap_packets: int = 0
-    prediction_pairs: list[tuple[float, float]] = field(default_factory=list)
+    #: Joined (predicted, actual) delays, equal length; ``prediction_pairs``
+    #: at the JSON edge. Empty unless the spec records predictions.
+    predicted: array = field(default_factory=column)
+    actual: array = field(default_factory=column)
     #: (time, kind, phase) executed fault phases; empty without faults.
     fault_log: list[tuple] = field(default_factory=list)
     #: (time, state, reason) AP watchdog transitions; empty without one.
@@ -112,6 +120,11 @@ class ScenarioSummary:
     #: (time, client, old_ap, new_ap) completed steering moves.
     steering_moves: list[tuple] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        _pack(self, ("predicted", "actual"))
+        if len(self.predicted) != len(self.actual):
+            raise ValueError("predicted and actual differ in length")
+
     @classmethod
     def from_result(cls, result, spec: ScenarioSpec) -> "ScenarioSummary":
         """Condense a worker-local :class:`ScenarioResult`."""
@@ -120,8 +133,8 @@ class ScenarioSummary:
                    events_processed=result.events_processed,
                    packets_processed=getattr(result, "packets_processed", 0),
                    ap_packets=result.ap_packets,
-                   prediction_pairs=[tuple(p)
-                                     for p in result.prediction_pairs],
+                   predicted=result.predicted,
+                   actual=result.actual,
                    fault_log=[tuple(entry) for entry in result.fault_log],
                    watchdog_transitions=[tuple(entry) for entry
                                          in result.watchdog_transitions],
@@ -171,8 +184,8 @@ class ScenarioSummary:
                    "events_processed": self.events_processed,
                    "packets_processed": self.packets_processed,
                    "ap_packets": self.ap_packets,
-                   "prediction_pairs": [list(p)
-                                        for p in self.prediction_pairs]}
+                   "prediction_pairs": [
+                       [p, a] for p, a in zip(self.predicted, self.actual)]}
         # Emitted only when non-empty: un-faulted summaries stay
         # byte-identical to pre-fault-layer ones.
         if self.fault_log:
@@ -190,14 +203,15 @@ class ScenarioSummary:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ScenarioSummary":
+        pairs = payload["prediction_pairs"]  # a malformed pair cannot unpack
         return cls(spec=ScenarioSpec.from_dict(payload["spec"]),
                    flows=[FlowSummary.from_dict(f)
                           for f in payload["flows"]],
                    events_processed=payload["events_processed"],
                    packets_processed=payload.get("packets_processed", 0),
                    ap_packets=payload["ap_packets"],
-                   prediction_pairs=[tuple(p) for p in
-                                     payload["prediction_pairs"]],
+                   predicted=[p for p, _ in pairs],
+                   actual=[a for _, a in pairs],
                    fault_log=[tuple(entry) for entry
                               in payload.get("fault_log", [])],
                    watchdog_transitions=[

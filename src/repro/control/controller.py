@@ -20,7 +20,7 @@ health     watchdog degraded with evidence (open predictions or joined
            the client vanished). An idle, evidence-free watchdog scores
            0 so an unused AP reads GREEN.
 accuracy   P95 of the watchdog's windowed |predicted - actual| errors
-           (the :class:`~repro.obs.audit.PredictionAuditor` join):
+           (pairs of the AP's :mod:`~repro.core.prediction_join`):
            above ``p95_soft_red`` -> 2, above ``p95_yellow`` -> 1.
            Needs ``min_error_samples`` joins to vote.
 queue      downlink occupancy: above ``queue_soft_red`` -> 2, above
@@ -82,15 +82,15 @@ class ZhugeController:
         self.watchdog.on_promote = None
         zhuge.apply_policy(self.config.policy_for(GREEN))
         # Queue drops (tail overflow, the SOFT_RED/RED clamp's head
-        # trim) leave unfalsifiable open predictions in the watchdog;
-        # unregister them so a deliberate shed never reads as "the
-        # client vanished". Subscribed here, not in the AP, so
-        # controller-less scenarios keep their exact PR 4 semantics.
+        # trim) leave unfalsifiable open predictions in the AP's join;
+        # drop them so a deliberate shed never reads as "the client
+        # vanished". Subscribed here, not in the AP, so controller-less
+        # runs keep their pinned trajectories (drops stay open there).
         self._drop_hook = None
         queue = getattr(zhuge, "downlink_queue", None)
         if queue is not None:
-            self._drop_hook = (
-                lambda packet, reason: self.watchdog.note_drop(packet.pkt_id))
+            join = self.watchdog.join
+            self._drop_hook = lambda packet, reason: join.drop(packet.pkt_id)
             queue.on_drop.append(self._drop_hook)
         self._timer = Timer(sim, self.config.check_interval, self._check)
 
@@ -103,7 +103,7 @@ class ZhugeController:
         # Degraded with no open predictions and no joined errors means
         # "no traffic since the last reset" — an idle AP, not a sick
         # one. Abstain so steering can still route back to it.
-        if dog.open_prediction_count == 0 and not dog.recent_errors():
+        if len(dog.join) == 0 and not dog.recent_errors():
             return 0
         # Stale on an *unimpaired* link is the give-up signal:
         # deliveries stopped for no reason the controller can see (the

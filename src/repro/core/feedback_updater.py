@@ -131,9 +131,7 @@ class OutOfBandFeedbackUpdater:
 
     def on_data_packet(self, packet: Packet) -> float:
         """Predict the packet's fortune; bank the delta. Returns the delta."""
-        teller = self.fortune_teller
-        prediction = (teller.observe_arrival(packet)
-                      if teller.record_predictions else teller.predict())
+        prediction = self.fortune_teller.predict()
         tr = self.trace
         if tr is not None:
             tr.ap_prediction(self._track, packet, prediction)

@@ -32,7 +32,6 @@ from repro.core.sliding_window import (
     DequeueIntervalEstimator,
     SlidingWindowRate,
 )
-from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue
 from repro.sim.engine import Simulator
 
@@ -50,21 +49,11 @@ class DelayPrediction:
         return self.q_long + self.q_short + self.tx
 
 
-@dataclass
-class PredictionRecord:
-    """Predicted vs (later) actual delay, for the Fig. 19 accuracy study."""
-
-    pkt_id: int
-    predicted: float
-    arrival_time: float
-    actual: Optional[float] = None
-
-
 class FortuneTeller:
     """Per-packet delay predictor attached to one queue.
 
-    Call :meth:`observe_arrival` when a downlink packet of the target
-    flow arrives at the AP (before it is enqueued is fine — qSize is read
+    Call :meth:`predict` when a downlink packet of the target flow
+    arrives at the AP (before it is enqueued is fine — qSize is read
     from the queue at call time).  The constructor subscribes the teller
     to ``queue.on_departure``, so the estimators see the dequeue stream.
     """
@@ -72,7 +61,6 @@ class FortuneTeller:
     def __init__(self, sim: Simulator, queue: DropTailQueue,
                  window: float = DEFAULT_WINDOW,
                  burst_correction: bool = True,
-                 record_predictions: bool = False,
                  flow=None,
                  min_estimation_interval: float = 0.0):
         self.sim = sim
@@ -95,7 +83,6 @@ class FortuneTeller:
         self.tx_rate_long = SlidingWindowRate(window * 10)
         self.dequeue_intervals = DequeueIntervalEstimator(window)
         self.burst_tracker = BurstSizeTracker()
-        self.record_predictions = record_predictions
         # §7.6 CPU optimization: with a positive interval, predictions
         # within ``min_estimation_interval`` of the previous one reuse it
         # instead of recomputing ("Zhuge could selectively update the
@@ -104,7 +91,6 @@ class FortuneTeller:
         self._cached_prediction: Optional[DelayPrediction] = None
         self._cached_at = -1.0
         self.cache_hits = 0
-        self.records: dict[int, PredictionRecord] = {}
         self.predictions_made = 0
         queue.on_departure.append(self.observe_departure if flow is None
                                   else self._observe_flow_departure)
@@ -177,42 +163,19 @@ class FortuneTeller:
         self._cached_at = now
         return prediction
 
-    def observe_arrival(self, packet: Packet) -> DelayPrediction:
-        """Predict a specific arriving packet's fortune (and track it)."""
-        prediction = self.predict()
-        if self.record_predictions:
-            self.records[packet.pkt_id] = PredictionRecord(
-                packet.pkt_id, prediction.total, self.sim._now)
-        return prediction
-
-    def observe_delivery(self, packet: Packet) -> None:
-        """Record the packet's actual delay once it reaches the client."""
-        record = self.records.get(packet.pkt_id)
-        if record is not None:
-            record.actual = self.sim.now - record.arrival_time
-
     @property
     def last_prediction(self) -> Optional[DelayPrediction]:
         """The most recent prediction, or ``None`` before the first."""
         return self._cached_prediction
 
     def reset(self) -> None:
-        """Wipe estimator state (AP restart / client handover).
-
-        The Fig. 19 ``records`` ledger survives — it is an offline
-        accuracy log, not live estimator state.
-        """
+        """Wipe estimator state (AP restart / client handover)."""
         self.tx_rate.reset()
         self.tx_rate_long.reset()
         self.dequeue_intervals.reset()
         self.burst_tracker.reset()
         self._cached_prediction = None
         self._cached_at = -1.0
-
-    def accuracy_pairs(self) -> list[tuple[float, float]]:
-        """(predicted, actual) pairs for delivered packets (Fig. 19)."""
-        return [(r.predicted, r.actual) for r in self.records.values()
-                if r.actual is not None]
 
 
 class NaiveQueueEstimator:

@@ -68,9 +68,7 @@ class InBandFeedbackUpdater:
         self._track = track
 
     def on_data_packet(self, packet: Packet) -> None:
-        teller = self.fortune_teller
-        prediction = (teller.observe_arrival(packet)
-                      if teller.record_predictions else teller.predict())
+        prediction = self.fortune_teller.predict()
         if self.trace is not None:
             self.trace.ap_prediction(self._track, packet, prediction)
         twcc_seq = packet.headers.get("twcc_seq")

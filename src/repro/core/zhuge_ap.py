@@ -23,6 +23,7 @@ from repro.core.feedback_updater import (FeedbackKind,
                                          OutOfBandFeedbackUpdater)
 from repro.core.fortune_teller import FortuneTeller
 from repro.core.inband import InBandFeedbackUpdater
+from repro.core.prediction_join import PredictionJoin
 from repro.net.packet import FiveTuple, Packet
 from repro.net.queue import DropTailQueue
 from repro.sim.engine import Simulator
@@ -36,22 +37,18 @@ class ZhugeAP:
 
     def __init__(self, sim: Simulator, downlink_queue: DropTailQueue,
                  rng: Optional[DeterministicRandom] = None,
-                 window: float = 0.040,
-                 record_predictions: bool = False):
+                 window: float = 0.040):
         self.sim = sim
         self.downlink_queue = downlink_queue
         self.rng = rng or DeterministicRandom(0)
         self.window = window
-        self.record_predictions = record_predictions
 
         # One shared Fortune Teller when every flow shares the queue.
         # Flow-isolating disciplines (fq_codel) instead get a per-flow
         # teller at registration (§4.1): the flow's delay depends on its
         # own sub-queue and its own service share, not the aggregate.
         self._flow_isolating = hasattr(downlink_queue, "flow_queue")
-        self.fortune_teller = FortuneTeller(
-            sim, downlink_queue, window=window,
-            record_predictions=record_predictions)
+        self.fortune_teller = FortuneTeller(sim, downlink_queue, window=window)
         self._flow_tellers: dict[FiveTuple, FortuneTeller] = {}
 
         self.forward_downlink: Optional[ForwardCallback] = None
@@ -72,6 +69,9 @@ class ZhugeAP:
         self._downlink_updaters: dict[FiveTuple, object] = {}
         self._uplink_updaters: dict[FiveTuple, object] = {}
         self.packets_processed = 0
+        #: Prediction–truth join (:mod:`repro.core.prediction_join`);
+        #: ``None`` until :meth:`join_predictions`.
+        self.predictions: Optional[PredictionJoin] = None
         #: Estimator-health watchdog (:mod:`repro.faults.watchdog`);
         #: ``None`` until :meth:`enable_watchdog`, in which case the AP
         #: never degrades and behaves exactly as before.
@@ -137,6 +137,15 @@ class ZhugeAP:
         if self.watchdog is not None:
             self.watchdog.enable_trace(bus)
 
+    def join_predictions(self, record: bool = False) -> PredictionJoin:
+        """The AP's prediction join, created on first subscription;
+        ``record`` keeps every joined pair (Fig. 19, the trace auditor)."""
+        if self.predictions is None:
+            self.predictions = PredictionJoin(self.sim)
+        if record:
+            self.predictions.record = True
+        return self.predictions
+
     # -- graceful degradation (repro.faults) ---------------------------------
 
     def enable_watchdog(self, config=None) -> None:
@@ -147,7 +156,7 @@ class ZhugeAP:
         """
         from repro.faults.watchdog import EstimatorHealthWatchdog
         self.watchdog = EstimatorHealthWatchdog(
-            self.sim, config,
+            self.sim, self.join_predictions(), config,
             on_demote=self._on_watchdog_demote,
             on_promote=self._on_watchdog_promote)
         if self.trace is not None:
@@ -248,10 +257,11 @@ class ZhugeAP:
     def reset_state(self) -> None:
         """Simulate an AP restart / client handover: wipe learned state.
 
-        Estimator windows, token banks, and delta ledgers are forgotten;
-        output-ordering clamps survive (release times stay monotone).
-        The watchdog, if attached, demotes immediately — post-reset
-        predictions are garbage until the windows refill.
+        Estimator windows, token banks, delta ledgers and open
+        predictions are forgotten; output-ordering clamps survive
+        (release times stay monotone). The watchdog, if attached,
+        demotes immediately — post-reset predictions are garbage until
+        the windows refill.
         """
         self.resets += 1
         self.fortune_teller.reset()
@@ -261,6 +271,8 @@ class ZhugeAP:
             updater.reset_state()
         for updater in self._inband.values():
             updater.reset_state()
+        if self.predictions is not None:
+            self.predictions.reset()
         if self.watchdog is not None:
             self.watchdog.notify_reset()
 
@@ -272,8 +284,7 @@ class ZhugeAP:
             return self.fortune_teller
         if flow not in self._flow_tellers:
             self._flow_tellers[flow] = FortuneTeller(
-                self.sim, self.downlink_queue, window=self.window,
-                record_predictions=self.record_predictions, flow=flow)
+                self.sim, self.downlink_queue, window=self.window, flow=flow)
         return self._flow_tellers[flow]
 
     def registered_kind(self, flow: FiveTuple) -> Optional[FeedbackKind]:
@@ -314,11 +325,10 @@ class ZhugeAP:
         updater = self._downlink_updaters.get(packet.flow)
         if updater is not None:
             updater.on_data_packet(packet)
-            if self.watchdog is not None:
-                prediction = updater.fortune_teller.last_prediction
-                if prediction is not None:
-                    self.watchdog.note_prediction(packet.pkt_id,
-                                                  prediction.total)
+            if self.predictions is not None:
+                self.predictions.note(
+                    packet.pkt_id,
+                    updater.fortune_teller.last_prediction.total)
         if self.forward_downlink is not None:
             self.forward_downlink(packet)
 
@@ -340,14 +350,9 @@ class ZhugeAP:
                 out(packet)
 
     def on_wireless_delivery(self, packet: Packet) -> None:
-        """The wireless hop delivered a packet (accuracy bookkeeping)."""
-        if self.watchdog is not None:
-            self.watchdog.note_delivery(packet.pkt_id)
-        if self.record_predictions:
-            self.fortune_teller.observe_delivery(packet)
-            teller = self._flow_tellers.get(packet.flow)
-            if teller is not None:
-                teller.observe_delivery(packet)
+        """The wireless hop delivered a packet: join its prediction."""
+        if self.predictions is not None:
+            self.predictions.deliver(packet.pkt_id)
 
     def hotpath_stats(self):
         """Per-component hot-path counter snapshots (plus a total).

@@ -7,9 +7,9 @@ the queue has built.
 Fig. 19 is the accuracy study: per-packet predicted vs actual delay,
 as an error distribution per trace plus a predicted-vs-real heatmap.
 Its statistics are computed by the :mod:`repro.obs` prediction auditor
-(:class:`~repro.obs.audit.PredictionAuditor`), fed offline from the
-recorded ``(predicted, actual)`` pairs — the same numbers a live
-traced run reports.
+(:class:`~repro.obs.audit.PredictionAuditor`) over the run's recorded
+``predicted`` / ``actual`` columns — the same pairs, and so the same
+numbers, a traced run's auditor reports.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.campaign.spec import ScenarioSpec, TraceSpec
 from repro.core.fortune_teller import FortuneTeller
 from repro.net.packet import FiveTuple, Packet
 from repro.net.queue import DropTailQueue
-from repro.obs.audit import BINS, PredictionAuditor, bin_index
+from repro.obs.audit import PredictionAuditor
 from repro.sim.engine import Simulator
 from repro.topology.builder import TopologyBuilder
 from repro.traces.trace import BandwidthTrace
@@ -94,11 +94,6 @@ class AccuracyResult:
     pairs: int
 
 
-#: Kept as aliases — the bin layout now lives with the auditor.
-_BINS = BINS
-_bin_index = bin_index
-
-
 def fig19_prediction_accuracy(traces=("W1", "W2", "C1", "C2"),
                               duration: float = 40.0,
                               seed: int = 1) -> list[AccuracyResult]:
@@ -112,7 +107,7 @@ def fig19_prediction_accuracy(traces=("W1", "W2", "C1", "C2"),
             record_predictions=True)
         result = TopologyBuilder(spec).run()
         report = PredictionAuditor.from_pairs(
-            result.prediction_pairs).report(cdf_resolution=30)
+            zip(result.predicted, result.actual)).report(cdf_resolution=30)
         results.append(AccuracyResult(
             trace=trace_name,
             error_cdf=report.error_cdf,

@@ -64,7 +64,7 @@ class LocalFortuneLoop:
         self._timer = Timer(sim, interval, self._tick)
 
     def on_packet_sent(self, packet: Packet) -> None:
-        prediction = self.fortune_teller.observe_arrival(packet)
+        prediction = self.fortune_teller.predict()
         self._pending.append((packet.headers["twcc_seq"], self.sim.now,
                               packet.size, self.sim.now + prediction.total))
 

@@ -4,10 +4,10 @@ The Zhuge AP is only safe to keep in the loop while its Fortune-Teller
 predictions track reality. After a blackout, estimator reset, or roam,
 the prediction error spikes (or deliveries stop arriving at all) and a
 mis-timed ACK does active harm — the sender reacts to a congestion
-signal describing a link that no longer exists. The watchdog joins the
-AP's per-packet predictions against actual wireless deliveries (the
-same join the offline :class:`~repro.obs.audit.PredictionAuditor`
-performs), and drives a two-state machine with hysteresis:
+signal describing a link that no longer exists. The watchdog reads the
+AP's :class:`~repro.core.prediction_join.PredictionJoin` (predictions
+against wireless deliveries) and drives a two-state machine with
+hysteresis:
 
 .. code-block:: text
 
@@ -30,9 +30,10 @@ delaying ACKs, stop synthesizing TWCC) is the AP's ``on_demote`` /
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Callable, Optional
 
+from repro.core.prediction_join import PredictionJoin
 from repro.core.sliding_window import ExactFloatSum
 from repro.faults.spec import WatchdogConfig
 from repro.sim.engine import Simulator, Timer
@@ -40,16 +41,12 @@ from repro.sim.engine import Simulator, Timer
 STATE_HEALTHY = "healthy"
 STATE_DEGRADED = "degraded"
 
-#: Open-prediction table cap: beyond this the oldest entries are
-#: evicted. During a blackout nothing is delivered, so the table would
-#: otherwise grow with every downlink packet the sender keeps pushing.
-MAX_OPEN_PREDICTIONS = 4096
-
 
 class EstimatorHealthWatchdog:
-    """Periodic health checker over the AP's prediction stream."""
+    """Periodic health checker over the AP's prediction ``join``."""
 
-    def __init__(self, sim: Simulator, config: Optional[WatchdogConfig] = None,
+    def __init__(self, sim: Simulator, join: PredictionJoin,
+                 config: Optional[WatchdogConfig] = None,
                  on_demote: Optional[Callable[[str], None]] = None,
                  on_promote: Optional[Callable[[str], None]] = None):
         self.sim = sim
@@ -59,57 +56,32 @@ class EstimatorHealthWatchdog:
         self.state = STATE_HEALTHY
         #: (time, new_state, reason) for every transition, in order.
         self.transitions: list[tuple[float, str, str]] = []
-        self._open: OrderedDict[int, tuple[float, float]] = OrderedDict()
+        self.join = join
+        join.on_pair = self.note_delivery
         self._errors: deque[tuple[float, float]] = deque()
         self._error_sum = ExactFloatSum()
         self._unhealthy_since: Optional[float] = None
         self._healthy_since: Optional[float] = None
-        self.evicted = 0
         self.trace = None
         self._track = "ap/watchdog"
         self._timer = Timer(sim, self.config.check_interval, self._check)
 
     # -- observation feed ----------------------------------------------------
 
-    def note_prediction(self, pkt_id: int, predicted_delay: float) -> None:
-        """The AP predicted ``predicted_delay`` for packet ``pkt_id``."""
-        if pkt_id in self._open:
-            del self._open[pkt_id]
-        elif len(self._open) >= MAX_OPEN_PREDICTIONS:
-            self._open.popitem(last=False)
-            self.evicted += 1
-        self._open[pkt_id] = (self.sim.now, predicted_delay)
-
-    def note_delivery(self, pkt_id: int) -> None:
-        """Packet ``pkt_id`` made it over the air; join with prediction."""
-        entry = self._open.pop(pkt_id, None)
-        if entry is None:
-            return
-        noted_at, predicted = entry
+    def note_delivery(self, predicted: float, actual: float) -> None:
+        """One joined pair (the join's ``on_pair``): window its error."""
         now = self.sim.now
-        error = abs((now - noted_at) - predicted)
+        error = abs(actual - predicted)
         self._errors.append((now, error))
         self._error_sum.add(error)
         self._expire_errors(now)
 
-    def note_drop(self, pkt_id: int) -> None:
-        """Packet ``pkt_id`` was dropped before the air: forget it.
-
-        A prediction whose packet never flies is unfalsifiable — it can
-        neither join nor legitimately age into staleness. Left in the
-        open table it would read as "deliveries stopped" long after a
-        queue flush, so callers that drop packets deliberately (the
-        control layer's queue clamp) unregister them here.
-        """
-        self._open.pop(pkt_id, None)
-
     def notify_reset(self) -> None:
         """The estimators were just wiped — demote immediately.
 
-        A reset invalidates both the open-prediction table (predictions
-        made by the dead estimator state) and the joined error history.
+        A reset invalidates the joined error history; the AP clears the
+        join's open predictions (made by the dead estimator state).
         """
-        self._open.clear()
         self._errors.clear()
         self._error_sum.reset()
         self._unhealthy_since = None
@@ -136,11 +108,6 @@ class EstimatorHealthWatchdog:
         return tuple(error for _, error in self._errors)
 
     @property
-    def open_prediction_count(self) -> int:
-        """Predictions awaiting a delivery join (idle APs hold none)."""
-        return len(self._open)
-
-    @property
     def stale(self) -> bool:
         """True when deliveries have stopped joining predictions.
 
@@ -148,7 +115,9 @@ class EstimatorHealthWatchdog:
         than inaccuracy: the estimators are not merely off, they are
         describing a link that no longer delivers at all.
         """
-        return self._is_stale(self.sim.now)
+        oldest = self.join.oldest_noted_at
+        return (oldest is not None
+                and self.sim.now - oldest > self.config.stale_after)
 
     def _expire_errors(self, now: float) -> None:
         horizon = now - self.config.health_window
@@ -158,17 +127,11 @@ class EstimatorHealthWatchdog:
         if not self._errors:
             self._error_sum.reset()
 
-    def _is_stale(self, now: float) -> bool:
-        if not self._open:
-            return False
-        oldest_noted_at = next(iter(self._open.values()))[0]
-        return now - oldest_noted_at > self.config.stale_after
-
     def _check(self) -> None:
         now = self.sim.now
         self._expire_errors(now)
         config = self.config
-        stale = self._is_stale(now)
+        stale = self.stale
         fresh = len(self._errors)
         inaccurate = fresh > 0 and self.mean_error > config.error_threshold
         unhealthy = stale or inaccurate

@@ -16,10 +16,9 @@ The observability subsystem has four pieces:
 * :mod:`repro.obs.export` — JSONL and Chrome ``trace_event`` exporters
   (open the latter in Perfetto / ``chrome://tracing``; one track per
   node/queue/flow).
-* :mod:`repro.obs.audit` — the Fortune-Teller prediction auditor: joins
-  each ``totalDelay`` prediction against the packet's measured delivery
-  delay and reports error CDFs and quantiles (the backbone of the
-  Fig. 19 accuracy driver).
+* :mod:`repro.obs.audit` — the Fortune-Teller prediction auditor:
+  reduces the AP's joined ``(predicted, actual)`` delay pairs to error
+  CDFs and quantiles (the backbone of the Fig. 19 accuracy driver).
 """
 
 from repro.obs.audit import AuditReport, PredictionAuditor

@@ -1,26 +1,19 @@
-"""Fortune-Teller prediction auditor.
+"""Fortune-Teller prediction auditor: a reducer over joined pairs.
 
-Joins each ``ap.predict`` event (the Fortune Teller's ``totalDelay``
-for a packet arriving at the AP) against the packet's ``link.deliver``
-event (the wireless hop handing it to the client) and accumulates
-``(predicted, actual)`` pairs, where ``actual`` is the measured
-AP-to-client delay. The resulting :class:`AuditReport` carries the
-per-packet absolute-error CDF, quantiles (p50/p90/p95/p99), and the
-predicted-vs-real heatmap of the paper's Fig. 19 accuracy study.
+The join itself — each packet's ``totalDelay`` forecast at AP arrival
+against its wireless delivery — is the AP's
+:class:`~repro.core.prediction_join.PredictionJoin`.
+:meth:`PredictionAuditor.from_pairs` takes its ``(predicted, actual)``
+pairs, where ``actual`` is the measured AP-to-client delay, and
+:meth:`~PredictionAuditor.report` reduces them to an
+:class:`AuditReport`: the per-packet absolute-error CDF, quantiles
+(p50/p90/p95/p99), and the predicted-vs-real heatmap of the paper's
+Fig. 19 accuracy study.
 
-Two ways in:
-
-* **live** — subscribe the auditor to a :class:`~repro.obs.bus.TraceBus`
-  (it is a plain event callback); requires the ``ap`` and ``link``
-  categories to be enabled;
-* **offline** — :meth:`PredictionAuditor.from_pairs` over pairs
-  recorded elsewhere (e.g. ``FortuneTeller.accuracy_pairs``), which is
-  how :mod:`repro.experiments.drivers.accuracy` computes its summary
-  statistics.
-
-Both paths produce bit-identical reports for identical pairs: the
-live join uses the same timestamps the Fortune Teller's bookkeeping
-uses (AP arrival time and wireless delivery time).
+A traced run with ``audit`` on hands its session the pairs of every
+Zhuge AP at the end of the run, whichever event categories it traced;
+:mod:`repro.experiments.drivers.accuracy` reduces a run's recorded
+pairs the same way.
 """
 
 from __future__ import annotations
@@ -29,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 from repro.metrics.stats import cdf_points, percentile
-from repro.obs.events import TraceEvent
 
 #: Log-spaced delay bin edges (seconds) of the Fig. 19 heatmap.
 BINS = (0.001, 0.004, 0.016, 0.064, 0.256, 10.0)
@@ -73,40 +65,15 @@ class AuditReport:
                 f"{self.mean_abs_error * 1000:.2f} ms"]
 
 
+@dataclass
 class PredictionAuditor:
-    """Accumulates (predicted, actual) delay pairs and summarizes them."""
+    """Holds (predicted, actual) delay pairs and summarizes them."""
 
-    def __init__(self):
-        #: pkt_id -> (prediction time, predicted total delay)
-        self._open: dict[int, tuple[float, float]] = {}
-        self.pairs: list[tuple[float, float]] = []
-        self.unmatched_predictions = 0
+    pairs: list[tuple[float, float]] = field(default_factory=list)
 
     @classmethod
     def from_pairs(cls, pairs) -> "PredictionAuditor":
-        auditor = cls()
-        auditor.pairs = [(float(p), float(a)) for p, a in pairs]
-        return auditor
-
-    # -- live event join -----------------------------------------------------
-
-    def __call__(self, event: TraceEvent) -> None:
-        """TraceBus subscriber: join predictions against deliveries."""
-        if event.category == "ap" and event.name == "predict":
-            self._open[event.args["pkt_id"]] = (event.time,
-                                                event.args["total"])
-        elif event.category == "link" and event.name == "deliver":
-            opened = self._open.pop(event.args["pkt_id"], None)
-            if opened is not None:
-                predicted_at, predicted = opened
-                self.pairs.append((predicted, event.time - predicted_at))
-        elif event.category == "queue" and event.name == "drop":
-            # Dropped packets never deliver; forget their predictions so
-            # the join table stays bounded over long runs.
-            if self._open.pop(event.args["pkt_id"], None) is not None:
-                self.unmatched_predictions += 1
-
-    # -- reporting -----------------------------------------------------------
+        return cls([(float(p), float(a)) for p, a in pairs])
 
     def report(self, cdf_resolution: int = 30) -> AuditReport:
         """Summarize all joined pairs (NaN quantiles when empty)."""

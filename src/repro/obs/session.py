@@ -7,9 +7,9 @@ traced cell never aliases an untraced one in the result cache).
 
 :class:`TraceSession` is the runtime side: it owns the
 :class:`~repro.obs.bus.TraceBus`, the flight recorder, the optional
-in-memory event collection, and the prediction auditor, and knows how
-to export the collected events and to dump the flight-recorder tail
-into a dying exception (the ``dump_on_error`` hook).
+in-memory event collection, and the prediction auditor (over the pairs
+the run hands it), and knows how to export the collected events and to
+dump the flight-recorder tail into a dying exception.
 """
 
 from __future__ import annotations
@@ -33,14 +33,14 @@ class TraceConfig:
     """What to trace and where the artifact goes.
 
     ``events`` selects probe categories (see
-    :data:`repro.obs.events.CATEGORIES`); the auditor needs ``ap`` and
-    ``link`` enabled to join predictions against deliveries.
+    :data:`repro.obs.events.CATEGORIES`). ``audit`` reduces every Zhuge
+    AP's joined prediction pairs, whichever categories are traced.
     """
 
     events: tuple[str, ...] = ("queue", "link", "ap", "cca")
     ring_size: int = 4096       # flight-recorder depth
     collect: bool = True        # keep the full event list in memory
-    audit: bool = True          # run the prediction auditor
+    audit: bool = True          # reduce the joined prediction pairs
     out: Optional[str] = None   # write the trace artifact here after a run
     fmt: str = "chrome"         # "chrome" | "jsonl"
     #: Artifact label for multi-cell runs (e.g. ``shard003`` in a
@@ -98,10 +98,13 @@ class TraceSession:
         self.events: list[TraceEvent] = []
         if config.collect:
             self.bus.subscribe(self.events.append)
+        #: Set by :meth:`audit` at the end of an audited run.
         self.auditor: Optional[PredictionAuditor] = None
-        if config.audit:
-            self.auditor = PredictionAuditor()
-            self.bus.subscribe(self.auditor)
+
+    def audit(self, pairs) -> None:
+        """Reduce the run's joined ``(predicted, actual)`` pairs."""
+        if self.config.audit:
+            self.auditor = PredictionAuditor.from_pairs(pairs)
 
     # -- artifacts -----------------------------------------------------------
 

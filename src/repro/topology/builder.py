@@ -19,6 +19,7 @@ an inter-AP handoff a first-class operation (see :meth:`begin_roam` /
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
@@ -32,7 +33,7 @@ from repro.cca import make_rate_cca, make_window_cca
 from repro.cca.abc import AbcRouter
 from repro.core.feedback_updater import FeedbackKind
 from repro.core.zhuge_ap import ZhugeAP
-from repro.metrics.recorder import FrameRecorder, RttRecorder
+from repro.metrics.recorder import FrameRecorder, RttRecorder, column
 from repro.net.link import WiredLink
 from repro.net.packet import FiveTuple, Packet, PacketKind
 from repro.obs.session import TraceConfig, TraceSession
@@ -75,7 +76,10 @@ class ScenarioResult:
 
     config: "ScenarioSpec"  # noqa: F821 - the spec that ran
     flows: list[FlowResult]
-    prediction_pairs: list[tuple[float, float]] = field(default_factory=list)
+    #: Joined (predicted, actual) delays of every Zhuge AP in node order
+    #: (each in delivery order); empty unless ``record_predictions``.
+    predicted: array = field(default_factory=column)
+    actual: array = field(default_factory=column)
     events_processed: int = 0
     #: Packets delivered by the link layers — identical in both event
     #: models (``events_processed`` is model-dependent telemetry).
@@ -296,8 +300,9 @@ class TopologyBuilder:
                 raise ValueError(
                     f"zhuge AP {node.name!r} needs a wireless downlink edge")
             label = node.seed_label or f"zhuge-{node.name}"
-            ap = ZhugeAP(self.sim, down.queue, rng=self.rng.fork(label),
-                         record_predictions=spec.record_predictions)
+            ap = ZhugeAP(self.sim, down.queue, rng=self.rng.fork(label))
+            if spec.record_predictions:
+                ap.join_predictions(record=True)
             ap.track_name = node.name
             runtime.zhuge = ap
         else:
@@ -790,6 +795,8 @@ class TopologyBuilder:
             ap_rt = self.aps.get(node.name)
             if ap_rt is not None and ap_rt.zhuge is not None:
                 ap_rt.zhuge.enable_trace(bus)
+                if trace_config.audit:
+                    ap_rt.zhuge.join_predictions(record=True)
         for sender, _receiver, _app in self.video_apps:
             cca = getattr(sender, "cca", None)
             if cca is not None and hasattr(cca, "enable_trace"):
@@ -874,12 +881,8 @@ class TopologyBuilder:
                 start=spec.warmup)
             flows.append(result)
 
-        zhuge = self.zhuge
-        pairs = []
-        if zhuge is not None and spec.record_predictions:
-            pairs = zhuge.fortune_teller.accuracy_pairs()
-
         ap_packets = 0
+        predicted, actual = column(), column()
         for node in self.topology.nodes:
             ap_rt = self.aps.get(node.name)
             if ap_rt is None:
@@ -887,16 +890,24 @@ class TopologyBuilder:
             ap_packets += ap_rt.ap.packets_processed
             if ap_rt.zhuge is not None:
                 ap_rt.zhuge.stop()
+                join = ap_rt.zhuge.predictions
+                if join is not None:
+                    predicted.extend(join.predicted)
+                    actual.extend(join.actual)
         for _, _receiver, app in self.video_apps:
             app.stop()
 
         if self.trace_session is not None:
+            self.trace_session.audit(zip(predicted, actual))
             self.trace_session.export()
+        if not spec.record_predictions:
+            predicted, actual = column(), column()
 
         fault_log = []
         if self.fault_injector is not None:
             fault_log = list(self.fault_injector.log)
         watchdog_transitions = []
+        zhuge = self.zhuge
         if zhuge is not None and zhuge.watchdog is not None:
             watchdog_transitions = list(zhuge.watchdog.transitions)
 
@@ -913,7 +924,7 @@ class TopologyBuilder:
             steering_moves = list(self.steering.moves)
 
         return ScenarioResult(config=spec, flows=flows,
-                              prediction_pairs=pairs,
+                              predicted=predicted, actual=actual,
                               events_processed=self.sim.events_processed,
                               packets_processed=self.sim.packets_processed,
                               ap_packets=ap_packets,

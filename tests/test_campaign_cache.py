@@ -18,7 +18,7 @@ def _summary(spec: ScenarioSpec) -> ScenarioSummary:
                        frame_times=[1.5], frame_delays=[0.1],
                        goodput_bps=1e6, mean_bitrate_bps=1.2e6)
     return ScenarioSummary(spec=spec, flows=[flow], events_processed=42,
-                           ap_packets=7, prediction_pairs=[(0.01, 0.02)])
+                           ap_packets=7, predicted=[0.01], actual=[0.02])
 
 
 class TestResultCache:

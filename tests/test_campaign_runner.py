@@ -186,7 +186,7 @@ class _CyclicResult:
     """What a finished cell leaves behind: a graph only the cycle
     collector can free (builder <-> closures <-> links <-> timers)."""
 
-    flows = prediction_pairs = fault_log = ()
+    flows = predicted = actual = fault_log = ()
     watchdog_transitions = control_transitions = steering_moves = ()
     events_processed = ap_packets = 0
 

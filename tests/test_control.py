@@ -28,6 +28,7 @@ from repro.control import (ControllerConfig, ControlPolicy, ControlSpec,
 from repro.control.controller import GREEN
 from repro.control.steering import NEUTRAL_SCORE, SteeringDaemon
 from repro.core.feedback_updater import FeedbackKind
+from repro.core.prediction_join import PredictionJoin
 from repro.core.zhuge_ap import ZhugeAP
 from repro.faults import FaultPlan
 from repro.faults.watchdog import EstimatorHealthWatchdog
@@ -195,7 +196,8 @@ class FakeZhuge:
         self.applied = []
 
     def enable_watchdog(self, config=None):
-        self.watchdog = EstimatorHealthWatchdog(self.sim, config)
+        self.watchdog = EstimatorHealthWatchdog(
+            self.sim, PredictionJoin(self.sim), config)
 
     def apply_policy(self, policy):
         self.policy = policy
@@ -242,7 +244,7 @@ class TestControllerStateMachine:
 
     def test_stale_on_unimpaired_link_goes_red(self, sim):
         zhuge, controller = self._controller(sim)
-        zhuge.watchdog.note_prediction(1, 0.010)  # never delivered
+        zhuge.watchdog.join.note(1, 0.010)  # never delivered
         sim.run(until=2.0)
         assert controller.state == "red"
         assert zhuge.policy.passthrough is True
@@ -256,7 +258,7 @@ class TestControllerStateMachine:
                                channel=SimpleNamespace(fault_scale=1.0))
         controller = ZhugeController(sim, zhuge, ControllerConfig(),
                                      edge=edge)
-        zhuge.watchdog.note_prediction(1, 0.010)  # stale, but link blocked
+        zhuge.watchdog.join.note(1, 0.010)  # stale, but link blocked
         sim.run(until=2.0)
         assert controller.state == "soft_red"
         assert controller.last_votes["health"] == 2
@@ -282,11 +284,11 @@ class TestControllerStateMachine:
 
     def test_queue_drop_unregisters_open_prediction(self, sim):
         zhuge, controller = self._controller(sim)
-        zhuge.watchdog.note_prediction(5, 0.010)
+        zhuge.watchdog.join.note(5, 0.010)
         queue = zhuge.downlink_queue
         queue.enqueue(_pkt(pkt_id=5), now=0.0)
         queue.trim_head(0, "control-trim")
-        assert zhuge.watchdog.open_prediction_count == 0
+        assert len(zhuge.watchdog.join) == 0
 
     def test_stop_detaches_drop_hook(self, sim):
         zhuge, controller = self._controller(sim)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.fortune_teller import FortuneTeller, NaiveQueueEstimator
+from repro.core.prediction_join import PredictionJoin
 from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue
 
@@ -14,7 +15,7 @@ def queue():
 
 @pytest.fixture
 def teller(sim, queue):
-    return FortuneTeller(sim, queue, record_predictions=True)
+    return FortuneTeller(sim, queue)
 
 
 def drive_steady_state(sim, queue, teller, rate_pps=10, packet_size=1200,
@@ -115,25 +116,32 @@ class TestBurstCorrection:
 
 
 class TestAccuracyTracking:
+    """The teller's forecasts joined against deliveries (Fig. 19)."""
+
     def test_records_prediction_and_actual(self, sim, queue, teller, flow):
         drive_steady_state(sim, queue, teller, flow=flow)
+        join = PredictionJoin(sim, record=True)
         packet = Packet(flow, 1200)
-        teller.observe_arrival(packet)
+        prediction = teller.predict()
+        join.note(packet.pkt_id, prediction.total)
         sim.run(until=sim.now + 0.012)
-        teller.observe_delivery(packet)
-        pairs = teller.accuracy_pairs()
-        assert len(pairs) == 1
-        predicted, actual = pairs[0]
-        assert actual == pytest.approx(0.012)
+        join.deliver(packet.pkt_id)
+        assert list(join.predicted) == [prediction.total]
+        assert list(join.actual) == [pytest.approx(0.012)]
 
     def test_undelivered_not_in_pairs(self, sim, queue, teller, flow):
-        teller.observe_arrival(Packet(flow, 1200))
-        assert teller.accuracy_pairs() == []
+        join = PredictionJoin(sim, record=True)
+        join.note(Packet(flow, 1200).pkt_id, teller.predict().total)
+        assert len(join) == 1
+        assert len(join.predicted) == len(join.actual) == 0
 
-    def test_recording_disabled_by_default(self, sim, queue, flow):
-        teller = FortuneTeller(sim, queue)
-        teller.observe_arrival(Packet(flow, 1200))
-        assert teller.records == {}
+    def test_recording_disabled_by_default(self, sim, queue, teller, flow):
+        join = PredictionJoin(sim)
+        packet = Packet(flow, 1200)
+        join.note(packet.pkt_id, teller.predict().total)
+        join.deliver(packet.pkt_id)
+        assert len(join) == 0
+        assert len(join.predicted) == len(join.actual) == 0
 
 
 class TestNaiveEstimator:

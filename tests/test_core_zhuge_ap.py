@@ -124,13 +124,15 @@ class TestPendingDeltaBoundedness:
 
 class TestAccuracyHookup:
     def test_delivery_recorded_when_enabled(self, sim, queue, flow):
-        ap = ZhugeAP(sim, queue, record_predictions=True)
+        ap = ZhugeAP(sim, queue)
+        assert ap.predictions is None  # nothing subscribed yet
+        join = ap.join_predictions(record=True)
         ap.register_flow(flow, FeedbackKind.OUT_OF_BAND)
         ap.forward_downlink = lambda p: None
         packet = Packet(flow, 1200)
         ap.on_downlink(packet)
         sim.run(until=0.010)
         ap.on_wireless_delivery(packet)
-        pairs = ap.fortune_teller.accuracy_pairs()
-        assert len(pairs) == 1
-        assert pairs[0][1] == pytest.approx(0.010)
+        assert list(join.predicted) == [
+            ap.fortune_teller.last_prediction.total]
+        assert list(join.actual) == [pytest.approx(0.010)]

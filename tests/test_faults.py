@@ -30,6 +30,7 @@ from repro.campaign import ResultCache, ScenarioSpec, TraceSpec, run_specs
 from repro.campaign.summary import ScenarioSummary
 from repro.core.feedback_updater import OutOfBandFeedbackUpdater
 from repro.core.fortune_teller import FortuneTeller
+from repro.core.prediction_join import PredictionJoin
 from repro.core.sliding_window import TokenBank
 from repro.faults import (STATE_DEGRADED, STATE_HEALTHY,
                           EstimatorHealthWatchdog, FaultPlan, FaultSpec,
@@ -37,6 +38,7 @@ from repro.faults import (STATE_DEGRADED, STATE_HEALTHY,
 from repro.net.queue import DropTailQueue
 from repro.sim.engine import Simulator
 from repro.sim.random import DeterministicRandom
+from repro.topology.builder import TopologyBuilder
 
 
 class TestFaultSpec:
@@ -141,8 +143,8 @@ class TestWatchdog:
     def test_demotes_on_stale_within_bound(self):
         sim = Simulator()
         config = WatchdogConfig()
-        dog = EstimatorHealthWatchdog(sim, config)
-        dog.note_prediction(1, 0.010)  # never delivered
+        dog = EstimatorHealthWatchdog(sim, PredictionJoin(sim), config)
+        dog.join.note(1, 0.010)  # never delivered
         sim.run(until=2.0)
         assert dog.state == STATE_DEGRADED
         when, state, reason = dog.transitions[0]
@@ -152,13 +154,14 @@ class TestWatchdog:
 
     def test_demotes_on_inaccurate(self):
         sim = Simulator()
-        dog = EstimatorHealthWatchdog(sim, WatchdogConfig())
+        dog = EstimatorHealthWatchdog(sim, PredictionJoin(sim),
+                                      WatchdogConfig())
         ids = iter(range(10_000))
 
         def feed():
             pkt = next(ids)
-            dog.note_prediction(pkt, 1.0)  # reality: instant delivery
-            dog.note_delivery(pkt)
+            dog.join.note(pkt, 1.0)  # reality: instant delivery
+            dog.join.deliver(pkt)
             sim.schedule(0.02, feed)
 
         sim.schedule(0.0, feed)
@@ -169,19 +172,20 @@ class TestWatchdog:
     def test_brief_staleness_does_not_demote(self):
         sim = Simulator()
         config = WatchdogConfig()
-        dog = EstimatorHealthWatchdog(sim, config)
+        dog = EstimatorHealthWatchdog(sim, PredictionJoin(sim), config)
         # Delivered (accurately) just after the stale threshold but
         # before the demote delay elapses: hysteresis holds.
         delivery_at = config.stale_after + 0.15
-        dog.note_prediction(1, delivery_at)
-        sim.schedule(delivery_at, lambda: dog.note_delivery(1))
+        dog.join.note(1, delivery_at)
+        sim.schedule(delivery_at, lambda: dog.join.deliver(1))
         sim.run(until=2.0)
         assert dog.state == STATE_HEALTHY
         assert dog.transitions == []
 
     def test_reset_demotes_immediately(self):
         sim = Simulator()
-        dog = EstimatorHealthWatchdog(sim, WatchdogConfig())
+        dog = EstimatorHealthWatchdog(sim, PredictionJoin(sim),
+                                      WatchdogConfig())
         dog.notify_reset()
         assert dog.state == STATE_DEGRADED
         assert dog.transitions[0][2] == "reset"
@@ -189,14 +193,14 @@ class TestWatchdog:
     def test_promotes_after_sustained_health(self):
         sim = Simulator()
         config = WatchdogConfig()
-        dog = EstimatorHealthWatchdog(sim, config)
+        dog = EstimatorHealthWatchdog(sim, PredictionJoin(sim), config)
         dog.notify_reset()
         ids = iter(range(10_000))
 
         def feed():
             pkt = next(ids)
-            dog.note_prediction(pkt, 0.0)  # perfectly accurate joins
-            dog.note_delivery(pkt)
+            dog.join.note(pkt, 0.0)  # perfectly accurate joins
+            dog.join.deliver(pkt)
             sim.schedule(0.02, feed)
 
         sim.schedule(0.1, feed)
@@ -211,7 +215,7 @@ class TestWatchdog:
         """
         sim = Simulator()
         config = WatchdogConfig()
-        dog = EstimatorHealthWatchdog(sim, config)
+        dog = EstimatorHealthWatchdog(sim, PredictionJoin(sim), config)
         dog.notify_reset()  # degraded at t=0
         ids = iter(range(10_000))
         feeding = {"on": True}
@@ -220,8 +224,8 @@ class TestWatchdog:
             if not feeding["on"]:
                 return
             pkt = next(ids)
-            dog.note_prediction(pkt, 0.0)
-            dog.note_delivery(pkt)
+            dog.join.note(pkt, 0.0)
+            dog.join.deliver(pkt)
             sim.schedule(0.02, feed)
 
         sim.schedule(0.1, feed)
@@ -229,7 +233,7 @@ class TestWatchdog:
 
         def relapse():
             feeding["on"] = False
-            dog.note_prediction(99_999, 0.010)  # never delivered
+            dog.join.note(99_999, 0.010)  # never delivered
 
         sim.schedule(relapse_at, relapse)
         sim.run(until=8.0)
@@ -247,19 +251,44 @@ class TestWatchdog:
     def test_no_promotion_without_min_samples(self):
         sim = Simulator()
         config = WatchdogConfig(min_samples=1000)
-        dog = EstimatorHealthWatchdog(sim, config)
+        dog = EstimatorHealthWatchdog(sim, PredictionJoin(sim), config)
         dog.notify_reset()
         ids = iter(range(10_000))
 
         def feed():
             pkt = next(ids)
-            dog.note_prediction(pkt, 0.0)
-            dog.note_delivery(pkt)
+            dog.join.note(pkt, 0.0)
+            dog.join.deliver(pkt)
             sim.schedule(0.1, feed)  # ~10/s: never 1000 inside 1 s window
 
         sim.schedule(0.1, feed)
         sim.run(until=4.0)
         assert dog.state == STATE_DEGRADED
+
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 9")
+    def test_controller_less_queue_drop_does_not_strand_the_watchdog(self):
+        """Known defect: without a controller nothing forgets a queue
+        drop, so the RTC flow's first CoDel drop (0.79 s) leaves a
+        prediction that can never join. The watchdog demotes Zhuge as
+        ``stale`` at 1.4 s and stays degraded to the end, its open map
+        holding exactly the 22 dropped packets."""
+        spec = ScenarioSpec(
+            trace=TraceSpec.for_family("W1", duration=20, seed=1),
+            protocol="rtp", ap_mode="zhuge", queue_kind="codel",
+            competitors=2, duration=20,
+            faults=FaultPlan.parse("loss@19.5+0.01*0.01"))
+        builder = TopologyBuilder(spec)
+        zhuge = builder.zhuge
+        rtc = builder._rtc[0].flow
+        dropped = set()
+        zhuge.downlink_queue.on_drop.append(
+            lambda packet, reason: dropped.add(packet.pkt_id)
+            if packet.flow == rtc else None)
+        builder.run()
+        assert dropped
+        assert not dropped & set(zhuge.predictions._open)
+        assert zhuge.watchdog.state == STATE_HEALTHY
 
 
 class TestTokenBank:
@@ -546,7 +575,6 @@ class TestFaultTraceSchema:
     @pytest.fixture(scope="class")
     def session(self):
         from repro.obs.session import TraceConfig
-        from repro.topology.builder import TopologyBuilder
         spec = dataclasses.replace(
             _faulted_spec(), trace_config=TraceConfig(events=("fault",)))
         return TopologyBuilder(spec).run().trace_session

@@ -90,8 +90,3 @@ class TestFortuneTellerEdges:
         assert teller.tx_rate.rate_bps(sim.now) == 0.0
         assert prediction.q_long > 0.0  # long-window fallback engaged
 
-    def test_observe_delivery_without_record_is_noop(self, sim, flow):
-        queue = DropTailQueue()
-        teller = FortuneTeller(sim, queue, record_predictions=True)
-        teller.observe_delivery(Packet(flow, 1200))  # never observed
-        assert teller.accuracy_pairs() == []

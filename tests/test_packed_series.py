@@ -9,7 +9,8 @@ and average bit for bit as they did, and a seeded ``bisect_right``
 mutant must be caught.  Summaries and fleet checkpoints must round-trip
 through JSON and pickle to equal objects whose payloads and digests are
 those of the list-built originals, over floats including ``-0.0``,
-subnormals and repeats.
+subnormals and repeats; the summary's ``predicted`` / ``actual``
+columns must serialize as the ``prediction_pairs`` list they replace.
 """
 
 import hashlib
@@ -22,6 +23,7 @@ from array import array
 from bisect import bisect_right
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
@@ -167,6 +169,39 @@ def test_flow_summary_round_trips(columns, goodput, bitrate):
                    == _bits(getattr(flow, name)) for name in SERIES)
         assert json.dumps(again.as_dict()) == blob
         assert again.digest() == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(FINITE, FINITE), max_size=30))
+def test_prediction_columns_serialize_as_the_pair_list(pairs):
+    """The two prediction columns are the list of pairs at the JSON
+    edge: payload, digest and both round trips are byte for byte those
+    of the tuple list the summary used to hold."""
+    summary = ScenarioSummary(spec=SPEC, predicted=[p for p, _ in pairs],
+                              actual=[a for _, a in pairs])
+    assert isinstance(summary.predicted, array)
+    assert isinstance(summary.actual, array)
+    payload = summary.as_dict()
+    assert json.dumps(payload["prediction_pairs"]) == \
+        json.dumps([list(pair) for pair in pairs])
+    blob = json.dumps(payload)
+    for again in (ScenarioSummary.from_dict(json.loads(blob)),
+                  pickle.loads(pickle.dumps(summary))):
+        assert again == summary
+        assert _bits(again.predicted) == _bits(summary.predicted)
+        assert _bits(again.actual) == _bits(summary.actual)
+        assert json.dumps(again.as_dict()) == blob
+        assert again.digest() == summary.digest()
+
+
+def test_unequal_prediction_columns_are_rejected():
+    with pytest.raises(ValueError, match="differ in length"):
+        ScenarioSummary(spec=SPEC, predicted=[0.1], actual=[])
+    payload = ScenarioSummary(spec=SPEC).as_dict()
+    for bad in ([[0.1]], [[0.1, 0.2, 0.3]], [[0.1, 0.2], [0.3]]):
+        payload["prediction_pairs"] = bad
+        with pytest.raises(ValueError):
+            ScenarioSummary.from_dict(payload)
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,7 +8,9 @@ frames decode) and direction (Zhuge reduces tail latency vs baseline).
 import pytest
 
 from repro.campaign.spec import ScenarioSpec, TraceSpec
+from repro.net.packet import PacketKind
 from repro.topology.builder import TopologyBuilder
+from repro.topology.spec import EdgeSpec, FlowSpec, NodeSpec, TopologySpec
 
 
 def short_trace(seed=2):
@@ -191,12 +193,79 @@ class TestFairnessSetup:
         assert len(result.flows) == 2
 
 
+def _two_zhuge_ap_topology() -> TopologySpec:
+    """Two Zhuge APs, each serving its own client one RTC flow."""
+    nodes, edges, flows = [NodeSpec("server", "server")], [], []
+    for ap in ("a", "b"):
+        nodes += [NodeSpec(f"ap-{ap}", "ap", ap_mode="zhuge"),
+                  NodeSpec(f"client-{ap}", "client")]
+        edges += [
+            EdgeSpec("server", f"ap-{ap}", name=f"wan-{ap}", kind="wired",
+                     rate_bps=1e9, delay=0.020),
+            EdgeSpec(f"ap-{ap}", "server", name=f"wan-{ap}-up",
+                     kind="wired", rate_bps=None, delay=0.020),
+            EdgeSpec(f"ap-{ap}", f"client-{ap}", name=f"{ap}-down",
+                     kind="wifi", queue_kind="fifo",
+                     seed_label=f"{ap}-down"),
+            EdgeSpec(f"client-{ap}", f"ap-{ap}", name=f"{ap}-up",
+                     kind="wifi", trace_scale=0.5, queue_kind="droptail",
+                     queue_capacity=200_000, seed_label=f"{ap}-up")]
+        flows.append(FlowSpec("server", f"client-{ap}", role="rtc",
+                              seed_label=f"enc-{ap}"))
+    return TopologySpec(nodes=tuple(nodes), edges=tuple(edges),
+                        flows=tuple(flows))
+
+
+def _count_deliveries(builder, client: str) -> list:
+    """Wrap ``client``'s RTC receivers; returns the live data count."""
+    delivered = [0]
+    handlers = builder.handlers(client)
+    for flow, handler in list(handlers.items()):
+        def counting(packet, handler=handler):
+            if packet.kind == PacketKind.DATA:
+                delivered[0] += 1
+            handler(packet)
+        handlers[flow] = counting
+    return delivered
+
+
 class TestPredictionRecording:
     def test_accuracy_pairs_collected(self):
         result = TopologyBuilder(ScenarioSpec(
             trace=short_trace(), protocol="rtp", ap_mode="zhuge",
             duration=15, record_predictions=True)).run()
-        assert len(result.prediction_pairs) > 100
-        for predicted, actual in result.prediction_pairs[:50]:
+        assert len(result.predicted) == len(result.actual) > 100
+        for predicted, actual in list(zip(result.predicted,
+                                          result.actual))[:50]:
             assert predicted >= 0
             assert actual >= 0
+
+    def test_fq_codel_reports_every_delivered_prediction(self):
+        """Per-flow tellers (§4.1) feed the AP's one join too."""
+        builder = TopologyBuilder(ScenarioSpec(
+            trace=TraceSpec.for_family("W1", duration=8, seed=1),
+            protocol="rtp", ap_mode="zhuge", queue_kind="fq_codel",
+            duration=8, record_predictions=True))
+        delivered = _count_deliveries(builder, "client")
+        result = builder.run()
+        assert delivered[0] > 1000
+        assert len(result.predicted) == len(result.actual) == delivered[0]
+
+    def test_every_zhuge_ap_reports_its_pairs(self):
+        """Pairs of every Zhuge AP, concatenated in node order."""
+        builder = TopologyBuilder(ScenarioSpec(
+            trace=TraceSpec.for_family("W1", duration=8, seed=1),
+            protocol="rtp", duration=8, record_predictions=True,
+            topology=_two_zhuge_ap_topology()))
+        delivered = [_count_deliveries(builder, client)
+                     for client in ("client-a", "client-b")]
+        result = builder.run()
+        joins = [builder.aps[ap].zhuge.predictions
+                 for ap in ("ap-a", "ap-b")]
+        assert [len(join.predicted) for join in joins] == \
+            [count[0] for count in delivered]
+        assert min(count[0] for count in delivered) > 1000
+        assert list(result.predicted) == \
+            list(joins[0].predicted) + list(joins[1].predicted)
+        assert list(result.actual) == \
+            list(joins[0].actual) + list(joins[1].actual)

@@ -53,7 +53,7 @@ class TestSelectiveEstimation:
         teller = FortuneTeller(sim, queue, min_estimation_interval=0.004)
         t = 0.0
         for _ in range(100):
-            teller.observe_arrival(Packet(flow, 1200))
+            teller.predict()
             sim.run(until=t + 0.001)
             t += 0.001
         assert teller.cache_hits > 50
