@@ -36,7 +36,8 @@ from repro.campaign import (
     run_campaign,
     run_specs,
 )
-from repro.topology.builder import ScenarioResult, TopologyBuilder
+from repro.topology.builder import TopologyBuilder
+from repro.topology.result import ScenarioResult
 from repro.traces import BandwidthTrace, make_trace, ethernet_trace
 
 __version__ = "1.0.0"

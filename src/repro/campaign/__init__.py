@@ -19,8 +19,7 @@ from repro.campaign.runner import (CampaignError, CampaignResult, CellResult,
 from repro.campaign.supervise import (MemoryWatchdog, WorkerHeartbeat,
                                       cell_deadline, rss_bytes, timeout_mode)
 from repro.campaign.spec import ScenarioSpec, TraceSpec, code_fingerprint
-from repro.campaign.summary import (FlowSummary, MergedSummary,
-                                    ScenarioSummary, merge_summaries,
+from repro.campaign.summary import (FlowSummary, ScenarioSummary,
                                     summary_lines)
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "VerifyReport",
     "WorkerHeartbeat",
     "FlowSummary",
-    "MergedSummary",
     "ProgressPrinter",
     "PruneStats",
     "ResultCache",
@@ -46,7 +44,6 @@ __all__ = [
     "code_fingerprint",
     "default_cache_root",
     "execute_spec",
-    "merge_summaries",
     "cell_deadline",
     "rss_bytes",
     "run_campaign",

@@ -64,7 +64,7 @@ class ScenarioSpec:
     """Everything one experiment run needs, as plain data.
 
     ``topology=None`` runs the paper's single-AP chain
-    (:func:`repro.topology.spec.single_ap_topology`); ``trace`` is
+    (:func:`repro.topology.presets.single_ap_topology`); ``trace`` is
     built once, by the builder, in whichever process runs the cell.
     """
 

@@ -1,6 +1,6 @@
 """Picklable scenario summaries — the unit campaign workers return.
 
-A full :class:`~repro.topology.builder.ScenarioResult` holds the live
+A full :class:`~repro.topology.result.ScenarioResult` holds the live
 recorders and trace session and is meant to stay inside the worker
 process. :class:`ScenarioSummary` keeps
 exactly what every figure driver and the CLI read: the warmup-filtered
@@ -17,11 +17,10 @@ import hashlib
 import json
 from array import array
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.campaign.spec import ScenarioSpec
 from repro.metrics.recorder import FrameRecorder, RttRecorder, column
-from repro.metrics.stats import cdf_points, percentile, tail_fraction
+from repro.metrics.stats import percentile
 
 
 #: FlowSummary's per-sample series, in payload order.
@@ -59,7 +58,7 @@ class FlowSummary:
 
     @classmethod
     def from_flow(cls, flow) -> "FlowSummary":
-        """Build from a :class:`~repro.topology.builder.FlowResult`
+        """Build from a :class:`~repro.topology.result.FlowResult`
         (its recorders are fresh post-warmup slices: no copy)."""
         return cls(rtt_times=flow.rtt.times,
                    rtt_values=flow.rtt.rtts,
@@ -223,74 +222,6 @@ class ScenarioSummary:
                    steering_moves=[
                        tuple(entry) for entry
                        in payload.get("steering_moves", [])])
-
-
-@dataclass
-class MergedSummary:
-    """Exact pooled view over several summaries' sample series.
-
-    ``rtt_samples``/``frame_samples`` hold the *value-sorted* union of
-    every flow's post-warmup samples, so any rank statistic computed
-    here is the statistic of the pooled population — identical to
-    concatenating the raw series and sorting, no matter how the
-    population was split across summaries (per seed, per shard, per
-    cell). Scalar aggregates (goodput, bitrate, event counts) are
-    plain sums in input order.
-    """
-
-    rtt_samples: list[float] = field(default_factory=list)
-    frame_samples: list[float] = field(default_factory=list)
-    flows: int = 0
-    events_processed: int = 0
-    packets_processed: int = 0
-    ap_packets: int = 0
-    goodput_bps_total: float = 0.0
-    mean_bitrate_bps_total: float = 0.0
-
-    def rtt_percentile(self, q: float) -> float:
-        """Exact pooled RTT percentile (samples are pre-sorted)."""
-        return percentile(self.rtt_samples, q)
-
-    def frame_percentile(self, q: float) -> float:
-        return percentile(self.frame_samples, q)
-
-    def rtt_tail_ratio(self, threshold: float = 0.200) -> float:
-        return tail_fraction(self.rtt_samples, threshold)
-
-    def delayed_frame_ratio(self, threshold: float = 0.400) -> float:
-        return tail_fraction(self.frame_samples, threshold)
-
-    def rtt_cdf(self, points: int = 200) -> list[tuple[float, float]]:
-        """Pooled delay CDF; closes by rank, so a duplicated maximum
-        never leaves a phantom CCDF tail (the PR 6 fix applies to the
-        merged population too)."""
-        return cdf_points(self.rtt_samples, points)
-
-
-def merge_summaries(summaries: Sequence[ScenarioSummary]) -> MergedSummary:
-    """Exact rank-based combination of several summaries' populations.
-
-    The merged CDF is *the* CDF of the pooled sample multiset — each
-    summary's samples are weighted by their count, not averaged curve
-    against curve — so fleet percentiles computed from the result are
-    exact statistics, not approximations of per-cell approximations.
-    Input order does not matter for any rank statistic (the union is
-    sorted by value).
-    """
-    merged = MergedSummary()
-    for summary in summaries:
-        for flow in summary.flows:
-            merged.rtt_samples.extend(flow.rtt_values)
-            merged.frame_samples.extend(flow.frame_delays)
-            merged.goodput_bps_total += flow.goodput_bps
-            merged.mean_bitrate_bps_total += flow.mean_bitrate_bps
-            merged.flows += 1
-        merged.events_processed += summary.events_processed
-        merged.packets_processed += summary.packets_processed
-        merged.ap_packets += summary.ap_packets
-    merged.rtt_samples.sort()
-    merged.frame_samples.sort()
-    return merged
 
 
 def summary_lines(label: str, summary: ScenarioSummary) -> list[str]:

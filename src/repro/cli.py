@@ -38,9 +38,10 @@ from repro.experiments.drivers.traces_eval import (SCHEMES_BY_NAME,
                                                    row_from_summaries,
                                                    scheme_specs)
 from repro.topology.builder import TopologyBuilder
+from repro.topology.presets import (first_mile_topology,
+                                    interference_topology, roaming_topology)
 from repro.topology.spec import (AP_MODES, PROTOCOLS, QUEUE_KINDS,
-                                 TopologySpec, first_mile_topology,
-                                 interference_topology, roaming_topology)
+                                 TopologySpec)
 from repro.traces.synthetic import TRACE_NAMES
 from repro.traces.trace import BandwidthTrace
 

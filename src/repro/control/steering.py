@@ -7,7 +7,7 @@ WAN" half): every ``check_interval`` it scores each candidate AP from
 its :class:`~repro.control.controller.ZhugeController` state (GREEN=3
 .. RED=0, controller-less APs score neutral 1.5) and re-homes a
 dual-homed client when the best candidate beats the serving AP by at
-least ``score_margin``. Moves reuse the builder's real handoff —
+least ``score_margin``. Moves reuse the topology's real handoff —
 ``begin_roam`` (block + flush) followed ``handoff`` seconds later by
 ``complete_roam`` (re-associate, release-floor carry-over, 802.11r
 frame forwarding) — so a steered move is indistinguishable from a
@@ -29,13 +29,18 @@ NEUTRAL_SCORE = 1.5
 
 
 class SteeringDaemon:
-    """Periodic re-homing loop over a built multi-AP topology."""
+    """Periodic re-homing loop over a built multi-AP topology.
 
-    def __init__(self, sim: Simulator, builder, controllers: dict,
+    ``forwarding`` is the topology's
+    :class:`~repro.topology.forwarding.Forwarding`: its ``aps``, RTC
+    flows and attachment query pick the moves, its roam API makes them.
+    """
+
+    def __init__(self, sim: Simulator, forwarding, controllers: dict,
                  config: SteeringConfig = None, trace=None,
                  track: str = "steering"):
         self.sim = sim
-        self.builder = builder
+        self.forwarding = forwarding
         self.controllers = controllers
         self.config = config or SteeringConfig()
         self.trace = trace
@@ -54,18 +59,8 @@ class SteeringDaemon:
             return NEUTRAL_SCORE
         return 3.0 - controller.level
 
-    def _candidates(self, client: str) -> list[str]:
-        """APs the client could attach to, in topology declaration order."""
-        seen = []
-        for er in self.builder._attachment_edges(client):
-            ap = (er.spec.src if er.spec.src in self.builder.aps
-                  else er.spec.dst)
-            if ap not in seen:
-                seen.append(ap)
-        return seen
-
     def _serving_ap(self, client: str) -> str:
-        for fr in self.builder._rtc:
+        for fr in self.forwarding.rtc:
             if client in (fr.spec.src, fr.spec.dst) and fr.serving_ap:
                 return fr.serving_ap
         return ""
@@ -73,11 +68,11 @@ class SteeringDaemon:
     def _clients(self) -> list[str]:
         """Dual-homed RTC clients, in flow declaration order."""
         seen = []
-        for fr in self.builder._rtc:
+        for fr in self.forwarding.rtc:
             for node in (fr.spec.src, fr.spec.dst):
-                if node in seen or node in self.builder.aps:
+                if node in seen or node in self.forwarding.aps:
                     continue
-                if len(self._candidates(node)) >= 2:
+                if len(self.forwarding.attached_aps(node)) >= 2:
                     seen.append(node)
         return seen
 
@@ -93,7 +88,7 @@ class SteeringDaemon:
             serving = self._serving_ap(client)
             if not serving:
                 continue
-            candidates = self._candidates(client)
+            candidates = self.forwarding.attached_aps(client)
             best = max(candidates, key=self.score)
             if best == serving:
                 continue
@@ -105,7 +100,7 @@ class SteeringDaemon:
         now = self.sim.now
         self._in_flight.add(client)
         self._last_move[client] = now
-        self.builder.begin_roam(client)
+        self.forwarding.begin_roam(client)
         if self.trace is not None:
             self.trace.control_steer(self.track, client, old_ap, new_ap,
                                      "begin")
@@ -113,7 +108,7 @@ class SteeringDaemon:
                           lambda: self._complete(client, old_ap, new_ap))
 
     def _complete(self, client: str, old_ap: str, new_ap: str) -> None:
-        self.builder.complete_roam(client, new_ap)
+        self.forwarding.complete_roam(client, new_ap)
         self._in_flight.discard(client)
         self.moves.append((self.sim.now, client, old_ap, new_ap))
         if self.trace is not None:
@@ -124,10 +119,10 @@ class SteeringDaemon:
         # rather than "stale forever" and the AP can be steered back to
         # once it is actually healthy again. Only safe when no RTC flow
         # is still served there.
-        old_rt = self.builder.aps.get(old_ap)
+        old_rt = self.forwarding.aps.get(old_ap)
         if (old_rt is not None and old_rt.zhuge is not None
                 and not any(fr.serving_ap == old_ap
-                            for fr in self.builder._rtc)):
+                            for fr in self.forwarding.rtc)):
             old_rt.zhuge.reset_state()
 
     def stop(self) -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.campaign import ScenarioSpec, TraceSpec, run_specs
-from repro.topology.spec import interference_topology
+from repro.topology.presets import interference_topology
 
 # Zhuge deploys on the system-default queue discipline, which is
 # fq_codel on Linux/OpenWrt (§4.1): each flow gets its own sub-queue and

@@ -31,7 +31,7 @@ from repro.campaign import ScenarioSpec, TraceSpec, run_specs
 from repro.control import ControllerConfig, ControlSpec, SteeringConfig
 from repro.faults.spec import FaultPlan
 from repro.metrics.stats import percentile
-from repro.topology.spec import roaming_topology
+from repro.topology.presets import roaming_topology
 
 #: Default per-AP storm: two rate crashes bracketing a blackout, each
 #: outage followed by an AP reset (the client re-associates and the

@@ -25,46 +25,45 @@ from repro.sim.random import DeterministicRandom
 
 
 class FaultInjector:
-    """Arms every fault in ``plan`` against the scenario's components.
+    """Arms every fault in ``plan`` against a built topology.
 
-    Any handle may be ``None`` (e.g. a cellular downlink scenario still
-    has a Wi-Fi uplink; a passthrough scenario has no ``zhuge``); faults
-    targeting a missing component are recorded in the log as skipped
-    phases but otherwise ignored.
+    ``mover`` is the topology's
+    :class:`~repro.topology.forwarding.Forwarding`: faults aim at its
+    ``edges`` and ``aps``, and its ``begin_roam`` / ``complete_roam``
+    perform node-targeted roams. A fault without an edge acts on the
+    first enabled wireless edge out of (``down``) and into (``up``) an
+    AP, and an untargeted ``ap_reset`` on the first Zhuge AP in node
+    order; where there is no such edge or AP (e.g. a passthrough
+    scenario has no Zhuge state) that part of the fault does nothing.
+
+    A fault aimed at a name the topology lacks is an error: arming
+    raises ``ValueError`` for an ``edge`` that is unknown or wired, an
+    ``ap_reset`` node that is not an AP, a ``roam`` node with no
+    wireless attachment, or a ``roam`` target that is not an AP.
     """
 
-    def __init__(self, sim: Simulator, plan: FaultPlan, *,
-                 downlink=None, uplink=None,
-                 down_channel=None, up_channel=None,
-                 downlink_queue=None, uplink_queue=None,
-                 zhuge=None, trace=None,
-                 edges=None, zhuge_by_node=None, mover=None):
+    def __init__(self, sim: Simulator, plan: FaultPlan, *, trace=None,
+                 mover=None):
         self.sim = sim
         self.plan = plan
-        self.downlink = downlink
-        self.uplink = uplink
-        self.down_channel = down_channel
-        self.up_channel = up_channel
-        self.downlink_queue = downlink_queue
-        self.uplink_queue = uplink_queue
-        self.zhuge = zhuge
         self.trace = trace
-        #: Topology-aware handles (multi-AP graphs): ``edges`` maps edge
-        #: name -> :class:`~repro.topology.builder.EdgeRuntime` for
-        #: per-edge targeting, ``zhuge_by_node`` maps AP node name ->
-        #: ZhugeAP (or None) for targeted ``ap_reset``, and ``mover``
-        #: (duck-typed: ``begin_roam(client) -> int`` /
-        #: ``complete_roam(client, ap)``) performs real inter-AP
-        #: handoffs for node-targeted ``roam`` faults.
-        self.edges = edges or {}
-        self.zhuge_by_node = zhuge_by_node or {}
         self.mover = mover
+        self.edges = mover.edges if mover is not None else {}
+        self.aps = mover.aps if mover is not None else {}
+        #: The untargeted directions' edges, fixed when the plan is armed.
+        self._directions = ({direction: mover.ap_edge(direction)
+                             for direction in ("down", "up")}
+                            if mover is not None else {})
+        self.zhuge = next((ap_rt.zhuge for ap_rt in self.aps.values()
+                           if ap_rt.zhuge is not None), None)
         self.rng = DeterministicRandom(plan.seed)
         #: (time, kind, phase) for every executed fault phase, in order.
         self.log: list[tuple[float, str, str]] = []
         self.loss_dropped = 0
         self.roam_flushed = 0
         self._track = "faults"
+        for fault in plan.faults:
+            self._check(fault)
         self._arm()
 
     # -- read-only views -----------------------------------------------------
@@ -95,47 +94,31 @@ class FaultInjector:
                     fault.end,
                     lambda fault=fault, index=index: self._end(fault, index))
 
-    def _edge_runtime(self, name: str):
-        runtime = self.edges.get(name)
-        if runtime is None or runtime.spec.kind == "wired":
-            # Unknown or un-blockable edge: skipped, like any other
-            # missing component.
-            return None
-        return runtime
+    def _check(self, fault: FaultSpec) -> None:
+        edge = self.edges.get(fault.edge)
+        if fault.edge and (edge is None or not edge.spec.wireless):
+            problem = f"edge {fault.edge!r} is unknown or wired"
+        elif (fault.kind == "ap_reset" and fault.node
+                and fault.node not in self.aps):
+            problem = f"node {fault.node!r} is not an AP"
+        elif fault.kind == "roam" and fault.node and (
+                self.mover is None
+                or not self.mover.attached_aps(fault.node)):
+            problem = f"node {fault.node!r} has no wireless attachment"
+        elif fault.to and fault.to not in self.aps:
+            problem = f"roam target {fault.to!r} is not an AP"
+        else:
+            return
+        raise ValueError(f"{fault.kind} fault at {fault.start:g} s: "
+                         f"{problem}")
 
-    def _links(self, target: str, edge: str = ""):
+    def _edges_for(self, target: str, edge: str = ""):
+        """(label, edge runtime) pairs a fault acts on: its named edge,
+        else the ``down``/``up`` edges ``target`` selects."""
         if edge:
-            runtime = self._edge_runtime(edge)
-            return [(edge, runtime.link)] if runtime is not None else []
-        links = []
-        if target in ("down", "both") and self.downlink is not None:
-            links.append(("down", self.downlink))
-        if target in ("up", "both") and self.uplink is not None:
-            links.append(("up", self.uplink))
-        return links
-
-    def _channels(self, target: str, edge: str = ""):
-        if edge:
-            runtime = self._edge_runtime(edge)
-            return [runtime.channel] if runtime is not None else []
-        channels = []
-        if target in ("down", "both") and self.down_channel is not None:
-            channels.append(self.down_channel)
-        if target in ("up", "both") and self.up_channel is not None:
-            channels.append(self.up_channel)
-        return channels
-
-    def _queues(self, target: str, edge: str = ""):
-        if edge:
-            runtime = self._edge_runtime(edge)
-            return ([runtime.queue] if runtime is not None
-                    and runtime.queue is not None else [])
-        queues = []
-        if target in ("down", "both") and self.downlink_queue is not None:
-            queues.append(self.downlink_queue)
-        if target in ("up", "both") and self.uplink_queue is not None:
-            queues.append(self.uplink_queue)
-        return queues
+            return [(edge, self.edges[edge])]
+        return [(direction, er) for direction, er in self._directions.items()
+                if er is not None and target in (direction, "both")]
 
     # -- fault phases --------------------------------------------------------
 
@@ -147,46 +130,48 @@ class FaultInjector:
                                         fault.duration, fault.target,
                                         fault.magnitude)
             self.trace.fault_phase(self._track, fault.kind, index, "begin")
+        edges = self._edges_for(fault.target, fault.edge)
         if fault.kind == "blackout":
-            for _, link in self._links(fault.target, fault.edge):
-                link.block()
+            for _, er in edges:
+                er.link.block()
         elif fault.kind == "rate_crash":
-            for channel in self._channels(fault.target, fault.edge):
-                channel.fault_scale = fault.magnitude
+            for _, er in edges:
+                er.channel.fault_scale = fault.magnitude
         elif fault.kind == "loss_burst":
-            for direction, link in self._links(fault.target, fault.edge):
-                link.fault_drop = self._loss_predicate(
-                    fault, index, direction)
+            for label, er in edges:
+                er.link.fault_drop = self._loss_predicate(fault, index, label)
         elif fault.kind == "ap_reset":
-            zhuge = (self.zhuge_by_node.get(fault.node) if fault.node
+            zhuge = (self.aps[fault.node].zhuge if fault.node
                      else self.zhuge)
             if zhuge is not None:
                 zhuge.reset_state()
         elif fault.kind == "roam":
-            if fault.node and self.mover is not None:
+            if fault.node:
                 # Real inter-AP handoff: detach now, re-attach at _end.
                 self.roam_flushed += self.mover.begin_roam(fault.node)
             else:
-                for _, link in self._links("both"):
-                    link.block()
-                for queue in self._queues("both"):
-                    self.roam_flushed += queue.drop_all("roam")
+                both = self._edges_for("both")
+                for _, er in both:
+                    er.link.block()
+                for _, er in both:
+                    self.roam_flushed += er.queue.drop_all("roam")
 
     def _end(self, fault: FaultSpec, index: int) -> None:
         self.log.append((self.sim.now, fault.kind, "end"))
         if self.trace is not None:
             self.trace.fault_phase(self._track, fault.kind, index, "end")
+        edges = self._edges_for(fault.target, fault.edge)
         if fault.kind == "blackout":
-            for _, link in self._links(fault.target, fault.edge):
-                link.unblock()
+            for _, er in edges:
+                er.link.unblock()
         elif fault.kind == "rate_crash":
-            for channel in self._channels(fault.target, fault.edge):
-                channel.fault_scale = 1.0
+            for _, er in edges:
+                er.channel.fault_scale = 1.0
         elif fault.kind == "loss_burst":
-            for _, link in self._links(fault.target, fault.edge):
-                link.fault_drop = None
+            for _, er in edges:
+                er.link.fault_drop = None
         elif fault.kind == "roam":
-            if fault.node and self.mover is not None:
+            if fault.node:
                 # Re-association on the target AP: routes move, the new
                 # AP's estimators start fresh, the release floor carries.
                 self.mover.complete_roam(fault.node, fault.to)
@@ -194,8 +179,8 @@ class FaultInjector:
                 # Legacy same-AP re-association: links come back, but
                 # the client the AP learned is gone — estimator state
                 # restarts from scratch.
-                for _, link in self._links("both"):
-                    link.unblock()
+                for _, er in self._edges_for("both"):
+                    er.link.unblock()
                 if self.zhuge is not None:
                     self.zhuge.reset_state()
 

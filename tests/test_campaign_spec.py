@@ -76,9 +76,9 @@ class TestScenarioSpec:
         builder = TopologyBuilder(spec)
         assert builder.spec is spec
         assert builder.aps["ap"].node.ap_mode == "fastack"
-        assert len(builder._competitors) == 2
+        assert len(builder.forwarding.competitors) == 2
         assert builder.trace.rates_bps == spec.trace.build().rates_bps
-        assert builder.channel.trace is builder.trace
+        assert builder.edges["down"].channel.trace is builder.trace
 
     def test_hash_is_stable(self):
         assert _spec().content_hash() == _spec().content_hash()

@@ -13,16 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.campaign import (ScenarioSpec, TraceSpec, execute_spec,
-                            merge_summaries, run_campaign)
+from repro.campaign import ScenarioSpec, TraceSpec, execute_spec, run_campaign
 from repro.campaign.summary import FlowSummary, ScenarioSummary
 from repro.city import (CITY_PRESETS, CityGenSpec, DelayCdfSketch,
                         FleetAccumulator, ShardingError, partition_topology)
 from repro.experiments.drivers.city import city_specs, run_city
-from repro.metrics.stats import cdf_points, percentile
+from repro.metrics.stats import percentile
 from repro.topology.builder import TopologyBuilder
-from repro.topology.spec import (EdgeSpec, FlowSpec, NodeSpec, TopologySpec,
-                                 roaming_topology)
+from repro.topology.presets import roaming_topology
+from repro.topology.spec import EdgeSpec, FlowSpec, NodeSpec, TopologySpec
 
 SMALL = dict(aps=4, seed=7, domain_size=1, roaming_share=0.3)
 
@@ -261,49 +260,6 @@ class TestShardBitIdentity:
         assert cold.campaign.cached == 0
         assert warm.campaign.cached == len(warm.campaign.cells)
         assert warm.fleet.digest() == cold.fleet.digest()
-
-
-# -- merge_summaries (exact pooled combination) -------------------------------
-
-
-class TestMergeSummaries:
-    def test_pooled_rank_statistics(self):
-        a = _summary([FlowSummary(rtt_values=[0.010, 0.030],
-                                  frame_delays=[0.050],
-                                  goodput_bps=1e6, mean_bitrate_bps=2e6)],
-                     events=10, packets=5)
-        b = _summary([FlowSummary(rtt_values=[0.020, 0.250],
-                                  frame_delays=[0.500],
-                                  goodput_bps=3e6, mean_bitrate_bps=4e6)],
-                     events=20, packets=7)
-        merged = merge_summaries([a, b])
-        assert merged.rtt_samples == [0.010, 0.020, 0.030, 0.250]
-        assert merged.flows == 2
-        assert merged.events_processed == 30
-        assert merged.ap_packets == 12
-        assert merged.goodput_bps_total == 4e6
-        assert merged.rtt_percentile(50) == \
-            percentile([0.010, 0.020, 0.030, 0.250], 50)
-        assert merged.rtt_tail_ratio() == 0.25
-        assert merged.delayed_frame_ratio() == 0.5
-
-    def test_order_insensitive(self):
-        a = _summary([FlowSummary(rtt_values=[0.010, 0.040])])
-        b = _summary([FlowSummary(rtt_values=[0.020])])
-        ab, ba = merge_summaries([a, b]), merge_summaries([b, a])
-        assert ab.rtt_samples == ba.rtt_samples
-        assert ab.rtt_percentile(99) == ba.rtt_percentile(99)
-
-    def test_duplicated_max_closes_cdf(self):
-        """The PR 6 duplicated-max fix must hold for merged
-        populations: the pooled CDF reaches exactly 1.0 even when the
-        maximum appears in several inputs."""
-        a = _summary([FlowSummary(rtt_values=[0.010, 0.100])])
-        b = _summary([FlowSummary(rtt_values=[0.100, 0.100])])
-        merged = merge_summaries([a, b])
-        points = merged.rtt_cdf(points=10)
-        assert points[-1] == (0.100, 1.0)
-        assert points == cdf_points([0.010, 0.100, 0.100, 0.100], 10)
 
 
 # -- DelayCdfSketch -----------------------------------------------------------

@@ -271,7 +271,8 @@ class TestParser:
         reference and the same graph, so content hashes stay put."""
         from repro.campaign import TraceSpec
         from repro.cli import _spec_from_args
-        from repro.topology.spec import TopologySpec, interference_topology
+        from repro.topology.presets import interference_topology
+        from repro.topology.spec import TopologySpec
         from repro.traces.synthetic import make_trace
 
         trace_path = tmp_path / "w1.json"

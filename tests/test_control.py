@@ -354,8 +354,8 @@ class TestApplyPolicyOnZhugeAP:
 
 class TestSteeringScores:
     def test_controller_less_ap_scores_neutral(self, sim):
-        builder = SimpleNamespace(aps={}, _rtc=[])
-        daemon = SteeringDaemon(sim, builder,
+        forwarding = SimpleNamespace(aps={}, rtc=[])
+        daemon = SteeringDaemon(sim, forwarding,
                                 {"ap-a": SimpleNamespace(level=2)},
                                 SteeringConfig())
         assert daemon.score("ap-b") == NEUTRAL_SCORE

@@ -37,7 +37,7 @@ from repro.control.spec import ControlSpec
 from repro.faults.spec import FaultPlan, FaultSpec
 from repro.sim.engine import SimulationError, Simulator
 from repro.topology import builder
-from repro.topology.spec import interference_topology
+from repro.topology.presets import interference_topology
 from tests.reference_links import ClassicWiredLink, ClassicWirelessLink
 from tests.test_topology import GOLDEN_PATH, RESIMULATED, topology_specs
 

@@ -50,7 +50,7 @@ def test_queue_kind_resolution(kind, monkeypatch):
     whole AMPDU is one burst), and does run."""
     builder, calls = _run_counting(monkeypatch, kind)
     down = builder.edges["down"]
-    flow = builder._rtc[0].flow
+    flow = builder.forwarding.rtc[0].flow
     teller = builder.zhuge.in_band_updater(flow).fortune_teller
     assert down.queue.stats.dequeued > 100
     assert 0 < calls[id(teller)] <= down.link.txops

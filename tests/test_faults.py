@@ -39,6 +39,7 @@ from repro.net.queue import DropTailQueue
 from repro.sim.engine import Simulator
 from repro.sim.random import DeterministicRandom
 from repro.topology.builder import TopologyBuilder
+from repro.topology.presets import roaming_topology
 
 
 class TestFaultSpec:
@@ -280,7 +281,7 @@ class TestWatchdog:
             faults=FaultPlan.parse("loss@19.5+0.01*0.01"))
         builder = TopologyBuilder(spec)
         zhuge = builder.zhuge
-        rtc = builder._rtc[0].flow
+        rtc = builder.forwarding.rtc[0].flow
         dropped = set()
         zhuge.downlink_queue.on_drop.append(
             lambda packet, reason: dropped.add(packet.pkt_id)
@@ -399,6 +400,56 @@ class TestFaultDeterminism:
         assert cache.stats.hits == 1
         assert first.as_dict() == serial.as_dict()
         assert replayed.as_dict() == serial.as_dict()
+
+
+def _roaming_spec(faults: str, ap_mode: str = "zhuge") -> ScenarioSpec:
+    return ScenarioSpec(trace=TraceSpec.for_family("W1", duration=8, seed=1),
+                        protocol="rtp", duration=6.0, seed=1,
+                        topology=roaming_topology(ap_mode=ap_mode),
+                        faults=FaultPlan.parse(faults))
+
+
+class TestFaultTargets:
+    """A fault aimed at a name the topology lacks is refused when the
+    builder arms the plan, instead of running a healthy scenario (or
+    failing mid-run)."""
+
+    @pytest.mark.parametrize("faults, kind, name", [
+        ("blackout@2+1/typo-edge", "blackout", "typo-edge"),
+        ("loss@2+1/wan-a", "loss_burst", "wan-a"),  # wired
+        ("reset@2/ghost-ap", "ap_reset", "ghost-ap"),
+        ("reset@2/client", "ap_reset", "client"),  # a node, not an AP
+        ("roam@2+0.4/nobody:ap-b", "roam", "nobody"),
+        ("roam@2+0.4/server:ap-b", "roam", "server"),  # wired only
+        ("roam@2+0.4/client:ap-zz", "roam", "ap-zz"),
+        ("roam@2+0.4/client:server", "roam", "server"),
+    ])
+    def test_unknown_name_rejected_at_build(self, faults, kind, name):
+        with pytest.raises(ValueError) as excinfo:
+            TopologyBuilder(_roaming_spec(faults))
+        message = str(excinfo.value)
+        assert message.startswith(f"{kind} fault at 2 s")
+        assert repr(name) in message
+
+    def test_known_names_arm(self):
+        builder = TopologyBuilder(_roaming_spec(
+            "blackout@1+1/a-down,crash@1+1/b-up,reset@2/ap-b,"
+            "roam@3+0.4/client:ap-b"))
+        builder.run()
+        assert [(kind, phase) for _, kind, phase
+                in builder.fault_injector.log][-2:] == [("roam", "begin"),
+                                                        ("roam", "end")]
+        assert builder.forwarding.rtc[0].serving_ap == "ap-b"
+
+    def test_reset_of_passthrough_ap_is_a_noop(self):
+        plain = TopologyBuilder(_roaming_spec("reset@2/ap-a",
+                                              ap_mode="none")).run()
+        assert plain.fault_log == [(2.0, "ap_reset", "begin")]
+        spec = dataclasses.replace(_roaming_spec("reset@2/ap-a",
+                                                 ap_mode="none"),
+                                   faults=None)
+        healthy = TopologyBuilder(spec).run()
+        assert list(plain.rtt.rtts) == list(healthy.rtt.rtts)
 
 
 class TestResilienceAcceptance:

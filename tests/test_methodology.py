@@ -28,7 +28,8 @@ def measure_abw_with_bulk_download(trace, duration=20.0):
         arrivals.append((builder.sim.now, packet.size))
         original(packet)
 
-    builder._client_handlers[builder.video_apps[0][0].flow] = spy
+    flow = builder.video_apps[0][0].flow
+    builder.forwarding.handlers(flow.dst)[flow] = spy
     builder.sim.run(until=duration)
     # Window the received bytes.
     windows = {}

@@ -219,7 +219,7 @@ def _two_zhuge_ap_topology() -> TopologySpec:
 def _count_deliveries(builder, client: str) -> list:
     """Wrap ``client``'s RTC receivers; returns the live data count."""
     delivered = [0]
-    handlers = builder.handlers(client)
+    handlers = builder.forwarding.handlers(client)
     for flow, handler in list(handlers.items()):
         def counting(packet, handler=handler):
             if packet.kind == PacketKind.DATA:

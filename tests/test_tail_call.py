@@ -179,7 +179,7 @@ class TestHeadlineScenarioCounts:
         code scheduled one ``_transmit_ampdu`` event per txop), and a
         loss-free receiver ran no NACK tick (the old timer ran 133)."""
         builder, created = _headline_run(monkeypatch)
-        receiver = builder._rtc[0].receiver
+        receiver = builder.forwarding.rtc[0].receiver
         assert builder.edges["down"].link.txops > 100
         assert created["_transmit_ampdu"] == 0
         # Loss-free: every seq arrived, in order, once.

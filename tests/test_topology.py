@@ -17,11 +17,13 @@ from hypothesis import strategies as st
 
 from repro.campaign import (ResultCache, ScenarioSpec, TraceSpec,
                             execute_spec, run_campaign, run_specs)
+from repro.control.spec import ControlSpec
 from repro.faults.spec import FaultPlan, FaultSpec
 from repro.topology.builder import TopologyBuilder
-from repro.topology.spec import (EdgeSpec, FlowSpec, NodeSpec, TopologySpec,
-                                 first_mile_topology, interference_topology,
-                                 roaming_topology, single_ap_topology)
+from repro.topology.presets import (first_mile_topology,
+                                    interference_topology, roaming_topology,
+                                    single_ap_topology)
+from repro.topology.spec import EdgeSpec, FlowSpec, NodeSpec, TopologySpec
 
 GOLDEN_PATH = "tests/data/golden_summaries.json"
 
@@ -322,8 +324,8 @@ class TestInterferenceTopology:
         builder = TopologyBuilder(
             _scenario(interference_topology(interferers=5)))
         builder.run()
-        assert builder._competitors
-        for fr in builder._competitors:
+        assert builder.forwarding.competitors
+        for fr in builder.forwarding.competitors:
             assert fr.receiver.packets_received > 0
 
     def test_deterministic(self):
@@ -345,7 +347,7 @@ class TestRoaming:
 
     def test_handoff_moves_the_client_between_aps(self):
         builder, result = self._run_builder()
-        fr = builder._rtc[0]
+        fr = builder.forwarding.rtc[0]
         assert fr.serving_ap == "ap-b"
         assert not builder.edges["a-down"].enabled
         assert builder.edges["b-down"].enabled
@@ -364,7 +366,7 @@ class TestRoaming:
         spec = _scenario(roaming_topology(), duration=8.0,
                            protocol="tcp", cca="copa", faults=self.ROAM)
         builder = TopologyBuilder(spec)
-        fr = builder._rtc[0]
+        fr = builder.forwarding.rtc[0]
         zhuge_a = builder.aps["ap-a"].zhuge
         zhuge_b = builder.aps["ap-b"].zhuge
         builder.sim.run(until=3.35)  # mid-roam: detached from AP-A
@@ -373,6 +375,20 @@ class TestRoaming:
         builder.sim.run(until=spec.duration)
         assert zhuge_b.registered_kind(fr.flow) is not None
         assert zhuge_b.release_floor(fr.flow) >= floor_a
+
+    def test_node_targeted_roam_under_steering_is_pinned(self):
+        """The scripted roam to AP-B with the controllers and fleet
+        steering on: steering moves the client again, and digest v2
+        pins every per-packet delay across all three handoffs."""
+        spec = dataclasses.replace(
+            _scenario(roaming_topology(), duration=8.0, protocol="tcp",
+                      cca="copa", faults=self.ROAM),
+            control=ControlSpec.default())
+        summary = execute_spec(spec)
+        assert summary.steering_moves == [(3.3, "client", "ap-a", "ap-b"),
+                                          (5.3, "client", "ap-b", "ap-a")]
+        assert summary.digest() == (
+            "667404795e98033bdf7a558d404c19fdb1028961889ea6d4b507e12e8e796f2c")
 
     def test_roam_without_target_ap_rejected(self):
         with pytest.raises(ValueError, match="target AP"):
