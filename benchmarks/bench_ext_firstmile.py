@@ -21,7 +21,7 @@ def run_cases():
                                 client_zhuge=zhuge)
         rows.append(("W1 uplink", "client-zhuge" if zhuge else "baseline",
                      result.rtt.tail_ratio(), result.frames.delayed_ratio(),
-                     result.mean_bitrate_bps, None))
+                     result.flows[0].mean_bitrate_bps, None))
     # Single uplink collapse.
     collapse = TraceSpec.drop(20e6, k=10, drop_at=12.0, duration=27.0)
     for zhuge in (False, True):
@@ -30,7 +30,7 @@ def run_cases():
                                 client_zhuge=zhuge)
         rows.append(("10x collapse", "client-zhuge" if zhuge else "baseline",
                      result.rtt.tail_ratio(), result.frames.delayed_ratio(),
-                     result.mean_bitrate_bps,
+                     result.flows[0].mean_bitrate_bps,
                      result.rtt.degradation_duration(0.2, start=12.0)))
     return rows
 

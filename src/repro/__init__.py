@@ -14,12 +14,13 @@ Quick start::
     spec = ScenarioSpec(trace=TraceSpec.for_family("W1", duration=30,
                                                    seed=1),
                         protocol="rtp", ap_mode="zhuge", duration=30)
-    result = TopologyBuilder(spec).run()
-    print(result.rtt.tail_ratio(), result.frames.delayed_ratio())
+    summary = TopologyBuilder(spec).run()
+    print(summary.rtt.tail_ratio(), summary.frames.delayed_ratio())
 
 A :class:`ScenarioSpec` is the one description of a run: the same spec
 goes to a campaign (:func:`run_specs`), into the result cache, and to
-the builder.
+the builder. Every run, in-process or in a campaign, hands back one
+:class:`ScenarioSummary`.
 """
 
 from repro.core import (
@@ -37,7 +38,6 @@ from repro.campaign import (
     run_specs,
 )
 from repro.topology.builder import TopologyBuilder
-from repro.topology.result import ScenarioResult
 from repro.traces import BandwidthTrace, make_trace, ethernet_trace
 
 __version__ = "1.0.0"
@@ -48,7 +48,6 @@ __all__ = [
     "InBandFeedbackUpdater",
     "ZhugeAP",
     "FeedbackKind",
-    "ScenarioResult",
     "TopologyBuilder",
     "ScenarioSpec",
     "ScenarioSummary",

@@ -159,15 +159,12 @@ def execute_spec(spec: ScenarioSpec,
     This is the whole worker: build the spec, simulate, condense to the
     picklable summary. The full recorders never leave the worker.
     """
-    result = None
     try:
         with cell_deadline(timeout, CellTimeout):
-            result = TopologyBuilder(spec).run()
-            return ScenarioSummary.from_result(result, spec)
+            return TopologyBuilder(spec).run()
     finally:
         # A finished cell's graph is all reference cycles: free it now,
         # so peak memory is one cell's and not a matter of GC timing.
-        del result
         gc.collect()
 
 

@@ -1,14 +1,14 @@
-"""Picklable scenario summaries — the unit campaign workers return.
+"""Picklable scenario summaries — the one result type.
 
-A full :class:`~repro.topology.result.ScenarioResult` holds the live
-recorders and trace session and is meant to stay inside the worker
-process. :class:`ScenarioSummary` keeps
-exactly what every figure driver and the CLI read: the warmup-filtered
-per-flow sample series (network RTT, CCA-perceived RTT, frame delays),
-goodput/bitrate scalars, and the prediction columns when recorded. It
-round-trips through JSON bit-exactly, so a summary recomputed in a
-subprocess or replayed from the cache is indistinguishable from one
-computed in-process.
+:meth:`TopologyBuilder.run() <repro.topology.builder.TopologyBuilder.run>`
+returns a :class:`ScenarioSummary`, and campaign workers hand the same
+object back. It keeps exactly what every figure driver and the CLI
+read: the warmup-filtered per-flow sample series (network RTT,
+CCA-perceived RTT, frame delays), goodput/bitrate scalars, and the
+prediction columns when recorded. It round-trips through JSON
+bit-exactly, so a summary recomputed in a subprocess or replayed from
+the cache is indistinguishable from one computed in-process. A live
+trace session never travels with it; it stays on the builder.
 """
 
 from __future__ import annotations
@@ -40,6 +40,14 @@ def _pack(summary, names) -> None:
 class FlowSummary:
     """One RTC flow's summary series (all post-warmup).
 
+    ``rtt_*`` is the *network-layer* RTT of data packets (downlink
+    delivery time minus send time, plus the stable return-path latency)
+    measured at the client side of the wireless hop — the paper's §7.2
+    metric, independent of any feedback manipulation. ``cca_rtt_*`` is
+    what the sender's CCA perceives through its feedback stream (with
+    Zhuge these differ by design: the perceived signal is shifted
+    earlier).
+
     Every series is a packed ``array('d')`` column; any float sequence
     passed in is coerced, and lists appear only at the JSON edge.
     """
@@ -55,19 +63,6 @@ class FlowSummary:
 
     def __post_init__(self) -> None:
         _pack(self, _SERIES)
-
-    @classmethod
-    def from_flow(cls, flow) -> "FlowSummary":
-        """Build from a :class:`~repro.topology.result.FlowResult`
-        (its recorders are fresh post-warmup slices: no copy)."""
-        return cls(rtt_times=flow.rtt.times,
-                   rtt_values=flow.rtt.rtts,
-                   cca_rtt_times=flow.cca_rtt.times,
-                   cca_rtt_values=flow.cca_rtt.rtts,
-                   frame_times=flow.frames.frame_times,
-                   frame_delays=flow.frames.frame_delays,
-                   goodput_bps=flow.goodput_bps,
-                   mean_bitrate_bps=flow.mean_bitrate_bps)
 
     @property
     def rtt(self) -> RttRecorder:
@@ -125,25 +120,13 @@ class ScenarioSummary:
             raise ValueError("predicted and actual differ in length")
 
     @classmethod
-    def from_result(cls, result, spec: ScenarioSpec) -> "ScenarioSummary":
-        """Condense a worker-local :class:`ScenarioResult`."""
-        return cls(spec=spec,
-                   flows=[FlowSummary.from_flow(f) for f in result.flows],
-                   events_processed=result.events_processed,
-                   packets_processed=getattr(result, "packets_processed", 0),
-                   ap_packets=result.ap_packets,
-                   predicted=result.predicted,
-                   actual=result.actual,
-                   fault_log=[tuple(entry) for entry in result.fault_log],
-                   watchdog_transitions=[tuple(entry) for entry
-                                         in result.watchdog_transitions],
-                   control_transitions=[tuple(entry) for entry
-                                        in result.control_transitions],
-                   steering_moves=[tuple(entry) for entry
-                                   in result.steering_moves])
+    def from_result(cls, result: "ScenarioSummary",
+                    spec: ScenarioSpec) -> "ScenarioSummary":
+        """``result`` itself: ``TopologyBuilder.run()`` already returns
+        the summary. Pinned by ``benchmarks/ledger/workloads.py``;
+        nothing else calls it."""
+        return result
 
-    # Mirror the ScenarioResult conveniences so migrated drivers read
-    # summaries exactly as they read results.
     @property
     def rtt(self) -> RttRecorder:
         return self.flows[0].rtt

@@ -567,7 +567,9 @@ def _cmd_trace_events(args) -> int:
                         cca=args.cca, ap_mode=args.ap,
                         duration=args.duration, seed=args.seed,
                         trace_config=trace_config)
-    session = TopologyBuilder(spec).run().trace_session
+    builder = TopologyBuilder(spec)
+    builder.run()
+    session = builder.trace_session
 
     counts = Counter(event.category for event in session.events)
     summary = ", ".join(f"{category}={count}"

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.campaign.spec import ScenarioSpec, TraceSpec
+from repro.experiments.drivers.traces_eval import RTP_SCHEMES, TCP_SCHEMES
 from repro.topology.builder import TopologyBuilder
 
 DROP_AT = 15.0
@@ -45,19 +46,6 @@ FIG4_CCAS = (
     ("Copa", "copa"),
 )
 FIG4_QUEUES = (("FIFO", "fifo"), ("CoDel", "codel"))
-
-FIG14_SCHEMES = (
-    ("Gcc+FIFO", dict(protocol="rtp", ap_mode="none", queue_kind="fifo")),
-    ("Gcc+CoDel", dict(protocol="rtp", ap_mode="none", queue_kind="codel")),
-    ("Gcc+Zhuge", dict(protocol="rtp", ap_mode="zhuge", queue_kind="fifo")),
-)
-
-FIG15_SCHEMES = (
-    ("Copa", dict(protocol="tcp", cca="copa", ap_mode="none")),
-    ("Copa+FastAck", dict(protocol="tcp", cca="copa", ap_mode="fastack")),
-    ("ABC", dict(protocol="tcp", cca="abc", ap_mode="abc")),
-    ("Copa+Zhuge", dict(protocol="tcp", cca="copa", ap_mode="zhuge")),
-)
 
 
 def run_drop(scheme: str, overrides: dict, k: float, seed: int = 1,
@@ -125,10 +113,10 @@ def fig4_cca_convergence(ks=(2, 5, 10, 20, 50),
 def fig14_rtp_drop(ks=(2, 5, 10, 20, 50), seed: int = 1) -> list[DropRow]:
     """Fig. 14: RTP schemes under ABW drop."""
     return [run_drop(name, overrides, k, seed)
-            for k in ks for name, overrides in FIG14_SCHEMES]
+            for k in ks for name, overrides in RTP_SCHEMES]
 
 
 def fig15_tcp_drop(ks=(2, 5, 10, 20, 50), seed: int = 1) -> list[DropRow]:
     """Fig. 15: TCP schemes under ABW drop."""
     return [run_drop(name, overrides, k, seed)
-            for k in ks for name, overrides in FIG15_SCHEMES]
+            for k in ks for name, overrides in TCP_SCHEMES]

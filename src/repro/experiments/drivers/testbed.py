@@ -19,13 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.campaign.spec import ScenarioSpec, TraceSpec
+from repro.experiments.drivers.traces_eval import RTP_SCHEMES
 from repro.topology.builder import TopologyBuilder
-
-SCHEMES = (
-    ("Gcc+FIFO", dict(ap_mode="none", queue_kind="fifo")),
-    ("Gcc+CoDel", dict(ap_mode="none", queue_kind="codel")),
-    ("Gcc+Zhuge", dict(ap_mode="zhuge", queue_kind="fifo")),
-)
 
 
 @dataclass
@@ -39,7 +34,7 @@ class TestbedRow:
 
 def _scenario_config(scenario: str, duration: float, seed: int,
                      overrides: dict) -> ScenarioSpec:
-    base = dict(protocol="rtp", duration=duration, seed=seed, **overrides)
+    base = dict(duration=duration, seed=seed, **overrides)
     if scenario == "scp":
         return ScenarioSpec(
             trace=TraceSpec.constant(30e6, duration, name="steady30"),
@@ -59,7 +54,7 @@ def fig18_testbed(scenarios=("scp", "mcs", "raw"), duration: float = 60.0,
                   seeds: tuple[int, ...] = (1, 2)) -> list[TestbedRow]:
     rows = []
     for scenario in scenarios:
-        for scheme, overrides in SCHEMES:
+        for scheme, overrides in RTP_SCHEMES:
             rtt_tails, delayed, bitrates = [], [], []
             for seed in seeds:
                 spec = _scenario_config(scenario, duration, seed,

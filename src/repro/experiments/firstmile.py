@@ -22,25 +22,17 @@ now crosses two wireless segments and the WAN on the way back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 from repro.campaign.spec import ScenarioSpec
+from repro.campaign.summary import ScenarioSummary
 from repro.cca.base import FeedbackPacketReport
 from repro.core.fortune_teller import FortuneTeller
-from repro.metrics.recorder import FrameRecorder, RttRecorder
 from repro.net.packet import Packet, PacketKind
 from repro.sim.engine import Simulator, Timer
 from repro.topology.builder import TopologyBuilder
 from repro.topology.presets import first_mile_topology
 from repro.transport.rtp import RtpSender
-
-
-@dataclass
-class FirstMileResult:
-    config: ScenarioSpec
-    rtt: RttRecorder = field(default_factory=RttRecorder)
-    frames: FrameRecorder = field(default_factory=FrameRecorder)
-    mean_bitrate_bps: float = 0.0
 
 
 class LocalFortuneLoop:
@@ -84,7 +76,7 @@ class LocalFortuneLoop:
 
 
 def run_first_mile(spec: ScenarioSpec,
-                   client_zhuge: bool = False) -> FirstMileResult:
+                   client_zhuge: bool = False) -> ScenarioSummary:
     """Simulate uplink video with or without client-side Zhuge.
 
     Runs ``spec`` (its trace drives the station's uplink) on
@@ -92,7 +84,8 @@ def run_first_mile(spec: ScenarioSpec,
     generic :class:`TopologyBuilder`, then grafts the client-side
     fortune loop onto the station's endpoint: predictions from the
     station's own uplink queue replace the peer's TWCC for rate control
-    (real NACK-driven loss recovery stays on).
+    (real NACK-driven loss recovery stays on). Returns the run's
+    summary, whose ``spec`` carries the first-mile topology.
     """
     spec = replace(spec, topology=first_mile_topology(
         wan_delay=spec.wan_delay, duration=spec.duration))
@@ -123,10 +116,7 @@ def run_first_mile(spec: ScenarioSpec,
         station = builder.forwarding.handlers("station")
         station[fr.flow.reversed()] = client_feedback
 
-    scenario_result = builder.run()
-    flow = scenario_result.flows[0]
+    summary = builder.run()
     if local_loop is not None:
         local_loop.stop()
-    return FirstMileResult(config=spec, rtt=flow.rtt,
-                           frames=flow.frames,
-                           mean_bitrate_bps=flow.mean_bitrate_bps)
+    return summary

@@ -12,7 +12,7 @@ reproduce bit-identically (pinned by ``tests/data/golden_summaries.json``).
 Routes, per-hop receivers and roaming belong to the graph's
 :class:`~repro.topology.forwarding.Forwarding` object
 (``builder.forwarding``); :func:`repro.topology.result.collect` turns
-the finished run into a :class:`~repro.topology.result.ScenarioResult`.
+the finished run into its :class:`~repro.campaign.summary.ScenarioSummary`.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.sim.random import DeterministicRandom
 from repro.topology.forwarding import (ApRuntime, EdgeRuntime, FlowRuntime,
                                        Forwarding)
 from repro.topology.presets import single_ap_topology
-from repro.topology.result import ScenarioResult, collect
+from repro.topology.result import collect
 from repro.topology.spec import EdgeSpec, FlowSpec, NodeSpec
 from repro.topology.stacks import STACKS, BulkFlowAdapter
 from repro.transport.tcp import TcpReceiver, TcpSender
@@ -359,7 +359,7 @@ class TopologyBuilder:
 
     # -- run -----------------------------------------------------------------
 
-    def run(self) -> ScenarioResult:
+    def run(self) -> "ScenarioSummary":  # noqa: F821
         try:
             self.sim.run(until=self.spec.duration)
         except Exception as exc:

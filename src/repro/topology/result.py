@@ -1,83 +1,22 @@
-"""What a finished run hands back: :class:`ScenarioResult`.
+"""What a finished run hands back: its :class:`ScenarioSummary`.
 
 :func:`collect` reads a :class:`~repro.topology.builder.TopologyBuilder`
 whose simulation has run to the spec's duration, stops its periodic
-components, and condenses the recorders, prediction joins and fault /
-watchdog / control logs into one :class:`ScenarioResult`.
+components, and condenses the warm-up-cut recorders, prediction joins
+and fault / watchdog / control / steering logs into one
+:class:`~repro.campaign.summary.ScenarioSummary`. A live trace session
+is never part of it: it stays on ``builder.trace_session``.
 """
 
 from __future__ import annotations
 
-from array import array
-from dataclasses import dataclass, field
-from typing import Optional
-
-from repro.metrics.recorder import FrameRecorder, RttRecorder, column
-from repro.obs.session import TraceSession
+from repro.metrics.recorder import column
 
 
-@dataclass
-class FlowResult:
-    """Per-RTC-flow recorders.
-
-    ``rtt`` is the *network-layer* RTT of data packets (downlink delivery
-    time minus send time, plus the stable return-path latency) measured
-    at the client side of the wireless hop — the paper's §7.2 metric,
-    independent of any feedback manipulation. ``cca_rtt`` is what the
-    sender's CCA perceives through its feedback stream (with Zhuge these
-    differ by design: the perceived signal is shifted earlier).
-    """
-
-    rtt: RttRecorder
-    frames: FrameRecorder
-    cca_rtt: RttRecorder = field(default_factory=RttRecorder)
-    goodput_bps: float = 0.0
-    mean_bitrate_bps: float = 0.0
-
-
-@dataclass
-class ScenarioResult:
-    """Everything the figures read after a run."""
-
-    config: "ScenarioSpec"  # noqa: F821 - the spec that ran
-    flows: list[FlowResult]
-    #: Joined (predicted, actual) delays of every Zhuge AP in node order
-    #: (each in delivery order); empty unless ``record_predictions``.
-    predicted: array = field(default_factory=column)
-    actual: array = field(default_factory=column)
-    events_processed: int = 0
-    #: Packets delivered by the link layers — identical in both event
-    #: models (``events_processed`` is model-dependent telemetry).
-    packets_processed: int = 0
-    ap_packets: int = 0
-    #: Live tracing state when ``config.trace_config`` was set. Holds
-    #: the collected events and the prediction auditor; never serialized
-    #: into campaign summaries.
-    trace_session: Optional[TraceSession] = None
-    #: (time, kind, phase) of every executed fault phase, in order.
-    fault_log: list = field(default_factory=list)
-    #: (time, state, reason) of every AP watchdog transition, in order.
-    watchdog_transitions: list = field(default_factory=list)
-    #: (time, ap, state, reason) of every controller transition, merged
-    #: across APs in time order.
-    control_transitions: list = field(default_factory=list)
-    #: (time, client, old_ap, new_ap) of every completed steering move.
-    steering_moves: list = field(default_factory=list)
-
-    @property
-    def rtt(self) -> RttRecorder:
-        return self.flows[0].rtt
-
-    @property
-    def frames(self) -> FrameRecorder:
-        return self.flows[0].frames
-
-    def measured_duration(self) -> float:
-        return self.config.duration - self.config.warmup
-
-
-def collect(builder) -> ScenarioResult:
-    """Stop ``builder``'s run and condense it into a result."""
+def collect(builder) -> "ScenarioSummary":  # noqa: F821
+    """Stop ``builder``'s run and condense it into its summary."""
+    # repro.campaign imports the builder: import its summary lazily.
+    from repro.campaign.summary import FlowSummary, ScenarioSummary
     spec = builder.spec
     network_rtt = builder.forwarding.network_rtt
     flows = []
@@ -85,12 +24,14 @@ def collect(builder) -> ScenarioResult:
         rtt = network_rtt[fr.flow].since(spec.warmup)
         cca_rtt = fr.sender.rtt_recorder.since(spec.warmup)
         frames = fr.app.frame_recorder.since(spec.warmup)
-        result = FlowResult(
-            rtt=rtt, frames=frames, cca_rtt=cca_rtt,
-            goodput_bps=_flow_goodput(fr.protocol, fr.receiver, spec))
-        result.mean_bitrate_bps = fr.sender.rate_recorder.mean_rate(
-            start=spec.warmup)
-        flows.append(result)
+        flows.append(FlowSummary(
+            rtt_times=rtt.times, rtt_values=rtt.rtts,
+            cca_rtt_times=cca_rtt.times, cca_rtt_values=cca_rtt.rtts,
+            frame_times=frames.frame_times,
+            frame_delays=frames.frame_delays,
+            goodput_bps=_flow_goodput(fr.protocol, fr.receiver, spec),
+            mean_bitrate_bps=fr.sender.rate_recorder.mean_rate(
+                start=spec.warmup)))
 
     ap_packets = 0
     predicted, actual = column(), column()
@@ -132,16 +73,15 @@ def collect(builder) -> ScenarioResult:
         builder.steering.stop()
         steering_moves = list(builder.steering.moves)
 
-    return ScenarioResult(config=spec, flows=flows,
-                          predicted=predicted, actual=actual,
-                          events_processed=builder.sim.events_processed,
-                          packets_processed=builder.sim.packets_processed,
-                          ap_packets=ap_packets,
-                          trace_session=session,
-                          fault_log=fault_log,
-                          watchdog_transitions=watchdog_transitions,
-                          control_transitions=control_transitions,
-                          steering_moves=steering_moves)
+    return ScenarioSummary(spec=spec, flows=flows,
+                           events_processed=builder.sim.events_processed,
+                           packets_processed=builder.sim.packets_processed,
+                           ap_packets=ap_packets,
+                           predicted=predicted, actual=actual,
+                           fault_log=fault_log,
+                           watchdog_transitions=watchdog_transitions,
+                           control_transitions=control_transitions,
+                           steering_moves=steering_moves)
 
 
 #: Payload bytes per received packet, by protocol.

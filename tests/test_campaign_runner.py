@@ -16,6 +16,8 @@ from repro.campaign import (CampaignError, ResultCache, ScenarioSpec,
                             TraceSpec, execute_spec, run_campaign,
                             run_specs)
 from repro.campaign.summary import ScenarioSummary
+from repro.faults import FaultPlan
+from repro.topology.builder import TopologyBuilder
 
 CRASH_SEED = 99  # cells with this seed misbehave in the injected workers
 
@@ -79,6 +81,26 @@ class TestDeterminism:
         specs = [_stub_spec(seed=s) for s in (3, 1, 4, 2)]
         summaries = run_specs(specs, jobs=2, worker=staggered_worker)
         assert [s.events_processed for s in summaries] == [3, 1, 4, 2]
+
+
+class TestOneResultType:
+    def test_builder_run_is_the_campaign_summary(self):
+        """In-process, serial-worker and pooled runs hand back the same
+        summary type with the same payload."""
+        spec = ScenarioSpec(
+            trace=TraceSpec.for_family("W2", duration=6.0, seed=1),
+            protocol="rtp", ap_mode="zhuge", duration=6.0, warmup=2.0,
+            seed=1, record_predictions=True,
+            faults=FaultPlan.parse("blackout@3+0.5,reset@4"))
+        summary = TopologyBuilder(spec).run()
+        assert isinstance(summary, ScenarioSummary)
+        assert len(summary.predicted) > 0 and summary.fault_log
+        payload = summary.as_dict()
+        assert payload == execute_spec(spec).as_dict()
+        assert payload == run_specs([spec], jobs=2)[0].as_dict()
+        assert (ScenarioSummary.from_dict(payload).digest()
+                == summary.digest())
+        assert ScenarioSummary.from_result(summary, summary.spec) is summary
 
 
 class TestCaching:
@@ -182,18 +204,6 @@ class TestTelemetry:
         assert stats.line().startswith("[3/3]")
 
 
-class _CyclicResult:
-    """What a finished cell leaves behind: a graph only the cycle
-    collector can free (builder <-> closures <-> links <-> timers)."""
-
-    flows = predicted = actual = fault_log = ()
-    watchdog_transitions = control_transitions = steering_moves = ()
-    events_processed = ap_packets = 0
-
-    def __init__(self):
-        self.builder = self
-
-
 class TestCellBoundaryReclamation:
     def test_cell_graph_is_dead_when_execute_spec_returns(self,
                                                           monkeypatch):
@@ -202,13 +212,17 @@ class TestCellBoundaryReclamation:
         born = []
 
         class Builder:
+            """What a finished cell leaves behind: a graph only the
+            cycle collector can free (builder <-> closures <-> links
+            <-> timers)."""
+
             def __init__(self, spec):
-                pass
+                self.spec = spec
+                self.graph = self
+                born.append(weakref.ref(self))
 
             def run(self):
-                result = _CyclicResult()
-                born.append(weakref.ref(result))
-                return result
+                return ScenarioSummary(spec=self.spec)
 
         monkeypatch.setattr("repro.campaign.runner.TopologyBuilder", Builder)
         gc.disable()

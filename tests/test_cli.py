@@ -321,6 +321,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "ABW drop" in out
 
+    def test_trace_events_writes_an_audited_artifact(self, tmp_path,
+                                                     capsys):
+        out_file = tmp_path / "q.json"
+        assert main(["trace", "W2", "--duration", "3", "--events", "queue",
+                     "--out", str(out_file)]) == 0
+        assert out_file.exists()
+        assert "packets audited" in capsys.readouterr().out
+
     def test_run_with_trace_file(self, tmp_path, capsys):
         out_file = tmp_path / "w1.json"
         main(["trace", "--family", "W1", "--duration", "20",

@@ -487,7 +487,9 @@ class TestControlTraceSchema:
         from repro.topology.builder import TopologyBuilder
         spec = dataclasses.replace(
             _controlled_spec(), trace_config=TraceConfig(events=("control",)))
-        return TopologyBuilder(spec).run().trace_session
+        builder = TopologyBuilder(spec)
+        builder.run()
+        return builder.trace_session
 
     def test_control_events_emitted(self, session):
         names = {(e.category, e.name) for e in session.events}

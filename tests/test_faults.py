@@ -628,7 +628,9 @@ class TestFaultTraceSchema:
         from repro.obs.session import TraceConfig
         spec = dataclasses.replace(
             _faulted_spec(), trace_config=TraceConfig(events=("fault",)))
-        return TopologyBuilder(spec).run().trace_session
+        builder = TopologyBuilder(spec)
+        builder.run()
+        return builder.trace_session
 
     def test_fault_events_emitted(self, session):
         names = {(e.category, e.name) for e in session.events}

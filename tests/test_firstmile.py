@@ -46,7 +46,8 @@ class TestFirstMileBehaviour:
                                                        seed=4), duration=30)
         base = run_first_mile(spec)
         zhuge = run_first_mile(spec, client_zhuge=True)
-        assert zhuge.mean_bitrate_bps >= 0.5 * base.mean_bitrate_bps
+        assert (zhuge.flows[0].mean_bitrate_bps
+                >= 0.5 * base.flows[0].mean_bitrate_bps)
 
 
 class TestLocalFortuneLoop:

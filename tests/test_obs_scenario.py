@@ -36,48 +36,55 @@ class TestTraceConfig:
 
 class TestTracedScenario:
     @pytest.fixture(scope="class")
-    def result(self):
-        return TopologyBuilder(ScenarioSpec(
+    def traced(self):
+        builder = TopologyBuilder(ScenarioSpec(
             trace=TraceSpec.for_family("W2", duration=12, seed=3),
             protocol="rtp", ap_mode="zhuge", duration=12,
             record_predictions=True,
-            trace_config=TraceConfig())).run()
+            trace_config=TraceConfig()))
+        return builder.run(), builder.trace_session
 
-    def test_events_collected(self, result):
-        session = result.trace_session
+    @pytest.fixture(scope="class")
+    def result(self, traced):
+        return traced[0]
+
+    @pytest.fixture(scope="class")
+    def session(self, traced):
+        return traced[1]
+
+    def test_events_collected(self, session):
         assert session is not None
         assert len(session.events) > 1000
         categories = {e.category for e in session.events}
         assert {"queue", "link", "ap"} <= categories
 
-    def test_auditor_matches_fortune_teller_pairs(self, result):
+    def test_auditor_matches_fortune_teller_pairs(self, result, session):
         """The acceptance criterion: audited pairs == recorded pairs."""
-        live = result.trace_session.auditor.pairs
+        live = session.auditor.pairs
         recorded = list(zip(result.predicted, result.actual))
         assert len(live) == len(recorded) > 100
         assert live == recorded
 
-    def test_flight_recorder_saw_everything(self, result):
-        session = result.trace_session
+    def test_flight_recorder_saw_everything(self, session):
         assert session.flight.seen == len(session.events)
 
-    def test_export_writes_chrome_trace(self, result, tmp_path):
-        path = result.trace_session.export(out=str(tmp_path / "t.json"))
+    def test_export_writes_chrome_trace(self, session, tmp_path):
+        path = session.export(out=str(tmp_path / "t.json"))
         doc = json.loads(path.read_text())
         assert doc["otherData"]["generator"] == "repro.obs"
         assert any(e["ph"] == "C" for e in doc["traceEvents"])
 
-    def test_export_writes_jsonl(self, result, tmp_path):
-        path = result.trace_session.export(out=str(tmp_path / "t.jsonl"),
-                                           fmt="jsonl")
+    def test_export_writes_jsonl(self, session, tmp_path):
+        path = session.export(out=str(tmp_path / "t.jsonl"), fmt="jsonl")
         first = json.loads(path.read_text().splitlines()[0])
         assert {"t", "cat", "name", "track"} <= set(first)
 
     def test_untraced_run_has_no_session(self):
-        result = TopologyBuilder(ScenarioSpec(
+        builder = TopologyBuilder(ScenarioSpec(
             trace=TraceSpec.for_family("W2", duration=6, seed=3),
-            duration=6)).run()
-        assert result.trace_session is None
+            duration=6))
+        builder.run()
+        assert builder.trace_session is None
 
 
 class TestDumpOnError:
