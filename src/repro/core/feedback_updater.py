@@ -116,10 +116,10 @@ class OutOfBandFeedbackUpdater:
         #: The AP's canonical uplink-forward callable.  When a delayed
         #: ACK's ``forward`` *is* this callable, the hold is served by a
         #: :class:`~repro.sim.engine.TimedRun` instead of a scheduler
-        #: event — one sentinel per burst instead of one heap event (and
-        #: one closure) per ACK.  Unknown forwards are scheduled; both
-        #: assign their seq at ACK time, so the two are tie-order
-        #: identical.
+        #: event — one sentinel per busy period instead of one heap event
+        #: (and one closure) per ACK, one dispatch per burst.  Unknown
+        #: forwards are scheduled; both assign their seq at ACK time, so
+        #: the two are tie-order identical.
         self.release_forward: Optional[Callable[[Packet], None]] = None
         self._release_run = None
 
@@ -237,7 +237,7 @@ class OutOfBandFeedbackUpdater:
         elif forward is self.release_forward:
             run = self._release_run
             if run is None:
-                run = self._release_run = self.sim.timed_run(forward)
+                run = self._release_run = self.sim.timed_run(self._release)
             # ``now + delay``, as ``schedule`` computes it.  The clamp
             # keeps releases monotone, but ``arrival + (release -
             # arrival)`` can regress by an ulp; a run refuses that, so
@@ -247,9 +247,17 @@ class OutOfBandFeedbackUpdater:
             if times and time < times[-1]:
                 self.sim.schedule(delay, lambda p=packet: forward(p))
             else:
-                run.push(time, packet)
+                run.extend(time, [packet])
         else:
             self.sim.schedule(delay, lambda p=packet: forward(p))
+
+    def _release(self, packets: list) -> None:
+        """The release run's dispatcher: a burst of held ACKs, in order
+        (same-instant releases with nothing scheduled between them join
+        one burst, :meth:`~repro.sim.engine.TimedRun.extend`)."""
+        forward = self.release_forward
+        for packet in packets:
+            forward(packet)
 
     @property
     def outstanding_tokens(self) -> float:

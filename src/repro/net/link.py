@@ -21,6 +21,7 @@ as the oracle these trajectories are pinned against.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Callable, Optional
 
@@ -49,10 +50,12 @@ class WiredLink:
     def __init__(self, sim: Simulator, rate_bps: Optional[float],
                  delay: float, queue: Optional[DropTailQueue] = None,
                  name: str = "link"):
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative: {delay}")
-        if rate_bps is not None and rate_bps <= 0:
-            raise ValueError(f"rate must be positive or None: {rate_bps}")
+        if not 0 <= delay < math.inf:
+            raise ValueError(
+                f"delay must be finite and non-negative: {delay}")
+        if rate_bps is not None and not 0 < rate_bps < math.inf:
+            raise ValueError(
+                f"rate must be finite and positive, or None: {rate_bps}")
         # Explicit None check: an empty DropTailQueue is falsy (len == 0),
         # so ``queue or default`` would silently discard a provided queue.
         if queue is None:

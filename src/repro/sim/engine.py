@@ -1,40 +1,35 @@
-"""Bucketed discrete-event simulator.
+"""Discrete-event simulator.
 
 Time is a float in seconds. Events are callables scheduled at an absolute
 time; ties are broken by insertion order so the simulation is fully
 deterministic for a fixed seed and schedule.
 
-Scheduler layout (the PR 6 hot-path restructure)
-------------------------------------------------
-The scheduler is two-tier:
+Scheduler layout
+----------------
+Every pending entry sits in one heap of ``(time, seq, event)`` tuples,
+so sift comparisons run entirely in C (float/int tuple compare) instead
+of calling a Python-level ``Event.__lt__``.  ``schedule(0.0)`` and
+``call_at(now)`` push ``(now, seq)`` like any other time: the heap is
+the exact total order ``(time, seq)``, ties broken by insertion order.
 
-* a **now bucket** (`_ready`, a FIFO deque) holds events scheduled at
-  exactly the current virtual instant — the calendar bucket of width
-  zero at ``now``.  Zero-delay scheduling dominates the datapath (link
-  serve kicks, immediate forwards), and bucketed events cost O(1)
-  append/popleft instead of two O(log n) heap operations;
-* a **future heap** holds everything else as ``(time, seq, event)``
-  tuples, so heap sift comparisons run entirely in C (float/int tuple
-  compare) instead of calling a Python-level ``Event.__lt__``.
-
-The execution order is the exact total order ``(time, seq)`` the
-single-heap implementation produced: a heap event at the current
-instant was necessarily scheduled *before* the clock reached that
-instant (its seq is smaller than any bucket entry's), so the run loop
-drains same-instant heap events ahead of the bucket.
+:meth:`Simulator.post` is ``schedule(0.0, callback)`` for a callback
+that needs no handle.  When nothing older is pending at ``now`` — no
+heap entry at ``now`` and no further item of the dispatching run at
+``now`` — the posted callback is the next dispatch in that order, so
+it runs at the end of the current dispatch instead of as an
+:class:`Event` of its own (DESIGN.md §13).
 
 Cancellation is O(1) (a flag) and cancelled events are *compacted*
-lazily: once the dead outnumber the live the scheduler is rebuilt
-without the corpses (heap *and* now bucket) — amortized O(1) per
-cancel, and a campaign that cancels millions of timers no longer drags
-a heap of tombstones behind it.
+lazily: once the dead outnumber the live the heap is rebuilt without
+the corpses — amortized O(1) per cancel, and a campaign that cancels
+millions of timers no longer drags a heap of tombstones behind it.
 
 Macro-event runs (the PR 10 event-model refactor)
 -------------------------------------------------
 A :class:`TimedRun` is a time-ordered stream of payloads sharing one
 dispatcher function.  Instead of one :class:`Event` per packet, a
 component pushes ``(time, payload)`` records onto a run; the run keeps
-a **single sentinel** in the future heap (for its head item) and the
+a **single sentinel** in the heap (for its head item) and the
 run loop *run-ahead* fires consecutive items inline — without any heap
 traffic — for as long as they are globally next in the exact
 ``(time, seq)`` total order.  Each item consumes one ``seq`` from the
@@ -51,7 +46,8 @@ would have, in the same order.  The engine releases every payload as
 it dispatches it.
 
 ``events_processed`` counts every dispatch (events and run items
-alike, a burst as one) and is engine *telemetry*; summary digests pin
+alike, a burst as one; a post that ran in place is part of the dispatch
+that posted it) and is engine *telemetry*; summary digests pin
 ``packets_processed``, the packets the link layers delivered.
 """
 
@@ -118,6 +114,12 @@ class Event:
         return f"Event(t={self.time:.6f}, seq={self.seq}, {state})"
 
 
+def _push_error(time: float, bound: float, what: str) -> SimulationError:
+    if math.isnan(time):
+        return SimulationError("cannot push at NaN time")
+    return SimulationError(f"{what}: {time} < {bound}")
+
+
 class TimedRun:
     """A monotone stream of timed payloads sharing one dispatcher.
 
@@ -129,7 +131,7 @@ class TimedRun:
     would between two events).
 
     The run keeps at most one *sentinel* entry ``(time, seq, run)`` in
-    the future heap — for its head item — so a thousand-packet burst
+    the heap — for its head item — so a thousand-packet burst
     costs one heap push instead of a thousand.  Push times must be
     non-decreasing within a run (each stream models a FIFO resource:
     a link's arrival line, an AP's release queue).  Runs cannot be
@@ -159,18 +161,17 @@ class TimedRun:
         past-time check, and its sentinel is planted (mid-dispatch: when
         the dispatch ends).  An empty run coming live plants one — in
         the heap even at ``time == now``, where the run loop's tie
-        compare orders it exactly by seq.
+        compare orders it exactly by seq.  The checks are written
+        ``not >=`` so that a NaN ``time`` fails them too.
         """
         times = self._times
         sim = self._sim
         seq = sim._seq
         if times:
-            if time < times[-1]:
-                raise SimulationError(
-                    f"TimedRun push out of order: {time} < {times[-1]}")
-        elif time < sim._now:
-            raise SimulationError(
-                f"cannot push in the past: {time} < {sim._now}")
+            if not time >= times[-1]:
+                raise _push_error(time, times[-1], "TimedRun push out of order")
+        elif not time >= sim._now:
+            raise _push_error(time, sim._now, "cannot push in the past")
         else:
             heapq.heappush(sim._heap, (time, seq, self))
         sim._seq = seq + 1
@@ -222,7 +223,9 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0.0
         self._heap: list[tuple[float, int, Event]] = []
-        self._ready: "deque[Event]" = deque()
+        #: Posted callbacks that run, in order, when the current
+        #: dispatch returns (:meth:`post`).
+        self._posted: "deque[Callable[[], None]]" = deque()
         self._seq = 0
         self._dead = 0
         self._running = False
@@ -248,11 +251,11 @@ class Simulator:
     def events_processed(self) -> int:
         """Number of dispatches executed so far (telemetry).
 
-        Counts events and run items alike, so the value moves whenever
-        a component changes how it dispatches; digests pin
-        ``packets_processed``.  A callback :meth:`tail_call` runs
-        inline is part of its caller's dispatch: it is not counted
-        here, nor toward ``run(max_events=)``.
+        Counts events and run items alike (a burst as one), so the
+        value moves whenever a component changes how it dispatches;
+        digests pin ``packets_processed``.  A callback that
+        :meth:`post` ran in place is part of the dispatch that posted
+        it: it is not counted here, nor toward ``run(max_events=)``.
         """
         return self._events_processed
 
@@ -268,38 +271,33 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        now = self._now
+        time = self._now + delay
+        if math.isnan(time):
+            raise SimulationError("cannot schedule at NaN time")
         seq = self._seq
         self._seq = seq + 1
-        if delay == 0.0:
-            event = Event(now, seq, callback, self)
-            self._ready.append(event)
-        else:
-            time = now + delay
-            if math.isnan(time):
-                raise SimulationError("cannot schedule at NaN time")
-            event = Event(time, seq, callback, self)
-            heapq.heappush(self._heap, (time, seq, event))
+        event = Event(time, seq, callback, self)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
-    def tail_call(self, callback: Callable[[], None]) -> None:
-        """``schedule(0.0, callback)`` as a dispatch's last act, run
-        inline when that event would be the very next dispatch: the now
-        bucket is empty, the heap top lies after ``now`` and so does the
-        dispatching run's next item (DESIGN.md §13).
+    def post(self, callback: Callable[[], None]) -> None:
+        """``schedule(0.0, callback)`` for a callback that needs no handle.
 
-        Precondition: the caller is not inside the delivery of a burst
-        (:meth:`TimedRun.extend`) — the rest of that burst would count
-        as already dispatched.  Its call sites, in ``WirelessLink``'s
-        ``_serve_txop`` and ``_transmit_ampdu``, are reached only from
-        events and from ``_finish``, whose run items are single AMPDUs."""
+        When nothing older is pending at ``now`` — no heap entry at
+        ``now`` and no further item of the dispatching run at ``now`` —
+        every entry that could fire at ``now`` is younger, so the
+        callback is the next dispatch in the ``(time, seq)`` order: it
+        runs when the current dispatch returns (a burst included), after
+        any earlier post, instead of as an :class:`Event`.  Otherwise,
+        and outside :meth:`run`, it is scheduled (DESIGN.md §13).
+        """
         now = self._now
+        heap = self._heap
         run = self._run
-        if (self._running and not self._ready
-                and (not self._heap or self._heap[0][0] > now)
+        if (self._running and (not heap or heap[0][0] > now)
                 and (run is None or run._head == len(run._times)
                      or run._times[run._head] > now)):
-            callback()
+            self._posted.append(callback)
         else:
             self.schedule(0.0, callback)
 
@@ -315,10 +313,7 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         event = Event(time, seq, callback, self)
-        if time == now:
-            self._ready.append(event)
-        else:
-            heapq.heappush(self._heap, (time, seq, event))
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def _note_cancel(self) -> None:
@@ -334,29 +329,19 @@ class Simulator:
         dead = self._dead
         if dead <= _COMPACT_MIN_DEAD:
             return
-        live = len(self._heap) + len(self._ready) - dead
-        if dead > live:
+        if dead > len(self._heap) - dead:
             self._compact()
 
     def _compact(self) -> None:
-        """Rebuild the scheduler without cancelled events (O(live)).
+        """Rebuild the heap without cancelled events (O(live)).
 
-        Mutates the heap list and the now bucket in place: ``run``
-        holds local aliases to both, and cancel (hence compaction) can
-        happen mid-run from an event callback.  Both tiers are purged —
-        leaving corpses parked in the now bucket would recount them
-        into ``_dead`` and re-trigger an O(live) rebuild on every
-        subsequent cancel (the degenerate fault-storm pattern this
-        threshold exists to prevent).
+        Mutates the heap list in place: ``run`` holds a local alias to
+        it, and cancel (hence compaction) can happen mid-run from an
+        event callback.
         """
         heap = self._heap
         heap[:] = [entry for entry in heap if not entry[2].cancelled]
         heapq.heapify(heap)
-        ready = self._ready
-        if any(event.cancelled for event in ready):
-            live = [event for event in ready if not event.cancelled]
-            ready.clear()
-            ready.extend(live)
         self._dead = 0
         self.compactions += 1
 
@@ -377,27 +362,20 @@ class Simulator:
         self._running = True
         processed = 0
         try:
-            ready = self._ready
             heap = self._heap
             heappop = heapq.heappop
+            posted = self._posted
+            if until is None or self._now <= until:
+                # Posts a raising callback left behind are the oldest
+                # entries at ``now``.
+                while posted:
+                    posted.popleft()()
             if until is None and max_events is None:
                 # Run-to-exhaustion fast loop: no bound checks per event.
-                while True:
-                    if ready:
-                        # A heap event can share this instant (scheduled
-                        # before the clock got here, or a positive delay
-                        # that underflowed to now): strictly by seq.
-                        if (heap and heap[0][0] == self._now
-                                and heap[0][1] < ready[0].seq):
-                            event = heappop(heap)[2]
-                        else:
-                            event = ready.popleft()
-                    elif heap:
-                        entry = heappop(heap)
-                        self._now = entry[0]
-                        event = entry[2]
-                    else:
-                        break
+                while heap:
+                    entry = heappop(heap)
+                    self._now = entry[0]
+                    event = entry[2]
                     if event.__class__ is Event:
                         if event.cancelled:
                             self._dead -= 1
@@ -405,28 +383,18 @@ class Simulator:
                         event.fired = True
                         event.callback()
                         processed += 1
+                        while posted:
+                            posted.popleft()()
                     else:
                         processed += self._dispatch_run(event, None, None)
                 return
-            while True:
+            while heap:
                 if max_events is not None and processed >= max_events:
                     break
-                if ready:
-                    time = self._now
-                    if until is not None and time > until:
-                        break
-                    if (heap and heap[0][0] == time
-                            and heap[0][1] < ready[0].seq):
-                        event = heappop(heap)[2]
-                    else:
-                        event = ready.popleft()
-                elif heap:
-                    time = heap[0][0]
-                    if until is not None and time > until:
-                        break
-                    event = heappop(heap)[2]
-                else:
+                time = heap[0][0]
+                if until is not None and time > until:
                     break
+                event = heappop(heap)[2]
                 if event.__class__ is not Event:
                     processed += self._dispatch_run(
                         event, until,
@@ -440,6 +408,8 @@ class Simulator:
                 event.fired = True
                 event.callback()
                 processed += 1
+                while posted:
+                    posted.popleft()()
             if until is not None and self._now < until:
                 # Bugfix (PR 6): never teleport the clock past pending
                 # events — only fast-forward when the schedule is empty
@@ -457,14 +427,14 @@ class Simulator:
         """Fire ``run``'s head item plus run-ahead; return items fired.
 
         Called with the run's sentinel freshly popped from the heap.
-        After the head item fires, consecutive items keep firing inline
-        — zero heap traffic — while each is globally next in the exact
-        ``(time, seq)`` order (now bucket empty, and no heap event at a
-        smaller key).  On any tie or bound the loop stops and a fresh
-        sentinel is planted for the new head, returning resolution to
-        the main loop's full compare; correctness never depends on how
-        far run-ahead got.  Each payload leaves the run's storage before
-        ``fn`` sees it, so a busy run pins only what is pending.
+        After the head item fires (and its posts drain), consecutive
+        items keep firing inline — zero heap traffic — while each is
+        globally next in the exact ``(time, seq)`` order (no heap entry
+        at a smaller key).  On any tie or bound the loop stops and a
+        fresh sentinel is planted for the new head, returning resolution
+        to the main loop's full compare; correctness never depends on
+        how far run-ahead got.  Each payload leaves the run's storage
+        before ``fn`` sees it, so a busy run pins only what is pending.
         """
         times = run._times
         i = run._head
@@ -474,7 +444,7 @@ class Simulator:
         payloads = run._payloads
         fn = run.fn
         heap = self._heap
-        ready = self._ready
+        posted = self._posted
         fired = 0
         self._run = run
         try:
@@ -487,13 +457,13 @@ class Simulator:
                 payload = payloads[i]
                 payloads[i] = None
                 fn(payload)
+                while posted:
+                    posted.popleft()()
                 fired += 1
                 if limit is not None and fired >= limit:
                     break
                 i = run._head
-                if i == len(times) or ready:
-                    # Drained, or a same/later-instant bucket entry
-                    # needs the main loop's seq tie-break.
+                if i == len(times):
                     break
                 t2 = times[i]
                 if heap:
@@ -551,24 +521,18 @@ class Simulator:
 
     def peek(self) -> Optional[float]:
         """Time of the next pending (non-cancelled) event, or None."""
-        ready = self._ready
-        while ready and ready[0].cancelled:
-            ready.popleft()
-            self._dead -= 1
+        if self._posted:
+            return self._now
         heap = self._heap
         while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
             self._dead -= 1
-        if ready:
-            # Bucket entries sit at the current instant; a same-instant
-            # heap event (smaller seq) does not change the *time*.
-            return self._ready[0].time
         return heap[0][0] if heap else None
 
     def pending(self) -> int:
-        """Number of pending (non-cancelled) events and run items (a
-        burst counts as one item)."""
-        count = sum(1 for event in self._ready if not event.cancelled)
+        """Number of pending (non-cancelled) events, run items (a burst
+        counts as one item) and posts."""
+        count = len(self._posted)
         for _, _, obj in self._heap:
             if obj.__class__ is Event:
                 if not obj.cancelled:

@@ -21,6 +21,7 @@ types.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -118,8 +119,14 @@ class EdgeSpec:
             raise ValueError(f"unknown queue_kind {self.queue_kind!r}")
         if self.kind == "wired" and self.trace is not None:
             raise ValueError(f"wired edge {self.name!r} cannot carry a trace")
-        if self.delay < 0:
-            raise ValueError(f"edge {self.name!r} has negative delay")
+        if not 0 <= self.delay < math.inf:
+            raise ValueError(
+                f"edge {self.name!r} delay must be finite and non-negative: "
+                f"{self.delay}")
+        if self.rate_bps is not None and not 0 < self.rate_bps < math.inf:
+            raise ValueError(
+                f"edge {self.name!r} rate_bps must be finite and positive: "
+                f"{self.rate_bps}")
 
     @property
     def wireless(self) -> bool:

@@ -59,7 +59,7 @@ class CellularLink:
         accepted = self.queue.enqueue(packet, self.sim.now)
         if accepted and not self._serving and not self.blocked:
             self._serving = True
-            self.sim.schedule(0.0, self._serve_tti)
+            self.sim.post(self._serve_tti)
 
     def block(self) -> None:
         """Stop serving (cell outage); arrivals keep queueing."""
@@ -70,7 +70,7 @@ class CellularLink:
         self.blocked = False
         if not self._serving and not self.queue.is_empty:
             self._serving = True
-            self.sim.schedule(0.0, self._serve_tti)
+            self.sim.post(self._serve_tti)
 
     def _serve_tti(self) -> None:
         """Serve up to one TTI's worth of bytes, then re-arm."""

@@ -19,6 +19,7 @@ each; ``tests/reference_links.py`` keeps the per-event chain as oracle.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 from repro.net.packet import Packet
@@ -44,6 +45,9 @@ class WirelessLink:
                  domain=None):
         if max_ampdu_packets < 1:
             raise ValueError("max_ampdu_packets must be >= 1")
+        if not 0 <= propagation_delay < math.inf:
+            raise ValueError("propagation_delay must be finite and "
+                             f"non-negative: {propagation_delay}")
         self.sim = sim
         self.channel = channel
         self.queue = queue
@@ -77,7 +81,8 @@ class WirelessLink:
         self.trace = None
         self._traced_rate: Optional[float] = None
         #: Serve/transmit keep their own instants (contention RNG draws,
-        #: queue reads); a zero-delay transmit is a ``tail_call``.
+        #: queue reads); an idle kick and a zero-delay transmit are
+        #: posts (:meth:`~repro.sim.engine.Simulator.post`).
         self._finish_run = sim.timed_run(self._finish)
         self._arrive_run = sim.timed_run(self._arrive)
 
@@ -87,7 +92,7 @@ class WirelessLink:
             return
         if not self._serving and not self.blocked:
             self._serving = True
-            self.sim.schedule(0.0, self._serve_txop)
+            self.sim.post(self._serve_txop)
 
     def block(self) -> None:
         """Stop serving (link blackout); arrivals keep queueing."""
@@ -98,7 +103,7 @@ class WirelessLink:
         self.blocked = False
         if not self._serving and not self.queue.is_empty:
             self._serving = True
-            self.sim.schedule(0.0, self._serve_txop)
+            self.sim.post(self._serve_txop)
 
     def _serve_txop(self) -> None:
         if self.blocked:
@@ -113,7 +118,7 @@ class WirelessLink:
         if self.domain is not None:
             access_delay += self.domain.access_delay(self.sim.now)
         if access_delay == 0.0:
-            self.sim.tail_call(self._transmit_ampdu)
+            self.sim.post(self._transmit_ampdu)
         else:
             self.sim.schedule(access_delay, self._transmit_ampdu)
 
@@ -130,7 +135,7 @@ class WirelessLink:
                                          self.max_ampdu_bytes)
         if not ampdu:
             # The AQM dropped the rest of the backlog; try again.
-            self.sim.tail_call(self._serve_txop)
+            self.sim.post(self._serve_txop)
             return
         ampdu_bytes = 0
         for packet in ampdu:

@@ -220,6 +220,29 @@ class TestParser:
         assert f"error: argument {flag}: cannot load {path}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("delay", "NaN"), ("delay", "Infinity"), ("rate_bps", "NaN"),
+        ("rate_bps", "Infinity"), ("rate_bps", "0")])
+    def test_non_finite_link_topology_exits_2_naming_it(
+            self, field, value, tmp_path, capsys, monkeypatch):
+        """JSON's ``NaN`` / ``Infinity`` literals parse; the edge spec
+        refuses them at parse time instead of inside the run."""
+        from repro.topology.presets import interference_topology
+        self._refuse_commands(monkeypatch)
+        payload = interference_topology().as_dict()
+        wired = next(edge for edge in payload["edges"]
+                     if edge.get("kind", "wired") == "wired")
+        wired[field] = "@@"
+        path = tmp_path / "topology.json"
+        path.write_text(json.dumps(payload).replace('"@@"', value))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--topology", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --topology: cannot load {path}" in err
+        assert f"{field} must be finite" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("content", [
         "not json",
         '[{"trace": {"kind": "constant", "rate_bps": 1e6}, "nosuch": 1}]',

@@ -66,7 +66,7 @@ class _Side:
 
     def _shadow(self, tag):
         # ``k * gap`` off the tick is the float packet ``k`` fires at
-        # when unpaced; k = 0 lands in the engine's now bucket.
+        # when unpaced; k = 0 is a zero-delay schedule at ``now``.
         for k in self.marks:
             self.sim.schedule(k * self.gap, lambda k=k: self._mark((tag, k)))
 

@@ -56,6 +56,33 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.call_at(float("nan"), lambda: None)
 
+    @pytest.mark.parametrize("time", [float("nan"), float("-nan")])
+    def test_nan_push_rejected(self, sim, time):
+        """A run refuses a NaN time, as ``schedule`` and ``call_at`` do,
+        whether it is empty, already holds an item, or is extended."""
+        run = sim.timed_run(lambda payload: None)
+        with pytest.raises(SimulationError, match="NaN"):
+            run.push(time, "x")
+        with pytest.raises(SimulationError, match="NaN"):
+            run.extend(time, ["x"])
+        run.push(1.0, "a")
+        with pytest.raises(SimulationError, match="NaN"):
+            run.push(time, "x")
+        with pytest.raises(SimulationError, match="NaN"):
+            run.extend(time, ["x"])
+        assert run.pending() == 1 and sim.pending() == 1
+        sim.run()
+        assert sim.now == 1.0
+
+    def test_out_of_order_push_still_names_the_times(self, sim):
+        run = sim.timed_run(lambda payload: None)
+        run.push(2.0, "a")
+        with pytest.raises(SimulationError, match="out of order: 1.0 < 2.0"):
+            run.push(1.0, "b")
+        sim.schedule(3.0, lambda: run.push(2.5, "c"))
+        with pytest.raises(SimulationError, match="in the past: 2.5 < 3.0"):
+            sim.run()
+
     def test_events_processed_counter(self, sim):
         for i in range(5):
             sim.schedule(i * 0.1, lambda: None)

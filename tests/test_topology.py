@@ -65,6 +65,45 @@ class TestSpecValidation:
             EdgeSpec("a", "b", kind="wired",
                      trace=TraceSpec.constant(1e6, 1.0))
 
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -0.001])
+    def test_edge_rejects_non_finite_or_negative_delay(self, delay):
+        with pytest.raises(ValueError, match="delay must be finite"):
+            EdgeSpec("a", "b", delay=delay)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -1e6])
+    def test_edge_rejects_non_finite_or_non_positive_rate(self, rate):
+        with pytest.raises(ValueError, match="rate_bps must be finite"):
+            EdgeSpec("a", "b", rate_bps=rate)
+
+    @pytest.mark.parametrize("delay, rate", [
+        (float("nan"), None), (float("inf"), None), (0.01, float("nan")),
+        (0.01, float("inf")), (0.01, 0.0)])
+    def test_links_reject_non_finite_parameters(self, delay, rate):
+        """A graph built without the spec is refused by the links
+        themselves (NaN used to die inside the run, ``inf`` delivered
+        nothing)."""
+        from repro.net.link import WiredLink
+        from repro.net.queue import DropTailQueue
+        from repro.sim.engine import Simulator
+        from repro.wireless.channel import WirelessChannel
+        from repro.wireless.link import WirelessLink
+        with pytest.raises(ValueError, match="finite"):
+            WiredLink(Simulator(), rate, delay)
+        if rate is None:
+            channel = WirelessChannel(TraceSpec.constant(1e6, 1.0).build())
+            with pytest.raises(ValueError, match="finite"):
+                WirelessLink(Simulator(), channel, DropTailQueue(),
+                             propagation_delay=delay)
+
+    def test_nan_wan_delay_topology_is_refused_before_the_run(self):
+        payload = single_ap_topology(ScenarioSpec(
+            trace=TraceSpec.for_family("W1", duration=3.0, seed=1),
+            duration=3.0)).as_dict()
+        edge = next(e for e in payload["edges"] if e["name"] == "wan-down")
+        edge["delay"] = float("nan")
+        with pytest.raises(ValueError, match="'wan-down' delay"):
+            TopologySpec.from_dict(payload)
+
     def test_edge_name_defaults_to_endpoints(self):
         assert EdgeSpec("ap", "client", kind="wifi").name == "ap-client"
 
