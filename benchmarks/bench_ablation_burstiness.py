@@ -7,24 +7,22 @@ Teller's accuracy and (b) end-to-end tails — pacing smooths arrivals,
 shrinking the transient the estimators must capture.
 """
 
-from repro.campaign.spec import ScenarioSpec, TraceSpec
+from repro.campaign import ScenarioSpec, TraceSpec, run_specs
 from repro.experiments.drivers.format import format_table, ms, pct
 from repro.metrics.stats import percentile
-from repro.topology.builder import TopologyBuilder
 
 
 def run_cases(duration=40.0, seed=1):
     trace = TraceSpec.for_family("W1", duration=duration, seed=seed)
+    specs = [ScenarioSpec(trace=trace, protocol="rtp", ap_mode="zhuge",
+                          duration=duration, seed=seed,
+                          record_predictions=True, paced_sender=paced)
+             for paced in (False, True)]
     rows = []
-    for paced in (False, True):
-        spec = ScenarioSpec(trace=trace, protocol="rtp",
-                            ap_mode="zhuge", duration=duration,
-                            seed=seed, record_predictions=True,
-                            paced_sender=paced)
-        result = TopologyBuilder(spec).run()
+    for name, result in zip(("bursty", "paced"), run_specs(specs)):
         errors = [abs(p - a) for p, a in zip(result.predicted,
                                              result.actual)]
-        rows.append(("paced" if paced else "bursty",
+        rows.append((name,
                      percentile(errors, 50) if errors else 0.0,
                      percentile(errors, 90) if errors else 0.0,
                      result.rtt.tail_ratio(),

@@ -23,7 +23,7 @@ from repro.campaign import ResultCache, execute_spec, run_campaign, run_specs
 from repro.experiments.drivers.format import format_table
 from repro.experiments.drivers.hotpath import write_results
 from repro.experiments.drivers.traces_eval import (SCHEMES_BY_NAME,
-                                                   scheme_specs)
+                                                   grid_specs)
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
@@ -32,11 +32,9 @@ MAX_OVERHEAD = 0.03
 
 
 def _sweep_specs(duration=20.0, seeds=(1, 2)):
-    specs = []
-    for scheme in ("Gcc+FIFO", "Gcc+Zhuge"):
-        specs.extend(scheme_specs("W2", SCHEMES_BY_NAME[scheme],
-                                  duration=duration, seeds=seeds))
-    return specs
+    return grid_specs([("W2", scheme, SCHEMES_BY_NAME[scheme])
+                       for scheme in ("Gcc+FIFO", "Gcc+Zhuge")],
+                      duration, seeds)
 
 
 def test_campaign_pool_and_cache(once, tmp_path):

@@ -7,25 +7,21 @@ only five-tuples and manipulates ACK timing. We run video-over-QUIC
 tails with frames intact.
 """
 
-from repro.campaign.spec import ScenarioSpec, TraceSpec
+from repro.campaign import ScenarioSpec, TraceSpec, run_specs
 from repro.experiments.drivers.format import format_table, mbps, pct
-from repro.topology.builder import TopologyBuilder
 
 
 def run_cases(duration=40.0):
-    rows = []
-    for trace_name, seed in (("W1", 2), ("C2", 3)):
-        trace = TraceSpec.for_family(trace_name, duration=duration,
-                                     seed=seed)
-        for mode in ("none", "zhuge"):
-            result = TopologyBuilder(ScenarioSpec(
-                trace=trace, protocol="quic", cca="copa", ap_mode=mode,
-                duration=duration, seed=seed)).run()
-            rows.append((trace_name, mode, result.rtt.tail_ratio(),
-                         result.frames.delayed_ratio(),
-                         result.frames.count,
-                         result.flows[0].goodput_bps))
-    return rows
+    cells = [(name, seed, mode) for name, seed in (("W1", 2), ("C2", 3))
+             for mode in ("none", "zhuge")]
+    summaries = run_specs([ScenarioSpec(
+        trace=TraceSpec.for_family(name, duration=duration, seed=seed),
+        protocol="quic", cca="copa", ap_mode=mode, duration=duration,
+        seed=seed) for name, seed, mode in cells])
+    return [(name, mode, result.rtt.tail_ratio(),
+             result.frames.delayed_ratio(), result.frames.count,
+             result.flows[0].goodput_bps)
+            for (name, _, mode), result in zip(cells, summaries)]
 
 
 def test_ext_quic(once):

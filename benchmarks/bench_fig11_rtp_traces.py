@@ -6,22 +6,15 @@ We assert the aggregate shape: Zhuge's tail metrics beat the best
 baseline on average and never lose badly on any single trace.
 """
 
-from repro.experiments.drivers.format import format_table, mbps, pct
+from repro.experiments.drivers.format import format_trace_rows
 from repro.experiments.drivers.traces_eval import fig11_rtp_traces
 
 
 def test_fig11_rtp_traces(once):
     rows = once(fig11_rtp_traces, duration=60.0, seeds=(1, 2))
-    table = [(r.trace, r.scheme, pct(r.rtt_tail_ratio),
-              pct(r.delayed_frame_ratio), pct(r.low_fps_ratio),
-              mbps(r.mean_bitrate_bps))
-             for r in rows]
     print()
-    print(format_table(
-        "Fig. 11 — RTP/RTCP trace-driven evaluation",
-        ("trace", "scheme", "RTT>200ms", "frame>400ms", "fps<10",
-         "bitrate"),
-        table))
+    print(format_trace_rows(
+        "Fig. 11 — RTP/RTCP trace-driven evaluation", rows))
 
     def metric(trace, scheme, attr):
         return next(getattr(r, attr) for r in rows

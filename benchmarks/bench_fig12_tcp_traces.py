@@ -4,22 +4,15 @@ Paper: Copa+Zhuge beats Copa and Copa+FastAck on tail latency across
 traces and is comparable to ABC (which needs modified end hosts).
 """
 
-from repro.experiments.drivers.format import format_table, mbps, pct
+from repro.experiments.drivers.format import format_trace_rows
 from repro.experiments.drivers.traces_eval import fig12_tcp_traces
 
 
 def test_fig12_tcp_traces(once):
     rows = once(fig12_tcp_traces, duration=60.0, seeds=(1, 2))
-    table = [(r.trace, r.scheme, pct(r.rtt_tail_ratio),
-              pct(r.delayed_frame_ratio), pct(r.low_fps_ratio),
-              mbps(r.mean_bitrate_bps))
-             for r in rows]
     print()
-    print(format_table(
-        "Fig. 12 — TCP trace-driven evaluation",
-        ("trace", "scheme", "RTT>200ms", "frame>400ms", "fps<10",
-         "bitrate"),
-        table))
+    print(format_trace_rows(
+        "Fig. 12 — TCP trace-driven evaluation", rows))
 
     def metric(trace, scheme, attr="rtt_tail_ratio"):
         return next(getattr(r, attr) for r in rows

@@ -33,10 +33,9 @@ from repro.city import CITY_PRESETS, CityGenSpec
 from repro.control import ControlSpec
 from repro.faults.spec import FaultPlan
 from repro.obs.session import FORMATS, TraceConfig
-from repro.experiments.drivers.format import format_table, mbps, pct
+from repro.experiments.drivers.format import format_table, format_trace_rows
 from repro.experiments.drivers.traces_eval import (SCHEMES_BY_NAME,
-                                                   row_from_summaries,
-                                                   scheme_specs)
+                                                   grid_rows, grid_specs)
 from repro.topology.builder import TopologyBuilder
 from repro.topology.presets import (first_mile_topology,
                                     interference_topology, roaming_topology)
@@ -94,6 +93,28 @@ def _at_least(minimum: int):
 
 _count = _at_least(0)
 _positive_count = _at_least(1)
+
+
+def _comma_list(element=str, choices=None):
+    """argparse ``type=`` for a non-empty comma list: a tuple of items,
+    each one of ``choices`` (when given) and parsed by ``element``."""
+    def parse(text: str) -> tuple:
+        items = [item.strip() for item in text.split(",") if item.strip()]
+        if not items:
+            raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+        values = []
+        for item in items:
+            if choices is not None and item not in choices:
+                raise argparse.ArgumentTypeError(
+                    f"invalid choice: {item!r} (choose from "
+                    f"{', '.join(choices)})")
+            try:
+                values.append(element(item))
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"invalid {element.__name__} value: {item!r}") from None
+        return tuple(values)
+    return parse
 
 
 def _fault_dsl(text: str) -> str:
@@ -208,10 +229,6 @@ def _maybe_prune_cache(args, cache) -> None:
           f"({pruned.pruned_bytes / 1e6:.1f} MB)")
 
 
-def _csv(text: str) -> list[str]:
-    return [item.strip() for item in text.split(",") if item.strip()]
-
-
 def cmd_run(args) -> int:
     summary = run_specs([_spec_from_args(args, args.ap)])[0]
     print("\n".join(summary_lines(
@@ -228,11 +245,7 @@ def _suffixed(path: str, tag: str) -> str:
 
 
 def cmd_compare(args) -> int:
-    modes = _csv(args.ap_modes)
-    for mode in modes:
-        if mode not in AP_MODES:
-            raise SystemExit(f"unknown AP mode {mode!r}; "
-                             f"expected one of {AP_MODES}")
+    modes = args.ap_modes
     # One artifact per mode: `--trace-out t.json` -> t-none.json, ...
     outs = [(_suffixed(args.trace_out, mode) if args.trace_out else None)
             for mode in modes]
@@ -322,27 +335,13 @@ def cmd_campaign(args) -> int:
         return cmd_city_campaign(args)
     if args.duration is None:
         args.duration = 30.0
-    seeds = tuple(int(s) for s in _csv(args.seeds))
     if args.specs is not None:
         specs = args.specs
         grid = None
     else:
-        traces = _csv(args.traces)
-        for name in traces:
-            if name not in TRACE_CHOICES:
-                raise SystemExit(f"unknown trace {name!r}; "
-                                 f"expected one of {TRACE_CHOICES}")
-        schemes = _csv(args.schemes)
-        for name in schemes:
-            if name not in SCHEMES_BY_NAME:
-                raise SystemExit(
-                    f"unknown scheme {name!r}; expected one of "
-                    f"{sorted(SCHEMES_BY_NAME)}")
-        grid = [(trace, scheme) for trace in traces for scheme in schemes]
-        specs = []
-        for trace, scheme in grid:
-            specs.extend(scheme_specs(trace, SCHEMES_BY_NAME[scheme],
-                                      args.duration, seeds))
+        grid = [(trace, scheme, SCHEMES_BY_NAME[scheme])
+                for trace in args.traces for scheme in args.schemes]
+        specs = grid_specs(grid, args.duration, args.seeds)
         # The grid's rows measure from the warm-up on: refuse a grid
         # with nothing to measure before any cell runs.
         warmup = max((spec.warmup for spec in specs), default=0.0)
@@ -387,20 +386,11 @@ def cmd_campaign(args) -> int:
 
     rows = []
     if grid is not None and not result.failures():
-        summaries = [cell.summary for cell in result.cells]
-        for position, (trace, scheme) in enumerate(grid):
-            chunk = summaries[position * len(seeds):
-                              (position + 1) * len(seeds)]
-            row = row_from_summaries(trace, scheme, SCHEMES_BY_NAME[scheme],
-                                     chunk, args.duration)
-            rows.append(row)
-        print(format_table(
-            f"campaign — {len(result.cells)} cells over seeds {seeds}",
-            ("trace", "scheme", "RTT>200ms", "frame>400ms", "fps<10",
-             "bitrate"),
-            [(r.trace, r.scheme, pct(r.rtt_tail_ratio),
-              pct(r.delayed_frame_ratio), pct(r.low_fps_ratio),
-              mbps(r.mean_bitrate_bps)) for r in rows]))
+        rows = grid_rows(grid, [cell.summary for cell in result.cells],
+                         args.duration, args.seeds)
+        print(format_trace_rows(
+            f"campaign — {len(result.cells)} cells over seeds {args.seeds}",
+            rows))
 
     for cell in result.failures():
         print(f"FAILED cell {cell.index} [{cell.spec.label()}] "
@@ -426,12 +416,7 @@ def cmd_campaign(args) -> int:
                        "cached": c.cached, "attempts": c.attempts,
                        "error": c.error, "spec": c.spec.as_dict()}
                       for c in result.cells],
-            "rows": [{"trace": r.trace, "scheme": r.scheme,
-                      "rtt_tail_ratio": r.rtt_tail_ratio,
-                      "delayed_frame_ratio": r.delayed_frame_ratio,
-                      "low_fps_ratio": r.low_fps_ratio,
-                      "mean_bitrate_bps": r.mean_bitrate_bps}
-                     for r in rows],
+            "rows": [dataclasses.asdict(r) for r in rows],
         }
         with open(args.out, "w") as handle:
             json.dump(payload, handle, indent=2)
@@ -448,11 +433,9 @@ def cmd_campaign(args) -> int:
 
 def cmd_resilience(args) -> int:
     from repro.experiments.drivers.resilience import fig_resilience
-    lengths = tuple(float(s) for s in _csv(args.lengths))
-    seeds = tuple(int(s) for s in _csv(args.seeds))
     cache = _resolve_cache_args(args)
-    rows = fig_resilience(blackout_lengths=lengths,
-                          duration=args.duration, seeds=seeds,
+    rows = fig_resilience(blackout_lengths=args.lengths,
+                          duration=args.duration, seeds=args.seeds,
                           protocol=args.protocol, cca=args.cca,
                           jobs=args.jobs, cache=cache,
                           timeout=args.timeout, retries=args.retries)
@@ -461,7 +444,7 @@ def cmd_resilience(args) -> int:
         return f"{value:.2f}s" if value is not None else "-"
 
     print(format_table(
-        f"resilience — blackout sweep over seeds {seeds}",
+        f"resilience — blackout sweep over seeds {args.seeds}",
         ("scheme", "blackout", "steady P50", "fault P50", "fault P99",
          "demote", "promote"),
         [(r.scheme, f"{r.blackout_s:g}s", f"{r.steady_p50_ms:.0f} ms",
@@ -478,10 +461,9 @@ def cmd_resilience(args) -> int:
 
 def cmd_control(args) -> int:
     from repro.experiments.drivers import control as driver
-    seeds = tuple(int(s) for s in _csv(args.seeds))
     cache = _resolve_cache_args(args)
     rows, fleet_rows = driver.fig_control(
-        seeds=seeds,
+        seeds=args.seeds,
         duration=(args.duration if args.duration is not None
                   else driver.DURATION),
         storm=args.storm or driver.STORM,
@@ -497,7 +479,7 @@ def cmd_control(args) -> int:
         return f"{value:.2f}s" if value is not None else "-"
 
     print(format_table(
-        f"control — static vs controller over seeds {seeds} "
+        f"control — static vs controller over seeds {args.seeds} "
         f"(pooled fault windows)",
         ("scheme", "steady P50", "fault P50", "fault P99", "samples",
          "transitions", "first react"),
@@ -554,9 +536,6 @@ def _cmd_trace_events(args) -> int:
     """Run one traced scenario and write an event-trace artifact."""
     from collections import Counter
 
-    if args.scenario not in TRACE_CHOICES:
-        raise SystemExit(f"unknown scenario {args.scenario!r}; "
-                         f"expected one of {TRACE_CHOICES}")
     trace_spec = TraceSpec.for_family(args.scenario,
                                       duration=args.duration + 5,
                                       seed=args.seed)
@@ -767,6 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     help="run plain AP vs Zhuge AP")
     _add_scenario_args(compare_parser)
     compare_parser.add_argument("--ap-modes", default="none,zhuge",
+                                type=_comma_list(choices=AP_MODES),
                                 help="comma list of AP modes to compare")
     compare_parser.add_argument("--jobs", type=int, default=0,
                                 help="run the AP modes in parallel "
@@ -778,12 +758,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a (traces x schemes x seeds) grid through the "
              "parallel cached campaign runner")
     campaign_parser.add_argument("--traces", default="W1",
+                                 type=_comma_list(choices=TRACE_CHOICES),
                                  help="comma list of trace families")
     campaign_parser.add_argument("--schemes",
                                  default="Gcc+FIFO,Gcc+CoDel,Gcc+Zhuge",
+                                 type=_comma_list(
+                                     choices=sorted(SCHEMES_BY_NAME)),
                                  help="comma list of scheme names "
                                       "(see drivers/traces_eval.py)")
     campaign_parser.add_argument("--seeds", default="1,2",
+                                 type=_comma_list(int),
                                  help="comma list of seeds per cell")
     campaign_parser.add_argument("--duration", type=_duration, default=None,
                                  help="simulated seconds per cell "
@@ -848,10 +832,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="blackout sweep: Zhuge vs passthrough vs FastAck under "
              "injected faults (repro.faults)")
     resilience_parser.add_argument("--lengths", default="0.5,1,2",
+                                   type=_comma_list(_duration),
                                    help="comma list of blackout lengths "
                                         "in seconds")
     resilience_parser.add_argument("--duration", type=_duration, default=25.0)
     resilience_parser.add_argument("--seeds", default="1",
+                                   type=_comma_list(int),
                                    help="comma list of seeds per cell")
     resilience_parser.add_argument("--protocol", default="tcp",
                                    choices=("rtp", "tcp"))
@@ -867,6 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
              "controller, plus fleet steering on a two-AP topology "
              "(repro.control)")
     control_parser.add_argument("--seeds", default="1,2",
+                                type=_comma_list(int),
                                 help="comma list of seeds per scheme")
     control_parser.add_argument("--duration", type=_duration, default=None,
                                 help="per-AP storm run length")
@@ -889,6 +876,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="record an event trace of a scenario (with a positional "
              "scenario) or generate a bandwidth-trace file (--family)")
     trace_parser.add_argument("scenario", nargs="?", default=None,
+                              choices=TRACE_CHOICES, metavar="SCENARIO",
                               help="trace family to simulate with event "
                                    "tracing enabled (e.g. W2); omit for "
                                    "bandwidth-trace-file mode")

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.campaign import ScenarioSpec, TraceSpec, run_specs
+from repro.campaign import run_specs
+from repro.experiments.drivers.traces_eval import (grid_specs, pooled,
+                                                   seed_split)
 from repro.metrics.stats import ccdf_points, percentile, tail_fraction
 
 ACCESS_TYPES = (
@@ -36,25 +38,13 @@ def fig2_access_comparison(duration: float = 60.0,
                            seeds: tuple[int, ...] = (1, 2),
                            jobs: int = 0, cache=None) -> list[AccessRow]:
     """One RTP flow per access type; returns tail summaries + CCDFs."""
-    specs = [ScenarioSpec(trace=TraceSpec.for_family(family,
-                                                     duration=duration,
-                                                     seed=seed),
-                          protocol="rtp", duration=duration, seed=seed)
-             for _, family in ACCESS_TYPES
-             for seed in seeds]
-    summaries = run_specs(specs, jobs=jobs, cache=cache)
+    grid = [(family, label, dict(protocol="rtp"))
+            for label, family in ACCESS_TYPES]
+    summaries = run_specs(grid_specs(grid, duration, seeds), jobs=jobs,
+                          cache=cache)
     rows = []
-    for position, (label, family) in enumerate(ACCESS_TYPES):
-        chunk = summaries[position * len(seeds):(position + 1) * len(seeds)]
-        rtts: list[float] = []
-        delays: list[float] = []
-        fps: list[float] = []
-        for summary in chunk:
-            warmup = summary.spec.warmup
-            rtts.extend(summary.rtt.rtts)
-            delays.extend(summary.frames.frame_delays)
-            fps.extend(summary.frames.per_second_fps(
-                duration - warmup, start=warmup))
+    for (_, label, _), chunk in zip(grid, seed_split(summaries, seeds)):
+        rtts, delays, fps = pooled(chunk, duration)
         rows.append(AccessRow(
             access=label,
             median_rtt=percentile(rtts, 50),

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.campaign.spec import ScenarioSpec, TraceSpec
+from repro.campaign import ScenarioSpec, TraceSpec, run_specs
 from repro.core.fortune_teller import FortuneTeller
 from repro.net.packet import FiveTuple, Packet
 from repro.net.queue import DropTailQueue
 from repro.obs.audit import PredictionAuditor
 from repro.sim.engine import Simulator
-from repro.topology.builder import TopologyBuilder
 from repro.traces.trace import BandwidthTrace
 from repro.wireless.channel import WirelessChannel
 from repro.wireless.link import WirelessLink
@@ -98,16 +97,16 @@ def fig19_prediction_accuracy(traces=("W1", "W2", "C1", "C2"),
                               duration: float = 40.0,
                               seed: int = 1) -> list[AccuracyResult]:
     """Per-trace prediction error of the Fortune Teller under Zhuge."""
+    specs = [ScenarioSpec(
+                 trace=TraceSpec.for_family(trace_name, duration=duration,
+                                            seed=seed),
+                 protocol="rtp", ap_mode="zhuge", duration=duration,
+                 seed=seed, record_predictions=True)
+             for trace_name in traces]
     results = []
-    for trace_name in traces:
-        spec = ScenarioSpec(
-            trace=TraceSpec.for_family(trace_name, duration=duration,
-                                       seed=seed),
-            protocol="rtp", ap_mode="zhuge", duration=duration, seed=seed,
-            record_predictions=True)
-        result = TopologyBuilder(spec).run()
+    for trace_name, summary in zip(traces, run_specs(specs)):
         report = PredictionAuditor.from_pairs(
-            zip(result.predicted, result.actual)).report(cdf_resolution=30)
+            zip(summary.predicted, summary.actual)).report(cdf_resolution=30)
         results.append(AccuracyResult(
             trace=trace_name,
             error_cdf=report.error_cdf,

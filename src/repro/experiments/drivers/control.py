@@ -10,7 +10,7 @@ configuration? And on a two-AP fleet, does the
 to the healthiest AP beat leaving it parked on the faulted one?
 
 Both comparisons aggregate *pooled* fault-window samples across seeds
-(the same cursor-chunked aggregation as the resilience driver): the
+(one seed-ordered chunk per scheme, split like every figure's): the
 fault window of each storm is the union of every windowed fault's
 ``[start, end + RECOVERY_WINDOW]`` span, so the metrics cover the
 outages and their recovery transients, not the calm in between.
@@ -29,6 +29,7 @@ from typing import Optional
 
 from repro.campaign import ScenarioSpec, TraceSpec, run_specs
 from repro.control import ControllerConfig, ControlSpec, SteeringConfig
+from repro.experiments.drivers.traces_eval import seed_split
 from repro.faults.spec import FaultPlan
 from repro.metrics.stats import percentile
 from repro.topology.presets import roaming_topology
@@ -167,12 +168,10 @@ def fig_control(seeds: tuple[int, ...] = (1, 2),
     summaries = run_specs(specs, jobs=jobs, cache=cache,
                           timeout=timeout, retries=retries)
 
+    chunks = seed_split(summaries, seeds)
     spans = fault_windows(storm_plan(storm))
     rows = []
-    cursor = 0
-    for label, _factory in SCHEMES:
-        chunk = summaries[cursor:cursor + len(seeds)]
-        cursor += len(seeds)
+    for (label, _factory), chunk in zip(SCHEMES, chunks):
         steady: list[float] = []
         window: list[float] = []
         transitions = 0
@@ -196,9 +195,8 @@ def fig_control(seeds: tuple[int, ...] = (1, 2),
     fleet_rows = []
     if fleet:
         fleet_spans = fault_windows(storm_plan(fleet_storm))
-        for label, _factory in FLEET_SCHEMES:
-            chunk = summaries[cursor:cursor + len(seeds)]
-            cursor += len(seeds)
+        for (label, _factory), chunk in zip(FLEET_SCHEMES,
+                                            chunks[len(SCHEMES):]):
             window = []
             moves = 0
             for summary in chunk:

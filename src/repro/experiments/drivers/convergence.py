@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.campaign.spec import ScenarioSpec, TraceSpec
+from repro.campaign import ScenarioSpec, TraceSpec, run_specs
 from repro.experiments.drivers.traces_eval import RTP_SCHEMES, TCP_SCHEMES
-from repro.topology.builder import TopologyBuilder
 
 DROP_AT = 15.0
 OBSERVE = 15.0           # seconds after the drop
@@ -48,27 +47,35 @@ FIG4_CCAS = (
 FIG4_QUEUES = (("FIFO", "fifo"), ("CoDel", "codel"))
 
 
+def _drop_rows(cells, seed: int, max_bps: float) -> list[DropRow]:
+    """Run the ``(scheme, overrides, k)`` cells as one campaign and
+    measure each run's degradation durations."""
+    duration = DROP_AT + OBSERVE
+    specs = [ScenarioSpec(trace=TraceSpec.drop(BASE_RATE, k=k,
+                                               drop_at=DROP_AT,
+                                               duration=duration),
+                          duration=duration, seed=seed, wan_delay=0.025,
+                          max_bps=max_bps, warmup=2.0, **overrides)
+             for _, overrides, k in cells]
+    rows = []
+    for (scheme, _, k), result in zip(cells, run_specs(specs)):
+        flow = result.flows[0]
+        rows.append(DropRow(
+            scheme=scheme, k=k,
+            rtt_degradation_s=flow.rtt.degradation_duration(
+                0.200, start=DROP_AT),
+            frame_delay_degradation_s=flow.frames.delay_degradation_duration(
+                0.400, start=DROP_AT),
+            low_fps_duration_s=flow.frames.low_fps_duration(
+                OBSERVE, start=DROP_AT),
+            rate_reconvergence_s=_reconvergence(result, k)))
+    return rows
+
+
 def run_drop(scheme: str, overrides: dict, k: float, seed: int = 1,
              max_bps: float = VIDEO_CAP) -> DropRow:
     """One bandwidth-drop run; measures degradation durations."""
-    duration = DROP_AT + OBSERVE
-    trace = TraceSpec.drop(BASE_RATE, k=k, drop_at=DROP_AT,
-                           duration=duration)
-    spec = ScenarioSpec(trace=trace, duration=duration, seed=seed,
-                        wan_delay=0.025, max_bps=max_bps,
-                        warmup=2.0, **overrides)
-    result = TopologyBuilder(spec).run()
-    flow = result.flows[0]
-
-    rtt_duration = flow.rtt.degradation_duration(0.200, start=DROP_AT)
-    frame_duration = flow.frames.delay_degradation_duration(0.400,
-                                                            start=DROP_AT)
-    low_fps = flow.frames.low_fps_duration(OBSERVE, start=DROP_AT)
-    return DropRow(scheme=scheme, k=k,
-                   rtt_degradation_s=rtt_duration,
-                   frame_delay_degradation_s=frame_duration,
-                   low_fps_duration_s=low_fps,
-                   rate_reconvergence_s=_reconvergence(result, k))
+    return _drop_rows([(scheme, overrides, k)], seed, max_bps)[0]
 
 
 def _reconvergence(result, k: float) -> float:
@@ -92,31 +99,28 @@ def fig4_cca_convergence(ks=(2, 5, 10, 20, 50),
     Unlike Figs. 14/15 (rate-capped video), Fig. 4 studies the CCAs
     themselves, so the flows here are allowed to fill the 30 Mbps link.
     """
-    rows = []
-    greedy_cap = 25e6
+    cells = []
     for k in ks:
-        for cca_name, cca in FIG4_CCAS:
-            for queue_name, queue in FIG4_QUEUES:
-                rows.append(run_drop(
-                    f"{cca_name}+{queue_name}",
-                    dict(protocol="tcp", cca=cca, queue_kind=queue,
-                         app="bulk"),
-                    k, seed, max_bps=greedy_cap))
-        for queue_name, queue in FIG4_QUEUES:
-            rows.append(run_drop(
-                f"Gcc+{queue_name}",
-                dict(protocol="rtp", ap_mode="none", queue_kind=queue),
-                k, seed, max_bps=greedy_cap))
-    return rows
+        cells += [(f"{cca_name}+{queue_name}",
+                   dict(protocol="tcp", cca=cca, queue_kind=queue,
+                        app="bulk"), k)
+                  for cca_name, cca in FIG4_CCAS
+                  for queue_name, queue in FIG4_QUEUES]
+        cells += [(f"Gcc+{queue_name}",
+                   dict(protocol="rtp", ap_mode="none", queue_kind=queue), k)
+                  for queue_name, queue in FIG4_QUEUES]
+    return _drop_rows(cells, seed, max_bps=25e6)
 
 
 def fig14_rtp_drop(ks=(2, 5, 10, 20, 50), seed: int = 1) -> list[DropRow]:
     """Fig. 14: RTP schemes under ABW drop."""
-    return [run_drop(name, overrides, k, seed)
-            for k in ks for name, overrides in RTP_SCHEMES]
+    return _drop_rows([(name, overrides, k)
+                       for k in ks for name, overrides in RTP_SCHEMES],
+                      seed, VIDEO_CAP)
 
 
 def fig15_tcp_drop(ks=(2, 5, 10, 20, 50), seed: int = 1) -> list[DropRow]:
     """Fig. 15: TCP schemes under ABW drop."""
-    return [run_drop(name, overrides, k, seed)
-            for k in ks for name, overrides in TCP_SCHEMES]
+    return _drop_rows([(name, overrides, k)
+                       for k in ks for name, overrides in TCP_SCHEMES],
+                      seed, VIDEO_CAP)

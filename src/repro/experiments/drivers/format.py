@@ -1,4 +1,4 @@
-"""Row formatting shared by the benchmark harness."""
+"""Row formatting shared by the benchmark harness and the CLI."""
 
 from __future__ import annotations
 
@@ -20,6 +20,18 @@ def format_table(title: str, header: Sequence[str],
     for row in rows:
         lines.append("".join(str(cell).ljust(w) for cell, w in zip(row, widths)))
     return "\n".join(lines)
+
+
+def format_trace_rows(title: str, rows) -> str:
+    """The six-column table of :class:`TraceRow` rows (Figs. 11 and 12,
+    ``repro campaign``)."""
+    return format_table(
+        title,
+        ("trace", "scheme", "RTT>200ms", "frame>400ms", "fps<10",
+         "bitrate"),
+        [(r.trace, r.scheme, pct(r.rtt_tail_ratio),
+          pct(r.delayed_frame_ratio), pct(r.low_fps_ratio),
+          mbps(r.mean_bitrate_bps)) for r in rows])
 
 
 def pct(value: float, digits: int = 2) -> str:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.campaign import ScenarioSpec, TraceSpec, run_specs
+from repro.experiments.drivers.traces_eval import seed_split
 from repro.faults.spec import FaultPlan, FaultSpec
 from repro.metrics.stats import percentile
 
@@ -108,39 +109,38 @@ def fig_resilience(blackout_lengths: tuple[float, ...] = (0.5, 1.0, 2.0),
     summaries = run_specs(specs, jobs=jobs, cache=cache,
                           timeout=timeout, retries=retries)
 
+    grid = [(label, length)
+            for label, _ap_mode, _watchdog in SCHEMES
+            for length in blackout_lengths]
     rows = []
-    cursor = 0
-    for label, _ap_mode, _watchdog in SCHEMES:
-        for length in blackout_lengths:
-            chunk = summaries[cursor:cursor + len(seeds)]
-            cursor += len(seeds)
-            steady: list[float] = []
-            window: list[float] = []
-            demote_at = promote_at = None
-            lo, hi = FAULT_START, FAULT_START + length + RECOVERY_WINDOW
-            for summary in chunk:
-                rtt = summary.rtt
-                steady.extend(rtt.rtts)
-                window.extend(v for t, v in zip(rtt.times, rtt.rtts)
-                              if lo <= t <= hi)
-                if demote_at is None:
-                    demote_at = _first_transition(
-                        summary.watchdog_transitions, "degraded")
-                    if demote_at is not None:
-                        promote_at = _first_transition(
-                            summary.watchdog_transitions, "healthy",
-                            after=demote_at)
-            rows.append(ResilienceRow(
-                scheme=label,
-                blackout_s=length,
-                steady_p50_ms=(percentile(steady, 50) * 1000
-                               if steady else 0.0),
-                fault_p50_ms=(percentile(window, 50) * 1000
-                              if window else 0.0),
-                fault_p99_ms=(percentile(window, 99) * 1000
-                              if window else 0.0),
-                fault_samples=len(window),
-                demote_at=demote_at,
-                promote_at=promote_at,
-            ))
+    for (label, length), chunk in zip(grid, seed_split(summaries, seeds)):
+        steady: list[float] = []
+        window: list[float] = []
+        demote_at = promote_at = None
+        lo, hi = FAULT_START, FAULT_START + length + RECOVERY_WINDOW
+        for summary in chunk:
+            rtt = summary.rtt
+            steady.extend(rtt.rtts)
+            window.extend(v for t, v in zip(rtt.times, rtt.rtts)
+                          if lo <= t <= hi)
+            if demote_at is None:
+                demote_at = _first_transition(
+                    summary.watchdog_transitions, "degraded")
+                if demote_at is not None:
+                    promote_at = _first_transition(
+                        summary.watchdog_transitions, "healthy",
+                        after=demote_at)
+        rows.append(ResilienceRow(
+            scheme=label,
+            blackout_s=length,
+            steady_p50_ms=(percentile(steady, 50) * 1000
+                           if steady else 0.0),
+            fault_p50_ms=(percentile(window, 50) * 1000
+                          if window else 0.0),
+            fault_p99_ms=(percentile(window, 99) * 1000
+                          if window else 0.0),
+            fault_samples=len(window),
+            demote_at=demote_at,
+            promote_at=promote_at,
+        ))
     return rows

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.campaign.spec import ScenarioSpec, TraceSpec
-from repro.experiments.drivers.traces_eval import RTP_SCHEMES
-from repro.topology.builder import TopologyBuilder
+from repro.campaign import ScenarioSpec, TraceSpec, run_specs
+from repro.experiments.drivers.traces_eval import RTP_SCHEMES, seed_split
 
 
 @dataclass
@@ -52,22 +51,24 @@ def _scenario_config(scenario: str, duration: float, seed: int,
 
 def fig18_testbed(scenarios=("scp", "mcs", "raw"), duration: float = 60.0,
                   seeds: tuple[int, ...] = (1, 2)) -> list[TestbedRow]:
+    """One row per (scenario, scheme): each metric averaged over seeds."""
+    grid = [(scenario, scheme, overrides)
+            for scenario in scenarios
+            for scheme, overrides in RTP_SCHEMES]
+    specs = [_scenario_config(scenario, duration, seed, dict(overrides))
+             for scenario, _, overrides in grid
+             for seed in seeds]
+    summaries = run_specs(specs)
     rows = []
-    for scenario in scenarios:
-        for scheme, overrides in RTP_SCHEMES:
-            rtt_tails, delayed, bitrates = [], [], []
-            for seed in seeds:
-                spec = _scenario_config(scenario, duration, seed,
-                                        dict(overrides))
-                result = TopologyBuilder(spec).run()
-                rtt_tails.append(result.rtt.tail_ratio())
-                delayed.append(result.frames.delayed_ratio())
-                bitrates.append(result.flows[0].mean_bitrate_bps)
-            count = len(seeds)
-            rows.append(TestbedRow(
-                scenario=scenario, scheme=scheme,
-                rtt_tail_ratio=sum(rtt_tails) / count,
-                delayed_frame_ratio=sum(delayed) / count,
-                mean_bitrate_bps=sum(bitrates) / count,
-            ))
+    for (scenario, scheme, _), chunk in zip(grid,
+                                            seed_split(summaries, seeds)):
+        count = len(chunk)
+        rows.append(TestbedRow(
+            scenario=scenario, scheme=scheme,
+            rtt_tail_ratio=sum(s.rtt.tail_ratio() for s in chunk) / count,
+            delayed_frame_ratio=sum(s.frames.delayed_ratio()
+                                    for s in chunk) / count,
+            mean_bitrate_bps=sum(s.flows[0].mean_bitrate_bps
+                                 for s in chunk) / count,
+        ))
     return rows

@@ -3,11 +3,15 @@
 One row per (trace, scheme): tail-latency ratio, delayed-frame ratio,
 and low-frame-rate ratio, per the paper's §7.2 metrics.
 
-Every sweep is expressed as a list of :class:`ScenarioSpec` cells and
-executed through :func:`repro.campaign.run_specs`, so callers can fan a
-whole figure out over worker processes (``jobs=4``) and reuse cached
-cells (``cache=...``) — the aggregated rows are bit-identical to a
-serial in-process run for fixed seeds.
+A figure is a grid of ``(trace, scheme, overrides)`` rows. Its specs
+come from :func:`grid_specs` (one cell per row and seed, row-major),
+run through one :func:`repro.campaign.run_specs` call (``jobs=4`` fans
+the figure out over worker processes, ``cache=...`` reuses cells), and
+:func:`grid_rows` reduces the summaries: :func:`seed_split` cuts them
+into one seed-ordered chunk per row and :func:`pooled` pools a chunk's
+samples. ``python -m repro campaign`` builds its grid and rows with
+the same two functions. The other scenario figures split and pool
+through the same helpers.
 """
 
 from __future__ import annotations
@@ -48,42 +52,57 @@ class TraceRow:
     delayed_frame_ratio: float  # P(frame delay > 400 ms)
     low_fps_ratio: float        # P(per-second frame rate < 10 fps)
     mean_bitrate_bps: float
-    rtt_samples: list[float] | None = None
-    frame_delay_samples: list[float] | None = None
-    fps_samples: list[float] | None = None
 
 
-def scheme_specs(trace_name: str, overrides: dict, duration: float,
-                 seeds: tuple[int, ...]) -> list[ScenarioSpec]:
-    """One spec per seed for a (trace, scheme) row."""
-    return [ScenarioSpec(trace=TraceSpec.for_family(trace_name,
-                                                    duration=duration,
-                                                    seed=seed),
-                         duration=duration, seed=seed, **overrides)
-            for seed in seeds]
+def seed_split(summaries, seeds) -> list:
+    """Cut row-major cells (every row's seeds in turn) into one
+    seed-ordered chunk per row."""
+    if not seeds:
+        raise ValueError("seeds must not be empty")
+    width = len(seeds)
+    return [summaries[start:start + width]
+            for start in range(0, len(summaries), width)]
 
 
-def row_from_summaries(trace_name: str, scheme_name: str, overrides: dict,
-                       summaries, duration: float,
-                       keep_samples: bool = False) -> TraceRow:
-    """Aggregate one row from its per-seed summaries (seed order)."""
+def pooled(summaries, duration: float
+           ) -> tuple[list[float], list[float], list[float]]:
+    """RTT, frame-delay and per-second frame-rate samples of
+    ``summaries``, pooled in order; frame rates from the warm-up on."""
     rtts: list[float] = []
     delays: list[float] = []
     fps: list[float] = []
-    bitrates: list[float] = []
     for summary in summaries:
         warmup = summary.spec.warmup
         rtts.extend(summary.rtt.rtts)
         delays.extend(summary.frames.frame_delays)
         fps.extend(summary.frames.per_second_fps(
             duration - warmup, start=warmup))
-        if overrides.get("protocol") == "tcp":
-            # A window CCA's cwnd/srtt estimate is not a bitrate;
-            # report delivered goodput instead.
-            bitrates.append(summary.flows[0].goodput_bps)
-        else:
-            bitrates.append(summary.flows[0].mean_bitrate_bps)
+    return rtts, delays, fps
 
+
+def grid_specs(grid, duration: float,
+               seeds: tuple[int, ...]) -> list[ScenarioSpec]:
+    """One spec per (trace, scheme, overrides) row of ``grid`` and
+    seed, row-major."""
+    return [ScenarioSpec(trace=TraceSpec.for_family(trace_name,
+                                                    duration=duration,
+                                                    seed=seed),
+                         duration=duration, seed=seed, **overrides)
+            for trace_name, _, overrides in grid
+            for seed in seeds]
+
+
+def row_from_summaries(trace_name: str, scheme_name: str, overrides: dict,
+                       summaries, duration: float) -> TraceRow:
+    """Aggregate one row from its per-seed summaries (seed order)."""
+    rtts, delays, fps = pooled(summaries, duration)
+    if overrides.get("protocol") == "tcp":
+        # A window CCA's cwnd/srtt estimate is not a bitrate;
+        # report delivered goodput instead.
+        bitrates = [summary.flows[0].goodput_bps for summary in summaries]
+    else:
+        bitrates = [summary.flows[0].mean_bitrate_bps
+                    for summary in summaries]
     return TraceRow(
         trace=trace_name,
         scheme=scheme_name,
@@ -91,37 +110,25 @@ def row_from_summaries(trace_name: str, scheme_name: str, overrides: dict,
         delayed_frame_ratio=tail_fraction(delays, 0.400),
         low_fps_ratio=tail_fraction(fps, 10.0, above=False),
         mean_bitrate_bps=sum(bitrates) / len(bitrates),
-        rtt_samples=rtts if keep_samples else None,
-        frame_delay_samples=delays if keep_samples else None,
-        fps_samples=fps if keep_samples else None,
     )
 
 
-def evaluate_scheme(trace_name: str, scheme_name: str, overrides: dict,
-                    duration: float = 60.0, seeds: tuple[int, ...] = (1, 2),
-                    keep_samples: bool = False, jobs: int = 0,
-                    cache=None) -> TraceRow:
-    """Run one scheme over one trace family, averaged over seeds."""
-    specs = scheme_specs(trace_name, overrides, duration, seeds)
-    summaries = run_specs(specs, jobs=jobs, cache=cache)
-    return row_from_summaries(trace_name, scheme_name, overrides,
-                              summaries, duration, keep_samples)
+def grid_rows(grid, summaries, duration: float,
+              seeds: tuple[int, ...]) -> list[TraceRow]:
+    """One row per (trace, scheme, overrides) of ``grid`` from the
+    summaries of its :func:`grid_specs`, in order."""
+    return [row_from_summaries(trace_name, scheme_name, overrides, chunk,
+                               duration)
+            for (trace_name, scheme_name, overrides), chunk
+            in zip(grid, seed_split(summaries, seeds))]
 
 
 def _evaluate_grid(grid, duration: float, seeds: tuple[int, ...],
-                   jobs: int, cache,
-                   keep_samples: bool = False) -> list[TraceRow]:
+                   jobs: int, cache) -> list[TraceRow]:
     """Run every (trace, scheme) pair of ``grid`` as one campaign."""
-    specs: list[ScenarioSpec] = []
-    for trace_name, _, overrides in grid:
-        specs.extend(scheme_specs(trace_name, overrides, duration, seeds))
-    summaries = run_specs(specs, jobs=jobs, cache=cache)
-    rows = []
-    for position, (trace_name, scheme_name, overrides) in enumerate(grid):
-        chunk = summaries[position * len(seeds):(position + 1) * len(seeds)]
-        rows.append(row_from_summaries(trace_name, scheme_name, overrides,
-                                       chunk, duration, keep_samples))
-    return rows
+    summaries = run_specs(grid_specs(grid, duration, seeds), jobs=jobs,
+                          cache=cache)
+    return grid_rows(grid, summaries, duration, seeds)
 
 
 def fig11_rtp_traces(traces=("W1", "W2", "C1", "C2", "C3"),
@@ -152,15 +159,16 @@ def fig13_distributions(trace_name: str = "W1", duration: float = 60.0,
     """Fig. 13: 1-CDF curves (RTT, frame delay, frame rate) per scheme."""
     grid = [(trace_name, scheme_name, overrides)
             for scheme_name, overrides in RTP_SCHEMES]
-    rows = _evaluate_grid(grid, duration, seeds, jobs, cache,
-                          keep_samples=True)
+    summaries = run_specs(grid_specs(grid, duration, seeds), jobs=jobs,
+                          cache=cache)
     curves: dict[str, dict[str, list[tuple[float, float]]]] = {}
-    for row in rows:
-        curves[row.scheme] = {
-            "rtt_ccdf": ccdf_points(row.rtt_samples, points=40),
-            "frame_delay_ccdf": ccdf_points(row.frame_delay_samples,
-                                            points=40),
-            "fps_cdf": ccdf_points([-f for f in row.fps_samples], points=40),
+    for (_, scheme_name, _), chunk in zip(grid,
+                                          seed_split(summaries, seeds)):
+        rtts, delays, fps = pooled(chunk, duration)
+        curves[scheme_name] = {
+            "rtt_ccdf": ccdf_points(rtts, points=40),
+            "frame_delay_ccdf": ccdf_points(delays, points=40),
+            "fps_cdf": ccdf_points([-f for f in fps], points=40),
         }
     return curves
 

@@ -90,6 +90,45 @@ class TestParser:
         assert len(errors) == 1 and "Traceback" not in err
         assert f"error: argument {argv[-2]}: " in errors[0]
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["campaign", "--seeds", "x"], "--seeds"),
+        (["campaign", "--seeds", ","], "--seeds"),
+        (["campaign", "--seeds", "1,,x"], "--seeds"),
+        (["campaign", "--traces", "W9"], "--traces"),
+        (["campaign", "--traces", "W1,W9"], "--traces"),
+        (["campaign", "--schemes", "Nope+FIFO"], "--schemes"),
+        (["resilience", "--lengths", "x"], "--lengths"),
+        (["resilience", "--lengths", "0"], "--lengths"),
+        (["resilience", "--seeds", ","], "--seeds"),
+        (["control", "--seeds", ","], "--seeds"),
+        (["compare", "--ap-modes", "bogus"], "--ap-modes"),
+        (["compare", "--ap-modes", ","], "--ap-modes"),
+        (["trace", "W9", "--out", "x.json"], "SCENARIO"),
+    ])
+    def test_bad_list_flags_exit_2_in_one_line(self, argv, flag, capsys,
+                                               monkeypatch):
+        self._refuse_commands(monkeypatch)
+        monkeypatch.setattr("repro.cli.cmd_control", self._refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "Traceback" not in err
+        assert f"error: argument {flag}: " in errors[0]
+
+    def test_list_flags_parse_to_tuples(self):
+        parse = build_parser().parse_args
+        campaign = parse(["campaign", "--seeds", " 3, 1 ,",
+                          "--traces", "W2,C1"])
+        assert (campaign.seeds, campaign.traces) == ((3, 1), ("W2", "C1"))
+        assert parse(["campaign"]).schemes == ("Gcc+FIFO", "Gcc+CoDel",
+                                               "Gcc+Zhuge")
+        assert parse(["resilience"]).lengths == (0.5, 1.0, 2.0)
+        assert parse(["control"]).seeds == (1, 2)
+        assert parse(["compare"]).ap_modes == ("none", "zhuge")
+        assert parse(["trace", "--out", "x.json"]).scenario is None
+
     def test_campaign_flag_bounds_are_inclusive(self):
         from repro.city import CityGenSpec
         args = build_parser().parse_args(

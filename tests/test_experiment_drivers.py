@@ -4,15 +4,23 @@ import math
 
 import pytest
 
+from repro.campaign import run_specs
 from repro.experiments.drivers.access import fig2_access_comparison
 from repro.experiments.drivers.accuracy import fig7_qlong_qshort
+from repro.experiments.drivers.control import fig_control
 from repro.experiments.drivers.convergence import run_drop
 from repro.experiments.drivers.fairness import fig20_fairness
 from repro.experiments.drivers.format import (format_table, mbps, ms, pct,
                                               seconds)
 from repro.experiments.drivers.overhead import (fig21_cpu_overhead,
                                                 measure_per_packet_cost)
-from repro.experiments.drivers.traces_eval import evaluate_scheme
+from repro.experiments.drivers.resilience import fig_resilience
+from repro.experiments.drivers.traces_eval import (SCHEMES_BY_NAME,
+                                                   _evaluate_grid,
+                                                   fig11_rtp_traces,
+                                                   fig13_distributions,
+                                                   grid_specs, pooled)
+from repro.metrics.stats import ccdf_points
 from repro.obs.audit import bin_index
 
 
@@ -53,22 +61,43 @@ class TestAccuracyHelpers:
         assert after > before
 
 
-class TestEvaluateScheme:
+class TestEvaluateGrid:
+    GRID = [("W2", "Gcc+FIFO", SCHEMES_BY_NAME["Gcc+FIFO"])]
+
     def test_row_fields(self):
-        row = evaluate_scheme("W2", "Gcc+FIFO",
-                              dict(protocol="rtp", ap_mode="none"),
-                              duration=15.0, seeds=(1,))
+        [row] = _evaluate_grid(self.GRID, duration=15.0, seeds=(1,),
+                               jobs=0, cache=None)
         assert row.trace == "W2"
         assert 0.0 <= row.rtt_tail_ratio <= 1.0
         assert 0.0 <= row.delayed_frame_ratio <= 1.0
         assert row.mean_bitrate_bps > 0
-        assert row.rtt_samples is None
 
-    def test_keep_samples(self):
-        row = evaluate_scheme("W2", "Gcc+FIFO",
-                              dict(protocol="rtp", ap_mode="none"),
-                              duration=15.0, seeds=(1,), keep_samples=True)
-        assert len(row.rtt_samples) > 100
+    def test_fig13_curves_pool_every_sample(self):
+        curves = fig13_distributions(trace_name="W2", duration=15.0,
+                                     seeds=(1,))
+        rtts, delays, fps = pooled(
+            run_specs(grid_specs(self.GRID, 15.0, (1,))), 15.0)
+        assert len(rtts) > 100
+        fifo = curves["Gcc+FIFO"]
+        assert fifo["rtt_ccdf"] == ccdf_points(rtts, points=40)
+        assert fifo["frame_delay_ccdf"] == ccdf_points(delays, points=40)
+        assert fifo["fps_cdf"] == ccdf_points([-f for f in fps], points=40)
+
+
+class TestEmptySeeds:
+    """Every seed-split figure refuses an empty seed list."""
+
+    def test_fig11(self):
+        with pytest.raises(ValueError, match="seeds"):
+            fig11_rtp_traces(traces=("W2",), duration=6.0, seeds=())
+
+    def test_resilience(self):
+        with pytest.raises(ValueError, match="seeds"):
+            fig_resilience(blackout_lengths=(1.0,), duration=12.0, seeds=())
+
+    def test_control(self):
+        with pytest.raises(ValueError, match="seeds"):
+            fig_control(seeds=())
 
 
 class TestDropDriver:
