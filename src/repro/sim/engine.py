@@ -45,10 +45,16 @@ seq the simulator issued — nothing can sit between the two in the
 would have, in the same order.  The engine releases every payload as
 it dispatches it.
 
+A :class:`Timer` tick takes one seq when it is planted, after the
+callback.  Ticks planted back to back at one instant share one heap
+entry, a *tick group*: one dispatch fires them in seq order, split
+wherever another entry sits between two members (DESIGN.md §13).
+
 ``events_processed`` counts every dispatch (events and run items
-alike, a burst as one; a post that ran in place is part of the dispatch
-that posted it) and is engine *telemetry*; summary digests pin
-``packets_processed``, the packets the link layers delivered.
+alike, a burst or a tick group as one; a post that ran in place is part
+of the dispatch that posted it) and is engine *telemetry*; summary
+digests pin ``packets_processed``, the packets the link layers
+delivered.
 """
 
 from __future__ import annotations
@@ -231,6 +237,9 @@ class Simulator:
         self._running = False
         #: The run being dispatched (its sentinel is off the heap).
         self._run: Optional[TimedRun] = None
+        #: The tick group planted last: a timer planting at its instant,
+        #: while that is still ahead, joins it (:class:`Timer`).
+        self._tick: "Optional[_TickGroup]" = None
         self._events_processed = 0
         #: Packets delivered by the link layers: the dispatch-count
         #: metric that summary digests pin (``events_processed`` is
@@ -251,11 +260,12 @@ class Simulator:
     def events_processed(self) -> int:
         """Number of dispatches executed so far (telemetry).
 
-        Counts events and run items alike (a burst as one), so the
-        value moves whenever a component changes how it dispatches;
-        digests pin ``packets_processed``.  A callback that
-        :meth:`post` ran in place is part of the dispatch that posted
-        it: it is not counted here, nor toward ``run(max_events=)``.
+        Counts events and run items alike (a burst as one, a tick group
+        as one per split), so the value moves whenever a component
+        changes how it dispatches; digests pin ``packets_processed``.
+        A callback that :meth:`post` ran in place is part of the
+        dispatch that posted it: it is not counted here, nor toward
+        ``run(max_events=)``.
         """
         return self._events_processed
 
@@ -351,7 +361,8 @@ class Simulator:
 
         Stops when no events remain, when the next event is strictly past
         ``until``, or after ``max_events`` events (a run item counts as
-        one event, a burst included).  The clock is advanced
+        one event, a burst included, and so does a tick group up to the
+        first entry between two members).  The clock is advanced
         to ``until`` only when every remaining event (if any) lies beyond
         it — a ``max_events`` stop with work still pending before
         ``until`` leaves the clock at the last executed event, so a
@@ -385,6 +396,8 @@ class Simulator:
                         processed += 1
                         while posted:
                             posted.popleft()()
+                    elif event.__class__ is _TickGroup:
+                        processed += self._dispatch_group(event)
                     else:
                         processed += self._dispatch_run(event, None, None)
                 return
@@ -395,6 +408,9 @@ class Simulator:
                 if until is not None and time > until:
                     break
                 event = heappop(heap)[2]
+                if event.__class__ is _TickGroup:
+                    processed += self._dispatch_group(event)
+                    continue
                 if event.__class__ is not Event:
                     processed += self._dispatch_run(
                         event, until,
@@ -494,6 +510,40 @@ class Simulator:
                 run._head = 0
         return fired
 
+    def _dispatch_group(self, group: "_TickGroup") -> int:
+        """Fire the freshly popped ``group``'s members in seq order while
+        each is globally next, then put the rest back on the heap under
+        the next member's seq; posts run after the whole group
+        (DESIGN.md §13).  Returns 1 if a member fired, else 0."""
+        time = group.time
+        heap = self._heap
+        members = group.members
+        n = len(members)
+        i = group.head
+        fired = 0
+        try:
+            while i < n:
+                timer = members[i][2]
+                if timer._stopped:
+                    i += 1
+                    continue
+                if heap and heap[0] < members[i]:
+                    break
+                i += 1
+                group.live -= 1
+                timer._group = None
+                self._now = time
+                timer._fire()
+                fired = 1
+        finally:
+            group.head = i
+            if group.live:
+                heapq.heappush(heap, (time, members[i][1], group))
+        posted = self._posted
+        while posted:
+            posted.popleft()()
+        return fired
+
     # -- tracing (repro.obs) -------------------------------------------------
 
     def subscribe(self, callback, categories=None):
@@ -525,21 +575,42 @@ class Simulator:
             return self._now
         heap = self._heap
         while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self._dead -= 1
+            if heapq.heappop(heap)[2].__class__ is Event:
+                self._dead -= 1     # a stopped tick group was never dead
         return heap[0][0] if heap else None
 
     def pending(self) -> int:
         """Number of pending (non-cancelled) events, run items (a burst
-        counts as one item) and posts."""
+        counts as one item), timer ticks (each member of a tick group
+        counts, though the group fires as one dispatch) and posts."""
         count = len(self._posted)
         for _, _, obj in self._heap:
             if obj.__class__ is Event:
                 if not obj.cancelled:
                     count += 1
+            elif obj.__class__ is _TickGroup:
+                count += obj.live
             else:
                 count += len(obj._times) - obj._head
         return count
+
+
+class _TickGroup:
+    """Timer ticks planted at one instant, behind one heap entry keyed
+    by the first pending member.  A member is ``(time, seq, timer)``;
+    ``live`` counts the pending members not stopped."""
+
+    __slots__ = ("time", "members", "head", "live")
+
+    def __init__(self, member: tuple) -> None:
+        self.time = member[0]
+        self.members = [member]
+        self.head = 0
+        self.live = 1
+
+    @property
+    def cancelled(self) -> bool:
+        return not self.live
 
 
 class Timer:
@@ -547,7 +618,9 @@ class Timer:
 
     Calls ``callback`` every ``interval`` seconds until :meth:`stop`.
     The first tick fires after one full interval (or after ``first_delay``
-    when given).
+    when given).  Each tick is planted after the callback returns and
+    takes one seq, as a ``schedule`` would; ticks planted back to back
+    at one instant share a heap entry (a tick group, DESIGN.md §13).
 
     ``on_grid=True`` keeps every tick on the exact absolute grid
     ``first_tick + k * interval`` (one multiplication per tick) instead
@@ -565,19 +638,23 @@ class Timer:
                  callback: Callable[[], None],
                  first_delay: Optional[float] = None,
                  on_grid: bool = False):
-        if interval <= 0:
+        if not interval > 0:
             raise SimulationError(f"timer interval must be positive: {interval}")
         self._sim = sim
         self._interval = interval
         self._callback = callback
-        self._event: Optional[Event] = None
+        #: The group holding the pending tick (``None`` while the tick
+        #: fires, and once stopped).
+        self._group: Optional[_TickGroup] = None
         self._stopped = False
         self._on_grid = on_grid
         delay = interval if first_delay is None else first_delay
-        self._event = sim.schedule(delay, self._fire)
+        if not delay >= 0:
+            raise SimulationError(f"negative delay: {delay}")
         #: Grid anchor: the first tick's absolute time; tick ``k`` after
         #: the anchor fires at exactly ``_anchor + k * _interval``.
-        self._anchor = self._event.time
+        self._anchor = sim._now + delay
+        self._plant(self._anchor)
         self._ticks = 0
 
     @property
@@ -586,34 +663,48 @@ class Timer:
 
     @interval.setter
     def interval(self, value: float) -> None:
-        if value <= 0:
+        if not value > 0:
             raise SimulationError(f"timer interval must be positive: {value}")
         self._interval = value
-        if self._on_grid and self._event is not None and not self._stopped:
-            # Re-anchor: the next tick is already scheduled; ticks after
-            # it land on the new grid starting there.
-            self._anchor = self._event.time
+        if self._on_grid and not self._stopped:
+            # Re-anchor: the next tick is already scheduled (or firing,
+            # at ``now``); ticks after it land on the new grid from there.
+            self._anchor = self._group.time if self._group else self._sim._now
             self._ticks = 0
 
+    def _plant(self, time: float) -> None:
+        """Take a seq for the tick at ``time``: join the group planted
+        last when it is at ``time``, else push a new one."""
+        sim = self._sim
+        seq = sim._seq
+        sim._seq = seq + 1
+        member = (time, seq, self)
+        group = sim._tick
+        if group is not None and group.live and group.time == time > sim._now:
+            group.members.append(member)
+            group.live += 1
+        else:
+            group = sim._tick = _TickGroup(member)
+            heapq.heappush(sim._heap, (time, seq, group))
+        self._group = group
+
     def _fire(self) -> None:
-        if self._stopped:
-            return
         self._callback()
         if self._stopped:
             return
         if self._on_grid:
             self._ticks += 1
-            self._event = self._sim.call_at(
-                self._anchor + self._ticks * self._interval, self._fire)
+            self._plant(self._anchor + self._ticks * self._interval)
         else:
-            self._event = self._sim.schedule(self._interval, self._fire)
+            self._plant(self._sim._now + self._interval)
 
     def stop(self) -> None:
         """Cancel the timer; the callback will not fire again."""
         self._stopped = True
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
+        group = self._group
+        if group is not None:
+            self._group = None
+            group.live -= 1
 
     @property
     def stopped(self) -> bool:

@@ -21,7 +21,10 @@ NACK timer: ``RtpReceiver`` ran its NACK check from a ``Timer`` that
 ticked every ``nack_delay`` whether or not a gap was open.
 ``tests/test_properties_rtp_nack.py`` requires the wake-up that is
 planted only while a gap is open to send the same NACKs at the same
-instants and to leave the same ``_missing`` behind.
+instants and to leave the same ``_missing`` behind.  Both of the
+reference receiver's timers are the one-event-per-tick ``Timer`` of
+``tests/reference_engine.py``, so its coincident ticks never share a
+dispatch and its event count stays the per-tick one.
 """
 
 import math
@@ -32,9 +35,10 @@ from repro.cca.base import FeedbackPacketReport
 from repro.cca.gcc import GccController, TrendlineEstimator
 from repro.net.packet import (FiveTuple, Packet, PacketKind, RTCP_SIZE,
                               RTP_PAYLOAD_SIZE)
-from repro.sim.engine import Simulator, Timer
+from repro.sim.engine import Simulator
 from repro.transport.rtp import (RtpReceiver, RtpSender, TransmitCallback,
                                  TwccFeedback)
+from tests.reference_engine import Timer
 
 
 class ReferenceRtpSender(RtpSender):

@@ -15,7 +15,7 @@ from repro.campaign import ScenarioSpec, TraceSpec
 from repro.net.link import WiredLink
 from repro.net.packet import FiveTuple, Packet
 from repro.net.queue import DropTailQueue
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, Timer
 from repro.topology.builder import TopologyBuilder
 from repro.transport.rtp import RtpReceiver
 from repro.wireless.channel import WirelessChannel
@@ -297,3 +297,54 @@ class TestScenarioCounts:
         assert builder.edges["down"].link.txops > 100
         assert created["_serve_txop"] == 0
         assert created["_transmit_ampdu"] == 0
+
+    def test_in_phase_timers_leave_no_kick_event(self, monkeypatch):
+        """3 s of the ledger's headline cell (2-flow W1 rtp/gcc, Zhuge,
+        fifo).  Each 40 ms feedback instant — two ``RtpReceiver``s and
+        two ``InBandFeedbackUpdater``s ticking in phase — is one tick
+        group dispatch, so the uplink kick the first one posts finds no
+        other timer waiting at ``now`` and runs in place (one event per
+        tick left 8.5 k ``_serve_txop`` events on the full cell).  The
+        first instant is the exception: the builder plants the four
+        first ticks between the encoders' and ``_gc_tick``'s, so they
+        join no common group, and one kick waits behind the rest."""
+        dispatches = []     # (instant, timer callbacks run) per group
+        kicks = []          # instants a ``_serve_txop`` event was made at
+        real_dispatch, real_fire = Simulator._dispatch_group, Timer._fire
+        real_schedule = Simulator.schedule
+
+        def dispatch(self, group):
+            dispatches.append((group.time, []))
+            return real_dispatch(self, group)
+
+        def fire(self):
+            dispatches[-1][1].append(self._callback.__qualname__)
+            real_fire(self)
+
+        def schedule(self, delay, callback):
+            if getattr(callback, "__name__", "") == "_serve_txop":
+                kicks.append(self.now)
+            return real_schedule(self, delay, callback)
+
+        monkeypatch.setattr(Simulator, "_dispatch_group", dispatch)
+        monkeypatch.setattr(Timer, "_fire", fire)
+        monkeypatch.setattr(Simulator, "schedule", schedule)
+        spec = ScenarioSpec(trace=TraceSpec.for_family("W1", duration=3.0,
+                                                       seed=1),
+                            protocol="rtp", cca="gcc", ap_mode="zhuge",
+                            queue_kind="fifo", rtc_flows=2, duration=3.0,
+                            seed=1)
+        builder = TopologyBuilder(spec)
+        builder.run()
+        assert builder.edges["down"].link.txops > 100
+        fed = Counter()         # instant -> feedback ticks
+        groups = Counter()      # instant -> dispatches that fed back
+        for time, names in dispatches:
+            ticks = sum(name.endswith("._emit_feedback") for name in names)
+            if ticks:
+                fed[time] += ticks
+                groups[time] += 1
+        first, *rest = sorted(groups)
+        assert kicks == [first] == [0.04]
+        assert len(rest) == 73 and set(fed.values()) == {4}
+        assert groups[first] == 3 and {groups[t] for t in rest} == {1}

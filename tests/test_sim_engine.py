@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.engine import Event, SimulationError, Timer
+from repro.sim.engine import Event, SimulationError, Simulator, Timer
+from tests import reference_engine
 
 
 class TestScheduling:
@@ -233,6 +234,18 @@ class TestTimer:
         with pytest.raises(SimulationError):
             timer.interval = -1.0
 
+    def test_nan_interval_rejected_at_the_call(self, sim):
+        """A NaN interval used to construct, fire once and raise at its
+        first re-plant, mid-run; the setter took one silently."""
+        with pytest.raises(SimulationError, match="positive"):
+            Timer(sim, float("nan"), lambda: None, first_delay=0.0)
+        timer = Timer(sim, 1.0, lambda: None)
+        with pytest.raises(SimulationError, match="positive"):
+            timer.interval = float("nan")
+        assert timer.interval == 1.0
+        sim.run(until=2.5)
+        assert sim.now == 2.5 and sim.peek() == 3.0
+
     def test_on_grid_timer_stays_on_exact_grid(self, sim):
         # Regression: accumulating ``now + interval`` per tick drifts off
         # the grid within a handful of ticks for intervals like 0.1 (the
@@ -264,6 +277,63 @@ class TestTimer:
         # The tick at 2.0 was already scheduled when the interval
         # changed; it becomes the new grid anchor.
         assert ticks == [1.0, 2.0, 4.0, 6.0]
+
+
+class TestTickGroups:
+    """Timers that re-plant at one instant share one dispatch."""
+
+    @pytest.mark.parametrize("timer_cls", (Timer, reference_engine.Timer))
+    def test_stopping_every_member_leaves_peek_and_pending(self, timer_cls):
+        sim = Simulator()
+        ticks = []
+        timers = [timer_cls(sim, 1.0, lambda i=i: ticks.append((i, sim.now)))
+                  for i in range(3)]
+        sim.call_at(2.5, lambda: None)
+        sim.run(until=1.5)
+        assert ticks == [(0, 1.0), (1, 1.0), (2, 1.0)]
+        assert (sim.peek(), sim.pending()) == (2.0, 4)
+        timers[1].stop()
+        assert (sim.peek(), sim.pending()) == (2.0, 3)
+        timers[0].stop()
+        timers[2].stop()
+        assert (sim.peek(), sim.pending()) == (2.5, 1)
+        sim.run()
+        assert len(ticks) == 3 and sim.now == 2.5
+
+    def test_in_phase_timers_are_one_dispatch(self, sim):
+        """``run(max_events=1)`` fires the whole group: it is one
+        dispatch, as a burst is."""
+        ticks = []
+        for name in "ab":
+            Timer(sim, 1.0, lambda name=name: ticks.append((name, sim.now)))
+        sim.run(max_events=1)
+        assert ticks == [("a", 1.0), ("b", 1.0)]
+        assert sim.events_processed == 1 and sim.now == 1.0
+        assert (sim.peek(), sim.pending()) == (2.0, 2)
+
+    def test_a_foreign_entry_between_two_members_splits_the_group(self, sim):
+        """``b`` joins ``a``'s group at 1.0, but the foreign event took
+        its seq in between: it fires between them, as it did when each
+        tick was an event.  Their next ticks share one dispatch again."""
+        log = []
+        Timer(sim, 1.0, lambda: log.append(("a", sim.now)))
+        sim.call_at(1.0, lambda: log.append(("foreign", sim.now)))
+        Timer(sim, 1.0, lambda: log.append(("b", sim.now)))
+        sim.run(until=2.5)
+        assert log == [("a", 1.0), ("foreign", 1.0), ("b", 1.0),
+                       ("a", 2.0), ("b", 2.0)]
+        assert sim.events_processed == 4
+
+    def test_a_tick_planted_at_an_instant_already_dispatched_fires(self, sim):
+        """``a``'s group fired and ``a`` stopped; a timer planted at that
+        same instant afterwards must get an entry of its own."""
+        log = []
+        timer = Timer(sim, 1.0, lambda: (log.append(("a", sim.now)),
+                                         timer.stop()))
+        sim.call_at(1.0, lambda: Timer(
+            sim, 1.0, lambda: log.append(("b", sim.now)), first_delay=0.0))
+        sim.run(until=2.5)
+        assert log == [("a", 1.0), ("b", 1.0), ("b", 2.0)]
 
 
 class TestEventOrdering:
