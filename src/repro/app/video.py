@@ -142,8 +142,9 @@ class RtpVideoApp:
         self.tracker = _FrameTracker()
         self.frames_sent = 0
         receiver.on_media = self._on_media
-        # A frame's packets ride one engine run: one heap sentinel, not
-        # one event per packet, at the same ``(time, seq)`` keys.
+        # A frame's packets after its head ride one engine run: one heap
+        # sentinel, not one event per packet, at the same ``(time, seq)``
+        # keys.
         self._burst = sim.timed_run(lambda item: sender.send_packet(*item))
         self._burst_end = 0.0  # latest time pushed onto the run
         self._timer = Timer(sim, 1.0 / encoder.fps, self._encode_tick,
@@ -172,7 +173,12 @@ class RtpVideoApp:
             "frame_encoded_at": frame.encoded_at,
             "frame_packets": packet_count,
         }
-        for index in range(packet_count):
+        # The head goes out at ``now``: a post, which runs when this
+        # tick's dispatch returns unless something older waits at ``now``.
+        head = min(RTP_PAYLOAD_SIZE, max(1, remaining))
+        remaining -= head
+        self.sim.post(lambda: self.sender.send_packet(head, headers))
+        for index in range(1, packet_count):
             size = min(RTP_PAYLOAD_SIZE, max(1, remaining))
             remaining -= size
             at = now + index * gap

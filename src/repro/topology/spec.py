@@ -127,6 +127,23 @@ class EdgeSpec:
             raise ValueError(
                 f"edge {self.name!r} rate_bps must be finite and positive: "
                 f"{self.rate_bps}")
+        if not 0 < self.trace_scale < math.inf:
+            raise ValueError(
+                f"edge {self.name!r} trace_scale must be finite and "
+                f"positive: {self.trace_scale}")
+        if self.mcs_period is not None and not 0 < self.mcs_period < math.inf:
+            raise ValueError(
+                f"edge {self.name!r} mcs_period must be finite and "
+                f"positive: {self.mcs_period}")
+        if not self.queue_capacity > 0:
+            raise ValueError(f"edge {self.name!r} queue_capacity must be "
+                             f"positive: {self.queue_capacity}")
+        if not self.interferers >= 0:
+            raise ValueError(f"edge {self.name!r} interferers must be "
+                             f"non-negative: {self.interferers}")
+        if not self.max_ampdu_packets >= 1:
+            raise ValueError(f"edge {self.name!r} max_ampdu_packets must be "
+                             f">= 1: {self.max_ampdu_packets}")
 
     @property
     def wireless(self) -> bool:

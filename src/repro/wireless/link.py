@@ -12,9 +12,15 @@ The serving loop models one transmission opportunity (txop) at a time:
 
 Departure callbacks fire at dequeue time (when packets leave the
 network-layer queue to the driver), matching where Zhuge measures
-``txRate`` and ``dequeueIntvl``.  An AMPDU's finish and arrival ride
-two :class:`~repro.sim.engine.TimedRun` streams instead of an event
-each; ``tests/reference_links.py`` keeps the per-event chain as oracle.
+``txRate`` and ``dequeueIntvl``.  The txop's end is analytic: the
+transmit computes ``end = now + airtime`` and pushes the AMPDU's
+arrival at ``end + propagation_delay`` itself.  A finish (which grants
+the next txop) is planted at ``end`` only when the queue still holds
+packets or a send lands while the AMPDU is on the air; a txop that
+ends with nobody waiting costs no dispatch, and the next send finds
+the link idle.  Finishes and arrivals ride two
+:class:`~repro.sim.engine.TimedRun` streams; ``tests/reference_links.py``
+keeps the per-event chain as oracle.
 """
 
 from __future__ import annotations
@@ -45,9 +51,15 @@ class WirelessLink:
                  domain=None):
         if max_ampdu_packets < 1:
             raise ValueError("max_ampdu_packets must be >= 1")
+        if not max_ampdu_bytes >= 1:
+            raise ValueError(
+                f"max_ampdu_bytes must be >= 1: {max_ampdu_bytes}")
         if not 0 <= propagation_delay < math.inf:
             raise ValueError("propagation_delay must be finite and "
                              f"non-negative: {propagation_delay}")
+        if not 0 <= per_txop_overhead < math.inf:
+            raise ValueError("per_txop_overhead must be finite and "
+                             f"non-negative: {per_txop_overhead}")
         self.sim = sim
         self.channel = channel
         self.queue = queue
@@ -66,6 +78,9 @@ class WirelessLink:
         #: survived the air, in order.
         self.deliver_batch: Optional[DeliverCallback] = None
         self._serving = False
+        #: End of the txop on the air when no finish is planted for it
+        #: (the queue was empty at transmit); ``None`` otherwise.
+        self._air_end: Optional[float] = None
         self.txops = 0
         self.packets_sent = 0
         #: Fault hooks (:mod:`repro.faults`). While ``blocked`` the
@@ -90,9 +105,23 @@ class WirelessLink:
         """Accept a downlink packet (enqueue; kick the server if idle)."""
         if not self.queue.enqueue(packet, self.sim._now):
             return
+        if self._air_end is not None:
+            self._resolve_air_end()
         if not self._serving and not self.blocked:
             self._serving = True
             self.sim.post(self._serve_txop)
+
+    def _resolve_air_end(self) -> None:
+        """Settle the txop end no finish observes: while the AMPDU is
+        still on the air, plant the finish at its end so the waiting
+        packet gets the next txop; once the end has passed, the link is
+        idle."""
+        end = self._air_end
+        self._air_end = None
+        if end > self.sim._now:
+            self._finish_run.push(end, None)
+        else:
+            self._serving = False
 
     def block(self) -> None:
         """Stop serving (link blackout); arrivals keep queueing."""
@@ -101,6 +130,8 @@ class WirelessLink:
     def unblock(self) -> None:
         """Resume serving; kicks the loop if a backlog accumulated."""
         self.blocked = False
+        if self._air_end is not None and self._air_end <= self.sim._now:
+            self._resolve_air_end()
         if not self._serving and not self.queue.is_empty:
             self._serving = True
             self.sim.post(self._serve_txop)
@@ -156,12 +187,16 @@ class WirelessLink:
                 self._traced_rate = rate
             self.trace.link_txop(self, len(ampdu), ampdu_bytes, airtime,
                                  rate)
-        self._finish_run.push(self.sim._now + airtime, ampdu)
+        end = self.sim._now + airtime
+        self._arrive_run.push(end + self.propagation_delay, ampdu)
+        if self.queue.is_empty:
+            self._air_end = end
+        else:
+            self._finish_run.push(end, None)
 
-    def _finish(self, ampdu: list[Packet]) -> None:
-        """The AMPDU left the air: start propagating it, grant the next
+    def _finish(self, _) -> None:
+        """The AMPDU left the air with packets waiting: grant the next
         txop (only one AMPDU occupies the air at a time)."""
-        self._arrive_run.push(self.sim._now + self.propagation_delay, ampdu)
         self._serve_txop()
 
     def _arrive(self, ampdu: list[Packet]) -> None:

@@ -18,7 +18,11 @@ that ran before every queue kind drained as a burst, kept verbatim.
 * ``WirelessLink.send`` inlined the drop-tail enqueue when the queue
   was ``_plain`` and unprobed; ``_arrive`` handed the AMPDU to
   ``deliver_batch`` or looped ``deliver`` when no fault predicate or
-  trace probe was set, and otherwise went packet by packet.
+  trace probe was set, and otherwise went packet by packet.  Every
+  txop ended in a ``_finish`` dispatch that pushed the arrival and
+  granted the next txop: the reference link takes ``unblock``,
+  ``_transmit_ampdu`` and ``_finish`` from
+  ``tests/reference_links.py::TxopFinishWirelessLink``.
 
 Two substitutions keep the identity gates meaningful on subclasses:
 ``type(self) is DropTailQueue`` reads ``ReferenceDropTailQueue``, and
@@ -41,7 +45,7 @@ from repro.core.sliding_window import (
 from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue
 from repro.sim.engine import Simulator
-from repro.wireless.link import WirelessLink
+from tests.reference_links import TxopFinishWirelessLink
 
 
 class _ReferenceQueue:
@@ -342,7 +346,7 @@ class ReferenceFortuneTeller(FortuneTeller):
         return prediction
 
 
-class ReferenceWirelessLink(WirelessLink):
+class ReferenceWirelessLink(TxopFinishWirelessLink):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.deliver = None

@@ -11,14 +11,20 @@ delay line schedules one arrival event per packet.  ``WiredLink``
 instead computes start, finish and arrival in place and pushes the
 packet onto one ``TimedRun``.
 
-``ClassicWirelessLink`` schedules the AMPDU's finish and arrival as two
-events per txop and hands each packet to the receiver as a list of
-one; ``WirelessLink`` pushes them onto two ``TimedRun`` streams and
-hands over the AMPDU's survivors in one list.
+``TxopFinishWirelessLink`` is the run-based wireless link as it was
+before the txop end became analytic: every txop pushes a ``_finish``
+item at its end onto one ``TimedRun``, and that dispatch pushes the
+AMPDU's arrival onto the other and grants the next txop, also when the
+queue is empty and the grant only marks the link idle.
+``ClassicWirelessLink`` (built on it, for its ``send``/``unblock``)
+schedules the AMPDU's finish and arrival as two events per txop and
+hands each packet to the receiver as a list of one; ``WirelessLink``
+pushes the arrival at transmit, plants a finish only when a packet
+waits for the air, and hands over the AMPDU's survivors in one list.
 
-The runs the base classes build in ``__init__`` stay empty here (they
-bind the overridden ``_finish``/``_arrive`` but nothing pushes onto
-them).  ``tests/test_event_model.py`` swaps these classes into
+The runs the base classes build in ``__init__`` stay empty in the
+classic links (they bind the overridden ``_finish``/``_arrive`` but
+nothing pushes onto them).  ``tests/test_event_model.py`` swaps these classes into
 ``repro.topology.builder`` and requires every scenario to land on the
 same summary digest.
 """
@@ -76,7 +82,66 @@ class ClassicWiredLink(WiredLink):
             self.deliver(packet)
 
 
-class ClassicWirelessLink(WirelessLink):
+class TxopFinishWirelessLink(WirelessLink):
+    def send(self, packet) -> None:
+        """Accept a downlink packet (enqueue; kick the server if idle)."""
+        if not self.queue.enqueue(packet, self.sim._now):
+            return
+        if not self._serving and not self.blocked:
+            self._serving = True
+            self.sim.post(self._serve_txop)
+
+    def unblock(self) -> None:
+        """Resume serving; kicks the loop if a backlog accumulated."""
+        self.blocked = False
+        if not self._serving and not self.queue.is_empty:
+            self._serving = True
+            self.sim.post(self._serve_txop)
+
+    def _transmit_ampdu(self) -> None:
+        if self.blocked:
+            # A blackout hit between the access-delay grant and the
+            # transmission; the txop is forfeited.
+            self._serving = False
+            return
+        # Aggregate the head of the queue into one AMPDU. All packets in
+        # the AMPDU dequeue at the same instant (bursty departures).
+        ampdu = self.queue.dequeue_burst(self.sim.now,
+                                         self.max_ampdu_packets,
+                                         self.max_ampdu_bytes)
+        if not ampdu:
+            # The AQM dropped the rest of the backlog; try again.
+            self.sim.post(self._serve_txop)
+            return
+        ampdu_bytes = 0
+        for packet in ampdu:
+            ampdu_bytes += packet.size
+
+        rate = self.channel.rate_at(self.sim.now)
+        if self.interference is not None:
+            rate *= self.interference.airtime_share
+        rate = max(rate, 1_000.0)
+        airtime = (ampdu_bytes * 8) / rate + self.per_txop_overhead
+        if self.domain is not None:
+            self.domain.occupy(self.sim.now, airtime)
+        self.txops += 1
+        self.packets_sent += len(ampdu)
+        if self.trace is not None:
+            if rate != self._traced_rate:
+                self.trace.link_rate(self, rate)
+                self._traced_rate = rate
+            self.trace.link_txop(self, len(ampdu), ampdu_bytes, airtime,
+                                 rate)
+        self._finish_run.push(self.sim._now + airtime, ampdu)
+
+    def _finish(self, ampdu) -> None:
+        """The AMPDU left the air: start propagating it, grant the next
+        txop (only one AMPDU occupies the air at a time)."""
+        self._arrive_run.push(self.sim._now + self.propagation_delay, ampdu)
+        self._serve_txop()
+
+
+class ClassicWirelessLink(TxopFinishWirelessLink):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         #: AMPDU currently on the air (between transmit and finish) and

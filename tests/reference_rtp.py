@@ -14,8 +14,9 @@ the same reports and land on exactly the same floats.
 Send path (PR 16): ``RtpVideoApp._encode_tick`` schedules one classic
 event, one lambda and one headers dict per packet, and
 ``RtpSender.send_packet`` copies the headers twice.
-``tests/test_properties_rtp_send.py`` requires the one-``TimedRun``
-version to emit the same packets at the same ``(time, seq)`` keys.
+``tests/test_properties_rtp_send.py`` requires the live version (the
+head posted, the rest on one ``TimedRun``) to emit the same packets at
+the same instants, in the same order against every other entry.
 
 NACK timer: ``RtpReceiver`` ran its NACK check from a ``Timer`` that
 ticked every ``nack_delay`` whether or not a gap was open.

@@ -259,19 +259,36 @@ class TestParser:
         assert f"error: argument {flag}: cannot load {path}" in err
         assert "Traceback" not in err
 
+    #: field -> (kind of the edge it is set on, what the refusal says)
+    EDGE_REFUSALS = {
+        "delay": ("wired", "must be finite"),
+        "rate_bps": ("wired", "must be finite"),
+        "trace_scale": ("wifi", "must be finite"),
+        "mcs_period": ("wifi", "must be finite"),
+        "max_ampdu_packets": ("wifi", "must be >= 1"),
+        "interferers": ("wifi", "must be non-negative"),
+        "queue_capacity": ("wifi", "must be positive"),
+    }
+
     @pytest.mark.parametrize("field, value", [
         ("delay", "NaN"), ("delay", "Infinity"), ("rate_bps", "NaN"),
-        ("rate_bps", "Infinity"), ("rate_bps", "0")])
+        ("rate_bps", "Infinity"), ("rate_bps", "0"),
+        ("trace_scale", "NaN"), ("trace_scale", "Infinity"),
+        ("trace_scale", "0"), ("mcs_period", "NaN"), ("mcs_period", "-1"),
+        ("max_ampdu_packets", "0"), ("interferers", "-1"),
+        ("queue_capacity", "0")])
     def test_non_finite_link_topology_exits_2_naming_it(
             self, field, value, tmp_path, capsys, monkeypatch):
         """JSON's ``NaN`` / ``Infinity`` literals parse; the edge spec
-        refuses them at parse time instead of inside the run."""
+        refuses them, and counts and sizes out of range, at parse time
+        instead of inside the run or the build."""
         from repro.topology.presets import interference_topology
         self._refuse_commands(monkeypatch)
         payload = interference_topology().as_dict()
-        wired = next(edge for edge in payload["edges"]
-                     if edge.get("kind", "wired") == "wired")
-        wired[field] = "@@"
+        kind, message = self.EDGE_REFUSALS[field]
+        edge = next(edge for edge in payload["edges"]
+                    if edge.get("kind", "wired") == kind)
+        edge[field] = "@@"
         path = tmp_path / "topology.json"
         path.write_text(json.dumps(payload).replace('"@@"', value))
         with pytest.raises(SystemExit) as exc:
@@ -279,7 +296,7 @@ class TestParser:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"error: argument --topology: cannot load {path}" in err
-        assert f"{field} must be finite" in err
+        assert f"edge {edge['name']!r} {field} {message}" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("content", [

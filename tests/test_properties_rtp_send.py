@@ -1,12 +1,19 @@
 """RTP send path vs the per-packet-event oracle (tests/reference_rtp.py).
 
-``RtpVideoApp._encode_tick`` pushes a frame's packets onto one
-``TimedRun`` and ``RtpSender.send_packet`` copies the frame-shared
-headers once.  Every schedule below is replayed against the old bodies
-(one classic event, lambda and headers dict per packet) and must emit
-the same packets at the same instants with the engine's seq counter in
-the same place — so anything else scheduled around a burst fires in the
-same order too.
+``RtpVideoApp._encode_tick`` posts a frame's first packet, pushes the
+rest onto one ``TimedRun``, and ``RtpSender.send_packet`` copies the
+frame-shared headers once.  Every schedule below is replayed against
+the old bodies (one classic event, lambda and headers dict per packet)
+and must emit the same packets at the same instants, in the same order
+relative to the shadow markers planted before and after the app — so
+anything else scheduled around a burst fires in the same order too.
+
+A post that runs in place takes no seq and is no dispatch of its own,
+so the raw seq counter and event count differ between the sides.  Each
+row's seq reading is compared after a monotone relabel (its rank among
+the distinct readings), which still says which rows had an entry
+scheduled between them; the event counts must match once the posts
+that ran in place are counted back in.
 """
 
 from hypothesis import given, settings
@@ -36,16 +43,35 @@ class _Receiver:
         pass
 
 
+class _PostCountingSimulator(Simulator):
+    """Counts the posts that ran in place (no event, no seq)."""
+
+    in_place = 0
+
+    def post(self, callback):
+        waiting = len(self._posted)
+        super().post(callback)
+        self.in_place += len(self._posted) > waiting
+
+
+def _relabel(log):
+    """``log`` with each row's seq reading replaced by its rank among
+    the distinct readings (the counter never decreases)."""
+    ranks = {}
+    return [row[:2] + (ranks.setdefault(row[2], len(ranks)),) + row[3:]
+            for row in log]
+
+
 class _Side:
     """One app + sender with every emission and competing event logged.
 
     ``log`` rows carry ``sim._seq`` as read when the row fires, so two
-    sides agree only if every packet and every marker consumed the
-    shared counter at the same points.
+    sides agree only if every packet and every marker fired between the
+    same seq-consuming schedules.
     """
 
     def __init__(self, sender_cls, app_cls, seed, paced, burst_gap):
-        sim = self.sim = Simulator()
+        sim = self.sim = _PostCountingSimulator()
         self.log = []
         self.marks = ()         # burst-gap multiples the shadows plant at
         self.cca = _Cca()
@@ -85,9 +111,8 @@ class _Side:
     def state(self):
         sender = self.sender
         return {
-            "log": self.log,
-            "sim_seq": self.sim._seq,
-            "events": self.sim.events_processed,
+            "log": _relabel(self.log),
+            "dispatches": self.sim.events_processed + self.sim.in_place,
             "pending": self.sim.pending(),
             "history": sender._history,
             "next_seq": sender._twcc_seq,
@@ -146,8 +171,8 @@ class TestBurstRunMatchesPerPacketEvents:
         """One-packet frames to bursts outlasting the frame interval,
         paced or not, NACK retransmissions mid-burst, same-instant
         events with lower and higher seqs, zero-delay kicks: the same
-        ``(time, sim seq, twcc_seq, size, headers)`` rows and the same
-        ``sim._seq`` after every frame."""
+        ``(time, relabelled seq, twcc_seq, size, headers)`` rows, in the
+        same order among the markers, after every frame."""
         _replay(**schedule)
 
     def test_schedule_reaches_every_branch(self):
@@ -171,7 +196,8 @@ class TestBurstRunMatchesPerPacketEvents:
 
 class TestNoEventPerPacket:
     """``Simulator.schedule`` calls made by ``_encode_tick`` itself
-    (the frame timer is stopped; ticks are driven by hand)."""
+    (the frame timer is stopped; each tick is driven by hand from an
+    event at ``now``, so the head's post can run in place)."""
 
     @staticmethod
     def _side():
@@ -185,21 +211,27 @@ class TestNoEventPerPacket:
         side.cca.target_bps = target_bps
         calls = []
         real = side.sim.schedule
-        side.sim.schedule = lambda delay, callback: (
-            calls.append(delay), real(delay, callback))[1]
-        try:
-            side.app._encode_tick()
-        finally:
-            del side.sim.schedule
+
+        def tick():
+            side.sim.schedule = lambda delay, callback: (
+                calls.append(delay), real(delay, callback))[1]
+            try:
+                side.app._encode_tick()
+            finally:
+                del side.sim.schedule
+
+        side.sim.call_at(side.sim.now, tick)
+        side.sim.run(until=side.sim.now)
         return calls
 
     def test_ordinary_frame_schedules_nothing(self):
         """A frame whose burst fits the frame interval costs the engine
         one run sentinel, not one heap event per packet (the old body
-        made ``packet_count`` calls)."""
+        made ``packet_count`` calls); its head went out in place."""
         side = self._side()
         assert self._tick(side, 4e6) == []
-        packet_count = side.app._burst.pending()
+        assert side.sender.packets_sent == side.sim.in_place == 1
+        packet_count = 1 + side.app._burst.pending()
         assert packet_count > 20
         side.sim.run(until=1.0 / FPS)
         assert side.sender.packets_sent == packet_count

@@ -10,8 +10,11 @@ same bursty arrivals through teller + queue + link must give the same
 predictions, stamps, deliveries, drops, txops, trace events and
 estimator ``ops`` on both.  The reference link kicks an idle server with
 a ``schedule(0.0)`` event; the live one posts the kick, which runs in
-place when nothing older is pending.  So the engine events must match
-once each side's scheduled ``_serve_txop`` events are taken out.
+place when nothing older is pending.  The reference link also ends
+every txop in a ``_finish`` dispatch; the live one plants a finish only
+when a packet waits for the air.  So the engine events must match once
+each side's scheduled ``_serve_txop`` events, and the reference's
+finishes that found the link idle, are taken out.
 """
 
 from hypothesis import given, settings
@@ -56,6 +59,18 @@ class _KickCountingSimulator(Simulator):
         return super().schedule(delay, callback)
 
 
+class _IdleCountingLink(ReferenceWirelessLink):
+    """Counts the ``_finish`` dispatches that found the queue empty and
+    only marked the link idle."""
+
+    idle_finishes = 0
+
+    def _finish(self, ampdu) -> None:
+        super()._finish(ampdu)
+        if not self._serving:
+            self.idle_finishes += 1
+
+
 def _trajectory(reference: bool, kind: str, arrivals, rate_bps: float,
                 traced: bool, faulty: bool, observer: bool, bursts):
     """Everything a scenario could observe of one run, in order."""
@@ -68,7 +83,7 @@ def _trajectory(reference: bool, kind: str, arrivals, rate_bps: float,
     tellers = [teller_cls(sim, queue), teller_cls(sim, queue, flow=FLOWS[0])]
     for teller in tellers:
         teller.burst_tracker.window, teller.burst_tracker.resolution = bursts
-    link_cls = ReferenceWirelessLink if reference else WirelessLink
+    link_cls = _IdleCountingLink if reference else WirelessLink
     trace = TraceSpec.constant(rate_bps, 10.0).build()
     link = link_cls(sim, WirelessChannel(trace), queue, max_ampdu_packets=4)
     log, drops, departures, events = [], [], [], []
@@ -114,7 +129,9 @@ def _trajectory(reference: bool, kind: str, arrivals, rate_bps: float,
                     arrive(seq, size, flow))
     sim.run()
     return (log, drops, departures, events, queue.stats, link.txops,
-            link.fault_dropped, sim.events_processed - sim.kicks,
+            link.fault_dropped,
+            sim.events_processed - sim.kicks
+            - getattr(link, "idle_finishes", 0),
             [[e.ops for e in (t.tx_rate, t.tx_rate_long,
                               t.dequeue_intervals, t.burst_tracker)]
              for t in tellers])

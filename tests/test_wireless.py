@@ -197,3 +197,14 @@ class TestWirelessLink:
         with pytest.raises(ValueError):
             WirelessLink(sim, WirelessChannel(trace), DropTailQueue(),
                          max_ampdu_packets=0)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"max_ampdu_bytes": 0}, "max_ampdu_bytes"),
+        ({"per_txop_overhead": -1e-4}, "per_txop_overhead"),
+        ({"per_txop_overhead": float("nan")}, "per_txop_overhead"),
+        ({"per_txop_overhead": float("inf")}, "per_txop_overhead")])
+    def test_invalid_ampdu_bytes_and_overhead(self, sim, kwargs, match):
+        trace = BandwidthTrace([1e6])
+        with pytest.raises(ValueError, match=match):
+            WirelessLink(sim, WirelessChannel(trace), DropTailQueue(),
+                         **kwargs)
