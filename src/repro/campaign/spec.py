@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
@@ -119,6 +120,18 @@ class ScenarioSpec:
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}; "
                                  f"expected one of {allowed}")
+        for name, zero_ok in (("duration", False), ("warmup", True),
+                              ("max_bps", False), ("initial_bps", False)):
+            value = getattr(self, name)
+            if not (math.isfinite(value)
+                    and (value >= 0 if zero_ok else value > 0)):
+                raise ValueError(f"{name} must be finite and "
+                                 f"{'>= 0' if zero_ok else '> 0'}, "
+                                 f"got {value!r}")
+        if (not isinstance(self.competitors, int)
+                or isinstance(self.competitors, bool) or self.competitors < 0):
+            raise ValueError(f"competitors must be an int >= 0, "
+                             f"got {self.competitors!r}")
         if self.zhuge_flow_mask is not None:
             object.__setattr__(self, "zhuge_flow_mask",
                                tuple(bool(b) for b in self.zhuge_flow_mask))

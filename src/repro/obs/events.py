@@ -1,9 +1,5 @@
 """Event type and taxonomy for the tracing subsystem.
 
-This module is import-free on purpose: :mod:`repro.sim.engine` must be
-able to reference :class:`TraceEvent` without creating an import cycle
-through the rest of the package.
-
 Severities are plain ints ordered like the stdlib logging levels so
 subscribers can threshold with a comparison.
 

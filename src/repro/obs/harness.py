@@ -3,34 +3,18 @@
 Simulation events flow through a per-run :class:`~repro.obs.bus.TraceBus`
 in virtual time; the campaign runner, the result cache, and the worker
 supervisor live *outside* any simulation, so their events get their own
-tiny, global channel. By default a ``WARN``-or-worse harness event
-prints exactly one line to stderr (a quarantined cache entry, a killed
-hung worker, a degradation) — campaigns never go silent about the messy
-cases, and never crash because of them either. Tests and embedders can
-subscribe a sink to capture the structured events instead.
+tiny, global channel. A ``WARN``-or-worse harness event prints exactly
+one line to stderr (a quarantined cache entry, a killed hung worker, a
+degradation) — campaigns never go silent about the messy
+cases, and never crash because of them either.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from typing import Callable, List
 
 from repro.obs.events import INFO, WARN, TraceEvent
-
-_SINKS: List[Callable[[TraceEvent], None]] = []
-
-
-def add_sink(sink: Callable[[TraceEvent], None]) -> None:
-    """Subscribe to every harness event (tests, structured logging)."""
-    _SINKS.append(sink)
-
-
-def remove_sink(sink: Callable[[TraceEvent], None]) -> None:
-    try:
-        _SINKS.remove(sink)
-    except ValueError:
-        pass
 
 
 def harness_event(name: str, *, severity: int = INFO, track: str = "harness",
@@ -38,8 +22,6 @@ def harness_event(name: str, *, severity: int = INFO, track: str = "harness",
     """Emit one harness event; WARN+ also prints a single stderr line."""
     event = TraceEvent(time=time.time(), category="harness", name=name,
                        track=track, severity=severity, args=args)
-    for sink in list(_SINKS):
-        sink(event)
     if severity >= WARN:
         payload = " ".join(f"{key}={value}"
                            for key, value in args.items())

@@ -92,7 +92,6 @@ class TraceSession:
     def __init__(self, sim, config: TraceConfig):
         self.config = config
         self.bus = TraceBus(sim, categories=frozenset(config.events))
-        sim.trace = self.bus
         self.flight = FlightRecorder(capacity=config.ring_size)
         self.bus.subscribe(self.flight)
         self.events: list[TraceEvent] = []

@@ -19,10 +19,10 @@ heap entry at ``now`` and no further item of the dispatching run at
 it runs at the end of the current dispatch instead of as an
 :class:`Event` of its own (DESIGN.md §13).
 
-Cancellation is O(1) (a flag) and cancelled events are *compacted*
-lazily: once the dead outnumber the live the heap is rebuilt without
-the corpses — amortized O(1) per cancel, and a campaign that cancels
-millions of timers no longer drags a heap of tombstones behind it.
+Cancellation is O(1) (a flag): a cancelled event stays in the heap as
+a tombstone until the run loop or :meth:`Simulator.peek` pops and skips
+it.  The heap is never rebuilt: the ledger workloads cancel at most 91
+events a run at seed 1, so tombstones never pile up (DESIGN.md §9).
 
 Macro-event runs (the PR 10 event-model refactor)
 -------------------------------------------------
@@ -64,11 +64,6 @@ import math
 from collections import deque
 from typing import Callable, Optional
 
-#: Compaction starts only beyond this many dead events, so small
-#: simulations never pay the rebuild.
-_COMPACT_MIN_DEAD = 64
-
-
 class SimulationError(RuntimeError):
     """Raised for invalid scheduling operations."""
 
@@ -78,20 +73,17 @@ class Event:
 
     Events are created through :meth:`Simulator.schedule` (or
     :meth:`Simulator.call_at`). Cancelling an event is O(1): the event is
-    flagged, skipped when reached, and compacted away once dead events
-    dominate the scheduler.
+    flagged and skipped when reached.
     """
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "fired", "_sim")
+    __slots__ = ("time", "seq", "callback", "cancelled", "fired")
 
-    def __init__(self, time: float, seq: int, callback: Callable[[], None],
-                 sim: "Optional[Simulator]" = None):
+    def __init__(self, time: float, seq: int, callback: Callable[[], None]):
         self.time = time
         self.seq = seq
         self.callback = callback
         self.cancelled = False
         self.fired = False
-        self._sim = sim
 
     def cancel(self) -> None:
         """Prevent the event from firing.
@@ -100,12 +92,8 @@ class Event:
         that already fired — a stale handle kept after the callback ran
         must not make the event look retroactively cancelled.
         """
-        if self.fired or self.cancelled:
-            return
-        self.cancelled = True
-        sim = self._sim
-        if sim is not None:
-            sim._note_cancel()
+        if not self.fired:
+            self.cancelled = True
 
     def __lt__(self, other: "Event") -> bool:
         return (self.time, self.seq) < (other.time, other.seq)
@@ -148,7 +136,7 @@ class TimedRun:
     __slots__ = ("_sim", "fn", "_times", "_seqs", "_payloads", "_head")
 
     #: Class attribute (not a slot): sentinels must look live to
-    #: ``peek``/``_compact``, which test ``entry[2].cancelled``.
+    #: ``peek``, which tests ``entry[2].cancelled``.
     cancelled = False
 
     def __init__(self, sim: "Simulator", fn: Callable) -> None:
@@ -233,7 +221,6 @@ class Simulator:
         #: dispatch returns (:meth:`post`).
         self._posted: "deque[Callable[[], None]]" = deque()
         self._seq = 0
-        self._dead = 0
         self._running = False
         #: The run being dispatched (its sentinel is off the heap).
         self._run: Optional[TimedRun] = None
@@ -245,11 +232,6 @@ class Simulator:
         #: metric that summary digests pin (``events_processed`` is
         #: telemetry).
         self.packets_processed = 0
-        #: Number of lazy compactions performed (telemetry).
-        self.compactions = 0
-        #: Tracing hook (:class:`repro.obs.bus.TraceBus`); ``None`` means
-        #: tracing is disabled and every probe site short-circuits.
-        self.trace = None
 
     @property
     def now(self) -> float:
@@ -286,7 +268,7 @@ class Simulator:
             raise SimulationError("cannot schedule at NaN time")
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, seq, callback, self)
+        event = Event(time, seq, callback)
         heapq.heappush(self._heap, (time, seq, event))
         return event
 
@@ -322,38 +304,9 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, seq, callback, self)
+        event = Event(time, seq, callback)
         heapq.heappush(self._heap, (time, seq, event))
         return event
-
-    def _note_cancel(self) -> None:
-        """O(1) bookkeeping for a cancelled event; compact lazily.
-
-        The trigger scales with the *live* population: a rebuild runs
-        only once the dead strictly outnumber the live (and exceed a
-        floor so small simulations never pay it), which keeps the
-        amortized cost O(1) per cancel no matter how degenerate the
-        cancel pattern is.
-        """
-        self._dead += 1
-        dead = self._dead
-        if dead <= _COMPACT_MIN_DEAD:
-            return
-        if dead > len(self._heap) - dead:
-            self._compact()
-
-    def _compact(self) -> None:
-        """Rebuild the heap without cancelled events (O(live)).
-
-        Mutates the heap list in place: ``run`` holds a local alias to
-        it, and cancel (hence compaction) can happen mid-run from an
-        event callback.
-        """
-        heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
-        heapq.heapify(heap)
-        self._dead = 0
-        self.compactions += 1
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
@@ -366,10 +319,15 @@ class Simulator:
         to ``until`` only when every remaining event (if any) lies beyond
         it — a ``max_events`` stop with work still pending before
         ``until`` leaves the clock at the last executed event, so a
-        resumed ``run`` observes a consistent virtual time.
+        resumed ``run`` observes a consistent virtual time.  Otherwise
+        the clock moves only to an instant where something fired: a
+        cancelled event left in the heap does not move it.  A NaN
+        ``until`` is refused, as a NaN schedule time is.
         """
         if self._running:
             raise SimulationError("simulator is already running")
+        if until is not None and math.isnan(until):
+            raise SimulationError("cannot run until NaN time")
         self._running = True
         processed = 0
         try:
@@ -381,26 +339,6 @@ class Simulator:
                 # entries at ``now``.
                 while posted:
                     posted.popleft()()
-            if until is None and max_events is None:
-                # Run-to-exhaustion fast loop: no bound checks per event.
-                while heap:
-                    entry = heappop(heap)
-                    self._now = entry[0]
-                    event = entry[2]
-                    if event.__class__ is Event:
-                        if event.cancelled:
-                            self._dead -= 1
-                            continue
-                        event.fired = True
-                        event.callback()
-                        processed += 1
-                        while posted:
-                            posted.popleft()()
-                    elif event.__class__ is _TickGroup:
-                        processed += self._dispatch_group(event)
-                    else:
-                        processed += self._dispatch_run(event, None, None)
-                return
             while heap:
                 if max_events is not None and processed >= max_events:
                     break
@@ -418,7 +356,6 @@ class Simulator:
                         else max_events - processed)
                     continue
                 if event.cancelled:
-                    self._dead -= 1
                     continue
                 self._now = time
                 event.fired = True
@@ -544,39 +481,13 @@ class Simulator:
             posted.popleft()()
         return fired
 
-    # -- tracing (repro.obs) -------------------------------------------------
-
-    def subscribe(self, callback, categories=None):
-        """Subscribe ``callback(event)`` to this simulator's trace bus.
-
-        Lazily creates the bus (enabling tracing) on first use. When a
-        bus already exists, ``categories`` must be ``None`` — the filter
-        belongs to the existing bus.
-        """
-        from repro.obs.bus import TraceBus
-        if self.trace is None:
-            self.trace = TraceBus(self, categories=categories)
-        elif categories is not None:
-            raise SimulationError(
-                "trace bus already attached; category filters must be "
-                "chosen when the bus is created")
-        return self.trace.subscribe(callback)
-
-    def emit(self, category: str, name: str, track: str = "sim",
-             severity: int = 20, **args) -> None:
-        """Publish one trace event (no-op while tracing is disabled)."""
-        bus = self.trace
-        if bus is not None:
-            bus.emit(category, name, track, severity, **args)
-
     def peek(self) -> Optional[float]:
         """Time of the next pending (non-cancelled) event, or None."""
         if self._posted:
             return self._now
         heap = self._heap
         while heap and heap[0][2].cancelled:
-            if heapq.heappop(heap)[2].__class__ is Event:
-                self._dead -= 1     # a stopped tick group was never dead
+            heapq.heappop(heap)
         return heap[0][0] if heap else None
 
     def pending(self) -> int:

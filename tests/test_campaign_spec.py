@@ -186,6 +186,26 @@ class TestSpecValidation:
             _spec(**{field: bad})
         assert getattr(_spec(**{field: good}), field) == good
 
+    @pytest.mark.parametrize("field, bad", [
+        ("duration", -1.0), ("duration", 0.0), ("duration", float("nan")),
+        ("duration", float("inf")), ("warmup", -0.5),
+        ("warmup", float("nan")), ("warmup", float("inf")),
+        ("max_bps", -5.0), ("max_bps", 0.0), ("max_bps", float("nan")),
+        ("initial_bps", 0.0), ("initial_bps", float("-inf")),
+        ("competitors", -2), ("competitors", 1.5), ("competitors", True),
+    ])
+    def test_bad_number_rejected(self, field, bad):
+        """Nothing downstream checks these: ``duration=-1`` ran with no
+        packets, ``duration=nan`` hung, and a negative competitor count
+        or encoder cap ran as if it meant something."""
+        with pytest.raises(ValueError, match=field):
+            _spec(**{field: bad})
+
+    def test_boundary_numbers_accepted(self):
+        spec = _spec(warmup=0.0, competitors=0, duration=0.5,
+                     max_bps=1, initial_bps=1e5)
+        assert (spec.warmup, spec.competitors) == (0.0, 0)
+
     def test_unknown_value_rejected_from_json(self):
         payload = _spec().as_dict()
         payload["app"] = "vidoe"

@@ -304,6 +304,9 @@ class TestParser:
         '[{"trace": {"kind": "constant", "rate_bps": 1e6}, "nosuch": 1}]',
         '[{"trace": {"kind": "constant", "rate_bps": 1e6}, '
         '"protocol": "sctp"}]',
+        # json.loads accepts NaN; a NaN duration used to hang its cell.
+        '[{"trace": {"kind": "constant", "rate_bps": 1e6}, '
+        '"duration": NaN}]',
     ])
     def test_bad_specs_manifest_exits_2_naming_it(self, content, tmp_path,
                                                   capsys, monkeypatch):

@@ -198,50 +198,44 @@ class TestTimedRun:
 
 
 # ---------------------------------------------------------------------------
-# Cancel-compaction threshold regression (satellite 4)
+# Cancelled events are tombstones: flagged, never compacted, skipped
 # ---------------------------------------------------------------------------
 
 
 class TestCancelCompaction:
     def test_no_rebuild_while_live_events_dominate(self):
-        """Cancelling a minority of a large heap must never compact.
-
-        The seed triggered a full O(live) rebuild every ~64 cancels
-        regardless of heap size; the threshold now scales with the
-        live population (dead must strictly outnumber live), so this
-        pattern — a fault storm retiring 500 timers under 2000 live
-        events — performs zero rebuilds.
-        """
+        """Cancelling is an O(1) flag and nothing rebuilds the heap: a
+        fault storm retiring 500 events and then 1 800 of 2 000 live
+        ones leaves every tombstone in place, ``pending`` counts only
+        the live, and the run drains exactly the live in order."""
         sim = Simulator()
-        live = [sim.schedule(10.0 + i * 1e-3, lambda: None)
+        fired = []
+        live = [sim.schedule(10.0 + i * 1e-3, lambda i=i: fired.append(i))
                 for i in range(2000)]
-        doomed = [sim.schedule(5.0 + i * 1e-3, lambda: None)
+        doomed = [sim.schedule(5.0 + i * 1e-3, lambda: fired.append(None))
                   for i in range(500)]
         for event in doomed:
             event.cancel()
-        assert sim.compactions == 0
         assert sim.pending() == 2000
-
-        # Push the dead population past the live one: rebuilds stay
-        # geometric (each one at least halves the population, so ~3
-        # for 1800 cancels; the seed's fixed threshold would do ~35).
         for event in live[:1800]:
             event.cancel()
-        assert 1 <= sim.compactions <= 3
         assert sim.pending() == 200
-        # Sub-threshold corpses may linger, but never more than the
-        # live population (plus the small-sim floor).
-        dead = len(sim._heap) - sim.pending()
-        assert dead <= max(64, sim.pending()) + 1
+        assert len(sim._heap) == 2500
+        sim.run()
+        assert fired == list(range(1800, 2000))
+        assert sim.events_processed == 200
+        assert sim.pending() == 0 and not sim._heap
+        assert sim.now == live[-1].time
 
     def test_small_simulations_never_compact(self):
         sim = Simulator()
         events = [sim.schedule(1.0 + i, lambda: None) for i in range(60)]
         for event in events:
             event.cancel()
-        assert sim.compactions == 0
+        assert len(sim._heap) == 60
         sim.run()
         assert sim.events_processed == 0
+        assert not sim._heap and sim.now == 0.0
 
 
 # ---------------------------------------------------------------------------

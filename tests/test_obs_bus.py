@@ -1,4 +1,4 @@
-"""Tests for the trace bus, flight recorder, and engine hookup."""
+"""Tests for the trace bus and the flight recorder."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.net.queue import DropTailQueue
 from repro.obs.bus import TraceBus
 from repro.obs.events import DEBUG, ERROR, INFO, WARN, TraceEvent, severity_name
 from repro.obs.flight import FlightRecorder
-from repro.sim.engine import SimulationError
 
 
 class TestTraceBus:
@@ -80,10 +79,6 @@ class TestZeroCostDisabled:
         queue.enqueue(packet_factory(), 0.0)
         assert queue.dequeue(0.1) is not None  # no AttributeError
 
-    def test_simulator_emit_is_noop_when_disabled(self, sim):
-        assert sim.trace is None
-        sim.emit("sim", "error", message="ignored")  # must not raise
-
     def test_overhead_guard_twins_differ_by_probe_sites_only(self):
         """The <2% guard's probe-free side is the live source minus its
         probe sites: nothing left that reads ``trace``, same state
@@ -102,28 +97,6 @@ class TestZeroCostDisabled:
             assert obs_overhead._drive(300)[1] == trajectory
         assert all(dict(vars(cls)) == methods
                    for cls, methods in live.items())
-
-
-class TestSimulatorSubscribe:
-    def test_subscribe_creates_bus_lazily(self, sim):
-        seen = []
-        sim.subscribe(seen.append, categories={"sim"})
-        sim.emit("sim", "error", severity=ERROR, message="boom")
-        sim.emit("queue", "drop", "q")  # filtered out
-        assert [e.name for e in seen] == ["error"]
-        assert seen[0].args["message"] == "boom"
-
-    def test_second_subscribe_with_categories_rejected(self, sim):
-        sim.subscribe(lambda e: None)
-        with pytest.raises(SimulationError):
-            sim.subscribe(lambda e: None, categories={"queue"})
-
-    def test_second_subscribe_without_categories_ok(self, sim):
-        first, second = [], []
-        sim.subscribe(first.append)
-        sim.subscribe(second.append)
-        sim.emit("ap", "tokens", "ap", value=0.5)
-        assert len(first) == len(second) == 1
 
 
 class TestFlightRecorder:

@@ -14,7 +14,7 @@ place when nothing older is pending.  The reference link also ends
 every txop in a ``_finish`` dispatch; the live one plants a finish only
 when a packet waits for the air.  So the engine events must match once
 each side's scheduled ``_serve_txop`` events, and the reference's
-finishes that found the link idle, are taken out.
+finishes the live link planted none for, are taken out.
 """
 
 from hypothesis import given, settings
@@ -60,14 +60,35 @@ class _KickCountingSimulator(Simulator):
 
 
 class _IdleCountingLink(ReferenceWirelessLink):
-    """Counts the ``_finish`` dispatches that found the queue empty and
-    only marked the link idle."""
+    """Counts the ``_finish`` dispatches the live link does without:
+    those that found the queue empty and only marked the link idle, and
+    those of a txop that left the queue empty when no packet arrived
+    before its end.  A packet arriving exactly at that end meets a
+    finish here; the live link planted none, so its send finds the end
+    passed and kicks the idle server instead."""
 
     idle_finishes = 0
+    #: The txop on the air left the queue empty, and no packet has
+    #: arrived before its end (the live link has no finish planted).
+    _unplanted = False
+
+    def send(self, packet) -> None:
+        enqueued = self.queue.stats.enqueued
+        super().send(packet)
+        if (self._unplanted and self.queue.stats.enqueued > enqueued
+                and self.sim._now < self._finish_run._times[-1]):
+            self._unplanted = False     # the live send plants the finish
+
+    def _transmit_ampdu(self) -> None:
+        txops = self.txops
+        super()._transmit_ampdu()
+        if self.txops > txops and self.queue.is_empty:
+            self._unplanted = True
 
     def _finish(self, ampdu) -> None:
+        unplanted, self._unplanted = self._unplanted, False
         super()._finish(ampdu)
-        if not self._serving:
+        if unplanted or not self._serving:
             self.idle_finishes += 1
 
 

@@ -145,6 +145,19 @@ class TestRunUntil:
         # pending, so advancing to ``until`` is still correct.
         assert sim.now == 5.0
 
+    def test_nan_until_rejected(self, sim):
+        """``run(until=nan)`` compared false against every time, so it
+        fired both one-shots and returned (and never returned once a
+        ``Timer`` was armed); it is refused like a NaN schedule time."""
+        seen = []
+        sim.call_at(1.0, lambda: seen.append(1.0))
+        sim.call_at(2.0, lambda: seen.append(2.0))
+        with pytest.raises(SimulationError, match="NaN"):
+            sim.run(until=float("nan"))
+        assert seen == [] and sim.now == 0.0
+        sim.run(until=1.5)
+        assert seen == [1.0]
+
 
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self, sim):
@@ -171,6 +184,16 @@ class TestCancellation:
         sim.schedule(2.0, lambda: None)
         event.cancel()
         assert sim.pending() == 1
+
+    def test_trailing_tombstone_leaves_clock_at_last_dispatch(self, sim):
+        """The clock moves only to an instant where something fired: an
+        unbounded ``run`` that pops a cancelled event at 5.0 after the
+        last live one at 1.0 leaves ``now`` at 1.0."""
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(5.0, lambda: None).cancel()
+        sim.run()
+        assert sim.now == 1.0
+        assert sim.events_processed == 1
 
     def test_cancel_after_fired_is_noop(self, sim):
         event = sim.schedule(1.0, lambda: None)
