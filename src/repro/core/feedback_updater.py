@@ -88,7 +88,7 @@ class OutOfBandFeedbackUpdater:
         self.max_extra_delay = max_extra_delay
         self.delta_history = DelayDeltaHistory(
             window, rng or DeterministicRandom(0))
-        # Bounded token FIFO with an exact O(1) running sum. The default
+        # Bounded token FIFO; its total is taken on read. The default
         # cap (65536) never binds in realistic traces — it is a memory
         # backstop against pathological monotone-improving stretches.
         self.token_history = TokenBank(max_entries=max_tokens,

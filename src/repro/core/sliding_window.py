@@ -19,25 +19,27 @@ call, so the per-packet API is the burst of one, not a second body.
 Amortized-O(1) invariant
 ------------------------
 Every estimator does amortized O(1) work per recorded event *and* per
-query.  This is the property that lets the Zhuge control loop run on
-every packet (Fig. 21: near-linear scaling in concurrent flows):
+datapath query.  This is the property that lets the Zhuge control loop
+run on every packet (Fig. 21: near-linear scaling in concurrent flows):
 
-* windowed sums are running sums maintained on push/expire, never
-  re-scans (``SlidingWindowRate``, ``DequeueIntervalEstimator.average_interval``,
-  ``DelayDeltaHistory.mean``);
+* byte sums are running ``int`` sums maintained on record/expire
+  (``SlidingWindowRate``);
+* ``DequeueIntervalEstimator.average_interval`` caches its mean and
+  recomputes it only after the window changed — at most once per
+  departure burst, over at most ``window / min_interval`` entries;
 * the windowed maximum in ``BurstSizeTracker`` is a monotonic deque, so
   ``max_burst_bytes`` reads the front instead of scanning all bursts;
 * ``DelayDeltaHistory.sample`` indexes the live suffix of a ring buffer
   instead of materializing the window as a list.
 
-Floating-point sums use :class:`ExactFloatSum` — exact binary
-fixed-point accumulation over Python big ints — so expiring events from
-the running sum introduces no rounding drift and every mean equals the
-correctly-rounded (``math.fsum``) re-scan of the live window,
-bit-for-bit.  ``tests/test_properties_hotpath.py`` asserts behavioural
-equivalence — burst calls included — against the naive per-packet
-re-scan implementations kept in
-:mod:`repro.core.sliding_window_reference`;
+No float sum is kept running.  ``DelayDeltaHistory.mean`` and
+``TokenBank.total`` are O(window) reads that no datapath call makes
+(drivers, tests and trace probes do), and the interval mean is
+re-summed as above; each takes ``math.fsum`` of the live window — its
+correctly-rounded sum — so expired entries leave no drift.
+``tests/test_properties_hotpath.py`` asserts behavioural equivalence —
+burst calls included — against the naive per-packet re-scan
+implementations kept in :mod:`repro.core.sliding_window_reference`;
 ``benchmarks/bench_hotpath_regression.py`` records the speedup in
 ``BENCH_hotpath.json``.
 
@@ -48,69 +50,17 @@ module.
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from operator import itemgetter
 from typing import Optional
 
 from repro.sim.random import DeterministicRandom
 
 DEFAULT_WINDOW = 0.040
 
-
-class ExactFloatSum:
-    """Exact running sum of floats, supporting subtraction.
-
-    Values are accumulated in binary fixed-point over Python big ints
-    (every finite double is n/2**e exactly), so add/subtract are exact
-    and a window that empties returns to an exact zero — no compensated
-    residue, no drift.  :meth:`value` rounds the exact sum to the
-    nearest double, which is by construction the same float
-    ``math.fsum`` returns for the live window.
-    """
-
-    __slots__ = ("_num", "_exp", "_value")
-
-    def __init__(self):
-        self._num = 0   # sum == _num / 2**_exp exactly
-        self._exp = 0
-        #: Cached rounded value; ``None`` after any mutation.  A query
-        #: between mutations (predict between departures) skips the
-        #: big-int division entirely.
-        self._value: Optional[float] = 0.0
-
-    def add(self, x: float) -> None:
-        n, d = x.as_integer_ratio()
-        e = d.bit_length() - 1  # d is a power of two for finite floats
-        exp = self._exp
-        if e > exp:
-            self._num = (self._num << (e - exp)) + n
-            self._exp = e
-        else:
-            self._num += n << (exp - e)
-        self._value = None
-
-    def subtract(self, x: float) -> None:
-        n, d = x.as_integer_ratio()
-        e = d.bit_length() - 1
-        exp = self._exp
-        if e > exp:
-            self._num = (self._num << (e - exp)) - n
-            self._exp = e
-        else:
-            self._num -= n << (exp - e)
-        self._value = None
-
-    def reset(self) -> None:
-        self._num = 0
-        self._exp = 0
-        self._value = 0.0
-
-    def value(self) -> float:
-        # int/int true division is correctly rounded.
-        result = self._value
-        if result is None:
-            result = self._num / (1 << self._exp)
-            self._value = result
-        return result
+#: The value of a ``(stamp, value)`` window entry.
+_value_of = itemgetter(1)
 
 
 class SlidingWindowRate:
@@ -200,7 +150,9 @@ class DequeueIntervalEstimator:
         self.min_interval = min_interval
         self.max_interval = max_interval
         self._intervals: deque[tuple[float, float]] = deque()
-        self._sum = ExactFloatSum()
+        #: Mean of ``_intervals``; ``None`` once the window changed.
+        #: Predictions between departures read it without a re-sum.
+        self._mean: Optional[float] = 0.0
         self._last_departure: Optional[float] = None
         self.ops = 0
 
@@ -218,13 +170,12 @@ class DequeueIntervalEstimator:
             interval = now - self._last_departure
             if self.min_interval <= interval <= self.max_interval:
                 intervals.append((now, interval))
-                self._sum.add(interval)
+                self._mean = None
         self._last_departure = now
         horizon = now - self.window
         while intervals and intervals[0][0] < horizon:
-            self._sum.subtract(intervals.popleft()[1])
-        if not intervals:
-            self._sum.reset()
+            intervals.popleft()
+            self._mean = None
 
     def average_interval(self, now: float) -> float:
         """Mean qualifying interval in the window; 0 with no samples."""
@@ -232,16 +183,19 @@ class DequeueIntervalEstimator:
         horizon = now - self.window
         intervals = self._intervals
         while intervals and intervals[0][0] < horizon:
-            self._sum.subtract(intervals.popleft()[1])
-        if not intervals:
-            self._sum.reset()
-            return 0.0
-        return self._sum.value() / len(intervals)
+            intervals.popleft()
+            self._mean = None
+        mean = self._mean
+        if mean is None:
+            mean = self._mean = (
+                math.fsum(map(_value_of, intervals)) / len(intervals)
+                if intervals else 0.0)
+        return mean
 
     def reset(self) -> None:
         """Forget all intervals (AP restart / handover); keeps ``.ops``."""
         self._intervals.clear()
-        self._sum.reset()
+        self._mean = 0.0
         self._last_departure = None
 
 
@@ -350,8 +304,9 @@ class DelayDeltaHistory:
 
     The window lives in a ring buffer (a list plus a head index,
     compacted when the dead prefix dominates), so :meth:`sample` indexes
-    the live suffix in O(1) instead of copying it per ACK, and
-    :meth:`mean` reads a running exact sum.
+    the live suffix in O(1) instead of copying it per ACK.  No running
+    sum is kept: the datapath never reads one, and :meth:`mean` takes
+    ``math.fsum`` of the live suffix when it is called.
     """
 
     _COMPACT_MIN = 64  # compact once the dead prefix exceeds this and half
@@ -363,20 +318,19 @@ class DelayDeltaHistory:
         self._times: list[float] = []
         self._values: list[float] = []
         self._head = 0
-        self._sum = ExactFloatSum()
         self.ops = 0
 
     def push(self, now: float, delta: float) -> None:
-        if delta < 0:
-            raise ValueError(f"delta history only stores non-negative: {delta}")
+        if not 0 <= delta < math.inf:
+            raise ValueError(
+                f"delta history only stores finite non-negative deltas: "
+                f"{delta}")
         self.ops += 1
         times, values, head = self._times, self._values, self._head
         times.append(now)
         values.append(delta)
-        self._sum.add(delta)
         horizon = now - self.window
         while times[head] < horizon:  # stops at the entry just pushed
-            self._sum.subtract(values[head])
             head += 1
         # Storage only grows here, so compacting here bounds it.
         if head > self._COMPACT_MIN and head * 2 > len(times):
@@ -390,7 +344,6 @@ class DelayDeltaHistory:
         self._times.clear()
         self._values.clear()
         self._head = 0
-        self._sum.reset()
 
     def sample(self, now: float) -> float:
         """Random recent delta; 0.0 when the window is empty."""
@@ -399,7 +352,6 @@ class DelayDeltaHistory:
         times, head = self._times, self._head
         n = len(times)
         while head < n and times[head] < horizon:
-            self._sum.subtract(self._values[head])
             head += 1
         self._head = head
         if head == n:
@@ -408,32 +360,34 @@ class DelayDeltaHistory:
         return self._values[head + self.rng.randindex(n - head)]
 
     def mean(self, now: float) -> float:
+        """Mean delta in the window (``math.fsum``); 0.0 when empty."""
         self.ops += 1
         horizon = now - self.window
         times, head = self._times, self._head
         n = len(times)
         while head < n and times[head] < horizon:
-            self._sum.subtract(self._values[head])
             head += 1
         self._head = head
         if head == n:
             self.clear()
             return 0.0
-        return self._sum.value() / (n - head)
+        return math.fsum(self._values[head:]) / (n - head)
 
     def __len__(self) -> int:
         return len(self._times) - self._head
 
 
 class TokenBank:
-    """Bounded FIFO of delay-reduction tokens with an O(1) running sum.
+    """Bounded FIFO of delay-reduction tokens.
 
     The out-of-band updater's ``token_history``: Alg. 1 banks a token
     with :meth:`append`, Alg. 2 consumes them oldest-first with
     :meth:`spend`.  Two things a bare deque cannot do:
 
-    * ``total`` reads an :class:`ExactFloatSum` instead of
-      ``sum(deque)`` — O(1) per query, exact to the last bit;
+    * ``total`` is the correctly-rounded (``math.fsum``) sum of the
+      banked tokens, taken when it is read — trace probes and
+      end-of-run snapshots read it; ``append`` and ``spend`` keep no
+      running sum;
     * growth is bounded: beyond ``max_entries`` the *oldest* tokens are
       evicted (they are the stalest claims on future ACKs), and with a
       ``ttl`` tokens banked more than that many seconds before an
@@ -445,8 +399,7 @@ class TokenBank:
     without one it is stamped 0.0 and only the size cap applies.
     """
 
-    __slots__ = ("max_entries", "ttl", "_entries", "_sum", "capped",
-                 "expired")
+    __slots__ = ("max_entries", "ttl", "_entries", "capped", "expired")
 
     def __init__(self, max_entries: int = 65536,
                  ttl: Optional[float] = None):
@@ -457,27 +410,24 @@ class TokenBank:
         self.max_entries = max_entries
         self.ttl = ttl
         self._entries: deque[tuple[float, float]] = deque()
-        self._sum = ExactFloatSum()
         self.capped = 0    # tokens evicted by the size cap
         self.expired = 0   # tokens evicted by the ttl
 
     def append(self, value: float, now: float = 0.0) -> None:
+        if not 0 <= value < math.inf:
+            raise ValueError(
+                f"a token must be finite and non-negative: {value}")
         if len(self._entries) >= self.max_entries:
             self.popleft()
             self.capped += 1
         self._entries.append((now, value))
-        self._sum.add(value)
 
     def extend(self, values) -> None:
         for value in values:
             self.append(value)
 
     def popleft(self) -> float:
-        _, value = self._entries.popleft()
-        self._sum.subtract(value)
-        if not self._entries:
-            self._sum.reset()
-        return value
+        return self._entries.popleft()[1]
 
     def spend(self, amount: float) -> float:
         """Alg. 2's token loop: cancel ``amount`` of sampled delay
@@ -487,10 +437,8 @@ class TokenBank:
             stamp, front = entries[0]
             if front > amount:
                 entries[0] = (stamp, front - amount)
-                self._sum.subtract(front)
-                self._sum.add(front - amount)
                 return 0.0
-            amount -= self.popleft()
+            amount -= entries.popleft()[1]
         return amount
 
     def expire(self, now: float) -> int:
@@ -501,21 +449,18 @@ class TokenBank:
         dropped = 0
         entries = self._entries
         while entries and entries[0][0] < horizon:
-            self.popleft()
+            entries.popleft()
             dropped += 1
         self.expired += dropped
         return dropped
 
     def clear(self) -> None:
         self._entries.clear()
-        self._sum.reset()
 
     @property
     def total(self) -> float:
-        """Exact sum of banked tokens (what ``sum(deque)`` used to be)."""
-        if not self._entries:
-            return 0.0
-        return self._sum.value()
+        """Correctly-rounded sum of banked tokens (``math.fsum``)."""
+        return math.fsum(map(_value_of, self._entries))
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -30,16 +30,20 @@ delaying ACKs, stop synthesizing TWCC) is the AP's ``on_demote`` /
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from operator import itemgetter
 from typing import Callable, Optional
 
 from repro.core.prediction_join import PredictionJoin
-from repro.core.sliding_window import ExactFloatSum
 from repro.faults.spec import WatchdogConfig
 from repro.sim.engine import Simulator, Timer
 
 STATE_HEALTHY = "healthy"
 STATE_DEGRADED = "degraded"
+
+#: The error of a ``(time, error)`` window entry.
+_error_of = itemgetter(1)
 
 
 class EstimatorHealthWatchdog:
@@ -59,7 +63,6 @@ class EstimatorHealthWatchdog:
         self.join = join
         join.on_pair = self.note_delivery
         self._errors: deque[tuple[float, float]] = deque()
-        self._error_sum = ExactFloatSum()
         self._unhealthy_since: Optional[float] = None
         self._healthy_since: Optional[float] = None
         self.trace = None
@@ -73,7 +76,6 @@ class EstimatorHealthWatchdog:
         now = self.sim.now
         error = abs(actual - predicted)
         self._errors.append((now, error))
-        self._error_sum.add(error)
         self._expire_errors(now)
 
     def notify_reset(self) -> None:
@@ -83,7 +85,6 @@ class EstimatorHealthWatchdog:
         join's open predictions (made by the dead estimator state).
         """
         self._errors.clear()
-        self._error_sum.reset()
         self._unhealthy_since = None
         self._healthy_since = None
         if self.state == STATE_HEALTHY:
@@ -93,9 +94,11 @@ class EstimatorHealthWatchdog:
 
     @property
     def mean_error(self) -> float:
+        """Mean windowed join error: ``math.fsum`` of the window, taken
+        when read (once per check), so deliveries keep no running sum."""
         if not self._errors:
             return 0.0
-        return self._error_sum.value() / len(self._errors)
+        return math.fsum(map(_error_of, self._errors)) / len(self._errors)
 
     def recent_errors(self) -> tuple[float, ...]:
         """Windowed |predicted - actual| join errors, oldest first.
@@ -122,10 +125,7 @@ class EstimatorHealthWatchdog:
     def _expire_errors(self, now: float) -> None:
         horizon = now - self.config.health_window
         while self._errors and self._errors[0][0] < horizon:
-            _, error = self._errors.popleft()
-            self._error_sum.subtract(error)
-        if not self._errors:
-            self._error_sum.reset()
+            self._errors.popleft()
 
     def _check(self) -> None:
         now = self.sim.now

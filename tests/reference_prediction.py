@@ -29,12 +29,12 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.core.sliding_window import ExactFloatSum
 from repro.faults.spec import WatchdogConfig
 from repro.faults.watchdog import STATE_DEGRADED, STATE_HEALTHY
 from repro.obs.audit import PredictionAuditor
 from repro.obs.events import TraceEvent
 from repro.sim.engine import Simulator, Timer
+from tests.reference_sums import ExactFloatSum
 
 #: Open-prediction table cap: beyond this the oldest entries are
 #: evicted. During a blackout nothing is delivered, so the table would

@@ -1,13 +1,13 @@
 """Property tests: O(1) estimators == naive re-scan references, bit-for-bit.
 
 The amortized-O(1) estimators in ``repro.core.sliding_window`` (running
-exact sums, monotonic-deque max, ring-buffer sampling) must be
-behaviourally indistinguishable from the naive re-scan implementations
-kept in ``repro.core.sliding_window_reference`` — on *every* query, for
-arbitrary event streams. The time-step strategy deliberately mixes
-sub-resolution steps, exact window-boundary steps, and idle gaps longer
-than any window, because expiry boundaries and idle-then-bursty
-transitions are where running state goes stale.
+int sums, a cached interval mean, monotonic-deque max, ring-buffer
+sampling) must be behaviourally indistinguishable from the naive
+re-scan implementations kept in ``repro.core.sliding_window_reference``
+— on *every* query, for arbitrary event streams. The time-step
+strategy deliberately mixes sub-resolution steps, exact window-boundary
+steps, and idle gaps longer than any window, because expiry boundaries
+and idle-then-bursty transitions are where running state goes stale.
 
 The same references, fed packet by packet, are the oracle for the
 batch-aware ``record`` / ``record_departure`` signatures (one call per
@@ -15,8 +15,6 @@ same-instant burst), and a teller + updater stack drained by
 ``dequeue_burst`` must be indistinguishable from one drained by
 per-packet ``dequeue``.
 """
-
-import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +26,6 @@ from repro.core.sliding_window import (
     BurstSizeTracker,
     DelayDeltaHistory,
     DequeueIntervalEstimator,
-    ExactFloatSum,
     SlidingWindowRate,
 )
 from repro.core.sliding_window_reference import (
@@ -56,29 +53,6 @@ time_steps = st.one_of(
 deltas = st.floats(min_value=0.0, max_value=0.050,
                    allow_nan=False, allow_infinity=False)
 sizes = st.integers(min_value=1, max_value=65_535)
-
-
-class TestExactFloatSum:
-    @given(st.lists(st.floats(min_value=-1e3, max_value=1e3,
-                              allow_nan=False), max_size=100),
-           st.integers(min_value=0, max_value=100))
-    def test_matches_fsum_after_prefix_removal(self, values, drop):
-        """Windowed usage: add all, expire a prefix -> exact remainder."""
-        drop = min(drop, len(values))
-        acc = ExactFloatSum()
-        for v in values:
-            acc.add(v)
-        for v in values[:drop]:
-            acc.subtract(v)
-        assert acc.value() == math.fsum(values[drop:])
-
-    def test_empty_is_exact_zero(self):
-        acc = ExactFloatSum()
-        acc.add(0.1)
-        acc.add(0.2)
-        acc.subtract(0.1)
-        acc.subtract(0.2)
-        assert acc.value() == 0.0
 
 
 class TestSlidingWindowRateEquivalence:
