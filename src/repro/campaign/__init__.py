@@ -10,8 +10,6 @@ for the CLI entry point.
 
 from repro.campaign.cache import (PruneStats, ResultCache, VerifyReport,
                                   default_cache_root)
-from repro.campaign.journal import (CampaignJournal, JournalError,
-                                    JournalState, truncate_journal)
 from repro.campaign.progress import CampaignProgress, ProgressPrinter
 from repro.campaign.runner import (CampaignError, CampaignResult, CellResult,
                                    CellTimeout, execute_spec, run_campaign,
@@ -24,13 +22,10 @@ from repro.campaign.summary import (FlowSummary, ScenarioSummary,
 
 __all__ = [
     "CampaignError",
-    "CampaignJournal",
     "CampaignProgress",
     "CampaignResult",
     "CellResult",
     "CellTimeout",
-    "JournalError",
-    "JournalState",
     "MemoryWatchdog",
     "VerifyReport",
     "WorkerHeartbeat",
@@ -50,5 +45,4 @@ __all__ = [
     "run_specs",
     "summary_lines",
     "timeout_mode",
-    "truncate_journal",
 ]

@@ -19,7 +19,6 @@ EVENT_OK = "ok"
 EVENT_CACHED = "cached"
 EVENT_FAILED = "failed"
 EVENT_RETRY = "retry"
-EVENT_RESUMED = "resumed"
 
 
 @dataclass
@@ -32,7 +31,6 @@ class CampaignProgress:
     cached: int = 0        # served from the result cache
     failed: int = 0        # exhausted their retry budget
     retries: int = 0       # attempts beyond each cell's first
-    resumed: int = 0       # restored from a resume journal
     hung_kills: int = 0    # workers SIGKILLed past the hang deadline
     #: False when any attempt ran with the per-cell timeout silently
     #: disabled (no enforcement mechanism available at all) — so "no

@@ -24,24 +24,22 @@ in-process loop (``jobs <= 1``), with:
 * **deterministic ordering** — results come back in input order no
   matter which cells finished first;
 * **content-addressed caching** — cells whose spec hash is already in
-  the :class:`ResultCache` are served without touching a worker;
-* **journaled checkpoint/resume** — with ``journal=`` set, every
-  terminal cell is appended to a crash-safe JSONL journal (see
-  :mod:`repro.campaign.journal`) and consumer state (e.g. the fleet
-  accumulator) is checkpointed every ``checkpoint_every`` cells;
-  ``resume=True`` restores completed cells from the journal instead of
-  recomputing them, bit-identically to an uninterrupted run.
+  the :class:`ResultCache` are served without touching a worker. The
+  cache is also how a killed campaign resumes: every finished cell is
+  written durably (fsync, atomic rename, checksum), so re-running the
+  same campaign on the same cache directory computes only the cells
+  the crash lost.
 
 The scenario simulation itself is a pure function of the spec, so a
-summary computed in-process, in a subprocess, replayed from the cache,
-or restored from a journal is bit-identical.
+summary computed in-process, in a subprocess or replayed from the
+cache is bit-identical.
 
 Persistence ordering per cell: the ``consume`` callback runs *first*;
-only after it returns is the summary written to the cache and the
-journal. A consume callback that raises therefore aborts the campaign
-with that cell unrecorded everywhere — a resume recomputes it and
-re-consumes, instead of serving a cell whose consumption never
-actually happened.
+only after it returns is the summary written to the cache. A consume
+callback that raises therefore aborts the campaign with that cell
+uncached — a re-run recomputes it and re-consumes, instead of serving
+a cell whose consumption never actually happened. Failed cells are
+never cached, so a re-run gives them a fresh retry budget.
 """
 
 from __future__ import annotations
@@ -57,16 +55,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.campaign.cache import resolve_cache
-from repro.campaign.journal import CampaignJournal
 from repro.campaign.progress import (EVENT_CACHED, EVENT_FAILED, EVENT_OK,
-                                     EVENT_RESUMED, EVENT_RETRY,
-                                     CampaignProgress)
+                                     EVENT_RETRY, CampaignProgress)
 from repro.campaign.spec import ScenarioSpec
 from repro.campaign.summary import ScenarioSummary
-from repro.campaign.supervise import (TIMEOUT_NONE, TIMEOUT_OFF,
-                                      WorkerHeartbeat, cell_deadline,
-                                      kill_worker, read_heartbeats,
-                                      timeout_mode)
+from repro.campaign.supervise import (TIMEOUT_NONE, WorkerHeartbeat,
+                                      cell_deadline, kill_worker,
+                                      read_heartbeats, timeout_mode)
 from repro.obs.events import WARN
 from repro.obs.harness import harness_event
 from repro.topology.builder import TopologyBuilder
@@ -74,10 +69,6 @@ from repro.topology.builder import TopologyBuilder
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
 STATUS_PENDING = "pending"
-
-#: Default cells-between-checkpoints when journaling with a
-#: ``checkpoint_state`` provider.
-CHECKPOINT_EVERY = 8
 
 
 class CampaignError(RuntimeError):
@@ -99,9 +90,6 @@ class CellResult:
     error: Optional[str] = None
     attempts: int = 0
     cached: bool = False
-    #: True when this cell was restored from a resume journal instead
-    #: of being computed (or cache-served) in this run.
-    resumed: bool = False
     wall_s: float = 0.0
     #: Flight-recorder tail from the last failed attempt, when the cell
     #: was traced (see :meth:`repro.obs.session.TraceSession.dump_on_error`).
@@ -127,10 +115,6 @@ class CampaignResult:
     @property
     def cached(self) -> int:
         return sum(1 for c in self.cells if c.cached)
-
-    @property
-    def resumed(self) -> int:
-        return sum(1 for c in self.cells if c.resumed)
 
     def failures(self) -> list[CellResult]:
         return [c for c in self.cells if c.status == STATUS_FAILED]
@@ -234,10 +218,6 @@ def run_campaign(specs: Sequence[ScenarioSpec], *,
                  progress: Optional[Callable] = None,
                  worker: Optional[Callable] = None,
                  consume: Optional[Callable] = None,
-                 journal=None,
-                 resume: bool = False,
-                 checkpoint_state: Optional[Callable] = None,
-                 checkpoint_every: int = CHECKPOINT_EVERY,
                  hang_timeout: Optional[float] = None) -> CampaignResult:
     """Execute ``specs`` and return per-cell results in input order.
 
@@ -257,14 +237,10 @@ def run_campaign(specs: Sequence[ScenarioSpec], *,
     per-shard summaries into an incremental fleet merge instead of
     holding every per-flow sample series at once.
 
-    ``journal`` (a path or :class:`CampaignJournal`) makes progress
-    durable: every terminal cell is appended, fsync'd, to a JSONL
-    journal, and — when ``checkpoint_state`` is provided — its dict
-    snapshot is checkpointed every ``checkpoint_every`` completions.
-    ``resume=True`` replays journaled cells (status, summary, consume
-    callback) before computing anything; previously *failed* cells get
-    a fresh retry budget. ``hang_timeout`` (pool mode) SIGKILLs any
-    worker whose cell exceeds that wall-clock deadline and retries it.
+    A killed campaign resumes by running it again on the same cache:
+    finished cells are served from it, the rest compute. ``hang_timeout``
+    (pool mode) SIGKILLs any worker whose cell exceeds that wall-clock
+    deadline and retries it.
     """
     specs = list(specs)
     store = resolve_cache(cache)
@@ -272,53 +248,9 @@ def run_campaign(specs: Sequence[ScenarioSpec], *,
     cells = [CellResult(index=i, spec=spec) for i, spec in enumerate(specs)]
     started = time.monotonic()
 
-    if resume and journal is None:
-        raise ValueError("resume=True requires journal=")
-    journal_obj: Optional[CampaignJournal] = None
-    journaled_state = None
-    if journal is not None:
-        journal_obj = (journal if isinstance(journal, CampaignJournal)
-                       else CampaignJournal(journal))
-        keys = [spec.content_hash() for spec in specs]
-        journaled_state = journal_obj.open(keys, resume=resume)
-
-    # Mutable checkpoint cadence counter shared by the closures below.
-    ckpt = {"since": 0}
-
     def emit(event: str, cell: CellResult) -> None:
         if progress is not None:
             progress(event, cell, stats)
-
-    def maybe_checkpoint(force: bool = False) -> None:
-        if journal_obj is None or checkpoint_state is None:
-            return
-        if not force and ckpt["since"] < max(1, checkpoint_every):
-            return
-        if ckpt["since"] == 0:
-            return
-        journal_obj.checkpoint(checkpoint_state(), after=stats.done)
-        ckpt["since"] = 0
-
-    def persist_ok(cell: CellResult, summary_dict: Optional[dict]) -> None:
-        """Journal one successful cell (after consume + cache put).
-
-        With a result cache active the summary is already durable in
-        the cache entry (written just before this call), so the record
-        carries only the outcome — journaling the sample series twice
-        would double the per-cell serialization cost for nothing.
-        Resume then restores the summary through the cache, falling
-        back to recompute if the entry was pruned meanwhile.
-        """
-        if journal_obj is None:
-            return
-        journal_obj.record_cell(index=cell.index,
-                                key=cell.spec.content_hash(),
-                                status=STATUS_OK, cached=cell.cached,
-                                attempts=cell.attempts,
-                                summary=None if store is not None
-                                else summary_dict)
-        ckpt["since"] += 1
-        maybe_checkpoint()
 
     def finish_ok(cell: CellResult, summary: ScenarioSummary,
                   cached: bool) -> None:
@@ -335,21 +267,6 @@ def run_campaign(specs: Sequence[ScenarioSpec], *,
             consume(cell)
             cell.summary = None  # release the sample series
 
-    def finish_resumed(cell: CellResult, summary: ScenarioSummary,
-                       record: dict) -> None:
-        """Restore one journaled cell without recomputing anything."""
-        cell.status = STATUS_OK
-        cell.summary = summary
-        cell.cached = bool(record.get("cached"))
-        cell.resumed = True
-        cell.attempts = int(record.get("attempts", 0))
-        stats.done += 1
-        stats.resumed += 1
-        emit(EVENT_RESUMED, cell)
-        if consume is not None:
-            consume(cell)
-            cell.summary = None
-
     def record_failure(cell: CellResult, error: str) -> bool:
         """Consume one attempt; True if the cell may still be retried."""
         cell.attempts += 1
@@ -362,65 +279,23 @@ def run_campaign(specs: Sequence[ScenarioSpec], *,
         stats.done += 1
         stats.failed += 1
         emit(EVENT_FAILED, cell)
-        if journal_obj is not None:
-            journal_obj.record_cell(index=cell.index,
-                                    key=cell.spec.content_hash(),
-                                    status=STATUS_FAILED,
-                                    attempts=cell.attempts, error=error)
         return False
 
-    try:
-        # Resume pass: journaled cells are restored without touching a
-        # worker or even the cache. Previously failed cells fall
-        # through with a fresh retry budget.
-        if resume and journaled_state is not None:
-            for index, record in sorted(
-                    journaled_state.completed().items()):
-                if not 0 <= index < len(cells):
-                    continue
-                cell = cells[index]
-                summary_payload = record.get("summary")
-                if summary_payload is not None:
-                    summary = ScenarioSummary.from_dict(summary_payload)
-                elif store is not None:
-                    summary = store.get(cell.spec)
-                else:
-                    summary = None
-                if summary is None:
-                    continue  # recompute: journal predates summaries
-                finish_resumed(cell, summary, record)
-            if stats.resumed:
-                harness_event("journal", action="resume",
-                              path=str(journal_obj.path),
-                              cells=stats.resumed)
-                # Compact future resumes: the consumer state now covers
-                # every refolded cell.
-                ckpt["since"] += stats.resumed
-                maybe_checkpoint(force=True)
+    # Cache pass: served cells never reach a worker.
+    todo: list[int] = []
+    for cell in cells:
+        hit = store.get(cell.spec) if store is not None else None
+        if hit is not None:
+            finish_ok(cell, hit, cached=True)
+        else:
+            todo.append(cell.index)
 
-        # Cache pass: served cells never reach a worker.
-        todo: list[int] = []
-        for cell in cells:
-            if cell.status != STATUS_PENDING:
-                continue
-            hit = store.get(cell.spec) if store is not None else None
-            if hit is not None:
-                finish_ok(cell, hit, cached=True)
-                persist_ok(cell, None)
-            else:
-                todo.append(cell.index)
-
-        if todo and jobs >= 2:
-            _run_pool(cells, todo, jobs, timeout, backoff_s, worker,
-                      store, stats, finish_ok, record_failure, persist_ok,
-                      hang_timeout)
-        elif todo:
-            _run_serial(cells, todo, timeout, backoff_s, worker,
-                        store, stats, finish_ok, record_failure, persist_ok)
-        maybe_checkpoint(force=False)
-    finally:
-        if journal_obj is not None:
-            journal_obj.close()
+    if todo and jobs >= 2:
+        _run_pool(cells, todo, jobs, timeout, backoff_s, worker,
+                  store, stats, finish_ok, record_failure, hang_timeout)
+    elif todo:
+        _run_serial(cells, todo, timeout, backoff_s, worker,
+                    store, stats, finish_ok, record_failure)
 
     return CampaignResult(cells=cells, progress=stats,
                           wall_s=time.monotonic() - started)
@@ -437,22 +312,20 @@ def run_specs(specs: Sequence[ScenarioSpec], *,
 
 
 def _apply_payload(cell: CellResult, payload: dict, store, stats,
-                   finish_ok, record_failure, persist_ok) -> bool:
+                   finish_ok, record_failure) -> bool:
     """Fold one attempt's payload into the cell; True if requeued.
 
     Ordering is deliberate: consume (inside ``finish_ok``) runs before
-    the cache write and the journal append, so a raising consumer
-    leaves no durable trace of the cell — resume recomputes it.
+    the cache write, so a raising consumer leaves no durable trace of
+    the cell — a re-run recomputes it.
     """
     stats.note_timeout(payload.get("timeout_mode"),
                        payload.get("timeout_enforced", True))
     if payload["ok"]:
-        summary_dict = payload["summary"]
-        summary = ScenarioSummary.from_dict(summary_dict)
+        summary = ScenarioSummary.from_dict(payload["summary"])
         finish_ok(cell, summary, cached=False)
         if store is not None:
             store.put(cell.spec, summary)
-        persist_ok(cell, summary_dict)
         return False
     dump = payload.get("flight_dump")
     if dump is not None:
@@ -461,7 +334,7 @@ def _apply_payload(cell: CellResult, payload: dict, store, stats,
 
 
 def _run_serial(cells, todo, timeout, backoff_s, worker,
-                store, stats, finish_ok, record_failure, persist_ok) -> None:
+                store, stats, finish_ok, record_failure) -> None:
     queue = deque(todo)
     while queue:
         index = queue.popleft()
@@ -470,13 +343,13 @@ def _run_serial(cells, todo, timeout, backoff_s, worker,
         payload = _cell_payload(worker, cell.spec, timeout)
         cell.wall_s += time.monotonic() - attempt_start
         if _apply_payload(cell, payload, store, stats,
-                          finish_ok, record_failure, persist_ok):
+                          finish_ok, record_failure):
             time.sleep(backoff_s * (2 ** (cell.attempts - 1)))
             queue.append(index)
 
 
 def _run_pool(cells, todo, jobs, timeout, backoff_s, worker,
-              store, stats, finish_ok, record_failure, persist_ok,
+              store, stats, finish_ok, record_failure,
               hang_timeout: Optional[float] = None) -> None:
     queue = deque(todo)
     not_before: dict[int, float] = {}
@@ -541,7 +414,7 @@ def _run_pool(cells, todo, jobs, timeout, backoff_s, worker,
                     payload = {"ok": False, "kind": "executor",
                                "error": f"{type(exc).__name__}: {exc}"}
                 if _apply_payload(cell, payload, store, stats,
-                                  finish_ok, record_failure, persist_ok):
+                                  finish_ok, record_failure):
                     not_before[index] = (time.monotonic()
                                          + backoff_s
                                          * (2 ** (cell.attempts - 1)))

@@ -33,9 +33,9 @@ import hashlib
 import json
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.campaign.summary import ScenarioSummary
 from repro.metrics.recorder import column
@@ -158,28 +158,7 @@ class FleetSummary:
     rtt_sketch: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {"shards": self.shards,
-                "flows": self.flows,
-                "rtt_samples": self.rtt_samples,
-                "frame_samples": self.frame_samples,
-                "exact": self.exact,
-                "rtt_p50": self.rtt_p50,
-                "rtt_p95": self.rtt_p95,
-                "rtt_p99": self.rtt_p99,
-                "frame_p99": self.frame_p99,
-                "rtt_tail_ratio": self.rtt_tail_ratio,
-                "delayed_frame_ratio": self.delayed_frame_ratio,
-                "goodput_bps_total": self.goodput_bps_total,
-                "mean_bitrate_bps_total": self.mean_bitrate_bps_total,
-                "fairness": self.fairness,
-                "events_processed": self.events_processed,
-                "packets_processed": self.packets_processed,
-                "ap_packets": self.ap_packets,
-                "fault_phases": self.fault_phases,
-                "watchdog_transitions": self.watchdog_transitions,
-                "control_transitions": self.control_transitions,
-                "steering_moves": self.steering_moves,
-                "rtt_sketch": self.rtt_sketch}
+        return asdict(self)
 
     def digest(self) -> str:
         """sha256 over everything *except* the shard count and the
@@ -323,90 +302,6 @@ class FleetAccumulator:
         if not self._collapsed:
             self._collapse()
 
-    def shard_indices(self) -> List[int]:
-        """Shard indexes already folded (sorted) — resume skips these."""
-        return sorted(self._records)
-
-    # -- checkpoint serialization -------------------------------------------
-
-    #: Version pin for :meth:`to_state` payloads inside journals.
-    STATE_SCHEMA = 1
-
-    def to_state(self) -> dict:
-        """JSON-safe snapshot of the whole fold, bit-exactly restorable.
-
-        Fractions serialize as ``"num/den"`` strings (exact), floats
-        ride JSON's shortest-round-trip repr (exact), sketch counts are
-        integers — so ``from_state(to_state())`` followed by
-        :meth:`finalize` yields the identical digest to never having
-        serialized. This is the payload the campaign journal checkpoints.
-        """
-        shards = {}
-        for index, record in self._records.items():
-            shards[str(index)] = {
-                "rtt_sketch": record.rtt_sketch.as_dict()["counts"],
-                "frame_sketch": record.frame_sketch.as_dict()["counts"],
-                "rtt_values": (None if record.rtt_values is None
-                               else record.rtt_values.tolist()),
-                "frame_values": (None if record.frame_values is None
-                                 else record.frame_values.tolist()),
-                "rtt_tail": record.rtt_tail,
-                "frame_tail": record.frame_tail,
-                "flows": record.flows,
-                "goodput_sum": str(record.goodput_sum),
-                "goodput_sq_sum": str(record.goodput_sq_sum),
-                "bitrate_sum": str(record.bitrate_sum),
-                "events_processed": record.events_processed,
-                "packets_processed": record.packets_processed,
-                "ap_packets": record.ap_packets,
-                "fault_phases": record.fault_phases,
-                "watchdog_transitions": record.watchdog_transitions,
-                "control_transitions": record.control_transitions,
-                "steering_moves": record.steering_moves,
-            }
-        return {"schema": self.STATE_SCHEMA,
-                "sample_budget": self.sample_budget,
-                "samples": self._samples,
-                "collapsed": self._collapsed,
-                "shards": shards}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "FleetAccumulator":
-        """Rebuild an accumulator from a :meth:`to_state` snapshot."""
-        if state.get("schema") != cls.STATE_SCHEMA:
-            raise ValueError(
-                f"accumulator state schema {state.get('schema')!r} != "
-                f"{cls.STATE_SCHEMA}")
-        acc = cls(sample_budget=state["sample_budget"])
-        acc._samples = int(state["samples"])
-        acc._collapsed = bool(state["collapsed"])
-        for key, payload in state["shards"].items():
-            record = _ShardRecord()
-            record.rtt_sketch = DelayCdfSketch.from_dict(
-                {"counts": payload["rtt_sketch"]})
-            record.frame_sketch = DelayCdfSketch.from_dict(
-                {"counts": payload["frame_sketch"]})
-            record.rtt_values = _samples_column(payload, "rtt_values", key)
-            record.frame_values = _samples_column(payload, "frame_values",
-                                                  key)
-            record.rtt_tail = int(payload["rtt_tail"])
-            record.frame_tail = int(payload["frame_tail"])
-            record.flows = int(payload["flows"])
-            record.goodput_sum = Fraction(payload["goodput_sum"])
-            record.goodput_sq_sum = Fraction(payload["goodput_sq_sum"])
-            record.bitrate_sum = Fraction(payload["bitrate_sum"])
-            record.events_processed = int(payload["events_processed"])
-            record.packets_processed = int(
-                payload.get("packets_processed", 0))
-            record.ap_packets = int(payload["ap_packets"])
-            record.fault_phases = int(payload["fault_phases"])
-            record.watchdog_transitions = int(
-                payload["watchdog_transitions"])
-            record.control_transitions = int(payload["control_transitions"])
-            record.steering_moves = int(payload["steering_moves"])
-            acc._records[int(key)] = record
-        return acc
-
     def finalize(self) -> FleetSummary:
         """Fold all records (in shard-index order) into a FleetSummary."""
         rtt_sketch = DelayCdfSketch()
@@ -471,15 +366,3 @@ class FleetAccumulator:
             out.fairness = min(1.0, float(fairness))
         out.rtt_sketch = rtt_sketch.as_dict()
         return out
-
-
-def _samples_column(payload: dict, name: str, shard: str) -> Optional[array]:
-    """A checkpointed sample list back as a column: ``null`` or reals."""
-    values = payload[name]
-    if values is None:
-        return None
-    if not (isinstance(values, list)
-            and all(type(v) in (int, float) for v in values)):
-        raise ValueError(f"accumulator shard {shard}: {name} must be null "
-                         f"or a list of numbers")
-    return array("d", values)

@@ -297,19 +297,15 @@ def cmd_city_campaign(args) -> int:
                       retries=args.retries, progress=progress,
                       trace_config=trace_config,
                       sample_budget=args.sample_budget,
-                      journal=args.journal, resume=args.resume,
-                      checkpoint_every=args.checkpoint_every,
                       mem_limit_bytes=mem_limit,
                       hang_timeout=args.hang_timeout,
                       worker=worker)
     fleet = result.fleet
     print("\n".join(fleet.lines(f"fleet — {args.city}/{args.aps} APs")))
     telemetry = result.campaign.progress
-    resumed = (f", {telemetry.resumed} resumed" if telemetry.resumed
-               else "")
     print(f"shards: {len(result.campaign.cells)} total — "
-          f"{telemetry.ok} computed, {telemetry.cached} cached"
-          f"{resumed}, {telemetry.retries} retries in "
+          f"{telemetry.ok} computed, {telemetry.cached} cached, "
+          f"{telemetry.retries} retries in "
           f"{result.campaign.wall_s:.1f}s")
     _maybe_prune_cache(args, cache)
     if args.out:
@@ -381,7 +377,6 @@ def cmd_campaign(args) -> int:
     result = run_campaign(specs, jobs=args.jobs, cache=cache,
                           timeout=args.timeout, retries=args.retries,
                           progress=progress, worker=worker,
-                          journal=args.journal, resume=args.resume,
                           hang_timeout=args.hang_timeout)
 
     rows = []
@@ -661,9 +656,10 @@ def _add_topology_options(parser: argparse.ArgumentParser) -> None:
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     _add_trace_options(parser)
-    parser.add_argument("--protocol", default="rtp", choices=("rtp", "tcp"))
+    parser.add_argument("--protocol", default="rtp", choices=PROTOCOLS)
     parser.add_argument("--cca", default="gcc",
-                        help="gcc/nada/scream (rtp) or copa/bbr/cubic/abc (tcp)")
+                        help="gcc/nada/scream (rtp) or copa/bbr/cubic/abc "
+                             "(tcp, quic)")
     parser.add_argument("--queue", default="fifo", choices=QUEUE_KINDS)
     parser.add_argument("--duration", type=_duration, default=30.0)
     parser.add_argument("--seed", type=int, default=1)
@@ -682,7 +678,8 @@ def _add_campaign_exec_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None,
                         help="result-cache directory "
                              "(default: $REPRO_CACHE_DIR or ~/.cache/"
-                             "repro-campaign)")
+                             "repro-campaign); re-running a killed "
+                             "campaign on it computes only the lost cells")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the result cache")
     parser.add_argument("--timeout", type=_duration, default=None,
@@ -698,20 +695,6 @@ def _add_campaign_exec_args(parser: argparse.ArgumentParser) -> None:
 def _add_robustness_args(parser: argparse.ArgumentParser) -> None:
     """Crash-safety and supervision knobs (campaign subcommand only)."""
     group = parser.add_argument_group("crash safety & supervision")
-    group.add_argument("--journal", default=None, metavar="PATH",
-                       help="append every finished cell to this "
-                            "crash-safe JSONL journal (enables --resume)")
-    group.add_argument("--resume", action="store_true",
-                       help="restore completed cells (and, with --city, "
-                            "the fleet accumulator checkpoint) from "
-                            "--journal instead of recomputing them; the "
-                            "result is bit-identical to an "
-                            "uninterrupted run")
-    group.add_argument("--checkpoint-every", type=_positive_count,
-                       default=8,
-                       metavar="N",
-                       help="journal a consumer-state checkpoint every "
-                            "N completed cells (--city only)")
     group.add_argument("--hang-timeout", type=_duration, default=None,
                        metavar="S",
                        help="SIGKILL and retry any pool worker whose "

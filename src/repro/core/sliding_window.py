@@ -403,15 +403,25 @@ class TokenBank:
 
     def __init__(self, max_entries: int = 65536,
                  ttl: Optional[float] = None):
+        self._entries: deque[tuple[float, float]] = deque()
+        self.capped = 0    # tokens evicted by the size cap
+        self.expired = 0   # tokens evicted by the ttl
+        self.set_limits(max_entries, ttl)
+
+    def set_limits(self, max_entries: int, ttl: Optional[float]) -> None:
+        """Re-bound the bank: a shrink below the banked count evicts
+        the oldest tokens and counts them in ``capped``, as the cap in
+        :meth:`append` does."""
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1: {max_entries}")
         if ttl is not None and ttl <= 0:
             raise ValueError(f"ttl must be positive: {ttl}")
         self.max_entries = max_entries
         self.ttl = ttl
-        self._entries: deque[tuple[float, float]] = deque()
-        self.capped = 0    # tokens evicted by the size cap
-        self.expired = 0   # tokens evicted by the ttl
+        entries = self._entries
+        while len(entries) > max_entries:
+            entries.popleft()
+            self.capped += 1
 
     def append(self, value: float, now: float = 0.0) -> None:
         if not 0 <= value < math.inf:

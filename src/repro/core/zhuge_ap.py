@@ -245,12 +245,8 @@ class ZhugeAP:
             updater.window = policy.window
             updater.delta_history.window = policy.window
             updater.max_extra_delay = policy.max_extra_delay
-            bank = updater.token_history
-            bank.ttl = policy.token_ttl
-            bank.max_entries = policy.token_bank_cap
-            while len(bank) > bank.max_entries:
-                bank.popleft()
-                bank.capped += 1
+            updater.token_history.set_limits(policy.token_bank_cap,
+                                             policy.token_ttl)
         else:
             updater._timer.interval = policy.feedback_interval
 

@@ -30,8 +30,6 @@ from typing import Callable, Optional
 
 from repro.campaign import (CampaignError, CampaignResult, ScenarioSpec,
                             TraceSpec, run_campaign)
-from repro.campaign.journal import CampaignJournal
-from repro.campaign.runner import CHECKPOINT_EVERY
 from repro.campaign.supervise import MemoryWatchdog
 from repro.city.gen import CityGenSpec
 from repro.city.merge import FleetAccumulator, FleetSummary
@@ -100,34 +98,23 @@ def run_city(gen: CityGenSpec, *,
              progress: Optional[Callable] = None,
              trace_config: Optional[TraceConfig] = None,
              sample_budget: int = FleetAccumulator.DEFAULT_SAMPLE_BUDGET,
-             journal=None,
-             resume: bool = False,
-             checkpoint_every: int = CHECKPOINT_EVERY,
              mem_limit_bytes: Optional[int] = None,
              hang_timeout: Optional[float] = None,
              worker: Optional[Callable] = None) -> CityResult:
     """Run one city campaign end to end; raises on any failed shard.
 
-    ``journal=`` makes progress durable (one crash-safe record per
-    finished shard plus a fleet-accumulator checkpoint every
-    ``checkpoint_every`` shards); ``resume=True`` restores from that
-    journal and produces a fleet digest bit-identical to an
-    uninterrupted run. ``mem_limit_bytes`` arms an RSS watchdog that
-    degrades the accumulator from exact to sketch-only percentiles
-    under memory pressure instead of OOMing; ``hang_timeout`` SIGKILLs
-    and retries pool workers wedged past that many seconds per shard.
+    A killed city campaign resumes by running it again with the same
+    ``cache``: finished shards replay from it into the accumulator, so
+    the fleet digest is bit-identical to an uninterrupted run.
+    ``mem_limit_bytes`` arms an RSS watchdog that degrades the
+    accumulator from exact to sketch-only percentiles under memory
+    pressure instead of OOMing; ``hang_timeout`` SIGKILLs and retries
+    pool workers wedged past that many seconds per shard.
     """
     plan, specs = city_specs(gen, duration=duration, family=family,
                              shard_aps=shard_aps,
                              trace_config=trace_config)
     accumulator = FleetAccumulator(sample_budget=sample_budget)
-    if resume and journal is not None:
-        # Restore the fold from the journal's latest checkpoint; cells
-        # journaled after it are replayed through consume below.
-        state = CampaignJournal.load(journal)
-        if state.checkpoint is not None:
-            accumulator = FleetAccumulator.from_state(state.checkpoint)
-    restored = set(accumulator.shard_indices())
 
     watchdog = None
     if mem_limit_bytes is not None:
@@ -139,19 +126,13 @@ def run_city(gen: CityGenSpec, *,
         watchdog = MemoryWatchdog(mem_limit_bytes, _on_pressure)
 
     def consume(cell) -> None:
-        # Checkpoint-restored shards replay as resumed cells but are
-        # already folded into the accumulator — skip, don't double-add.
-        if cell.index not in restored:
-            accumulator.add(cell.index, cell.summary)
+        accumulator.add(cell.index, cell.summary)
         if watchdog is not None:
             watchdog.check()
 
     result = run_campaign(
         specs, jobs=jobs, cache=cache, timeout=timeout, retries=retries,
         progress=progress, consume=consume, worker=worker,
-        journal=journal, resume=resume,
-        checkpoint_state=accumulator.to_state,
-        checkpoint_every=checkpoint_every,
         hang_timeout=hang_timeout)
     failures = result.failures()
     if failures:

@@ -91,8 +91,8 @@ def resilience_specs(blackout_lengths: tuple[float, ...],
 
 def _first_transition(transitions, state: str,
                       after: float = 0.0) -> Optional[float]:
-    for when, to_state, _reason in transitions:
-        if to_state == state and when >= after:
+    for when, target, _reason in transitions:
+        if target == state and when >= after:
             return when
     return None
 

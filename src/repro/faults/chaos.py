@@ -2,7 +2,7 @@
 
 :mod:`repro.faults` injects faults into the *simulated* network; this
 module injects faults into the *harness* — the process pool, the result
-cache, the journal — so the crash-safety machinery of
+cache, the driver process — so the crash-safety machinery of
 :mod:`repro.campaign` is exercised by tests and CI the same way the AP
 watchdog is exercised by link faults.
 
@@ -21,13 +21,13 @@ on POSIX for appends this small) and claim each action through an
 ``O_CREAT | O_EXCL`` fire-once marker, both in a :class:`ChaosState`
 scratch directory. So "kill the worker starting the 3rd cell" fires
 exactly once per campaign no matter how many workers race, and a
-*resumed* campaign sees the markers from the crashed run and does not
-re-fire — which is exactly what lets the kill-resume digest pin drive
-a real ``os._exit`` mid-campaign and then resume to completion.
+re-run on the same directory sees the markers from the crashed run and
+does not re-fire — which is exactly what lets the kill-resume digest
+pin drive a real ``os._exit`` mid-campaign and then resume to
+completion by re-running on the same result cache.
 
-:func:`corrupt_entry` and :func:`repro.campaign.journal.truncate_journal`
-cover the storage-damage cases (torn cache entry, truncated journal)
-without any process gymnastics.
+:func:`corrupt_entry` covers the storage-damage cases (torn or
+bit-flipped cache entry) without any process gymnastics.
 """
 
 from __future__ import annotations
@@ -182,9 +182,9 @@ def chaos_progress(plan: ChaosPlan, state: ChaosState,
     """Wrap a progress callback with the plan's driver-side faults.
 
     ``exit-run@N`` hard-exits the driver process (``os._exit``, no
-    cleanup, no journal flush beyond what already hit disk) after the
-    N-th terminal cell event — the closest a test can get to
-    ``kill -9`` while still choosing the moment deterministically.
+    cleanup) at the N-th terminal cell event, before that cell is
+    cached — the closest a test can get to ``kill -9`` while still
+    choosing the moment deterministically.
     """
     def hook(event: str, cell, stats) -> None:
         if inner is not None:

@@ -34,7 +34,6 @@ control  steer        client, old_ap, new_ap, phase ("begin"/"complete")
 harness  quarantine   entry, reason (corrupt cache entry set aside)
 harness  hung_worker  index, pid, waited_s (deadline kill of a worker)
 harness  degrade      what, rss_bytes, limit_bytes (graceful fallback)
-harness  journal      action, path[, cells] (checkpoint/resume lifecycle)
 ======== ============ ==================================================
 
 ``harness`` events are emitted by the campaign/cache layer *outside*

@@ -130,6 +130,49 @@ class TestCaching:
                             worker=fake_worker).cached == 1
 
 
+class TestCacheResume:
+    """A killed campaign resumes by re-running on the same cache."""
+
+    def test_consume_raise_leaves_no_durable_trace(self, tmp_path):
+        """A raising consume must not cache its cell: the re-run
+        recomputes and re-consumes it instead of serving a cell whose
+        consumption never happened."""
+        cache = ResultCache(root=tmp_path / "cache")
+        specs = [_stub_spec(seed) for seed in (1, 2, 3)]
+
+        def consume(cell):
+            if cell.index == 1:
+                raise RuntimeError("consumer exploded")
+
+        with pytest.raises(RuntimeError, match="consumer exploded"):
+            run_campaign(specs, cache=cache, worker=fake_worker,
+                         consume=consume)
+        assert cache.get(specs[0]) is not None
+        assert cache.get(specs[1]) is None
+        seen = []
+        result = run_campaign(specs, cache=cache, worker=fake_worker,
+                              consume=lambda cell: seen.append(
+                                  (cell.index, cell.cached,
+                                   cell.summary.events_processed)))
+        assert result.failed == 0
+        assert result.cached == 1
+        assert sorted(seen) == [(0, True, 1), (1, False, 2), (2, False, 3)]
+
+    def test_failed_cells_get_fresh_budget_on_resume(self, tmp_path):
+        cache = ResultCache(root=tmp_path / "cache")
+        spec = _stub_spec(CRASH_SEED)
+        for _ in range(2):
+            failed = run_campaign([spec], cache=cache,
+                                  worker=raising_worker, retries=1,
+                                  backoff_s=0.01)
+            assert failed.failed == 1
+            assert failed.cells[0].attempts == 2  # the whole budget again
+            assert cache.get(spec) is None  # failures are never cached
+        result = run_campaign([spec], cache=cache, worker=fake_worker)
+        assert (result.failed, result.cached, result.progress.ok) == (0, 0, 1)
+        assert result.cells[0].summary.events_processed == CRASH_SEED
+
+
 class TestFailurePaths:
     def test_timeout_fails_only_its_cell(self):
         specs = [_stub_spec(1), _stub_spec(CRASH_SEED), _stub_spec(2)]

@@ -2,11 +2,11 @@
 
 The centerpiece is the digest pin: a city campaign killed mid-run
 (really killed — ``os._exit`` from a planned chaos action in a
-subprocess, or a journal truncated exactly as a SIGKILL would leave it)
-and then resumed must produce a fleet digest bit-identical to a run
-that never crashed. Everything else here exercises the individual
-failure injectors: worker kills, injected OOM, hung-worker supervision,
-cache corruption.
+subprocess, or a result cache missing the entries a crash lost) and
+then re-run on the same cache must produce a fleet digest
+bit-identical to a run that never crashed. Everything else here
+exercises the individual failure injectors: worker kills, injected
+OOM, hung-worker supervision, cache corruption.
 """
 
 import json
@@ -18,10 +18,9 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import ResultCache, ScenarioSpec, TraceSpec, run_campaign
-from repro.campaign.journal import truncate_journal
 from repro.city.gen import CityGenSpec
 from repro.city.merge import FleetAccumulator
-from repro.experiments.drivers.city import run_city
+from repro.experiments.drivers.city import city_specs, run_city
 from repro.faults.chaos import (CHAOS_EXIT_CODE, ChaosPlan, ChaosState,
                                 ChaosWorker, corrupt_entry)
 
@@ -157,21 +156,6 @@ class TestCacheChaos:
 
 
 class TestAccumulatorState:
-    def test_state_roundtrip_is_bit_exact(self, reference_digest):
-        from repro.experiments.drivers.city import city_specs
-        _plan, specs = city_specs(_gen(), duration=CITY_RUN["duration"],
-                                  shard_aps=CITY_RUN["shard_aps"])
-        result = run_campaign(specs)
-        direct = FleetAccumulator()
-        for cell in result.cells:
-            direct.add(cell.index, cell.summary)
-        # Through JSON and back (exactly what the journal checkpoint
-        # does): the digest must not move by a single bit.
-        state = json.loads(json.dumps(direct.to_state()))
-        restored = FleetAccumulator.from_state(state)
-        assert restored.shard_indices() == direct.shard_indices()
-        assert restored.finalize().digest() == reference_digest
-
     def test_force_collapse_is_idempotent(self):
         acc = FleetAccumulator()
         acc.force_collapse()
@@ -189,37 +173,30 @@ class TestAccumulatorState:
 class TestKillResumeDigestPin:
     """The acceptance pin: kill mid-campaign, resume, digest unchanged."""
 
-    def test_truncated_journal_resume_matches(self, tmp_path,
-                                              reference_digest):
-        journal = tmp_path / "city.journal"
-        run_city(_gen(), **CITY_RUN, journal=journal, checkpoint_every=1)
-        # Crash after one shard (the torn tail is the half-written
-        # record a SIGKILL mid-append leaves behind).
-        truncate_journal(journal, keep_cells=1, torn_tail=True)
-        resumed = run_city(_gen(), **CITY_RUN, journal=journal,
-                           resume=True, checkpoint_every=1)
+    def test_lost_cache_entries_recompute_matches(self, tmp_path,
+                                                  reference_digest):
+        cache = ResultCache(root=tmp_path / "cache")
+        run_city(_gen(), **CITY_RUN, cache=cache)
+        # Crash after one shard: the other shards never reached the
+        # cache.
+        _plan, specs = city_specs(_gen(), **CITY_RUN)
+        for spec in specs[1:]:
+            cache.path_for(spec.content_hash()).unlink()
+        resumed = run_city(_gen(), **CITY_RUN, cache=cache)
         assert resumed.fleet.digest() == reference_digest
-        assert resumed.campaign.resumed == 1
-
-    def test_checkpoint_restore_matches(self, tmp_path, reference_digest):
-        journal = tmp_path / "city.journal"
-        run_city(_gen(), **CITY_RUN, journal=journal, checkpoint_every=1)
-        truncate_journal(journal, keep_cells=2)  # keeps checkpoint@1
-        resumed = run_city(_gen(), **CITY_RUN, journal=journal,
-                           resume=True, checkpoint_every=1)
-        assert resumed.fleet.digest() == reference_digest
+        assert resumed.campaign.cached == 1
+        assert resumed.campaign.progress.ok == len(specs) - 1
 
     def test_real_kill_and_cli_resume_matches(self, tmp_path,
                                               reference_digest):
         """Drive the CLI, let chaos ``exit-run@2`` hard-kill it after
-        the second shard, resume, and pin the digest.
+        the second shard, re-run on the same cache, and pin the digest.
 
         The exit fires at the progress event, which lands *before* the
-        completing cell's own journal append — exactly like a kill
-        racing the fsync. The crash therefore loses the in-flight
-        shard (journal holds shard 1 of 3) and resume must restore one
-        shard and recompute two, bit-identically."""
-        journal = tmp_path / "city.journal"
+        completing cell's cache write — exactly like a kill racing the
+        fsync. The crash therefore loses the in-flight shard (the cache
+        holds shard 1 of 3) and the re-run must serve one shard and
+        recompute two, bit-identically."""
         out = tmp_path / "fleet.json"
         base = [sys.executable, "-m", "repro", "campaign",
                 "--city", CITY_ARGS["preset"],
@@ -227,7 +204,7 @@ class TestKillResumeDigestPin:
                 "--city-seed", str(CITY_ARGS["seed"]),
                 "--shard-aps", str(CITY_RUN["shard_aps"]),
                 "--duration", str(CITY_RUN["duration"]),
-                "--no-cache", "--quiet", "--journal", str(journal)]
+                "--quiet", "--cache-dir", str(tmp_path / "cache")]
         env = dict(os.environ,
                    PYTHONPATH=str(REPO_ROOT / "src"))
         killed = subprocess.run(
@@ -237,10 +214,10 @@ class TestKillResumeDigestPin:
             timeout=600)
         assert killed.returncode == CHAOS_EXIT_CODE, killed.stderr
         resumed = subprocess.run(
-            base + ["--resume", "--out", str(out)],
+            base + ["--out", str(out)],
             cwd=REPO_ROOT, env=env, capture_output=True, text=True,
             timeout=600)
         assert resumed.returncode == 0, resumed.stderr
         payload = json.loads(out.read_text())
         assert payload["digest"] == reference_digest
-        assert payload["progress"]["resumed"] >= 1
+        assert payload["progress"]["cached"] >= 1

@@ -320,6 +320,9 @@ class TestApplyPolicyOnZhugeAP:
         updater = ap._oob[flow]
         assert updater.window == policy.window
         assert updater.max_extra_delay == policy.max_extra_delay
+        bank = updater.token_history
+        assert (bank.max_entries, bank.ttl) == (policy.token_bank_cap,
+                                                policy.token_ttl)
 
     def test_queue_clamp_and_restore(self, sim, ap):
         queue = ap.downlink_queue

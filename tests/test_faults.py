@@ -301,6 +301,28 @@ class TestTokenBank:
         assert bank.capped == 1
         assert bank.total == pytest.approx(9.0)
 
+    def test_set_limits_shrink_evicts_oldest_and_counts(self):
+        bank = TokenBank(max_entries=5)
+        bank.extend([1.0, 2.0, 3.0, 4.0])
+        bank.set_limits(2, 0.5)
+        assert list(bank) == [3.0, 4.0]
+        assert bank.capped == 2
+        assert (bank.max_entries, bank.ttl) == (2, 0.5)
+        bank.append(5.0)  # the new cap holds for later appends too
+        assert list(bank) == [4.0, 5.0]
+        assert bank.capped == 3
+
+    @pytest.mark.parametrize("max_entries, ttl", [(0, None), (-1, None),
+                                                  (1, 0.0), (1, -1.0)])
+    def test_set_limits_validates_like_init(self, max_entries, ttl):
+        bank = TokenBank(max_entries=3)
+        bank.extend([1.0, 2.0, 3.0])
+        for call in (lambda: TokenBank(max_entries, ttl),
+                     lambda: bank.set_limits(max_entries, ttl)):
+            with pytest.raises(ValueError):
+                call()
+        assert list(bank) == [1.0, 2.0, 3.0] and bank.capped == 0
+
     def test_ttl_expiry(self):
         bank = TokenBank(ttl=1.0)
         bank.append(1.0, now=0.0)
