@@ -3,9 +3,9 @@
 The layer between the simulator and the figure drivers: figure sweeps
 are expressed as lists of pure-data :class:`ScenarioSpec` cells and
 executed by :func:`run_specs` — in-process, or fanned out over a
-process pool with per-cell timeouts, retries, crash isolation, and a
-content-addressed result cache. See ``python -m repro campaign --help``
-for the CLI entry point.
+process pool with one ``SIGALRM`` deadline per cell, retries, crash
+isolation, and a content-addressed result cache. See
+``python -m repro campaign --help`` for the CLI entry point.
 """
 
 from repro.campaign.cache import (PruneStats, ResultCache, VerifyReport,
@@ -14,8 +14,6 @@ from repro.campaign.progress import CampaignProgress, ProgressPrinter
 from repro.campaign.runner import (CampaignError, CampaignResult, CellResult,
                                    CellTimeout, execute_spec, run_campaign,
                                    run_specs)
-from repro.campaign.supervise import (MemoryWatchdog, WorkerHeartbeat,
-                                      cell_deadline, rss_bytes, timeout_mode)
 from repro.campaign.spec import ScenarioSpec, TraceSpec, code_fingerprint
 from repro.campaign.summary import (FlowSummary, ScenarioSummary,
                                     summary_lines)
@@ -26,9 +24,7 @@ __all__ = [
     "CampaignResult",
     "CellResult",
     "CellTimeout",
-    "MemoryWatchdog",
     "VerifyReport",
-    "WorkerHeartbeat",
     "FlowSummary",
     "ProgressPrinter",
     "PruneStats",
@@ -39,10 +35,7 @@ __all__ = [
     "code_fingerprint",
     "default_cache_root",
     "execute_spec",
-    "cell_deadline",
-    "rss_bytes",
     "run_campaign",
     "run_specs",
     "summary_lines",
-    "timeout_mode",
 ]

@@ -31,22 +31,7 @@ class CampaignProgress:
     cached: int = 0        # served from the result cache
     failed: int = 0        # exhausted their retry budget
     retries: int = 0       # attempts beyond each cell's first
-    hung_kills: int = 0    # workers SIGKILLed past the hang deadline
-    #: False when any attempt ran with the per-cell timeout silently
-    #: disabled (no enforcement mechanism available at all) — so "no
-    #: timeouts fired" can be distinguished from "timeouts could not
-    #: fire".
-    timeout_enforced: bool = True
-    #: Attempts per enforcement mechanism ("signal", "thread", "off",
-    #: "none") — see :mod:`repro.campaign.supervise`.
-    timeout_modes: dict = field(default_factory=dict)
     started_at: float = field(default_factory=time.monotonic)
-
-    def note_timeout(self, mode, enforced: bool = True) -> None:
-        """Fold one attempt's timeout telemetry into the counters."""
-        self.timeout_enforced = self.timeout_enforced and enforced
-        if mode:
-            self.timeout_modes[mode] = self.timeout_modes.get(mode, 0) + 1
 
     def elapsed_s(self) -> float:
         return max(time.monotonic() - self.started_at, 1e-9)

@@ -4,10 +4,13 @@
 a :class:`concurrent.futures.ProcessPoolExecutor` (``jobs >= 2``) or an
 in-process loop (``jobs <= 1``), with:
 
-* **per-cell timeouts** — enforced *inside* the worker: ``SIGALRM`` on
-  a POSIX main thread, a watchdog-thread async exception anywhere else
-  (see :mod:`repro.campaign.supervise`); which mechanism ran is
-  reported per attempt as ``timeout_mode`` telemetry;
+* **one per-cell deadline** — ``timeout`` is a ``SIGALRM`` interval
+  timer armed in whichever process runs the cell: a pool worker runs
+  its tasks on its main thread, and so must the caller of the serial
+  path. Where the alarm cannot fire (``jobs <= 1`` off the main thread,
+  or no ``SIGALRM`` on the platform) :func:`run_campaign` refuses the
+  timeout up front instead of running cells unguarded. A hung cell
+  (``hang@N`` chaos) is interrupted by the same alarm and retried;
 * **bounded retry with exponential backoff** — every failure consumes
   one attempt; a cell becomes terminal after ``retries`` extra attempts;
 * **crash isolation** — a worker that dies outright (``os._exit``,
@@ -16,11 +19,9 @@ in-process loop (``jobs <= 1``), with:
   resumes *one cell at a time* until a worker round-trip succeeds, so
   a repeat-crasher burns only its own retry budget instead of taking
   innocent in-flight cells down with it;
-* **hung-worker supervision** — with ``hang_timeout`` set, pool workers
-  heartbeat their pid and in-flight cell index to a scratch directory;
-  a cell still in flight past the deadline gets its worker SIGKILLed,
-  which re-enters the crash-isolation path above (kill, rebuild,
-  retry) instead of stalling the campaign forever;
+* **no orphans** — each pool worker exits on its own once the driver
+  process that started it is gone, so a killed driver never leaves
+  workers holding its pipes;
 * **deterministic ordering** — results come back in input order no
   matter which cells finished first;
 * **content-addressed caching** — cells whose spec hash is already in
@@ -45,12 +46,14 @@ never cached, so a re-run gives them a fresh retry budget.
 from __future__ import annotations
 
 import gc
-import tempfile
+import os
+import signal
+import threading
 import time
-import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -59,11 +62,6 @@ from repro.campaign.progress import (EVENT_CACHED, EVENT_FAILED, EVENT_OK,
                                      EVENT_RETRY, CampaignProgress)
 from repro.campaign.spec import ScenarioSpec
 from repro.campaign.summary import ScenarioSummary
-from repro.campaign.supervise import (TIMEOUT_NONE, WorkerHeartbeat,
-                                      cell_deadline, kill_worker,
-                                      read_heartbeats, timeout_mode)
-from repro.obs.events import WARN
-from repro.obs.harness import harness_event
 from repro.topology.builder import TopologyBuilder
 
 STATUS_OK = "ok"
@@ -133,19 +131,37 @@ class CampaignResult:
 # -- worker side ---------------------------------------------------------------
 
 
-_UNENFORCED_WARNED = False
+@contextmanager
+def _deadline(timeout: Optional[float]):
+    """Raise :class:`CellTimeout` here after ``timeout`` wall seconds.
+
+    A ``SIGALRM`` interval timer: it interrupts blocking calls too, and
+    it needs the main thread, which :func:`run_campaign` checks.
+    """
+    if timeout is None or timeout <= 0:
+        yield
+        return
+
+    def _on_alarm(signum, frame):
+        raise CellTimeout(f"cell exceeded {timeout:g}s timeout")
+
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, timeout)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
-def execute_spec(spec: ScenarioSpec,
-                 timeout: Optional[float] = None) -> ScenarioSummary:
+def execute_spec(spec: ScenarioSpec) -> ScenarioSummary:
     """Run one cell in this process and summarize it.
 
     This is the whole worker: build the spec, simulate, condense to the
     picklable summary. The full recorders never leave the worker.
     """
     try:
-        with cell_deadline(timeout, CellTimeout):
-            return TopologyBuilder(spec).run()
+        return TopologyBuilder(spec).run()
     finally:
         # A finished cell's graph is all reference cycles: free it now,
         # so peak memory is one cell's and not a matter of GC timing.
@@ -158,52 +174,69 @@ def _cell_payload(worker: Optional[Callable], spec: ScenarioSpec,
 
     Only hard process death (or ``BaseException`` escapees like
     ``SystemExit``) can reach the pool machinery; ordinary exceptions
-    and timeouts fail just this attempt. The payload reports which
-    timeout mechanism guarded the attempt (``timeout_mode``).
+    and timeouts fail just this attempt.
     """
-    global _UNENFORCED_WARNED
-    mode = timeout_mode(timeout)
-    if mode == TIMEOUT_NONE and not _UNENFORCED_WARNED:
-        _UNENFORCED_WARNED = True
-        warnings.warn(
-            "per-cell timeout requested but no enforcement mechanism is "
-            "available on this platform/thread; cells run without a "
-            "wall-clock limit", RuntimeWarning, stacklevel=3)
-    enforced = mode != TIMEOUT_NONE
     try:
-        with cell_deadline(timeout, CellTimeout, mode=mode):
-            if worker is not None:
-                summary = worker(spec)
-            else:
-                summary = execute_spec(spec)
+        with _deadline(timeout):
+            summary = (worker or execute_spec)(spec)
     except CellTimeout as exc:
-        detail = str(exc) or f"cell exceeded {timeout:g}s timeout"
-        return {"ok": False, "kind": "timeout", "error": detail,
-                "timeout_enforced": enforced, "timeout_mode": mode}
+        return {"ok": False, "kind": "timeout", "error": str(exc)}
     except Exception as exc:
         return {"ok": False, "kind": "exception",
                 "error": f"{type(exc).__name__}: {exc}",
-                "flight_dump": getattr(exc, "flight_dump", None),
-                "timeout_enforced": enforced, "timeout_mode": mode}
-    return {"ok": True, "summary": summary.as_dict(),
-            "timeout_enforced": enforced, "timeout_mode": mode}
+                "flight_dump": getattr(exc, "flight_dump", None)}
+    return {"ok": True, "summary": summary.as_dict()}
 
 
 def _pool_cell(worker: Optional[Callable], spec_payload: dict,
-               timeout: Optional[float],
-               heartbeat: Optional[tuple] = None) -> dict:
-    """Module-level pool entry point (must stay picklable).
+               timeout: Optional[float]) -> dict:
+    """Module-level pool entry point (must stay picklable)."""
+    return _cell_payload(worker, ScenarioSpec.from_dict(spec_payload),
+                         timeout)
 
-    ``heartbeat`` is ``(directory, cell_index)`` when the parent runs
-    hung-worker supervision: the worker stamps its pid/cell mapping
-    for the whole attempt so the parent can kill it by deadline.
+
+def _exit_with_parent() -> None:
+    """Pool initializer: end this worker once its parent is gone.
+
+    Workers inherit the driver's pipes; a driver that dies without
+    shutting its pool down would otherwise leave them blocked on the
+    task queue forever, holding those pipes open. The parent is read
+    here, not passed in: under the ``forkserver`` start method it is
+    the fork server, and a worker that compared against the driver's
+    pid would exit at once. (The fork server outlives a dead driver
+    while its workers live, so there this guard never fires.)
     """
-    spec = ScenarioSpec.from_dict(spec_payload)
-    if heartbeat is None:
-        return _cell_payload(worker, spec, timeout)
-    hb_dir, index = heartbeat
-    with WorkerHeartbeat(hb_dir, index):
-        return _cell_payload(worker, spec, timeout)
+    parent_pid = os.getppid()
+
+    def watch() -> None:
+        if hasattr(signal, "SIGALRM"):
+            # Leave the cell deadline's SIGALRM to the main thread.
+            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGALRM})
+        while os.getppid() == parent_pid:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True,
+                     name="exit-with-parent").start()
+
+
+def _new_pool(jobs: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=jobs,
+                               initializer=_exit_with_parent)
+
+
+def _refuse_unenforceable(timeout: Optional[float], jobs: int) -> None:
+    """Raise ``ValueError`` when the cell deadline could not fire."""
+    if timeout is None or timeout <= 0:
+        return
+    if not hasattr(signal, "SIGALRM"):
+        raise ValueError("a per-cell timeout needs signal.SIGALRM, "
+                         "which this platform lacks")
+    if (jobs <= 1
+            and threading.current_thread() is not threading.main_thread()):
+        raise ValueError("a per-cell timeout with jobs <= 1 must be run "
+                         "from the main thread: SIGALRM is delivered only "
+                         "there")
 
 
 # -- campaign driver -----------------------------------------------------------
@@ -217,8 +250,7 @@ def run_campaign(specs: Sequence[ScenarioSpec], *,
                  backoff_s: float = 0.25,
                  progress: Optional[Callable] = None,
                  worker: Optional[Callable] = None,
-                 consume: Optional[Callable] = None,
-                 hang_timeout: Optional[float] = None) -> CampaignResult:
+                 consume: Optional[Callable] = None) -> CampaignResult:
     """Execute ``specs`` and return per-cell results in input order.
 
     ``jobs <= 1`` runs cells in this process (still cache-aware);
@@ -237,11 +269,12 @@ def run_campaign(specs: Sequence[ScenarioSpec], *,
     per-shard summaries into an incremental fleet merge instead of
     holding every per-flow sample series at once.
 
-    A killed campaign resumes by running it again on the same cache:
-    finished cells are served from it, the rest compute. ``hang_timeout``
-    (pool mode) SIGKILLs any worker whose cell exceeds that wall-clock
-    deadline and retries it.
+    ``timeout`` is the one wall-clock deadline per cell attempt; a
+    timeout that could not be enforced raises ``ValueError`` before any
+    cell runs. A killed campaign resumes by running it again on the same
+    cache: finished cells are served from it, the rest compute.
     """
+    _refuse_unenforceable(timeout, jobs)
     specs = list(specs)
     store = resolve_cache(cache)
     stats = CampaignProgress(total=len(specs))
@@ -292,7 +325,7 @@ def run_campaign(specs: Sequence[ScenarioSpec], *,
 
     if todo and jobs >= 2:
         _run_pool(cells, todo, jobs, timeout, backoff_s, worker,
-                  store, stats, finish_ok, record_failure, hang_timeout)
+                  store, stats, finish_ok, record_failure)
     elif todo:
         _run_serial(cells, todo, timeout, backoff_s, worker,
                     store, stats, finish_ok, record_failure)
@@ -319,8 +352,6 @@ def _apply_payload(cell: CellResult, payload: dict, store, stats,
     the cache write, so a raising consumer leaves no durable trace of
     the cell — a re-run recomputes it.
     """
-    stats.note_timeout(payload.get("timeout_mode"),
-                       payload.get("timeout_enforced", True))
     if payload["ok"]:
         summary = ScenarioSummary.from_dict(payload["summary"])
         finish_ok(cell, summary, cached=False)
@@ -349,17 +380,12 @@ def _run_serial(cells, todo, timeout, backoff_s, worker,
 
 
 def _run_pool(cells, todo, jobs, timeout, backoff_s, worker,
-              store, stats, finish_ok, record_failure,
-              hang_timeout: Optional[float] = None) -> None:
+              store, stats, finish_ok, record_failure) -> None:
     queue = deque(todo)
     not_before: dict[int, float] = {}
     launched_at: dict[int, float] = {}
-    pool = ProcessPoolExecutor(max_workers=jobs)
+    pool = _new_pool(jobs)
     inflight: dict = {}  # future -> cell index
-    hb_dir: Optional[str] = None
-    killed_pids: set[int] = set()
-    if hang_timeout is not None and hang_timeout > 0:
-        hb_dir = tempfile.mkdtemp(prefix="repro-hb-")
     # After a pool breakage we cannot tell which cell killed its
     # worker, so retries resume single-file: if the crasher strikes
     # again it is alone in flight and only burns its own budget. The
@@ -378,10 +404,8 @@ def _run_pool(cells, todo, jobs, timeout, backoff_s, worker,
                     queue.append(index)  # still backing off
                     continue
                 launched_at[index] = now
-                heartbeat = (hb_dir, index) if hb_dir is not None else None
                 future = pool.submit(_pool_cell, worker,
-                                     cells[index].spec.as_dict(), timeout,
-                                     heartbeat)
+                                     cells[index].spec.as_dict(), timeout)
                 inflight[future] = index
 
             if not inflight:
@@ -393,10 +417,6 @@ def _run_pool(cells, todo, jobs, timeout, backoff_s, worker,
 
             done, _ = wait(list(inflight), return_when=FIRST_COMPLETED,
                            timeout=1.0)
-
-            if hb_dir is not None and not done:
-                _kill_hung_workers(inflight, launched_at, hang_timeout,
-                                   hb_dir, killed_pids, stats)
 
             broken = False
             for future in done:
@@ -437,39 +457,7 @@ def _run_pool(cells, todo, jobs, timeout, backoff_s, worker,
                         queue.append(index)
                 inflight.clear()
                 pool.shutdown(wait=False, cancel_futures=True)
-                pool = ProcessPoolExecutor(max_workers=jobs)
+                pool = _new_pool(jobs)
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
-        if hb_dir is not None:
-            import shutil
-            shutil.rmtree(hb_dir, ignore_errors=True)
 
-
-def _kill_hung_workers(inflight: dict, launched_at: dict,
-                       hang_timeout: float, hb_dir: str,
-                       killed_pids: set, stats) -> None:
-    """Deadline check: SIGKILL workers whose cell overran ``hang_timeout``.
-
-    The kill surfaces as a :class:`BrokenProcessPool` on the next wait,
-    which re-enters the cautious-restart path — the hung cell gets a
-    failed attempt and a retry, exactly like any other worker death.
-    """
-    now = time.monotonic()
-    overdue = [index for _future, index in inflight.items()
-               if now - launched_at[index] > hang_timeout]
-    if not overdue:
-        return
-    owners = read_heartbeats(hb_dir)
-    for index in overdue:
-        owner = owners.get(index)
-        if owner is None:
-            continue  # worker died before stamping; pool machinery owns it
-        pid, _stamp = owner
-        if pid in killed_pids:
-            continue
-        if kill_worker(pid):
-            killed_pids.add(pid)
-            stats.hung_kills += 1
-            harness_event("hung_worker", severity=WARN, index=index,
-                          pid=pid,
-                          waited_s=round(now - launched_at[index], 3))

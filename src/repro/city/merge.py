@@ -291,17 +291,6 @@ class FleetAccumulator:
             record.rtt_values = None
             record.frame_values = None
 
-    def force_collapse(self) -> None:
-        """Degrade to sketch-only percentiles immediately.
-
-        Called by the memory watchdog under RSS pressure: raw sample
-        lists are the only unbounded state the accumulator holds, so
-        dropping them caps memory at the (bounded) sketches while every
-        exact counter keeps its guarantees. Idempotent.
-        """
-        if not self._collapsed:
-            self._collapse()
-
     def finalize(self) -> FleetSummary:
         """Fold all records (in shard-index order) into a FleetSummary."""
         rtt_sketch = DelayCdfSketch()

@@ -31,6 +31,7 @@ from repro.campaign import (ProgressPrinter, ResultCache, ScenarioSpec,
 from repro.cca import RATE_CCAS, WINDOW_CCAS
 from repro.city import CITY_PRESETS, CityGenSpec
 from repro.control import ControlSpec
+from repro.faults.chaos import ChaosPlan, build_chaos
 from repro.faults.spec import FaultPlan
 from repro.obs.session import FORMATS, TraceConfig
 from repro.experiments.drivers.format import format_table, format_trace_rows
@@ -125,6 +126,15 @@ def _fault_dsl(text: str) -> str:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return text
+
+
+def _chaos_plan(text: str) -> str:
+    """argparse ``type=`` for ``--chaos``: parse to validate, keep the
+    canonical text (the state directory comes from ``--chaos-dir``)."""
+    try:
+        return ChaosPlan.parse(text).as_spec()
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _loaded(path: str, load):
@@ -265,12 +275,7 @@ def _chaos_from_args(args, progress):
     spec = getattr(args, "chaos", None)
     if not spec:
         return None, progress
-    from repro.faults.chaos import build_chaos
-    state_dir = getattr(args, "chaos_dir", None)
-    if not state_dir:
-        raise SystemExit("--chaos requires --chaos-dir (the fire-once "
-                         "markers must survive the planned crash)")
-    return build_chaos(spec, state_dir, progress=progress)
+    return build_chaos(spec, args.chaos_dir, progress=progress)
 
 
 def cmd_city_campaign(args) -> int:
@@ -289,16 +294,12 @@ def cmd_city_campaign(args) -> int:
     progress = None if args.quiet else ProgressPrinter()
     worker, progress = _chaos_from_args(args, progress)
     cache = _resolve_cache_args(args)
-    mem_limit = (int(args.mem_limit_mb * 1e6)
-                 if args.mem_limit_mb is not None else None)
     print(gen.describe())
     result = run_city(gen, duration=duration, shard_aps=args.shard_aps,
                       jobs=args.jobs, cache=cache, timeout=args.timeout,
                       retries=args.retries, progress=progress,
                       trace_config=trace_config,
                       sample_budget=args.sample_budget,
-                      mem_limit_bytes=mem_limit,
-                      hang_timeout=args.hang_timeout,
                       worker=worker)
     fleet = result.fleet
     print("\n".join(fleet.lines(f"fleet — {args.city}/{args.aps} APs")))
@@ -376,8 +377,7 @@ def cmd_campaign(args) -> int:
     cache = _resolve_cache_args(args)
     result = run_campaign(specs, jobs=args.jobs, cache=cache,
                           timeout=args.timeout, retries=args.retries,
-                          progress=progress, worker=worker,
-                          hang_timeout=args.hang_timeout)
+                          progress=progress, worker=worker)
 
     rows = []
     if grid is not None and not result.failures():
@@ -397,10 +397,6 @@ def cmd_campaign(args) -> int:
           f"{telemetry.cached} cached, {telemetry.failed} failed, "
           f"{telemetry.retries} retries in {result.wall_s:.1f}s "
           f"({telemetry.cells_per_sec():.2f} cells/s)")
-    if not telemetry.timeout_enforced:
-        print("warning: per-cell timeout could not be enforced "
-              "(no signal or watchdog-thread mechanism available); "
-              f"modes seen: {telemetry.timeout_modes}")
     _maybe_prune_cache(args, cache)
 
     if args.out:
@@ -693,22 +689,15 @@ def _add_campaign_exec_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_robustness_args(parser: argparse.ArgumentParser) -> None:
-    """Crash-safety and supervision knobs (campaign subcommand only)."""
-    group = parser.add_argument_group("crash safety & supervision")
-    group.add_argument("--hang-timeout", type=_duration, default=None,
-                       metavar="S",
-                       help="SIGKILL and retry any pool worker whose "
-                            "cell runs longer than S wall-clock seconds")
-    group.add_argument("--mem-limit-mb", type=_megabytes, default=None,
-                       metavar="MB",
-                       help="degrade fleet percentiles to sketch-only "
-                            "when driver RSS crosses this limit "
-                            "(--city only)")
+    """Harness-fault drills (campaign subcommand only)."""
+    group = parser.add_argument_group("chaos drills (repro.faults.chaos)")
     group.add_argument("--chaos", default=None, metavar="PLAN",
+                       type=_chaos_plan,
                        help="deterministic harness-fault plan, e.g. "
                             "'kill-worker@2,oom@4' or 'exit-run@3' "
                             "(kinds: kill-worker, oom, hang, exit-run; "
-                            "counts are 1-based campaign-wide)")
+                            "counts are 1-based campaign-wide; hang "
+                            "needs --timeout to end)")
     group.add_argument("--chaos-dir", default=None, metavar="DIR",
                        help="scratch directory for the chaos plan's "
                             "cross-process counters and fire-once "
@@ -926,6 +915,10 @@ def main(argv=None) -> int:
                        f"{args.cca!r} is not valid with --protocol "
                        f"{protocol}; expected one of "
                        f"{sorted(CCA_CHOICES[protocol])}\n")
+    if getattr(args, "chaos", None) and not args.chaos_dir:
+        parser.exit(2, f"repro {args.command}: error: argument --chaos: "
+                       f"requires --chaos-dir (the fire-once markers must "
+                       f"survive the planned crash)\n")
     return args.func(args)
 
 

@@ -30,12 +30,9 @@ from typing import Callable, Optional
 
 from repro.campaign import (CampaignError, CampaignResult, ScenarioSpec,
                             TraceSpec, run_campaign)
-from repro.campaign.supervise import MemoryWatchdog
 from repro.city.gen import CityGenSpec
 from repro.city.merge import FleetAccumulator, FleetSummary
 from repro.city.shard import ShardPlan, partition_topology
-from repro.obs.events import WARN
-from repro.obs.harness import harness_event
 from repro.obs.session import TraceConfig
 
 #: Default per-shard simulated duration: long enough past the 5 s
@@ -98,42 +95,27 @@ def run_city(gen: CityGenSpec, *,
              progress: Optional[Callable] = None,
              trace_config: Optional[TraceConfig] = None,
              sample_budget: int = FleetAccumulator.DEFAULT_SAMPLE_BUDGET,
-             mem_limit_bytes: Optional[int] = None,
-             hang_timeout: Optional[float] = None,
              worker: Optional[Callable] = None) -> CityResult:
     """Run one city campaign end to end; raises on any failed shard.
 
     A killed city campaign resumes by running it again with the same
     ``cache``: finished shards replay from it into the accumulator, so
-    the fleet digest is bit-identical to an uninterrupted run.
-    ``mem_limit_bytes`` arms an RSS watchdog that degrades the
-    accumulator from exact to sketch-only percentiles under memory
-    pressure instead of OOMing; ``hang_timeout`` SIGKILLs and retries
-    pool workers wedged past that many seconds per shard.
+    the fleet digest is bit-identical to an uninterrupted run. Past
+    ``sample_budget`` pooled samples the fleet percentiles come from
+    the sketch; the budget is part of the request, so the digest never
+    depends on the host's memory.
     """
     plan, specs = city_specs(gen, duration=duration, family=family,
                              shard_aps=shard_aps,
                              trace_config=trace_config)
     accumulator = FleetAccumulator(sample_budget=sample_budget)
 
-    watchdog = None
-    if mem_limit_bytes is not None:
-        def _on_pressure(rss: int) -> None:
-            accumulator.force_collapse()
-            harness_event("degrade", severity=WARN,
-                          what="fleet accumulator -> sketch-only",
-                          rss_bytes=rss, limit_bytes=mem_limit_bytes)
-        watchdog = MemoryWatchdog(mem_limit_bytes, _on_pressure)
-
     def consume(cell) -> None:
         accumulator.add(cell.index, cell.summary)
-        if watchdog is not None:
-            watchdog.check()
 
     result = run_campaign(
         specs, jobs=jobs, cache=cache, timeout=timeout, retries=retries,
-        progress=progress, consume=consume, worker=worker,
-        hang_timeout=hang_timeout)
+        progress=progress, consume=consume, worker=worker)
     failures = result.failures()
     if failures:
         detail = "; ".join(f"shard {c.index}: {c.error}"

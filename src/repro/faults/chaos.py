@@ -12,8 +12,8 @@ A :class:`ChaosPlan` is parsed from a compact spec string::
                                # MemoryError on the 4th cell attempt
     exit-run@3                 # whole driver process exits after the
                                # 3rd completed cell (SIGKILL stand-in)
-    hang@1                     # 1st cell attempt sleeps forever
-                               # (exercises hang_timeout supervision)
+    hang@1                     # 1st cell attempt sleeps an hour
+                               # (the --timeout alarm interrupts it)
 
 Determinism across a process pool needs shared state: workers count
 cell attempts through an O_APPEND one-byte-write counter file (atomic
@@ -84,6 +84,10 @@ class ChaosPlan:
                     f"(known: {', '.join(CHAOS_ACTIONS)})")
             if not sep:
                 raise ValueError(f"chaos action {part!r} needs '@<count>'")
+            at = at.strip()
+            if not at.isdecimal() or int(at) < 1:
+                raise ValueError(f"chaos action {part!r} needs a whole "
+                                 f"count >= 1 after '@'")
             actions.append(ChaosAction(kind=kind, at=int(at)))
         return cls(actions=tuple(actions))
 
@@ -151,11 +155,9 @@ class ChaosWorker:
     count (exactly once, campaign-wide), then runs the real cell body.
     """
 
-    def __init__(self, plan_spec: str, state_dir,
-                 timeout: Optional[float] = None) -> None:
+    def __init__(self, plan_spec: str, state_dir) -> None:
         self.plan_spec = str(plan_spec)
         self.state_dir = str(state_dir)
-        self.timeout = timeout
 
     def __call__(self, spec):
         # Imported lazily: repro.campaign.spec itself imports
@@ -174,7 +176,7 @@ class ChaosWorker:
                 raise MemoryError(f"chaos: injected OOM at cell {count}")
             elif action.kind == "hang":
                 time.sleep(3600.0)
-        return execute_spec(spec, timeout=self.timeout)
+        return execute_spec(spec)
 
 
 def chaos_progress(plan: ChaosPlan, state: ChaosState,
@@ -228,7 +230,6 @@ def corrupt_entry(cache_root, *, index: int = 0,
 
 
 def build_chaos(spec: str, state_dir, *,
-                timeout: Optional[float] = None,
                 progress: Optional[Callable] = None
                 ) -> tuple[ChaosWorker, Callable]:
     """One-call CLI/test wiring: ``(worker, progress_hook)`` for a plan.
@@ -238,7 +239,7 @@ def build_chaos(spec: str, state_dir, *,
     """
     plan = ChaosPlan.parse(spec)
     state = ChaosState(state_dir)
-    worker = ChaosWorker(plan.as_spec(), state_dir, timeout=timeout)
+    worker = ChaosWorker(plan.as_spec(), state_dir)
     return worker, chaos_progress(plan, state, progress)
 
 

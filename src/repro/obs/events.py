@@ -32,8 +32,6 @@ control  state        state, reason (controller state transitions)
 control  policy       state, window_s, passthrough (policy application)
 control  steer        client, old_ap, new_ap, phase ("begin"/"complete")
 harness  quarantine   entry, reason (corrupt cache entry set aside)
-harness  hung_worker  index, pid, waited_s (deadline kill of a worker)
-harness  degrade      what, rss_bytes, limit_bytes (graceful fallback)
 ======== ============ ==================================================
 
 ``harness`` events are emitted by the campaign/cache layer *outside*

@@ -6,20 +6,22 @@ subprocess, or a result cache missing the entries a crash lost) and
 then re-run on the same cache must produce a fleet digest
 bit-identical to a run that never crashed. Everything else here
 exercises the individual failure injectors: worker kills, injected
-OOM, hung-worker supervision, cache corruption.
+OOM, hung cells ended by the ``--timeout`` alarm, cache corruption, and
+pool workers outliving a killed driver.
 """
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.campaign import ResultCache, ScenarioSpec, TraceSpec, run_campaign
 from repro.city.gen import CityGenSpec
-from repro.city.merge import FleetAccumulator
 from repro.experiments.drivers.city import city_specs, run_city
 from repro.faults.chaos import (CHAOS_EXIT_CODE, ChaosPlan, ChaosState,
                                 ChaosWorker, corrupt_entry)
@@ -45,6 +47,20 @@ def reference_digest() -> str:
     return run_city(_gen(), **CITY_RUN).fleet.digest()
 
 
+def _session_members(sid: int) -> list:
+    """Live (non-zombie) pids whose session id is ``sid``."""
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue  # exited while listing
+        # After the command name: state, ppid, pgrp, session, ...
+        if int(fields[3]) == sid and fields[0] != "Z":
+            members.append(int(stat.parent.name))
+    return members
+
+
 def _stub_spec(seed: int = 1) -> ScenarioSpec:
     return ScenarioSpec(trace=TraceSpec.constant(1e6, 1.0),
                         duration=1.0, seed=seed)
@@ -65,6 +81,13 @@ class TestChaosPlan:
     def test_missing_count_rejected(self):
         with pytest.raises(ValueError, match="@<count>"):
             ChaosPlan.parse("oom")
+
+    @pytest.mark.parametrize("spec", ["hang@x", "hang@0", "hang@-3",
+                                      "exit-run@1.5", "oom@"])
+    def test_count_must_be_a_whole_number_from_one(self, spec):
+        # A count below 1 would never fire: refuse it instead.
+        with pytest.raises(ValueError, match="count >= 1"):
+            ChaosPlan.parse(spec)
 
 
 class TestChaosState:
@@ -121,14 +144,58 @@ class TestWorkerFaults:
         assert len(result.summaries()) == 3
 
     def test_hung_worker_is_killed_and_retried(self, tmp_path):
+        """``hang@1`` sleeps an hour inside a pool worker; the cell's
+        SIGALRM deadline interrupts the sleep and the retry finishes."""
         worker = ChaosWorker("hang@1", tmp_path / "chaos")
         specs = [_stub_spec(seed) for seed in (1, 2)]
+        retried = []
+
+        def progress(event, cell, stats):
+            if event == "retry":
+                retried.append(cell.error)
+
         result = run_campaign(specs, jobs=2, worker=worker,
-                              retries=2, backoff_s=0.01,
-                              hang_timeout=2.0)
+                              timeout=2.0, retries=2, backoff_s=0.01,
+                              progress=progress)
         assert result.failed == 0
-        assert result.progress.hung_kills == 1
-        assert result.progress.retries >= 1
+        assert len(result.summaries()) == 2
+        assert result.progress.retries == 1
+        assert retried == ["cell exceeded 2s timeout"]
+
+    def test_killed_driver_leaves_no_worker(self, tmp_path):
+        """A driver hard-exited by ``exit-run@1`` must not leave its
+        pool workers behind holding its pipes: ``communicate`` returns
+        and the driver's session empties."""
+        if not Path("/proc/self/stat").exists():
+            pytest.skip("needs /proc to list the session's processes")
+        argv = [sys.executable, "-m", "repro", "campaign",
+                "--city", CITY_ARGS["preset"],
+                "--aps", str(CITY_ARGS["aps"]),
+                "--city-seed", str(CITY_ARGS["seed"]),
+                "--shard-aps", str(CITY_RUN["shard_aps"]),
+                "--duration", str(CITY_RUN["duration"]),
+                "--jobs", "2", "--no-cache", "--quiet",
+                "--chaos", "exit-run@1", "--chaos-dir",
+                str(tmp_path / "chaos")]
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        driver = subprocess.Popen(argv, cwd=REPO_ROOT, env=env,
+                                  stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE,
+                                  start_new_session=True)
+        try:
+            _out, err = driver.communicate(timeout=30)
+            assert driver.returncode == CHAOS_EXIT_CODE, err
+            deadline = time.monotonic() + 10.0
+            while (_session_members(driver.pid)
+                   and time.monotonic() < deadline):
+                time.sleep(0.1)
+            assert _session_members(driver.pid) == []
+        finally:
+            try:
+                os.killpg(driver.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            driver.communicate()
 
 
 class TestCacheChaos:
@@ -156,18 +223,14 @@ class TestCacheChaos:
 
 
 class TestAccumulatorState:
-    def test_force_collapse_is_idempotent(self):
-        acc = FleetAccumulator()
-        acc.force_collapse()
-        acc.force_collapse()
-        assert acc.exact is False
-
-    def test_mem_watchdog_degrades_to_sketch(self):
-        # A 1-byte RSS limit trips on the first consume: the fleet
-        # answer degrades to sketch percentiles instead of OOMing.
-        result = run_city(_gen(), **CITY_RUN, mem_limit_bytes=1)
+    def test_sample_budget_degrades_to_sketch(self):
+        # A 1-sample budget trips on the first shard: the fleet answer
+        # comes from the sketches, and its digest is pinned because the
+        # budget is part of the request, not of the host.
+        result = run_city(_gen(), **CITY_RUN, sample_budget=1)
         assert result.fleet.exact is False
         assert result.fleet.rtt_samples > 0
+        assert result.fleet.digest().startswith("258d2e6e489137ea")
 
 
 class TestKillResumeDigestPin:

@@ -70,10 +70,11 @@ class TestParser:
         for value in values
     ] + [
         ["campaign", flag, value]
-        for flag, values in (("--hang-timeout", ("-1", "0", "nan")),
+        for flag, values in (("--chaos", ("bogus@1", "hang@x", "hang@0")),
                              ("--duration", ("-1", "0", "nan")),
                              ("--sample-budget", ("-1", "2.5")),
-                             ("--mem-limit-mb", ("-1", "nan", "inf")),
+                             ("--chaos", ("hang@-3", "kill-worker",
+                                          "exit-run@1.5")),
                              ("--aps", ("0", "-3")))
         for value in values
     ] + [["topology", "generate", "--aps", "0"]])
@@ -94,14 +95,28 @@ class TestParser:
         ["campaign", "--journal", "city.journal"],
         ["campaign", "--resume"],
         ["campaign", "--checkpoint-every", "8"],
+        ["campaign", "--hang-timeout", "1"],
+        ["campaign", "--mem-limit-mb", "64"],
     ])
     def test_removed_resume_flags_exit_2(self, argv, capsys, monkeypatch):
-        # A killed campaign resumes by re-running on its --cache-dir.
+        # A killed campaign resumes by re-running on its --cache-dir;
+        # --timeout is the one cell deadline and --sample-budget the
+        # one switch to sketch percentiles.
         self._refuse_commands(monkeypatch)
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+    def test_chaos_without_chaos_dir_exits_2_in_one_line(self, capsys,
+                                                         monkeypatch):
+        # The fire-once markers must outlive the planned crash.
+        self._refuse_commands(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "--chaos", "hang@1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "requires --chaos-dir" in err
 
     @pytest.mark.parametrize("argv, flag", [
         (["campaign", "--seeds", "x"], "--seeds"),
@@ -145,12 +160,10 @@ class TestParser:
     def test_campaign_flag_bounds_are_inclusive(self):
         from repro.city import CityGenSpec
         args = build_parser().parse_args(
-            ["campaign", "--timeout", "2.5", "--hang-timeout", "1",
-             "--retries", "0", "--cache-prune", "0", "--mem-limit-mb", "0",
-             "--sample-budget", "0", "--aps", "1"])
-        assert (args.timeout, args.hang_timeout, args.retries,
-                args.cache_prune, args.mem_limit_mb, args.sample_budget,
-                args.aps) == (2.5, 1.0, 0, 0.0, 0.0, 0, 1)
+            ["campaign", "--timeout", "2.5", "--retries", "0",
+             "--cache-prune", "0", "--sample-budget", "0", "--aps", "1"])
+        assert (args.timeout, args.retries, args.cache_prune,
+                args.sample_budget, args.aps) == (2.5, 0, 0.0, 0, 1)
         assert type(args.retries) is int and type(args.cache_prune) is float
         assert CityGenSpec.for_preset(
             "grid", aps=build_parser().parse_args(
