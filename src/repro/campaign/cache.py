@@ -8,10 +8,10 @@ orphans every old entry instead of serving stale results.
 Integrity model — a damaged cache can only ever cost recomputation,
 never a crash and never a silently-wrong figure:
 
-* **atomic writes** — :meth:`ResultCache.put` serializes to a temp
-  file, ``fsync``'s it, and atomically renames; a SIGKILL mid-put
-  leaves either the old entry or the new one, never a truncated file
-  at the entry path;
+* **atomic writes** — :meth:`ResultCache.put` streams the entry into
+  a temp file, ``fsync``'s it, and atomically renames; a SIGKILL
+  mid-put leaves either the old entry or the new one, never a
+  truncated file at the entry path;
 * **per-entry checksums** — every entry is a two-line file: a header
   carrying the sha256 of the body, then the body JSON. :meth:`get`
   re-hashes the body on every hit, so bit rot, torn writes from
@@ -33,13 +33,16 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from array import array
+from contextlib import suppress
+from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
 from repro.campaign.spec import (SPEC_SCHEMA_VERSION, ScenarioSpec,
                                  code_fingerprint)
-from repro.campaign.summary import ScenarioSummary
+from repro.campaign.summary import FlowSummary, ScenarioSummary
 from repro.obs.events import WARN
 from repro.obs.harness import harness_event
 
@@ -109,11 +112,43 @@ class VerifyReport:
         ] + [f"  quarantined: {name}" for name in self.corrupt_entries]
 
 
+def _header(check: str) -> bytes:
+    """An entry's first line: fixed width, so it can follow its body."""
+    return json.dumps({"check": check}).encode("utf-8") + b"\n"
+
+
 def _entry_blob(body_blob: bytes) -> bytes:
     """The on-disk bytes for a serialized entry body."""
-    check = hashlib.sha256(body_blob).hexdigest()
-    header = json.dumps({"check": check}).encode("utf-8")
-    return header + b"\n" + body_blob
+    return _header(hashlib.sha256(body_blob).hexdigest()) + body_blob
+
+
+#: Series values per encoded block (~250 B each while it is encoded).
+_BLOCK = 256
+
+
+def _pieces(value):
+    """``json.dumps(value)`` in pieces; a summary or flow stands for its
+    ``as_dict()`` and is walked, a series a block at a time."""
+    if isinstance(value, (ScenarioSummary, FlowSummary)):
+        payload = vars(value) if isinstance(value, FlowSummary) else {
+            **replace(value, flows=[]).as_dict(), "flows": value.flows}
+        for i, (key, item) in enumerate(payload.items()):
+            yield ("{" if i == 0 else ", ") + json.dumps(key) + ": "
+            yield from _pieces(item)
+        yield "}"
+    elif isinstance(value, array):
+        yield json.dumps(value[:_BLOCK].tolist())[:-1]
+        for at in range(_BLOCK, len(value), _BLOCK):
+            yield ", " + json.dumps(value[at:at + _BLOCK].tolist())[1:-1]
+        yield "]"
+    elif isinstance(value, list) and value and isinstance(value[0],
+                                                          FlowSummary):
+        for i, flow in enumerate(value):
+            yield ", " if i else "["
+            yield from _pieces(flow)
+        yield "]"
+    else:
+        yield json.dumps(value)
 
 
 def _read_entry(path: Path) -> tuple[str, Optional[dict], str]:
@@ -190,10 +225,8 @@ class ResultCache:
 
     def _evict(self, path: Path) -> None:
         self.stats.evictions += 1
-        try:
+        with suppress(OSError):
             path.unlink()
-        except OSError:
-            pass
 
     def _body_matches(self, body: dict, key: str) -> bool:
         try:
@@ -238,10 +271,8 @@ class ResultCache:
         # Touch the entry so prune()'s recency order reflects *use*, not
         # just creation: a hot entry written long ago outlives a cold
         # one written yesterday.
-        try:
+        with suppress(OSError):
             os.utime(path)
-        except OSError:
-            pass
         return summary
 
     def put(self, spec: ScenarioSpec, summary: ScenarioSummary) -> Path:
@@ -249,7 +280,8 @@ class ResultCache:
 
         temp write + fsync + rename: a concurrent reader (or a kill -9
         between any two instructions here) sees the old entry or the
-        complete new one — never a torn file.
+        complete new one — never a torn file. The entry is hashed as it
+        streams in, and written as :func:`_entry_blob` would write it.
         """
         key = spec.content_hash()
         path = self.path_for(key)
@@ -257,21 +289,25 @@ class ResultCache:
         body = {"schema": SPEC_SCHEMA_VERSION,
                 "key": key,
                 "code": code_fingerprint(),
-                "spec": spec.as_dict(),
-                "summary": summary.as_dict()}
-        blob = _entry_blob(json.dumps(body).encode("utf-8"))
+                "spec": spec.as_dict()}
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
+                handle.write(_header("0" * 64))  # filled in below
+                check = hashlib.sha256()
+                pieces = chain([json.dumps(body)[:-1] + ', "summary": '],
+                               _pieces(summary), ["}"])
+                for block in map(str.encode, pieces):
+                    check.update(block)
+                    handle.write(block)
+                handle.seek(0)
+                handle.write(_header(check.hexdigest()))
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, path)
         except BaseException:
-            try:
+            with suppress(OSError):
                 os.unlink(tmp)
-            except OSError:
-                pass
             raise
         self.stats.writes += 1
         return path

@@ -19,9 +19,9 @@ in-process loop (``jobs <= 1``), with:
   resumes *one cell at a time* until a worker round-trip succeeds, so
   a repeat-crasher burns only its own retry budget instead of taking
   innocent in-flight cells down with it;
-* **no orphans** — each pool worker exits on its own once the driver
-  process that started it is gone, so a killed driver never leaves
-  workers holding its pipes;
+* **no orphans** — each pool worker watches the driver's pid and exits
+  on its own once the driver is gone, whatever the start method, so a
+  killed driver never leaves workers holding its pipes;
 * **deterministic ordering** — results come back in input order no
   matter which cells finished first;
 * **content-addressed caching** — cells whose spec hash is already in
@@ -47,13 +47,12 @@ from __future__ import annotations
 
 import gc
 import os
+import select
 import signal
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -157,8 +156,8 @@ def _deadline(timeout: Optional[float]):
 def execute_spec(spec: ScenarioSpec) -> ScenarioSummary:
     """Run one cell in this process and summarize it.
 
-    This is the whole worker: build the spec, simulate, condense to the
-    picklable summary. The full recorders never leave the worker.
+    This is the whole worker: build the spec, simulate, condense. A
+    serial campaign hands this very summary on; a pool pickles it once.
     """
     try:
         return TopologyBuilder(spec).run()
@@ -185,44 +184,42 @@ def _cell_payload(worker: Optional[Callable], spec: ScenarioSpec,
         return {"ok": False, "kind": "exception",
                 "error": f"{type(exc).__name__}: {exc}",
                 "flight_dump": getattr(exc, "flight_dump", None)}
-    return {"ok": True, "summary": summary.as_dict()}
+    return {"ok": True, "summary": summary}
 
 
-def _pool_cell(worker: Optional[Callable], spec_payload: dict,
-               timeout: Optional[float]) -> dict:
-    """Module-level pool entry point (must stay picklable)."""
-    return _cell_payload(worker, ScenarioSpec.from_dict(spec_payload),
-                         timeout)
-
-
-def _exit_with_parent() -> None:
-    """Pool initializer: end this worker once its parent is gone.
+def _exit_with_driver(driver_pid: int) -> None:
+    """Pool initializer: end this worker once the driver process is gone.
 
     Workers inherit the driver's pipes; a driver that dies without
     shutting its pool down would otherwise leave them blocked on the
-    task queue forever, holding those pipes open. The parent is read
-    here, not passed in: under the ``forkserver`` start method it is
-    the fork server, and a worker that compared against the driver's
-    pid would exit at once. (The fork server outlives a dead driver
-    while its workers live, so there this guard never fires.)
+    task queue forever, holding those pipes open. The parent may not be
+    the driver (under ``forkserver`` it is the fork server), so the
+    driver's pid is passed in and watched through a pidfd; without
+    pidfds it is polled, which takes a zombie driver for a live one.
     """
-    parent_pid = os.getppid()
-
     def watch() -> None:
         if hasattr(signal, "SIGALRM"):
             # Leave the cell deadline's SIGALRM to the main thread.
             signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGALRM})
-        while os.getppid() == parent_pid:
-            time.sleep(0.5)
+        try:
+            select.select([os.pidfd_open(driver_pid)], [], [])
+        except (AttributeError, OSError):  # no pidfds, or driver gone
+            with suppress(OSError):
+                while True:
+                    os.kill(driver_pid, 0)
+                    time.sleep(0.5)
         os._exit(1)
 
     threading.Thread(target=watch, daemon=True,
-                     name="exit-with-parent").start()
+                     name="exit-with-driver").start()
 
 
-def _new_pool(jobs: int) -> ProcessPoolExecutor:
+def _new_pool(jobs: int):
+    # The pool stack is imported only when a pool is built.
+    from concurrent.futures import ProcessPoolExecutor
     return ProcessPoolExecutor(max_workers=jobs,
-                               initializer=_exit_with_parent)
+                               initializer=_exit_with_driver,
+                               initargs=(os.getpid(),))
 
 
 def _refuse_unenforceable(timeout: Optional[float], jobs: int) -> None:
@@ -261,8 +258,9 @@ def run_campaign(specs: Sequence[ScenarioSpec], *,
 
     ``consume`` turns the campaign into a stream: it is called once per
     successful cell (``consume(cell)``, completion order, cache hits
-    included) while ``cell.summary`` is populated, after which the
-    summary is *released* — the returned :class:`CampaignResult` keeps
+    included) while ``cell.summary`` is populated — in-process, the
+    very object the cell body returned — after which the summary is
+    *released*: the returned :class:`CampaignResult` keeps
     status/error/telemetry per cell but ``summary=None``. This bounds
     peak memory to one in-flight summary plus whatever the consumer
     retains, which is what lets a 1000-AP sharded city campaign stream
@@ -353,7 +351,7 @@ def _apply_payload(cell: CellResult, payload: dict, store, stats,
     the cell — a re-run recomputes it.
     """
     if payload["ok"]:
-        summary = ScenarioSummary.from_dict(payload["summary"])
+        summary = payload["summary"]
         finish_ok(cell, summary, cached=False)
         if store is not None:
             store.put(cell.spec, summary)
@@ -381,6 +379,8 @@ def _run_serial(cells, todo, timeout, backoff_s, worker,
 
 def _run_pool(cells, todo, jobs, timeout, backoff_s, worker,
               store, stats, finish_ok, record_failure) -> None:
+    from concurrent.futures import FIRST_COMPLETED, wait
+    from concurrent.futures.process import BrokenProcessPool
     queue = deque(todo)
     not_before: dict[int, float] = {}
     launched_at: dict[int, float] = {}
@@ -404,8 +404,8 @@ def _run_pool(cells, todo, jobs, timeout, backoff_s, worker,
                     queue.append(index)  # still backing off
                     continue
                 launched_at[index] = now
-                future = pool.submit(_pool_cell, worker,
-                                     cells[index].spec.as_dict(), timeout)
+                future = pool.submit(_cell_payload, worker,
+                                     cells[index].spec, timeout)
                 inflight[future] = index
 
             if not inflight:

@@ -83,10 +83,6 @@ class FlowSummary:
         payload["mean_bitrate_bps"] = self.mean_bitrate_bps
         return payload
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FlowSummary":
-        return cls(**payload)
-
 
 @dataclass
 class ScenarioSummary:
@@ -187,8 +183,7 @@ class ScenarioSummary:
     def from_dict(cls, payload: dict) -> "ScenarioSummary":
         pairs = payload["prediction_pairs"]  # a malformed pair cannot unpack
         return cls(spec=ScenarioSpec.from_dict(payload["spec"]),
-                   flows=[FlowSummary.from_dict(f)
-                          for f in payload["flows"]],
+                   flows=[FlowSummary(**f) for f in payload["flows"]],
                    events_processed=payload["events_processed"],
                    packets_processed=payload.get("packets_processed", 0),
                    ap_packets=payload["ap_packets"],

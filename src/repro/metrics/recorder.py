@@ -32,14 +32,22 @@ class _Columns:
     """Two parallel columns, the first stamped by the simulator clock."""
 
     def since(self, start: float):
-        """Samples stamped at or after ``start``, as fresh columns.
+        """Samples stamped at or after ``start``, as fresh columns."""
+        columns = (getattr(self, f.name)[:] for f in fields(self))
+        return type(self)(*columns).take(start)
+
+    def take(self, start: float):
+        """:meth:`since` without a copy: the columns are cut in place
+        and handed over, and this recorder starts again empty.
 
         The clock column is non-decreasing (every ``record`` call is
         stamped with simulator time), so the cut is one binary search.
         """
         times, values = (getattr(self, f.name) for f in fields(self))
+        self.__init__()
         i = bisect_left(times, start)
-        return type(self)(times[i:], values[i:])
+        del times[:i], values[:i]
+        return type(self)(times, values)
 
 
 @dataclass

@@ -2,10 +2,10 @@
 
 :func:`collect` reads a :class:`~repro.topology.builder.TopologyBuilder`
 whose simulation has run to the spec's duration, stops its periodic
-components, and condenses the warm-up-cut recorders, prediction joins
-and fault / watchdog / control / steering logs into one
-:class:`~repro.campaign.summary.ScenarioSummary`. A live trace session
-is never part of it: it stays on ``builder.trace_session``.
+components, and condenses the recorders (their series moved, not
+copied), prediction joins and fault / watchdog / control / steering
+logs into one :class:`~repro.campaign.summary.ScenarioSummary`. A live
+trace session is never part of it: it stays on ``builder.trace_session``.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ def collect(builder) -> "ScenarioSummary":  # noqa: F821
     network_rtt = builder.forwarding.network_rtt
     flows = []
     for fr in builder.forwarding.rtc:
-        rtt = network_rtt[fr.flow].since(spec.warmup)
-        cca_rtt = fr.sender.rtt_recorder.since(spec.warmup)
-        frames = fr.app.frame_recorder.since(spec.warmup)
+        rtt = network_rtt[fr.flow].take(spec.warmup)
+        cca_rtt = fr.sender.rtt_recorder.take(spec.warmup)
+        frames = fr.app.frame_recorder.take(spec.warmup)
         flows.append(FlowSummary(
             rtt_times=rtt.times, rtt_values=rtt.rtts,
             cca_rtt_times=cca_rtt.times, cca_rtt_values=cca_rtt.rtts,

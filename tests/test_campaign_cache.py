@@ -90,6 +90,37 @@ class TestResultCache:
         assert cache.stats.quarantined == 0
         assert not path.exists()
 
+    def test_entry_bytes_are_pinned(self, tmp_path):
+        """A streamed entry is byte for byte the one built whole: on a
+        real summary, and on one with non-ASCII and nested data."""
+        from repro.campaign.cache import (_BLOCK, SPEC_SCHEMA_VERSION,
+                                          _entry_blob, code_fingerprint)
+        from repro.topology.builder import TopologyBuilder
+        real = ScenarioSpec(trace=TraceSpec.for_family("W1", duration=3.0,
+                                                       seed=3),
+                            duration=3.0, seed=1, warmup=1.0,
+                            ap_mode="zhuge", protocol="rtp", cca="gcc")
+        streamed = TopologyBuilder(real).run()
+        assert len(streamed.flows[0].rtt_values) > _BLOCK  # several blocks
+        odd = _spec(seed=2)
+        nested = _summary(odd)
+        nested.control_transitions = [
+            (1.5, "ap-é", "dégradé", {"why": ["ü", [1, {"日本": None}]]})]
+        nested.fault_log = [(0.5, "blackout", "début")]
+        cache = ResultCache(root=tmp_path)
+        for spec, summary in ((real, streamed), (odd, nested)):
+            body = {"schema": SPEC_SCHEMA_VERSION,
+                    "key": spec.content_hash(),
+                    "code": code_fingerprint(),
+                    "spec": spec.as_dict(),
+                    "summary": summary.as_dict()}
+            path = cache.put(spec, summary)
+            assert path.read_bytes() == _entry_blob(json.dumps(body).encode())
+            assert cache.get(spec).as_dict() == json.loads(
+                json.dumps(summary.as_dict()))
+        report = cache.verify()
+        assert (report.scanned, report.valid) == (2, 2)
+
     def test_verify_reports_and_quarantines(self, tmp_path):
         cache = ResultCache(root=tmp_path)
         specs = [_spec(seed=seed) for seed in range(1, 4)]

@@ -7,8 +7,11 @@ cells for exceptions, and ``os._exit`` cells for hard worker crashes.
 
 import gc
 import os
+import subprocess
+import sys
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +104,21 @@ class TestOneResultType:
         assert (ScenarioSummary.from_dict(payload).digest()
                 == summary.digest())
         assert ScenarioSummary.from_result(summary, summary.spec) is summary
+
+
+class TestPoolStackIsLazy:
+    def test_campaign_and_city_imports_leave_it_out(self):
+        """Only building a pool imports ``multiprocessing`` and
+        ``concurrent.futures``: a serial campaign never pays for them."""
+        code = ("import sys, repro.campaign, repro.city, "
+                "repro.experiments.drivers.city\n"
+                "print(sorted(name for name in ('multiprocessing', "
+                "'concurrent.futures') if name in sys.modules))")
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=str(src)))
+        assert out.stdout.strip() == "[]"
 
 
 class TestCaching:

@@ -61,6 +61,46 @@ def _session_members(sid: int) -> list:
     return members
 
 
+def _alive(pid: int) -> bool:
+    """``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+#: A driver that runs two cells on a two-worker ``forkserver`` pool and
+#: hard-exits once both workers have written their pids and are busy.
+_FORKSERVER_DRIVER = """
+import multiprocessing, os, sys, threading, time
+from pathlib import Path
+
+from repro.campaign import ScenarioSpec, TraceSpec, run_campaign
+
+PIDS = Path(sys.argv[1])
+
+
+def worker(spec):
+    (PIDS / str(os.getpid())).touch()
+    time.sleep(60.0)
+
+
+def exit_when_both_busy():
+    while len(list(PIDS.iterdir())) < 2:
+        time.sleep(0.05)
+    os._exit(9)
+
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("forkserver")
+    threading.Thread(target=exit_when_both_busy, daemon=True).start()
+    run_campaign([ScenarioSpec(trace=TraceSpec.constant(1e6, 1.0),
+                               duration=1.0, seed=seed) for seed in (1, 2)],
+                 jobs=2, worker=worker)
+"""
+
+
 def _stub_spec(seed: int = 1) -> ScenarioSpec:
     return ScenarioSpec(trace=TraceSpec.constant(1e6, 1.0),
                         duration=1.0, seed=seed)
@@ -196,6 +236,44 @@ class TestWorkerFaults:
             except ProcessLookupError:
                 pass
             driver.communicate()
+
+
+    def test_forkserver_workers_exit_with_killed_driver(self, tmp_path):
+        """Under ``forkserver`` a worker's parent is the fork server,
+        not the driver: the workers still watch the driver, so none is
+        alive 5 s after it ``os._exit``s mid-campaign, and neither is
+        the fork server."""
+        if not Path("/proc/self/stat").exists():
+            pytest.skip("needs /proc to tell live processes from zombies")
+        script = tmp_path / "driver.py"
+        script.write_text(_FORKSERVER_DRIVER)
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        # No pipes: an orphaned worker would hold them open.
+        err = tmp_path / "stderr"
+        with err.open("wb") as sink:
+            driver = subprocess.Popen(
+                [sys.executable, str(script), str(pids)], cwd=tmp_path,
+                env=env, stdout=subprocess.DEVNULL, stderr=sink,
+                start_new_session=True)
+        try:
+            assert driver.wait(timeout=60) == 9, err.read_text()
+            workers = [int(path.name) for path in pids.iterdir()]
+            assert len(workers) == 2
+            deadline = time.monotonic() + 5.0
+            while (_session_members(driver.pid)
+                   and time.monotonic() < deadline):
+                time.sleep(0.1)
+            assert [pid for pid in workers if _alive(pid)] == []
+            # The fork server follows once no worker holds its alive fd.
+            assert _session_members(driver.pid) == []
+        finally:
+            try:
+                os.killpg(driver.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            driver.wait()
 
 
 class TestCacheChaos:

@@ -121,6 +121,16 @@ def test_since_returns_fresh_columns():
     assert recorder.count == 4
 
 
+def test_take_moves_the_columns():
+    recorder = _filled(RttRecorder, [0.0, 1.0, 1.0, 2.0], [0.1] * 4)
+    times = recorder.times
+    cut = recorder.take(1.0)
+    assert cut.times is times and list(cut.times) == [1.0, 1.0, 2.0]
+    assert recorder.count == 0 and recorder.times is not times
+    recorder.record(3.0, 0.2)  # a later sample stays out of the cut
+    assert list(cut.times) == [1.0, 1.0, 2.0]
+
+
 def test_oracle_kills_a_bisect_right_mutant(monkeypatch):
     """Cutting after the last stamp equal to the warm-up instant drops
     the samples taken exactly at it; the oracle finds such a case."""
