@@ -7,11 +7,11 @@ by >= 3x on query throughput, and the full AP datapath must scale
 near-linearly from 1 to 100 concurrent flows.  The end-to-end family
 drives the whole simulated datapath (scheduler, WAN link, AP, AMPDU
 txops, ACK path) and is the number the ROADMAP's packets/sec target is
-measured against.  Every run appends its numbers to
-``BENCH_hotpath.json`` at the repo root so future PRs have a perf
-trajectory to compare against (see also
-``benchmarks/run_hotpath_regression.py`` for running this outside
-pytest).
+measured against.  The datapath family times Fig. 21's one
+hand-driven AP loop (``repro.experiments.drivers.overhead.spin``),
+which the disabled-tracing guard drives too.  Every run appends its
+numbers to ``BENCH_hotpath.json`` at the repo root, so later changes
+have a perf trajectory to compare against.
 
 Set ``REPRO_BENCH_SMOKE=1`` for check mode (the CI ``bench-smoke``
 job): small workloads, no trajectory write, and only the relative /

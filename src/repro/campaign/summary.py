@@ -66,16 +66,17 @@ class FlowSummary:
 
     @property
     def rtt(self) -> RttRecorder:
-        """The network-RTT series as a recorder (fresh copy per call)."""
-        return RttRecorder(self.rtt_times[:], self.rtt_values[:])
+        """The network-RTT series as a recorder over this summary's own
+        columns (no copy: read it, do not record into it)."""
+        return RttRecorder(self.rtt_times, self.rtt_values)
 
     @property
     def cca_rtt(self) -> RttRecorder:
-        return RttRecorder(self.cca_rtt_times[:], self.cca_rtt_values[:])
+        return RttRecorder(self.cca_rtt_times, self.cca_rtt_values)
 
     @property
     def frames(self) -> FrameRecorder:
-        return FrameRecorder(self.frame_times[:], self.frame_delays[:])
+        return FrameRecorder(self.frame_times, self.frame_delays)
 
     def as_dict(self) -> dict:
         payload = {name: getattr(self, name).tolist() for name in _SERIES}

@@ -83,8 +83,8 @@ def _reconvergence(result, k: float) -> float:
     post-drop capacity (with 1.3x slack)."""
     # Rate above capacity shows as delay growth in the RTT series.
     # Re-convergence = last time network RTT exceeded 200 ms.
-    flow = result.flows[0]
-    violations = [t for t, r in zip(flow.rtt.times, flow.rtt.rtts)
+    rtt = result.flows[0].rtt
+    violations = [t for t, r in zip(rtt.times, rtt.rtts)
                   if t >= DROP_AT and r > 0.200]
     if not violations:
         return 0.0

@@ -8,10 +8,10 @@ Two measurement families:
   ``speedup`` is the regression guard: the acceptance floor is >= 3x on
   ``DelayDeltaHistory.sample`` and
   ``DequeueIntervalEstimator.average_interval``.
-* **datapath** — aggregate ops/sec of the three per-packet entry points
-  (``predict``, ``on_data_packet``, ``ack_delay``) through a real
-  :class:`ZhugeAP` at 1/10/100 concurrent flows, the quantity Fig. 21
-  projects onto router CPUs.
+* **datapath** — ops/sec of ``predict`` and of the AP's two entry
+  points (``on_downlink`` / ``on_uplink``, kept under their trajectory
+  keys ``on_data_packet`` / ``ack_delay``) at 1/10/100 flows, timed on
+  Fig. 21's loop (:func:`.overhead.timed_spin`).
 * **end_to_end** — wall-clock packets/sec of the whole simulated
   datapath driven through the event loop: sender bursts -> WAN link ->
   ``ZhugeAP.on_downlink`` -> wireless AMPDU txops -> client -> per-packet
@@ -21,7 +21,8 @@ Two measurement families:
   together rather than one entry point at a time.
 
 ``write_results`` appends one run to the ``runs`` list of the JSON, so
-successive PRs accumulate a perf trajectory instead of overwriting it.
+successive runs accumulate a perf trajectory instead of overwriting it;
+a file it cannot read as that trajectory is refused, never replaced.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-from repro.core.feedback_updater import FeedbackKind
 from repro.core.sliding_window import (
     BurstSizeTracker,
     DelayDeltaHistory,
@@ -46,10 +46,8 @@ from repro.core.sliding_window_reference import (
     ReferenceDequeueIntervalEstimator,
     ReferenceSlidingWindowRate,
 )
-from repro.core.zhuge_ap import ZhugeAP
-from repro.net.packet import ACK_SIZE, FiveTuple, Packet, PacketKind
-from repro.net.queue import DropTailQueue
-from repro.sim.engine import Simulator
+from repro.experiments.drivers.overhead import datapath, timed_spin
+from repro.net.packet import ACK_SIZE, Packet, PacketKind
 from repro.sim.random import DeterministicRandom
 
 SCHEMA = "hotpath-regression/v1"
@@ -138,33 +136,7 @@ def bench_estimator_micro(queries: int = 20_000) -> list[dict]:
 
 def bench_datapath(flows: int, packets: int = 20_000) -> dict:
     """Aggregate ops/sec of the per-packet entry points at ``flows``."""
-    sim = Simulator()
-    queue = DropTailQueue(capacity_bytes=10_000_000)
-    ap = ZhugeAP(sim, queue, rng=DeterministicRandom(1))
-    flow_objs = [FiveTuple("server", "client", 1000 + i, 2000 + i)
-                 for i in range(flows)]
-    for flow in flow_objs:
-        ap.register_flow(flow, FeedbackKind.OUT_OF_BAND)
-    ap.forward_downlink = lambda p: None
-    ap.forward_uplink = lambda p: None
-
-    t_data = 0.0
-    t_ack = 0.0
-    t = 0.0
-    for i in range(packets):
-        flow = flow_objs[i % flows]
-        data = Packet(flow, 1200, seq=i)
-        queue.enqueue(data, t)
-        t0 = time.perf_counter()
-        ap.on_downlink(data)
-        t_data += time.perf_counter() - t0
-        queue.dequeue(t + 0.002)
-        ack = Packet(flow.reversed(), ACK_SIZE, PacketKind.ACK, ack=i)
-        t0 = time.perf_counter()
-        ap.on_uplink(ack)
-        t_ack += time.perf_counter() - t0
-        t += 0.005
-
+    ap, _, (t_data, t_ack) = timed_spin(flows, packets)
     predict_calls = min(packets, 20_000)
     predict_ops = _time_calls(ap.fortune_teller.predict, predict_calls)
     return {
@@ -184,7 +156,8 @@ def bench_end_to_end(packets: int = 30_000, flows: int = 4,
 
     A paced sender pushes ``packets`` data packets (split across
     ``flows`` registered RTC flows) through a WAN :class:`WiredLink`
-    into a :class:`ZhugeAP`, the AP forwards into a
+    into the AP of :func:`~repro.experiments.drivers.overhead.datapath`,
+    which forwards into a
     :class:`WirelessLink` serving AMPDU txops off the shared downlink
     queue, and the client answers every delivery with an ACK routed
     back through a delay line into ``ZhugeAP.on_uplink``.  The reported
@@ -197,14 +170,7 @@ def bench_end_to_end(packets: int = 30_000, flows: int = 4,
     from repro.wireless.channel import WirelessChannel
     from repro.wireless.link import WirelessLink
 
-    sim = Simulator()
-    queue = DropTailQueue(capacity_bytes=4_000_000)
-    ap = ZhugeAP(sim, queue, rng=DeterministicRandom(1))
-    flow_objs = [FiveTuple("server", "client", 1000 + i, 2000 + i)
-                 for i in range(flows)]
-    for flow in flow_objs:
-        ap.register_flow(flow, FeedbackKind.OUT_OF_BAND)
-
+    sim, queue, ap, flow_objs = datapath(flows)
     channel = WirelessChannel(BandwidthTrace([link_rate_bps], interval=60.0),
                               mac_efficiency=1.0)
     wifi = WirelessLink(sim, channel, queue, propagation_delay=0.001)
@@ -371,6 +337,10 @@ def run_hotpath_bench(queries: int = 20_000, packets: int = 20_000,
         "micro": bench_estimator_micro(queries=queries),
         "datapath": [bench_datapath(flows, packets=packets)
                      for flows in flow_counts],
+        # Runs without this key timed an older loop (simulator clock
+        # left at 0, one-packet dequeue, no-op forward callbacks);
+        # their datapath numbers do not compare with these.
+        "datapath_loop": "overhead.spin",
         # Best-of-``e2e_repeats``: a single wall-clock run is hostage
         # to scheduler noise.
         "end_to_end": max((bench_end_to_end(packets=e2e_packets)
@@ -393,10 +363,13 @@ def write_results(path: str | Path, payload: dict | None = None) -> dict:
     if path.exists():
         try:
             existing = json.loads(path.read_text())
-            if existing.get("schema") == SCHEMA:
-                doc["runs"] = list(existing.get("runs", []))
-        except (json.JSONDecodeError, OSError):
-            pass  # corrupt trajectory: start a fresh one
+        except (ValueError, OSError):
+            existing = None
+        if not (isinstance(existing, dict)
+                and existing.get("schema") == SCHEMA):
+            raise ValueError(f"{path} is not a readable {SCHEMA} "
+                             f"trajectory; left it untouched")
+        doc["runs"] = list(existing.get("runs", []))
     doc["runs"].append(run)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -31,13 +31,9 @@ import textwrap
 import time
 from contextlib import contextmanager
 
-from repro.core.feedback_updater import (FeedbackKind,
-                                         OutOfBandFeedbackUpdater)
-from repro.core.zhuge_ap import ZhugeAP
-from repro.net.packet import ACK_SIZE, FiveTuple, Packet, PacketKind
+from repro.core.feedback_updater import OutOfBandFeedbackUpdater
+from repro.experiments.drivers.overhead import datapath, spin
 from repro.net.queue import DropTailQueue
-from repro.sim.engine import Simulator
-from repro.sim.random import DeterministicRandom
 
 #: The acceptance ceiling: instrumented-but-disabled may cost at most
 #: this multiple of the probe-free datapath.
@@ -107,7 +103,7 @@ def probes_stripped():
 
 
 def _drive(packets, probe=None):
-    """Run the per-packet datapath; returns (elapsed_s, fingerprint).
+    """Spin Fig. 21's datapath; returns (elapsed_s, fingerprint).
 
     The fingerprint proves both variants followed the same state
     trajectory. The collector is paused during the timed region (a GC
@@ -115,33 +111,16 @@ def _drive(packets, probe=None):
     and the first ``WARMUP`` packets run untimed: swapping methods on a
     class resets the interpreter's inline caches for it.
     """
-    sim = Simulator()
-    queue = DropTailQueue(capacity_bytes=10_000_000)
-    ap = ZhugeAP(sim, queue, rng=DeterministicRandom(1))
-    flow = FiveTuple("server", "client", 1000, 2000)
-    ap.register_flow(flow, FeedbackKind.OUT_OF_BAND)
-    updater = ap.out_of_band_updater(flow)
+    sim, queue, ap, flows = datapath(1)
+    updater = ap.out_of_band_updater(flows[0])
     queue.trace = updater.trace = probe
-    uplink = flow.reversed()
-
-    def spin(first, last):
-        for i in range(first, last):
-            t = i * 0.005
-            sim._now = t  # drive the virtual clock directly (bench only)
-            packet = Packet(flow, 1200, seq=i)
-            queue.enqueue(packet, t)
-            ap.on_downlink(packet)
-            queue.dequeue_burst(t + 0.002, 8, 1 << 20)
-            sim._now = t + 0.004
-            ap.on_uplink(Packet(uplink, ACK_SIZE, PacketKind.ACK, ack=i))
-
-    spin(0, WARMUP)
+    spin(sim, queue, ap, flows, 0, WARMUP)
     gc.collect()
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         start = time.perf_counter()
-        spin(WARMUP, WARMUP + packets)
+        spin(sim, queue, ap, flows, WARMUP, WARMUP + packets)
         elapsed = time.perf_counter() - start
     finally:
         if gc_was_enabled:

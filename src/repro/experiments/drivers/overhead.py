@@ -2,8 +2,8 @@
 
 The paper measures the CPU utilization of two decade-old OpenWrt APs
 running 1-5 concurrent Zhuge flows. We have no router hardware, so we
-measure the wall-clock per-packet cost of the Fortune Teller + Feedback
-Updater datapath and scale it to a router-class CPU budget: utilization
+measure the wall-clock per-packet cost of the Zhuge AP datapath and
+scale it to a router-class CPU budget: utilization
 = (per-packet cost x packet rate x flows) / cpu_scale, where
 ``cpu_scale`` expresses how much slower a 2011 MIPS router core is than
 this machine (the absolute numbers are indicative; the *shape* — linear
@@ -15,11 +15,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.core.feedback_updater import OutOfBandFeedbackUpdater
-from repro.core.fortune_teller import FortuneTeller
-from repro.metrics.hotpath import (HotpathCostReport,
-                                   snapshot_fortune_teller,
-                                   snapshot_updater)
+from repro.core.feedback_updater import FeedbackKind
+from repro.core.zhuge_ap import ZhugeAP
+from repro.metrics.hotpath import snapshot_fortune_teller, snapshot_updater
 from repro.net.packet import ACK_SIZE, FiveTuple, Packet, PacketKind
 from repro.net.queue import DropTailQueue
 from repro.sim.engine import Simulator
@@ -46,75 +44,87 @@ class OverheadRow:
     projected_cpu_utilization: float
 
 
+def datapath(flows: int):
+    """``(sim, queue, ap, flow_list)``: one AP with ``flows`` out-of-band
+    flows on a 4 MB drop-tail queue for :func:`spin` (which holds one
+    packet at most) and for ``bench_end_to_end``, whose no-drop and
+    occupancy gates take that capacity as their threshold."""
+    sim = Simulator()
+    queue = DropTailQueue(capacity_bytes=4_000_000)
+    ap = ZhugeAP(sim, queue, rng=DeterministicRandom(1))
+    flow_list = [FiveTuple("server", "client", 1000 + i, 2000 + i)
+                 for i in range(flows)]
+    for flow in flow_list:
+        ap.register_flow(flow, FeedbackKind.OUT_OF_BAND)
+    return sim, queue, ap, flow_list
+
+
+def spin(sim, queue, ap, flows, first, last, downlink=None, uplink=None):
+    """Drive packets ``[first, last)``, 5 ms apart and round-robin over
+    ``flows``, through the AP by hand (the clock is stepped directly):
+    enqueue, ``downlink``, a txop drain at +2 ms, its ACK to ``uplink``
+    at +4 ms. The one hand-driven AP datapath: Fig. 21, the hot-path
+    bench and the disabled-tracing guard all spin it."""
+    downlink = downlink or ap.on_downlink
+    uplink = uplink or ap.on_uplink
+    acks = [flow.reversed() for flow in flows]
+    count = len(flows)
+    for i in range(first, last):
+        t = i * 0.005
+        sim._now = t
+        packet = Packet(flows[i % count], 1200, seq=i)
+        queue.enqueue(packet, t)
+        downlink(packet)
+        queue.dequeue_burst(t + 0.002, 8, 1 << 20)
+        sim._now = t + 0.004
+        uplink(Packet(acks[i % count], ACK_SIZE, PacketKind.ACK, ack=i))
+
+
+def timed_spin(flows: int, packets: int):
+    """``(ap, flow_list, [on_downlink_s, on_uplink_s])``: :func:`spin`
+    with each entry point in a ``perf_counter`` bracket."""
+    sim, queue, ap, flow_list = datapath(flows)
+    seconds = [0.0, 0.0]
+
+    def bracket(entry, stage):
+        def timed(packet):
+            start = time.perf_counter()
+            entry(packet)
+            seconds[stage] += time.perf_counter() - start
+        return timed
+
+    spin(sim, queue, ap, flow_list, 0, packets,
+         bracket(ap.on_downlink, 0), bracket(ap.on_uplink, 1))
+    return ap, flow_list, seconds
+
+
 def measure_per_packet_cost(packets: int = 20_000) -> float:
     """Wall-clock seconds per packet through the full Zhuge datapath."""
-    sim = Simulator()
-    queue = DropTailQueue(capacity_bytes=10_000_000)
-    teller = FortuneTeller(sim, queue)
-    updater = OutOfBandFeedbackUpdater(sim, teller,
-                                       rng=DeterministicRandom(1))
-    flow = FiveTuple("s", "c", 1, 2)
-    sink = []
-
+    sim, queue, ap, flows = datapath(1)
     start = time.perf_counter()
-    t = 0.0
-    for i in range(packets):
-        data = Packet(flow, 1200, seq=i)
-        queue.enqueue(data, t)
-        updater.on_data_packet(data)
-        queue.dequeue(t + 0.002)
-        ack = Packet(flow.reversed(), ACK_SIZE, PacketKind.ACK, ack=i)
-        updater.ack_delay(t + 0.004)
-        sink.append(ack.pkt_id)
-        t += 0.005
-    elapsed = time.perf_counter() - start
-    return elapsed / packets
+    spin(sim, queue, ap, flows, 0, packets)
+    return (time.perf_counter() - start) / packets
 
 
-def measure_component_costs(packets: int = 20_000) -> list[HotpathCostReport]:
+def measure_component_costs(packets: int = 20_000) -> list[dict]:
     """Per-stage wall-clock cost of the datapath, with hot-path counters.
 
     Runs the same workload as :func:`measure_per_packet_cost` but times
-    the two Zhuge stages separately — ``on_data_packet`` (Fortune Teller
-    prediction + delta banking) and ``ack_delay`` (distribution sampling
-    + token spending) — and attaches each component's
+    the AP's two entry points separately — ``on_downlink`` (Fortune
+    Teller prediction + delta banking) and ``on_uplink`` (distribution
+    sampling + token spending) — and attaches each component's
     :mod:`repro.metrics.hotpath` counter snapshot, so Fig. 21 can report
     where the per-packet budget actually goes.
     """
-    sim = Simulator()
-    queue = DropTailQueue(capacity_bytes=10_000_000)
-    teller = FortuneTeller(sim, queue)
-    updater = OutOfBandFeedbackUpdater(sim, teller,
-                                       rng=DeterministicRandom(1))
-    flow = FiveTuple("s", "c", 1, 2)
-
-    t_data = 0.0
-    t_ack = 0.0
-    t = 0.0
-    for i in range(packets):
-        data = Packet(flow, 1200, seq=i)
-        queue.enqueue(data, t)
-        t0 = time.perf_counter()
-        updater.on_data_packet(data)
-        t_data += time.perf_counter() - t0
-        queue.dequeue(t + 0.002)
-        t0 = time.perf_counter()
-        updater.ack_delay(t + 0.004)
-        t_ack += time.perf_counter() - t0
-        t += 0.005
-
-    return [
-        HotpathCostReport(
-            stage="on_data_packet", calls=packets,
-            seconds_per_call=t_data / packets,
-            ops_per_sec=packets / t_data if t_data > 0 else float("inf"),
-            stats=snapshot_fortune_teller(teller).as_dict()),
-        HotpathCostReport(
-            stage="ack_delay", calls=packets,
-            seconds_per_call=t_ack / packets,
-            ops_per_sec=packets / t_ack if t_ack > 0 else float("inf"),
-            stats=snapshot_updater(updater).as_dict()),
-    ]
+    ap, flows, seconds = timed_spin(1, packets)
+    stats = (snapshot_fortune_teller(ap.fortune_teller),
+             snapshot_updater(ap.out_of_band_updater(flows[0])))
+    return [{"stage": stage,
+             "seconds_per_call": spent / packets,
+             "ops_per_sec": packets / spent if spent > 0 else float("inf"),
+             "stats": snapshot.as_dict()}
+            for stage, spent, snapshot in zip(("on_downlink", "on_uplink"),
+                                              seconds, stats)]
 
 
 def fig21_cpu_overhead(flow_counts=(1, 2, 3, 4, 5),

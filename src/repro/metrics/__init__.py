@@ -13,7 +13,6 @@ from repro.metrics.recorder import (
     degradation_duration,
 )
 from repro.metrics.hotpath import (
-    HotpathCostReport,
     HotpathStats,
     snapshot_ap,
     snapshot_fortune_teller,
@@ -21,7 +20,6 @@ from repro.metrics.hotpath import (
 )
 
 __all__ = [
-    "HotpathCostReport",
     "HotpathStats",
     "snapshot_ap",
     "snapshot_fortune_teller",

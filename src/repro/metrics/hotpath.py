@@ -4,9 +4,10 @@ The estimators in :mod:`repro.core.sliding_window` each count their
 operations in a plain ``.ops`` int (one add per record/query — cheap
 enough to leave on permanently), and the Fortune Teller / Feedback
 Updater keep their own prediction/cache/ACK counters. This module
-gathers those into per-component snapshots so the Fig. 21 overhead
-bench and the hot-path regression harness can report per-packet cost
-and ops per component without instrumenting the datapath with timers.
+gathers those into per-component snapshots so Fig. 21's one
+hand-driven datapath (:mod:`repro.experiments.drivers.overhead`, which
+the hot-path bench times too) can report ops per component next to
+its per-packet cost, without timers inside the datapath.
 
 Collection is one-directional: this module reads core objects by duck
 typing and imports nothing from ``repro.core``, so the core package
@@ -15,7 +16,7 @@ stays free of metrics dependencies.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 
 @dataclass
@@ -93,16 +94,3 @@ def snapshot_ap(ap) -> list[HotpathStats]:
     snapshots.append(total)
     return snapshots
 
-
-@dataclass
-class HotpathCostReport:
-    """Per-packet wall-clock cost of one datapath stage, with its ops."""
-
-    stage: str
-    calls: int
-    seconds_per_call: float
-    ops_per_sec: float
-    stats: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return asdict(self)

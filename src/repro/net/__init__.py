@@ -1,14 +1,14 @@
 """Packet-level network substrate.
 
-Packets, flows, drop-tail queues, wired links, and simple forwarding
-nodes. Wireless links live in :mod:`repro.wireless`; queue disciplines
-beyond drop-tail live in :mod:`repro.aqm`.
+Packets, flows, drop-tail queues and wired links. Wireless links live
+in :mod:`repro.wireless`; queue disciplines beyond drop-tail live in
+:mod:`repro.aqm`; routing between nodes lives in
+:mod:`repro.topology.forwarding`.
 """
 
 from repro.net.packet import Packet, PacketKind, FiveTuple
 from repro.net.queue import DropTailQueue, QueueStats
 from repro.net.link import WiredLink
-from repro.net.node import Node, PacketSink, PacketHandler
 
 __all__ = [
     "Packet",
@@ -17,7 +17,4 @@ __all__ = [
     "DropTailQueue",
     "QueueStats",
     "WiredLink",
-    "Node",
-    "PacketSink",
-    "PacketHandler",
 ]

@@ -51,6 +51,19 @@ BANS = {
         "Every scenario figure runs its specs through run_specs: no "
         "driver or bench loops over the builder itself, and no row keeps "
         "its samples on the side."),
+    "one-datapath-loop": (
+        "-nE", r"ZhugeAP\(|FortuneTeller\(|OutOfBandFeedbackUpdater\(|\.enqueue\(",
+        ("src/repro/experiments/drivers/hotpath.py",
+         "src/repro/experiments/drivers/obs_overhead.py"),
+        "The hot-path bench and the tracing guard drive Fig. 21's one "
+        "hand-driven datapath (overhead.datapath / spin): neither builds "
+        "an AP or loops over a queue of its own."),
+    "one-hotpath-entry": (
+        "-nwE", "HotpathCostReport|run_hotpath_regression",
+        ("src", "benchmarks/bench_*.py", "pyproject.toml", ".claude"),
+        "The pytest bench is the one hot-path entry point and a stage "
+        "cost is a plain dict: neither the standalone runner nor the "
+        "report class may come back."),
 }
 
 

@@ -131,6 +131,17 @@ def test_take_moves_the_columns():
     assert list(cut.times) == [1.0, 1.0, 2.0]
 
 
+def test_summary_recorders_read_the_summary_columns():
+    flow = FlowSummary(rtt_times=[0.5, 1.0], rtt_values=[0.1, 0.2],
+                       cca_rtt_times=[0.5], cca_rtt_values=[0.3],
+                       frame_times=[1.0], frame_delays=[0.04])
+    summary = ScenarioSummary(spec=SPEC, flows=[flow])
+    assert summary.rtt.rtts is summary.flows[0].rtt_values
+    assert summary.rtt.times is flow.rtt_times
+    assert flow.cca_rtt.rtts is flow.cca_rtt_values
+    assert summary.frames.frame_delays is flow.frame_delays
+
+
 def test_oracle_kills_a_bisect_right_mutant(monkeypatch):
     """Cutting after the last stamp equal to the warm-up instant drops
     the samples taken exactly at it; the oracle finds such a case."""

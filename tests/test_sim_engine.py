@@ -367,3 +367,31 @@ class TestEventOrdering:
         first = Event(1.0, 0, lambda: None)
         second = Event(1.0, 1, lambda: None)
         assert first < second
+
+
+class TestEngineEdgeCases:
+    def test_run_while_running_rejected(self):
+        sim = Simulator()
+
+        def reentrant():
+            with pytest.raises(SimulationError):
+                sim.run()
+
+        sim.schedule(0.1, reentrant)
+        sim.run()
+
+    def test_callback_scheduling_during_run(self):
+        sim = Simulator()
+        seen = []
+
+        def chain(depth):
+            seen.append(depth)
+            if depth < 5:
+                sim.schedule(0.1, lambda: chain(depth + 1))
+
+        sim.schedule(0.0, lambda: chain(0))
+        sim.run()
+        assert seen == [0, 1, 2, 3, 4, 5]
+
+    def test_peek_empty(self):
+        assert Simulator().peek() is None
