@@ -16,7 +16,7 @@ from repro.experiments.drivers.overhead import (fig21_cpu_overhead,
 def test_fig21_cpu_overhead(once):
     rows = once(fig21_cpu_overhead, flow_counts=(1, 2, 3, 4, 5))
     table = [(r.router, r.flows, f"{r.per_packet_us:.1f}us",
-              pct(r.projected_cpu_utilization, 1))
+              pct(r.projected_cpu_utilization, 0))
              for r in rows]
     print()
     print(format_table(

@@ -1,13 +1,12 @@
-"""Application models: video streaming (RTC) and bulk transfer."""
+"""Application models: video streaming (RTC) and bulk transfer.
 
-from repro.app.video import VideoEncoder, VideoFrame, RtpVideoApp, TcpVideoApp
+One video module: RTP packetizes frames; TCP and QUIC share the stream
+encoder path of :class:`StreamVideoApp`.
+"""
+
+from repro.app.video import (QuicVideoApp, RtpVideoApp, StreamVideoApp,
+                             TcpVideoApp, VideoEncoder, VideoFrame)
 from repro.app.bulk import BulkSenderApp, PeriodicBulkApp
 
-__all__ = [
-    "VideoEncoder",
-    "VideoFrame",
-    "RtpVideoApp",
-    "TcpVideoApp",
-    "BulkSenderApp",
-    "PeriodicBulkApp",
-]
+__all__ = ["VideoEncoder", "VideoFrame", "RtpVideoApp", "StreamVideoApp",
+           "TcpVideoApp", "QuicVideoApp", "BulkSenderApp", "PeriodicBulkApp"]

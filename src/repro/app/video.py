@@ -18,8 +18,9 @@ from repro.metrics.recorder import FrameRecorder
 from repro.net.packet import Packet, RTP_PAYLOAD_SIZE
 from repro.sim.engine import Simulator, Timer
 from repro.sim.random import DeterministicRandom
+from repro.transport.quic import QuicReceiver, QuicSender
 from repro.transport.rtp import RtpReceiver, RtpSender
-from repro.transport.tcp import TcpReceiver, TcpSender
+from repro.transport.stream import StreamSender
 
 
 @dataclass
@@ -78,21 +79,20 @@ class VideoEncoder:
 class _FrameTracker:
     """Receiver-side frame completion and decode-dependency logic."""
 
-    def __init__(self) -> None:
+    def __init__(self, sim: Optional[Simulator] = None,
+                 max_decode_lag: float = math.inf) -> None:
+        self.sim = sim
+        self.max_decode_lag = max_decode_lag
         self.frames: dict[int, VideoFrame] = {}
         self.recorder = FrameRecorder()
         self._next_to_decode = 0
 
-    def register(self, frame_id: int, encoded_at: float,
-                 packet_count: int) -> None:
-        if frame_id not in self.frames:
-            self.frames[frame_id] = VideoFrame(frame_id, encoded_at, 0,
-                                               packet_count=packet_count)
-
     def on_packet(self, frame_id: int, encoded_at: float,
                   packet_count: int, now: float) -> None:
-        self.register(frame_id, encoded_at, packet_count)
-        frame = self.frames[frame_id]
+        frame = self.frames.get(frame_id)
+        if frame is None:
+            frame = self.frames[frame_id] = VideoFrame(
+                frame_id, encoded_at, 0, packet_count=packet_count)
         frame.arrived_packets += 1
         self._try_decode(now)
 
@@ -112,6 +112,19 @@ class _FrameTracker:
             self.frames.pop(self._next_to_decode, None)
             self._next_to_decode += 1
         self._try_decode(now)
+
+    def skip_stale(self) -> None:
+        """Give up every frame up to the newest one encoded more than
+        ``max_decode_lag`` ago: it will never complete (lost packets)."""
+        now = self.sim.now
+        stale_before = None
+        for frame_id, frame in sorted(self.frames.items()):
+            if now - frame.encoded_at > self.max_decode_lag:
+                stale_before = frame_id + 1
+            else:
+                break
+        if stale_before is not None:
+            self.skip_missing_before(stale_before, now)
 
 
 class RtpVideoApp:
@@ -139,7 +152,8 @@ class RtpVideoApp:
         # the frame interval (a WebRTC pacer at ~1x rate) — used by the
         # burstiness ablation to show what bursts do to the estimators.
         self.paced = paced
-        self.tracker = _FrameTracker()
+        self.tracker = _FrameTracker(sim, max_decode_lag)
+        self.frame_recorder = self.tracker.recorder
         self.frames_sent = 0
         receiver.on_media = self._on_media
         # A frame's packets after its head ride one engine run: one heap
@@ -149,11 +163,7 @@ class RtpVideoApp:
         self._burst_end = 0.0  # latest time pushed onto the run
         self._timer = Timer(sim, 1.0 / encoder.fps, self._encode_tick,
                             first_delay=0.0)
-        self._gc_timer = Timer(sim, 0.1, self._gc_tick)
-
-    @property
-    def frame_recorder(self) -> FrameRecorder:
-        return self.tracker.recorder
+        self._gc_timer = Timer(sim, 0.1, self.tracker.skip_stale)
 
     def _encode_tick(self) -> None:
         now = self.sim.now
@@ -200,36 +210,28 @@ class RtpVideoApp:
                                packet.headers["frame_packets"],
                                self.sim.now)
 
-    def _gc_tick(self) -> None:
-        """Skip frames that will never complete (lost packets)."""
-        stale_before = None
-        for frame_id, frame in sorted(self.tracker.frames.items()):
-            if self.sim.now - frame.encoded_at > self.max_decode_lag:
-                stale_before = frame_id + 1
-            else:
-                break
-        if stale_before is not None:
-            self.tracker.skip_missing_before(stale_before, self.sim.now)
-
     def stop(self) -> None:
         self._timer.stop()
         self._gc_timer.stop()
         self.receiver.stop()
 
 
-class TcpVideoApp:
-    """Video over a TCP-like stream (cloud-gaming / remote-desktop style).
+class StreamVideoApp:
+    """Video over a reliable stream sender (TCP or QUIC).
 
     The encoder picks its bitrate from the transport's ``cwnd/srtt``
-    estimate (with headroom), writes frame bytes into the stream, and
-    the receiver decodes a frame when its last byte is delivered
-    in-order. TCP's reliability means frames never get skipped; they
-    arrive late instead — which is what the frame-delay tail measures.
+    estimate (with headroom) and writes each frame into the stream as
+    one write. Subclasses decide when a frame has arrived.
     """
 
-    def __init__(self, sim: Simulator, sender: TcpSender,
-                 receiver: TcpReceiver, encoder: VideoEncoder,
-                 rate_headroom: float = 0.85,
+    #: Whether each frame's meta carries its packet count (a receiver
+    #: that sees packets out of order counts them).
+    counts_packets = False
+    #: Age past which an incomplete frame is skipped (never, by default).
+    max_decode_lag = math.inf
+
+    def __init__(self, sim: Simulator, sender: StreamSender, receiver,
+                 encoder: VideoEncoder, rate_headroom: float = 0.85,
                  max_rate_bps: float = 20e6, min_rate_bps: float = 150e3):
         self.sim = sim
         self.sender = sender
@@ -238,16 +240,13 @@ class TcpVideoApp:
         self.rate_headroom = rate_headroom
         self.max_rate_bps = max_rate_bps
         self.min_rate_bps = min_rate_bps
-        self.tracker = _FrameTracker()
+        self.tracker = _FrameTracker(sim, self.max_decode_lag)
+        self.frame_recorder = self.tracker.recorder
         self.frames_sent = 0
         self.frames_dropped_at_encoder = 0
         receiver.on_deliver = self._on_deliver
         self._timer = Timer(sim, 1.0 / encoder.fps, self._encode_tick,
                             first_delay=0.0)
-
-    @property
-    def frame_recorder(self) -> FrameRecorder:
-        return self.tracker.recorder
 
     def current_target_bps(self) -> float:
         rate = self.sender.estimated_rate_bps() * self.rate_headroom
@@ -266,8 +265,22 @@ class TcpVideoApp:
             "frame_id": frame.frame_id,
             "frame_encoded_at": frame.encoded_at,
         }
+        if self.counts_packets:
+            meta["frame_packets"] = max(
+                1, math.ceil(frame.size_bytes / self.sender.mss))
         self.frames_sent += 1
         self.sender.write(frame.size_bytes, meta)
+
+    def stop(self) -> None:
+        self._timer.stop()
+
+
+class TcpVideoApp(StreamVideoApp):
+    """Video over a TCP-like byte stream (cloud-gaming / remote-desktop
+    style): the receiver decodes a frame when its last byte is delivered
+    in order. TCP's reliability means frames never get skipped; they
+    arrive late instead — which is what the frame-delay tail measures.
+    """
 
     def _on_deliver(self, seq: int, end_seq: int, meta: dict,
                     now: float) -> None:
@@ -280,5 +293,37 @@ class TcpVideoApp:
         if meta.get("last_of_write"):
             self.tracker.on_packet(frame_id, meta["frame_encoded_at"], 1, now)
 
+
+class QuicVideoApp(StreamVideoApp):
+    """Video over a QUIC-style transport (Table 2's QUIC family).
+
+    The transport splits each frame's write into packets with sealed
+    payload descriptors, and delivers each packet as it arrives: a lost
+    packet stalls only its own frame, not the stream. A frame decodes
+    when all of its packets have arrived and every previous frame has
+    decoded; one older than ``max_decode_lag`` that cannot complete is
+    skipped, as in :class:`RtpVideoApp`.
+    """
+
+    counts_packets = True
+
+    def __init__(self, sim: Simulator, sender: QuicSender,
+                 receiver: QuicReceiver, encoder: VideoEncoder,
+                 rate_headroom: float = 0.85,
+                 max_rate_bps: float = 20e6, min_rate_bps: float = 150e3,
+                 max_decode_lag: float = 0.6):
+        self.max_decode_lag = max_decode_lag
+        super().__init__(sim, sender, receiver, encoder, rate_headroom,
+                         max_rate_bps, min_rate_bps)
+        self._gc_timer = Timer(sim, 0.1, self.tracker.skip_stale)
+
+    def _on_deliver(self, payload: dict, now: float) -> None:
+        frame_id = payload.get("frame_id")
+        if frame_id is None:
+            return
+        self.tracker.on_packet(frame_id, payload["frame_encoded_at"],
+                               payload["frame_packets"], now)
+
     def stop(self) -> None:
-        self._timer.stop()
+        super().stop()
+        self._gc_timer.stop()

@@ -30,6 +30,7 @@ from repro.faults.spec import FaultPlan
 from repro.obs.session import TraceConfig
 from repro.topology.spec import (AP_MODES, APPS, LINK_KINDS, PROTOCOLS,
                                  QUEUE_KINDS, TopologySpec)
+from repro.topology.stacks import CCA_RUNS
 # TraceSpec moved to repro.traces.spec (the topology layer references
 # traces per edge); re-exported here unchanged for existing importers.
 from repro.traces.spec import EXTRA_FAMILIES, TraceSpec  # noqa: F401
@@ -132,6 +133,15 @@ class ScenarioSpec:
                 or isinstance(self.competitors, bool) or self.competitors < 0):
             raise ValueError(f"competitors must be an int >= 0, "
                              f"got {self.competitors!r}")
+        pairs = [(self.protocol, self.cca)] + [
+            (flow.protocol or self.protocol, flow.cca or self.cca)
+            for flow in (self.topology.flows if self.topology else ())
+            if flow.role == "rtc"]
+        for protocol, cca in pairs:
+            if cca not in CCA_RUNS[protocol]:
+                raise ValueError(f"cca {cca!r} is not valid with protocol "
+                                 f"{protocol!r}; expected one of "
+                                 f"{sorted(CCA_RUNS[protocol])}")
         if self.zhuge_flow_mask is not None:
             object.__setattr__(self, "zhuge_flow_mask",
                                tuple(bool(b) for b in self.zhuge_flow_mask))

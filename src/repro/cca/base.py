@@ -55,10 +55,6 @@ class WindowCca(abc.ABC):
     def on_explicit_feedback(self, now: float, mark: str) -> None:
         """Explicit per-ACK feedback (ABC accelerate/brake). Default: ignore."""
 
-    @property
-    def cwnd_packets(self) -> float:
-        return self.cwnd / self.mss
-
     def pacing_rate(self, srtt: float) -> float | None:
         """Optional pacing rate in bps; None means send window-limited."""
         return None

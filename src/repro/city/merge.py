@@ -247,10 +247,6 @@ class FleetAccumulator:
         self._collapsed = False
 
     @property
-    def shards_seen(self) -> int:
-        return len(self._records)
-
-    @property
     def exact(self) -> bool:
         return not self._collapsed
 

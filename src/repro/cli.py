@@ -28,7 +28,6 @@ from pathlib import Path
 from repro.campaign import (ProgressPrinter, ResultCache, ScenarioSpec,
                             TraceSpec, run_campaign, run_specs,
                             summary_lines)
-from repro.cca import RATE_CCAS, WINDOW_CCAS
 from repro.city import CITY_PRESETS, CityGenSpec
 from repro.control import ControlSpec
 from repro.faults.chaos import ChaosPlan, build_chaos
@@ -42,6 +41,7 @@ from repro.topology.presets import (first_mile_topology,
                                     interference_topology, roaming_topology)
 from repro.topology.spec import (AP_MODES, PROTOCOLS, QUEUE_KINDS,
                                  TopologySpec)
+from repro.topology.stacks import CCA_RUNS
 from repro.traces.synthetic import TRACE_NAMES
 from repro.traces.trace import BandwidthTrace
 
@@ -49,12 +49,6 @@ TRACE_CHOICES = list(TRACE_NAMES) + ["eth", "abc-legacy"]
 
 #: Multi-AP presets emitted by ``repro topology`` (see repro.topology).
 TOPOLOGY_PRESETS = ("interference", "roaming", "first-mile")
-
-#: ``--cca`` names per ``--protocol``: the builder runs ``copa`` as gcc
-#: on rtp and ``gcc`` as copa on quic.
-CCA_CHOICES = {"rtp": {*RATE_CCAS, "copa"}, "tcp": set(WINDOW_CCAS),
-               "quic": {*WINDOW_CCAS, "gcc"}}
-
 
 def _positive(unit: str, zero: bool = False):
     """argparse ``type=`` for a finite float above zero (at least zero
@@ -910,11 +904,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     protocol = getattr(args, "protocol", None)
-    if protocol is not None and args.cca not in CCA_CHOICES[protocol]:
+    if protocol is not None and args.cca not in CCA_RUNS[protocol]:
         parser.exit(2, f"repro {args.command}: error: argument --cca: "
                        f"{args.cca!r} is not valid with --protocol "
                        f"{protocol}; expected one of "
-                       f"{sorted(CCA_CHOICES[protocol])}\n")
+                       f"{sorted(CCA_RUNS[protocol])}\n")
     if getattr(args, "chaos", None) and not args.chaos_dir:
         parser.exit(2, f"repro {args.command}: error: argument --chaos: "
                        f"requires --chaos-dir (the fire-once markers must "

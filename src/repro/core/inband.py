@@ -19,7 +19,7 @@ from typing import Callable, Optional
 from repro.core.fortune_teller import FortuneTeller
 from repro.net.packet import FiveTuple, Packet, PacketKind, RTCP_SIZE
 from repro.sim.engine import Simulator, Timer
-from repro.transport.rtp import TwccFeedback
+from repro.transport.rtp import TwccFeedback, twcc_packet
 
 
 class InBandFeedbackUpdater:
@@ -87,21 +87,16 @@ class InBandFeedbackUpdater:
             return
         if not self._predicted_arrivals or self.send_uplink is None:
             return
-        feedback = TwccFeedback(base_seq=self._base_seq,
-                                arrivals=self._predicted_arrivals,
-                                constructed_at=self.sim.now,
-                                constructed_by="zhuge-ap")
-        # Dropped seqs below the reported frontier are implicitly "not
-        # in arrivals" => the sender marks them lost.
-        self._base_seq = max(self._predicted_arrivals) + 1
-        self._predicted_arrivals = {}  # the feedback owns the old dict now
-        packet = Packet(self.flow.reversed(), self.feedback_size,
-                        PacketKind.RTCP_TWCC, sent_at=self.sim.now)
-        packet.headers["twcc_feedback"] = feedback
+        arrivals = self._predicted_arrivals
+        packet = twcc_packet(self.flow, self._base_seq, arrivals,
+                             self.sim.now, self.feedback_size, "zhuge-ap")
         self.feedback_constructed += 1
         if self.trace is not None:
-            self.trace.ap_feedback(self._track, len(feedback.arrivals),
-                                   feedback.base_seq)
+            self.trace.ap_feedback(self._track, len(arrivals), self._base_seq)
+        # Dropped seqs below the reported frontier are implicitly "not
+        # in arrivals" => the sender marks them lost.
+        self._base_seq = max(arrivals) + 1
+        self._predicted_arrivals = {}  # the feedback owns the old dict now
         self.send_uplink(packet)
 
     # -- uplink interception -------------------------------------------------------

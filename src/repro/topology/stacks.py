@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.app.bulk import BulkSenderApp
-from repro.app.quic_video import QuicVideoApp
-from repro.app.video import RtpVideoApp, TcpVideoApp
-from repro.cca import make_rate_cca, make_window_cca
+from repro.app.video import QuicVideoApp, RtpVideoApp, TcpVideoApp
+from repro.cca import RATE_CCAS, WINDOW_CCAS, make_rate_cca, make_window_cca
 from repro.core.feedback_updater import FeedbackKind
 from repro.metrics.recorder import FrameRecorder
 from repro.net.packet import Packet, PacketKind
@@ -58,17 +57,27 @@ class Stack:
     feedback: Callable   # sender -> handler of packets at the source
 
 
+#: The ``cca`` names each RTC protocol accepts, each mapped to the
+#: controller it runs: rtp runs ``copa`` as gcc and quic runs ``gcc`` as
+#: copa, so one scheme name sweeps every protocol.
+CCA_RUNS = {
+    "rtp": {**{name: name for name in RATE_CCAS}, "copa": "gcc"},
+    "tcp": {name: name for name in WINDOW_CCAS},
+    "quic": {**{name: name for name in WINDOW_CCAS}, "gcc": "copa"},
+}
+
+
 STACKS = {
     "rtp": Stack(
         cca=lambda name, spec: make_rate_cca(
-            name if name != "copa" else "gcc",
+            CCA_RUNS["rtp"][name],
             initial_bps=spec.initial_bps, max_bps=spec.max_bps),
         sender=RtpSender, receiver=RtpReceiver,
         app=lambda sim, sender, receiver, encoder, spec: RtpVideoApp(
             sim, sender, receiver, encoder, paced=spec.paced_sender),
         kind=FeedbackKind.IN_BAND, feedback=rtcp_dispatch),
     "tcp": Stack(
-        cca=lambda name, spec: make_window_cca(name),
+        cca=lambda name, spec: make_window_cca(CCA_RUNS["tcp"][name]),
         sender=TcpSender, receiver=TcpReceiver,
         app=lambda sim, sender, receiver, encoder, spec: TcpVideoApp(
             sim, sender, receiver, encoder, max_rate_bps=spec.max_bps),
@@ -76,8 +85,8 @@ STACKS = {
     # Table 2's QUIC family: fully encrypted out-of-band feedback, so
     # Zhuge works on the five-tuple and ACK timing alone.
     "quic": Stack(
-        cca=lambda name, spec: make_window_cca(
-            name if name != "gcc" else "copa", mss=1200),
+        cca=lambda name, spec: make_window_cca(CCA_RUNS["quic"][name],
+                                               mss=1200),
         sender=lambda sim, flow, cca: QuicSender(sim, flow, cca, mss=1200),
         receiver=QuicReceiver,
         app=lambda sim, sender, receiver, encoder, spec: QuicVideoApp(

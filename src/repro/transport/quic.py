@@ -13,110 +13,43 @@ transport so the claim is testable:
   live under ``headers["quic_sealed"]`` and middlebox code must never
   read them (enforced by tests).
 
-The sender reuses the window-CCA interface, so Copa/BBR/CUBIC run over
-QUIC unchanged.
+The write buffer and RTT smoothing are :class:`StreamSender`'s, the
+same as TCP's, so Copa/BBR/CUBIC run over QUIC unchanged.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Optional
 
 from repro.cca.base import WindowCca
-from repro.metrics.recorder import RateRecorder, RttRecorder
 from repro.net.packet import ACK_SIZE, FiveTuple, Packet, PacketKind
 from repro.sim.engine import Simulator
+from repro.transport.stream import StreamSender, TransmitCallback
 from repro.transport.timer import DeadlineTimer
 
-TransmitCallback = Callable[[Packet], None]
 
-
-class QuicSender:
+class QuicSender(StreamSender):
     """QUIC-like sending endpoint (packet-number space, sealed headers)."""
 
     def __init__(self, sim: Simulator, flow: FiveTuple, cca: WindowCca,
                  mss: int = 1200, rto_min: float = 0.2,
                  max_buffer_bytes: int = 4_000_000):
-        self.sim = sim
-        self.flow = flow
-        self.cca = cca
-        self.mss = mss
-        self.rto_min = rto_min
-        self.max_buffer_bytes = max_buffer_bytes
-        self.transmit: Optional[TransmitCallback] = None
-
+        # Before the first sample the probe timeout runs on the 0.1 s
+        # default SRTT (RTTVAR 0).
+        super().__init__(sim, flow, cca, mss, rto_min, max_buffer_bytes,
+                         initial_rto=max(rto_min, 0.1))
         self._next_pn = 0
-        self._buffered: deque[tuple[int, dict]] = deque()
-        self._buffered_bytes = 0
         # pn -> (size, sent_at, payload-descriptor).  Keys ascend in dict
         # order: every emission, retransmissions included, takes a new pn.
         self._inflight: dict[int, tuple[int, float, dict]] = {}
-        self._inflight_bytes = 0        # sum of sizes in _inflight
         self._largest_acked = -1
-        self._srtt = 0.0
-        self._rttvar = 0.0
         self._loss_event_pn = -1
-        self._pto_timer = DeadlineTimer(sim, self._on_pto)
-        self.unlimited = False
-
-        self.rtt_recorder = RttRecorder()
-        self.rate_recorder = RateRecorder()
+        self._rto_timer = DeadlineTimer(sim, self._on_pto)
+        self._rto_backoff = 2           # the probe timeout: twice the RTO
         self.packets_sent = 0
-        self.retransmissions = 0
         self.pto_count = 0
 
-    # -- application interface ------------------------------------------------
-
-    def write(self, nbytes: int, meta: Optional[dict] = None) -> bool:
-        if nbytes <= 0:
-            raise ValueError(f"write size must be positive: {nbytes}")
-        if self._buffered_bytes + nbytes > self.max_buffer_bytes:
-            return False
-        self._buffered.append((nbytes, dict(meta or {})))
-        self._buffered_bytes += nbytes
-        self._try_send()
-        return True
-
-    @property
-    def buffered_bytes(self) -> int:
-        return self._buffered_bytes
-
-    @property
-    def inflight_bytes(self) -> int:
-        return self._inflight_bytes
-
-    @property
-    def srtt(self) -> float:
-        return self._srtt if self._srtt > 0 else 0.1
-
-    def estimated_rate_bps(self) -> float:
-        return self.cca.cwnd * 8 / self.srtt
-
     # -- sending ----------------------------------------------------------------
-
-    def _try_send(self) -> None:
-        while (self.cca.cwnd - self.inflight_bytes >= self.mss
-               and self._send_one()):
-            pass
-
-    def _send_one(self) -> bool:
-        payload: dict = {}
-        if self.unlimited:
-            size = self.mss
-        else:
-            if not self._buffered:
-                return False
-            pending, meta = self._buffered[0]
-            size = min(pending, self.mss)
-            payload = dict(meta)
-            if pending <= size:
-                self._buffered.popleft()
-                payload["last_of_write"] = True
-            else:
-                self._buffered[0] = (pending - size, meta)
-            self._buffered_bytes -= size
-        self._emit(size, payload)
-        return True
 
     def _emit(self, size: int, payload: dict,
               retransmission_of: Optional[int] = None) -> None:
@@ -135,6 +68,8 @@ class QuicSender:
         if self.transmit is not None:
             self.transmit(packet)
         self._arm_pto()
+
+    _emit_new = _emit
 
     # -- ACK processing -----------------------------------------------------------
 
@@ -160,7 +95,6 @@ class QuicSender:
             self._largest_acked = largest
         if rtt_sample is not None:
             self._update_rtt(rtt_sample)
-            self.rtt_recorder.record(self.sim.now, rtt_sample)
         if newly_acked_bytes:
             self.cca.on_ack(self.sim.now, rtt_sample or self.srtt,
                             newly_acked_bytes)
@@ -190,22 +124,9 @@ class QuicSender:
         self._inflight_bytes -= size
         self._emit(size, payload, retransmission_of=pn)
 
-    def _update_rtt(self, rtt: float) -> None:
-        if self._srtt == 0:
-            self._srtt = rtt
-            self._rttvar = rtt / 2
-        else:
-            self._rttvar = 0.75 * self._rttvar + 0.25 * abs(self._srtt - rtt)
-            self._srtt = 0.875 * self._srtt + 0.125 * rtt
-
     # -- probe timeout ----------------------------------------------------------
 
-    def _arm_pto(self) -> None:
-        if self._inflight:
-            timeout = max(self.rto_min, self.srtt + 4 * self._rttvar)
-            self._pto_timer.set(self.sim.now + timeout * 2)
-        else:
-            self._pto_timer.clear()
+    _arm_pto = StreamSender._arm_rto
 
     def _on_pto(self) -> None:
         if not self._inflight:

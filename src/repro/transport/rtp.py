@@ -38,6 +38,17 @@ class TwccFeedback:
     constructed_by: str = "receiver"
 
 
+def twcc_packet(flow: FiveTuple, base_seq: int, arrivals: dict[int, float],
+                now: float, size: int, constructed_by: str) -> Packet:
+    """The RTCP TWCC packet reporting ``arrivals`` (kept, not copied) of
+    ``flow``'s media: measured by the receiver, predicted by Zhuge's
+    in-band updater (§5.3), the same report either way."""
+    packet = Packet(flow.reversed(), size, PacketKind.RTCP_TWCC, sent_at=now)
+    packet.headers["twcc_feedback"] = TwccFeedback(base_seq, arrivals, now,
+                                                   constructed_by)
+    return packet
+
+
 class RtpSender:
     """RTP sending endpoint driving a rate-based CCA.
 
@@ -239,15 +250,10 @@ class RtpReceiver:
     def _emit_feedback(self) -> None:
         if not self._pending:
             return
-        feedback = TwccFeedback(base_seq=self._base_seq,
-                                arrivals=self._pending,
-                                constructed_at=self.sim.now,
-                                constructed_by="receiver")
+        packet = twcc_packet(self.flow, self._base_seq, self._pending,
+                             self.sim.now, self.feedback_size, "receiver")
         self._base_seq = max(self._pending) + 1
         self._pending = {}  # the feedback owns the old dict now
-        packet = Packet(self.flow.reversed(), self.feedback_size,
-                        PacketKind.RTCP_TWCC, sent_at=self.sim.now)
-        packet.headers["twcc_feedback"] = feedback
         self.feedback_sent += 1
         if self.transmit is not None:
             self.transmit(packet)

@@ -2,107 +2,49 @@
 
 Segments carry byte-based sequence numbers; the receiver acknowledges
 every data packet with a cumulative ACK (the per-packet acking the
-paper attributes to RTC TCP clients). The sender:
-
-* samples RTT from unretransmitted segments (Karn's rule) and keeps
-  SRTT/RTTVAR per RFC 6298,
-* fast-retransmits after three duplicate ACKs,
-* falls back to an exponentially backed-off RTO,
-* drives a :class:`~repro.cca.base.WindowCca` and optionally paces.
-
-Application payloads are modelled as byte counts plus per-segment
-metadata (frame ids), so a video-over-TCP app can track frame delivery
-without simulating actual payload bytes.
+paper attributes to RTC TCP clients). On top of the
+:class:`~repro.transport.stream.StreamSender` it shares with QUIC, the
+sender samples RTT per Karn's rule, fast-retransmits after three
+duplicate ACKs, recovers SACKed holes, falls back to an exponentially
+backed-off RTO, and optionally paces. Payloads are byte counts plus
+per-segment metadata (frame ids), so a video app can track frames.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from typing import Callable, Optional
 
 from repro.cca.base import WindowCca
-from repro.metrics.recorder import RateRecorder, RttRecorder
 from repro.net.packet import ACK_SIZE, FiveTuple, Packet, PacketKind
 from repro.sim.engine import Event, Simulator
+from repro.transport.stream import StreamSender, TransmitCallback
 from repro.transport.timer import DeadlineTimer
 
-TransmitCallback = Callable[[Packet], None]
 
-
-class TcpSender:
+class TcpSender(StreamSender):
     """Sending endpoint of the byte stream."""
 
     def __init__(self, sim: Simulator, flow: FiveTuple, cca: WindowCca,
                  mss: int = 1448, rto_min: float = 0.2,
                  max_buffer_bytes: int = 4_000_000):
-        self.sim = sim
-        self.flow = flow
-        self.cca = cca
-        self.mss = mss
-        self.rto_min = rto_min
-        self.max_buffer_bytes = max_buffer_bytes
-        self.transmit: Optional[TransmitCallback] = None
-
+        super().__init__(sim, flow, cca, mss, rto_min, max_buffer_bytes,
+                         initial_rto=1.0)
         self._next_seq = 0              # next new byte to send
         self._highest_acked = 0         # cumulative ACK point
-        self._buffered: deque[tuple[int, dict]] = deque()  # (bytes, meta)
-        self._buffered_bytes = 0
         self._inflight: dict[int, tuple[int, float, bool]] = {}
         # seq -> (size, sent_at, retransmitted).  Keys ascend in dict
         # order: a new segment takes the monotone _next_seq and a
         # retransmission overwrites its key in place, so the first key
         # is the lowest outstanding byte and walks can stop early.
-        self._inflight_bytes = 0        # sum of sizes in _inflight
         self._dup_acks = 0
-        self._srtt = 0.0
-        self._rttvar = 0.0
-        self._rto = 1.0
-        self._rto_backoff = 1
         self._rto_timer = DeadlineTimer(sim, self._on_rto)
         self._pacing_event: Optional[Event] = None
         self._recovery_until = 0        # seq: loss events collapse to one
-        self.unlimited = False          # bulk mode: infinite data
-
-        self.rtt_recorder = RttRecorder()
-        self.rate_recorder = RateRecorder()
         self.segments_sent = 0
-        self.retransmissions = 0
         self.rto_count = 0
 
-    # -- application interface ------------------------------------------------
-
-    def write(self, nbytes: int, meta: Optional[dict] = None) -> bool:
-        """Append application bytes; False when the buffer is full."""
-        if nbytes <= 0:
-            raise ValueError(f"write size must be positive: {nbytes}")
-        if self._buffered_bytes + nbytes > self.max_buffer_bytes:
-            return False
-        self._buffered.append((nbytes, dict(meta or {})))
-        self._buffered_bytes += nbytes
-        self._try_send()
-        return True
-
-    @property
-    def buffered_bytes(self) -> int:
-        return self._buffered_bytes
-
-    @property
-    def inflight_bytes(self) -> int:
-        return self._inflight_bytes
-
-    @property
-    def srtt(self) -> float:
-        return self._srtt if self._srtt > 0 else 0.1
-
-    def estimated_rate_bps(self) -> float:
-        """cwnd/srtt estimate the application uses to pick its bitrate."""
-        return self.cca.cwnd * 8 / self.srtt
-
     # -- sending ----------------------------------------------------------------
-
-    def _window_available(self) -> int:
-        return max(0, self.cca.cwnd - self.inflight_bytes)
 
     def _try_send(self) -> None:
         if self._pacing_event is not None:
@@ -111,12 +53,13 @@ class TcpSender:
         if pacing is not None and pacing > 0:
             self._pacing_event = self.sim.schedule(0.0, self._paced_send)
             return
-        while self._window_available() >= self.mss and self._send_one():
+        while (self.cca.cwnd - self.inflight_bytes >= self.mss
+               and self._send_one()):
             pass
 
     def _paced_send(self) -> None:
         self._pacing_event = None
-        if self._window_available() < self.mss:
+        if self.cca.cwnd - self.inflight_bytes < self.mss:
             return
         if not self._send_one():
             return
@@ -124,27 +67,10 @@ class TcpSender:
         gap = self.mss * 8 / max(pacing, 1_000.0)
         self._pacing_event = self.sim.schedule(gap, self._paced_send)
 
-    def _send_one(self) -> bool:
-        """Emit one new segment from the buffer; False when nothing to send."""
-        meta: dict = {}
-        if self.unlimited:
-            size = self.mss
-        else:
-            if not self._buffered:
-                return False
-            pending, write_meta = self._buffered[0]
-            size = min(pending, self.mss)
-            meta = dict(write_meta)
-            if pending <= size:
-                self._buffered.popleft()
-                meta["last_of_write"] = True
-            else:
-                self._buffered[0] = (pending - size, write_meta)
-            self._buffered_bytes -= size
+    def _emit_new(self, size: int, meta: dict) -> None:
         seq = self._next_seq
-        self._next_seq += size
-        self._emit(seq, size, meta, retransmitted=False)
-        return True
+        self._next_seq = seq + size
+        self._emit(seq, size, meta, False)
 
     def _emit(self, seq: int, size: int, meta: dict,
               retransmitted: bool) -> None:
@@ -179,7 +105,6 @@ class TcpSender:
             rtt_sample = self._ack_inflight(ack)
             if rtt_sample is not None:
                 self._update_rtt(rtt_sample)
-                self.rtt_recorder.record(self.sim.now, rtt_sample)
                 self.cca.on_ack(self.sim.now, rtt_sample, acked_bytes)
             else:
                 self.cca.on_ack(self.sim.now, self.srtt, acked_bytes)
@@ -272,22 +197,7 @@ class TcpSender:
             del self._inflight[seq]
         return sample
 
-    def _update_rtt(self, rtt: float) -> None:
-        if self._srtt == 0:
-            self._srtt = rtt
-            self._rttvar = rtt / 2
-        else:
-            self._rttvar = 0.75 * self._rttvar + 0.25 * abs(self._srtt - rtt)
-            self._srtt = 0.875 * self._srtt + 0.125 * rtt
-        self._rto = max(self.rto_min, self._srtt + 4 * self._rttvar)
-
     # -- loss recovery ---------------------------------------------------------------
-
-    def _arm_rto(self) -> None:
-        if self._inflight:
-            self._rto_timer.set(self.sim.now + self._rto * self._rto_backoff)
-        else:
-            self._rto_timer.clear()
 
     def _on_rto(self) -> None:
         if not self._inflight:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.campaign.spec import (ScenarioSpec, TraceSpec, code_fingerprint)
 from repro.topology.builder import TopologyBuilder
-from repro.topology.spec import FlowSpec
+from repro.topology.spec import EdgeSpec, FlowSpec, NodeSpec, TopologySpec
 from repro.traces.synthetic import drop_trace, make_trace
 from repro.traces.trace import BandwidthTrace
 
@@ -211,6 +211,43 @@ class TestSpecValidation:
         payload["app"] = "vidoe"
         with pytest.raises(ValueError, match="app"):
             ScenarioSpec.from_dict(payload)
+
+    @pytest.mark.parametrize("protocol, cca", [
+        ("tcp", "nada"), ("tcp", "gcc"), ("rtp", "bbr"), ("quic", "scream")])
+    def test_cca_the_protocol_cannot_run_rejected(self, protocol, cca):
+        """``protocol="tcp", cca="nada"`` used to build, then fail inside
+        its cell, where a campaign retried it."""
+        with pytest.raises(ValueError, match=f"cca {cca!r}"):
+            _spec(protocol=protocol, cca=cca)
+
+    def test_rtc_flow_pair_checked_with_what_it_inherits(self):
+        """A topology's RTC flow inherits the spec's protocol and cca
+        field by field; the pair it ends up with is checked, a
+        competitor's is not."""
+        def topology(*flows):
+            return TopologySpec(
+                nodes=(NodeSpec("server", "server"),
+                       NodeSpec("client", "client")),
+                edges=(EdgeSpec("server", "client", kind="wired"),),
+                flows=flows)
+        rtp_flow = FlowSpec("server", "client", protocol="rtp")
+        assert _spec(protocol="tcp", cca="copa", topology=topology(rtp_flow))
+        with pytest.raises(ValueError, match="cca 'bbr'.*'rtp'"):
+            _spec(protocol="tcp", cca="bbr", topology=topology(rtp_flow))
+        with pytest.raises(ValueError, match="cca 'nada'.*'tcp'"):
+            _spec(topology=topology(FlowSpec("server", "client",
+                                             protocol="tcp", cca="nada")))
+        assert _spec(topology=topology(FlowSpec(
+            "server", "client", role="competitor", cca="cubic")))
+
+    def test_accepted_cca_sets_per_protocol(self):
+        from repro.cca import RATE_CCAS, WINDOW_CCAS
+        from repro.topology.stacks import CCA_RUNS
+        assert {protocol: set(runs) for protocol, runs in CCA_RUNS.items()} \
+            == {"rtp": {*RATE_CCAS, "copa"}, "tcp": set(WINDOW_CCAS),
+                "quic": {*WINDOW_CCAS, "gcc"}}
+        assert (CCA_RUNS["rtp"]["copa"], CCA_RUNS["quic"]["gcc"]) \
+            == ("gcc", "copa")
 
     def test_flow_spec_rejects_unknown_app(self):
         with pytest.raises(ValueError, match="app"):

@@ -332,6 +332,9 @@ class TestParser:
         # json.loads accepts NaN; a NaN duration used to hang its cell.
         '[{"trace": {"kind": "constant", "rate_bps": 1e6}, '
         '"duration": NaN}]',
+        # A cca its protocol cannot run used to fail only in its cell.
+        '[{"trace": {"kind": "constant", "rate_bps": 1e6}, '
+        '"protocol": "tcp", "cca": "nada"}]',
     ])
     def test_bad_specs_manifest_exits_2_naming_it(self, content, tmp_path,
                                                   capsys, monkeypatch):

@@ -41,6 +41,7 @@ from repro.sim.engine import Simulator
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.bitexact
 class TestControlSpecHashStability:
     """``control=None`` must be indistinguishable from no control at all."""
 
@@ -204,6 +205,7 @@ class FakeZhuge:
         self.applied.append(policy)
 
 
+@pytest.mark.bitexact
 class TestControllerStateMachine:
     def _controller(self, sim, edge=None, **overrides):
         zhuge = FakeZhuge(sim)
@@ -302,6 +304,7 @@ class TestControllerStateMachine:
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.bitexact
 class TestApplyPolicyOnZhugeAP:
     @pytest.fixture
     def ap(self, sim):
@@ -381,6 +384,7 @@ def _controlled_spec() -> ScenarioSpec:
         control=ControlSpec(controller=ControllerConfig(), steering=None))
 
 
+@pytest.mark.bitexact
 class TestControlDeterminism:
     """Serial, pooled, and cache-replayed controlled runs are identical."""
 
@@ -480,6 +484,7 @@ class TestControlAcceptance:
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.bitexact
 class TestControlTraceSchema:
     """Control events flow through the bus and validate against the
     pinned Chrome trace schema."""

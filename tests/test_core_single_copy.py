@@ -16,6 +16,8 @@ import random
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro.core
 from repro.core.feedback_updater import FeedbackKind
 from repro.core.zhuge_ap import ZhugeAP
@@ -23,6 +25,8 @@ from repro.net.packet import ACK_SIZE, FiveTuple, Packet, PacketKind
 from repro.net.queue import DropTailQueue
 from repro.sim.engine import Simulator
 from repro.sim.random import DeterministicRandom
+
+pytestmark = pytest.mark.bitexact
 
 CORE = Path(repro.core.__file__).parent
 

@@ -23,6 +23,8 @@ from repro.experiments.drivers import convergence, traces_eval
 from repro.experiments.drivers.accuracy import fig19_prediction_accuracy
 from repro.experiments.drivers.testbed import fig18_testbed
 
+pytestmark = pytest.mark.bitexact
+
 
 def _six(row) -> dict:
     """A ``TraceRow``'s fields without the samples the old one kept."""

@@ -243,6 +243,7 @@ class TestCancelCompaction:
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.bitexact
 class TestGoldenEquivalence:
     @pytest.mark.parametrize("links", LINK_SETS)
     @pytest.mark.parametrize("name", RESIMULATED)
@@ -291,6 +292,7 @@ def _run_or_error(spec):
         return type(exc).__name__
 
 
+@pytest.mark.bitexact
 class TestRandomTopologyEquivalence:
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

@@ -18,6 +18,8 @@ from repro.net.queue import DropTailQueue
 from repro.topology.builder import TopologyBuilder
 from repro.topology.spec import QUEUE_KINDS
 
+pytestmark = pytest.mark.bitexact
+
 
 def _builder(queue_kind: str, duration: float = 2.0) -> TopologyBuilder:
     spec = ScenarioSpec(trace=TraceSpec.for_family("W1", duration=duration,

@@ -97,6 +97,7 @@ class TestFaultPlan:
         assert FaultPlan.from_dict(plan.as_dict()) == plan
 
 
+@pytest.mark.bitexact
 class TestSpecHashStability:
     """An empty plan must be indistinguishable from no plan at all."""
 
@@ -386,6 +387,7 @@ def _faulted_spec() -> ScenarioSpec:
         faults=FaultPlan.parse("blackout@4+0.5,reset@4.5,loss@5.5+1*0.4"))
 
 
+@pytest.mark.bitexact
 class TestFaultDeterminism:
     """Serial, pooled, and cache-replayed runs are bit-identical."""
 

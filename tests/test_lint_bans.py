@@ -64,6 +64,18 @@ BANS = {
         "The pytest bench is the one hot-path entry point and a stage "
         "cost is a plain dict: neither the standalone runner nor the "
         "report class may come back."),
+    "one-stream-sender": (
+        "-nE", r"def (write|_send_one|_update_rtt|_arm_rto)\(|TwccFeedback\(",
+        ("src/repro/transport/tcp.py", "src/repro/transport/quic.py",
+         "src/repro/core"),
+        "TCP and QUIC share StreamSender's write buffer, MSS chunking, "
+        "RTT smoothing and timer arming, and transport/rtp.py's "
+        "twcc_packet is the one TWCC report builder: no copy may come "
+        "back."),
+    "one-video-module": (
+        "-nwE", "quic_video", ("src", "tests", "examples", "benchmarks"),
+        "Every video app lives in app/video.py: the QUIC app shares the "
+        "stream encoder path there."),
 }
 
 

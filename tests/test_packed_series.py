@@ -37,6 +37,8 @@ from repro.metrics.stats import percentile
 from tests.reference_series import (_filtered_frames, _filtered_rtt,
                                     flow_as_dict, mean_rate)
 
+pytestmark = pytest.mark.bitexact
+
 SERIES = ("rtt_times", "rtt_values", "cca_rtt_times", "cca_rtt_values",
           "frame_times", "frame_delays")
 SPEC = ScenarioSpec(trace=TraceSpec.constant(1e6, 1.0), duration=1.0)

@@ -22,6 +22,8 @@ from repro.transport.rtp import RtpReceiver
 from repro.wireless.channel import WirelessChannel
 from repro.wireless.link import WirelessLink
 
+pytestmark = pytest.mark.bitexact
+
 
 def _mutant(dropped: str) -> type:
     """A ``Simulator`` whose ``post`` ignores one of its two checks."""
@@ -363,7 +365,7 @@ class TestScenarioCounts:
         other timer waiting at ``now`` and runs in place (one event per
         tick left 8.5 k ``_serve_txop`` events on the full cell).  The
         first instant is the exception: the builder plants the four
-        first ticks between the encoders' and ``_gc_tick``'s, so they
+        first ticks between the encoders' and the stale-frame skip's, so they
         join no common group, and one kick waits behind the rest."""
         dispatches = []     # (instant, timer callbacks run) per group
         kicks = []          # instants a ``_serve_txop`` event was made at

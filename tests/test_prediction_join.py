@@ -34,6 +34,7 @@ cleared or the bound evicted before they delivered.
 from types import SimpleNamespace
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,6 +46,8 @@ from repro.faults.watchdog import EstimatorHealthWatchdog
 from repro.obs.audit import PredictionAuditor
 from repro.obs.events import INFO, TraceEvent
 from repro.sim.engine import Simulator
+
+pytestmark = pytest.mark.bitexact
 
 #: A watchdog that demotes and promotes inside a short schedule.
 TWITCHY = WatchdogConfig(stale_after=0.3, demote_after=0.1,

@@ -16,6 +16,7 @@ same-instant burst), and a teller + updater stack drained by
 per-packet ``dequeue``.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +40,8 @@ from repro.net.packet import FiveTuple, Packet
 from repro.net.queue import DropTailQueue
 from repro.sim.engine import Simulator
 from repro.sim.random import DeterministicRandom
+
+pytestmark = pytest.mark.bitexact
 
 WINDOW = 0.040
 

@@ -9,6 +9,7 @@ the same reports and leave the same floats behind, step by step.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,8 @@ from repro.sim.engine import Simulator
 from repro.transport.rtp import RtpSender, TwccFeedback
 from tests.reference_rtp import (ReferenceGccController, ReferenceRtpSender,
                                  ReferenceTrendlineEstimator)
+
+pytestmark = pytest.mark.bitexact
 
 FLOW = FiveTuple("s", "c", 1, 2, "udp")
 

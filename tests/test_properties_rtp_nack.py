@@ -18,6 +18,8 @@ from repro.sim.engine import SimulationError, Simulator
 from repro.transport.rtp import RtpReceiver
 from tests.reference_rtp import ReferenceRtpReceiver
 
+pytestmark = pytest.mark.bitexact
+
 FLOW = FiveTuple("s", "c", 1, 2, "udp")
 
 

@@ -16,6 +16,7 @@ scheduled between them; the event counts must match once the posts
 that ran in place are counted back in.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,8 @@ from repro.sim.engine import Simulator, Timer
 from repro.sim.random import DeterministicRandom
 from repro.transport.rtp import RtpSender
 from tests.reference_rtp import ReferenceRtpSender, ReferenceRtpVideoApp
+
+pytestmark = pytest.mark.bitexact
 
 FLOW = FiveTuple("s", "c", 1, 2, "udp")
 FPS = 24.0

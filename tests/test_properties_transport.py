@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,8 @@ from repro.transport.tcp import TcpReceiver, TcpSender
 from tests.reference_transport import (ReferenceQuicSender,
                                        ReferenceTcpReceiver,
                                        ReferenceTcpSender)
+
+pytestmark = pytest.mark.bitexact
 
 
 class TestWindowCcaProperties:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.app.quic_video import QuicVideoApp
+from repro.app.video import QuicVideoApp
 from repro.app.video import VideoEncoder
 from repro.cca.copa import CopaCca
 from repro.sim.random import DeterministicRandom

@@ -17,6 +17,7 @@ each side's scheduled ``_serve_txop`` events, and the reference's
 finishes the live link planted none for, are taken out.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +36,8 @@ from tests.reference_datapath import (ReferenceCoDelQueue,
                                       ReferenceFortuneTeller,
                                       ReferenceFqCoDelQueue,
                                       ReferenceWirelessLink)
+
+pytestmark = pytest.mark.bitexact
 
 #: kind -> (queue class, its reference, arguments).  CoDel runs at a
 #: 2 ms target over 20 ms and the link aggregates at most 4 packets, so

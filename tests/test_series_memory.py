@@ -39,6 +39,8 @@ from repro.city.merge import FleetAccumulator
 from repro.topology.builder import TopologyBuilder
 from repro.topology.result import collect
 
+pytestmark = pytest.mark.bitexact
+
 SUMMARY_BYTES_PER_RTT_SAMPLE = 45
 FLEET_BYTES_PER_SAMPLE = 12
 COLLECT_BYTES_PER_RTT_SAMPLE = 4

@@ -24,6 +24,7 @@ from repro.topology.presets import (first_mile_topology,
                                     interference_topology, roaming_topology,
                                     single_ap_topology)
 from repro.topology.spec import EdgeSpec, FlowSpec, NodeSpec, TopologySpec
+from repro.topology.stacks import CCA_RUNS
 
 GOLDEN_PATH = "tests/data/golden_summaries.json"
 
@@ -210,16 +211,22 @@ def topology_specs(draw):
             interferers=draw(st.integers(min_value=0, max_value=10)),
             channel_group=draw(st.one_of(st.none(), st.just("ch"))),
             enabled=draw(st.booleans())))
-    flows = [FlowSpec("server", "client",
-                      role=draw(st.sampled_from(("rtc", "competitor"))),
-                      protocol=draw(st.one_of(st.none(),
-                                              st.sampled_from(("rtp", "tcp",
-                                                               "quic")))),
-                      optimized=draw(st.booleans()),
-                      period=draw(st.one_of(st.none(),
-                                            st.floats(min_value=0.1,
-                                                      max_value=10.0))))
-             for _ in range(draw(st.integers(min_value=0, max_value=3)))]
+    flows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        role = draw(st.sampled_from(("rtc", "competitor")))
+        protocol = draw(st.one_of(st.none(),
+                                  st.sampled_from(("rtp", "tcp", "quic"))))
+        # An RTC flow naming its protocol names a cca that protocol runs
+        # (ScenarioSpec refuses any other pair); one inheriting both
+        # takes the spec's pair.
+        cca = (draw(st.sampled_from(sorted(CCA_RUNS[protocol])))
+               if role == "rtc" and protocol is not None else None)
+        flows.append(FlowSpec("server", "client", role=role,
+                              protocol=protocol, cca=cca,
+                              optimized=draw(st.booleans()),
+                              period=draw(st.one_of(
+                                  st.none(), st.floats(min_value=0.1,
+                                                       max_value=10.0)))))
     return TopologySpec(nodes=tuple(nodes), edges=tuple(edges),
                         flows=tuple(flows))
 
@@ -255,19 +262,24 @@ class TestRoundTrips:
 
     @settings(max_examples=25, deadline=None)
     @given(topology_specs(),
-           st.sampled_from(("rtp", "tcp", "quic")),
+           st.sampled_from(sorted((protocol, cca)
+                                  for protocol, runs in CCA_RUNS.items()
+                                  for cca in runs)),
            st.integers(min_value=1, max_value=99))
-    def test_scenario_spec_with_topology_survives_json(self, topo, protocol,
+    def test_scenario_spec_with_topology_survives_json(self, topo, pair,
                                                        seed):
+        protocol, cca = pair
         spec = ScenarioSpec(trace=TraceSpec.for_family("W2", duration=8.0,
                                                        seed=1),
-                            protocol=protocol, seed=seed, topology=topo)
+                            protocol=protocol, cca=cca, seed=seed,
+                            topology=topo)
         again = ScenarioSpec.from_dict(
             json.loads(json.dumps(spec.as_dict())))
         assert again == spec
         assert again.as_dict() == spec.as_dict()
 
 
+@pytest.mark.bitexact
 class TestHashCompat:
     def test_topology_absent_keeps_legacy_payload(self):
         spec = ScenarioSpec(trace=TraceSpec.for_family("W2", duration=8.0,
@@ -304,6 +316,7 @@ class TestHashCompat:
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.bitexact
 class TestGoldenSummaries:
     @pytest.mark.parametrize("name", RESIMULATED)
     def test_summary_reproduces_through_topology_builder(self, name):

@@ -37,6 +37,8 @@ from repro.wireless.interference import InterferenceModel
 from repro.wireless.link import WirelessLink
 from tests.reference_links import TxopFinishWirelessLink
 
+pytestmark = pytest.mark.bitexact
+
 FLOW = FiveTuple("s", "c", 1, 2, "udp")
 
 _link = st.integers(0, 1)      # modulo the links built

@@ -47,6 +47,8 @@ from tests.reference_sums import (
     SummingWatchdog,
 )
 
+pytestmark = pytest.mark.bitexact
+
 # Values from 1e-9 to 1e3, so the old sum rescales its fixed point
 # (a value finer than any seen so far) as well as adding in place, and
 # decimal fractions whose naive float sum is off by an ulp.

@@ -31,6 +31,8 @@ from repro.wireless.channel import WirelessChannel
 from repro.wireless.link import WirelessLink
 from tests.reference_links import ClassicWiredLink
 
+pytestmark = pytest.mark.bitexact
+
 #: Dyadic tick: sums of ticks are exact, so instants tie on purpose.
 TICK = 1 / 1024
 SIZE = 1000
