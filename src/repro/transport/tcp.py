@@ -32,8 +32,8 @@ class TcpSender(StreamSender):
                          initial_rto=1.0)
         self._next_seq = 0              # next new byte to send
         self._highest_acked = 0         # cumulative ACK point
-        self._inflight: dict[int, tuple[int, float, bool]] = {}
-        # seq -> (size, sent_at, retransmitted).  Keys ascend in dict
+        self._inflight: dict[int, tuple[int, float, bool, dict]] = {}
+        # seq -> (size, sent_at, retransmitted, meta).  Keys ascend in dict
         # order: a new segment takes the monotone _next_seq and a
         # retransmission overwrites its key in place, so the first key
         # is the lowest outstanding byte and walks can stop early.
@@ -77,7 +77,7 @@ class TcpSender(StreamSender):
         packet = Packet(self.flow, size, PacketKind.DATA, seq=seq,
                         sent_at=self.sim.now, headers=dict(meta))
         packet.headers["end_seq"] = seq + size
-        self._inflight[seq] = (size, self.sim.now, retransmitted)
+        self._inflight[seq] = (size, self.sim.now, retransmitted, meta)
         self.segments_sent += 1
         if retransmitted:
             self.retransmissions += 1
@@ -135,7 +135,7 @@ class TcpSender(StreamSender):
         inflight = self._inflight
         sacked: list[int] = []
         holes: list[int] = []
-        for seq, (size, _, _) in inflight.items():
+        for seq, (size, _, _, _) in inflight.items():
             if seq >= highest_sacked:
                 break   # nothing at or past the frontier can be sacked
             for start, end in ranges:
@@ -150,9 +150,9 @@ class TcpSender(StreamSender):
         if holes:
             self._enter_recovery()
             for seq in holes:
-                size, sent_at, _ = inflight[seq]
+                size, sent_at, _, meta = inflight[seq]
                 if self.sim.now - sent_at > max(self.srtt, 0.01):
-                    self._emit(seq, size, {}, retransmitted=True)
+                    self._emit(seq, size, meta, retransmitted=True)
 
     def _enter_recovery(self) -> None:
         """One congestion notification per window of loss; retransmit
@@ -161,9 +161,9 @@ class TcpSender(StreamSender):
             self.cca.on_loss(self.sim.now)
             self._recovery_until = self._next_seq
         if self._highest_acked in self._inflight:
-            size, sent_at, _ = self._inflight[self._highest_acked]
+            size, sent_at, _, meta = self._inflight[self._highest_acked]
             if self.sim.now - sent_at > max(self.srtt / 2, 0.005):
-                self._emit(self._highest_acked, size, {},
+                self._emit(self._highest_acked, size, meta,
                            retransmitted=True)
 
     def _validate_cwnd(self) -> None:
@@ -186,7 +186,7 @@ class TcpSender(StreamSender):
         """Drop acked segments; return an RTT sample per Karn's rule."""
         sample: Optional[float] = None
         acked: list[int] = []
-        for seq, (size, sent_at, retransmitted) in self._inflight.items():
+        for seq, (size, sent_at, retransmitted, _) in self._inflight.items():
             if seq + size > ack:
                 break
             acked.append(seq)
@@ -207,8 +207,8 @@ class TcpSender(StreamSender):
         self.cca.on_rto(self.sim.now)
         self._recovery_until = self._next_seq
         first = next(iter(self._inflight))
-        size, _, _ = self._inflight[first]
-        self._emit(first, size, {}, retransmitted=True)
+        size, _, _, meta = self._inflight[first]
+        self._emit(first, size, meta, retransmitted=True)
 
 
 class TcpReceiver:

@@ -6,7 +6,9 @@ and SACK walks ``sorted()`` it, and the retransmission timer cancels
 and reschedules a simulator event on every restart.  They are slow on
 purpose and exist only so ``tests/test_properties_transport.py`` can
 require the O(1) versions in ``src/repro/transport`` to emit exactly
-the same packets at exactly the same instants.
+the same packets at exactly the same instants.  The TCP bodies carry
+the in-flight record's segment meta into retransmissions, as the live
+sender does: a retransmitted frame tail still names its frame.
 """
 
 from typing import Optional
@@ -23,7 +25,7 @@ class ReferenceTcpSender(TcpSender):
 
     @property
     def inflight_bytes(self) -> int:
-        return sum(size for size, _, _ in self._inflight.values())
+        return sum(size for size, _, _, _ in self._inflight.values())
 
     def _process_sack(self, packet: Packet) -> None:
         ranges = packet.headers.get("sack_ranges")
@@ -31,7 +33,7 @@ class ReferenceTcpSender(TcpSender):
             return
         highest_sacked = max(end for _, end in ranges)
         for seq in list(self._inflight):
-            size, _, _ = self._inflight[seq]
+            size, _, _, _ = self._inflight[seq]
             for start, end in ranges:
                 if start <= seq and seq + size <= end:
                     del self._inflight[seq]
@@ -41,14 +43,14 @@ class ReferenceTcpSender(TcpSender):
             for seq in sorted(self._inflight):
                 if seq >= highest_sacked:
                     break
-                size, sent_at, _ = self._inflight[seq]
+                size, sent_at, _, meta = self._inflight[seq]
                 if self.sim.now - sent_at > max(self.srtt, 0.01):
-                    self._emit(seq, size, {}, retransmitted=True)
+                    self._emit(seq, size, meta, retransmitted=True)
 
     def _ack_inflight(self, ack: int) -> Optional[float]:
         sample: Optional[float] = None
         for seq in sorted(self._inflight):
-            size, sent_at, retransmitted = self._inflight[seq]
+            size, sent_at, retransmitted, _ = self._inflight[seq]
             if seq + size <= ack:
                 del self._inflight[seq]
                 if not retransmitted:
@@ -73,8 +75,8 @@ class ReferenceTcpSender(TcpSender):
         self.cca.on_rto(self.sim.now)
         self._recovery_until = self._next_seq
         first = min(self._inflight)
-        size, _, _ = self._inflight[first]
-        self._emit(first, size, {}, retransmitted=True)
+        size, _, _, meta = self._inflight[first]
+        self._emit(first, size, meta, retransmitted=True)
 
 
 class ReferenceTcpReceiver(TcpReceiver):

@@ -50,6 +50,30 @@ class TestTcpVideoApp:
         # Dropped frames are not counted as sent.
         assert app.frames_sent < 50
 
+    def test_frame_whose_tail_is_retransmitted_still_decodes(self, sim,
+                                                              stack):
+        """The first frame's last segment is lost once: its
+        retransmission carries the frame's meta, so the frame (and every
+        frame queued behind it in the stream) decodes. A retransmission
+        that dropped the meta left the decoder waiting on frame 0 for
+        the rest of the run."""
+        sender, receiver, app = stack
+        lost = []
+
+        def down(packet):
+            if packet.headers.get("last_of_write") and not lost:
+                lost.append(packet.seq)
+                return
+            sim.schedule(0.008, lambda p=packet: receiver.on_data(p))
+
+        sender.transmit = down
+        receiver.transmit = (
+            lambda p: sim.schedule(0.008, lambda pp=p: sender.on_ack(pp)))
+        sim.run(until=2.0)
+        assert lost and sender.retransmissions >= 1
+        assert app.frame_recorder.count >= 40
+        assert app.tracker.frames == {}
+
     def test_stop(self, sim, stack):
         sender, receiver, app = stack
         wire(sim, sender, receiver)

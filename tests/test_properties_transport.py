@@ -206,7 +206,8 @@ def _drive_tcp(sender_cls, receiver_cls, mode, writes, path_args, horizon,
     def down(packet):
         _assert_ledger(sender)
         emitted.append((sim.now, packet.seq, packet.size,
-                        sender._inflight[packet.seq][2]))
+                        sender._inflight[packet.seq][2],
+                        packet.headers.get("last_of_write")))
         path.down(packet, receiver.on_data)
 
     def deliver_ack(packet):

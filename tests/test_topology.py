@@ -440,7 +440,7 @@ class TestRoaming:
         assert summary.steering_moves == [(3.3, "client", "ap-a", "ap-b"),
                                           (5.3, "client", "ap-b", "ap-a")]
         assert summary.digest() == (
-            "667404795e98033bdf7a558d404c19fdb1028961889ea6d4b507e12e8e796f2c")
+            "ff743bf0aa674766472a31382c3151c4235b181780c17f8147db1435b6a340f9")
 
     def test_roam_without_target_ap_rejected(self):
         with pytest.raises(ValueError, match="target AP"):
