@@ -18,7 +18,7 @@ never a crash and never a silently-wrong figure:
   foreign tools, or hand-edits are detected *before* deserialization;
 * **quarantine, not raise** — an entry that fails parsing or its
   checksum is moved to ``<root>/quarantine/`` (suffix ``.corrupt``)
-  with a one-line ``harness`` warning and treated as a miss: the cell
+  with one stderr line naming it and treated as a miss: the cell
   recomputes cold and the damaged bytes stay available for forensics.
   Entries that are merely *stale* (schema/code-fingerprint mismatch
   from an older build) are deleted silently, as before;
@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
 from array import array
 from contextlib import suppress
@@ -43,8 +44,6 @@ from typing import Optional
 from repro.campaign.spec import (SPEC_SCHEMA_VERSION, ScenarioSpec,
                                  code_fingerprint)
 from repro.campaign.summary import FlowSummary, ScenarioSummary
-from repro.obs.events import WARN
-from repro.obs.harness import harness_event
 
 #: Environment override for the cache root.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -220,8 +219,8 @@ class ResultCache:
             except OSError:
                 return  # cannot even remove it: repeat miss, not a crash
         self.stats.quarantined += 1
-        harness_event("quarantine", severity=WARN, entry=path.name,
-                      reason=reason)
+        print(f"harness: quarantine entry={path.name} reason={reason}",
+              file=sys.stderr, flush=True)
 
     def _evict(self, path: Path) -> None:
         self.stats.evictions += 1

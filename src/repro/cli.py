@@ -6,14 +6,13 @@ Usage::
     python -m repro compare --trace W1 --protocol rtp --duration 30 --jobs 3
     python -m repro campaign --traces W1,W2 --schemes Gcc+FIFO,Gcc+Zhuge \
         --seeds 1,2 --duration 30 --jobs 4
+    python -m repro run --trace W2 --duration 20 --trace-out events.json \
+        --trace-events queue,ap
     python -m repro trace --family W2 --duration 60 --out w2.json
-    python -m repro trace W2 --duration 20 --out events.json --events queue,ap
     python -m repro trace-stats w2.json
 
-The ``trace`` subcommand is dual-mode: with a positional scenario it
-runs a short traced simulation and writes a Perfetto-openable event
-trace (see ``repro.obs``); with ``--family`` alone it keeps its
-original job of generating bandwidth-trace files.
+``run --trace-out`` writes a Perfetto-openable event trace of the
+scenario (see ``repro.obs``); ``trace`` generates bandwidth-trace files.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import dataclasses
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 from repro.campaign import (ProgressPrinter, ResultCache, ScenarioSpec,
@@ -32,6 +32,7 @@ from repro.city import CITY_PRESETS, CityGenSpec
 from repro.control import ControlSpec
 from repro.faults.chaos import ChaosPlan, build_chaos
 from repro.faults.spec import FaultPlan
+from repro.obs.events import CATEGORIES
 from repro.obs.session import FORMATS, TraceConfig
 from repro.experiments.drivers.format import format_table, format_trace_rows
 from repro.experiments.drivers.traces_eval import (SCHEMES_BY_NAME,
@@ -162,13 +163,11 @@ def _specs_file(path: str) -> list[ScenarioSpec]:
 
 
 def _trace_config_from_args(args, out: str | None = None) -> TraceConfig | None:
-    out = out or getattr(args, "trace_out", None)
+    out = out or args.trace_out
     if not out:
         return None
-    events = TraceConfig.parse_events(getattr(args, "trace_events", "")
-                                      or "")
-    return TraceConfig(events=events, out=out,
-                       fmt=getattr(args, "trace_format", "chrome"))
+    return TraceConfig(events=args.trace_events, out=out,
+                       fmt=args.trace_format)
 
 
 def _fault_plan_from_args(args) -> FaultPlan | None:
@@ -234,12 +233,19 @@ def _maybe_prune_cache(args, cache) -> None:
 
 
 def cmd_run(args) -> int:
-    summary = run_specs([_spec_from_args(args, args.ap)])[0]
+    builder = TopologyBuilder(_spec_from_args(args, args.ap))
+    summary = builder.run()
     print("\n".join(summary_lines(
         f"{args.protocol}/{args.cca} over {args.trace}, AP={args.ap}",
         summary)))
-    if args.trace_out:
-        print(f"wrote event trace {args.trace_out}")
+    session = builder.trace_session
+    if session is not None:
+        counts = Counter(event.category for event in session.events)
+        per_category = ", ".join(f"{category}={count}"
+                                 for category, count in sorted(counts.items()))
+        print(f"wrote event trace {args.trace_out} ({args.trace_format}): "
+              f"{len(session.events)} events ({per_category or 'none'})")
+        print("\n".join(session.auditor.report().format_lines()))
     return 0
 
 
@@ -507,41 +513,11 @@ def cmd_cache(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    if args.scenario:
-        return _cmd_trace_events(args)
     trace = TraceSpec.for_family(args.family, duration=args.duration,
                                  seed=args.seed).build()
     trace.save(args.out)
     print(f"wrote {args.out}: {len(trace)} samples, "
           f"mean {trace.mean_bps / 1e6:.1f} Mbps")
-    return 0
-
-
-def _cmd_trace_events(args) -> int:
-    """Run one traced scenario and write an event-trace artifact."""
-    from collections import Counter
-
-    trace_spec = TraceSpec.for_family(args.scenario,
-                                      duration=args.duration + 5,
-                                      seed=args.seed)
-    trace_config = TraceConfig(
-        events=TraceConfig.parse_events(args.events),
-        out=args.out, fmt=args.format)
-    spec = ScenarioSpec(trace=trace_spec, protocol=args.protocol,
-                        cca=args.cca, ap_mode=args.ap,
-                        duration=args.duration, seed=args.seed,
-                        trace_config=trace_config)
-    builder = TopologyBuilder(spec)
-    builder.run()
-    session = builder.trace_session
-
-    counts = Counter(event.category for event in session.events)
-    summary = ", ".join(f"{category}={count}"
-                        for category, count in sorted(counts.items()))
-    print(f"wrote {args.out} ({args.format}): "
-          f"{len(session.events)} events ({summary or 'none'})")
-    if session.auditor is not None:
-        print("\n".join(session.auditor.report().format_lines()))
     return 0
 
 
@@ -602,9 +578,10 @@ def _add_obs_options(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--trace-out", default=None,
                        help="write an event trace of the run here "
                             "(Chrome trace_event JSON, Perfetto-openable)")
-    group.add_argument("--trace-events",
-                       default="queue,link,ap,cca,fault,control",
-                       help="comma list of event categories to trace")
+    group.add_argument("--trace-events", default=CATEGORIES,
+                       type=_comma_list(choices=CATEGORIES),
+                       help="comma list of event categories to trace "
+                            "(default: all)")
     group.add_argument("--trace-format", default="chrome",
                        choices=FORMATS)
 
@@ -839,28 +816,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_parser = sub.add_parser(
         "trace",
-        help="record an event trace of a scenario (with a positional "
-             "scenario) or generate a bandwidth-trace file (--family)")
-    trace_parser.add_argument("scenario", nargs="?", default=None,
-                              choices=TRACE_CHOICES, metavar="SCENARIO",
-                              help="trace family to simulate with event "
-                                   "tracing enabled (e.g. W2); omit for "
-                                   "bandwidth-trace-file mode")
+        help="generate a bandwidth-trace file (event traces of a "
+             "scenario: run --trace-out)")
     trace_parser.add_argument("--family", default="W1",
                               choices=TRACE_CHOICES)
     trace_parser.add_argument("--duration", type=_duration, default=60.0)
     trace_parser.add_argument("--seed", type=int, default=1)
     trace_parser.add_argument("--out", required=True)
-    trace_parser.add_argument("--events",
-                              default="queue,link,ap,cca,fault,control",
-                              help="comma list of event categories "
-                                   "(event-trace mode)")
-    trace_parser.add_argument("--format", default="chrome",
-                              choices=FORMATS)
-    trace_parser.add_argument("--protocol", default="rtp",
-                              choices=PROTOCOLS)
-    trace_parser.add_argument("--cca", default="gcc")
-    trace_parser.add_argument("--ap", default="zhuge", choices=AP_MODES)
     trace_parser.set_defaults(func=cmd_trace)
 
     topology_parser = sub.add_parser(

@@ -1,6 +1,6 @@
-"""repro.obs — structured event tracing, flight recorder, auditing.
+"""repro.obs — structured event tracing and prediction auditing.
 
-The observability subsystem has four pieces:
+The observability subsystem has one path from probe to artifact:
 
 * :mod:`repro.obs.events` / :mod:`repro.obs.bus` — a typed,
   zero-cost-when-disabled event bus. Components hold a ``trace``
@@ -8,11 +8,13 @@ The observability subsystem has four pieces:
   an ``is not None`` check so the disabled path costs one attribute
   load (guarded by ``benchmarks/bench_obs_overhead.py``, which times
   the live datapath against the same classes with their probe sites
-  cut out of their own source).
-* :mod:`repro.obs.flight` — a bounded ring-buffer flight recorder with
-  severity levels; :class:`~repro.obs.session.TraceSession` dumps its
-  tail whenever a scenario dies, so campaign failures come with the
-  last events before the crash.
+  cut out of their own source). The bus keeps every event that passes
+  its category filter in one list.
+* :mod:`repro.obs.session` — :class:`~repro.obs.session.TraceConfig`
+  (what to trace, where the artifact goes) and the per-run
+  :class:`~repro.obs.session.TraceSession`, which dumps the tail of the
+  event list whenever a scenario dies, so campaign failures come with
+  the last events before the crash.
 * :mod:`repro.obs.export` — JSONL and Chrome ``trace_event`` exporters
   (open the latter in Perfetto / ``chrome://tracing``; one track per
   node/queue/flow).
@@ -27,12 +29,11 @@ from repro.obs.events import (CATEGORIES, DEBUG, ERROR, INFO, WARN,
                               TraceEvent, severity_name)
 from repro.obs.export import (chrome_trace, events_to_jsonl,
                               write_chrome_trace, write_jsonl)
-from repro.obs.flight import FlightRecorder
 from repro.obs.session import TraceConfig, TraceSession
 
 __all__ = [
     "AuditReport", "PredictionAuditor", "TraceBus", "TraceEvent",
     "CATEGORIES", "DEBUG", "INFO", "WARN", "ERROR", "severity_name",
     "chrome_trace", "events_to_jsonl", "write_chrome_trace", "write_jsonl",
-    "FlightRecorder", "TraceConfig", "TraceSession",
+    "TraceConfig", "TraceSession",
 ]

@@ -1,9 +1,9 @@
 """The simulation-wide event bus.
 
 A :class:`TraceBus` binds to one :class:`~repro.sim.engine.Simulator`
-(which provides timestamps) and fans events out to subscribers (the
-flight recorder, the in-memory collector, the prediction auditor, user
-callbacks).
+(which provides timestamps) and appends every event that passes its
+category filter to its own ``events`` list: the one copy the exporters
+write, the tail dump of a dying run formats, and tests read.
 
 Zero-cost-when-disabled contract: instrumented components keep a
 ``trace`` attribute that is ``None`` until a bus is attached, and every
@@ -22,52 +22,35 @@ category filter is applied *before* the args dict is built.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.obs.events import INFO, WARN, TraceEvent
 
-Subscriber = Callable[[TraceEvent], None]
-
 
 class TraceBus:
-    """Publish/subscribe hub for :class:`TraceEvent` instances."""
+    """Filters :class:`TraceEvent` instances by category and keeps them."""
 
-    __slots__ = ("sim", "categories", "_subscribers")
+    __slots__ = ("sim", "categories", "events")
 
     def __init__(self, sim, categories: Optional[Iterable[str]] = None):
         self.sim = sim
         #: ``None`` means every category; otherwise a frozenset filter.
         self.categories = (None if categories is None
                            else frozenset(categories))
-        self._subscribers: list[Subscriber] = []
-
-    # -- subscription --------------------------------------------------------
-
-    def subscribe(self, callback: Subscriber) -> Subscriber:
-        """Register ``callback`` for every published event; returns it."""
-        self._subscribers.append(callback)
-        return callback
-
-    def unsubscribe(self, callback: Subscriber) -> None:
-        self._subscribers.remove(callback)
+        #: Every event that passed the filter, in emission order.
+        self.events: list[TraceEvent] = []
 
     def wants(self, category: str) -> bool:
         """True when events of ``category`` pass the filter."""
         return self.categories is None or category in self.categories
 
-    # -- publication ---------------------------------------------------------
-
     def emit(self, category: str, name: str, track: str,
              severity: int = INFO, **args) -> None:
-        """Build and publish one event (skipped if filtered out)."""
+        """Build and keep one event (skipped if filtered out)."""
         if not self.wants(category):
             return
-        self.publish(TraceEvent(self.sim.now, category, name, track,
-                                severity, args))
-
-    def publish(self, event: TraceEvent) -> None:
-        for callback in self._subscribers:
-            callback(event)
+        self.events.append(TraceEvent(self.sim.now, category, name, track,
+                                      severity, args))
 
     # -- typed probe helpers -------------------------------------------------
     # Each helper owns its payload schema (see repro.obs.events taxonomy)

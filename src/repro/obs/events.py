@@ -1,7 +1,7 @@
 """Event type and taxonomy for the tracing subsystem.
 
 Severities are plain ints ordered like the stdlib logging levels so
-subscribers can threshold with a comparison.
+a reader of the event list can threshold with a comparison.
 
 Event taxonomy (category / name — args):
 
@@ -22,7 +22,6 @@ ap       ack_delay    sampled, injected, tokens
 ap       feedback     reports, base_seq (in-band TWCC construction)
 cca      cwnd         value (bytes)
 cca      rate         value (target bps)
-sim      error        message
 fault    window       kind, index, duration_s, target[, magnitude]
                       (one slice per windowed fault)
 fault    phase        kind, index, phase ("begin" / "end")
@@ -31,13 +30,7 @@ fault    watchdog     state, reason (AP health transitions)
 control  state        state, reason (controller state transitions)
 control  policy       state, window_s, passthrough (policy application)
 control  steer        client, old_ap, new_ap, phase ("begin"/"complete")
-harness  quarantine   entry, reason (corrupt cache entry set aside)
 ======== ============ ==================================================
-
-``harness`` events are emitted by the campaign/cache layer *outside*
-any simulation, so their ``time`` is wall-clock (epoch seconds), not
-virtual time; they flow through :mod:`repro.obs.harness`, not a
-per-run :class:`~repro.obs.bus.TraceBus`.
 
 Tracks (the ``track`` field) name the emitting entity — a queue, a
 link, a flow — and become one timeline row each in the Chrome-trace
@@ -55,12 +48,9 @@ ERROR = 40
 
 _SEVERITY_NAMES = {DEBUG: "DEBUG", INFO: "INFO", WARN: "WARN", ERROR: "ERROR"}
 
-#: Categories emitted by in-simulation probes (virtual time, per-run
-#: TraceBus); ``TraceConfig.parse_events`` defaults to these.
-SIM_CATEGORIES = ("sim", "queue", "link", "ap", "cca", "fault", "control")
-#: Every category, including the process-level ``harness`` channel;
-#: TraceConfig validates against this.
-CATEGORIES = SIM_CATEGORIES + ("harness",)
+#: The categories some probe emits: what ``TraceConfig`` validates
+#: against and traces by default.
+CATEGORIES = ("queue", "link", "ap", "cca", "fault", "control")
 
 
 def severity_name(severity: int) -> str:
@@ -84,7 +74,7 @@ class TraceEvent:
     args: dict = field(default_factory=dict)
 
     def format_line(self) -> str:
-        """One-line rendering used by flight-recorder dumps."""
+        """One-line rendering used by the tail dump of a dying run."""
         payload = " ".join(f"{k}={_fmt(v)}" for k, v in self.args.items())
         return (f"[{self.time * 1000:10.3f}ms {severity_name(self.severity):5s}] "
                 f"{self.category}.{self.name} ({self.track}) {payload}".rstrip())

@@ -6,10 +6,9 @@ JSON-serializable and participates in the spec content hash, so a
 traced cell never aliases an untraced one in the result cache).
 
 :class:`TraceSession` is the runtime side: it owns the
-:class:`~repro.obs.bus.TraceBus`, the flight recorder, the optional
-in-memory event collection, and the prediction auditor (over the pairs
-the run hands it), and knows how to export the collected events and to
-dump the flight-recorder tail into a dying exception.
+:class:`~repro.obs.bus.TraceBus` and its one event list, and the
+prediction auditor (over the pairs the run hands it). It exports the
+event list and dumps its tail into a dying exception.
 """
 
 from __future__ import annotations
@@ -21,9 +20,8 @@ from typing import Optional
 
 from repro.obs.audit import PredictionAuditor
 from repro.obs.bus import TraceBus
-from repro.obs.events import CATEGORIES, SIM_CATEGORIES, TraceEvent
+from repro.obs.events import CATEGORIES
 from repro.obs.export import write_chrome_trace, write_jsonl
-from repro.obs.flight import FlightRecorder
 
 FORMATS = ("chrome", "jsonl")
 
@@ -32,15 +30,13 @@ FORMATS = ("chrome", "jsonl")
 class TraceConfig:
     """What to trace and where the artifact goes.
 
-    ``events`` selects probe categories (see
-    :data:`repro.obs.events.CATEGORIES`). ``audit`` reduces every Zhuge
-    AP's joined prediction pairs, whichever categories are traced.
+    ``events`` selects probe categories (a subset of
+    :data:`repro.obs.events.CATEGORIES`, all of them by default). Every
+    Zhuge AP's joined prediction pairs are audited, whichever categories
+    are traced.
     """
 
-    events: tuple[str, ...] = ("queue", "link", "ap", "cca")
-    ring_size: int = 4096       # flight-recorder depth
-    collect: bool = True        # keep the full event list in memory
-    audit: bool = True          # reduce the joined prediction pairs
+    events: tuple[str, ...] = CATEGORIES
     out: Optional[str] = None   # write the trace artifact here after a run
     fmt: str = "chrome"         # "chrome" | "jsonl"
     #: Artifact label for multi-cell runs (e.g. ``shard003`` in a
@@ -60,15 +56,6 @@ class TraceConfig:
         if self.fmt not in FORMATS:
             raise ValueError(f"unknown trace format {self.fmt!r}; "
                              f"expected one of {FORMATS}")
-        if self.ring_size <= 0:
-            raise ValueError(f"ring_size must be positive: {self.ring_size}")
-
-    @classmethod
-    def parse_events(cls, text: str) -> tuple[str, ...]:
-        """Parse a ``--events queue,ap,cca`` style CSV list."""
-        items = tuple(part.strip() for part in text.split(",")
-                      if part.strip())
-        return items or tuple(SIM_CATEGORIES)
 
     def as_dict(self) -> dict:
         payload = asdict(self)
@@ -81,8 +68,6 @@ class TraceConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TraceConfig":
-        payload = dict(payload)
-        payload["events"] = tuple(payload.get("events", SIM_CATEGORIES))
         return cls(**payload)
 
 
@@ -91,19 +76,15 @@ class TraceSession:
 
     def __init__(self, sim, config: TraceConfig):
         self.config = config
-        self.bus = TraceBus(sim, categories=frozenset(config.events))
-        self.flight = FlightRecorder(capacity=config.ring_size)
-        self.bus.subscribe(self.flight)
-        self.events: list[TraceEvent] = []
-        if config.collect:
-            self.bus.subscribe(self.events.append)
-        #: Set by :meth:`audit` at the end of an audited run.
+        self.bus = TraceBus(sim, categories=config.events)
+        #: The bus's event list (the one copy of every traced event).
+        self.events = self.bus.events
+        #: Set by :meth:`audit` at the end of the run.
         self.auditor: Optional[PredictionAuditor] = None
 
     def audit(self, pairs) -> None:
         """Reduce the run's joined ``(predicted, actual)`` pairs."""
-        if self.config.audit:
-            self.auditor = PredictionAuditor.from_pairs(pairs)
+        self.auditor = PredictionAuditor.from_pairs(pairs)
 
     # -- artifacts -----------------------------------------------------------
 
@@ -128,13 +109,16 @@ class TraceSession:
 
     def dump_on_error(self, exc: BaseException,
                       stream=None, last: int = 50) -> str:
-        """Attach the flight-recorder tail to ``exc`` (and print it).
+        """Attach the tail of the event list to ``exc`` (and print it).
 
         The dump lands on ``exc.flight_dump`` so upstream handlers (the
         campaign runner's failure payloads, the CLI) can surface the
         last events before the crash without re-running anything.
         """
-        text = "\n".join(self.flight.dump_lines(last=last))
+        tail = self.events[-last:]
+        text = "\n".join(
+            [f"trace tail: last {len(tail)} of {len(self.events)} events"]
+            + [event.format_line() for event in tail])
         try:
             exc.flight_dump = text
         except AttributeError:  # exceptions with __slots__

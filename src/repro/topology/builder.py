@@ -307,8 +307,7 @@ class TopologyBuilder:
         for ap_rt in self.aps.values():
             if ap_rt.zhuge is not None:
                 ap_rt.zhuge.enable_trace(bus)
-                if trace_config.audit:
-                    ap_rt.zhuge.join_predictions(record=True)
+                ap_rt.zhuge.join_predictions(record=True)
         for fr in self.forwarding.rtc:
             cca = getattr(fr.sender, "cca", None)
             if cca is not None and hasattr(cca, "enable_trace"):

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
+from repro.cca import WINDOW_CCAS
 from repro.traces.spec import TraceSpec
 
 #: Bump when the topology payload schema changes incompatibly.
@@ -202,6 +203,11 @@ class FlowSpec:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.app is not None and self.app not in APPS:
             raise ValueError(f"unknown app {self.app!r}")
+        # A competitor is a TCP bulk flow: its cca is a window CCA.
+        if (self.role == "competitor" and self.cca is not None
+                and self.cca not in WINDOW_CCAS):
+            raise ValueError(f"unknown competitor cca {self.cca!r}; "
+                             f"expected one of {sorted(WINDOW_CCAS)}")
 
     def as_dict(self) -> dict:
         return _clean({f.name: getattr(self, f.name) for f in fields(self)})

@@ -256,7 +256,7 @@ class ReferenceAuditor(PredictionAuditor):
         self.unmatched_predictions = 0
 
     def __call__(self, event: TraceEvent) -> None:
-        """TraceBus subscriber: join predictions against deliveries."""
+        """Join predictions against deliveries, one trace event at a time."""
         if event.category == "ap" and event.name == "predict":
             self._open[event.args["pkt_id"]] = (event.time,
                                                 event.args["total"])

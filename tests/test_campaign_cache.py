@@ -55,6 +55,20 @@ class TestResultCache:
         cache.put(spec, _summary(spec))
         assert cache.get(spec) is not None
 
+    def test_quarantine_prints_one_stderr_line_naming_the_entry(
+            self, tmp_path, capsys):
+        cache = ResultCache(root=tmp_path)
+        spec = _spec()
+        path = cache.put(spec, _summary(spec))
+        capsys.readouterr()
+        path.write_text("{ not json")
+        assert cache.get(spec) is None
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"harness: quarantine entry={path.name} ")
+        assert "reason=" in line
+
     def test_truncated_entry_is_quarantined(self, tmp_path):
         cache = ResultCache(root=tmp_path)
         spec = _spec()

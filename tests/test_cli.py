@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs.events import CATEGORIES
 
 
 class TestParser:
@@ -131,7 +133,9 @@ class TestParser:
         (["control", "--seeds", ","], "--seeds"),
         (["compare", "--ap-modes", "bogus"], "--ap-modes"),
         (["compare", "--ap-modes", ","], "--ap-modes"),
-        (["trace", "W9", "--out", "x.json"], "SCENARIO"),
+        (["run", "--duration", "1", "--trace-out", "x.json",
+          "--trace-events", "bogus"], "--trace-events"),
+        (["compare", "--trace-events", "queue,,sim"], "--trace-events"),
     ])
     def test_bad_list_flags_exit_2_in_one_line(self, argv, flag, capsys,
                                                monkeypatch):
@@ -155,7 +159,18 @@ class TestParser:
         assert parse(["resilience"]).lengths == (0.5, 1.0, 2.0)
         assert parse(["control"]).seeds == (1, 2)
         assert parse(["compare"]).ap_modes == ("none", "zhuge")
-        assert parse(["trace", "--out", "x.json"]).scenario is None
+        assert parse(["run", "--trace-events", " queue, ap,"]
+                     ).trace_events == ("queue", "ap")
+        assert parse(["compare"]).trace_events == CATEGORIES
+
+    def test_trace_generates_bandwidth_traces_only(self, capsys):
+        # `run --trace-out` is the one way to trace a scenario.
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--help"])
+        assert exc.value.code == 0
+        flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert flags == {"--help", "--family", "--duration", "--seed",
+                         "--out"}
 
     def test_campaign_flag_bounds_are_inclusive(self):
         from repro.city import CityGenSpec
@@ -233,8 +248,8 @@ class TestParser:
         ["compare", "--protocol", "tcp", "--cca", "nada"],
         ["resilience", "--cca", "gcc"],          # default protocol tcp
         ["resilience", "--protocol", "rtp", "--cca", "bbr"],
-        ["trace", "W1", "--out", "x.json", "--protocol", "quic",
-         "--cca", "scream"],
+        ["run", "--protocol", "quic", "--cca", "scream",
+         "--trace-out", "x.json"],
     ])
     def test_cca_checked_against_protocol_before_dispatch(
             self, argv, capsys, monkeypatch):
@@ -252,7 +267,7 @@ class TestParser:
         ["run", "--cca", "copa"],                # run as gcc by the builder
         ["compare", "--protocol", "tcp", "--cca", "bbr"],
         ["resilience"],
-        ["trace", "W1", "--out", "x.json", "--protocol", "quic"],
+        ["run", "--protocol", "quic", "--trace-out", "x.json"],
         ["run", "--protocol", "quic", "--cca", "copa", "--ap", "zhuge"],
     ])
     def test_valid_cca_reaches_the_command(self, argv, monkeypatch):
@@ -283,6 +298,28 @@ class TestParser:
         err = capsys.readouterr().err
         assert f"error: argument {flag}: cannot load {path}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--topology", "--specs"])
+    def test_competitor_cca_refused_at_parse_time(self, flag, tmp_path,
+                                                  capsys, monkeypatch):
+        """A competitor runs a window CCA; a rate CCA used to fail only
+        inside its cell, where the campaign retried it."""
+        from repro.topology.presets import interference_topology
+        self._refuse_commands(monkeypatch)
+        topology = interference_topology().as_dict()
+        topology["flows"].append({"src": "server", "dst": "client",
+                                  "role": "competitor", "cca": "gcc"})
+        payload = topology if flag == "--topology" else [
+            {"trace": {"kind": "constant", "rate_bps": 1e6},
+             "topology": topology}]
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", flag, str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: cannot load {path}" in err
+        assert "competitor cca 'gcc'" in err and "Traceback" not in err
 
     #: field -> (kind of the edge it is set on, what the refusal says)
     EDGE_REFUSALS = {
@@ -434,10 +471,13 @@ class TestCommands:
     def test_trace_events_writes_an_audited_artifact(self, tmp_path,
                                                      capsys):
         out_file = tmp_path / "q.json"
-        assert main(["trace", "W2", "--duration", "3", "--events", "queue",
-                     "--out", str(out_file)]) == 0
+        assert main(["run", "--trace", "W2", "--duration", "3",
+                     "--trace-events", "queue",
+                     "--trace-out", str(out_file)]) == 0
         assert out_file.exists()
-        assert "packets audited" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert re.search(r"\d+ events \(queue=\d+\)$", out, re.M)
+        assert "packets audited" in out
 
     def test_run_with_trace_file(self, tmp_path, capsys):
         out_file = tmp_path / "w1.json"

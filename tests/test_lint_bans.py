@@ -72,6 +72,14 @@ BANS = {
         "RTT smoothing and timer arming, and transport/rtp.py's "
         "twcc_packet is the one TWCC report builder: no copy may come "
         "back."),
+    "one-trace-path": (
+        "-nE", "FlightRecorder|harness_event|ring_size|parse_events|"
+        r"_cmd_trace_events|def (subscribe|unsubscribe|publish)\(",
+        ("src",),
+        "A traced run keeps one event list on its TraceBus and `run "
+        "--trace-out` is the one way to trace a scenario: no ring buffer, "
+        "subscriber fan-out, process-level event channel, category "
+        "parser or second trace command may come back."),
     "one-video-module": (
         "-nwE", "quic_video", ("src", "tests", "examples", "benchmarks"),
         "Every video app lives in app/video.py: the QUIC app shares the "

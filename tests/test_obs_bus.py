@@ -1,18 +1,17 @@
-"""Tests for the trace bus and the flight recorder."""
+"""Tests for the trace bus, its event list and the tail dump."""
 
-import pytest
+import io
 
 from repro.net.queue import DropTailQueue
 from repro.obs.bus import TraceBus
-from repro.obs.events import DEBUG, ERROR, INFO, WARN, TraceEvent, severity_name
-from repro.obs.flight import FlightRecorder
+from repro.obs.events import INFO, WARN, severity_name
+from repro.obs.session import TraceConfig, TraceSession
 
 
 class TestTraceBus:
     def test_emit_builds_event_with_sim_time(self, sim):
         bus = TraceBus(sim)
-        seen = []
-        bus.subscribe(seen.append)
+        seen = bus.events
         sim.call_at(1.5, lambda: bus.emit("queue", "enqueue", "q", pkt_id=7))
         sim.run()
         assert len(seen) == 1
@@ -24,8 +23,7 @@ class TestTraceBus:
 
     def test_category_filter_suppresses_events(self, sim):
         bus = TraceBus(sim, categories={"queue"})
-        seen = []
-        bus.subscribe(seen.append)
+        seen = bus.events
         bus.emit("link", "rate", "wifi", value=1e6)
         bus.emit("queue", "drop", "q", pkt_id=1)
         assert [e.category for e in seen] == ["queue"]
@@ -33,21 +31,12 @@ class TestTraceBus:
 
     def test_no_filter_passes_everything(self, sim):
         bus = TraceBus(sim)
-        assert all(bus.wants(c) for c in ("sim", "queue", "link", "ap",
-                                          "cca"))
-
-    def test_unsubscribe(self, sim):
-        bus = TraceBus(sim)
-        seen = []
-        callback = bus.subscribe(seen.append)
-        bus.unsubscribe(callback)
-        bus.emit("sim", "error", "sim", message="x")
-        assert seen == []
+        assert all(bus.wants(c) for c in ("queue", "link", "ap", "cca",
+                                          "fault", "control"))
 
     def test_queue_helper_payloads(self, sim, packet_factory):
         bus = TraceBus(sim)
-        seen = []
-        bus.subscribe(seen.append)
+        seen = bus.events
         queue = DropTailQueue(capacity_bytes=10_000, name="down")
         queue.trace = bus
         packet = packet_factory(size=1200, seq=1)
@@ -61,8 +50,7 @@ class TestTraceBus:
 
     def test_drop_event_is_warn_severity(self, sim, packet_factory):
         bus = TraceBus(sim)
-        seen = []
-        bus.subscribe(seen.append)
+        seen = bus.events
         queue = DropTailQueue(capacity_bytes=1000, name="tiny")
         queue.trace = bus
         assert not queue.enqueue(packet_factory(size=1500), 0.0)
@@ -100,45 +88,21 @@ class TestZeroCostDisabled:
 
 
 class TestFlightRecorder:
-    @staticmethod
-    def _event(i, severity=INFO):
-        return TraceEvent(float(i), "queue", "enqueue", "q", severity,
-                          {"pkt_id": i})
+    """The flight recorder is the bus's event list: a dying run dumps
+    its tail."""
 
-    def test_ring_keeps_only_last_capacity(self):
-        recorder = FlightRecorder(capacity=3)
-        for i in range(10):
-            recorder(self._event(i))
-        assert len(recorder) == 3
-        assert [e.args["pkt_id"] for e in recorder.events()] == [7, 8, 9]
-        assert recorder.seen == 10
-
-    def test_severity_threshold(self):
-        recorder = FlightRecorder(capacity=10, min_severity=WARN)
-        recorder(self._event(1, severity=DEBUG))
-        recorder(self._event(2, severity=WARN))
-        recorder(self._event(3, severity=ERROR))
-        assert [e.severity for e in recorder.events()] == [WARN, ERROR]
-
-    def test_dump_lines_header_and_tail(self):
-        recorder = FlightRecorder(capacity=5)
+    def test_dump_lines_header_and_tail(self, sim):
+        session = TraceSession(sim, TraceConfig(events=("queue",)))
         for i in range(8):
-            recorder(self._event(i))
-        lines = recorder.dump_lines(last=2)
-        assert lines[0] == ("flight recorder: last 2 of 8 events "
-                            "(3 older events evicted)")
+            session.bus.emit("queue", "enqueue", "q", pkt_id=i)
+        session.bus.emit("link", "rate", "wifi", value=1e6)  # filtered out
+        stream = io.StringIO()
+        lines = session.dump_on_error(RuntimeError("boom"), stream=stream,
+                                      last=2).splitlines()
+        assert lines[0] == "trace tail: last 2 of 8 events"
         assert len(lines) == 3
-        assert "queue.enqueue" in lines[1]
-
-    def test_clear(self):
-        recorder = FlightRecorder(capacity=5)
-        recorder(self._event(1))
-        recorder.clear()
-        assert len(recorder) == 0 and recorder.seen == 0
-
-    def test_bad_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(capacity=0)
+        assert "queue.enqueue" in lines[1] and lines[2].endswith("pkt_id=7")
+        assert stream.getvalue().splitlines()[1:] == lines
 
 
 class TestSeverityNames:

@@ -133,7 +133,7 @@ def _trajectory(reference: bool, kind: str, arrivals, rate_bps: float,
                 (p.seq, p.dequeued_at) for p in burst))
     if traced:
         bus = TraceBus(sim)
-        bus.subscribe(events.append)
+        events = bus.events
         queue.trace = link.trace = bus
     if faulty:
         rng = DeterministicRandom(5)

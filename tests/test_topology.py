@@ -49,6 +49,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="role"):
             NodeSpec("x", "router")
 
+    def test_competitor_cca_is_a_window_cca(self):
+        # The builder hands it to make_window_cca: a rate CCA used to
+        # fail only inside the cell, where a campaign retried it.
+        with pytest.raises(ValueError, match="competitor cca 'gcc'"):
+            FlowSpec("server", "client", role="competitor", cca="gcc")
+        assert FlowSpec("server", "client", role="competitor",
+                        cca="bbr").cca == "bbr"
+        assert FlowSpec("server", "client", cca="gcc").cca == "gcc"
+
     def test_unknown_ap_mode_rejected(self):
         with pytest.raises(ValueError, match="ap_mode"):
             NodeSpec("ap", "ap", ap_mode="magic")

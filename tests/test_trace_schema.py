@@ -2,7 +2,7 @@
 
 By default the tests validate a trace generated in-process from the
 exporter. CI's trace-smoke job points ``REPRO_TRACE_FILE`` at a trace
-written by ``python -m repro trace <scenario>`` so the full CLI path is
+written by ``python -m repro run --trace-out`` so the full CLI path is
 validated too.
 
 The container has no ``jsonschema`` package, so ``validate`` is a
