@@ -28,6 +28,7 @@ from typing import Optional
 from repro.control.spec import ControlSpec
 from repro.faults.spec import FaultPlan
 from repro.obs.session import TraceConfig
+from repro.topology.presets import single_ap_topology
 from repro.topology.spec import (AP_MODES, APPS, LINK_KINDS, PROTOCOLS,
                                  QUEUE_KINDS, TopologySpec)
 from repro.topology.stacks import CCA_RUNS
@@ -111,7 +112,7 @@ class ScenarioSpec:
     #: Adaptive control plane (repro.control). ``None`` — the static
     #: configuration every pre-control spec ran — is omitted from the
     #: payload so legacy specs keep their historical content hashes; a
-    #: spec with neither controller nor steering normalizes to ``None``.
+    #: :class:`ControlSpec` turns the per-AP controllers on.
     control: Optional[ControlSpec] = None
 
     def __post_init__(self) -> None:
@@ -122,17 +123,22 @@ class ScenarioSpec:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}; "
                                  f"expected one of {allowed}")
         for name, zero_ok in (("duration", False), ("warmup", True),
-                              ("max_bps", False), ("initial_bps", False)):
+                              ("max_bps", False), ("initial_bps", False),
+                              ("fps", False)):
             value = getattr(self, name)
             if not (math.isfinite(value)
                     and (value >= 0 if zero_ok else value > 0)):
                 raise ValueError(f"{name} must be finite and "
                                  f"{'>= 0' if zero_ok else '> 0'}, "
                                  f"got {value!r}")
-        if (not isinstance(self.competitors, int)
-                or isinstance(self.competitors, bool) or self.competitors < 0):
-            raise ValueError(f"competitors must be an int >= 0, "
-                             f"got {self.competitors!r}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        for name, low in (("competitors", 0), ("rtc_flows", 1)):
+            value = getattr(self, name)
+            if (not isinstance(value, int) or isinstance(value, bool)
+                    or value < low):
+                raise ValueError(f"{name} must be an int >= {low}, "
+                                 f"got {value!r}")
         pairs = [(self.protocol, self.cca)] + [
             (flow.protocol or self.protocol, flow.cca or self.cca)
             for flow in (self.topology.flows if self.topology else ())
@@ -145,10 +151,13 @@ class ScenarioSpec:
         if self.zhuge_flow_mask is not None:
             object.__setattr__(self, "zhuge_flow_mask",
                                tuple(bool(b) for b in self.zhuge_flow_mask))
+        if self.topology is None:
+            # The derived graph's edge and flow specs check the values
+            # they carry (delays, scales, capacities, periods): one copy
+            # of those rules.
+            single_ap_topology(self)
         if self.faults is not None and not self.faults.faults:
             object.__setattr__(self, "faults", None)
-        if self.control is not None and not self.control.enabled:
-            object.__setattr__(self, "control", None)
 
     def to_config(self) -> "ScenarioSpec":
         """The spec itself. Pinned by ``benchmarks/ledger/workloads.py``,

@@ -178,10 +178,10 @@ def _fault_plan_from_args(args) -> FaultPlan | None:
 
 
 def _control_from_args(args) -> ControlSpec | None:
-    """``--control`` enables the full control plane with defaults."""
+    """``--control`` enables the controllers and fleet steering."""
     if not getattr(args, "control", False):
         return None
-    return ControlSpec.default()
+    return ControlSpec(steering=True)
 
 
 def _spec_from_args(args, ap_mode: str,
@@ -351,7 +351,7 @@ def cmd_campaign(args) -> int:
     if getattr(args, "control", False):
         # The control spec is part of each spec (and its content hash),
         # so controlled cells never alias static ones in the cache.
-        specs = [dataclasses.replace(spec, control=ControlSpec.default())
+        specs = [dataclasses.replace(spec, control=_control_from_args(args))
                  for spec in specs]
 
     if args.topology is not None:
@@ -608,7 +608,7 @@ def _add_control_options(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--control", action="store_true",
                        help="attach the adaptive per-AP controller (and, "
                             "on multi-AP topologies, the fleet steering "
-                            "daemon) with default settings")
+                            "daemon)")
 
 
 def _add_topology_options(parser: argparse.ArgumentParser) -> None:

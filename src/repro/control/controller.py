@@ -3,7 +3,7 @@
 Zhuge itself is the shortest control loop — per-packet predictions and
 per-ACK feedback shaping at the AP. The :class:`ZhugeController` closes
 a second, deliberately slower loop *around* it (ROADMAP item 3, the
-wanctl pattern): every ``check_interval`` it collects one severity vote
+wanctl pattern): every :data:`CHECK_INTERVAL` it collects one severity vote
 per signal and walks an explicit GREEN/YELLOW/SOFT_RED/RED state
 machine with dwell-time hysteresis, retuning the live Zhuge parameters
 through :meth:`~repro.core.zhuge_ap.ZhugeAP.apply_policy` on every
@@ -21,42 +21,60 @@ health     watchdog degraded with evidence (open predictions or joined
            0 so an unused AP reads GREEN.
 accuracy   P95 of the watchdog's windowed |predicted - actual| errors
            (pairs of the AP's :mod:`~repro.core.prediction_join`):
-           above ``p95_soft_red`` -> 2, above ``p95_yellow`` -> 1.
-           Needs ``min_error_samples`` joins to vote.
-queue      downlink occupancy: above ``queue_soft_red`` -> 2, above
-           ``queue_yellow`` -> 1.
+           above :data:`P95_SOFT_RED` -> 2, above :data:`P95_YELLOW`
+           -> 1. Needs :data:`MIN_ERROR_SAMPLES` joins to vote.
+queue      downlink occupancy: above :data:`QUEUE_SOFT_RED` -> 2, above
+           :data:`QUEUE_YELLOW` -> 1.
 link       blocked while the edge is enabled, or channel
-           ``fault_scale`` under ``link_scale_soft_red`` -> 2 (known
+           ``fault_scale`` under :data:`LINK_SCALE_SOFT_RED` -> 2 (known
            outage / rate crash: keep fast-tracking, never surrender
            the loop). Disabled edges abstain.
 =========  =============================================================
 
-The target state is the ``quorum``-th highest vote. When the controller
-attaches it takes over the watchdog's demote/promote callbacks: the
-watchdog keeps running as a *sensor*, but the only actuator is the
-per-state :class:`~repro.control.spec.ControlPolicy`.
+The target state is the highest vote. A worse target must persist
+:data:`ESCALATE_AFTER` before the transition fires, a better one
+:data:`RELAX_AFTER` — dwell hysteresis on every edge, so a flapping
+signal cannot flap the policy. When the controller attaches it takes
+over the watchdog's demote/promote callbacks: the watchdog keeps
+running as a *sensor*, but the only actuator is the state's rung of
+:data:`~repro.control.spec.LADDER`.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.control.spec import (CONTROL_STATES, GREEN, RED, STATE_LEVEL,
-                                ControllerConfig)
+from repro.control.spec import (CONTROL_STATES, GREEN, LADDER, RED,
+                                STATE_LEVEL)
 from repro.faults.watchdog import STATE_DEGRADED
 from repro.metrics.stats import percentile
 from repro.sim.engine import Simulator, Timer
+
+#: Seconds between votes.
+CHECK_INTERVAL = 0.1
+#: Dwell a worse target must hold before the controller escalates.
+ESCALATE_AFTER = 0.2
+#: Dwell a better target must hold before the controller relaxes.
+RELAX_AFTER = 1.0
+#: Joined prediction errors the accuracy signal needs before it votes.
+MIN_ERROR_SAMPLES = 8
+#: P95 prediction error (s) above which accuracy votes YELLOW / SOFT_RED.
+P95_YELLOW = 0.08
+P95_SOFT_RED = 0.2
+#: Downlink occupancy above which the queue votes YELLOW / SOFT_RED.
+QUEUE_YELLOW = 0.5
+QUEUE_SOFT_RED = 0.85
+#: Channel ``fault_scale`` under which the link reads as impaired.
+LINK_SCALE_SOFT_RED = 0.5
 
 
 class ZhugeController:
     """GREEN/YELLOW/SOFT_RED/RED state machine over one Zhuge AP."""
 
-    def __init__(self, sim: Simulator, zhuge,
-                 config: Optional[ControllerConfig] = None,
-                 edge=None, trace=None, track: str = "control"):
+    def __init__(self, sim: Simulator, zhuge, edge=None, trace=None,
+                 track: str = "control"):
         self.sim = sim
         self.zhuge = zhuge
-        self.config = config or ControllerConfig()
         #: Edge runtime handle (duck-typed: ``enabled``, ``link.blocked``,
         #: ``queue``, ``channel.fault_scale``); ``None`` means no
         #: link-level signal (bench harnesses, bare APs).
@@ -74,13 +92,14 @@ class ZhugeController:
         # The controller owns the actuation: the watchdog stays attached
         # as a sensor but its direct demote/promote callbacks are
         # detached so policy application is the single writer of
-        # passthrough state.
+        # passthrough state. A watchdog the fault plan armed is adopted;
+        # otherwise the AP gets one with the default WatchdogConfig.
         if zhuge.watchdog is None:
-            zhuge.enable_watchdog(self.config.watchdog)
+            zhuge.enable_watchdog()
         self.watchdog = zhuge.watchdog
         self.watchdog.on_demote = None
         self.watchdog.on_promote = None
-        zhuge.apply_policy(self.config.policy_for(GREEN))
+        zhuge.apply_policy(LADDER[GREEN])
         # Queue drops (tail overflow, the SOFT_RED/RED clamp's head
         # trim) leave unfalsifiable open predictions in the AP's join;
         # drop them so a deliberate shed never reads as "the client
@@ -92,7 +111,7 @@ class ZhugeController:
             join = self.watchdog.join
             self._drop_hook = lambda packet, reason: join.drop(packet.pkt_id)
             queue.on_drop.append(self._drop_hook)
-        self._timer = Timer(sim, self.config.check_interval, self._check)
+        self._timer = Timer(sim, CHECK_INTERVAL, self._check)
 
     # -- signal voting -------------------------------------------------------
 
@@ -117,12 +136,12 @@ class ZhugeController:
 
     def _vote_accuracy(self) -> int:
         errors = self.watchdog.recent_errors()
-        if len(errors) < self.config.min_error_samples:
+        if len(errors) < MIN_ERROR_SAMPLES:
             return 0
         p95 = percentile(errors, 95)
-        if p95 > self.config.p95_soft_red:
+        if p95 > P95_SOFT_RED:
             return 2
-        if p95 > self.config.p95_yellow:
+        if p95 > P95_YELLOW:
             return 1
         return 0
 
@@ -133,9 +152,9 @@ class ZhugeController:
         if not capacity:
             return 0
         occupancy = queue.byte_length / capacity
-        if occupancy > self.config.queue_soft_red:
+        if occupancy > QUEUE_SOFT_RED:
             return 2
-        if occupancy > self.config.queue_yellow:
+        if occupancy > QUEUE_YELLOW:
             return 1
         return 0
 
@@ -148,7 +167,7 @@ class ZhugeController:
             return True
         channel = getattr(edge, "channel", None)
         scale = getattr(channel, "fault_scale", 1.0) if channel else 1.0
-        return scale < self.config.link_scale_soft_red
+        return scale < LINK_SCALE_SOFT_RED
 
     def _vote_link(self, link_impaired: bool) -> int:
         # A visible outage (blocked link, crashed rate) is a *known*
@@ -167,10 +186,7 @@ class ZhugeController:
                  "queue": self._vote_queue(),
                  "link": self._vote_link(impaired)}
         self.last_votes = votes
-        ranked = sorted(votes.values(), reverse=True)
-        quorum = min(self.config.quorum, len(ranked))
-        level = ranked[quorum - 1]
-        target = CONTROL_STATES[level]
+        target = CONTROL_STATES[max(votes.values())]
         if target == self.state:
             self._proposed = None
             return
@@ -180,9 +196,9 @@ class ZhugeController:
             self._proposed_reason = ",".join(
                 f"{name}={vote}" for name, vote in votes.items() if vote)
             self._proposed_reason = self._proposed_reason or "recovered"
-        dwell = (self.config.escalate_after
+        dwell = (ESCALATE_AFTER
                  if STATE_LEVEL[target] > STATE_LEVEL[self.state]
-                 else self.config.relax_after)
+                 else RELAX_AFTER)
         if now - self._proposed_since >= dwell:
             self._transition(target, self._proposed_reason)
 
@@ -206,7 +222,7 @@ class ZhugeController:
         self.state = state
         self.transitions.append((self.sim.now, state, reason))
         self._proposed = None
-        policy = self.config.policy_for(state)
+        policy = LADDER[state]
         self.zhuge.apply_policy(policy)
         if self.trace is not None:
             self.trace.control_state(self.track, state, reason)

@@ -1,38 +1,36 @@
-"""Pure-data control-plane specs.
+"""The control plane's one setting and its fixed policy ladder.
 
-A :class:`ControlSpec` is the declarative half of the control layer: a
-per-AP controller configuration (state machine thresholds, dwell times,
-and one :class:`ControlPolicy` per state) plus an optional fleet-level
-steering configuration, all plain JSON values. It lives inside
-:class:`~repro.campaign.spec.ScenarioSpec`, so it participates in the
-spec content hash (a controlled cell never aliases a static one in the
-campaign cache) and survives pickling across worker processes.
-``control=None`` is the identity: payloads and hashes are bit-identical
-to pre-control specs, pinned by the golden digests.
+A :class:`ControlSpec` on a :class:`~repro.campaign.spec.ScenarioSpec`
+turns the per-AP controller on; its one field, ``steering``, adds the
+fleet steering daemon. Everything else — thresholds, dwell times, the
+ladder below — is a constant of the module that reads it. The spec
+lives in the scenario, so it participates in the content hash (a
+controlled cell never aliases a static one in the campaign cache, and
+controller-only never aliases controller + steering). ``control=None``
+is the identity: payloads and hashes are bit-identical to pre-control
+specs, pinned by the golden digests.
 
 The state machine (wanctl pattern, ROADMAP item 3):
 
 .. code-block:: text
 
-   GREEN -> YELLOW -> SOFT_RED -> RED      (escalate_after dwell)
-   RED -> SOFT_RED -> YELLOW -> GREEN      (relax_after dwell)
+   GREEN -> YELLOW -> SOFT_RED -> RED      (escalate dwell)
+   RED -> SOFT_RED -> YELLOW -> GREEN      (relax dwell)
 
-Each state maps to a :class:`ControlPolicy` that retunes the live Zhuge
-parameters through :meth:`~repro.core.zhuge_ap.ZhugeAP.apply_policy`.
-The default ladder shortens the estimation windows and token TTLs as
-conditions degrade (track a fast-changing channel, stop spending stale
-credits, bound the worst-case ACK delay), clamps the downlink queue in
-SOFT_RED/RED (shed stale backlog instead of draining it at a crashed
-link rate), and finally falls back to the existing passthrough demotion
-in RED.
+Each state maps to one :class:`ControlPolicy` of :data:`LADDER`, which
+retunes the live Zhuge parameters through
+:meth:`~repro.core.zhuge_ap.ZhugeAP.apply_policy`. The ladder shortens
+the estimation windows and token TTLs as conditions degrade (track a
+fast-changing channel, stop spending stale credits, bound the
+worst-case ACK delay), clamps the downlink queue in SOFT_RED/RED (shed
+stale backlog instead of draining it at a crashed link rate), and
+finally falls back to the existing passthrough demotion in RED.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass
 from typing import Optional
-
-from repro.faults.spec import WatchdogConfig
 
 GREEN = "green"
 YELLOW = "yellow"
@@ -63,7 +61,7 @@ class ControlPolicy:
     that have already queued longer than the bound (enforced at the
     controller cadence: a packet that stale arrives too late to
     matter), and ``passthrough`` forwards everything undelayed (the
-    RED fallback).
+    RED fallback). The defaults are the paper's static Zhuge (GREEN).
     """
 
     window: float = 0.040
@@ -76,196 +74,41 @@ class ControlPolicy:
     max_sojourn: Optional[float] = None
     passthrough: bool = False
 
-    def __post_init__(self) -> None:
-        for name in ("window", "feedback_interval", "max_extra_delay"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive: "
-                                 f"{getattr(self, name)}")
-        if self.token_ttl is not None and self.token_ttl <= 0:
-            raise ValueError(f"token_ttl must be positive: {self.token_ttl}")
-        if self.queue_limit is not None and not 0 < self.queue_limit <= 1:
-            raise ValueError(f"queue_limit must be in (0, 1]: "
-                             f"{self.queue_limit}")
-        if self.max_sojourn is not None and self.max_sojourn <= 0:
-            raise ValueError(f"max_sojourn must be positive: "
-                             f"{self.max_sojourn}")
-        if self.token_bank_cap < 1:
-            raise ValueError(f"token_bank_cap must be >= 1: "
-                             f"{self.token_bank_cap}")
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ControlPolicy":
-        return cls(**payload)
-
-
-def _yellow_policy() -> ControlPolicy:
-    return ControlPolicy(window=0.020, feedback_interval=0.020,
-                         token_ttl=0.5, max_extra_delay=0.25)
-
-
-def _soft_red_policy() -> ControlPolicy:
-    return ControlPolicy(window=0.010, feedback_interval=0.010,
-                         token_ttl=0.2, token_bank_cap=4096,
-                         burst_correction=False, max_extra_delay=0.1,
-                         queue_limit=0.25, max_sojourn=0.25)
-
-
-def _red_policy() -> ControlPolicy:
-    return ControlPolicy(window=0.010, feedback_interval=0.010,
-                         token_ttl=0.2, token_bank_cap=4096,
-                         burst_correction=False, max_extra_delay=0.1,
-                         queue_limit=0.1, max_sojourn=0.1,
-                         passthrough=True)
-
-
-@dataclass(frozen=True)
-class ControllerConfig:
-    """Per-AP state machine: voting thresholds, dwells, and policies.
-
-    Every ``check_interval`` the controller collects one severity vote
-    per signal (watchdog health, windowed P95 prediction error, queue
-    occupancy, link state) and targets the ``quorum``-th highest vote.
-    A *worse* target must persist ``escalate_after`` seconds before the
-    transition fires; a *better* one ``relax_after`` seconds — dwell
-    hysteresis on every edge, so a flapping signal cannot flap the
-    policy.
-    """
-
-    check_interval: float = 0.1
-    escalate_after: float = 0.2
-    relax_after: float = 1.0
-    quorum: int = 1
-    min_error_samples: int = 8
-    p95_yellow: float = 0.08
-    p95_soft_red: float = 0.2
-    queue_yellow: float = 0.5
-    queue_soft_red: float = 0.85
-    link_scale_soft_red: float = 0.5
-    watchdog: WatchdogConfig = field(default_factory=WatchdogConfig)
-    green: ControlPolicy = field(default_factory=ControlPolicy)
-    yellow: ControlPolicy = field(default_factory=_yellow_policy)
-    soft_red: ControlPolicy = field(default_factory=_soft_red_policy)
-    red: ControlPolicy = field(default_factory=_red_policy)
-
-    def __post_init__(self) -> None:
-        for name in ("check_interval", "escalate_after", "relax_after"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive: "
-                                 f"{getattr(self, name)}")
-        if self.quorum < 1:
-            raise ValueError(f"quorum must be >= 1: {self.quorum}")
-        if self.min_error_samples < 1:
-            raise ValueError(f"min_error_samples must be >= 1: "
-                             f"{self.min_error_samples}")
-        if not 0 < self.p95_yellow <= self.p95_soft_red:
-            raise ValueError(f"need 0 < p95_yellow <= p95_soft_red: "
-                             f"{self.p95_yellow}, {self.p95_soft_red}")
-        if not 0 < self.queue_yellow <= self.queue_soft_red <= 1:
-            raise ValueError(f"need 0 < queue_yellow <= queue_soft_red <= 1: "
-                             f"{self.queue_yellow}, {self.queue_soft_red}")
-        if not 0 < self.link_scale_soft_red <= 1:
-            raise ValueError(f"link_scale_soft_red must be in (0, 1]: "
-                             f"{self.link_scale_soft_red}")
-
-    def policy_for(self, state: str) -> ControlPolicy:
-        if state not in CONTROL_STATES:
-            raise ValueError(f"unknown control state {state!r}; "
-                             f"expected one of {CONTROL_STATES}")
-        return getattr(self, state)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ControllerConfig":
-        payload = dict(payload)
-        watchdog = payload.get("watchdog")
-        if watchdog is not None:
-            payload["watchdog"] = WatchdogConfig.from_dict(watchdog)
-        for state in CONTROL_STATES:
-            policy = payload.get(state)
-            if policy is not None:
-                payload[state] = ControlPolicy.from_dict(policy)
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in payload.items() if k in known})
-
-
-@dataclass(frozen=True)
-class SteeringConfig:
-    """Fleet-level re-homing: move RTC flows to the healthiest AP.
-
-    Every ``check_interval`` the daemon scores each candidate AP from
-    its controller state (GREEN=3 .. RED=0) and re-homes a client when
-    the best candidate beats the serving AP by at least
-    ``score_margin`` — with the default margin of 2 a GREEN AP pulls
-    clients off SOFT_RED/RED ones but never off another GREEN/YELLOW,
-    so symmetric healthy APs never flap. ``min_dwell`` spaces
-    consecutive moves of the same client; ``handoff`` is the
-    begin-roam to re-association gap (the over-the-air handshake).
-    """
-
-    check_interval: float = 0.25
-    min_dwell: float = 2.0
-    score_margin: float = 2.0
-    handoff: float = 0.05
-
-    def __post_init__(self) -> None:
-        for name in ("check_interval", "min_dwell", "handoff"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive: "
-                                 f"{getattr(self, name)}")
-        if self.score_margin <= 0:
-            raise ValueError(f"score_margin must be positive: "
-                             f"{self.score_margin}")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SteeringConfig":
-        return cls(**payload)
+#: The fixed policy ladder: one :class:`ControlPolicy` per state.
+LADDER = {
+    GREEN: ControlPolicy(),
+    YELLOW: ControlPolicy(window=0.020, feedback_interval=0.020,
+                          token_ttl=0.5, max_extra_delay=0.25),
+    SOFT_RED: ControlPolicy(window=0.010, feedback_interval=0.010,
+                            token_ttl=0.2, token_bank_cap=4096,
+                            burst_correction=False, max_extra_delay=0.1,
+                            queue_limit=0.25, max_sojourn=0.25),
+    RED: ControlPolicy(window=0.010, feedback_interval=0.010,
+                       token_ttl=0.2, token_bank_cap=4096,
+                       burst_correction=False, max_extra_delay=0.1,
+                       queue_limit=0.1, max_sojourn=0.1,
+                       passthrough=True),
+}
 
 
 @dataclass(frozen=True)
 class ControlSpec:
-    """A scenario's full control-plane configuration.
+    """Controller on, plus fleet steering when ``steering`` is true."""
 
-    ``controller=None`` disables per-AP adaptation (steering then scores
-    every AP as neutral); ``steering=None`` disables re-homing. A spec
-    with both disabled is the identity: :class:`ScenarioSpec` normalizes
-    it to ``None``, so it hashes and behaves exactly like no spec.
-    """
+    steering: bool = False
 
-    controller: Optional[ControllerConfig] = field(
-        default_factory=ControllerConfig)
-    steering: Optional[SteeringConfig] = None
-
-    @property
-    def enabled(self) -> bool:
-        return self.controller is not None or self.steering is not None
-
-    @classmethod
-    def default(cls) -> "ControlSpec":
-        """Controller plus steering, all defaults (the CLI ``--control``)."""
-        return cls(controller=ControllerConfig(), steering=SteeringConfig())
+    def __post_init__(self) -> None:
+        if not isinstance(self.steering, bool):
+            raise ValueError(f"steering must be a bool: {self.steering!r}")
 
     def as_dict(self) -> dict:
-        payload = {}
-        if self.controller is not None:
-            payload["controller"] = self.controller.as_dict()
-        if self.steering is not None:
-            payload["steering"] = self.steering.as_dict()
-        return payload
+        return {"steering": self.steering}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ControlSpec":
-        controller = payload.get("controller")
-        steering = payload.get("steering")
-        return cls(
-            controller=(ControllerConfig.from_dict(controller)
-                        if controller is not None else None),
-            steering=(SteeringConfig.from_dict(steering)
-                      if steering is not None else None))
+        unknown = sorted(set(payload) - {"steering"})
+        if unknown:
+            raise ValueError(f"unknown control field(s): "
+                             f"{', '.join(unknown)}")
+        return cls(**payload)

@@ -3,25 +3,35 @@
 PR 5's roam handoff moved a client once, as a scripted fault response.
 The :class:`SteeringDaemon` generalizes it into an ongoing optimization
 loop (the wanctl "steer latency-sensitive traffic to the healthiest
-WAN" half): every ``check_interval`` it scores each candidate AP from
+WAN" half): every :data:`CHECK_INTERVAL` it scores each candidate AP from
 its :class:`~repro.control.controller.ZhugeController` state (GREEN=3
 .. RED=0, controller-less APs score neutral 1.5) and re-homes a
 dual-homed client when the best candidate beats the serving AP by at
-least ``score_margin``. Moves reuse the topology's real handoff —
-``begin_roam`` (block + flush) followed ``handoff`` seconds later by
+least :data:`SCORE_MARGIN`. Moves reuse the topology's real handoff —
+``begin_roam`` (block + flush) followed :data:`HANDOFF` seconds later by
 ``complete_roam`` (re-associate, release-floor carry-over, 802.11r
 frame forwarding) — so a steered move is indistinguishable from a
 scripted roam fault at the datapath level.
 
 Hysteresis is layered: the margin keeps symmetric healthy APs from
-flapping, ``min_dwell`` spaces consecutive moves of one client, and the
+flapping, :data:`MIN_DWELL` spaces consecutive moves of one client, and the
 controller's own dwell times debounce the scores themselves.
 """
 
 from __future__ import annotations
 
-from repro.control.spec import SteeringConfig
 from repro.sim.engine import Simulator, Timer
+
+#: Seconds between steering passes.
+CHECK_INTERVAL = 0.25
+#: Minimum seconds between two moves of one client.
+MIN_DWELL = 2.0
+#: Score lead a candidate needs over the serving AP: a GREEN AP pulls
+#: clients off SOFT_RED/RED ones but never off another GREEN/YELLOW,
+#: so symmetric healthy APs never flap.
+SCORE_MARGIN = 2.0
+#: Begin-roam to re-association gap (the over-the-air handshake).
+HANDOFF = 0.05
 
 #: Score of an AP with no controller attached (between YELLOW and
 #: SOFT_RED): unknown health neither attracts nor repels traffic.
@@ -37,19 +47,17 @@ class SteeringDaemon:
     """
 
     def __init__(self, sim: Simulator, forwarding, controllers: dict,
-                 config: SteeringConfig = None, trace=None,
-                 track: str = "steering"):
+                 trace=None, track: str = "steering"):
         self.sim = sim
         self.forwarding = forwarding
         self.controllers = controllers
-        self.config = config or SteeringConfig()
         self.trace = trace
         self.track = track
         #: (time, client, old_ap, new_ap) for every completed move.
         self.moves: list[tuple[float, str, str, str]] = []
         self._last_move: dict[str, float] = {}
         self._in_flight: set[str] = set()
-        self._timer = Timer(sim, self.config.check_interval, self._check)
+        self._timer = Timer(sim, CHECK_INTERVAL, self._check)
 
     # -- scoring -------------------------------------------------------------
 
@@ -83,7 +91,7 @@ class SteeringDaemon:
         for client in self._clients():
             if client in self._in_flight:
                 continue
-            if now - self._last_move.get(client, -1e18) < self.config.min_dwell:
+            if now - self._last_move.get(client, -1e18) < MIN_DWELL:
                 continue
             serving = self._serving_ap(client)
             if not serving:
@@ -92,7 +100,7 @@ class SteeringDaemon:
             best = max(candidates, key=self.score)
             if best == serving:
                 continue
-            if self.score(best) - self.score(serving) < self.config.score_margin:
+            if self.score(best) - self.score(serving) < SCORE_MARGIN:
                 continue
             self._begin(client, serving, best)
 
@@ -104,7 +112,7 @@ class SteeringDaemon:
         if self.trace is not None:
             self.trace.control_steer(self.track, client, old_ap, new_ap,
                                      "begin")
-        self.sim.schedule(self.config.handoff,
+        self.sim.schedule(HANDOFF,
                           lambda: self._complete(client, old_ap, new_ap))
 
     def _complete(self, client: str, old_ap: str, new_ap: str) -> None:

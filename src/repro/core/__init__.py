@@ -19,7 +19,6 @@ from repro.core.fortune_teller import FortuneTeller, NaiveQueueEstimator
 from repro.core.feedback_updater import (
     FeedbackKind,
     OutOfBandFeedbackUpdater,
-    classify_protocol,
 )
 from repro.core.inband import InBandFeedbackUpdater
 from repro.core.zhuge_ap import ZhugeAP
@@ -33,7 +32,6 @@ __all__ = [
     "NaiveQueueEstimator",
     "FeedbackKind",
     "OutOfBandFeedbackUpdater",
-    "classify_protocol",
     "InBandFeedbackUpdater",
     "ZhugeAP",
 ]

@@ -53,22 +53,6 @@ class FeedbackKind(enum.Enum):
     IN_BAND = "in-band"          # RTP/RTCP: feedback payload carries timings
 
 
-def classify_protocol(protocol: str) -> FeedbackKind:
-    """Map a protocol name to its feedback mechanism (paper Table 2)."""
-    mapping = {
-        "tcp": FeedbackKind.OUT_OF_BAND,
-        "quic": FeedbackKind.OUT_OF_BAND,
-        "rtp": FeedbackKind.IN_BAND,
-        "rtcp": FeedbackKind.IN_BAND,
-        "webrtc": FeedbackKind.IN_BAND,
-    }
-    key = protocol.lower()
-    if key not in mapping:
-        raise ValueError(f"unknown protocol {protocol!r}; "
-                         f"expected one of {sorted(mapping)}")
-    return mapping[key]
-
-
 class OutOfBandFeedbackUpdater:
     """Delays uplink ACKs to carry predicted downlink delay deltas."""
 
@@ -113,13 +97,11 @@ class OutOfBandFeedbackUpdater:
         #: disabled. Every probe site reads it exactly once.
         self.trace = None
         self._track = "ap"
-        #: The AP's canonical uplink-forward callable.  When a delayed
-        #: ACK's ``forward`` *is* this callable, the hold is served by a
-        #: :class:`~repro.sim.engine.TimedRun` instead of a scheduler
-        #: event — one sentinel per busy period instead of one heap event
-        #: (and one closure) per ACK, one dispatch per burst.  Unknown
-        #: forwards are scheduled; both assign their seq at ACK time, so
-        #: the two are tie-order identical.
+        #: Where held and passed-through feedback goes (the AP's
+        #: uplink out).  Held ACKs are released by a
+        #: :class:`~repro.sim.engine.TimedRun` instead of one scheduler
+        #: event each — one sentinel per busy period, one dispatch per
+        #: burst.
         self.release_forward: Optional[Callable[[Packet], None]] = None
         self._release_run = None
 
@@ -222,9 +204,9 @@ class OutOfBandFeedbackUpdater:
                             self.outstanding_tokens)
         return release - arrival_time
 
-    def on_feedback_packet(self, packet: Packet,
-                           forward: Callable[[Packet], None]) -> None:
+    def on_feedback_packet(self, packet: Packet) -> None:
         """Hold the ACK for the computed delay, then forward it."""
+        forward = self.release_forward
         if packet.kind not in _FEEDBACK_KINDS:
             forward(packet)
             return
@@ -234,22 +216,21 @@ class OutOfBandFeedbackUpdater:
         self.total_injected_delay += delay
         if delay <= 0:
             forward(packet)
-        elif forward is self.release_forward:
-            run = self._release_run
-            if run is None:
-                run = self._release_run = self.sim.timed_run(self._release)
-            # ``now + delay``, as ``schedule`` computes it.  The clamp
-            # keeps releases monotone, but ``arrival + (release -
-            # arrival)`` can regress by an ulp; a run refuses that, so
-            # those stragglers are scheduled as events.
-            time = now + delay
-            times = run._times
-            if times and time < times[-1]:
-                self.sim.schedule(delay, lambda p=packet: forward(p))
-            else:
-                run.extend(time, [packet])
-        else:
+            return
+        run = self._release_run
+        if run is None:
+            run = self._release_run = self.sim.timed_run(self._release)
+        # ``now + delay``, as ``schedule`` computes it.  The clamp keeps
+        # releases monotone, but ``arrival + (release - arrival)`` can
+        # regress by an ulp; a run refuses that, so those stragglers are
+        # scheduled as events (both assign their seq at ACK time, so the
+        # two are tie-order identical).
+        time = now + delay
+        times = run._times
+        if times and time < times[-1]:
             self.sim.schedule(delay, lambda p=packet: forward(p))
+        else:
+            run.extend(time, [packet])
 
     def _release(self, packets: list) -> None:
         """The release run's dispatcher: a burst of held ACKs, in order

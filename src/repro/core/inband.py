@@ -101,20 +101,19 @@ class InBandFeedbackUpdater:
 
     # -- uplink interception -------------------------------------------------------
 
-    def on_feedback_packet(self, packet: Packet,
-                           forward: Callable[[Packet], None]) -> None:
+    def on_feedback_packet(self, packet: Packet) -> None:
         """Drop client TWCC (ours replaces it); forward everything else."""
         if self.passthrough:
             # Degraded: the client's own TWCC is the only trustworthy
             # feedback — let it through untouched.
-            forward(packet)
+            self.send_uplink(packet)
             return
         if packet.kind == PacketKind.RTCP_TWCC:
             feedback: TwccFeedback | None = packet.headers.get("twcc_feedback")
             if feedback is None or feedback.constructed_by != "zhuge-ap":
                 self.client_feedback_dropped += 1
                 return
-        forward(packet)
+        self.send_uplink(packet)
 
     def reset_state(self) -> None:
         """Forget recorded fortunes (AP restart / client handover).

@@ -53,10 +53,9 @@ class ZhugeAP:
 
         self.forward_downlink: Optional[ForwardCallback] = None
         self.forward_uplink: Optional[ForwardCallback] = None
-        #: Canonical uplink-out callable.  A bound method read off the
-        #: instance is a fresh object every time (`self._uplink_out is
-        #: self._uplink_out` is False), so the one identity the feedback
-        #: updaters key their release TimedRun on is cached here.
+        #: Uplink-out callable, bound once: every feedback updater's
+        #: ``release_forward`` / ``send_uplink`` and the unregistered-flow
+        #: path of :meth:`on_ack_batch` share it.
         self._uplink_out_cb: ForwardCallback = self._uplink_out
 
         self._oob: dict[FiveTuple, OutOfBandFeedbackUpdater] = {}
@@ -87,8 +86,9 @@ class ZhugeAP:
         #: Trace-track prefix; multi-AP topologies set this to the AP's
         #: node name so each AP gets its own track family.
         self.track_name = "ap"
-        #: Active :class:`~repro.control.spec.ControlPolicy`; ``None``
-        #: until :meth:`apply_policy`. Flows registered later inherit it.
+        #: Active :class:`~repro.control.spec.ControlPolicy` (a rung of
+        #: :data:`~repro.control.spec.LADDER`); ``None`` until
+        #: :meth:`apply_policy`. Flows registered later inherit it.
         self.policy = None
         # Downlink capacity before any policy clamp; restored when a
         # policy without a queue_limit is applied.
@@ -341,7 +341,7 @@ class ZhugeAP:
         for packet in packets:
             updater = updaters.get(packet.flow)
             if updater is not None:
-                updater.on_feedback_packet(packet, out)
+                updater.on_feedback_packet(packet)
             else:
                 out(packet)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.campaign import ScenarioSpec, TraceSpec, run_specs
-from repro.control import ControllerConfig, ControlSpec, SteeringConfig
+from repro.control import ControlSpec
 from repro.experiments.drivers.traces_eval import seed_split
 from repro.faults.spec import FaultPlan
 from repro.metrics.stats import percentile
@@ -51,19 +51,15 @@ FLEET_DURATION = 24.0
 #: so they include each recovery transient, not just the outage.
 RECOVERY_WINDOW = 2.0
 
-#: (row label, ControlSpec factory) — factories, not instances, so the
-#: module stays import-time cheap and every call gets fresh specs.
+#: (row label, ControlSpec) per per-AP scheme; ``None`` is static Zhuge.
 SCHEMES = (
-    ("static", lambda: None),
-    ("controller", lambda: ControlSpec(controller=ControllerConfig(),
-                                       steering=None)),
+    ("static", None),
+    ("controller", ControlSpec()),
 )
 
 FLEET_SCHEMES = (
-    ("no-steering", lambda: ControlSpec(controller=ControllerConfig(),
-                                        steering=None)),
-    ("steering", lambda: ControlSpec(controller=ControllerConfig(),
-                                     steering=SteeringConfig())),
+    ("no-steering", ControlSpec()),
+    ("steering", ControlSpec(steering=True)),
 )
 
 
@@ -93,7 +89,7 @@ def control_specs(seeds: tuple[int, ...], duration: float = DURATION,
                   ) -> list[ScenarioSpec]:
     """Per-AP sweep: one spec per (scheme, seed), scheme-major order."""
     specs = []
-    for _, control_factory in SCHEMES:
+    for _, control in SCHEMES:
         for seed in seeds:
             specs.append(ScenarioSpec(
                 trace=TraceSpec.for_family(family, duration=duration,
@@ -101,7 +97,7 @@ def control_specs(seeds: tuple[int, ...], duration: float = DURATION,
                 protocol=protocol, cca=cca, ap_mode="zhuge",
                 duration=duration, seed=seed,
                 faults=storm_plan(storm, seed=seed),
-                control=control_factory()))
+                control=control))
     return specs
 
 
@@ -111,7 +107,7 @@ def fleet_specs(seeds: tuple[int, ...], duration: float = FLEET_DURATION,
                 ) -> list[ScenarioSpec]:
     """Two-AP sweep on the roaming topology, scheme-major order."""
     specs = []
-    for _, control_factory in FLEET_SCHEMES:
+    for _, control in FLEET_SCHEMES:
         for seed in seeds:
             specs.append(ScenarioSpec(
                 trace=TraceSpec.for_family(family, duration=duration,
@@ -120,7 +116,7 @@ def fleet_specs(seeds: tuple[int, ...], duration: float = FLEET_DURATION,
                 duration=duration, seed=seed,
                 topology=roaming_topology(queue_kind="droptail"),
                 faults=storm_plan(storm, seed=seed),
-                control=control_factory()))
+                control=control))
     return specs
 
 
@@ -171,7 +167,7 @@ def fig_control(seeds: tuple[int, ...] = (1, 2),
     chunks = seed_split(summaries, seeds)
     spans = fault_windows(storm_plan(storm))
     rows = []
-    for (label, _factory), chunk in zip(SCHEMES, chunks):
+    for (label, _control), chunk in zip(SCHEMES, chunks):
         steady: list[float] = []
         window: list[float] = []
         transitions = 0
@@ -195,7 +191,7 @@ def fig_control(seeds: tuple[int, ...] = (1, 2),
     fleet_rows = []
     if fleet:
         fleet_spans = fault_windows(storm_plan(fleet_storm))
-        for (label, _factory), chunk in zip(FLEET_SCHEMES,
+        for (label, _control), chunk in zip(FLEET_SCHEMES,
                                             chunks[len(SCHEMES):]):
             window = []
             moves = 0

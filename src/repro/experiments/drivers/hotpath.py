@@ -186,8 +186,8 @@ def bench_end_to_end(packets: int = 30_000, flows: int = 4,
         # The GREEN-steady cost cell: a ZhugeController riding a healthy
         # datapath — vote/check timer, drop hook, and the watchdog
         # sensor it attaches.
-        from repro.control import ControllerConfig, ZhugeController
-        controller = ZhugeController(sim, ap, ControllerConfig())
+        from repro.control import ZhugeController
+        controller = ZhugeController(sim, ap)
     elif watchdog:
         # The PR 4 static safety configuration: watchdog sensing per
         # packet, no control loop. The baseline the controller cell's

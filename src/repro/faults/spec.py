@@ -286,5 +286,8 @@ class FaultPlan:
         watchdog = payload.get("watchdog")
         if watchdog is not None:
             payload["watchdog"] = WatchdogConfig.from_dict(watchdog)
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in payload.items() if k in known})
+        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown fault plan field(s): "
+                             f"{', '.join(unknown)}")
+        return cls(**payload)

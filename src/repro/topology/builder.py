@@ -337,24 +337,20 @@ class TopologyBuilder:
 
         Runs after fault attachment on purpose: a watchdog armed by the
         fault plan is adopted by the controller (which takes over its
-        demote/promote authority); APs without one get the controller
-        config's own watchdog.
+        demote/promote authority); APs without one get a default one.
         """
         from repro.control.controller import ZhugeController
         from repro.control.steering import SteeringDaemon
         bus = self.trace_session.bus if self.trace_session else None
-        if control.controller is not None:
-            for name, ap_rt in self.aps.items():
-                if ap_rt.zhuge is None:
-                    continue
-                self.controllers[name] = ZhugeController(
-                    self.sim, ap_rt.zhuge, control.controller,
-                    edge=self._ap_downlink_edge(name),
-                    trace=bus, track=f"{name}/control")
-        if control.steering is not None:
+        for name, ap_rt in self.aps.items():
+            if ap_rt.zhuge is None:
+                continue
+            self.controllers[name] = ZhugeController(
+                self.sim, ap_rt.zhuge, edge=self._ap_downlink_edge(name),
+                trace=bus, track=f"{name}/control")
+        if control.steering:
             self.steering = SteeringDaemon(
-                self.sim, self.forwarding, self.controllers,
-                control.steering, trace=bus)
+                self.sim, self.forwarding, self.controllers, trace=bus)
 
     # -- run -----------------------------------------------------------------
 

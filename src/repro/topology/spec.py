@@ -208,6 +208,9 @@ class FlowSpec:
                 and self.cca not in WINDOW_CCAS):
             raise ValueError(f"unknown competitor cca {self.cca!r}; "
                              f"expected one of {sorted(WINDOW_CCAS)}")
+        if self.period is not None and not 0 < self.period < math.inf:
+            raise ValueError(f"flow {self.src}->{self.dst} period must be "
+                             f"finite and positive: {self.period}")
 
     def as_dict(self) -> dict:
         return _clean({f.name: getattr(self, f.name) for f in fields(self)})

@@ -201,6 +201,27 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=field):
             _spec(**{field: bad})
 
+    @pytest.mark.parametrize("overrides, named", [
+        ({"fps": 0.0}, "fps"), ({"fps": float("inf")}, "fps"),
+        ({"rtc_flows": 0}, "rtc_flows"), ({"seed": "x"}, "seed"),
+        ({"seed": True}, "seed"), ({"seed": 1.5}, "seed"),
+        # The edge and flow values are refused by the derived single-AP
+        # graph's own specs, under the names they carry there.
+        ({"queue_capacity": 0}, "queue_capacity"),
+        ({"queue_capacity": -5}, "queue_capacity"),
+        ({"uplink_scale": 0.0}, "trace_scale"),
+        ({"wan_delay": float("nan")}, "delay"),
+        ({"wan_delay": -0.01}, "delay"),
+        ({"interferers": -1}, "interferers"),
+        ({"competitors": 1, "competitor_period": 0.0}, "period"),
+        ({"mcs_switch_period": 0.0}, "mcs_period"),
+    ])
+    def test_bad_scenario_value_rejected(self, overrides, named):
+        """Each of these built a spec and failed only inside its cell
+        (``seed="x"`` even ran to the end)."""
+        with pytest.raises(ValueError, match=named):
+            _spec(**overrides)
+
     def test_boundary_numbers_accepted(self):
         spec = _spec(warmup=0.0, competitors=0, duration=0.5,
                      max_bps=1, initial_bps=1e5)

@@ -372,6 +372,19 @@ class TestParser:
         # A cca its protocol cannot run used to fail only in its cell.
         '[{"trace": {"kind": "constant", "rate_bps": 1e6}, '
         '"protocol": "tcp", "cca": "nada"}]',
+        # Each of these used to fail only inside its cell, or not at all.
+        '[{"trace": {"kind": "constant", "rate_bps": 1e6}, "fps": 0}]',
+        '[{"trace": {"kind": "constant", "rate_bps": 1e6}, "seed": "x"}]',
+        '[{"trace": {"kind": "constant", "rate_bps": 1e6}, '
+        '"wan_delay": NaN}]',
+        '[{"trace": {"kind": "constant", "rate_bps": 1e6}, '
+        '"competitors": 1, "competitor_period": 0}]',
+        # Unknown nested keys are refused, not dropped.
+        '[{"trace": {"kind": "constant", "rate_bps": 1e6}, '
+        '"faults": {"faults": [{"kind": "blackout", "start": 1.0, '
+        '"duration": 0.5}], "watchdog_enable": false}}]',
+        '[{"trace": {"kind": "constant", "rate_bps": 1e6}, '
+        '"control": {"controller": {"quorum": 1}}}]',
     ])
     def test_bad_specs_manifest_exits_2_naming_it(self, content, tmp_path,
                                                   capsys, monkeypatch):

@@ -3,8 +3,8 @@
 Covers the adaptive-control acceptance criteria:
 
 * ``control=None`` is the identity — spec payloads and hashes are
-  byte-identical to pre-control specs, and an empty :class:`ControlSpec`
-  normalizes to ``None``;
+  byte-identical to pre-control specs — and the three control variants
+  (none, controller, controller + steering) hash apart;
 * a control-enabled cell is bit-identical whether computed serially, in
   a worker pool, or replayed from the result cache;
 * the per-AP controller walks GREEN/YELLOW/SOFT_RED/RED with dwell
@@ -23,9 +23,9 @@ import pytest
 
 from repro.aqm import make_queue
 from repro.campaign import ResultCache, ScenarioSpec, TraceSpec, run_specs
-from repro.control import (ControllerConfig, ControlPolicy, ControlSpec,
-                           SteeringConfig, ZhugeController)
-from repro.control.controller import GREEN
+from repro.control import (CONTROL_STATES, LADDER, ControlPolicy, ControlSpec,
+                           ZhugeController)
+from repro.control.controller import GREEN, RELAX_AFTER
 from repro.control.steering import NEUTRAL_SCORE, SteeringDaemon
 from repro.core.feedback_updater import FeedbackKind
 from repro.core.prediction_join import PredictionJoin
@@ -52,49 +52,41 @@ class TestControlSpecHashStability:
     def test_uncontrolled_payload_has_no_control_key(self):
         assert "control" not in self._spec().as_dict()
 
-    def test_empty_control_spec_normalized_to_none(self):
-        spec = self._spec(control=ControlSpec(controller=None,
-                                              steering=None))
-        assert spec.control is None
-        assert spec.content_hash() == self._spec().content_hash()
-
     def test_controlled_spec_hashes_differently(self):
         bare = self._spec()
-        controlled = self._spec(control=ControlSpec.default())
+        controlled = self._spec(control=ControlSpec(steering=True))
         assert bare.content_hash() != controlled.content_hash()
 
     def test_control_variants_hash_distinctly(self):
-        variants = [
-            self._spec(control=ControlSpec(controller=ControllerConfig(),
-                                           steering=None)),
-            self._spec(control=ControlSpec.default()),
-            self._spec(control=ControlSpec(
-                controller=ControllerConfig(escalate_after=0.5),
-                steering=None)),
-        ]
+        variants = [self._spec(),
+                    self._spec(control=ControlSpec()),
+                    self._spec(control=ControlSpec(steering=True))]
         hashes = {spec.content_hash() for spec in variants}
         assert len(hashes) == len(variants)
 
     def test_controlled_spec_round_trips(self):
-        spec = self._spec(control=ControlSpec(
-            controller=ControllerConfig(quorum=2),
-            steering=SteeringConfig(min_dwell=3.0)))
-        assert ScenarioSpec.from_dict(spec.as_dict()) == spec
+        for control in (ControlSpec(), ControlSpec(steering=True)):
+            spec = self._spec(control=control)
+            assert ScenarioSpec.from_dict(spec.as_dict()) == spec
 
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            ControlPolicy(queue_limit=1.5)
-        with pytest.raises(ValueError):
-            ControlPolicy(max_sojourn=0.0)
-        with pytest.raises(ValueError):
-            ControlPolicy(window=-0.01)
-        with pytest.raises(ValueError):
-            ControllerConfig(quorum=0)
-        with pytest.raises(ValueError):
-            ControllerConfig().policy_for("purple")
+    @pytest.mark.parametrize("payload, named", [
+        ({"controller": {"quorum": 2}}, "controller"),
+        ({"steering": True, "handoff": 0.1}, "handoff"),
+    ])
+    def test_unknown_control_fields_refused_by_name(self, payload, named):
+        with pytest.raises(ValueError, match=named):
+            ControlSpec.from_dict(payload)
+
+    def test_steering_must_be_a_bool(self):
+        with pytest.raises(ValueError, match="steering"):
+            ControlSpec(steering={"min_dwell": 3.0})
+
+    def test_ladder_covers_every_state(self):
+        assert tuple(LADDER) == CONTROL_STATES
+        assert LADDER[GREEN] == ControlPolicy()
 
     def test_red_policy_is_passthrough_with_clamp(self):
-        red = ControllerConfig().red
+        red = LADDER["red"]
         assert red.passthrough is True
         assert red.queue_limit is not None
         assert red.max_sojourn is not None
@@ -207,15 +199,14 @@ class FakeZhuge:
 
 @pytest.mark.bitexact
 class TestControllerStateMachine:
-    def _controller(self, sim, edge=None, **overrides):
+    def _controller(self, sim, edge=None):
         zhuge = FakeZhuge(sim)
-        config = ControllerConfig(**overrides)
-        return zhuge, ZhugeController(sim, zhuge, config, edge=edge)
+        return zhuge, ZhugeController(sim, zhuge, edge=edge)
 
     def test_starts_green_with_green_policy_applied(self, sim):
         zhuge, controller = self._controller(sim)
         assert controller.state == GREEN
-        assert zhuge.applied == [controller.config.green]
+        assert zhuge.applied == [LADDER[GREEN]]
         assert zhuge.watchdog is not None
 
     def test_queue_pressure_escalates_after_dwell(self, sim):
@@ -226,7 +217,7 @@ class TestControllerStateMachine:
         assert controller.state == "green"
         sim.run(until=0.45)
         assert controller.state == "soft_red"
-        assert zhuge.policy.window == controller.config.soft_red.window
+        assert zhuge.policy.window == LADDER["soft_red"].window
         when, state, reason = controller.transitions[-1]
         assert (state, reason) == ("soft_red", "queue=2")
 
@@ -237,12 +228,11 @@ class TestControllerStateMachine:
         sim.run(until=0.45)
         assert controller.state == "soft_red"
         zhuge.downlink_queue.clear()
-        relax = controller.config.relax_after
-        sim.run(until=0.45 + relax - 0.15)
+        sim.run(until=0.45 + RELAX_AFTER - 0.15)
         assert controller.state == "soft_red"  # still dwelling
-        sim.run(until=0.45 + relax + 0.25)
+        sim.run(until=0.45 + RELAX_AFTER + 0.25)
         assert controller.state == "green"
-        assert zhuge.policy == controller.config.green
+        assert zhuge.policy == LADDER[GREEN]
 
     def test_stale_on_unimpaired_link_goes_red(self, sim):
         zhuge, controller = self._controller(sim)
@@ -258,8 +248,7 @@ class TestControllerStateMachine:
                                link=SimpleNamespace(blocked=True),
                                queue=zhuge.downlink_queue,
                                channel=SimpleNamespace(fault_scale=1.0))
-        controller = ZhugeController(sim, zhuge, ControllerConfig(),
-                                     edge=edge)
+        controller = ZhugeController(sim, zhuge, edge=edge)
         zhuge.watchdog.join.note(1, 0.010)  # stale, but link blocked
         sim.run(until=2.0)
         assert controller.state == "soft_red"
@@ -312,7 +301,7 @@ class TestApplyPolicyOnZhugeAP:
 
     def test_retunes_estimator_windows(self, sim, ap, flow):
         ap.register_flow(flow, FeedbackKind.OUT_OF_BAND)
-        policy = ControllerConfig().soft_red
+        policy = LADDER["soft_red"]
         ap.apply_policy(policy)
         teller = ap.fortune_teller
         assert teller.window == policy.window
@@ -331,23 +320,23 @@ class TestApplyPolicyOnZhugeAP:
         queue = ap.downlink_queue
         for i in range(500):  # 500 kB backlog
             queue.enqueue(_pkt(pkt_id=i), now=0.0)
-        ap.apply_policy(ControllerConfig().soft_red)  # queue_limit 0.25
+        ap.apply_policy(LADDER["soft_red"])  # queue_limit 0.25
         assert queue.capacity_bytes == 250_000
         assert queue.byte_length <= 250_000
         assert queue.stats.drop_reasons["control-trim"] > 0
-        ap.apply_policy(ControllerConfig().green)
+        ap.apply_policy(LADDER[GREEN])
         assert queue.capacity_bytes == 1_000_000
 
     def test_red_policy_rides_passthrough_demotion(self, sim, ap, flow):
         ap.register_flow(flow, FeedbackKind.OUT_OF_BAND)
-        ap.apply_policy(ControllerConfig().red)
+        ap.apply_policy(LADDER["red"])
         assert ap.passthrough is True
         assert ap._oob[flow].passthrough is True
-        ap.apply_policy(ControllerConfig().green)
+        ap.apply_policy(LADDER[GREEN])
         assert ap.passthrough is False
 
     def test_late_registered_flow_inherits_policy(self, sim, ap, flow):
-        policy = ControllerConfig().yellow
+        policy = LADDER["yellow"]
         ap.apply_policy(policy)
         ap.register_flow(flow, FeedbackKind.OUT_OF_BAND)
         assert ap._oob[flow].window == policy.window
@@ -362,8 +351,7 @@ class TestSteeringScores:
     def test_controller_less_ap_scores_neutral(self, sim):
         forwarding = SimpleNamespace(aps={}, rtc=[])
         daemon = SteeringDaemon(sim, forwarding,
-                                {"ap-a": SimpleNamespace(level=2)},
-                                SteeringConfig())
+                                {"ap-a": SimpleNamespace(level=2)})
         assert daemon.score("ap-b") == NEUTRAL_SCORE
         assert daemon.score("ap-a") == 1.0  # SOFT_RED
         daemon.stop()
@@ -381,7 +369,7 @@ def _controlled_spec() -> ScenarioSpec:
         duration=10.0, seed=1,
         faults=FaultPlan.parse("crash@4+2*0.05,reset@6",
                                watchdog_enabled=False),
-        control=ControlSpec(controller=ControllerConfig(), steering=None))
+        control=ControlSpec())
 
 
 @pytest.mark.bitexact

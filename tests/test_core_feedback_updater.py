@@ -2,15 +2,13 @@
 
 import pytest
 
-from repro.core.feedback_updater import (
-    FeedbackKind,
-    OutOfBandFeedbackUpdater,
-    classify_protocol,
-)
+from repro.core.feedback_updater import FeedbackKind, OutOfBandFeedbackUpdater
 from repro.core.fortune_teller import FortuneTeller
 from repro.net.packet import Packet, PacketKind
 from repro.net.queue import DropTailQueue
 from repro.sim.random import DeterministicRandom
+from repro.topology.spec import PROTOCOLS
+from repro.topology.stacks import STACKS
 
 
 @pytest.fixture
@@ -43,17 +41,11 @@ def warm_queue(sim, queue, flow, rate_pps=100, seconds=0.5):
 
 class TestClassification:
     def test_table2_mapping(self):
-        assert classify_protocol("tcp") is FeedbackKind.OUT_OF_BAND
-        assert classify_protocol("quic") is FeedbackKind.OUT_OF_BAND
-        assert classify_protocol("rtp") is FeedbackKind.IN_BAND
-        assert classify_protocol("webrtc") is FeedbackKind.IN_BAND
-
-    def test_case_insensitive(self):
-        assert classify_protocol("TCP") is FeedbackKind.OUT_OF_BAND
-
-    def test_unknown_raises(self):
-        with pytest.raises(ValueError):
-            classify_protocol("sctp")
+        """Paper Table 2, as the builder reads it off each stack."""
+        assert STACKS["tcp"].kind is FeedbackKind.OUT_OF_BAND
+        assert STACKS["quic"].kind is FeedbackKind.OUT_OF_BAND
+        assert STACKS["rtp"].kind is FeedbackKind.IN_BAND
+        assert sorted(STACKS) == sorted(PROTOCOLS)
 
 
 class TestAlgorithm1:
@@ -187,26 +179,30 @@ class TestPacketForwarding:
         updater.delta_history.push(sim.now, 0.007)
         forwarded = []
         ack = Packet(flow.reversed(), 60, PacketKind.ACK)
-        updater.on_feedback_packet(ack, lambda p: forwarded.append(sim.now))
+        updater.release_forward = lambda p: forwarded.append(sim.now)
+        updater.on_feedback_packet(ack)
         sim.run()
         assert forwarded == [pytest.approx(0.007)]
 
     def test_zero_delay_forwards_immediately(self, sim, updater, flow):
         forwarded = []
         ack = Packet(flow.reversed(), 60, PacketKind.ACK)
-        updater.on_feedback_packet(ack, lambda p: forwarded.append(sim.now))
+        updater.release_forward = lambda p: forwarded.append(sim.now)
+        updater.on_feedback_packet(ack)
         assert forwarded == [0.0]
 
     def test_data_packets_not_delayed(self, sim, updater, flow):
         updater.delta_history.push(sim.now, 0.007)
         forwarded = []
         data = Packet(flow, 1200, PacketKind.DATA)
-        updater.on_feedback_packet(data, lambda p: forwarded.append(sim.now))
+        updater.release_forward = lambda p: forwarded.append(sim.now)
+        updater.on_feedback_packet(data)
         assert forwarded == [0.0]
 
     def test_counters(self, sim, updater, flow):
         updater.delta_history.push(sim.now, 0.004)
         ack = Packet(flow.reversed(), 60, PacketKind.ACK)
-        updater.on_feedback_packet(ack, lambda p: None)
+        updater.release_forward = lambda p: None
+        updater.on_feedback_packet(ack)
         assert updater.acks_delayed == 1
         assert updater.total_injected_delay == pytest.approx(0.004)

@@ -139,7 +139,8 @@ class TestClientFeedbackSuppression:
         packet = Packet(flow.reversed(), 120, PacketKind.RTCP_TWCC)
         packet.headers["twcc_feedback"] = TwccFeedback(
             base_seq=0, constructed_by="receiver")
-        updater.on_feedback_packet(packet, forwarded.append)
+        updater.send_uplink = forwarded.append
+        updater.on_feedback_packet(packet)
         assert forwarded == []
         assert updater.client_feedback_dropped == 1
 
@@ -148,11 +149,13 @@ class TestClientFeedbackSuppression:
         packet = Packet(flow.reversed(), 120, PacketKind.RTCP_TWCC)
         packet.headers["twcc_feedback"] = TwccFeedback(
             base_seq=0, constructed_by="zhuge-ap")
-        updater.on_feedback_packet(packet, forwarded.append)
+        updater.send_uplink = forwarded.append
+        updater.on_feedback_packet(packet)
         assert len(forwarded) == 1
 
     def test_other_rtcp_forwarded(self, sim, updater, flow):
         forwarded = []
         nack = Packet(flow.reversed(), 120, PacketKind.RTCP_OTHER)
-        updater.on_feedback_packet(nack, forwarded.append)
+        updater.send_uplink = forwarded.append
+        updater.on_feedback_packet(nack)
         assert len(forwarded) == 1

@@ -261,7 +261,7 @@ class TestGoldenEquivalence:
             trace=TraceSpec.for_family("W2", duration=7, seed=3),
             duration=5.0, seed=3, warmup=2.0,
             topology=interference_topology(ap_mode="zhuge", interferers=2),
-            control=ControlSpec.default())
+            control=ControlSpec(steering=True))
         assert _on_reference_links(_digest, spec) == _digest(spec)
 
     def test_faulted_scenario_equivalent_across_modes(self):

@@ -96,6 +96,15 @@ class TestFaultPlan:
                                watchdog_enabled=False)
         assert FaultPlan.from_dict(plan.as_dict()) == plan
 
+    def test_unknown_keys_refused_by_name(self):
+        """A misspelt key used to be dropped: ``watchdog_enable: false``
+        ran with the watchdog on."""
+        payload = FaultPlan.parse("blackout@10+1").as_dict()
+        payload.update(watchdog_enable=False, sed=3)
+        with pytest.raises(ValueError,
+                           match=r"field\(s\): sed, watchdog_enable"):
+            FaultPlan.from_dict(payload)
+
 
 @pytest.mark.bitexact
 class TestSpecHashStability:

@@ -80,6 +80,12 @@ BANS = {
         "--trace-out` is the one way to trace a scenario: no ring buffer, "
         "subscriber fan-out, process-level event channel, category "
         "parser or second trace command may come back."),
+    "one-control-setting": (
+        "-nwE", "ControllerConfig|SteeringConfig|policy_for",
+        ("src", "tests", "benchmarks", "examples"),
+        "The control plane has one setting, ControlSpec(steering): the "
+        "thresholds, dwell times and policy ladder are module constants, "
+        "with no config object to override them."),
     "one-video-module": (
         "-nwE", "quic_video", ("src", "tests", "examples", "benchmarks"),
         "Every video app lives in app/video.py: the QUIC app shares the "

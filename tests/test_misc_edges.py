@@ -39,7 +39,8 @@ class TestOutOfBandNonDistributional:
         updater.delta_history.push(sim.now, 0.006)
         forwarded = []
         twcc = Packet(flow.reversed(), 120, PacketKind.RTCP_TWCC)
-        updater.on_feedback_packet(twcc, lambda p: forwarded.append(sim.now))
+        updater.release_forward = lambda p: forwarded.append(sim.now)
+        updater.on_feedback_packet(twcc)
         sim.run()
         assert forwarded == [pytest.approx(0.006)]
 

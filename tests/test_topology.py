@@ -440,16 +440,23 @@ class TestRoaming:
     def test_node_targeted_roam_under_steering_is_pinned(self):
         """The scripted roam to AP-B with the controllers and fleet
         steering on: steering moves the client again, and digest v2
-        pins every per-packet delay across all three handoffs."""
+        pins every per-packet delay across all three handoffs. The
+        digest covers the spec payload too; the trajectory alone is
+        pinned separately, so a control-payload change shows as such."""
         spec = dataclasses.replace(
             _scenario(roaming_topology(), duration=8.0, protocol="tcp",
                       cca="copa", faults=self.ROAM),
-            control=ControlSpec.default())
+            control=ControlSpec(steering=True))
         summary = execute_spec(spec)
         assert summary.steering_moves == [(3.3, "client", "ap-a", "ap-b"),
                                           (5.3, "client", "ap-b", "ap-a")]
+        trajectory = summary.digest_payload()
+        del trajectory["spec"]
+        blob = json.dumps(trajectory, sort_keys=True, separators=(",", ":"))
+        assert (hashlib.sha256(blob.encode()).hexdigest()[:16]
+                == "454c44b644a5f63b")
         assert summary.digest() == (
-            "ff743bf0aa674766472a31382c3151c4235b181780c17f8147db1435b6a340f9")
+            "ec111a4cc812d47e5161b0dfd03ab7dfc6e677fa48658d78002523348700caeb")
 
     def test_roam_without_target_ap_rejected(self):
         with pytest.raises(ValueError, match="target AP"):

@@ -87,6 +87,8 @@ class TestOpaqueness:
         teller = FortuneTeller(sim, queue)
         updater = OutOfBandFeedbackUpdater(sim, teller,
                                            rng=DeterministicRandom(1))
+        updater.release_forward = lambda p: sim.schedule(
+            0.010, lambda pp=p: sender.on_ack(pp))
         held = []
 
         def down(packet):
@@ -96,10 +98,7 @@ class TestOpaqueness:
             sim.schedule(0.010, lambda p=packet: receiver.on_data(p))
 
         def up(packet):
-            updater.on_feedback_packet(
-                packet,
-                lambda p: sim.schedule(0.010,
-                                       lambda pp=p: sender.on_ack(pp)))
+            updater.on_feedback_packet(packet)
             held.append(packet)
 
         sender.transmit = down
@@ -122,15 +121,14 @@ class TestOpaqueness:
                                            rng=DeterministicRandom(1))
         updater.delta_history.push(0.0, 0.050)
         updater.delta_history.window = 1e9  # keep the delta forever
+        updater.release_forward = lambda p: sim.schedule(
+            0.010, lambda pp=p: sender.on_ack(pp))
 
         def down(packet):
             sim.schedule(0.010, lambda p=packet: receiver.on_data(p))
 
         def up(packet):
-            updater.on_feedback_packet(
-                packet,
-                lambda p: sim.schedule(0.010,
-                                       lambda pp=p: sender.on_ack(pp)))
+            updater.on_feedback_packet(packet)
 
         sender.transmit = down
         receiver.transmit = up
