@@ -21,6 +21,13 @@ columns a simulator change must not move (digest, packets and the two
 ``sim_*`` columns) are compared for exact equality.  The engine's
 dispatch count may move, but must repeat exactly on every round of
 each side; both sides' counts are recorded.
+
+After the timed pairs each side runs two traced rounds
+(``cell.py --profile 1``, in the order A B B A).  cProfile's call count
+per layer is a pure function of code and seed, so the two rounds of a
+side must agree exactly; the run fails if they do not.  The record keeps
+each layer's calls per packet on both sides and their difference —
+work a change adds or removes, read without timing noise.
 """
 
 from __future__ import annotations
@@ -44,9 +51,12 @@ EXACT = ("digest", "packets", "sim_delay_p99_ms", "sim_goodput_mbps")
 #: Engine dispatches: telemetry a change may move on purpose, but a
 #: pure function of code and seed, so each side repeats exactly.
 COUNTS = ("events",)
+#: Traced rounds per side; the second checks the first repeats.
+TRACED = 2
 
 
-def run_round(checkout: Path, workload: str, seed: int) -> dict:
+def run_round(checkout: Path, workload: str, seed: int,
+              profile: bool = False) -> dict:
     """One fresh-child round of ``workload`` in ``checkout``."""
     scratch = checkout / ".ledger_tmp"
     scratch.mkdir(exist_ok=True)
@@ -55,7 +65,8 @@ def run_round(checkout: Path, workload: str, seed: int) -> dict:
     try:
         proc = subprocess.run(
             [sys.executable, str(checkout / "benchmarks/ledger/cell.py"),
-             "--workload", workload, "--seed", str(seed), "--tmp", str(tmp)],
+             "--workload", workload, "--seed", str(seed), "--tmp", str(tmp),
+             "--profile", str(int(profile))],
             env=env, stdout=subprocess.PIPE, text=True, check=False)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -106,6 +117,18 @@ def judge(a: list, b: list) -> dict:
             "ratio": qb["median"] / qa["median"], "verdict": verdict}
 
 
+def layer_calls(traced: list) -> tuple:
+    """``(calls per packet per layer, repeated)`` of one side's traced
+    rounds: each ``<layer>.calls`` must be equal on every round."""
+    calls = [{key[:-len(".calls")]: value
+              for key, value in r["layers"].items() if key.endswith(".calls")}
+             for r in traced]
+    packets = traced[0]["packets"]
+    repeated = all(c == calls[0] for c in calls) and all(
+        r["packets"] == packets for r in traced)
+    return {layer: n / packets for layer, n in calls[0].items()}, repeated
+
+
 def paired_rounds(dir_a: Path, dir_b: Path, workload: str, seed: int,
                   n: int) -> dict:
     sides = {"a": dir_a, "b": dir_b}
@@ -127,6 +150,19 @@ def paired_rounds(dir_a: Path, dir_b: Path, workload: str, seed: int,
     metrics = {name: judge([r[name] for r in rounds["a"]],
                            [r[name] for r in rounds["b"]])
                for name in TIMED}
+    traced: dict = {"a": [], "b": []}
+    for index in range(TRACED):
+        for side in ("ab", "ba")[index % 2]:
+            traced[side].append(run_round(sides[side], workload, seed,
+                                          profile=True))
+    per_pkt, repeated = {}, {}
+    for side in sides:
+        per_pkt[side], repeated[side] = layer_calls(traced[side])
+    calls = {layer: {"a": per_pkt["a"].get(layer, 0.0),
+                     "b": per_pkt["b"].get(layer, 0.0),
+                     "delta": (per_pkt["b"].get(layer, 0.0)
+                               - per_pkt["a"].get(layer, 0.0))}
+             for layer in sorted(per_pkt["a"].keys() | per_pkt["b"].keys())}
     return {
         "workload": workload, "seed": seed,
         "a": git_state(dir_a), "b": git_state(dir_b),
@@ -137,6 +173,7 @@ def paired_rounds(dir_a: Path, dir_b: Path, workload: str, seed: int,
         "metrics": metrics, "verdict": metrics["cpu_s"]["verdict"],
         "exact_equal": exact, "packets": rounds["a"][0]["packets"],
         "counts": counts, "checks_ok": checks_ok,
+        "calls_per_pkt": calls, "calls_repeated": repeated,
     }
 
 
@@ -181,9 +218,19 @@ def main(argv: list) -> int:
                         else f"NOT REPEATED {values}")
                  for side, values in per_side.items()}
         print(f"  {name:<12} A {shown['a']}  B {shown['b']}")
+    print(f"  {'calls/pkt':<28} {'A':>10} {'B':>10} {'B - A':>10}")
+    for layer, c in record["calls_per_pkt"].items():
+        if c["a"] or c["b"]:
+            print(f"  {layer:<28} {c['a']:10.4f} {c['b']:10.4f} "
+                  f"{c['delta']:+10.4f}")
+    for side, same in record["calls_repeated"].items():
+        if not same:
+            print(f"  calls/pkt: side {side.upper()}'s traced rounds "
+                  f"DISAGREE")
     print(f"  verdict (cpu_s): {record['verdict']}; appended to {args.out}")
     repeated = all(len(values) == 1 for per_side in record["counts"].values()
                    for values in per_side.values())
+    repeated = repeated and all(record["calls_repeated"].values())
     return 0 if not moved and repeated and record["checks_ok"] else 1
 
 

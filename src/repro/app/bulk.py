@@ -29,15 +29,14 @@ class PeriodicBulkApp:
     """Bulk flow toggled every ``period`` seconds (scp on/off)."""
 
     def __init__(self, sim: Simulator, sender: TcpSender,
-                 period: float = 30.0, start_active: bool = True):
+                 period: float = 30.0):
         if period <= 0:
             raise ValueError(f"period must be positive: {period}")
         self.sim = sim
         self.sender = sender
-        self.active = start_active
-        sender.unlimited = start_active
-        if start_active:
-            sim.schedule(0.0, sender._try_send)
+        self.active = True
+        sender.unlimited = True
+        sim.schedule(0.0, sender._try_send)
         self._timer = Timer(sim, period, self._toggle)
 
     def _toggle(self) -> None:

@@ -22,6 +22,22 @@ from repro.transport.quic import QuicReceiver, QuicSender
 from repro.transport.rtp import RtpReceiver, RtpSender
 from repro.transport.stream import StreamSender
 
+#: Every ``KEYFRAME_INTERVAL``-th frame is a keyframe, ``KEYFRAME_SCALE``
+#: times the average frame.
+KEYFRAME_INTERVAL = 48
+KEYFRAME_SCALE = 3.0
+#: Sigma of the lognormal frame-size noise.
+SIZE_SIGMA = 0.25
+MIN_FRAME_BYTES = 400
+#: Pacing gap between the packets of one RTP frame burst.
+BURST_GAP = 0.0005
+#: Age past which an incomplete RTP or QUIC frame is skipped.
+MAX_DECODE_LAG = 0.6
+#: A stream encoder targets this share of ``cwnd/srtt``, clamped to at
+#: least ``MIN_RATE_BPS``.
+RATE_HEADROOM = 0.85
+MIN_RATE_BPS = 150e3
+
 
 @dataclass
 class VideoFrame:
@@ -45,32 +61,23 @@ class VideoEncoder:
     with.
     """
 
-    def __init__(self, fps: float = 24.0, rng: Optional[DeterministicRandom] = None,
-                 keyframe_interval: int = 48, keyframe_scale: float = 3.0,
-                 size_sigma: float = 0.25, min_frame_bytes: int = 400):
+    def __init__(self, fps: float = 24.0, rng: Optional[DeterministicRandom] = None):
         if fps <= 0:
             raise ValueError(f"fps must be positive: {fps}")
         self.fps = fps
         self.rng = rng or DeterministicRandom(0)
-        self.keyframe_interval = keyframe_interval
-        self.keyframe_scale = keyframe_scale
-        self.size_sigma = size_sigma
-        self.min_frame_bytes = min_frame_bytes
         self._frame_id = 0
 
     def next_frame(self, now: float, target_bps: float) -> VideoFrame:
         """Encode the next frame against ``target_bps``."""
         base_bytes = target_bps / 8.0 / self.fps
-        keyframe = (self._frame_id % self.keyframe_interval == 0)
-        scale = self.keyframe_scale if keyframe else 1.0
+        keyframe = (self._frame_id % KEYFRAME_INTERVAL == 0)
         # Keep the average at base_bytes: non-key frames shrink slightly.
-        if self.keyframe_interval > 1:
-            extra = (self.keyframe_scale - 1.0) / self.keyframe_interval
-            if not keyframe:
-                scale = max(0.1, 1.0 - extra)
-        noise = self.rng.lognormal(0.0, self.size_sigma)
-        noise /= math.exp(self.size_sigma ** 2 / 2)  # unit-mean correction
-        size = max(self.min_frame_bytes, int(base_bytes * scale * noise))
+        scale = (KEYFRAME_SCALE if keyframe else
+                 max(0.1, 1.0 - (KEYFRAME_SCALE - 1.0) / KEYFRAME_INTERVAL))
+        noise = self.rng.lognormal(0.0, SIZE_SIGMA)
+        noise /= math.exp(SIZE_SIGMA ** 2 / 2)  # unit-mean correction
+        size = max(MIN_FRAME_BYTES, int(base_bytes * scale * noise))
         frame = VideoFrame(self._frame_id, now, size, keyframe)
         self._frame_id += 1
         return frame
@@ -133,26 +140,23 @@ class RtpVideoApp:
     Binds an :class:`RtpSender`/:class:`RtpReceiver` pair. Frames are
     packetized into RTP packets and sent as a tight burst (with a small
     inter-packet pacing gap) at encode time. Frames older than
-    ``max_decode_lag`` with missing packets are skipped, so one lost
+    ``MAX_DECODE_LAG`` with missing packets are skipped, so one lost
     packet stalls the stream only briefly (mirroring NACK/PLI recovery).
     """
 
     def __init__(self, sim: Simulator, sender: RtpSender,
                  receiver: RtpReceiver, encoder: VideoEncoder,
-                 burst_gap: float = 0.0005, max_decode_lag: float = 0.6,
                  paced: bool = False):
         self.sim = sim
         self.sender = sender
         self.receiver = receiver
         self.encoder = encoder
-        self.burst_gap = burst_gap
-        self.max_decode_lag = max_decode_lag
         # §3.1: real senders burst a frame's packets out together to
         # minimize latency. ``paced=True`` instead spreads them across
         # the frame interval (a WebRTC pacer at ~1x rate) — used by the
         # burstiness ablation to show what bursts do to the estimators.
         self.paced = paced
-        self.tracker = _FrameTracker(sim, max_decode_lag)
+        self.tracker = _FrameTracker(sim, MAX_DECODE_LAG)
         self.frame_recorder = self.tracker.recorder
         self.frames_sent = 0
         receiver.on_media = self._on_media
@@ -176,7 +180,7 @@ class RtpVideoApp:
             # Spread the frame across ~80% of the frame interval.
             gap = 0.8 / (self.encoder.fps * packet_count)
         else:
-            gap = self.burst_gap
+            gap = BURST_GAP
         # One dict per frame; ``send_packet`` copies it into each packet.
         headers = {
             "frame_id": frame.frame_id,
@@ -231,15 +235,12 @@ class StreamVideoApp:
     max_decode_lag = math.inf
 
     def __init__(self, sim: Simulator, sender: StreamSender, receiver,
-                 encoder: VideoEncoder, rate_headroom: float = 0.85,
-                 max_rate_bps: float = 20e6, min_rate_bps: float = 150e3):
+                 encoder: VideoEncoder, max_rate_bps: float = 20e6):
         self.sim = sim
         self.sender = sender
         self.receiver = receiver
         self.encoder = encoder
-        self.rate_headroom = rate_headroom
         self.max_rate_bps = max_rate_bps
-        self.min_rate_bps = min_rate_bps
         self.tracker = _FrameTracker(sim, self.max_decode_lag)
         self.frame_recorder = self.tracker.recorder
         self.frames_sent = 0
@@ -249,8 +250,8 @@ class StreamVideoApp:
                             first_delay=0.0)
 
     def current_target_bps(self) -> float:
-        rate = self.sender.estimated_rate_bps() * self.rate_headroom
-        return min(self.max_rate_bps, max(self.min_rate_bps, rate))
+        rate = self.sender.estimated_rate_bps() * RATE_HEADROOM
+        return min(self.max_rate_bps, max(MIN_RATE_BPS, rate))
 
     def _encode_tick(self) -> None:
         # Encoder-side frame dropping: if the send buffer already holds
@@ -301,20 +302,17 @@ class QuicVideoApp(StreamVideoApp):
     payload descriptors, and delivers each packet as it arrives: a lost
     packet stalls only its own frame, not the stream. A frame decodes
     when all of its packets have arrived and every previous frame has
-    decoded; one older than ``max_decode_lag`` that cannot complete is
+    decoded; one older than ``MAX_DECODE_LAG`` that cannot complete is
     skipped, as in :class:`RtpVideoApp`.
     """
 
     counts_packets = True
+    max_decode_lag = MAX_DECODE_LAG
 
     def __init__(self, sim: Simulator, sender: QuicSender,
                  receiver: QuicReceiver, encoder: VideoEncoder,
-                 rate_headroom: float = 0.85,
-                 max_rate_bps: float = 20e6, min_rate_bps: float = 150e3,
-                 max_decode_lag: float = 0.6):
-        self.max_decode_lag = max_decode_lag
-        super().__init__(sim, sender, receiver, encoder, rate_headroom,
-                         max_rate_bps, min_rate_bps)
+                 max_rate_bps: float = 20e6):
+        super().__init__(sim, sender, receiver, encoder, max_rate_bps)
         self._gc_timer = Timer(sim, 0.1, self.tracker.skip_stale)
 
     def _on_deliver(self, payload: dict, now: float) -> None:

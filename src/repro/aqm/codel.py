@@ -1,7 +1,7 @@
 """CoDel (Controlled Delay) AQM, after Nichols & Jacobson (CACM 2012).
 
 Head-drop variant: on dequeue, if the sojourn time of the head packet has
-exceeded ``target`` for at least ``interval``, the queue enters dropping
+exceeded ``TARGET`` for at least ``INTERVAL``, the queue enters dropping
 state and drops head packets at a rate increasing with the square root of
 the drop count (the control-law schedule from the reference
 implementation / RFC 8289).  The head drops are the queue's one
@@ -17,17 +17,17 @@ from typing import Optional
 from repro.net.packet import Packet
 from repro.net.queue import AqmQueue
 
+#: RFC 8289's defaults: acceptable standing sojourn time, and the
+#: window it may be exceeded for before dropping starts.
+TARGET = 0.005
+INTERVAL = 0.100
+
 
 class CoDelQueue(AqmQueue):
     """Byte-bounded queue with CoDel head dropping."""
 
-    def __init__(self, capacity_bytes: int = 375_000, name: str = "codel",
-                 target: float = 0.005, interval: float = 0.100):
+    def __init__(self, capacity_bytes: int = 375_000, name: str = "codel"):
         super().__init__(capacity_bytes=capacity_bytes, name=name)
-        if target <= 0 or interval <= 0:
-            raise ValueError("CoDel target and interval must be positive")
-        self.target = target
-        self.interval = interval
         self._first_above_time = 0.0
         self._dropping = False
         self._drop_next = 0.0
@@ -38,7 +38,7 @@ class CoDelQueue(AqmQueue):
         """True when the packet's sojourn time is below target."""
         if packet.enqueued_at is None:
             return True
-        return (now - packet.enqueued_at) < self.target
+        return (now - packet.enqueued_at) < TARGET
 
     def _should_enter_drop(self, now: float, packet: Packet) -> bool:
         """Track how long sojourn time has stayed above target."""
@@ -46,7 +46,7 @@ class CoDelQueue(AqmQueue):
             self._first_above_time = 0.0
             return False
         if self._first_above_time == 0.0:
-            self._first_above_time = now + self.interval
+            self._first_above_time = now + INTERVAL
             return False
         return now >= self._first_above_time
 
@@ -54,7 +54,7 @@ class CoDelQueue(AqmQueue):
         return self.byte_length <= 1500
 
     def _control_law(self, t: float) -> float:
-        return t + self.interval / math.sqrt(self._drop_count)
+        return t + INTERVAL / math.sqrt(self._drop_count)
 
     def _pop_head(self, now: float) -> Optional[Packet]:
         pop = super()._pop_head
@@ -86,7 +86,7 @@ class CoDelQueue(AqmQueue):
             self._dropping = True
             # Start closer to the last drop rate if we re-enter quickly.
             delta = self._drop_count - self._last_drop_count
-            if delta > 1 and now - self._drop_next < 16 * self.interval:
+            if delta > 1 and now - self._drop_next < 16 * INTERVAL:
                 self._drop_count = delta
             else:
                 self._drop_count = 1

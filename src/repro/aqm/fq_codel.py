@@ -16,24 +16,22 @@ from repro.aqm.codel import CoDelQueue
 from repro.net.packet import FiveTuple, Packet
 from repro.net.queue import AqmQueue
 
+#: Deficit round-robin quantum: one full Ethernet frame per round.
+QUANTUM = 1514
+
 
 class FqCoDelQueue(AqmQueue):
     """Flow-isolating queue aggregate.
 
     Each five-tuple gets its own :class:`CoDelQueue`; dequeue serves
-    sub-queues in deficit round-robin with a per-round ``quantum``.
+    sub-queues in deficit round-robin with a per-round ``QUANTUM``.
     The aggregate presents the DropTailQueue interface: ``byte_length``
     and ``packet_length`` sum the sub-queues, ``front_wait_time`` reports
     the wait of the packet that would be dequeued next.
     """
 
-    def __init__(self, capacity_bytes: int = 375_000, name: str = "fq_codel",
-                 quantum: int = 1514, target: float = 0.005,
-                 interval: float = 0.100):
+    def __init__(self, capacity_bytes: int = 375_000, name: str = "fq_codel"):
         super().__init__(capacity_bytes=capacity_bytes, name=name)
-        self.quantum = quantum
-        self._target = target
-        self._interval = interval
         self._flows: dict[FiveTuple, CoDelQueue] = {}
         self._active: deque[FiveTuple] = deque()
         self._deficit: dict[FiveTuple, int] = {}
@@ -94,12 +92,11 @@ class FqCoDelQueue(AqmQueue):
         sub = self._flows.get(flow)
         if sub is None:
             sub = CoDelQueue(capacity_bytes=self.capacity_bytes,
-                             name=f"{self.name}[{flow.src_port}]",
-                             target=self._target, interval=self._interval)
+                             name=f"{self.name}[{flow.src_port}]")
             sub.on_drop.append(lambda p, reason: self._sub_drop(p, reason))
             self._flows[flow] = sub
         if flow not in self._deficit:
-            self._deficit[flow] = self.quantum
+            self._deficit[flow] = QUANTUM
             self._active.append(flow)
         accepted = sub.enqueue(packet, now)
         if accepted:
@@ -129,7 +126,7 @@ class FqCoDelQueue(AqmQueue):
                 continue
             head = sub.front()
             if head is not None and self._deficit[flow] < head.size:
-                self._deficit[flow] += self.quantum
+                self._deficit[flow] += QUANTUM
                 self._active.rotate(-1)
                 continue
             packet = sub.dequeue(now)

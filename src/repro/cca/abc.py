@@ -20,26 +20,27 @@ from repro.cca.base import WindowCca
 from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue
 
+#: ABC's router constants (Goyal et al.): target utilisation, delay
+#: target, the drain time constant and the rate-measurement window.
+ETA = 0.95
+DELAY_TARGET = 0.020
+DELTA = 0.133
+RATE_WINDOW = 0.040
+
 
 class AbcRouter:
     """AP-side marking engine.
 
-    ``target rate = eta * mu - (mu / delta) * max(0, (d_q - d_t))`` where
+    ``target rate = ETA * mu - (mu / DELTA) * max(0, (d_q - d_t))`` where
     ``mu`` is the measured dequeue rate, ``d_q`` the current queueing
-    delay and ``d_t`` the router's delay target. Packets are marked
+    delay and ``d_t`` the router's ``DELAY_TARGET``. Packets are marked
     accelerate with probability ``min(1, target / 2*enqueue_rate)`` such
     that the induced ACK stream moves the sender toward the target
     (each accelerate = +1 packet, each brake = -1 packet per ACK).
     """
 
-    def __init__(self, queue: DropTailQueue, eta: float = 0.95,
-                 delay_target: float = 0.020, delta: float = 0.133,
-                 rate_window: float = 0.040, capacity_fn=None):
+    def __init__(self, queue: DropTailQueue, capacity_fn=None):
         self.queue = queue
-        self.eta = eta
-        self.delay_target = delay_target
-        self.delta = delta
-        self.rate_window = rate_window
         # ABC runs *at* the AP, so it knows the link capacity directly
         # (the paper's ABC reads it from the wireless driver). When no
         # callback is given we fall back to the measured dequeue rate,
@@ -56,11 +57,11 @@ class AbcRouter:
                 self._departures.append((packet.dequeued_at, packet.size))
 
     def _rate(self, series: deque[tuple[float, int]], now: float) -> float:
-        horizon = now - self.rate_window
+        horizon = now - RATE_WINDOW
         while series and series[0][0] < horizon:
             series.popleft()
         total_bits = sum(size for _, size in series) * 8
-        return total_bits / self.rate_window
+        return total_bits / RATE_WINDOW
 
     def queueing_delay(self, now: float) -> float:
         mu = max(self._rate(self._departures, now), 1_000.0)
@@ -74,7 +75,7 @@ class AbcRouter:
         else:
             mu = max(self._rate(self._departures, now), 10_000.0)
         d_q = self.queue.byte_length * 8 / mu
-        target = self.eta * mu - (mu / self.delta) * max(0.0, d_q - self.delay_target)
+        target = ETA * mu - (mu / DELTA) * max(0.0, d_q - DELAY_TARGET)
         target = max(target, 0.0)
         incoming = max(self._rate(self._arrivals, now), 10_000.0)
         accel_fraction = min(1.0, target / (2.0 * incoming))

@@ -70,18 +70,20 @@ class FeedbackPacketReport:
     recv_time: float | None  # None = lost
 
 
+#: Floor of every rate-based CCA's target.
+MIN_BPS = 150e3
+
+
 class RateCca(abc.ABC):
     """Rate-based congestion control driven by the RTP sender."""
 
     trace = None
     _trace_track = "cca"
 
-    def __init__(self, initial_bps: float = 1e6,
-                 min_bps: float = 150e3, max_bps: float = 50e6):
+    def __init__(self, initial_bps: float = 1e6, max_bps: float = 50e6):
         if initial_bps <= 0:
             raise ValueError(f"initial rate must be positive: {initial_bps}")
         self.target_bps = initial_bps
-        self.min_bps = min_bps
         self.max_bps = max_bps
 
     @abc.abstractmethod
@@ -98,7 +100,7 @@ class RateCca(abc.ABC):
                      lambda value: bus.cca_rate(self._trace_track, value))
 
     def _clamp(self) -> None:
-        self.target_bps = min(self.max_bps, max(self.min_bps, self.target_bps))
+        self.target_bps = min(self.max_bps, max(MIN_BPS, self.target_bps))
 
 
 def _wrap_traced(cca, method_name: str, read_state, emit) -> None:

@@ -13,15 +13,15 @@ from collections import deque
 
 from repro.cca.base import WindowCca
 
+#: Copa's default-mode delta (the paper's 0.5).
+DELTA = 0.5
+
 
 class CopaCca(WindowCca):
     """Simplified Copa in default (non-competitive) mode."""
 
-    def __init__(self, mss: int = 1448, delta: float = 0.5):
+    def __init__(self, mss: int = 1448):
         super().__init__(mss=mss)
-        if delta <= 0:
-            raise ValueError(f"delta must be positive: {delta}")
-        self.delta = delta
         self._min_rtt = float("inf")
         self._rtt_window: deque[tuple[float, float]] = deque()  # (time, rtt)
         self._srtt = 0.0
@@ -51,7 +51,7 @@ class CopaCca(WindowCca):
         standing = self._standing_rtt(now)
         queueing_delay = max(standing - self.min_rtt, 1e-6)
         # Target rate in packets/sec -> target window in packets.
-        target_rate = 1.0 / (self.delta * queueing_delay)
+        target_rate = 1.0 / (DELTA * queueing_delay)
         target_window = target_rate * standing  # packets
 
         cwnd_pkts = self.cwnd / self.mss
@@ -73,7 +73,7 @@ class CopaCca(WindowCca):
             self._velocity = 1.0
             self._last_direction_update = now
 
-        step = self._velocity / (self.delta * max(cwnd_pkts, 1.0))
+        step = self._velocity / (DELTA * max(cwnd_pkts, 1.0))
         if new_direction > 0:
             cwnd_pkts += step
         else:

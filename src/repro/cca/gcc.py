@@ -16,15 +16,25 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.cca.base import FeedbackPacketReport, RateCca
+from repro.cca.base import MIN_BPS, FeedbackPacketReport, RateCca
+
+#: Samples in the trendline regression and the smoothing of its input.
+TRENDLINE_WINDOW = 20
+TRENDLINE_SMOOTHING = 0.9
+#: WebRTC trendline constants: the threshold lives in dimensionless
+#: slope units scaled by min(num_deltas, 60) * 4 and adapts within
+#: [6, 600]; 12.5 is the stock starting point.
+INITIAL_THRESHOLD = 12.5
+K_UP = 0.0087
+K_DOWN = 0.039
+#: How long the signal must stay over the threshold to read overuse.
+OVERUSE_TIME = 0.010
 
 
 class TrendlineEstimator:
     """Least-squares slope of smoothed accumulated delay vs time."""
 
-    def __init__(self, window: int = 20, smoothing: float = 0.9):
-        self.window = window
-        self.smoothing = smoothing
+    def __init__(self):
         self._samples: list[tuple[float, float]] = []  # (arrival, smoothed delay)
         self._accumulated = 0.0
         self._smoothed = 0.0
@@ -35,10 +45,10 @@ class TrendlineEstimator:
         if self._first_arrival is None:
             self._first_arrival = arrival
         self._accumulated += delay_delta
-        self._smoothed = (self.smoothing * self._smoothed
-                          + (1 - self.smoothing) * self._accumulated)
+        self._smoothed = (TRENDLINE_SMOOTHING * self._smoothed
+                          + (1 - TRENDLINE_SMOOTHING) * self._accumulated)
         self._samples.append((arrival - self._first_arrival, self._smoothed))
-        if len(self._samples) > self.window:
+        if len(self._samples) > TRENDLINE_WINDOW:
             self._samples.pop(0)
         return self._slope()
 
@@ -60,16 +70,8 @@ class TrendlineEstimator:
 class OveruseDetector:
     """Adaptive-threshold comparison of the trend signal (K_u/K_d update)."""
 
-    # WebRTC trendline constants: the threshold lives in dimensionless
-    # slope units scaled by min(num_deltas, 60) * 4 and adapts within
-    # [6, 600]; 12.5 is the stock starting point.
-    def __init__(self, initial_threshold: float = 12.5,
-                 k_up: float = 0.0087, k_down: float = 0.039,
-                 overuse_time: float = 0.010):
-        self.threshold = initial_threshold
-        self.k_up = k_up
-        self.k_down = k_down
-        self.overuse_time = overuse_time
+    def __init__(self):
+        self.threshold = INITIAL_THRESHOLD
         self._in_overuse_since: float | None = None
         self._last_update: float | None = None
 
@@ -79,7 +81,7 @@ class OveruseDetector:
         if modified > self.threshold:
             if self._in_overuse_since is None:
                 self._in_overuse_since = now
-            if now - self._in_overuse_since >= self.overuse_time:
+            if now - self._in_overuse_since >= OVERUSE_TIME:
                 state = "overuse"
         elif modified < -self.threshold:
             self._in_overuse_since = None
@@ -89,7 +91,7 @@ class OveruseDetector:
 
         # Adapt the threshold toward |modified| (slowly up, faster down).
         if self._last_update is not None and abs(modified) < 4 * self.threshold:
-            k = self.k_down if abs(modified) < self.threshold else self.k_up
+            k = K_DOWN if abs(modified) < self.threshold else K_UP
             dt = min(now - self._last_update, 0.1)
             self.threshold += k * (abs(modified) - self.threshold) * dt * 1000
             self.threshold = min(max(self.threshold, 6.0), 600.0)
@@ -100,9 +102,8 @@ class OveruseDetector:
 class GccController(RateCca):
     """Combined delay-based + loss-based GCC rate controller."""
 
-    def __init__(self, initial_bps: float = 1e6,
-                 min_bps: float = 150e3, max_bps: float = 50e6):
-        super().__init__(initial_bps, min_bps, max_bps)
+    def __init__(self, initial_bps: float = 1e6, max_bps: float = 50e6):
+        super().__init__(initial_bps, max_bps)
         self.trendline = TrendlineEstimator()
         self.detector = OveruseDetector()
         self._delay_rate = initial_bps
@@ -244,7 +245,7 @@ class GccController(RateCca):
                 self._last_decrease = now
                 # A decrease must never raise the rate, even when the
                 # receive-rate estimate runs above the current target.
-                self._delay_rate = max(self.min_bps,
+                self._delay_rate = max(MIN_BPS,
                                        min(self._delay_rate,
                                            0.85 * self._last_recv_rate))
         elif self._rate_state == "increase":
@@ -252,11 +253,11 @@ class GccController(RateCca):
             # Never run far beyond what the path demonstrably delivers.
             ceiling = 1.5 * self._last_recv_rate + 10_000
             self._delay_rate = min(self._delay_rate, ceiling)
-        self._delay_rate = max(self.min_bps, self._delay_rate)
+        self._delay_rate = max(MIN_BPS, self._delay_rate)
 
     def _update_loss_rate(self, loss_ratio: float) -> None:
         if loss_ratio > 0.10:
             self._loss_rate *= (1 - 0.5 * loss_ratio)
         elif loss_ratio < 0.02:
             self._loss_rate *= 1.05
-        self._loss_rate = max(self.min_bps, min(self._loss_rate, self.max_bps))
+        self._loss_rate = max(MIN_BPS, min(self._loss_rate, self.max_bps))

@@ -28,13 +28,8 @@ class NadaController(RateCca):
     LOSS_PENALTY = 1.0     # seconds of virtual delay per unit loss ratio
     RAMP_UP_LIMIT = 1.5    # max x growth during accelerated ramp-up
 
-    def __init__(self, initial_bps: float = 1e6,
-                 min_bps: float = 150e3, max_bps: float = 50e6,
-                 priority: float = 1.0):
-        super().__init__(initial_bps, min_bps, max_bps)
-        if priority <= 0:
-            raise ValueError(f"priority must be positive: {priority}")
-        self.priority = priority
+    def __init__(self, initial_bps: float = 1e6, max_bps: float = 50e6):
+        super().__init__(initial_bps, max_bps)
         self._base_delay = float("inf")
         self._x_prev = self.X_REF
         self._last_update: float | None = None
@@ -71,7 +66,7 @@ class NadaController(RateCca):
             self.target_bps *= (1 + gamma)
         else:
             # Gradual update (RFC 8698 eq. 5), discretized.
-            x_offset = x_curr - self.X_REF * self.priority
+            x_offset = x_curr - self.X_REF  # priority weight 1
             x_diff = x_curr - self._x_prev
             change = (-self.KAPPA * delta / self.TAU
                       * (x_offset / self.TAU) * self.target_bps

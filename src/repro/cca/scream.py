@@ -23,13 +23,11 @@ class ScreamController(RateCca):
     GAIN_UP = 1.0
     BETA_LOSS = 0.6
     BETA_DELAY = 0.9
+    MSS = 1200
 
-    def __init__(self, initial_bps: float = 1e6,
-                 min_bps: float = 150e3, max_bps: float = 50e6,
-                 mss: int = 1200):
-        super().__init__(initial_bps, min_bps, max_bps)
-        self.mss = mss
-        self.cwnd = 10 * mss
+    def __init__(self, initial_bps: float = 1e6, max_bps: float = 50e6):
+        super().__init__(initial_bps, max_bps)
+        self.cwnd = 10 * self.MSS
         self._base_delay = float("inf")
         self._srtt = 0.1
         self._last_loss_time = -1.0
@@ -50,7 +48,7 @@ class ScreamController(RateCca):
             self._update_cwnd(now, qdelay, acked_bytes)
         if lost > 0 and now - self._last_loss_time > self._srtt:
             self._last_loss_time = now
-            self.cwnd = max(2 * self.mss, int(self.cwnd * self.BETA_LOSS))
+            self.cwnd = max(2 * self.MSS, int(self.cwnd * self.BETA_LOSS))
 
         # Media rate: window over smoothed RTT, with mild headroom so the
         # encoder stays self-clocked rather than queue-building.
@@ -62,10 +60,10 @@ class ScreamController(RateCca):
         off_target = (self.QDELAY_TARGET - qdelay) / self.QDELAY_TARGET
         if off_target > 0:
             # Below target: increase proportionally to acked bytes.
-            gain = self.GAIN_UP * off_target * acked_bytes * self.mss
+            gain = self.GAIN_UP * off_target * acked_bytes * self.MSS
             self.cwnd += int(gain / max(self.cwnd, 1))
         else:
             # Above target: multiplicative decrease scaled by overshoot.
             scale = max(self.BETA_DELAY, 1.0 + 0.5 * off_target)
-            self.cwnd = max(2 * self.mss, int(self.cwnd * scale))
-        self.cwnd = min(self.cwnd, int(self.max_bps * self._srtt / 8) + self.mss)
+            self.cwnd = max(2 * self.MSS, int(self.cwnd * scale))
+        self.cwnd = min(self.cwnd, int(self.max_bps * self._srtt / 8) + self.MSS)

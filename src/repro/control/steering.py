@@ -36,6 +36,8 @@ HANDOFF = 0.05
 #: Score of an AP with no controller attached (between YELLOW and
 #: SOFT_RED): unknown health neither attracts nor repels traffic.
 NEUTRAL_SCORE = 1.5
+#: Trace track of the steering events.
+TRACK = "steering"
 
 
 class SteeringDaemon:
@@ -47,12 +49,11 @@ class SteeringDaemon:
     """
 
     def __init__(self, sim: Simulator, forwarding, controllers: dict,
-                 trace=None, track: str = "steering"):
+                 trace=None):
         self.sim = sim
         self.forwarding = forwarding
         self.controllers = controllers
         self.trace = trace
-        self.track = track
         #: (time, client, old_ap, new_ap) for every completed move.
         self.moves: list[tuple[float, str, str, str]] = []
         self._last_move: dict[str, float] = {}
@@ -110,7 +111,7 @@ class SteeringDaemon:
         self._last_move[client] = now
         self.forwarding.begin_roam(client)
         if self.trace is not None:
-            self.trace.control_steer(self.track, client, old_ap, new_ap,
+            self.trace.control_steer(TRACK, client, old_ap, new_ap,
                                      "begin")
         self.sim.schedule(HANDOFF,
                           lambda: self._complete(client, old_ap, new_ap))
@@ -120,7 +121,7 @@ class SteeringDaemon:
         self._in_flight.discard(client)
         self.moves.append((self.sim.now, client, old_ap, new_ap))
         if self.trace is not None:
-            self.trace.control_steer(self.track, client, old_ap, new_ap,
+            self.trace.control_steer(TRACK, client, old_ap, new_ap,
                                      "complete")
         # The abandoned AP keeps open predictions for frames that will
         # never be delivered — wipe them so its watchdog reads "idle"

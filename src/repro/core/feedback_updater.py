@@ -61,9 +61,7 @@ class OutOfBandFeedbackUpdater:
                  window: float = DEFAULT_WINDOW,
                  use_tokens: bool = True,
                  distributional: bool = True,
-                 max_extra_delay: float = 0.5,
-                 max_tokens: int = 65536,
-                 token_ttl: Optional[float] = None):
+                 max_extra_delay: float = 0.5):
         self.sim = sim
         self.fortune_teller = fortune_teller
         self.window = window
@@ -75,8 +73,7 @@ class OutOfBandFeedbackUpdater:
         # Bounded token FIFO; its total is taken on read. The default
         # cap (65536) never binds in realistic traces — it is a memory
         # backstop against pathological monotone-improving stretches.
-        self.token_history = TokenBank(max_entries=max_tokens,
-                                       ttl=token_ttl)
+        self.token_history = TokenBank()
         self._last_total_delay: Optional[float] = None
         self._last_sent_time = 0.0
         #: Degraded-mode switch: while True the updater stops sampling
@@ -127,7 +124,7 @@ class OutOfBandFeedbackUpdater:
         # Degraded: keep observing (so health can recover) but bank
         # nothing — stale predictions must not shape future ACKs.
         if not self.passthrough:
-            self.bank(self.sim._now, delta)
+            self.bank(self.sim.now, delta)
         return delta
 
     def bank(self, now: float, delta: float) -> None:
@@ -210,7 +207,7 @@ class OutOfBandFeedbackUpdater:
         if packet.kind not in _FEEDBACK_KINDS:
             forward(packet)
             return
-        now = self.sim._now
+        now = self.sim.now
         delay = self.ack_delay(now)
         self.acks_delayed += 1
         self.total_injected_delay += delay

@@ -9,7 +9,7 @@
   already waited, the earliest observable signal of an ABW drop;
 * ``tx     = avg(dequeueIntvl)`` — link-layer transmission delay,
   measured as the mean inter-departure interval (ignoring sub-1 ms
-  intervals inside one AMPDU).
+  intervals inside one AMPDU, ``AMPDU_INTERVAL``).
 
 The teller attaches to a queue's departure callbacks; with FQ-CoDel it
 reads the RTC flow's own sub-queue (§4.1, "Calculation with queue
@@ -108,21 +108,13 @@ class FortuneTeller:
         """Feed one burst — departures sharing one ``dequeued_at``.
 
         The estimators take it as one record each (see their ``count``
-        arguments for why that is exact).  Configs where same-instant
-        departures are *not* inert go packet by packet
-        (``min_interval <= 0``: zero intervals would enter the window;
-        ``resolution <= 0``: every departure would close a burst).
+        arguments for why that is exact).
         """
-        if len(packets) > 1 and (self.dequeue_intervals.min_interval <= 0.0
-                                 or self.burst_tracker.resolution <= 0.0):
-            for packet in packets:
-                self.observe_departure([packet])
-            return
         head = packets[0]
         # The queue's stamp is authoritative even off the event loop.
         now = head.dequeued_at
         if now is None:
-            now = self.sim._now
+            now = self.sim.now
         count = len(packets)
         total = 0
         for packet in packets:
@@ -136,7 +128,7 @@ class FortuneTeller:
 
     def predict(self) -> DelayPrediction:
         """Predict the remaining delay of a packet arriving right now."""
-        now = self.sim._now
+        now = self.sim.now
         if (self.min_estimation_interval > 0
                 and self._cached_prediction is not None
                 and now - self._cached_at < self.min_estimation_interval):
@@ -185,11 +177,10 @@ class NaiveQueueEstimator:
     (no qShort) and over-counts burst departures (no Eq. 1 correction).
     """
 
-    def __init__(self, sim: Simulator, queue: DropTailQueue,
-                 window: float = DEFAULT_WINDOW):
+    def __init__(self, sim: Simulator, queue: DropTailQueue):
         self.sim = sim
         self.queue = queue
-        self.tx_rate = SlidingWindowRate(window)
+        self.tx_rate = SlidingWindowRate(DEFAULT_WINDOW)
         queue.on_departure.append(self._on_departure)
 
     def _on_departure(self, packets: list, queue: DropTailQueue) -> None:

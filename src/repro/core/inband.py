@@ -26,12 +26,10 @@ class InBandFeedbackUpdater:
     """AP-resident TWCC feedback constructor for one RTP flow."""
 
     def __init__(self, sim: Simulator, fortune_teller: FortuneTeller,
-                 flow: FiveTuple, feedback_interval: float = 0.040,
-                 feedback_size: int = RTCP_SIZE):
+                 flow: FiveTuple, feedback_interval: float = 0.040):
         self.sim = sim
         self.fortune_teller = fortune_teller
         self.flow = flow
-        self.feedback_size = feedback_size
         self.send_uplink: Optional[Callable[[Packet], None]] = None
 
         self._predicted_arrivals: dict[int, float] = {}
@@ -89,7 +87,7 @@ class InBandFeedbackUpdater:
             return
         arrivals = self._predicted_arrivals
         packet = twcc_packet(self.flow, self._base_seq, arrivals,
-                             self.sim.now, self.feedback_size, "zhuge-ap")
+                             self.sim.now, RTCP_SIZE, "zhuge-ap")
         self.feedback_constructed += 1
         if self.trace is not None:
             self.trace.ap_feedback(self._track, len(arrivals), self._base_seq)

@@ -28,9 +28,10 @@ class PredictionJoin:
     __slots__ = ("sim", "record", "predicted", "actual", "on_pair",
                  "evicted", "_open")
 
-    def __init__(self, sim, record: bool = False):
+    def __init__(self, sim):
         self.sim = sim
-        self.record = record
+        #: Keep every joined pair (``ZhugeAP.join_predictions(record=True)``).
+        self.record = False
         self.predicted = array("d")
         self.actual = array("d")
         #: ``(predicted, actual)`` subscriber: the watchdog's error feed.
@@ -46,7 +47,7 @@ class PredictionJoin:
         elif len(opened) >= MAX_OPEN_PREDICTIONS:
             opened.popitem(last=False)
             self.evicted += 1
-        opened[pkt_id] = (self.sim._now, predicted)
+        opened[pkt_id] = (self.sim.now, predicted)
 
     def deliver(self, pkt_id: int) -> None:
         """Packet ``pkt_id`` made it over the air: join it."""
@@ -54,7 +55,7 @@ class PredictionJoin:
         if entry is None:
             return
         noted_at, predicted = entry
-        actual = self.sim._now - noted_at
+        actual = self.sim.now - noted_at
         if self.record:
             self.predicted.append(predicted)
             self.actual.append(actual)

@@ -26,7 +26,7 @@ run on every packet (Fig. 21: near-linear scaling in concurrent flows):
   (``SlidingWindowRate``);
 * ``DequeueIntervalEstimator.average_interval`` caches its mean and
   recomputes it only after the window changed — at most once per
-  departure burst, over at most ``window / min_interval`` entries;
+  departure burst, over at most ``window / AMPDU_INTERVAL`` entries;
 * the windowed maximum in ``BurstSizeTracker`` is a monotonic deque, so
   ``max_burst_bytes`` reads the front instead of scanning all bursts;
 * ``DelayDeltaHistory.sample`` indexes the live suffix of a ring buffer
@@ -58,6 +58,16 @@ from typing import Optional
 from repro.sim.random import DeterministicRandom
 
 DEFAULT_WINDOW = 0.040
+#: §4.2's AMPDU granularity: departures "less than one millisecond"
+#: apart are one aggregated AMPDU.  It is the shortest dequeue interval
+#: counted, the burst tracker's resolution and the shortest span a rate
+#: is divided by.
+AMPDU_INTERVAL = 0.001
+#: Longest dequeue interval counted as transmission time; longer ones
+#: are the idle gaps of an app-limited flow.
+MAX_TX_INTERVAL = 0.030
+#: Size cap of a :class:`TokenBank` until a policy re-bounds it.
+MAX_TOKENS = 65536
 
 #: The value of a ``(stamp, value)`` window entry.
 _value_of = itemgetter(1)
@@ -68,19 +78,18 @@ class SlidingWindowRate:
 
     During warm-up — before the estimator has seen a full window of
     traffic — the byte count is divided by the elapsed busy time
-    ``min(window, now - first_event_time)`` (floored at ``min_span``)
+    ``min(window, now - first_event_time)`` (floored at
+    ``AMPDU_INTERVAL``)
     instead of the full window.  Dividing by the full window would
     under-report txRate (and inflate qLong) for the first 40 ms of a
     flow and right after the long-window fallback engages.  The elapsed
     clock restarts whenever the window empties (idle gap > window).
     """
 
-    def __init__(self, window: float = DEFAULT_WINDOW,
-                 min_span: float = 0.001):
+    def __init__(self, window: float = DEFAULT_WINDOW):
         if window <= 0:
             raise ValueError(f"window must be positive: {window}")
         self.window = window
-        self.min_span = min_span
         self._events: deque[tuple[float, int]] = deque()
         self._bytes_in_window = 0
         self._first_event: Optional[float] = None
@@ -117,8 +126,8 @@ class SlidingWindowRate:
         span = now - self._first_event  # warm-up: elapsed busy time
         if span > self.window:
             span = self.window
-        if span < self.min_span:
-            span = self.min_span
+        if span < AMPDU_INTERVAL:
+            span = AMPDU_INTERVAL
         return self._bytes_in_window * 8 / span
 
     def reset(self) -> None:
@@ -131,11 +140,11 @@ class SlidingWindowRate:
 class DequeueIntervalEstimator:
     """Average interval between packet departures (the ``tx`` estimator).
 
-    Intervals below ``min_interval`` (default 1 ms) are treated as parts
-    of one aggregated AMPDU departure and skipped, per §4.2: "we do not
+    Intervals below ``AMPDU_INTERVAL`` (1 ms) are treated as parts of
+    one aggregated AMPDU departure and skipped, per §4.2: "we do not
     calculate the intervals that are less than one millisecond".
 
-    Intervals above ``max_interval`` (default 30 ms) are idle gaps of an
+    Intervals above ``MAX_TX_INTERVAL`` (30 ms) are idle gaps of an
     app-limited flow (e.g. the 40 ms spacing between video frames), not
     transmission time, and are skipped too — §4.2 requires the window to
     "cover at least two bursts from the sender so that packets are
@@ -143,12 +152,8 @@ class DequeueIntervalEstimator:
     interval as link-layer delay and destabilize delay-based CCAs.
     """
 
-    def __init__(self, window: float = DEFAULT_WINDOW,
-                 min_interval: float = 0.001,
-                 max_interval: float = 0.030):
+    def __init__(self, window: float = DEFAULT_WINDOW):
         self.window = window
-        self.min_interval = min_interval
-        self.max_interval = max_interval
         self._intervals: deque[tuple[float, float]] = deque()
         #: Mean of ``_intervals``; ``None`` once the window changed.
         #: Predictions between departures read it without a re-sum.
@@ -160,15 +165,14 @@ class DequeueIntervalEstimator:
         """Record ``count`` same-instant departures.
 
         Only the first packet of a burst can open a qualifying
-        interval; the rest are zero intervals, which ``min_interval``
-        excludes.  ``count > 1`` therefore needs ``min_interval > 0``
-        (the Fortune Teller feeds such configs packet by packet).
+        interval; the rest are zero intervals, which ``AMPDU_INTERVAL``
+        excludes.
         """
         self.ops += count
         intervals = self._intervals
         if self._last_departure is not None:
             interval = now - self._last_departure
-            if self.min_interval <= interval <= self.max_interval:
+            if AMPDU_INTERVAL <= interval <= MAX_TX_INTERVAL:
                 intervals.append((now, interval))
                 self._mean = None
         self._last_departure = now
@@ -202,9 +206,9 @@ class DequeueIntervalEstimator:
 class BurstSizeTracker:
     """Maximum size of simultaneous departures at 1 ms resolution (Eq. 1).
 
-    Departures closer together than ``resolution`` belong to one burst;
-    the tracker reports the largest burst (bytes) seen in its window,
-    which the Fortune Teller subtracts from qSize.
+    Departures closer together than ``AMPDU_INTERVAL`` belong to one
+    burst; the tracker reports the largest burst (bytes) seen in its
+    window, which the Fortune Teller subtracts from qSize.
 
     The maximum is kept in a monotonic (decreasing-bytes) deque, so
     :meth:`max_burst_bytes` is O(1) instead of scanning every burst.
@@ -215,9 +219,8 @@ class BurstSizeTracker:
     under-predict qLong on the first packets after the gap.
     """
 
-    def __init__(self, window: float = 1.0, resolution: float = 0.001):
+    def __init__(self, window: float = 1.0):
         self.window = window
-        self.resolution = resolution
         self._bursts: deque[tuple[float, int]] = deque()  # (start, bytes)
         #: Decreasing bytes; holds the newest burst, so it is non-empty
         #: whenever ``_bursts`` is.
@@ -237,15 +240,12 @@ class BurstSizeTracker:
         one, the stale-current retire runs, and the others extend
         whatever survived it — so the retire point sits between the
         head and the rest, and the head's size is what reproduces it.
-        ``count > 1`` needs ``resolution > 0``, or every packet would
-        close its own burst (the Fortune Teller feeds such configs
-        packet by packet).
         """
         self.ops += count
         head = nbytes if head_bytes is None else head_bytes
         bursts = self._bursts
         if (self._last_departure is None
-                or now - self._last_departure >= self.resolution):
+                or now - self._last_departure >= AMPDU_INTERVAL):
             if self._current_start is not None:
                 entry = (self._current_start, self._current_bytes)
                 bursts.append(entry)
@@ -401,12 +401,12 @@ class TokenBank:
 
     __slots__ = ("max_entries", "ttl", "_entries", "capped", "expired")
 
-    def __init__(self, max_entries: int = 65536,
-                 ttl: Optional[float] = None):
+    def __init__(self):
         self._entries: deque[tuple[float, float]] = deque()
         self.capped = 0    # tokens evicted by the size cap
         self.expired = 0   # tokens evicted by the ttl
-        self.set_limits(max_entries, ttl)
+        self.max_entries = MAX_TOKENS
+        self.ttl: Optional[float] = None
 
     def set_limits(self, max_entries: int, ttl: Optional[float]) -> None:
         """Re-bound the bank: a shrink below the banked count evicts
@@ -431,10 +431,6 @@ class TokenBank:
             self.popleft()
             self.capped += 1
         self._entries.append((now, value))
-
-    def extend(self, values) -> None:
-        for value in values:
-            self.append(value)
 
     def popleft(self) -> float:
         return self._entries.popleft()[1]

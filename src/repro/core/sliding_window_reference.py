@@ -21,19 +21,18 @@ import math
 from collections import deque
 from typing import Optional
 
-from repro.core.sliding_window import DEFAULT_WINDOW
+from repro.core.sliding_window import (AMPDU_INTERVAL, DEFAULT_WINDOW,
+                                       MAX_TX_INTERVAL)
 from repro.sim.random import DeterministicRandom
 
 
 class ReferenceSlidingWindowRate:
     """Re-scan version of :class:`repro.core.sliding_window.SlidingWindowRate`."""
 
-    def __init__(self, window: float = DEFAULT_WINDOW,
-                 min_span: float = 0.001):
+    def __init__(self, window: float = DEFAULT_WINDOW):
         if window <= 0:
             raise ValueError(f"window must be positive: {window}")
         self.window = window
-        self.min_span = min_span
         self._events: deque[tuple[float, int]] = deque()
         self._first_event: Optional[float] = None
 
@@ -56,8 +55,8 @@ class ReferenceSlidingWindowRate:
         span = self.window
         if self._first_event is not None:
             span = min(span, now - self._first_event)
-        if span < self.min_span:
-            span = self.min_span
+        if span < AMPDU_INTERVAL:
+            span = AMPDU_INTERVAL
         return total * 8 / span
 
     @property
@@ -69,19 +68,15 @@ class ReferenceDequeueIntervalEstimator:
     """Re-scan version of
     :class:`repro.core.sliding_window.DequeueIntervalEstimator`."""
 
-    def __init__(self, window: float = DEFAULT_WINDOW,
-                 min_interval: float = 0.001,
-                 max_interval: float = 0.030):
+    def __init__(self, window: float = DEFAULT_WINDOW):
         self.window = window
-        self.min_interval = min_interval
-        self.max_interval = max_interval
         self._intervals: deque[tuple[float, float]] = deque()
         self._last_departure: Optional[float] = None
 
     def record_departure(self, now: float) -> None:
         if self._last_departure is not None:
             interval = now - self._last_departure
-            if self.min_interval <= interval <= self.max_interval:
+            if AMPDU_INTERVAL <= interval <= MAX_TX_INTERVAL:
                 self._intervals.append((now, interval))
         self._last_departure = now
         self._expire(now)
@@ -103,9 +98,8 @@ class ReferenceDequeueIntervalEstimator:
 class ReferenceBurstSizeTracker:
     """Re-scan version of :class:`repro.core.sliding_window.BurstSizeTracker`."""
 
-    def __init__(self, window: float = 1.0, resolution: float = 0.001):
+    def __init__(self, window: float = 1.0):
         self.window = window
-        self.resolution = resolution
         self._bursts: deque[tuple[float, int]] = deque()
         self._current_start: Optional[float] = None
         self._current_bytes = 0
@@ -113,7 +107,7 @@ class ReferenceBurstSizeTracker:
 
     def record_departure(self, now: float, nbytes: int) -> None:
         if (self._last_departure is None
-                or now - self._last_departure >= self.resolution):
+                or now - self._last_departure >= AMPDU_INTERVAL):
             self._close_current()
             self._current_start = now
             self._current_bytes = nbytes

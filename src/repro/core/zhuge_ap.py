@@ -24,6 +24,7 @@ from repro.core.feedback_updater import (FeedbackKind,
 from repro.core.fortune_teller import FortuneTeller
 from repro.core.inband import InBandFeedbackUpdater
 from repro.core.prediction_join import PredictionJoin
+from repro.core.sliding_window import DEFAULT_WINDOW
 from repro.net.packet import FiveTuple, Packet
 from repro.net.queue import DropTailQueue
 from repro.sim.engine import Simulator
@@ -36,19 +37,19 @@ class ZhugeAP:
     """Access point running Zhuge for a set of registered flows."""
 
     def __init__(self, sim: Simulator, downlink_queue: DropTailQueue,
-                 rng: Optional[DeterministicRandom] = None,
-                 window: float = 0.040):
+                 rng: Optional[DeterministicRandom] = None):
         self.sim = sim
         self.downlink_queue = downlink_queue
         self.rng = rng or DeterministicRandom(0)
-        self.window = window
+        self.window = DEFAULT_WINDOW
 
         # One shared Fortune Teller when every flow shares the queue.
         # Flow-isolating disciplines (fq_codel) instead get a per-flow
         # teller at registration (§4.1): the flow's delay depends on its
         # own sub-queue and its own service share, not the aggregate.
         self._flow_isolating = hasattr(downlink_queue, "flow_queue")
-        self.fortune_teller = FortuneTeller(sim, downlink_queue, window=window)
+        self.fortune_teller = FortuneTeller(sim, downlink_queue,
+                                            window=self.window)
         self._flow_tellers: dict[FiveTuple, FortuneTeller] = {}
 
         self.forward_downlink: Optional[ForwardCallback] = None

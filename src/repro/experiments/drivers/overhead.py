@@ -75,12 +75,12 @@ def spin(sim, queue, ap, flows, first, last, downlink=None, uplink=None):
     count = len(flows)
     for i in range(first, last):
         t = i * 0.005
-        sim._now = t
+        sim.now = t
         packet = Packet(flows[i % count], 1200, seq=i)
         queue.enqueue(packet, t)
         downlink(packet)
         queue.dequeue_burst(t + 0.002, 8, 1 << 20)
-        sim._now = t + 0.004
+        sim.now = t + 0.004
         uplink(Packet(acks[i % count], ACK_SIZE, PacketKind.ACK, ack=i))
 
 

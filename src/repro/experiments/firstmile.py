@@ -32,7 +32,7 @@ from repro.net.packet import Packet, PacketKind
 from repro.sim.engine import Simulator, Timer
 from repro.topology.builder import TopologyBuilder
 from repro.topology.presets import first_mile_topology
-from repro.transport.rtp import RtpSender
+from repro.transport.rtp import FEEDBACK_INTERVAL, RtpSender
 
 
 class LocalFortuneLoop:
@@ -45,15 +45,14 @@ class LocalFortuneLoop:
     """
 
     def __init__(self, sim: Simulator, sender: RtpSender,
-                 fortune_teller: FortuneTeller,
-                 interval: float = 0.040):
+                 fortune_teller: FortuneTeller):
         self.sim = sim
         self.sender = sender
         self.fortune_teller = fortune_teller
         self._pending: list[tuple[int, float, int, float]] = []
         # (twcc_seq, send_time, size, predicted_arrival)
         self.synthetic_feedbacks = 0
-        self._timer = Timer(sim, interval, self._tick)
+        self._timer = Timer(sim, FEEDBACK_INTERVAL, self._tick)
 
     def on_packet_sent(self, packet: Packet) -> None:
         prediction = self.fortune_teller.predict()

@@ -39,36 +39,25 @@ class WiredLink:
     how we model uncongested reverse WAN paths.
 
     ``send`` is bound once, at construction: the delay line when there
-    is no rate, the analytic server otherwise.  The queue is a capacity
-    and stats ledger — the server implements tail drop and nothing
-    else, never calls the queue's ``enqueue``/``dequeue`` and fires no
-    observers or trace probes — so a queue that is not exactly a
-    :class:`DropTailQueue` is rejected.  AQM, observers and probes
-    belong on wireless edges.
+    is no rate, the analytic server otherwise.  The link's own
+    :class:`DropTailQueue` is a capacity and stats ledger — the server
+    implements tail drop and nothing else, never calls the queue's
+    ``enqueue``/``dequeue`` and fires no observers or trace probes.
+    AQM, observers and probes belong on wireless edges.
     """
 
     def __init__(self, sim: Simulator, rate_bps: Optional[float],
-                 delay: float, queue: Optional[DropTailQueue] = None,
-                 name: str = "link"):
+                 delay: float, name: str = "link"):
         if not 0 <= delay < math.inf:
             raise ValueError(
                 f"delay must be finite and non-negative: {delay}")
         if rate_bps is not None and not 0 < rate_bps < math.inf:
             raise ValueError(
                 f"rate must be finite and positive, or None: {rate_bps}")
-        # Explicit None check: an empty DropTailQueue is falsy (len == 0),
-        # so ``queue or default`` would silently discard a provided queue.
-        if queue is None:
-            queue = DropTailQueue(name=f"{name}-q")
-        elif type(queue) is not DropTailQueue:
-            raise TypeError(
-                f"WiredLink {name!r} serves a plain DropTailQueue (tail "
-                f"drop only); got {type(queue).__name__} — put AQM on a "
-                f"wireless edge")
         self.sim = sim
         self.rate_bps = rate_bps
         self.delay = delay
-        self.queue = queue
+        self.queue = DropTailQueue(name=f"{name}-q")
         self.name = name
         self.deliver: Optional[DeliverCallback] = None
         #: Optional whole-burst delivery callback, preferred over
@@ -88,7 +77,7 @@ class WiredLink:
 
     def _delay_send(self, packet: Packet) -> None:
         """Delay line: no queue; the packet joins the arrival burst."""
-        self._arrive_extend(self.sim._now + self.delay, [packet])
+        self._arrive_extend(self.sim.now + self.delay, [packet])
 
     def send_batch(self, packets: list) -> None:
         """Send several packets at one instant.
@@ -101,7 +90,7 @@ class WiredLink:
             for packet in packets:
                 self._send(packet)
         elif packets:
-            self._arrive_extend(self.sim._now + self.delay, list(packets))
+            self._arrive_extend(self.sim.now + self.delay, list(packets))
 
     def _send(self, packet: Packet) -> None:
         """Analytic virtual server: queue+serialize+propagate in place.
@@ -113,7 +102,7 @@ class WiredLink:
         (``start <= now``) — a FIFO dequeues exactly at those start
         times, so the ledger equals its byte count at every send.
         """
-        now = self.sim._now
+        now = self.sim.now
         committed = self._committed
         phantom = self._phantom_bytes
         while committed and committed[0][0] <= now:
@@ -145,7 +134,7 @@ class WiredLink:
         ``deliver_batch`` in one call, or else to ``deliver`` per packet
         (each packet's ``received_at`` stamped just before its call)."""
         sim = self.sim
-        now = sim._now
+        now = sim.now
         deliver = self.deliver_batch
         if deliver is not None:
             sim.packets_processed += len(packets)

@@ -90,13 +90,6 @@ class Packet:
         self.dequeued_at = dequeued_at
         self.received_at = received_at
 
-    @property
-    def bits(self) -> int:
-        return self.size * 8
-
-    def copy_header(self, key: str, default: Any = None) -> Any:
-        return self.headers.get(key, default)
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"Packet(id={self.pkt_id}, {self.kind.value}, "
                 f"seq={self.seq}, size={self.size})")

@@ -164,8 +164,8 @@ class TimedRun:
         if times:
             if not time >= times[-1]:
                 raise _push_error(time, times[-1], "TimedRun push out of order")
-        elif not time >= sim._now:
-            raise _push_error(time, sim._now, "cannot push in the past")
+        elif not time >= sim.now:
+            raise _push_error(time, sim.now, "cannot push in the past")
         else:
             heapq.heappush(sim._heap, (time, seq, self))
         sim._seq = seq + 1
@@ -215,7 +215,8 @@ class Simulator:
     event_model = "macro"
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current virtual time in seconds (the run loop assigns it).
+        self.now = 0.0
         self._heap: list[tuple[float, int, Event]] = []
         #: Posted callbacks that run, in order, when the current
         #: dispatch returns (:meth:`post`).
@@ -232,11 +233,6 @@ class Simulator:
         #: metric that summary digests pin (``events_processed`` is
         #: telemetry).
         self.packets_processed = 0
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -263,7 +259,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        time = self._now + delay
+        time = self.now + delay
         if math.isnan(time):
             raise SimulationError("cannot schedule at NaN time")
         seq = self._seq
@@ -283,7 +279,7 @@ class Simulator:
         any earlier post, instead of as an :class:`Event`.  Otherwise,
         and outside :meth:`run`, it is scheduled (DESIGN.md §13).
         """
-        now = self._now
+        now = self.now
         heap = self._heap
         run = self._run
         if (self._running and (not heap or heap[0][0] > now)
@@ -297,7 +293,7 @@ class Simulator:
         """Schedule ``callback`` at absolute virtual ``time``."""
         if math.isnan(time):
             raise SimulationError("cannot schedule at NaN time")
-        now = self._now
+        now = self.now
         if time < now:
             raise SimulationError(
                 f"cannot schedule in the past: {time} < {now}"
@@ -334,7 +330,7 @@ class Simulator:
             heap = self._heap
             heappop = heapq.heappop
             posted = self._posted
-            if until is None or self._now <= until:
+            if until is None or self.now <= until:
                 # Posts a raising callback left behind are the oldest
                 # entries at ``now``.
                 while posted:
@@ -357,19 +353,19 @@ class Simulator:
                     continue
                 if event.cancelled:
                     continue
-                self._now = time
+                self.now = time
                 event.fired = True
                 event.callback()
                 processed += 1
                 while posted:
                     posted.popleft()()
-            if until is not None and self._now < until:
+            if until is not None and self.now < until:
                 # Bugfix (PR 6): never teleport the clock past pending
                 # events — only fast-forward when the schedule is empty
                 # or the next event lies beyond ``until``.
                 next_time = self.peek()
                 if next_time is None or next_time > until:
-                    self._now = until
+                    self.now = until
         finally:
             # Flushed once per run; nothing reads the counter mid-run.
             self._events_processed += processed
@@ -405,7 +401,7 @@ class Simulator:
                 t = times[i]
                 if until is not None and t > until:
                     break
-                self._now = t
+                self.now = t
                 run._head = i + 1
                 payload = payloads[i]
                 payloads[i] = None
@@ -469,7 +465,7 @@ class Simulator:
                 i += 1
                 group.live -= 1
                 timer._group = None
-                self._now = time
+                self.now = time
                 timer._fire()
                 fired = 1
         finally:
@@ -484,7 +480,7 @@ class Simulator:
     def peek(self) -> Optional[float]:
         """Time of the next pending (non-cancelled) event, or None."""
         if self._posted:
-            return self._now
+            return self.now
         heap = self._heap
         while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
@@ -564,7 +560,7 @@ class Timer:
             raise SimulationError(f"negative delay: {delay}")
         #: Grid anchor: the first tick's absolute time; tick ``k`` after
         #: the anchor fires at exactly ``_anchor + k * _interval``.
-        self._anchor = sim._now + delay
+        self._anchor = sim.now + delay
         self._plant(self._anchor)
         self._ticks = 0
 
@@ -580,7 +576,7 @@ class Timer:
         if self._on_grid and not self._stopped:
             # Re-anchor: the next tick is already scheduled (or firing,
             # at ``now``); ticks after it land on the new grid from there.
-            self._anchor = self._group.time if self._group else self._sim._now
+            self._anchor = self._group.time if self._group else self._sim.now
             self._ticks = 0
 
     def _plant(self, time: float) -> None:
@@ -591,7 +587,7 @@ class Timer:
         sim._seq = seq + 1
         member = (time, seq, self)
         group = sim._tick
-        if group is not None and group.live and group.time == time > sim._now:
+        if group is not None and group.live and group.time == time > sim.now:
             group.members.append(member)
             group.live += 1
         else:
@@ -607,7 +603,7 @@ class Timer:
             self._ticks += 1
             self._plant(self._anchor + self._ticks * self._interval)
         else:
-            self._plant(self._sim._now + self._interval)
+            self._plant(self._sim.now + self._interval)
 
     def stop(self) -> None:
         """Cancel the timer; the callback will not fire again."""

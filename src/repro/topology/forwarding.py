@@ -201,7 +201,7 @@ class Forwarding:
                         proxy.on_wireless_delivery(packet)
                 recorder = network_rtt.get(packet.flow)
                 if recorder is not None and packet.kind == PacketKind.DATA:
-                    now = sim._now
+                    now = sim.now
                     one_way = now - packet.sent_at
                     recorder.record(
                         now, max(0.0, one_way) + return_delay[packet.flow])

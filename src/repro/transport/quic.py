@@ -24,7 +24,7 @@ from typing import Callable, Optional
 from repro.cca.base import WindowCca
 from repro.net.packet import ACK_SIZE, FiveTuple, Packet, PacketKind
 from repro.sim.engine import Simulator
-from repro.transport.stream import StreamSender, TransmitCallback
+from repro.transport.stream import RTO_MIN, StreamSender, TransmitCallback
 from repro.transport.timer import DeadlineTimer
 
 
@@ -32,12 +32,10 @@ class QuicSender(StreamSender):
     """QUIC-like sending endpoint (packet-number space, sealed headers)."""
 
     def __init__(self, sim: Simulator, flow: FiveTuple, cca: WindowCca,
-                 mss: int = 1200, rto_min: float = 0.2,
-                 max_buffer_bytes: int = 4_000_000):
+                 mss: int = 1200):
         # Before the first sample the probe timeout runs on the 0.1 s
         # default SRTT (RTTVAR 0).
-        super().__init__(sim, flow, cca, mss, rto_min, max_buffer_bytes,
-                         initial_rto=max(rto_min, 0.1))
+        super().__init__(sim, flow, cca, mss, initial_rto=max(RTO_MIN, 0.1))
         self._next_pn = 0
         # pn -> (size, sent_at, payload-descriptor).  Keys ascend in dict
         # order: every emission, retransmissions included, takes a new pn.
@@ -143,11 +141,9 @@ class QuicReceiver:
     whole application chunks; ordering within a write is by pn).
     """
 
-    def __init__(self, sim: Simulator, flow: FiveTuple,
-                 ack_size: int = ACK_SIZE):
+    def __init__(self, sim: Simulator, flow: FiveTuple):
         self.sim = sim
         self.flow = flow
-        self.ack_size = ack_size
         self.transmit: Optional[TransmitCallback] = None
         self.on_deliver: Optional[Callable[[dict, float], None]] = None
         self.packets_received = 0
@@ -167,7 +163,7 @@ class QuicReceiver:
         self._send_ack(pn)
 
     def _send_ack(self, pn: int) -> None:
-        ack = Packet(self.flow.reversed(), self.ack_size, PacketKind.ACK,
+        ack = Packet(self.flow.reversed(), ACK_SIZE, PacketKind.ACK,
                      sent_at=self.sim.now)
         ack.headers["quic_sealed"] = {"acked": [pn], "ack_delay": 0.0}
         self.acks_sent += 1

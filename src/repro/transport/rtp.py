@@ -23,9 +23,19 @@ from repro.cca.base import FeedbackPacketReport, RateCca
 from repro.metrics.recorder import RateRecorder, RttRecorder
 from repro.net.packet import (FiveTuple, Packet, PacketKind, RTCP_SIZE,
                               RTP_PAYLOAD_SIZE)
-from repro.sim.engine import Event, SimulationError, Simulator, Timer
+from repro.sim.engine import Event, Simulator, Timer
 
 TransmitCallback = Callable[[Packet], None]
+
+#: How long the sender keeps a sent packet for TWCC matching and NACKs.
+HISTORY_WINDOW = 2.0
+#: The receiver's TWCC report period: one report per 25 fps frame (§5.3).
+FEEDBACK_INTERVAL = 0.040
+#: How long a sequence gap stays open before it is NACKed, and the
+#: NACK tick grid.
+NACK_DELAY = 0.015
+#: NACKs per missing packet before the receiver gives it up.
+NACK_RETRIES = 3
 
 
 @dataclass
@@ -57,12 +67,10 @@ class RtpSender:
     which reads ``cca.target_bps``.
     """
 
-    def __init__(self, sim: Simulator, flow: FiveTuple, cca: RateCca,
-                 history_window: float = 2.0):
+    def __init__(self, sim: Simulator, flow: FiveTuple, cca: RateCca):
         self.sim = sim
         self.flow = flow
         self.cca = cca
-        self.history_window = history_window
         self.transmit: Optional[TransmitCallback] = None
 
         self._twcc_seq = 0
@@ -88,7 +96,7 @@ class RtpSender:
         ``headers`` is only read: the packet gets a copy (middleboxes
         write to it), the history keeps the caller's, possibly shared.
         """
-        now = self.sim._now
+        now = self.sim.now
         seq = self._twcc_seq
         headers = headers or {}
         packet = Packet(self.flow, size, PacketKind.DATA, seq=seq,
@@ -103,7 +111,7 @@ class RtpSender:
 
     def _trim_history(self) -> None:
         # Seqs are emitted in send-time order, so evict from the front.
-        horizon = self.sim.now - self.history_window
+        horizon = self.sim.now - HISTORY_WINDOW
         while self._oldest_seq < self._twcc_seq:
             entry = self._history.get(self._oldest_seq)
             if entry is not None and entry[0] >= horizon:
@@ -164,24 +172,14 @@ class RtpSender:
 class RtpReceiver:
     """RTP receiving endpoint: records arrivals, emits TWCC feedback.
 
-    Feedback is sent every ``feedback_interval`` (WebRTC sends roughly
+    Feedback is sent every ``FEEDBACK_INTERVAL`` (WebRTC sends roughly
     once per frame / per RTT). Data packets are also handed to an
     application callback for frame reassembly.
     """
 
-    def __init__(self, sim: Simulator, flow: FiveTuple,
-                 feedback_interval: float = 0.040,
-                 feedback_size: int = RTCP_SIZE,
-                 nack_enabled: bool = True,
-                 nack_delay: float = 0.015,
-                 nack_retries: int = 3):
+    def __init__(self, sim: Simulator, flow: FiveTuple):
         self.sim = sim
         self.flow = flow
-        self.feedback_interval = feedback_interval
-        self.feedback_size = feedback_size
-        self.nack_enabled = nack_enabled
-        self.nack_delay = nack_delay
-        self.nack_retries = nack_retries
         self.transmit: Optional[TransmitCallback] = None
         self.on_media: Optional[Callable[[Packet], None]] = None
 
@@ -192,10 +190,8 @@ class RtpReceiver:
         self.packets_received = 0
         self.feedback_sent = 0
         self.nacks_sent = 0
-        self._timer = Timer(sim, feedback_interval, self._emit_feedback)
-        if not nack_delay > 0:
-            raise SimulationError(f"nack_delay must be positive: {nack_delay}")
-        self._nack_next = sim.now + nack_delay
+        self._timer = Timer(sim, FEEDBACK_INTERVAL, self._emit_feedback)
+        self._nack_next = sim.now + NACK_DELAY
         self._nack_event: Optional[Event] = None
 
     def on_data(self, packet: Packet) -> None:
@@ -204,7 +200,7 @@ class RtpReceiver:
         if twcc_seq is not None:
             self._pending[twcc_seq] = self.sim.now
             self._missing.pop(twcc_seq, None)
-            if self.nack_enabled and twcc_seq > self._highest_seq + 1:
+            if twcc_seq > self._highest_seq + 1:
                 for gap_seq in range(self._highest_seq + 1, twcc_seq):
                     self._missing[gap_seq] = (self.sim.now, 0)
                 self._arm_nack()
@@ -214,32 +210,32 @@ class RtpReceiver:
 
     def _arm_nack(self) -> None:
         """Plant the next NACK tick on the first instant after now of
-        the accumulated ``t + nack_delay`` grid (DESIGN.md §13)."""
+        the accumulated ``t + NACK_DELAY`` grid (DESIGN.md §13)."""
         if self._nack_event is not None or self._timer.stopped:
             return
         grid = self._nack_next
-        while grid <= self.sim._now:
-            grid += self.nack_delay
+        while grid <= self.sim.now:
+            grid += NACK_DELAY
         self._nack_next = grid
         self._nack_event = self.sim.call_at(grid, self._nack_tick)
 
     def _nack_tick(self) -> None:
-        """Request retransmission of gaps that persisted past nack_delay;
+        """Request retransmission of gaps that persisted past NACK_DELAY;
         the next tick is planted only while a gap stays open."""
         now = self.sim.now
         self._nack_event = None
-        self._nack_next = now + self.nack_delay
+        self._nack_next = now + NACK_DELAY
         to_request: list[int] = []
         for seq, (since, tries) in list(self._missing.items()):
-            if now - since < self.nack_delay:
+            if now - since < NACK_DELAY:
                 continue
-            if tries >= self.nack_retries:
+            if tries >= NACK_RETRIES:
                 del self._missing[seq]  # give up; the frame will be skipped
                 continue
             to_request.append(seq)
             self._missing[seq] = (now, tries + 1)
         if to_request and self.transmit is not None:
-            nack = Packet(self.flow.reversed(), self.feedback_size,
+            nack = Packet(self.flow.reversed(), RTCP_SIZE,
                           PacketKind.RTCP_OTHER, sent_at=self.sim.now)
             nack.headers["nack_seqs"] = to_request
             self.nacks_sent += 1
@@ -251,7 +247,7 @@ class RtpReceiver:
         if not self._pending:
             return
         packet = twcc_packet(self.flow, self._base_seq, self._pending,
-                             self.sim.now, self.feedback_size, "receiver")
+                             self.sim.now, RTCP_SIZE, "receiver")
         self._base_seq = max(self._pending) + 1
         self._pending = {}  # the feedback owns the old dict now
         self.feedback_sent += 1

@@ -18,19 +18,21 @@ from repro.sim.engine import Simulator
 
 TransmitCallback = Callable[[Packet], None]
 
+#: RFC 6298's floor on the retransmission timeout (Linux's 200 ms).
+RTO_MIN = 0.2
+#: Send-buffer size; a write that would overfill it is refused.
+MAX_BUFFER_BYTES = 4_000_000
+
 
 class StreamSender:
     """Write buffer, MSS chunking and RTT smoothing of a window-CCA sender."""
 
     def __init__(self, sim: Simulator, flow: FiveTuple, cca: WindowCca,
-                 mss: int, rto_min: float, max_buffer_bytes: int,
-                 initial_rto: float):
+                 mss: int, initial_rto: float):
         self.sim = sim
         self.flow = flow
         self.cca = cca
         self.mss = mss
-        self.rto_min = rto_min
-        self.max_buffer_bytes = max_buffer_bytes
         self.transmit: Optional[TransmitCallback] = None
 
         self._buffered: deque[tuple[int, dict]] = deque()  # (bytes, meta)
@@ -52,7 +54,7 @@ class StreamSender:
         """Append application bytes; False when the buffer is full."""
         if nbytes <= 0:
             raise ValueError(f"write size must be positive: {nbytes}")
-        if self._buffered_bytes + nbytes > self.max_buffer_bytes:
+        if self._buffered_bytes + nbytes > MAX_BUFFER_BYTES:
             return False
         self._buffered.append((nbytes, dict(meta or {})))
         self._buffered_bytes += nbytes
@@ -125,5 +127,5 @@ class StreamSender:
         else:
             self._rttvar = 0.75 * self._rttvar + 0.25 * abs(self._srtt - rtt)
             self._srtt = 0.875 * self._srtt + 0.125 * rtt
-        self._rto = max(self.rto_min, self._srtt + 4 * self._rttvar)
+        self._rto = max(RTO_MIN, self._srtt + 4 * self._rttvar)
         self.rtt_recorder.record(self.sim.now, rtt)

@@ -16,7 +16,8 @@ from bisect import bisect_left
 from typing import Callable, Optional
 
 from repro.cca.base import WindowCca
-from repro.net.packet import ACK_SIZE, FiveTuple, Packet, PacketKind
+from repro.net.packet import (ACK_SIZE, TCP_SEGMENT_SIZE, FiveTuple, Packet,
+                              PacketKind)
 from repro.sim.engine import Event, Simulator
 from repro.transport.stream import StreamSender, TransmitCallback
 from repro.transport.timer import DeadlineTimer
@@ -25,11 +26,8 @@ from repro.transport.timer import DeadlineTimer
 class TcpSender(StreamSender):
     """Sending endpoint of the byte stream."""
 
-    def __init__(self, sim: Simulator, flow: FiveTuple, cca: WindowCca,
-                 mss: int = 1448, rto_min: float = 0.2,
-                 max_buffer_bytes: int = 4_000_000):
-        super().__init__(sim, flow, cca, mss, rto_min, max_buffer_bytes,
-                         initial_rto=1.0)
+    def __init__(self, sim: Simulator, flow: FiveTuple, cca: WindowCca):
+        super().__init__(sim, flow, cca, TCP_SEGMENT_SIZE, initial_rto=1.0)
         self._next_seq = 0              # next new byte to send
         self._highest_acked = 0         # cumulative ACK point
         self._inflight: dict[int, tuple[int, float, bool, dict]] = {}
@@ -221,11 +219,9 @@ class TcpReceiver:
     tiling the byte stream (a sender never re-segments).
     """
 
-    def __init__(self, sim: Simulator, flow: FiveTuple,
-                 ack_size: int = ACK_SIZE):
+    def __init__(self, sim: Simulator, flow: FiveTuple):
         self.sim = sim
         self.flow = flow
-        self.ack_size = ack_size
         self.transmit: Optional[TransmitCallback] = None
         self.on_deliver: Optional[Callable[[int, int, dict, float], None]] = None
         # (seq, end_seq, meta, arrival_time) for each in-order delivery
@@ -278,7 +274,7 @@ class TcpReceiver:
         return self._sack[:limit]
 
     def _send_ack(self, echo_mark: Optional[str]) -> None:
-        ack = Packet(self._ack_flow, self.ack_size, PacketKind.ACK,
+        ack = Packet(self._ack_flow, ACK_SIZE, PacketKind.ACK,
                      ack=self._ack_point, sent_at=self.sim.now)
         if echo_mark is not None:
             ack.headers["abc_mark"] = echo_mark

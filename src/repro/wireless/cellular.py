@@ -28,21 +28,20 @@ from repro.wireless.channel import WirelessChannel
 
 DeliverCallback = Callable[[list[Packet]], None]
 
+#: LTE transmission time interval: one scheduling slot.
+TTI = 0.001
+#: Radio plus core-network delay of one delivery.
+PROPAGATION_DELAY = 0.010
+
 
 class CellularLink:
     """Slotted cellular downlink serving a (possibly flow-isolating) queue."""
 
     def __init__(self, sim: Simulator, channel: WirelessChannel,
-                 queue: DropTailQueue, tti: float = 0.001,
-                 propagation_delay: float = 0.010,
-                 name: str = "cell"):
-        if tti <= 0:
-            raise ValueError(f"tti must be positive: {tti}")
+                 queue: DropTailQueue, name: str = "cell"):
         self.sim = sim
         self.channel = channel
         self.queue = queue
-        self.tti = tti
-        self.propagation_delay = propagation_delay
         self.name = name
         self.deliver_batch: Optional[DeliverCallback] = None
         self._serving = False
@@ -84,7 +83,7 @@ class CellularLink:
             self._carryover_bytes = 0.0
             return
         rate = self.channel.rate_at(self.sim.now)
-        budget = rate / 8 * self.tti + self._carryover_bytes
+        budget = rate / 8 * TTI + self._carryover_bytes
         sent: list[Packet] = []
         while not self.queue.is_empty:
             head = self.queue.front()
@@ -102,9 +101,9 @@ class CellularLink:
         self.ttis += 1
         self.packets_sent += len(sent)
         if sent:
-            self.sim.schedule(self.propagation_delay,
+            self.sim.schedule(PROPAGATION_DELAY,
                               lambda pkts=sent: self._arrive(pkts))
-        self.sim.schedule(self.tti, self._serve_tti)
+        self.sim.schedule(TTI, self._serve_tti)
 
     def _arrive(self, packets: list[Packet]) -> None:
         deliver_batch = self.deliver_batch
@@ -112,7 +111,7 @@ class CellularLink:
             return
         sim = self.sim
         sim.packets_processed += len(packets)
-        now = sim._now
+        now = sim.now
         fault_drop = self.fault_drop
         survivors = []
         for packet in packets:

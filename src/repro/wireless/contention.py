@@ -24,19 +24,15 @@ from repro.sim.random import DeterministicRandom
 #: 802.11n/ac-ish timing constants.
 SLOT_TIME = 9e-6
 DIFS = 34e-6
+#: Backoff window per contending member, in slots.
+CW_SLOTS = 16
 
 
 class ContentionDomain:
     """Airtime arbiter for wireless links sharing one channel."""
 
-    def __init__(self, rng: DeterministicRandom,
-                 slot_time: float = SLOT_TIME,
-                 difs: float = DIFS,
-                 cw_slots: int = 16):
+    def __init__(self, rng: DeterministicRandom):
         self.rng = rng
-        self.slot_time = slot_time
-        self.difs = difs
-        self.cw_slots = cw_slots
         self._members: list = []
         #: Time until which the channel is occupied by someone's AMPDU.
         self.busy_until = 0.0
@@ -61,8 +57,8 @@ class ContentionDomain:
         if wait > 0.0:
             self.deferrals += 1
         contenders = max(1, self.members - 1)
-        backoff = self.rng.uniform(0.0, self.cw_slots * contenders)
-        return wait + self.difs + backoff * self.slot_time
+        backoff = self.rng.uniform(0.0, CW_SLOTS * contenders)
+        return wait + DIFS + backoff * SLOT_TIME
 
     def occupy(self, start: float, airtime: float) -> None:
         """Mark the channel busy for one member's transmission."""

@@ -11,21 +11,23 @@ share shrinks accordingly.
 from __future__ import annotations
 
 from repro.sim.random import DeterministicRandom
+from repro.wireless.contention import DIFS, SLOT_TIME
+
+#: Mean backoff before a txop, in slots (drawn uniformly from twice it).
+BASE_BACKOFF_SLOTS = 8.0
+#: Per-interferer weight of the chance that another station holds the
+#: channel when our txop is due.
+PER_INTERFERER_BUSY = 0.0018
 
 
 class InterferenceModel:
     """Per-txop access delay and airtime share under contention."""
 
-    def __init__(self, rng: DeterministicRandom, interferers: int = 0,
-                 slot_time: float = 9e-6, base_backoff_slots: float = 8.0,
-                 per_interferer_busy: float = 0.0018):
+    def __init__(self, rng: DeterministicRandom, interferers: int = 0):
         if interferers < 0:
             raise ValueError(f"interferers must be non-negative: {interferers}")
         self.rng = rng
         self.interferers = interferers
-        self.slot_time = slot_time
-        self.base_backoff_slots = base_backoff_slots
-        self.per_interferer_busy = per_interferer_busy
 
     @property
     def airtime_share(self) -> float:
@@ -40,9 +42,9 @@ class InterferenceModel:
         holds the channel (its frame duration, exponentially
         distributed around a typical AMPDU airtime).
         """
-        backoff_slots = self.rng.uniform(0.0, 2.0 * self.base_backoff_slots)
-        delay = 34e-6 + backoff_slots * self.slot_time
-        busy_probability = min(0.9, self.per_interferer_busy * self.interferers * 100)
+        backoff_slots = self.rng.uniform(0.0, 2.0 * BASE_BACKOFF_SLOTS)
+        delay = DIFS + backoff_slots * SLOT_TIME
+        busy_probability = min(0.9, PER_INTERFERER_BUSY * self.interferers * 100)
         while self.rng.random() < busy_probability:
             delay += self.rng.expovariate(1.0 / 0.002)
             busy_probability *= 0.5

@@ -3,7 +3,7 @@
 The serving loop models one transmission opportunity (txop) at a time:
 
 1. wait the contention access delay (grows with interferers),
-2. aggregate up to ``max_ampdu_packets`` / ``max_ampdu_bytes`` of the
+2. aggregate up to ``max_ampdu_packets`` / ``MAX_AMPDU_BYTES`` of the
    queue head into one AMPDU — this is the bursty-departure behaviour
    that motivates the Fortune Teller's qShort/maxBurstSize handling,
 3. transmit the AMPDU at the channel's current rate (airtime-share
@@ -36,6 +36,9 @@ from repro.wireless.interference import InterferenceModel
 
 DeliverCallback = Callable[[list[Packet]], None]
 
+#: Byte cap of one AMPDU.
+MAX_AMPDU_BYTES = 24_000
+
 
 class WirelessLink:
     """Queue-serving wireless hop (AP -> client)."""
@@ -45,15 +48,11 @@ class WirelessLink:
                  interference: Optional[InterferenceModel] = None,
                  propagation_delay: float = 0.002,
                  max_ampdu_packets: int = 16,
-                 max_ampdu_bytes: int = 24_000,
                  per_txop_overhead: float = 0.0003,
                  name: str = "wifi",
                  domain=None):
         if max_ampdu_packets < 1:
             raise ValueError("max_ampdu_packets must be >= 1")
-        if not max_ampdu_bytes >= 1:
-            raise ValueError(
-                f"max_ampdu_bytes must be >= 1: {max_ampdu_bytes}")
         if not 0 <= propagation_delay < math.inf:
             raise ValueError("propagation_delay must be finite and "
                              f"non-negative: {propagation_delay}")
@@ -71,7 +70,6 @@ class WirelessLink:
             domain.register(self)
         self.propagation_delay = propagation_delay
         self.max_ampdu_packets = max_ampdu_packets
-        self.max_ampdu_bytes = max_ampdu_bytes
         self.per_txop_overhead = per_txop_overhead
         self.name = name
         #: The receiver: one call per AMPDU with the packets that
@@ -103,7 +101,7 @@ class WirelessLink:
 
     def send(self, packet: Packet) -> None:
         """Accept a downlink packet (enqueue; kick the server if idle)."""
-        if not self.queue.enqueue(packet, self.sim._now):
+        if not self.queue.enqueue(packet, self.sim.now):
             return
         if self._air_end is not None:
             self._resolve_air_end()
@@ -118,7 +116,7 @@ class WirelessLink:
         idle."""
         end = self._air_end
         self._air_end = None
-        if end > self.sim._now:
+        if end > self.sim.now:
             self._finish_run.push(end, None)
         else:
             self._serving = False
@@ -130,7 +128,7 @@ class WirelessLink:
     def unblock(self) -> None:
         """Resume serving; kicks the loop if a backlog accumulated."""
         self.blocked = False
-        if self._air_end is not None and self._air_end <= self.sim._now:
+        if self._air_end is not None and self._air_end <= self.sim.now:
             self._resolve_air_end()
         if not self._serving and not self.queue.is_empty:
             self._serving = True
@@ -163,7 +161,7 @@ class WirelessLink:
         # the AMPDU dequeue at the same instant (bursty departures).
         ampdu = self.queue.dequeue_burst(self.sim.now,
                                          self.max_ampdu_packets,
-                                         self.max_ampdu_bytes)
+                                         MAX_AMPDU_BYTES)
         if not ampdu:
             # The AQM dropped the rest of the backlog; try again.
             self.sim.post(self._serve_txop)
@@ -187,7 +185,7 @@ class WirelessLink:
                 self._traced_rate = rate
             self.trace.link_txop(self, len(ampdu), ampdu_bytes, airtime,
                                  rate)
-        end = self.sim._now + airtime
+        end = self.sim.now + airtime
         self._arrive_run.push(end + self.propagation_delay, ampdu)
         if self.queue.is_empty:
             self._air_end = end
@@ -208,7 +206,7 @@ class WirelessLink:
             return
         sim = self.sim
         sim.packets_processed += len(ampdu)
-        now = sim._now
+        now = sim.now
         fault_drop = self.fault_drop
         trace = self.trace
         survivors = []

@@ -19,16 +19,11 @@ MCS_TABLE_80211N: tuple[float, ...] = (
 
 
 class McsController:
-    """Holds the current MCS index; optionally re-picks it periodically."""
+    """Holds the current MCS index (the top rung at first); optionally
+    re-picks it periodically."""
 
-    def __init__(self, table: tuple[float, ...] = MCS_TABLE_80211N,
-                 index: int | None = None):
-        if not table:
-            raise ValueError("MCS table must not be empty")
-        self.table = table
-        self._index = len(table) - 1 if index is None else index
-        if not 0 <= self._index < len(table):
-            raise ValueError(f"MCS index {self._index} out of range")
+    def __init__(self):
+        self._index = len(MCS_TABLE_80211N) - 1
         self._timer: Timer | None = None
 
     @property
@@ -37,13 +32,13 @@ class McsController:
 
     @index.setter
     def index(self, value: int) -> None:
-        if not 0 <= value < len(self.table):
+        if not 0 <= value < len(MCS_TABLE_80211N):
             raise ValueError(f"MCS index {value} out of range")
         self._index = value
 
     @property
     def phy_rate_bps(self) -> float:
-        return self.table[self._index]
+        return MCS_TABLE_80211N[self._index]
 
     def start_random_switching(self, sim: Simulator, period: float,
                                rng: DeterministicRandom,
@@ -57,7 +52,7 @@ class McsController:
             self._timer.stop()
 
         def switch() -> None:
-            self._index = rng.randint(min_index, len(self.table) - 1)
+            self._index = rng.randint(min_index, len(MCS_TABLE_80211N) - 1)
 
         self._timer = Timer(sim, period, switch, first_delay=period)
 

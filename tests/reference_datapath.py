@@ -33,8 +33,8 @@ to produce exactly what these do.
 
 from typing import Optional
 
-from repro.aqm.codel import CoDelQueue
-from repro.aqm.fq_codel import FqCoDelQueue
+from repro.aqm.codel import INTERVAL, CoDelQueue
+from repro.aqm.fq_codel import QUANTUM, FqCoDelQueue
 from repro.core.fortune_teller import DelayPrediction, FortuneTeller
 from repro.core.sliding_window import (
     DEFAULT_WINDOW,
@@ -168,7 +168,7 @@ class ReferenceCoDelQueue(_ReferenceQueue, CoDelQueue):
             packet = self._pop_head(now)
             self._dropping = True
             delta = self._drop_count - self._last_drop_count
-            if delta > 1 and now - self._drop_next < 16 * self.interval:
+            if delta > 1 and now - self._drop_next < 16 * INTERVAL:
                 self._drop_count = delta
             else:
                 self._drop_count = 1
@@ -190,13 +190,11 @@ class ReferenceFqCoDelQueue(_ReferenceQueue, FqCoDelQueue):
         sub = self._flows.get(flow)
         if sub is None:
             sub = ReferenceCoDelQueue(capacity_bytes=self.capacity_bytes,
-                                      name=f"{self.name}[{flow.src_port}]",
-                                      target=self._target,
-                                      interval=self._interval)
+                                      name=f"{self.name}[{flow.src_port}]")
             sub.on_drop.append(lambda p, reason: self._sub_drop(p, reason))
             self._flows[flow] = sub
         if flow not in self._deficit:
-            self._deficit[flow] = self.quantum
+            self._deficit[flow] = QUANTUM
             self._active.append(flow)
         accepted = sub.enqueue(packet, now)
         if accepted:
@@ -220,7 +218,7 @@ class ReferenceFqCoDelQueue(_ReferenceQueue, FqCoDelQueue):
                 continue
             head = sub.front()
             if head is not None and self._deficit[flow] < head.size:
-                self._deficit[flow] += self.quantum
+                self._deficit[flow] += QUANTUM
                 self._active.rotate(-1)
                 continue
             packet = sub.dequeue(now)
@@ -280,7 +278,7 @@ class ReferenceFortuneTeller(FortuneTeller):
     def observe_departure(self, packet: Packet, queue=None) -> None:
         now = packet.dequeued_at
         if now is None:
-            now = self.sim._now
+            now = self.sim.now
         size = packet.size
         self.tx_rate.record(now, size)
         self.tx_rate_long.record(now, size)
@@ -288,15 +286,10 @@ class ReferenceFortuneTeller(FortuneTeller):
         self.burst_tracker.record_departure(now, size)
 
     def observe_departure_batch(self, packets: list, queue=None) -> None:
-        if (self.dequeue_intervals.min_interval <= 0.0
-                or self.burst_tracker.resolution <= 0.0):
-            for packet in packets:
-                self.observe_departure(packet)
-            return
         head = packets[0]
         now = head.dequeued_at
         if now is None:
-            now = self.sim._now
+            now = self.sim.now
         count = len(packets)
         total = 0
         for packet in packets:
@@ -307,7 +300,7 @@ class ReferenceFortuneTeller(FortuneTeller):
         self.burst_tracker.record_departure(now, total, head.size, count)
 
     def predict(self) -> DelayPrediction:
-        now = self.sim._now
+        now = self.sim.now
         if (self.min_estimation_interval > 0
                 and self._cached_prediction is not None
                 and now - self._cached_at < self.min_estimation_interval):
@@ -359,7 +352,7 @@ class ReferenceWirelessLink(TxopFinishWirelessLink):
             if queue._bytes + size > queue.capacity_bytes:
                 queue._drop(packet, "tail-overflow")
                 return
-            packet.enqueued_at = self.sim._now
+            packet.enqueued_at = self.sim.now
             queue._packets.append(packet)
             queue._bytes += size
             stats = queue.stats
@@ -377,7 +370,7 @@ class ReferenceWirelessLink(TxopFinishWirelessLink):
         sim = self.sim
         sim.packets_processed += len(ampdu)
         if self.fault_drop is None and self.trace is None:
-            now = sim._now
+            now = sim.now
             deliver_batch = self.deliver_batch
             if deliver_batch is not None:
                 for packet in ampdu:

@@ -32,7 +32,7 @@ same summary digest.
 from collections import deque
 
 from repro.net.link import WiredLink
-from repro.wireless.link import WirelessLink
+from repro.wireless.link import MAX_AMPDU_BYTES, WirelessLink
 
 
 class ClassicWiredLink(WiredLink):
@@ -85,7 +85,7 @@ class ClassicWiredLink(WiredLink):
 class TxopFinishWirelessLink(WirelessLink):
     def send(self, packet) -> None:
         """Accept a downlink packet (enqueue; kick the server if idle)."""
-        if not self.queue.enqueue(packet, self.sim._now):
+        if not self.queue.enqueue(packet, self.sim.now):
             return
         if not self._serving and not self.blocked:
             self._serving = True
@@ -108,7 +108,7 @@ class TxopFinishWirelessLink(WirelessLink):
         # the AMPDU dequeue at the same instant (bursty departures).
         ampdu = self.queue.dequeue_burst(self.sim.now,
                                          self.max_ampdu_packets,
-                                         self.max_ampdu_bytes)
+                                         MAX_AMPDU_BYTES)
         if not ampdu:
             # The AQM dropped the rest of the backlog; try again.
             self.sim.post(self._serve_txop)
@@ -132,12 +132,12 @@ class TxopFinishWirelessLink(WirelessLink):
                 self._traced_rate = rate
             self.trace.link_txop(self, len(ampdu), ampdu_bytes, airtime,
                                  rate)
-        self._finish_run.push(self.sim._now + airtime, ampdu)
+        self._finish_run.push(self.sim.now + airtime, ampdu)
 
     def _finish(self, ampdu) -> None:
         """The AMPDU left the air: start propagating it, grant the next
         txop (only one AMPDU occupies the air at a time)."""
-        self._arrive_run.push(self.sim._now + self.propagation_delay, ampdu)
+        self._arrive_run.push(self.sim.now + self.propagation_delay, ampdu)
         self._serve_txop()
 
 
@@ -159,7 +159,7 @@ class ClassicWirelessLink(TxopFinishWirelessLink):
         # the AMPDU dequeue at the same instant (bursty departures).
         ampdu = self.queue.dequeue_burst(self.sim.now,
                                          self.max_ampdu_packets,
-                                         self.max_ampdu_bytes)
+                                         MAX_AMPDU_BYTES)
         if not ampdu:
             # The AQM dropped the rest of the backlog; try again.
             self.sim.schedule(0.0, self._serve_txop)

@@ -61,7 +61,7 @@ class ReferenceTellerRecords:
 
     def observe_arrival(self, packet, total: float) -> None:
         self.records[packet.pkt_id] = PredictionRecord(
-            packet.pkt_id, total, self.sim._now)
+            packet.pkt_id, total, self.sim.now)
 
     def observe_delivery(self, packet) -> None:
         """Record the packet's actual delay once it reaches the client."""

@@ -19,7 +19,7 @@ head posted, the rest on one ``TimedRun``) to emit the same packets at
 the same instants, in the same order against every other entry.
 
 NACK timer: ``RtpReceiver`` ran its NACK check from a ``Timer`` that
-ticked every ``nack_delay`` whether or not a gap was open.
+ticked every ``NACK_DELAY`` whether or not a gap was open.
 ``tests/test_properties_rtp_nack.py`` requires the wake-up that is
 planted only while a gap is open to send the same NACKs at the same
 instants and to leave the same ``_missing`` behind.  Both of the
@@ -31,14 +31,15 @@ dispatch and its event count stays the per-tick one.
 import math
 from typing import Callable, Optional
 
-from repro.app.video import RtpVideoApp
+from repro.app.video import BURST_GAP, RtpVideoApp
 from repro.cca.base import FeedbackPacketReport
 from repro.cca.gcc import GccController, TrendlineEstimator
 from repro.net.packet import (FiveTuple, Packet, PacketKind, RTCP_SIZE,
                               RTP_PAYLOAD_SIZE)
 from repro.sim.engine import Simulator
-from repro.transport.rtp import (RtpReceiver, RtpSender, TransmitCallback,
-                                 TwccFeedback)
+from repro.transport.rtp import (FEEDBACK_INTERVAL, HISTORY_WINDOW,
+                                 NACK_DELAY, NACK_RETRIES, RtpReceiver,
+                                 RtpSender, TransmitCallback, TwccFeedback)
 from tests.reference_engine import Timer
 
 
@@ -65,7 +66,7 @@ class ReferenceRtpSender(RtpSender):
 
     def _trim_history(self) -> None:
         # Seqs are emitted in send-time order, so evict from the front.
-        horizon = self.sim.now - self.history_window
+        horizon = self.sim.now - HISTORY_WINDOW
         while self._oldest_seq < self._twcc_seq:
             entry = self._history.get(self._oldest_seq)
             if entry is not None and entry[0] >= horizon:
@@ -111,7 +112,7 @@ class ReferenceRtpVideoApp(RtpVideoApp):
             # Spread the frame across ~80% of the frame interval.
             gap = 0.8 / (self.encoder.fps * packet_count)
         else:
-            gap = self.burst_gap
+            gap = BURST_GAP
         for index in range(packet_count):
             size = min(RTP_PAYLOAD_SIZE, max(1, remaining))
             remaining -= size
@@ -125,19 +126,9 @@ class ReferenceRtpVideoApp(RtpVideoApp):
 
 
 class ReferenceRtpReceiver(RtpReceiver):
-    def __init__(self, sim: Simulator, flow: FiveTuple,
-                 feedback_interval: float = 0.040,
-                 feedback_size: int = RTCP_SIZE,
-                 nack_enabled: bool = True,
-                 nack_delay: float = 0.015,
-                 nack_retries: int = 3):
+    def __init__(self, sim: Simulator, flow: FiveTuple):
         self.sim = sim
         self.flow = flow
-        self.feedback_interval = feedback_interval
-        self.feedback_size = feedback_size
-        self.nack_enabled = nack_enabled
-        self.nack_delay = nack_delay
-        self.nack_retries = nack_retries
         self.transmit: Optional[TransmitCallback] = None
         self.on_media: Optional[Callable[[Packet], None]] = None
 
@@ -148,8 +139,8 @@ class ReferenceRtpReceiver(RtpReceiver):
         self.packets_received = 0
         self.feedback_sent = 0
         self.nacks_sent = 0
-        self._timer = Timer(sim, feedback_interval, self._emit_feedback)
-        self._nack_timer = Timer(sim, nack_delay, self._nack_tick)
+        self._timer = Timer(sim, FEEDBACK_INTERVAL, self._emit_feedback)
+        self._nack_timer = Timer(sim, NACK_DELAY, self._nack_tick)
 
     def on_data(self, packet: Packet) -> None:
         self.packets_received += 1
@@ -157,7 +148,7 @@ class ReferenceRtpReceiver(RtpReceiver):
         if twcc_seq is not None:
             self._pending[twcc_seq] = self.sim.now
             self._missing.pop(twcc_seq, None)
-            if self.nack_enabled and twcc_seq > self._highest_seq + 1:
+            if twcc_seq > self._highest_seq + 1:
                 for gap_seq in range(self._highest_seq + 1, twcc_seq):
                     self._missing[gap_seq] = (self.sim.now, 0)
             self._highest_seq = max(self._highest_seq, twcc_seq)
@@ -165,22 +156,22 @@ class ReferenceRtpReceiver(RtpReceiver):
             self.on_media(packet)
 
     def _nack_tick(self) -> None:
-        """Request retransmission of gaps that persisted past nack_delay."""
+        """Request retransmission of gaps that persisted past NACK_DELAY."""
         if not self._missing:
             return
         now = self.sim.now
         to_request: list[int] = []
         for seq, (since, tries) in list(self._missing.items()):
-            if now - since < self.nack_delay:
+            if now - since < NACK_DELAY:
                 continue
-            if tries >= self.nack_retries:
+            if tries >= NACK_RETRIES:
                 del self._missing[seq]  # give up; the frame will be skipped
                 continue
             to_request.append(seq)
             self._missing[seq] = (now, tries + 1)
         if not to_request or self.transmit is None:
             return
-        nack = Packet(self.flow.reversed(), self.feedback_size,
+        nack = Packet(self.flow.reversed(), RTCP_SIZE,
                       PacketKind.RTCP_OTHER, sent_at=self.sim.now)
         nack.headers["nack_seqs"] = to_request
         self.nacks_sent += 1

@@ -15,6 +15,7 @@ from typing import Optional
 
 from repro.net.packet import Packet
 from repro.transport.quic import QuicSender
+from repro.transport.stream import RTO_MIN
 from repro.transport.tcp import TcpReceiver, TcpSender
 
 
@@ -120,7 +121,7 @@ class ReferenceQuicSender(QuicSender):
             self._pto_event = None
         if not self._inflight:
             return
-        timeout = max(self.rto_min, self.srtt + 4 * self._rttvar)
+        timeout = max(RTO_MIN, self.srtt + 4 * self._rttvar)
         self._pto_event = self.sim.schedule(timeout * 2, self._on_pto)
 
     def _on_pto(self) -> None:

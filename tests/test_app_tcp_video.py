@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.app.video import TcpVideoApp, VideoEncoder
+from repro.app.video import (MIN_RATE_BPS, RATE_HEADROOM, TcpVideoApp,
+                             VideoEncoder)
 from repro.cca.copa import CopaCca
 from repro.sim.random import DeterministicRandom
 from repro.transport.tcp import TcpReceiver, TcpSender
@@ -38,8 +39,8 @@ class TestTcpVideoApp:
         wire(sim, sender, receiver)
         sim.run(until=1.0)
         expected = min(app.max_rate_bps,
-                       max(app.min_rate_bps,
-                           sender.estimated_rate_bps() * app.rate_headroom))
+                       max(MIN_RATE_BPS,
+                           sender.estimated_rate_bps() * RATE_HEADROOM))
         assert app.current_target_bps() == pytest.approx(expected)
 
     def test_encoder_drops_when_transport_stalls(self, sim, stack):

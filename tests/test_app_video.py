@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.app.video import VideoEncoder, _FrameTracker
+from repro.app.video import (KEYFRAME_INTERVAL, MIN_FRAME_BYTES,
+                             VideoEncoder, _FrameTracker)
 from repro.sim.random import DeterministicRandom
 
 
@@ -17,11 +18,10 @@ class TestVideoEncoder:
         assert mean_size == pytest.approx(expected, rel=0.15)
 
     def test_keyframes_periodic_and_larger(self):
-        encoder = VideoEncoder(fps=25, rng=DeterministicRandom(1),
-                               keyframe_interval=10, keyframe_scale=3.0,
-                               size_sigma=0.0)
-        frames = [encoder.next_frame(i / 25, 2e6) for i in range(20)]
-        assert frames[0].keyframe and frames[10].keyframe
+        encoder = VideoEncoder(fps=25, rng=DeterministicRandom(1))
+        frames = [encoder.next_frame(i / 25, 2e6)
+                  for i in range(KEYFRAME_INTERVAL + 2)]
+        assert frames[0].keyframe and frames[KEYFRAME_INTERVAL].keyframe
         assert not frames[1].keyframe
         assert frames[0].size_bytes > 2 * frames[1].size_bytes
 
@@ -32,10 +32,9 @@ class TestVideoEncoder:
         assert b.frame_id == a.frame_id + 1
 
     def test_minimum_frame_size(self):
-        encoder = VideoEncoder(rng=DeterministicRandom(1),
-                               min_frame_bytes=400)
+        encoder = VideoEncoder(rng=DeterministicRandom(1))
         frame = encoder.next_frame(0.0, 1_000.0)  # absurdly low rate
-        assert frame.size_bytes >= 400
+        assert frame.size_bytes >= MIN_FRAME_BYTES
 
     def test_invalid_fps(self):
         with pytest.raises(ValueError):

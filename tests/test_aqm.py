@@ -3,6 +3,7 @@
 import pytest
 
 from repro.aqm import CoDelQueue, FifoQueue, FqCoDelQueue, make_queue
+from repro.aqm.fq_codel import QUANTUM
 from repro.net.packet import FiveTuple, Packet
 
 
@@ -19,7 +20,7 @@ class TestFactory:
 
 class TestCoDel:
     def test_no_drops_below_target(self, flow):
-        queue = CoDelQueue(target=0.005, interval=0.100)
+        queue = CoDelQueue()
         now = 0.0
         for i in range(50):
             queue.enqueue(Packet(flow, 1000, seq=i), now)
@@ -29,7 +30,7 @@ class TestCoDel:
         assert queue.stats.dropped == 0
 
     def test_drops_start_after_interval_above_target(self, flow):
-        queue = CoDelQueue(target=0.005, interval=0.100)
+        queue = CoDelQueue()
         # Keep 20 packets queued; dequeue slowly so sojourn stays high.
         now = 0.0
         for i in range(100):
@@ -45,7 +46,7 @@ class TestCoDel:
         assert queue.stats.dropped > drops_before
 
     def test_drop_reason_recorded(self, flow):
-        queue = CoDelQueue(target=0.001, interval=0.010)
+        queue = CoDelQueue()
         now = 0.0
         for i in range(100):
             queue.enqueue(Packet(flow, 1000, seq=i), now)
@@ -57,7 +58,7 @@ class TestCoDel:
 
     def test_small_backlog_never_dropped(self, flow):
         # CoDel exempts backlogs at or below one MTU.
-        queue = CoDelQueue(target=0.001, interval=0.010)
+        queue = CoDelQueue()
         now = 0.0
         for _ in range(200):
             queue.enqueue(Packet(flow, 1000), now)
@@ -65,19 +66,13 @@ class TestCoDel:
             now += 1.1
         assert queue.stats.dropped == 0
 
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            CoDelQueue(target=0.0)
-        with pytest.raises(ValueError):
-            CoDelQueue(interval=-1.0)
-
 
 class TestFqCoDel:
     def _flows(self, n):
         return [FiveTuple("s", "c", 100 + i, 200 + i) for i in range(n)]
 
     def test_flow_isolation_round_robin(self):
-        queue = FqCoDelQueue(quantum=1000)
+        queue = FqCoDelQueue()
         flow_a, flow_b = self._flows(2)
         for i in range(3):
             queue.enqueue(Packet(flow_a, 1000, seq=i), 0.0)
@@ -127,11 +122,11 @@ class TestFqCoDel:
         assert queue.front_wait_time(3.0) == pytest.approx(2.0)
 
     def test_big_packet_waits_for_deficit(self):
-        queue = FqCoDelQueue(quantum=500)
+        queue = FqCoDelQueue()
         flow_a, flow_b = self._flows(2)
-        queue.enqueue(Packet(flow_a, 1400), 0.0)
+        queue.enqueue(Packet(flow_a, QUANTUM + 400), 0.0)
         queue.enqueue(Packet(flow_b, 400), 0.0)
         first = queue.dequeue(0.001)
-        # flow_a's 1400 B packet exceeds its 500 B deficit, so flow_b's
+        # flow_a's packet exceeds its one-quantum deficit, so flow_b's
         # small packet is served first.
         assert first.flow == flow_b

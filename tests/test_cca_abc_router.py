@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cca.abc import AbcRouter
+from repro.cca.abc import ETA, AbcRouter
 from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue
 
@@ -32,8 +32,7 @@ class TestMarking:
         assert accel_ratio > 0.9
 
     def test_congested_queue_brakes(self, queue, flow):
-        router = AbcRouter(queue, capacity_fn=lambda now: 1e6,
-                           delay_target=0.005)
+        router = AbcRouter(queue, capacity_fn=lambda now: 1e6)
         # Build a deep backlog: queueing delay far above target.
         for _ in range(100):
             queue.enqueue(Packet(flow, 1200), 0.0)
@@ -71,12 +70,12 @@ class TestMarking:
 
     def test_marking_fraction_tracks_target(self, queue, flow):
         """Fluid-limit check: accel fraction ~ target/(2*incoming)."""
-        router = AbcRouter(queue, capacity_fn=lambda now: 2.4e6, eta=1.0)
+        router = AbcRouter(queue, capacity_fn=lambda now: 2.4e6)
         marks = []
-        # Incoming 2.4 Mbps == capacity, empty queue: accel ~ 0.5.
+        # Incoming 2.4 Mbps == capacity, empty queue: accel ~ ETA / 2.
         for i in range(400):
             packet = Packet(flow, 1200)
             router.mark(packet, i * 0.004)
             marks.append(packet.headers["abc_mark"])
         accel_ratio = marks.count("accelerate") / len(marks)
-        assert accel_ratio == pytest.approx(0.5, abs=0.1)
+        assert accel_ratio == pytest.approx(ETA / 2, abs=0.1)

@@ -123,7 +123,7 @@ class TestGccController:
         assert gcc._loss_rate == before
 
     def test_rate_clamped(self):
-        gcc = GccController(initial_bps=1e6, min_bps=5e5, max_bps=2e6)
+        gcc = GccController(initial_bps=1e6, max_bps=2e6)
         now = 0.0
         for _ in range(200):
             reports = make_reports(now, 10, 0.005, lambda i: 0.02)

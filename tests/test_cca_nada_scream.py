@@ -69,17 +69,13 @@ class TestNada:
         assert nada.target_bps == pytest.approx(1e6)
 
     def test_rate_clamped(self):
-        nada = NadaController(initial_bps=1e6, min_bps=5e5, max_bps=2e6)
+        nada = NadaController(initial_bps=1e6, max_bps=2e6)
         now = 0.0
         for _ in range(500):
             nada.on_feedback(now + 0.05,
                              reports(now, 10, 0.005, lambda i: 0.02))
             now += 0.05
         assert nada.target_bps <= 2e6
-
-    def test_invalid_priority(self):
-        with pytest.raises(ValueError):
-            NadaController(priority=0.0)
 
     def test_empty_feedback_ignored(self):
         nada = NadaController(initial_bps=1e6)

@@ -154,10 +154,6 @@ class TestCopa:
         cca.on_loss(0.0)
         assert cca.cwnd == pytest.approx(85 * 1448, rel=0.01)
 
-    def test_invalid_delta(self):
-        with pytest.raises(ValueError):
-            CopaCca(delta=0.0)
-
 
 class TestAbcSender:
     def test_accelerate_adds_segment(self):

@@ -120,7 +120,8 @@ class TestAlgorithm2:
         assert updater.outstanding_tokens == pytest.approx(0.015)
 
     def test_multiple_tokens_consumed_in_order(self, sim, updater):
-        updater.token_history.extend([0.002, 0.003])
+        updater.token_history.append(0.002)
+        updater.token_history.append(0.003)
         updater.delta_history.push(sim.now, 0.010)
         assert updater.ack_delay(sim.now) == pytest.approx(0.005)
         assert len(updater.token_history) == 0

@@ -120,7 +120,8 @@ class TestAccuracyTracking:
 
     def test_records_prediction_and_actual(self, sim, queue, teller, flow):
         drive_steady_state(sim, queue, teller, flow=flow)
-        join = PredictionJoin(sim, record=True)
+        join = PredictionJoin(sim)
+        join.record = True
         packet = Packet(flow, 1200)
         prediction = teller.predict()
         join.note(packet.pkt_id, prediction.total)
@@ -130,7 +131,8 @@ class TestAccuracyTracking:
         assert list(join.actual) == [pytest.approx(0.012)]
 
     def test_undelivered_not_in_pairs(self, sim, queue, teller, flow):
-        join = PredictionJoin(sim, record=True)
+        join = PredictionJoin(sim)
+        join.record = True
         join.note(Packet(flow, 1200).pkt_id, teller.predict().total)
         assert len(join) == 1
         assert len(join.predicted) == len(join.actual) == 0

@@ -97,16 +97,16 @@ def frames_per_call(rounds: int = 300) -> dict[str, float]:
     jitter = random.Random(7)
     now = 0.0
     for _ in range(rounds):
-        sim._now = now
+        sim.now = now
         for i in range(8):
             packet = Packet(flows[i % 4], 1200)
             queue.enqueue(packet, now)
             counted("on_downlink", ap.on_downlink, packet)
-        sim._now = now + 0.002
-        burst = counted("dequeue_burst", queue.dequeue_burst, sim._now,
+        sim.now = now + 0.002
+        burst = counted("dequeue_burst", queue.dequeue_burst, sim.now,
                         8, 1 << 20)
         assert len(burst) == 8
-        sim._now = now + 0.003
+        sim.now = now + 0.003
         for i in range(8):
             counted("on_uplink", ap.on_uplink,
                     Packet(reverse[i % 4], ACK_SIZE, PacketKind.ACK))

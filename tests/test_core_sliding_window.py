@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.sliding_window import (
+    AMPDU_INTERVAL,
     BurstSizeTracker,
     DelayDeltaHistory,
     DequeueIntervalEstimator,
@@ -44,10 +45,10 @@ class TestSlidingWindowRate:
         assert win.rate_bps(0.010) == pytest.approx(2400 * 8 / 0.010)
 
     def test_warmup_floor_prevents_divide_by_zero(self):
-        win = SlidingWindowRate(window=0.040, min_span=0.001)
+        win = SlidingWindowRate(window=0.040)
         win.record(0.0, 1200)
-        # Zero elapsed busy time: the span floors at min_span.
-        assert win.rate_bps(0.0) == pytest.approx(1200 * 8 / 0.001)
+        # Zero elapsed busy time: the span floors at AMPDU_INTERVAL.
+        assert win.rate_bps(0.0) == pytest.approx(1200 * 8 / AMPDU_INTERVAL)
 
     def test_warmup_restarts_after_idle_gap(self):
         win = SlidingWindowRate(window=0.040)
@@ -84,7 +85,7 @@ class TestDequeueIntervalEstimator:
         assert est.average_interval(0.045) == pytest.approx(0.005)
 
     def test_sub_millisecond_intervals_ignored(self):
-        est = DequeueIntervalEstimator(window=0.100, min_interval=0.001)
+        est = DequeueIntervalEstimator(window=0.100)
         # AMPDU burst: 4 departures 0.1 ms apart, then a 5 ms gap.
         times = [0.0, 0.0001, 0.0002, 0.0003, 0.0053]
         for t in times:

@@ -24,7 +24,7 @@ from repro.campaign.summary import ScenarioSummary
 from repro.core.feedback_updater import OutOfBandFeedbackUpdater
 from repro.core.fortune_teller import FortuneTeller
 from repro.core.prediction_join import PredictionJoin
-from repro.core.sliding_window import TokenBank
+from repro.core.sliding_window import MAX_TOKENS, TokenBank
 from repro.faults import (STATE_DEGRADED, STATE_HEALTHY,
                           EstimatorHealthWatchdog, FaultPlan, FaultSpec,
                           WatchdogConfig)
@@ -297,7 +297,8 @@ class TestWatchdog:
 
 class TestTokenBank:
     def test_cap_evicts_oldest(self):
-        bank = TokenBank(max_entries=3)
+        bank = TokenBank()
+        bank.set_limits(3, None)
         for value in (1.0, 2.0, 3.0, 4.0):
             bank.append(value)
         assert list(bank) == [2.0, 3.0, 4.0]
@@ -305,8 +306,10 @@ class TestTokenBank:
         assert bank.total == pytest.approx(9.0)
 
     def test_set_limits_shrink_evicts_oldest_and_counts(self):
-        bank = TokenBank(max_entries=5)
-        bank.extend([1.0, 2.0, 3.0, 4.0])
+        bank = TokenBank()
+        bank.set_limits(5, None)
+        for value in (1.0, 2.0, 3.0, 4.0):
+            bank.append(value)
         bank.set_limits(2, 0.5)
         assert list(bank) == [3.0, 4.0]
         assert bank.capped == 2
@@ -318,16 +321,17 @@ class TestTokenBank:
     @pytest.mark.parametrize("max_entries, ttl", [(0, None), (-1, None),
                                                   (1, 0.0), (1, -1.0)])
     def test_set_limits_validates_like_init(self, max_entries, ttl):
-        bank = TokenBank(max_entries=3)
-        bank.extend([1.0, 2.0, 3.0])
-        for call in (lambda: TokenBank(max_entries, ttl),
-                     lambda: bank.set_limits(max_entries, ttl)):
-            with pytest.raises(ValueError):
-                call()
+        bank = TokenBank()
+        bank.set_limits(3, None)
+        for value in (1.0, 2.0, 3.0):
+            bank.append(value)
+        with pytest.raises(ValueError):
+            bank.set_limits(max_entries, ttl)
         assert list(bank) == [1.0, 2.0, 3.0] and bank.capped == 0
 
     def test_ttl_expiry(self):
-        bank = TokenBank(ttl=1.0)
+        bank = TokenBank()
+        bank.set_limits(MAX_TOKENS, 1.0)
         bank.append(1.0, now=0.0)
         bank.append(2.0, now=0.5)
         bank.expire(1.4)  # horizon 0.4: only the entry stamped at 0.0
@@ -337,7 +341,8 @@ class TestTokenBank:
 
     def test_total_tracks_mutation(self):
         bank = TokenBank()
-        bank.extend([1.0, 2.0, 3.0])
+        for value in (1.0, 2.0, 3.0):
+            bank.append(value)
         assert bank.spend(0.5) == 0.0  # front token partially consumed
         assert bank.total == pytest.approx(5.5)
         assert bank.popleft() == 0.5

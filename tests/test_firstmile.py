@@ -61,7 +61,7 @@ class TestLocalFortuneLoop:
         sender = RtpSender(sim, flow, GccController())
         sender.transmit = lambda p: None
         teller = FortuneTeller(sim, queue)
-        loop = LocalFortuneLoop(sim, sender, teller, interval=0.040)
+        loop = LocalFortuneLoop(sim, sender, teller)
         packet = sender.send_packet()
         loop.on_packet_sent(packet)
         sim.run(until=0.1)

@@ -91,9 +91,9 @@ class TestEachSeqReachesCcaOnce:
     def test_overflowing_ap_queue(self, sim, small_queue, updater, flow):
         from repro.cca.gcc import GccController
         from repro.sim.engine import Timer
-        from repro.transport.rtp import RtpSender
+        from repro.transport.rtp import HISTORY_WINDOW, RtpSender
 
-        sender = RtpSender(sim, flow, GccController(), history_window=0.5)
+        sender = RtpSender(sim, flow, GccController())
 
         def downlink(packet):
             updater.on_data_packet(packet)
@@ -117,7 +117,7 @@ class TestEachSeqReachesCcaOnce:
         # queue overflows every few packets for the whole run.
         Timer(sim, 0.002, sender.send_packet)
         Timer(sim, 0.003, lambda: small_queue.dequeue(sim.now))
-        sim.run(until=2.0)
+        sim.run(until=HISTORY_WINDOW + 1.0)  # the history evicts
 
         seqs = [r.seq for r in reports]
         frontier = sender._next_unreported

@@ -86,6 +86,17 @@ BANS = {
         "The control plane has one setting, ControlSpec(steering): the "
         "thresholds, dwell times and policy ladder are module constants, "
         "with no config object to override them."),
+    "one-datapath-setting": (
+        "-nwE", "nack_retries|nack_enabled|nack_delay|keyframe_scale|"
+        "keyframe_interval|size_sigma|min_frame_bytes|base_backoff_slots|"
+        "per_interferer_busy|cw_slots|initial_threshold|history_window|"
+        "burst_gap|min_span|min_interval|max_interval|max_ampdu_bytes|"
+        "rate_headroom|min_rate_bps|max_buffer_bytes|rto_min|max_tokens|"
+        "overuse_time|delay_target|rate_window|start_active|ack_size|"
+        "feedback_size", ("src",),
+        "The datapath has one setting per mechanism: each number the "
+        "paper or the model fixes is a module constant beside the code "
+        "that reads it, not a constructor parameter that no caller sets."),
     "one-video-module": (
         "-nwE", "quic_video", ("src", "tests", "examples", "benchmarks"),
         "Every video app lives in app/video.py: the QUIC app shares the "

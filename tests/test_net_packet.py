@@ -22,9 +22,6 @@ class TestFiveTuple:
 
 
 class TestPacket:
-    def test_bits_property(self, flow):
-        assert Packet(flow, 100).bits == 800
-
     def test_size_must_be_positive(self, flow):
         with pytest.raises(ValueError):
             Packet(flow, 0)
@@ -42,8 +39,3 @@ class TestPacket:
         b = Packet(flow, 100)
         a.headers["x"] = 1
         assert "x" not in b.headers
-
-    def test_copy_header_default(self, flow):
-        packet = Packet(flow, 100, headers={"a": 1})
-        assert packet.copy_header("a") == 1
-        assert packet.copy_header("missing", "dflt") == "dflt"

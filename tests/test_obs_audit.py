@@ -12,7 +12,8 @@ from repro.sim.engine import Simulator
 def _run(*steps):
     """Drive a recording join with ``(time, method, *args)`` steps."""
     sim = Simulator()
-    join = PredictionJoin(sim, record=True)
+    join = PredictionJoin(sim)
+    join.record = True
     for time, method, *args in steps:
         sim.call_at(time, lambda m=method, a=args: getattr(join, m)(*a))
     sim.run()

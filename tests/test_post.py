@@ -29,7 +29,7 @@ def _mutant(dropped: str) -> type:
     """A ``Simulator`` whose ``post`` ignores one of its two checks."""
 
     def post(self, callback):
-        now, heap, run = self._now, self._heap, self._run
+        now, heap, run = self.now, self._heap, self._run
         quiet = {
             "heap": not heap or heap[0][0] > now,
             "run": (run is None or run._head == len(run._times)
@@ -188,7 +188,7 @@ class _KickedWirelessLink(WirelessLink):
     """The kick before posts: a ``schedule(0.0)`` event."""
 
     def send(self, packet):
-        if not self.queue.enqueue(packet, self.sim._now):
+        if not self.queue.enqueue(packet, self.sim.now):
             return
         if self._air_end is not None:
             self._resolve_air_end()

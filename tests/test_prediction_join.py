@@ -94,7 +94,8 @@ class NewJoin:
 
     def __init__(self, config):
         self.sim = Simulator()
-        self.join = PredictionJoin(self.sim, record=True)
+        self.join = PredictionJoin(self.sim)
+        self.join.record = True
         self.dog = EstimatorHealthWatchdog(self.sim, self.join, config)
 
     def note(self, pkt_id, predicted):
@@ -238,7 +239,8 @@ def test_bound_evicts_the_oldest_open_prediction():
     """More than 4096 open predictions: the oldest go, counted, and a
     late delivery of an evicted packet does not pair."""
     sim = Simulator()
-    join = PredictionJoin(sim, record=True)
+    join = PredictionJoin(sim)
+    join.record = True
     dog = reference.ReferenceWatchdog(sim)
     extra = 10
     for pkt_id in range(MAX_OPEN_PREDICTIONS + extra):
@@ -264,7 +266,8 @@ def test_reset_clears_open_predictions():
     """A packet predicted before an AP reset does not pair after it
     (the teller's records used to keep it)."""
     sim = Simulator()
-    join = PredictionJoin(sim, record=True)
+    join = PredictionJoin(sim)
+    join.record = True
     records = reference.ReferenceTellerRecords(sim)
     for pkt_id in (1, 2):
         join.note(pkt_id, 0.01)

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.aqm import make_queue
 from repro.core.feedback_updater import FeedbackKind
-from repro.core.fortune_teller import FortuneTeller
 from repro.core.sliding_window import (
     BurstSizeTracker,
     DelayDeltaHistory,
@@ -37,7 +36,6 @@ from repro.core.sliding_window_reference import (
 )
 from repro.core.zhuge_ap import ZhugeAP
 from repro.net.packet import FiveTuple, Packet
-from repro.net.queue import DropTailQueue
 from repro.sim.engine import Simulator
 from repro.sim.random import DeterministicRandom
 
@@ -231,43 +229,6 @@ class TestBurstCallEquivalence:
         assert opt.max_burst_bytes(0.0033) == 500
         assert ref.max_burst_bytes(0.0033) == 500
 
-    @given(st.lists(st.tuples(burst_steps, bursts), max_size=80),
-           st.sampled_from([(0.001, 0.001), (0.0, 0.001), (0.001, 0.0),
-                            (-1.0, -1.0)]))
-    @settings(max_examples=150)
-    def test_teller_feeds_degenerate_configs_packet_by_packet(
-            self, ops, config):
-        """``min_interval <= 0`` / ``resolution <= 0``: same-instant
-        departures are not inert, and ``observe_departure`` must still
-        equal the per-packet reference."""
-        min_interval, resolution = config
-        teller = FortuneTeller(Simulator(), DropTailQueue())
-        teller.dequeue_intervals.min_interval = min_interval
-        teller.burst_tracker.resolution = resolution
-        refs = (ReferenceSlidingWindowRate(WINDOW),
-                ReferenceSlidingWindowRate(WINDOW * 10),
-                ReferenceDequeueIntervalEstimator(
-                    WINDOW, min_interval=min_interval),
-                ReferenceBurstSizeTracker(resolution=resolution))
-        flow = FiveTuple("s", "c", 1, 2)
-        t = 0.0
-        for dt, burst in ops:
-            t += dt
-            packets = [Packet(flow, nbytes) for nbytes in burst]
-            for packet in packets:
-                packet.dequeued_at = t
-                refs[0].record(t, packet.size)
-                refs[1].record(t, packet.size)
-                refs[2].record_departure(t)
-                refs[3].record_departure(t, packet.size)
-            teller.observe_departure(packets)
-            assert teller.tx_rate.rate_bps(t) == refs[0].rate_bps(t)
-            assert teller.tx_rate_long.rate_bps(t) == refs[1].rate_bps(t)
-            assert (teller.dequeue_intervals.average_interval(t)
-                    == refs[2].average_interval(t))
-            assert (teller.burst_tracker.max_burst_bytes(t)
-                    == refs[3].max_burst_bytes(t))
-
 
 # -- teller + updater: burst drain == per-packet drain --------------------
 
@@ -303,7 +264,7 @@ class _Stack:
         self.sent = 0
 
     def step(self, t, op):
-        self.sim._now = t
+        self.sim.now = t
         kind = op[0]
         if kind == "data":
             for nbytes in op[2]:

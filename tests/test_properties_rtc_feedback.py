@@ -17,7 +17,7 @@ from repro.cca.base import FeedbackPacketReport
 from repro.cca.gcc import GccController, TrendlineEstimator
 from repro.net.packet import FiveTuple, Packet, PacketKind
 from repro.sim.engine import Simulator
-from repro.transport.rtp import RtpSender, TwccFeedback
+from repro.transport.rtp import HISTORY_WINDOW, RtpSender, TwccFeedback
 from tests.reference_rtp import (ReferenceGccController, ReferenceRtpSender,
                                  ReferenceTrendlineEstimator)
 
@@ -47,11 +47,10 @@ class CountingDict(dict):
 class _Side:
     """One sender + GCC pair with every report handed to the CCA logged."""
 
-    def __init__(self, sender_cls, cca_cls, history_window):
+    def __init__(self, sender_cls, cca_cls):
         self.sim = Simulator()
         self.cca = cca_cls(initial_bps=1e6)
-        self.sender = sender_cls(self.sim, FLOW, self.cca,
-                                 history_window=history_window)
+        self.sender = sender_cls(self.sim, FLOW, self.cca)
         self.sender.transmit = lambda packet: None
         self.batches = []  # one report list per cca.on_feedback call
         inner = self.cca.on_feedback
@@ -108,7 +107,7 @@ def _assert_frontier(side):
         assert cca._recv_newest == max(t for t, _ in cca._recv_window)
 
 
-def _replay(ops, seed, history_window):
+def _replay(ops, seed):
     """Apply one scripted schedule to both implementations in lockstep.
 
     The script plays the network and the receiver: it decides which
@@ -116,8 +115,8 @@ def _replay(ops, seed, history_window):
     both senders see byte-identical inputs.
     """
     rng = random.Random(seed)
-    new = _Side(RtpSender, GccController, history_window)
-    ref = _Side(ReferenceRtpSender, ReferenceGccController, history_window)
+    new = _Side(RtpSender, GccController)
+    ref = _Side(ReferenceRtpSender, ReferenceGccController)
     sides = (new, ref)
     now = 0.0
     cursor = 0          # receiver's next unreported seq
@@ -131,7 +130,7 @@ def _replay(ops, seed, history_window):
     for kind, dt, count, size in ops:
         now += dt
         if kind == "idle":            # longer than the history window
-            now += history_window * (1 + count / 10)
+            now += HISTORY_WINDOW * (1 + count / 10)
         for side in sides:
             side.sim.run(until=now)
         next_seq = new.sender._twcc_seq
@@ -191,7 +190,6 @@ rtc_schedules = st.fixed_dictionaries({
                   st.integers(min_value=1, max_value=1500)),
         max_size=80),
     "seed": st.integers(min_value=0, max_value=2**32),
-    "history_window": st.sampled_from([0.3, 1.0, 2.0]),
 })
 
 
@@ -214,7 +212,7 @@ class TestFrontierMatchesReference:
                   ("idle", 0.0, 5, 1), ("send", 0.0, 0, 900),
                   ("evicted", 0.0, 9, 1), ("straggler", 0.0, 0, 1),
                   ("feedback", 0.01, 30, 1)])
-        new = _replay(ops, seed=5, history_window=1.0)
+        new = _replay(ops, seed=5)
         reports = [r for _, batch in new.batches for r in batch]
         assert any(r.recv_time is None for r in reports)
         assert new.sender._oldest_seq > 0
@@ -223,14 +221,14 @@ class TestFrontierMatchesReference:
 
 class TestHistoryLookupsScaleWithReports:
     def test_lookups_bounded_by_reported_span(self):
-        """20 k packets outstanding in a 60 s history: one feedback
+        """900 packets outstanding in the 2 s history: one feedback
         costs the span it reports, not the history it sits on."""
-        side = _Side(RtpSender, GccController, history_window=60.0)
+        side = _Side(RtpSender, GccController)
         sender = side.sender
-        for i in range(20_000):
+        for i in range(900):
             side.sim.run(until=i * 0.002)
             sender.send_packet()
-        assert len(sender._history) == 20_000
+        assert len(sender._history) == 900
         sender._history = history = CountingDict(sender._history)
         for seqs, span in [((0, 9), 10), ((10,), 1), ((11, 40), 30),
                            ((5, 20), 0)]:   # the last one is stale

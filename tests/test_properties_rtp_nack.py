@@ -1,7 +1,7 @@
 """NACK wake-up vs the always-on NACK timer (tests/reference_rtp.py).
 
 ``RtpReceiver`` plants its NACK tick only while a gap is open, on the
-accumulated ``t + nack_delay`` grid the old ``Timer`` ticked on.  Every
+accumulated ``t + NACK_DELAY`` grid the old ``Timer`` ticked on.  Every
 schedule below is replayed against the ``Timer``-driven receiver: the
 same NACKs at the same instants, the same TWCC feedback and the same
 ``_missing`` after every step.
@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.packet import FiveTuple, Packet, PacketKind
-from repro.sim.engine import SimulationError, Simulator
-from repro.transport.rtp import RtpReceiver
+from repro.sim.engine import Simulator
+from repro.transport.rtp import NACK_DELAY, NACK_RETRIES, RtpReceiver
 from tests.reference_rtp import ReferenceRtpReceiver
 
 pytestmark = pytest.mark.bitexact
@@ -26,10 +26,10 @@ FLOW = FiveTuple("s", "c", 1, 2, "udp")
 class _Side:
     """One receiver with every packet it transmits logged."""
 
-    def __init__(self, receiver_cls, start, **kwargs):
+    def __init__(self, receiver_cls, start):
         self.sim = Simulator()
         self.sim.run(until=start)     # the grid is anchored at construction
-        self.receiver = receiver_cls(self.sim, FLOW, **kwargs)
+        self.receiver = receiver_cls(self.sim, FLOW)
         self.receiver.transmit = self._transmit
         self.nacks = []
         self.feedback = []
@@ -72,11 +72,11 @@ def _assert_planted_on_the_grid(new, ref):
         return
     grid = ref.receiver._nack_timer._event.time
     while grid < event.time:
-        grid += ref.receiver.nack_delay
+        grid += NACK_DELAY
     assert grid == event.time
 
 
-def _replay(ops, seed, start, nack_delay, nack_retries, nack_enabled):
+def _replay(ops, seed, start):
     """Apply one scripted arrival schedule to both receivers in lockstep.
 
     The script plays the network: it decides from its own random
@@ -84,10 +84,8 @@ def _replay(ops, seed, start, nack_delay, nack_retries, nack_enabled):
     both receivers see identical inputs.
     """
     rng = random.Random(seed)
-    kwargs = dict(nack_delay=nack_delay, nack_retries=nack_retries,
-                  nack_enabled=nack_enabled)
-    new = _Side(RtpReceiver, start, **kwargs)
-    ref = _Side(ReferenceRtpReceiver, start, **kwargs)
+    new = _Side(RtpReceiver, start)
+    ref = _Side(ReferenceRtpReceiver, start)
     sides = (new, ref)
     now = start
     next_seq = 0
@@ -123,13 +121,13 @@ def _replay(ops, seed, start, nack_delay, nack_retries, nack_enabled):
             # (scheduled after it, so the arrival fires first).
             at = ref.receiver._nack_timer._event.time
             if share >= 0.5:
-                at += nack_delay
+                at += NACK_DELAY
             lost.extend(range(next_seq, next_seq + count % 3))
             next_seq += count % 3
             arrivals.append((at, next_seq))
             next_seq += 1
         elif kind == "idle":          # many ticks with nothing arriving
-            now += nack_delay * (5 + count)
+            now += NACK_DELAY * (5 + count)
         elif kind == "stop":
             open_at_stop.append(dict(new.receiver._missing))
             for side in sides:
@@ -158,9 +156,6 @@ nack_schedules = st.fixed_dictionaries({
         max_size=60),
     "seed": st.integers(min_value=0, max_value=2**32),
     "start": st.sampled_from([0.0, 0.0, 0.37, 12.345]),
-    "nack_delay": st.sampled_from([0.015, 0.01, 0.007]),
-    "nack_retries": st.integers(min_value=0, max_value=3),
-    "nack_enabled": st.sampled_from([True, True, True, False]),
 })
 
 
@@ -184,14 +179,12 @@ class TestNackWakeUpMatchesTimer:
                   ("dup", 0.01, 0, 0.5), ("reorder", 0.02, 3, 1.0),
                   ("grid", 0.0, 2, 0.0), ("stop", 0.0, 0, 0.0),
                   ("burst", 0.05, 5, 0.5), ("idle", 0.0, 9, 0.0)])
-        new, ref, delivered, open_at_stop = _replay(
-            ops, seed=7, start=0.37, nack_delay=0.015, nack_retries=2,
-            nack_enabled=True)
+        new, ref, delivered, open_at_stop = _replay(ops, seed=7, start=0.37)
         requested = [seq for _, seqs in new.nacks for seq in seqs]
         given_up = {seq for seq in requested if seq not in delivered
                     and seq not in new.receiver._missing}
         assert given_up
-        assert all(requested.count(seq) == 2 for seq in given_up)
+        assert all(requested.count(seq) == NACK_RETRIES for seq in given_up)
         assert len(open_at_stop) == 1 and open_at_stop[0]
         # Fewer dispatches than the always-on timer, same NACKs.
         assert new.sim.events_processed < ref.sim.events_processed
@@ -213,8 +206,3 @@ class TestNoTickWithoutAGap:
         sim.run(until=2.0)
         assert receiver.packets_received == 400
         assert planted == []
-
-    @pytest.mark.parametrize("delay", [0.0, -0.01, float("nan")])
-    def test_non_positive_nack_delay_rejected(self, delay):
-        with pytest.raises(SimulationError):
-            RtpReceiver(Simulator(), FLOW, nack_delay=delay)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.app.video import RtpVideoApp, VideoEncoder
+from repro.app.video import BURST_GAP, RtpVideoApp, VideoEncoder
 from repro.net.packet import FiveTuple, Packet, PacketKind
 from repro.sim.engine import Simulator, Timer
 from repro.sim.random import DeterministicRandom
@@ -73,21 +73,21 @@ class _Side:
     same seq-consuming schedules.
     """
 
-    def __init__(self, sender_cls, app_cls, seed, paced, burst_gap):
+    def __init__(self, sender_cls, app_cls, seed, paced):
         sim = self.sim = _PostCountingSimulator()
         self.log = []
         self.marks = ()         # burst-gap multiples the shadows plant at
         self.cca = _Cca()
         self.sender = sender_cls(sim, FLOW, self.cca)
         self.sender.transmit = self._transmit
-        self.gap = burst_gap
+        self.gap = BURST_GAP
         # Shadow timers tick at the app's own instants (same interval,
         # same accumulation): one created before the app, so its
         # markers hold lower seqs than the frame's packets, one after.
         Timer(sim, 1.0 / FPS, lambda: self._shadow("early"), first_delay=0.0)
         self.app = app_cls(sim, self.sender, _Receiver(),
                            VideoEncoder(FPS, DeterministicRandom(seed)),
-                           burst_gap=burst_gap, paced=paced)
+                           paced=paced)
         Timer(sim, 1.0 / FPS, lambda: self._shadow("late"), first_delay=0.0)
 
     def _mark(self, tag):
@@ -124,11 +124,10 @@ class _Side:
         }
 
 
-def _replay(frames, seed, paced, burst_gap):
+def _replay(frames, seed, paced):
     """Drive both implementations frame by frame, in lockstep."""
-    new = _Side(RtpSender, RtpVideoApp, seed, paced, burst_gap)
-    ref = _Side(ReferenceRtpSender, ReferenceRtpVideoApp, seed, paced,
-                burst_gap)
+    new = _Side(RtpSender, RtpVideoApp, seed, paced)
+    ref = _Side(ReferenceRtpSender, ReferenceRtpVideoApp, seed, paced)
     for index, (target_bps, marks, nack_at, nack_seqs) in enumerate(frames):
         for side in (new, ref):
             side.cca.target_bps = target_bps
@@ -155,7 +154,7 @@ send_schedules = st.fixed_dictionaries({
     "frames": st.lists(
         st.tuples(
             # 100 kb/s is a one-packet frame; 12 Mb/s times the 3x
-            # keyframe is ~150 packets, longer than 1/fps at every gap.
+            # keyframe is ~150 packets, longer than 1/fps.
             st.floats(min_value=1e5, max_value=1.2e7),
             st.lists(st.integers(min_value=0, max_value=6), max_size=3),
             st.floats(min_value=0.0, max_value=0.49),
@@ -163,7 +162,6 @@ send_schedules = st.fixed_dictionaries({
         min_size=1, max_size=12),
     "seed": st.integers(min_value=0, max_value=2**32),
     "paced": st.booleans(),
-    "burst_gap": st.sampled_from([0.0, 0.0005, 0.004]),
 })
 
 
@@ -182,11 +180,11 @@ class TestBurstRunMatchesPerPacketEvents:
         """On one fixed schedule: a burst that outlasts ``1/fps`` (so
         the next frame's early packets take the classic fallback and
         interleave with it), a retransmission and same-instant marks."""
-        frames = [(4e6, [0, 1, 2], 0.3, [1, 2]),
+        frames = [(1.2e7, [0, 1, 2], 0.3, [1, 2]),
                   (9e6, [0, 3], 0.1, [5]),
                   (2e5, [0], 0.2, [1, 30]),
                   (2e6, [1], 0.4, [])]
-        new = _replay(frames, seed=3, paced=False, burst_gap=0.004)
+        new = _replay(frames, seed=3, paced=False)
         packets = [row for row in new.log if row[0] == "pkt"]
         frame_ids = [row[5]["frame_id"] for row in packets]
         assert frame_ids != sorted(frame_ids), "no burst overlapped the next"
@@ -204,8 +202,7 @@ class TestNoEventPerPacket:
 
     @staticmethod
     def _side():
-        side = _Side(RtpSender, RtpVideoApp, seed=1, paced=False,
-                     burst_gap=0.0005)
+        side = _Side(RtpSender, RtpVideoApp, seed=1, paced=False)
         side.app._timer.stop()
         return side
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cca import make_rate_cca, make_window_cca
-from repro.cca.base import FeedbackPacketReport
+from repro.cca.base import MIN_BPS, FeedbackPacketReport
 from repro.cca.cubic import CubicCca
 from repro.net.packet import FiveTuple, Packet
 from repro.sim.engine import Simulator
@@ -47,7 +47,7 @@ class TestWindowCcaProperties:
                     min_size=1, max_size=100))
     @settings(max_examples=50)
     def test_rate_cca_stays_clamped(self, name, events):
-        """Rate CCAs never leave [min_bps, max_bps] whatever arrives."""
+        """Rate CCAs never leave [MIN_BPS, max_bps] whatever arrives."""
         cca = make_rate_cca(name, initial_bps=1e6, max_bps=5e6)
         now = 0.0
         seq = 0
@@ -61,7 +61,7 @@ class TestWindowCcaProperties:
                                                     recv))
                 seq += 1
             cca.on_feedback(now, reports)
-            assert cca.min_bps <= cca.target_bps <= cca.max_bps, name
+            assert MIN_BPS <= cca.target_bps <= cca.max_bps, name
 
 
 class TestTcpSenderProperties:
@@ -72,8 +72,7 @@ class TestTcpSenderProperties:
         """Lossless path: every write arrives exactly once, in order."""
         sim = Simulator()
         flow = FiveTuple("s", "c", 1, 2, "tcp")
-        sender = TcpSender(sim, flow, CubicCca(),
-                           max_buffer_bytes=10**9)
+        sender = TcpSender(sim, flow, CubicCca())
         receiver = TcpReceiver(sim, flow)
         sender.transmit = (
             lambda p: sim.schedule(0.01, lambda pp=p: receiver.on_data(pp)))
@@ -98,7 +97,7 @@ class TestTcpSenderProperties:
     def test_inflight_never_exceeds_window_plus_one(self, segments):
         sim = Simulator()
         flow = FiveTuple("s", "c", 1, 2, "tcp")
-        sender = TcpSender(sim, flow, CubicCca(), max_buffer_bytes=10**9)
+        sender = TcpSender(sim, flow, CubicCca())
         sender.transmit = lambda p: None  # nothing is ever acked
         sender.write(segments * sender.mss)
         sim.run(until=0.1)
@@ -114,8 +113,7 @@ class TestQuicProperties:
         from repro.transport.quic import QuicReceiver, QuicSender
         sim = Simulator()
         flow = FiveTuple("s", "c", 1, 2, "quic")
-        sender = QuicSender(sim, flow, CopaCca(mss=1200), mss=1200,
-                            max_buffer_bytes=10**9)
+        sender = QuicSender(sim, flow, CopaCca(mss=1200), mss=1200)
         receiver = QuicReceiver(sim, flow)
         sender.transmit = (
             lambda p: sim.schedule(0.01, lambda pp=p: receiver.on_data(pp)))
@@ -198,7 +196,7 @@ def _drive_tcp(sender_cls, receiver_cls, mode, writes, path_args, horizon,
         inner(now)
 
     cca.on_rto = on_rto
-    sender = sender_cls(sim, flow, cca, max_buffer_bytes=10**9)
+    sender = sender_cls(sim, flow, cca)
     receiver = receiver_cls(sim, flow)
     path = _Path(sim, *path_args)
     emitted, acks = [], []
@@ -342,8 +340,7 @@ def _drive_quic(sender_cls, writes, path_args, horizon):
     from repro.transport.quic import QuicReceiver
     sim = Simulator()
     flow = FiveTuple("s", "c", 1, 2, "quic")
-    sender = sender_cls(sim, flow, CopaCca(mss=1200), mss=1200,
-                        max_buffer_bytes=10**9)
+    sender = sender_cls(sim, flow, CopaCca(mss=1200), mss=1200)
     receiver = QuicReceiver(sim, flow)
     path = _Path(sim, *path_args)
     emitted = []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.app.video import QuicVideoApp
+from repro.app.video import MIN_RATE_BPS, QuicVideoApp
 from repro.app.video import VideoEncoder
 from repro.cca.copa import CopaCca
 from repro.sim.random import DeterministicRandom
@@ -50,7 +50,7 @@ class TestQuicVideoApp:
         sender, receiver, app = stack
         wire(sim, sender, receiver)
         sim.run(until=1.0)
-        assert app.min_rate_bps <= app.current_target_bps() <= app.max_rate_bps
+        assert MIN_RATE_BPS <= app.current_target_bps() <= app.max_rate_bps
 
     def test_stop_halts_encoding(self, sim, stack):
         sender, receiver, app = stack

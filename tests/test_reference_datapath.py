@@ -43,11 +43,9 @@ pytestmark = pytest.mark.bitexact
 #: 2 ms target over 20 ms and the link aggregates at most 4 packets, so
 #: a backlog survives each txop and a schedule of a few hundred
 #: milliseconds goes through CoDel's dropping state as well as the tail.
-KINDS = {"fifo": (DropTailQueue, ReferenceDropTailQueue, {}),
-         "codel": (CoDelQueue, ReferenceCoDelQueue,
-                   {"target": 0.002, "interval": 0.02}),
-         "fq_codel": (FqCoDelQueue, ReferenceFqCoDelQueue,
-                      {"target": 0.002, "interval": 0.02})}
+KINDS = {"fifo": (DropTailQueue, ReferenceDropTailQueue),
+         "codel": (CoDelQueue, ReferenceCoDelQueue),
+         "fq_codel": (FqCoDelQueue, ReferenceFqCoDelQueue)}
 FLOWS = [FiveTuple("s", "c", 1, 2, "udp"), FiveTuple("s", "c", 3, 4, "udp")]
 
 
@@ -79,7 +77,7 @@ class _IdleCountingLink(ReferenceWirelessLink):
         enqueued = self.queue.stats.enqueued
         super().send(packet)
         if (self._unplanted and self.queue.stats.enqueued > enqueued
-                and self.sim._now < self._finish_run._times[-1]):
+                and self.sim.now < self._finish_run._times[-1]):
             self._unplanted = False     # the live send plants the finish
 
     def _transmit_ampdu(self) -> None:
@@ -99,14 +97,14 @@ def _trajectory(reference: bool, kind: str, arrivals, rate_bps: float,
                 traced: bool, faulty: bool, observer: bool, bursts):
     """Everything a scenario could observe of one run, in order."""
     sim = _KickCountingSimulator()
-    queue_cls, reference_cls, aqm = KINDS[kind]
+    queue_cls, reference_cls = KINDS[kind]
     queue = (reference_cls if reference else queue_cls)(
-        capacity_bytes=12_000, name="down", **aqm)
+        capacity_bytes=12_000, name="down")
     teller_cls = ReferenceFortuneTeller if reference else FortuneTeller
     # The shared teller and a flow's own (§4.1 on fq_codel).
     tellers = [teller_cls(sim, queue), teller_cls(sim, queue, flow=FLOWS[0])]
     for teller in tellers:
-        teller.burst_tracker.window, teller.burst_tracker.resolution = bursts
+        teller.burst_tracker.window = bursts
     link_cls = _IdleCountingLink if reference else WirelessLink
     trace = TraceSpec.constant(rate_bps, 10.0).build()
     link = link_cls(sim, WirelessChannel(trace), queue, max_ampdu_packets=4)
@@ -171,10 +169,10 @@ def _trajectory(reference: bool, kind: str, arrivals, rate_bps: float,
     st.sampled_from(sorted(KINDS)),
     st.sampled_from([2e6, 50e6]),
     st.booleans(), st.booleans(), st.booleans(),
-    # (window, resolution) of the burst tracker: the default; a zero
-    # window, which retires every burst right after its head packet;
-    # and bursts kept open across txops until they go stale.
-    st.sampled_from([(1.0, 0.001), (0.0, 0.001), (0.003, 0.01)]))
+    # The burst tracker's window: the default; zero, which retires
+    # every burst right after its head packet; and 3 ms, where bursts
+    # kept open across txops go stale.
+    st.sampled_from([1.0, 0.0, 0.003]))
 @settings(max_examples=300, deadline=None)
 def test_burst_datapath_matches_the_per_packet_one(
         arrivals, kind, rate_bps, traced, faulty, observer, bursts):

@@ -4,13 +4,13 @@ import pytest
 
 from repro.cca.gcc import GccController
 from repro.net.packet import Packet, PacketKind
-from repro.transport.rtp import RtpReceiver, RtpSender
+from repro.transport.rtp import NACK_RETRIES, RtpReceiver, RtpSender
 
 
 @pytest.fixture
 def pair(sim, flow):
     sender = RtpSender(sim, flow, GccController(initial_bps=1e6))
-    receiver = RtpReceiver(sim, flow, nack_delay=0.010)
+    receiver = RtpReceiver(sim, flow)
     return sender, receiver
 
 
@@ -96,7 +96,7 @@ class TestNackRoundTrip:
         receiver.on_data(Packet(pair[0].flow, 1200, headers={"twcc_seq": 5}))
         sim.run(until=2.0)
         assert receiver._missing == {}
-        assert receiver.nacks_sent <= receiver.nack_retries + 1
+        assert receiver.nacks_sent <= NACK_RETRIES + 1
 
     def test_retransmission_gets_new_twcc_seq(self, sim, pair):
         sender, _ = pair

@@ -123,11 +123,10 @@ class TestSackRecovery:
     def test_bulk_flow_saturates_after_overshoot(self, sim, pair):
         """Slow-start overshoot loses a burst; SACK recovery must keep
         the connection moving at line rate afterwards."""
-        from repro.net.queue import DropTailQueue
         from repro.net.link import WiredLink
         sender, receiver = pair
-        queue = DropTailQueue(capacity_bytes=60_000)
-        link = WiredLink(sim, 20e6, delay=0.01, queue=queue)
+        link = WiredLink(sim, 20e6, delay=0.01)
+        link.queue.capacity_bytes = 60_000
         link.deliver = receiver.on_data
         sender.transmit = link.send
         receiver.transmit = (

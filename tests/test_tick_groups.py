@@ -127,7 +127,7 @@ def _mutant(defect: str) -> type:
                     break
                 group.live -= 1
                 timer._group = None
-                self._now = time
+                self.now = time
                 timer._fire()
                 fired = 1
                 while defect == "drain" and posted:

@@ -4,13 +4,13 @@ import pytest
 
 from repro.cca.gcc import GccController
 from repro.net.packet import PacketKind
-from repro.transport.rtp import RtpReceiver, RtpSender
+from repro.transport.rtp import HISTORY_WINDOW, RtpReceiver, RtpSender
 
 
 @pytest.fixture
 def pair(sim, flow):
     sender = RtpSender(sim, flow, GccController(initial_bps=1e6))
-    receiver = RtpReceiver(sim, flow, feedback_interval=0.040)
+    receiver = RtpReceiver(sim, flow)
     return sender, receiver
 
 
@@ -129,11 +129,11 @@ class TestReceiverBehaviour:
 
 class TestHistoryEviction:
     def test_history_trimmed_by_window(self, sim, flow):
-        sender = RtpSender(sim, flow, GccController(), history_window=0.1)
+        sender = RtpSender(sim, flow, GccController())
         sender.transmit = lambda p: None
         sender.send_packet()
-        sim.run(until=1.0)
-        sender.send_packet()  # triggers trim at t=1.0
+        sim.run(until=HISTORY_WINDOW + 0.5)
+        sender.send_packet()  # triggers the trim
         assert 0 not in sender._history
         assert 1 in sender._history
 

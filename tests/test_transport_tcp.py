@@ -4,6 +4,7 @@ import pytest
 
 from repro.cca.cubic import CubicCca
 from repro.net.packet import Packet
+from repro.transport.stream import MAX_BUFFER_BYTES
 from repro.transport.tcp import TcpReceiver, TcpSender
 
 
@@ -68,10 +69,10 @@ class TestBasicTransfer:
         assert sender.rtt_recorder.count > 0
 
     def test_write_buffer_limit(self, sim, flow):
-        sender = TcpSender(sim, flow, CubicCca(), max_buffer_bytes=10_000)
+        sender = TcpSender(sim, flow, CubicCca())
         sender.transmit = lambda p: None
         sender.cca.cwnd = 0  # window closed: writes stay buffered
-        assert sender.write(9_000)
+        assert sender.write(MAX_BUFFER_BYTES - 1_000)
         assert not sender.write(9_000)
 
     def test_invalid_write(self, sim, pair):

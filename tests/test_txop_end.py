@@ -76,7 +76,7 @@ class _Ends:
         pass
 
     def link_txop(self, link, packets, size, airtime, rate):
-        self.end = self.sim._now + airtime
+        self.end = self.sim.now + airtime
 
     def link_delivery(self, link, packet):
         pass
@@ -93,8 +93,7 @@ def _trajectory(link_cls, schedule):
     delivered, dropped, links, ends = [], [], [], []
     for index in range(schedule["links"]):
         if schedule["codel"]:
-            queue = CoDelQueue(capacity_bytes=8_000, target=0.002,
-                               interval=0.02)
+            queue = CoDelQueue(capacity_bytes=8_000)
         else:
             queue = DropTailQueue(capacity_bytes=8_000)
         queue.on_drop.append(lambda p, reason, index=index: dropped.append(
@@ -170,7 +169,7 @@ def _mutant(defect: str) -> type:
     def resolve(self):
         end = self._air_end
         self._air_end = None
-        if end > self.sim._now:
+        if end > self.sim.now:
             if defect != "plant":
                 self._finish_run.push(end, None)
         elif defect != "idle":

@@ -28,6 +28,8 @@ from hypothesis import strategies as st
 from repro.core.feedback_updater import FeedbackKind
 from repro.core.prediction_join import PredictionJoin
 from repro.core.sliding_window import (
+    AMPDU_INTERVAL,
+    MAX_TX_INTERVAL,
     DelayDeltaHistory,
     DequeueIntervalEstimator,
     TokenBank,
@@ -96,21 +98,19 @@ class TestExactFloatSum:
 
 
 class TestReadSumsMatchRunningSums:
-    @given(windows, st.sampled_from([1e-9, 0.001]),
-           st.sampled_from([0.030, 1e3]),
+    @given(windows,
            st.lists(st.tuples(steps, st.integers(min_value=0, max_value=4),
                               st.booleans()), min_size=4, max_size=150),
            st.none() | st.integers(min_value=1, max_value=30))
     @settings(max_examples=300)
-    def test_dequeue_intervals(self, window, min_interval, max_interval,
-                               ops, reset_at):
+    def test_dequeue_intervals(self, window, ops, reset_at):
         """``count`` same-instant departures (none: a bare prediction),
         each optionally followed by a prediction at the same instant; a
         departure whose interval does not qualify (an idle gap above
-        ``max_interval``) can still expire the window."""
-        new = DequeueIntervalEstimator(window, min_interval, max_interval)
-        old = SummingDequeueIntervalEstimator(window, min_interval,
-                                              max_interval)
+        ``MAX_TX_INTERVAL``) can still expire the window."""
+        new = DequeueIntervalEstimator(window)
+        old = SummingDequeueIntervalEstimator(window, AMPDU_INTERVAL,
+                                              MAX_TX_INTERVAL)
         t = 0.0
         for i, (dt, count, query) in enumerate(ops):
             if i == reset_at:
@@ -164,7 +164,8 @@ class TestReadSumsMatchRunningSums:
                st.tuples(st.just("clear"))), min_size=4, max_size=200))
     @settings(max_examples=300)
     def test_token_bank(self, cap, ttl, ops):
-        new = TokenBank(max_entries=cap, ttl=ttl)
+        new = TokenBank()
+        new.set_limits(cap, ttl)
         old = SummingTokenBank(max_entries=cap, ttl=ttl)
         t = 0.0
         for op in ops:
@@ -205,13 +206,13 @@ class TestReadSumsMatchRunningSums:
         old = SummingWatchdog(sim, PredictionJoin(sim), config)
         for op in ops:
             if op[0] == "deliver":
-                sim._now += op[1]
+                sim.now += op[1]
                 new.note_delivery(op[2], op[3])
                 old.note_delivery(op[2], op[3])
             elif op[0] == "mean":
                 assert same(new.mean_error, old.mean_error)
             elif op[0] == "recent":
-                sim._now += op[1]
+                sim.now += op[1]
                 assert new.recent_errors() == old.recent_errors()
             else:
                 new.notify_reset()
@@ -265,14 +266,14 @@ def datapath_c_calls(rounds: int = 200) -> tuple[Counter, int]:
     sys.setprofile(profile)
     try:
         for _ in range(rounds):
-            sim._now = now
+            sim.now = now
             for i in range(8):
                 packet = Packet(flows[i % 4], 1200)
                 queue.enqueue(packet, now)
                 ap.on_downlink(packet)
-            sim._now = now + 0.002
-            assert len(queue.dequeue_burst(sim._now, 8, 1 << 20)) == 8
-            sim._now = now + 0.003
+            sim.now = now + 0.002
+            assert len(queue.dequeue_burst(sim.now, 8, 1 << 20)) == 8
+            sim.now = now + 0.003
             for i in range(8):
                 ap.on_uplink(Packet(reverse[i % 4], ACK_SIZE,
                                     PacketKind.ACK))

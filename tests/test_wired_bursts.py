@@ -73,10 +73,10 @@ def _trajectory(link_cls, program):
     sim = Simulator()
     log = []
     foreign = sim.timed_run(lambda tag: log.append(("run", sim.now, tag)))
-    links = [link_cls(sim, rate, delay,
-                      queue=DropTailQueue(capacity_bytes=4 * SIZE),
-                      name=f"l{index}")
+    links = [link_cls(sim, rate, delay, name=f"l{index}")
              for index, (rate, delay) in enumerate(LINKS)]
+    for link in links:
+        link.queue.capacity_bytes = 4 * SIZE
     reactions = program["reactions"]
     state = {"packets": 0, "tags": 0, "last_push": 0.0}
     reacting = set()

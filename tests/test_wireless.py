@@ -13,6 +13,7 @@ from repro.wireless import (
     WirelessChannel,
     WirelessLink,
 )
+from repro.wireless.link import MAX_AMPDU_BYTES
 
 
 class TestMcsController:
@@ -51,10 +52,6 @@ class TestMcsController:
         sim.run(until=2.0)
         assert mcs.index == index
 
-    def test_empty_table_rejected(self):
-        with pytest.raises(ValueError):
-            McsController(table=())
-
 
 class TestWirelessChannel:
     def test_rate_from_trace(self):
@@ -65,7 +62,8 @@ class TestWirelessChannel:
 
     def test_mcs_caps_rate(self):
         trace = BandwidthTrace([100e6], interval=1.0)
-        mcs = McsController(index=0)  # 6.5 Mbps PHY
+        mcs = McsController()
+        mcs.index = 0  # 6.5 Mbps PHY
         channel = WirelessChannel(trace, mcs=mcs, mac_efficiency=0.7)
         assert channel.rate_at(0.0) == pytest.approx(6.5e6 * 0.7)
 
@@ -131,13 +129,13 @@ class TestWirelessLink:
         assert link.txops == 2
 
     def test_ampdu_byte_cap(self, sim, flow):
-        link, _ = self._link(sim, max_ampdu_packets=100,
-                             max_ampdu_bytes=3000)
+        link, _ = self._link(sim, max_ampdu_packets=100)
         link.deliver_batch = lambda packets: None
+        size = MAX_AMPDU_BYTES * 2 // 5
         for _ in range(6):
-            sim.schedule(0.0, lambda: link.send(Packet(flow, 1200)))
+            sim.schedule(0.0, lambda: link.send(Packet(flow, size)))
         sim.run(until=1.0)
-        # 3000 B cap: 2 packets of 1200 B fit per AMPDU -> 3 txops.
+        # Two packets of 2/5 of the byte cap fit per AMPDU -> 3 txops.
         assert link.txops == 3
 
     def test_throughput_tracks_channel_rate(self, sim, flow):
@@ -198,13 +196,9 @@ class TestWirelessLink:
             WirelessLink(sim, WirelessChannel(trace), DropTailQueue(),
                          max_ampdu_packets=0)
 
-    @pytest.mark.parametrize("kwargs, match", [
-        ({"max_ampdu_bytes": 0}, "max_ampdu_bytes"),
-        ({"per_txop_overhead": -1e-4}, "per_txop_overhead"),
-        ({"per_txop_overhead": float("nan")}, "per_txop_overhead"),
-        ({"per_txop_overhead": float("inf")}, "per_txop_overhead")])
-    def test_invalid_ampdu_bytes_and_overhead(self, sim, kwargs, match):
+    @pytest.mark.parametrize("overhead", [-1e-4, float("nan"), float("inf")])
+    def test_invalid_overhead(self, sim, overhead):
         trace = BandwidthTrace([1e6])
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match="per_txop_overhead"):
             WirelessLink(sim, WirelessChannel(trace), DropTailQueue(),
-                         **kwargs)
+                         per_txop_overhead=overhead)

@@ -1,12 +1,11 @@
 """Tests for the cellular downlink model."""
 
-import pytest
 
 from repro.aqm.fq_codel import FqCoDelQueue
 from repro.net.packet import FiveTuple, Packet
 from repro.net.queue import DropTailQueue
 from repro.traces.trace import BandwidthTrace
-from repro.wireless.cellular import CellularLink
+from repro.wireless.cellular import PROPAGATION_DELAY, TTI, CellularLink
 from repro.wireless.channel import WirelessChannel
 
 
@@ -39,7 +38,7 @@ class TestService:
         assert 200 <= len(got) <= 255
 
     def test_tti_paced_departures(self, sim, flow):
-        link, queue = make_link(sim, rate_bps=9.6e6, tti=0.001)
+        link, queue = make_link(sim, rate_bps=1200 * 8 / TTI)
         departures = []
         queue.on_departure.append(
             lambda burst, q: departures.extend([sim.now] * len(burst)))
@@ -47,18 +46,18 @@ class TestService:
         for _ in range(20):
             sim.schedule(0.0, lambda: link.send(Packet(flow, 1200)))
         sim.run(until=0.5)
-        # 9.6 Mbps = 1200 B/ms = exactly one packet per TTI.
+        # Exactly one 1200 B packet per TTI.
         gaps = [b - a for a, b in zip(departures, departures[1:])]
-        assert all(gap >= 0.00099 for gap in gaps)
+        assert all(gap >= 0.99 * TTI for gap in gaps)
 
     def test_propagation_delay(self, sim, flow):
-        link, _ = make_link(sim, propagation_delay=0.015)
+        link, _ = make_link(sim)
         got = []
         link.deliver_batch = lambda packets: got.extend(
             [sim.now] * len(packets))
         sim.schedule(0.0, lambda: link.send(Packet(flow, 1200)))
         sim.run(until=1.0)
-        assert got[0] >= 0.015
+        assert got[0] >= PROPAGATION_DELAY
 
     def test_head_of_line_packet_larger_than_tti_budget(self, sim, flow):
         # 1 Mbps = 125 B/ms: a 1200 B packet needs ~10 TTIs of carryover.
@@ -70,12 +69,6 @@ class TestService:
         sim.run(until=1.0)
         assert len(got) == 1
         assert got[0] >= 0.009
-
-    def test_invalid_tti(self, sim):
-        trace = BandwidthTrace([1e6])
-        with pytest.raises(ValueError):
-            CellularLink(sim, WirelessChannel(trace), DropTailQueue(),
-                         tti=0.0)
 
 
 class TestFlowIsolation:
