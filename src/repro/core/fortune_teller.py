@@ -8,8 +8,8 @@
 * ``qShort = cur(qFrontWaitTime)`` — how long the head packet has
   already waited, the earliest observable signal of an ABW drop;
 * ``tx     = avg(dequeueIntvl)`` — link-layer transmission delay,
-  measured as the mean inter-departure interval (ignoring sub-1 ms
-  intervals inside one AMPDU, ``AMPDU_INTERVAL``).
+  measured as the mean inter-departure interval (ignoring intervals
+  under ``AMPDU_INTERVAL``, 1 ms, inside one AMPDU).
 
 The teller attaches to a queue's departure callbacks; with FQ-CoDel it
 reads the RTC flow's own sub-queue (§4.1, "Calculation with queue
