@@ -226,7 +226,7 @@ def main(argv: list) -> int:
     for side, same in record["calls_repeated"].items():
         if not same:
             print(f"  calls/pkt: side {side.upper()}'s traced rounds "
-                  f"DISAGREE")
+                  "DISAGREE")
     print(f"  verdict (cpu_s): {record['verdict']}; appended to {args.out}")
     repeated = all(len(values) == 1 for per_side in record["counts"].values()
                    for values in per_side.values())
