@@ -116,7 +116,7 @@ class GccController(RateCca):
         self._last_recv_rate = initial_bps
         self._last_feedback: float | None = None
         self._last_decrease = -1.0
-        self.state_log: list[tuple[float, str]] = []
+        self.last_signal: str | None = None  # of the last feedback
         # Packet-group state (WebRTC InterArrival).
         self._group_send_start: float | None = None
         self._group_send_end = 0.0
@@ -140,7 +140,7 @@ class GccController(RateCca):
         self._update_loss_rate(loss_ratio)
         self.target_bps = min(self._delay_rate, self._loss_rate)
         self._clamp()
-        self.state_log.append((now, signal))
+        self.last_signal = signal
         self._last_feedback = now
 
     RECV_RATE_WINDOW = 0.5

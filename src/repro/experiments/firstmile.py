@@ -67,8 +67,9 @@ class LocalFortuneLoop:
         self._pending.clear()
         self.synthetic_feedbacks += 1
         self.sender.cca.on_feedback(self.sim.now, reports)
-        self.sender.rate_recorder.record(self.sim.now,
-                                         self.sender.cca.target_bps)
+        recorder = self.sender.rate_recorder
+        if recorder is not None:
+            recorder.record(self.sim.now, self.sender.cca.target_bps)
 
     def stop(self) -> None:
         self._timer.stop()

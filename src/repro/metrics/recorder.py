@@ -1,7 +1,8 @@
-"""Time-series recorders for RTT, frames, and rates.
+"""Recorders for RTT, frames, and rates.
 
-Recorders accumulate (time, value) samples during a run; summary methods
-compute the paper's metrics:
+The RTT and frame recorders accumulate (time, value) samples during a
+run; the rate recorder keeps only the running mean that a summary
+reads. Summary methods compute the paper's metrics:
 
 * tail-latency ratio   — P(network RTT > 200 ms),
 * delayed-frame ratio  — P(frame delay > 400 ms),
@@ -154,34 +155,26 @@ class FrameRecorder(_Columns):
         return total
 
 
-@dataclass
-class RateRecorder(_Columns):
-    """Sender-side rate (bitrate / cwnd-equivalent) over time."""
+class RateRecorder:
+    """Sender-side rate (bitrate / cwnd-equivalent): the mean of the
+    rates stamped at or after ``start``, kept as a running total."""
 
-    times: array = field(default_factory=column)
-    rates: array = field(default_factory=column)
+    def __init__(self, start: float):
+        self.start = start
+        self._total = 0.0
+        self._count = 0
 
     def record(self, time: float, rate: float) -> None:
-        self.times.append(time)
-        self.rates.append(rate)
+        # Left to right from 0.0: what ``sum`` of the column returns
+        # on Python 3.11 (3.12+ compensates).
+        if time >= self.start:
+            self._total += rate
+            self._count += 1
 
-    def mean_rate(self, start: float = 0.0) -> float:
-        values = self.since(start).rates
-        if not values:
+    def mean_rate(self) -> float:
+        if not self._count:
             return 0.0
-        return sum(values) / len(values)
-
-    def reconvergence_duration(self, drop_time: float,
-                               target_rate: float,
-                               slack: float = 1.3) -> float:
-        """Time after ``drop_time`` until the rate stays within
-        ``slack * target_rate`` — the Fig. 4b re-convergence metric."""
-        limit = target_rate * slack
-        last_violation = drop_time
-        for t, r in zip(self.times, self.rates):
-            if t >= drop_time and r > limit:
-                last_violation = t
-        return max(0.0, last_violation - drop_time)
+        return self._total / self._count
 
 
 def degradation_duration(times: list[float], values: list[float],

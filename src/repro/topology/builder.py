@@ -28,6 +28,7 @@ from repro.cca import make_window_cca
 from repro.cca.abc import AbcRouter
 from repro.core.feedback_updater import FeedbackKind
 from repro.core.zhuge_ap import ZhugeAP
+from repro.metrics.recorder import RateRecorder, RttRecorder
 from repro.net.link import WiredLink
 from repro.net.packet import FiveTuple
 from repro.obs.session import TraceConfig, TraceSession
@@ -221,6 +222,9 @@ class TopologyBuilder:
         cca = stack.cca(fspec.cca or spec.cca, spec)
         flow = self._flow_tuple(fspec, protocol, 5000, 6000, index)
         sender = stack.sender(self.sim, flow, cca)
+        # ``collect`` reads these; competitors record nothing.
+        sender.rtt_recorder = RttRecorder()
+        sender.rate_recorder = RateRecorder(spec.warmup)
         receiver = stack.receiver(self.sim, flow)
         if protocol == "tcp" and (fspec.app or spec.app) == "bulk":
             # Buffer-filling flow for the CCA studies (paper Fig. 4):

@@ -30,8 +30,7 @@ def collect(builder) -> "ScenarioSummary":  # noqa: F821
             frame_times=frames.frame_times,
             frame_delays=frames.frame_delays,
             goodput_bps=_flow_goodput(fr.protocol, fr.receiver, spec),
-            mean_bitrate_bps=fr.sender.rate_recorder.mean_rate(
-                start=spec.warmup)))
+            mean_bitrate_bps=fr.sender.rate_recorder.mean_rate()))
 
     ap_packets = 0
     predicted, actual = column(), column()

@@ -96,8 +96,9 @@ class QuicSender(StreamSender):
         if newly_acked_bytes:
             self.cca.on_ack(self.sim.now, rtt_sample or self.srtt,
                             newly_acked_bytes)
-            self.rate_recorder.record(self.sim.now,
-                                      self.cca.cwnd * 8 / self.srtt)
+            if self.rate_recorder is not None:
+                self.rate_recorder.record(self.sim.now,
+                                          self.cca.cwnd * 8 / self.srtt)
         self._detect_losses()
         self._arm_pto()
         self._try_send()

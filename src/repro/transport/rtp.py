@@ -82,8 +82,8 @@ class RtpSender:
         # to the CCA (received, or lost because a later seq arrived).
         self._next_unreported = 0
         self._retransmitted: set[int] = set()
-        self.rtt_recorder = RttRecorder()
-        self.rate_recorder = RateRecorder()
+        self.rtt_recorder: Optional[RttRecorder] = None
+        self.rate_recorder: Optional[RateRecorder] = None
         self.packets_sent = 0
         self.feedback_received = 0
         self.nacks_received = 0
@@ -132,6 +132,7 @@ class RtpSender:
         # seqs from looping over them or hiding packets sent later.
         last = min(max(arrivals, default=-1), self._twcc_seq - 1)
         now = self.sim.now
+        rtt_recorder = self.rtt_recorder
         reports = []
         for seq in range(max(self._next_unreported, self._oldest_seq),
                          last + 1):
@@ -142,13 +143,14 @@ class RtpSender:
             recv = arrivals.get(seq)
             # Absent below the highest reported seq => treat as lost.
             reports.append(FeedbackPacketReport(seq, size, sent, recv))
-            if recv is not None:
-                self.rtt_recorder.record(now, now - sent)
+            if recv is not None and rtt_recorder is not None:
+                rtt_recorder.record(now, now - sent)
         if last >= self._next_unreported:
             self._next_unreported = last + 1
         if reports:
             self.cca.on_feedback(now, reports)
-            self.rate_recorder.record(now, self.cca.target_bps)
+            if self.rate_recorder is not None:
+                self.rate_recorder.record(now, self.cca.target_bps)
 
     def on_nack(self, packet: Packet) -> None:
         """Retransmit media the receiver reports missing (RFC 4585 NACK).

@@ -1,8 +1,9 @@
 """What the TCP and QUIC senders share (Table 2's out-of-band family).
 
 :class:`StreamSender` owns the write buffer, the MSS chunking, RFC 6298
-SRTT/RTTVAR/RTO, the retransmission timer's arming and the RTT and rate
-recorders. Each subclass owns its sequence space, ACK processing and
+SRTT/RTTVAR/RTO, the retransmission timer's arming and the slots for
+the RTT and rate recorders, which the builder fills for the flows a
+summary reads. Each subclass owns its sequence space, ACK processing and
 loss recovery, and sends a new segment through ``_emit_new``.
 """
 
@@ -44,8 +45,8 @@ class StreamSender:
         self._rto_backoff = 1           # the timer runs _rto * this
         self.unlimited = False          # bulk mode: infinite data
 
-        self.rtt_recorder = RttRecorder()
-        self.rate_recorder = RateRecorder()
+        self.rtt_recorder: Optional[RttRecorder] = None
+        self.rate_recorder: Optional[RateRecorder] = None
         self.retransmissions = 0
 
     # -- application interface ------------------------------------------------
@@ -128,4 +129,5 @@ class StreamSender:
             self._rttvar = 0.75 * self._rttvar + 0.25 * abs(self._srtt - rtt)
             self._srtt = 0.875 * self._srtt + 0.125 * rtt
         self._rto = max(RTO_MIN, self._srtt + 4 * self._rttvar)
-        self.rtt_recorder.record(self.sim.now, rtt)
+        if self.rtt_recorder is not None:
+            self.rtt_recorder.record(self.sim.now, rtt)

@@ -106,7 +106,9 @@ class TcpSender(StreamSender):
                 self.cca.on_ack(self.sim.now, rtt_sample, acked_bytes)
             else:
                 self.cca.on_ack(self.sim.now, self.srtt, acked_bytes)
-            self.rate_recorder.record(self.sim.now, self.cca.cwnd * 8 / self.srtt)
+            if self.rate_recorder is not None:
+                self.rate_recorder.record(self.sim.now,
+                                          self.cca.cwnd * 8 / self.srtt)
             self._process_sack(packet)
             self._arm_rto()
         elif ack == self._highest_acked and self._inflight:

@@ -96,7 +96,7 @@ class TestGccController:
                 now + 0.05,
                 make_reports(now, 10, 0.005,
                              lambda i, s=start: 0.02 + (s + i) * 0.003))
-            overuse_seen |= ramped.state_log[-1][1] == "overuse"
+            overuse_seen |= ramped.last_signal == "overuse"
             offset += 10
             now += 0.05
         assert overuse_seen

@@ -101,6 +101,10 @@ BANS = {
         "-nwE", "quic_video", ("src", "tests", "examples", "benchmarks"),
         "Every video app lives in app/video.py: the QUIC app shares the "
         "stream encoder path there."),
+    "write-only-state": (
+        "-nwE", "state_log|reconvergence_duration", ("src",),
+        "Recorders hold only what a reader in src reads: no per-feedback "
+        "GCC signal log and no rate series kept for a metric nothing calls."),
 }
 
 

@@ -5,13 +5,14 @@ warm-up cut is one ``bisect_left`` on the non-decreasing clock column.
 The oracles in ``tests/reference_series.py`` are the list-era bodies.
 Random series — stamps with repeats, samples exactly at the warm-up
 instant, empty recorders, all samples before or after it — must cut
-and average bit for bit as they did, and a seeded ``bisect_right``
-mutant must be caught.  Summaries must round-trip through JSON and
-pickle, and a fleet accumulator through pickle, to equal objects whose
-payloads and digests are those of the list-built originals, over
-floats including ``-0.0``, subnormals and repeats; the summary's
-``predicted`` / ``actual`` columns must serialize as the
-``prediction_pairs`` list they replace.
+as they did, and the running rate mean must average them bit for bit
+as the list-era column did; a seeded ``bisect_right`` mutant of the
+cut and a strict-cut mutant of the mean must be caught.  Summaries
+must round-trip through JSON and pickle, and a fleet accumulator
+through pickle, to equal objects whose payloads and digests are those
+of the list-built originals, over floats including ``-0.0``,
+subnormals and repeats; the summary's ``predicted`` / ``actual``
+columns must serialize as the ``prediction_pairs`` list they replace.
 """
 
 import hashlib
@@ -101,16 +102,40 @@ def test_since_matches_the_filtered_copies(case):
     assert _cuts_match(case)
 
 
+def _means_match(case) -> bool:
+    times, samples, start = case
+    recorder = RateRecorder(start)
+    for t, r in zip(times, samples):
+        recorder.record(t, r)
+    column = SimpleNamespace(times=times, rates=samples)
+    return (struct.pack("<d", recorder.mean_rate())
+            == struct.pack("<d", mean_rate(column, start)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(series(values=FINITE))
 def test_mean_rate_matches_the_filtered_mean(case):
-    times, samples, start = case
-    recorder = _filled(RateRecorder, times, samples)
-    assert struct.pack("<d", recorder.mean_rate(start)) \
-        == struct.pack("<d", mean_rate(recorder, start))
-    cut = recorder.since(start)
-    assert _bits(cut.rates) == _bits(
-        [r for t, r in zip(times, samples) if t >= start])
+    """The running mean is the list-era mean of the recorded column, bit
+    for bit: stamps at the warm-up instant count, an empty tail and a
+    warm-up past the last stamp read 0.0.  (The oracle's ``sum`` adds
+    left to right on Python 3.11, as the running total does; 3.12+
+    compensates.)"""
+    assert _means_match(case)
+
+
+def test_mean_oracle_kills_a_strict_cut_mutant(monkeypatch):
+    """A running mean that skips the rates stamped exactly at the
+    warm-up instant is caught."""
+    def record(self, time, rate):
+        if time > self.start:
+            self._total += rate
+            self._count += 1
+
+    monkeypatch.setattr(RateRecorder, "record", record)
+    find(series(values=FINITE), lambda case: not _means_match(case),
+         settings=settings(max_examples=2000, database=None, deadline=None,
+                           phases=[Phase.generate]),
+         random=random.Random(29))
 
 
 def test_since_returns_fresh_columns():

@@ -4,7 +4,9 @@
 seq]``, GCC keeps a running byte total / newest arrival for its receive
 window, and the trendline slope sums column lists.  Every schedule
 below is replayed against the pre-frontier bodies and must hand the CCA
-the same reports and leave the same floats behind, step by step.
+the same reports, record the same ``(time, value)`` samples, leave the
+same GCC signal after each feedback and the same floats behind, step
+by step.
 """
 
 import random
@@ -44,20 +46,32 @@ class CountingDict(dict):
         return super().items()
 
 
+class SpyRecorder(list):
+    """A recorder that keeps every ``(time, value)`` it is handed."""
+
+    def record(self, time, value):
+        self.append((time, value))
+
+
 class _Side:
-    """One sender + GCC pair with every report handed to the CCA logged."""
+    """One sender + GCC pair with every report handed to the CCA, every
+    recorded sample and the signal each feedback leaves logged."""
 
     def __init__(self, sender_cls, cca_cls):
         self.sim = Simulator()
         self.cca = cca_cls(initial_bps=1e6)
         self.sender = sender_cls(self.sim, FLOW, self.cca)
         self.sender.transmit = lambda packet: None
+        self.sender.rtt_recorder = SpyRecorder()
+        self.sender.rate_recorder = SpyRecorder()
         self.batches = []  # one report list per cca.on_feedback call
+        self.signals = []  # cca.last_signal after each of those calls
         inner = self.cca.on_feedback
 
         def spy(now, reports):
             self.batches.append((now, list(reports)))
             inner(now, reports)
+            self.signals.append(self.cca.last_signal)
 
         self.cca.on_feedback = spy
 
@@ -75,8 +89,8 @@ class _Side:
         sender, cca = self.sender, self.cca
         return {
             "batches": self.batches,
-            "rtt": (sender.rtt_recorder.times, sender.rtt_recorder.rtts),
-            "rate": (sender.rate_recorder.times, sender.rate_recorder.rates),
+            "rtt": sender.rtt_recorder,
+            "rate": sender.rate_recorder,
             "history": sender._history,
             "oldest": sender._oldest_seq,
             "next_seq": sender._twcc_seq,
@@ -88,7 +102,7 @@ class _Side:
             "samples": cca.trendline._samples,
             "threshold": cca.detector.threshold,
             "rates": (cca._delay_rate, cca._loss_rate),
-            "state_log": cca.state_log,
+            "signals": self.signals,
         }
 
 
@@ -200,8 +214,8 @@ class TestFrontierMatchesReference:
         """Loss, stragglers, duplicated / stale / reordered feedback,
         feedback naming never-sent or evicted seqs, idle gaps beyond
         the history window and NACK retransmissions: the same reports
-        per feedback, the same recorder series and the same GCC floats
-        after every step."""
+        per feedback, the same recorded samples, the same GCC signal
+        after each feedback and the same GCC floats after every step."""
         _replay(**schedule)
 
     def test_schedule_reaches_every_branch(self):

@@ -23,6 +23,19 @@ samples, 15 478 values across the six summary series).
   RTT sample. Streamed a block of 256 values at a time it measures
   14.7 B (a fixed ~55 KB); built whole as lists, a str and bytes it
   measured 575 B. Bound: 40 B.
+
+State nothing reads is not kept (W2 tcp/copa, two CUBIC competitors
+over CoDel, 3 s and 6 s runs with 1 s of warm-up):
+
+* Competitor senders hold no recorder. What the builder holds outside
+  the summary grows by 5.0 B per further competitor ACK (packets and
+  events in flight at the end); when every sender kept per-ACK RTT
+  and rate columns it grew by 37.8 B. Bound: 8 B.
+* ``RateRecorder`` is a running mean: 100 000 ``record`` calls hold
+  nothing more (its columns held 16 B per call). Bound: 256 B in all.
+* ``GccController`` keeps only the last signal: 10 000 feedbacks hold
+  nothing more (its ``(time, signal)`` log held about 90 B per
+  feedback). Bound: 1 B per feedback.
 """
 
 import gc
@@ -35,7 +48,10 @@ import pytest
 from repro.campaign import ResultCache, ScenarioSpec, TraceSpec, run_campaign
 from repro.campaign import runner
 from repro.campaign.summary import _SERIES, ScenarioSummary
+from repro.cca.base import FeedbackPacketReport
+from repro.cca.gcc import GccController
 from repro.city.merge import FleetAccumulator
+from repro.metrics.recorder import RateRecorder
 from repro.topology.builder import TopologyBuilder
 from repro.topology.result import collect
 
@@ -45,6 +61,9 @@ SUMMARY_BYTES_PER_RTT_SAMPLE = 45
 FLEET_BYTES_PER_SAMPLE = 12
 COLLECT_BYTES_PER_RTT_SAMPLE = 4
 PUT_BYTES_PER_RTT_SAMPLE = 40
+BUILDER_BYTES_PER_COMPETITOR_ACK = 8
+RATE_RECORDER_BYTES = 256
+GCC_BYTES_PER_FEEDBACK = 1
 
 HEADLINE = ScenarioSpec(trace=TraceSpec.for_family("W1", duration=8.0,
                                                    seed=3),
@@ -157,3 +176,64 @@ def test_serial_consume_gets_the_executed_object(monkeypatch, tmp_path):
     assert result.ok == 1 and len(returned) == 1
     assert consumed[0] is returned[0]
     assert cache.get(spec).digest() == returned[0].digest()
+
+
+def _contended(duration: float):
+    """A W2 tcp/copa cell with two CUBIC competitors over CoDel: what
+    its builder holds outside the summary, and its competitor ACKs."""
+    spec = ScenarioSpec(trace=TraceSpec.for_family("W2", duration=duration,
+                                                   seed=3),
+                        duration=duration, seed=1, warmup=1.0,
+                        protocol="tcp", cca="copa", competitors=2,
+                        queue_kind="codel")
+    builder = TopologyBuilder(spec)
+    summary = builder.run()
+    competitors = builder.forwarding.competitors
+    assert len(competitors) == 2 and summary.flows
+    for fr in competitors:
+        assert fr.sender.rtt_recorder is None
+        assert fr.sender.rate_recorder is None
+    acks = sum(fr.receiver.acks_sent for fr in competitors)
+    held = _traced_now()
+    del builder
+    return held - _traced_now(), acks
+
+
+def test_competitors_record_nothing(traced):
+    held_short, acks_short = _contended(3.0)
+    held_long, acks_long = _contended(6.0)
+    assert acks_long > acks_short + 4000
+    growth = (held_long - held_short) / (acks_long - acks_short)
+    assert growth < BUILDER_BYTES_PER_COMPETITOR_ACK, (held_short, held_long)
+
+
+def test_rate_recorder_holds_a_running_mean(traced):
+    recorder = RateRecorder(1.0)
+    recorder.record(0.5, 1e6)
+    recorder.record(1.0, 1e6)
+    before = _traced_now()
+    for i in range(100_000):
+        recorder.record(1.0 + i * 1e-3, 1e6 + i)
+    held = _traced_now() - before
+    assert held < RATE_RECORDER_BYTES, held
+    assert recorder.mean_rate() > 1e6
+
+
+def test_gcc_keeps_no_per_feedback_state(traced):
+    gcc = GccController()
+
+    def feedbacks(first: int, count: int) -> None:
+        # Five 1200 B packets per 50 ms feedback over a steady 30 ms path.
+        for k in range(first, first + count):
+            now = k * 0.05
+            gcc.on_feedback(now, [
+                FeedbackPacketReport(5 * k + j, 1200, now - 0.04 + j * 0.008,
+                                     now - 0.01 + j * 0.008)
+                for j in range(5)])
+
+    feedbacks(0, 1_000)     # every window full
+    before = _traced_now()
+    feedbacks(1_000, 10_000)
+    held = _traced_now() - before
+    assert held < GCC_BYTES_PER_FEEDBACK * 10_000, held
+    assert gcc.last_signal is not None

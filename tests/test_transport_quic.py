@@ -5,6 +5,7 @@ import pytest
 from repro.cca.copa import CopaCca
 from repro.core.feedback_updater import OutOfBandFeedbackUpdater
 from repro.core.fortune_teller import FortuneTeller
+from repro.metrics.recorder import RttRecorder
 from repro.net.packet import Packet, PacketKind
 from repro.net.queue import DropTailQueue
 from repro.sim.random import DeterministicRandom
@@ -14,6 +15,7 @@ from repro.transport.quic import QuicReceiver, QuicSender
 @pytest.fixture
 def pair(sim, flow):
     sender = QuicSender(sim, flow, CopaCca(mss=1200), mss=1200)
+    sender.rtt_recorder = RttRecorder()
     receiver = QuicReceiver(sim, flow)
     return sender, receiver
 

@@ -3,13 +3,23 @@
 import pytest
 
 from repro.cca.gcc import GccController
+from repro.metrics.recorder import RttRecorder
 from repro.net.packet import PacketKind
 from repro.transport.rtp import HISTORY_WINDOW, RtpReceiver, RtpSender
+
+
+class RateSamples(list):
+    """A rate recorder that keeps every ``(time, rate)`` it is handed."""
+
+    def record(self, time, rate):
+        self.append((time, rate))
 
 
 @pytest.fixture
 def pair(sim, flow):
     sender = RtpSender(sim, flow, GccController(initial_bps=1e6))
+    sender.rtt_recorder = RttRecorder()
+    sender.rate_recorder = RateSamples()
     receiver = RtpReceiver(sim, flow)
     return sender, receiver
 
@@ -169,12 +179,12 @@ class TestReportFrontier:
     def test_stale_feedback_after_newer_is_noop(self, spied, flow):
         sender, batches = spied
         sender.on_feedback(self._feedback(flow, {3: 0.05, 4: 0.06}))
-        samples = len(sender.rate_recorder.rates)
+        samples = len(sender.rate_recorder)
         rtts = sender.rtt_recorder.count
         # Older feedback overtaken in flight: max(arrivals) < frontier.
         sender.on_feedback(self._feedback(flow, {0: 0.02, 1: 0.03}))
         assert len(batches) == 1
-        assert len(sender.rate_recorder.rates) == samples
+        assert len(sender.rate_recorder) == samples
         assert sender.rtt_recorder.count == rtts
         assert sender.feedback_received == 2
 

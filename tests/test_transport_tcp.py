@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cca.cubic import CubicCca
+from repro.metrics.recorder import RttRecorder
 from repro.net.packet import Packet
 from repro.transport.stream import MAX_BUFFER_BYTES
 from repro.transport.tcp import TcpReceiver, TcpSender
@@ -11,6 +12,7 @@ from repro.transport.tcp import TcpReceiver, TcpSender
 @pytest.fixture
 def pair(sim, flow):
     sender = TcpSender(sim, flow, CubicCca())
+    sender.rtt_recorder = RttRecorder()
     receiver = TcpReceiver(sim, flow)
     return sender, receiver
 
