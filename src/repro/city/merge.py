@@ -39,7 +39,7 @@ from typing import Dict, Optional
 
 from repro.campaign.summary import ScenarioSummary
 from repro.metrics.recorder import column
-from repro.metrics.stats import percentile
+from repro.metrics.stats import quantiles
 
 #: Delays below this resolve to bucket 0 (0.1 ms).
 SKETCH_FLOOR = 1e-4
@@ -332,14 +332,11 @@ class FleetAccumulator:
             out.rtt_p99 = rtt_sketch.quantile(99)
             out.frame_p99 = frame_sketch.quantile(99)
         else:
-            rtt_values = sorted(rtt_values)
-            frame_values = sorted(frame_values)
             if rtt_values:
-                out.rtt_p50 = percentile(rtt_values, 50)
-                out.rtt_p95 = percentile(rtt_values, 95)
-                out.rtt_p99 = percentile(rtt_values, 99)
+                out.rtt_p50, out.rtt_p95, out.rtt_p99 = quantiles(
+                    rtt_values, (50, 95, 99))
             if frame_values:
-                out.frame_p99 = percentile(frame_values, 99)
+                (out.frame_p99,) = quantiles(frame_values, (99,))
         # Exact rational arithmetic end-to-end; one correctly-rounded
         # float conversion at the edge keeps the digest independent of
         # shard boundaries and completion order.

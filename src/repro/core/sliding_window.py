@@ -39,9 +39,9 @@ re-summed as above; each takes ``math.fsum`` of the live window — its
 correctly-rounded sum — so expired entries leave no drift.
 ``tests/test_properties_hotpath.py`` asserts behavioural equivalence —
 burst calls included — against the naive per-packet re-scan
-implementations kept in :mod:`repro.core.sliding_window_reference`;
-``benchmarks/bench_hotpath_regression.py`` records the speedup in
-``BENCH_hotpath.json``.
+implementations kept in ``tests/reference_sliding_window.py``, and
+``tests/test_cost_bounds.py`` counts a query's bytecodes at two window
+fills: they are equal.
 
 Each estimator counts its operations in ``.ops`` (one per recorded
 packet and per query) for the :mod:`repro.metrics.hotpath` profiling

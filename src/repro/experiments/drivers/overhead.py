@@ -50,9 +50,8 @@ class OverheadRow:
 
 def datapath(flows: int):
     """``(sim, queue, ap, flow_list)``: one AP with ``flows`` out-of-band
-    flows on a 4 MB drop-tail queue for :func:`spin` (which holds one
-    packet at most) and for ``bench_end_to_end``, whose no-drop and
-    occupancy gates take that capacity as their threshold."""
+    flows on a 4 MB drop-tail queue for :func:`spin`, which holds one
+    packet at most."""
     sim = Simulator()
     queue = DropTailQueue(capacity_bytes=4_000_000)
     ap = ZhugeAP(sim, queue, rng=DeterministicRandom(1))
@@ -67,8 +66,8 @@ def spin(sim, queue, ap, flows, first, last, downlink=None, uplink=None):
     """Drive packets ``[first, last)``, 5 ms apart and round-robin over
     ``flows``, through the AP by hand (the clock is stepped directly):
     enqueue, ``downlink``, a txop drain at +2 ms, its ACK to ``uplink``
-    at +4 ms. The one hand-driven AP datapath: Fig. 21, the hot-path
-    bench and the disabled-tracing guard all spin it."""
+    at +4 ms. The one hand-driven AP datapath: Fig. 21 times it and
+    ``tests/test_cost_bounds.py`` counts its bytecodes."""
     downlink = downlink or ap.on_downlink
     uplink = uplink or ap.on_uplink
     acks = [flow.reversed() for flow in flows]

@@ -5,9 +5,9 @@ operations in a plain ``.ops`` int (one add per record/query — cheap
 enough to leave on permanently), and the Fortune Teller / Feedback
 Updater keep their own prediction/cache/ACK counters. This module
 gathers those into per-component snapshots so Fig. 21's one
-hand-driven datapath (:mod:`repro.experiments.drivers.overhead`, which
-the hot-path bench times too) can report ops per component next to
-its per-packet cost, without timers inside the datapath.
+hand-driven datapath (:mod:`repro.experiments.drivers.overhead`) can
+report ops per component next to its per-packet cost, without timers
+inside the datapath.
 
 Collection is one-directional: this module reads core objects by duck
 typing and imports nothing from ``repro.core``, so the core package

@@ -10,23 +10,35 @@ import math
 from typing import Sequence
 
 
-def percentile(samples: Sequence[float], q: float) -> float:
-    """Linear-interpolated percentile, ``q`` in [0, 100]."""
+def quantiles(samples: Sequence[float],
+              qs: Sequence[float]) -> list[float]:
+    """Linear-interpolated percentiles ``qs`` (each in [0, 100]), all
+    read from one sorted copy of ``samples``."""
     if not samples:
         raise ValueError("percentile of empty sample set")
-    if not 0 <= q <= 100:
-        raise ValueError(f"q must be in [0, 100]: {q}")
+    for q in qs:
+        if not 0 <= q <= 100:
+            raise ValueError(f"q must be in [0, 100]: {q}")
     ordered = sorted(samples)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (q / 100) * (len(ordered) - 1)
-    low = math.floor(rank)
-    high = math.ceil(rank)
-    if low == high:
-        return ordered[low]
-    weight = rank - low
-    # This form is exact when both neighbours are equal (no float drift).
-    return ordered[low] + (ordered[high] - ordered[low]) * weight
+    last = len(ordered) - 1
+    out = []
+    for q in qs:
+        rank = (q / 100) * last
+        low = math.floor(rank)
+        high = math.ceil(rank)
+        if low == high:
+            out.append(ordered[low])
+            continue
+        weight = rank - low
+        # This form is exact when both neighbours are equal (no float
+        # drift).
+        out.append(ordered[low] + (ordered[high] - ordered[low]) * weight)
+    return out
+
+
+def percentile(samples: Sequence[float], q: float) -> float:
+    """Linear-interpolated percentile, ``q`` in [0, 100]."""
+    return quantiles(samples, (q,))[0]
 
 
 def tail_fraction(samples: Sequence[float], threshold: float,

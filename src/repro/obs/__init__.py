@@ -6,9 +6,9 @@ The observability subsystem has one path from probe to artifact:
   zero-cost-when-disabled event bus. Components hold a ``trace``
   attribute that is ``None`` by default; every probe site is guarded by
   an ``is not None`` check so the disabled path costs one attribute
-  load (guarded by ``benchmarks/bench_obs_overhead.py``, which times
-  the live datapath against the same classes with their probe sites
-  cut out of their own source). The bus keeps every event that passes
+  load (``tests/test_cost_bounds.py`` counts the live datapath's
+  bytecodes against the same classes with their probe sites cut out of
+  their own source). The bus keeps every event that passes
   its category filter in one list.
 * :mod:`repro.obs.session` — :class:`~repro.obs.session.TraceConfig`
   (what to trace, where the artifact goes) and the per-run

@@ -14,8 +14,8 @@ probe site reads it once::
         tr.queue_enqueue(self, packet)
 
 so a simulation that never enables tracing pays one attribute load and
-``is not None`` per probe site (guarded to <2% per-packet overhead by
-``benchmarks/bench_obs_overhead.py``). The typed ``queue_*`` / ``link_*``
+``is not None`` per probe site (bounded to <2% of a packet's
+bytecodes by ``tests/test_cost_bounds.py``). The typed ``queue_*`` / ``link_*``
 / ``ap_*`` / ``cca_*`` helpers keep the payload schema in one place; the
 category filter is applied *before* the args dict is built.
 """

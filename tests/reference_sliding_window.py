@@ -7,10 +7,10 @@ implementations in :mod:`repro.core.sliding_window`:
 
 * ``tests/test_properties_hotpath.py`` drives both against random event
   streams and asserts bit-identical outputs — means here use
-  ``math.fsum`` (the correctly-rounded sum of the window), which the
-  optimized exact-big-int accumulator reproduces exactly;
-* ``benchmarks/bench_hotpath_regression.py`` measures the optimized
-  versions' speedup over these and records it in ``BENCH_hotpath.json``.
+  ``math.fsum`` (the correctly-rounded sum of the window), as the
+  optimized versions do on read;
+* ``tests/test_cost_bounds.py`` counts the bytecodes a query costs:
+  these grow with the window fill, the optimized versions do not.
 
 Never use these on the datapath — every query re-scans its window.
 """

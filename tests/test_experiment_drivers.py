@@ -1,6 +1,5 @@
 """Unit tests for the per-figure experiment drivers (small configurations)."""
 
-import json
 import math
 
 import pytest
@@ -13,7 +12,6 @@ from repro.experiments.drivers.convergence import run_drop
 from repro.experiments.drivers.fairness import fig20_fairness
 from repro.experiments.drivers.format import (format_table, mbps, ms, pct,
                                               seconds)
-from repro.experiments.drivers.hotpath import SCHEMA, write_results
 from repro.experiments.drivers.overhead import (fig21_cpu_overhead,
                                                 measure_per_packet_cost)
 from repro.experiments.drivers.resilience import fig_resilience
@@ -135,28 +133,6 @@ class TestOverheadDriver:
         assert len(rows) == 4
         for row in rows:
             assert 0 <= row.projected_cpu_utilization <= 1.0
-
-
-class TestHotpathTrajectory:
-    def test_appends_a_run(self, tmp_path):
-        path = tmp_path / "BENCH_hotpath.json"
-        write_results(path, {"n": 1})
-        doc = write_results(path, {"n": 2})
-        assert doc["schema"] == SCHEMA
-        assert [run["n"] for run in doc["runs"]] == [1, 2]
-        assert json.loads(path.read_text()) == doc
-
-    @pytest.mark.parametrize("body", [
-        '{"schema": "hotpath-regression/v1", "runs": [{"n": 1}, {"n"',
-        '{"schema": "other/v0", "runs": [{"n": 1}]}',
-        '[{"n": 1}]',
-    ])
-    def test_unreadable_trajectory_is_refused_and_kept(self, tmp_path, body):
-        path = tmp_path / "BENCH_hotpath.json"
-        path.write_text(body)
-        with pytest.raises(ValueError, match="BENCH_hotpath.json"):
-            write_results(path, {"n": 2})
-        assert path.read_text() == body
 
 
 class TestFairnessDriver:

@@ -53,17 +53,19 @@ BANS = {
         "its samples on the side."),
     "one-datapath-loop": (
         "-nE", r"ZhugeAP\(|FortuneTeller\(|OutOfBandFeedbackUpdater\(|\.enqueue\(",
-        ("src/repro/experiments/drivers/hotpath.py",
-         "src/repro/experiments/drivers/obs_overhead.py"),
-        "The hot-path bench and the tracing guard drive Fig. 21's one "
-        "hand-driven datapath (overhead.datapath / spin): neither builds "
-        "an AP or loops over a queue of its own."),
+        ("tests/test_cost_bounds.py",),
+        "The cost bounds drive Fig. 21's one hand-driven datapath "
+        "(overhead.datapath / spin): no guard builds an AP or loops over "
+        "a queue of its own."),
     "one-hotpath-entry": (
-        "-nwE", "HotpathCostReport|run_hotpath_regression",
-        ("src", "benchmarks/bench_*.py", "pyproject.toml", ".claude"),
-        "The pytest bench is the one hot-path entry point and a stage "
-        "cost is a plain dict: neither the standalone runner nor the "
-        "report class may come back."),
+        "-nwE", "HotpathCostReport|run_hotpath_regression|run_hotpath_bench|"
+        "bench_end_to_end|run_overhead_bench|REPRO_BENCH_SMOKE|"
+        "sliding_window_reference",
+        ("src", "benchmarks", "pyproject.toml", ".claude", ".github"),
+        "Per-packet cost is bounded by exact bytecode counts in "
+        "tests/test_cost_bounds.py and timed by the ledger: no wall-clock "
+        "hot-path harness, smoke knob, standalone runner, report class or "
+        "in-src reference estimator may come back."),
     "one-stream-sender": (
         "-nE", r"def (write|_send_one|_update_rtt|_arm_rto)\(|TwccFeedback\(",
         ("src/repro/transport/tcp.py", "src/repro/transport/quic.py",

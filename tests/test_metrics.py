@@ -14,6 +14,7 @@ from repro.metrics.stats import (
     jain_fairness,
     mean,
     percentile,
+    quantiles,
     tail_fraction,
 )
 
@@ -40,6 +41,14 @@ class TestPercentile:
     def test_out_of_range_q(self):
         with pytest.raises(ValueError):
             percentile([1], 150)
+
+    def test_quantiles_match_percentile_per_q(self):
+        samples = [0.031, 0.004, 0.2, 0.017, 0.009, 0.12, 0.05]
+        assert quantiles(samples, (99, 50, 95)) == [
+            percentile(samples, 99), percentile(samples, 50),
+            percentile(samples, 95)]
+        with pytest.raises(ValueError):
+            quantiles(samples, (50, 150))
 
 
 class TestTailFraction:

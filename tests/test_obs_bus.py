@@ -71,7 +71,7 @@ class TestZeroCostDisabled:
         """The <2% guard's probe-free side is the live source minus its
         probe sites: nothing left that reads ``trace``, same state
         trajectory, live methods back afterwards."""
-        from repro.experiments.drivers import obs_overhead
+        from tests import test_cost_bounds as obs_overhead
         live = {cls: dict(vars(cls)) for cls in obs_overhead.PROBED_CLASSES}
         trajectory = obs_overhead._drive(300)[1]
         with obs_overhead.probes_stripped() as sites:

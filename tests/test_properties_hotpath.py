@@ -3,7 +3,7 @@
 The amortized-O(1) estimators in ``repro.core.sliding_window`` (running
 int sums, a cached interval mean, monotonic-deque max, ring-buffer
 sampling) must be behaviourally indistinguishable from the naive
-re-scan implementations kept in ``repro.core.sliding_window_reference``
+re-scan implementations kept in ``tests/reference_sliding_window.py``
 — on *every* query, for arbitrary event streams. The time-step
 strategy deliberately mixes sub-resolution steps, exact window-boundary
 steps, and idle gaps longer than any window, because expiry boundaries
@@ -28,16 +28,16 @@ from repro.core.sliding_window import (
     DequeueIntervalEstimator,
     SlidingWindowRate,
 )
-from repro.core.sliding_window_reference import (
+from repro.core.zhuge_ap import ZhugeAP
+from repro.net.packet import FiveTuple, Packet
+from repro.sim.engine import Simulator
+from repro.sim.random import DeterministicRandom
+from tests.reference_sliding_window import (
     ReferenceBurstSizeTracker,
     ReferenceDelayDeltaHistory,
     ReferenceDequeueIntervalEstimator,
     ReferenceSlidingWindowRate,
 )
-from repro.core.zhuge_ap import ZhugeAP
-from repro.net.packet import FiveTuple, Packet
-from repro.sim.engine import Simulator
-from repro.sim.random import DeterministicRandom
 
 pytestmark = pytest.mark.bitexact
 
