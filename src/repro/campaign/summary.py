@@ -3,12 +3,12 @@
 :meth:`TopologyBuilder.run() <repro.topology.builder.TopologyBuilder.run>`
 returns a :class:`ScenarioSummary`, and campaign workers hand the same
 object back. It keeps exactly what every figure driver and the CLI
-read: the warmup-filtered per-flow sample series (network RTT,
-CCA-perceived RTT, frame delays), goodput/bitrate scalars, and the
-prediction columns when recorded. It round-trips through JSON
-bit-exactly, so a summary recomputed in a subprocess or replayed from
-the cache is indistinguishable from one computed in-process. A live
-trace session never travels with it; it stays on the builder.
+read: the warmup-filtered per-flow sample series (network RTT, frame
+delays), goodput/bitrate scalars, and the prediction columns when
+recorded. It round-trips through JSON bit-exactly, so a summary
+recomputed in a subprocess or replayed from the cache is
+indistinguishable from one computed in-process. A live trace session
+never travels with it; it stays on the builder.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ from dataclasses import dataclass, field
 
 from repro.campaign.spec import ScenarioSpec
 from repro.metrics.recorder import FrameRecorder, RttRecorder, column
-from repro.metrics.stats import percentile
+from repro.metrics.stats import quantiles
 
 
 #: FlowSummary's per-sample series, in payload order.
-_SERIES = ("rtt_times", "rtt_values", "cca_rtt_times", "cca_rtt_values",
-           "frame_times", "frame_delays")
+_SERIES = ("rtt_times", "rtt_values", "frame_times", "frame_delays")
 
 
 def _pack(summary, names) -> None:
@@ -43,10 +42,7 @@ class FlowSummary:
     ``rtt_*`` is the *network-layer* RTT of data packets (downlink
     delivery time minus send time, plus the stable return-path latency)
     measured at the client side of the wireless hop — the paper's §7.2
-    metric, independent of any feedback manipulation. ``cca_rtt_*`` is
-    what the sender's CCA perceives through its feedback stream (with
-    Zhuge these differ by design: the perceived signal is shifted
-    earlier).
+    metric, independent of any feedback manipulation.
 
     Every series is a packed ``array('d')`` column; any float sequence
     passed in is coerced, and lists appear only at the JSON edge.
@@ -54,8 +50,6 @@ class FlowSummary:
 
     rtt_times: array = field(default_factory=column)
     rtt_values: array = field(default_factory=column)
-    cca_rtt_times: array = field(default_factory=column)
-    cca_rtt_values: array = field(default_factory=column)
     frame_times: array = field(default_factory=column)
     frame_delays: array = field(default_factory=column)
     goodput_bps: float = 0.0
@@ -69,10 +63,6 @@ class FlowSummary:
         """The network-RTT series as a recorder over this summary's own
         columns (no copy: read it, do not record into it)."""
         return RttRecorder(self.rtt_times, self.rtt_values)
-
-    @property
-    def cca_rtt(self) -> RttRecorder:
-        return RttRecorder(self.cca_rtt_times, self.cca_rtt_values)
 
     @property
     def frames(self) -> FrameRecorder:
@@ -210,9 +200,9 @@ def summary_lines(label: str, summary: ScenarioSummary) -> list[str]:
     frames = flow.frames
     lines = [f"--- {label} ---"]
     if rtt.count:
-        lines.append(f"  P50 / P99 RTT:      "
-                     f"{percentile(rtt.rtts, 50) * 1000:6.0f} ms / "
-                     f"{percentile(rtt.rtts, 99) * 1000:.0f} ms")
+        p50, p99 = quantiles(rtt.rtts, (50, 99))
+        lines.append(f"  P50 / P99 RTT:      {p50 * 1000:6.0f} ms / "
+                     f"{p99 * 1000:.0f} ms")
     lines.append(f"  RTT > 200 ms:       {rtt.tail_ratio() * 100:6.2f}%")
     lines.append(f"  frame delay >400ms: "
                  f"{frames.delayed_ratio() * 100:6.2f}%")

@@ -82,7 +82,7 @@ def _run_estimators(trace: BandwidthTrace, estimators: dict,
 def estimator_ablation(duration: float = 30.0, seed: int = 1,
                        trace_name: str = "W1") -> list[EstimatorAblationRow]:
     """Design choices 1, 4, 5: estimator variants on one trace."""
-    from repro.metrics.stats import percentile
+    from repro.metrics.stats import quantiles
     trace = make_trace(trace_name, duration=duration, seed=seed)
     estimators = {
         "naive(qSize/txRate)": lambda sim, q: NaiveQueueEstimator(sim, q),
@@ -98,10 +98,10 @@ def estimator_ablation(duration: float = 30.0, seed: int = 1,
                "zhuge(no-burst-corr)": 40.0}
     rows = []
     for name, errs in errors.items():
+        p50, p90 = quantiles(errs, (50, 90)) if errs else (0.0, 0.0)
         rows.append(EstimatorAblationRow(
             estimator=name, window_ms=windows[name],
-            median_abs_error_ms=percentile(errs, 50) * 1000 if errs else 0.0,
-            p90_abs_error_ms=percentile(errs, 90) * 1000 if errs else 0.0,
+            median_abs_error_ms=p50 * 1000, p90_abs_error_ms=p90 * 1000,
             samples=len(errs),
         ))
     return rows

@@ -28,7 +28,7 @@ from repro.cca import make_window_cca
 from repro.cca.abc import AbcRouter
 from repro.core.feedback_updater import FeedbackKind
 from repro.core.zhuge_ap import ZhugeAP
-from repro.metrics.recorder import RateRecorder, RttRecorder
+from repro.metrics.recorder import RateRecorder
 from repro.net.link import WiredLink
 from repro.net.packet import FiveTuple
 from repro.obs.session import TraceConfig, TraceSession
@@ -222,8 +222,7 @@ class TopologyBuilder:
         cca = stack.cca(fspec.cca or spec.cca, spec)
         flow = self._flow_tuple(fspec, protocol, 5000, 6000, index)
         sender = stack.sender(self.sim, flow, cca)
-        # ``collect`` reads these; competitors record nothing.
-        sender.rtt_recorder = RttRecorder()
+        # ``collect`` reads it; competitors record nothing.
         sender.rate_recorder = RateRecorder(spec.warmup)
         receiver = stack.receiver(self.sim, flow)
         if protocol == "tcp" and (fspec.app or spec.app) == "bulk":

@@ -22,11 +22,9 @@ def collect(builder) -> "ScenarioSummary":  # noqa: F821
     flows = []
     for fr in builder.forwarding.rtc:
         rtt = network_rtt[fr.flow].take(spec.warmup)
-        cca_rtt = fr.sender.rtt_recorder.take(spec.warmup)
         frames = fr.app.frame_recorder.take(spec.warmup)
         flows.append(FlowSummary(
             rtt_times=rtt.times, rtt_values=rtt.rtts,
-            cca_rtt_times=cca_rtt.times, cca_rtt_values=cca_rtt.rtts,
             frame_times=frames.frame_times,
             frame_delays=frames.frame_delays,
             goodput_bps=_flow_goodput(fr.protocol, fr.receiver, spec),

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.cca.base import FeedbackPacketReport, RateCca
-from repro.metrics.recorder import RateRecorder, RttRecorder
+from repro.metrics.recorder import RateRecorder
 from repro.net.packet import (FiveTuple, Packet, PacketKind, RTCP_SIZE,
                               RTP_PAYLOAD_SIZE)
 from repro.sim.engine import Event, Simulator, Timer
@@ -82,7 +82,6 @@ class RtpSender:
         # to the CCA (received, or lost because a later seq arrived).
         self._next_unreported = 0
         self._retransmitted: set[int] = set()
-        self.rtt_recorder: Optional[RttRecorder] = None
         self.rate_recorder: Optional[RateRecorder] = None
         self.packets_sent = 0
         self.feedback_received = 0
@@ -132,7 +131,6 @@ class RtpSender:
         # seqs from looping over them or hiding packets sent later.
         last = min(max(arrivals, default=-1), self._twcc_seq - 1)
         now = self.sim.now
-        rtt_recorder = self.rtt_recorder
         reports = []
         for seq in range(max(self._next_unreported, self._oldest_seq),
                          last + 1):
@@ -143,8 +141,6 @@ class RtpSender:
             recv = arrivals.get(seq)
             # Absent below the highest reported seq => treat as lost.
             reports.append(FeedbackPacketReport(seq, size, sent, recv))
-            if recv is not None and rtt_recorder is not None:
-                rtt_recorder.record(now, now - sent)
         if last >= self._next_unreported:
             self._next_unreported = last + 1
         if reports:

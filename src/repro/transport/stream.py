@@ -1,10 +1,10 @@
 """What the TCP and QUIC senders share (Table 2's out-of-band family).
 
 :class:`StreamSender` owns the write buffer, the MSS chunking, RFC 6298
-SRTT/RTTVAR/RTO, the retransmission timer's arming and the slots for
-the RTT and rate recorders, which the builder fills for the flows a
-summary reads. Each subclass owns its sequence space, ACK processing and
-loss recovery, and sends a new segment through ``_emit_new``.
+SRTT/RTTVAR/RTO, the retransmission timer's arming and the rate
+recorder's slot, which the builder fills for the flows a summary reads.
+Each subclass owns its sequence space, ACK processing and loss
+recovery, and sends a new segment through ``_emit_new``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from collections import deque
 from typing import Callable, Optional
 
 from repro.cca.base import WindowCca
-from repro.metrics.recorder import RateRecorder, RttRecorder
+from repro.metrics.recorder import RateRecorder
 from repro.net.packet import FiveTuple, Packet
 from repro.sim.engine import Simulator
 
@@ -45,7 +45,6 @@ class StreamSender:
         self._rto_backoff = 1           # the timer runs _rto * this
         self.unlimited = False          # bulk mode: infinite data
 
-        self.rtt_recorder: Optional[RttRecorder] = None
         self.rate_recorder: Optional[RateRecorder] = None
         self.retransmissions = 0
 
@@ -121,7 +120,7 @@ class StreamSender:
     # -- RTT estimation (RFC 6298) ----------------------------------------------
 
     def _update_rtt(self, rtt: float) -> None:
-        """Fold one RTT sample into SRTT/RTTVAR and the RTO, and record it."""
+        """Fold one RTT sample into SRTT/RTTVAR and the RTO."""
         if self._srtt == 0:
             self._srtt = rtt
             self._rttvar = rtt / 2
@@ -129,5 +128,3 @@ class StreamSender:
             self._rttvar = 0.75 * self._rttvar + 0.25 * abs(self._srtt - rtt)
             self._srtt = 0.875 * self._srtt + 0.125 * rtt
         self._rto = max(RTO_MIN, self._srtt + 4 * self._rttvar)
-        if self.rtt_recorder is not None:
-            self.rtt_recorder.record(self.sim.now, rtt)

@@ -8,8 +8,9 @@ Before every recorder column and ``FlowSummary`` series was an
   a fresh recorder;
 * ``RateRecorder.mean_rate`` averaged the rates whose stamp is at or
   after ``start``, filtered by a list comprehension;
-* ``FlowSummary.as_dict`` emitted the six series as they were stored:
-  Python lists.
+* ``FlowSummary.as_dict`` emitted the series as they were stored:
+  Python lists (the CCA-perceived RTT pair, since deleted from the
+  summary, is taken out here too).
 
 The bodies below are kept verbatim (``mean_rate`` and ``as_dict`` as
 free functions over the object they were methods of).
@@ -48,8 +49,6 @@ def flow_as_dict(self) -> dict:
     """``FlowSummary.as_dict`` over list series (``self`` holds lists)."""
     return {"rtt_times": self.rtt_times,
             "rtt_values": self.rtt_values,
-            "cca_rtt_times": self.cca_rtt_times,
-            "cca_rtt_values": self.cca_rtt_values,
             "frame_times": self.frame_times,
             "frame_delays": self.frame_delays,
             "goodput_bps": self.goodput_bps,

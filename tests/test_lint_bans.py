@@ -107,6 +107,11 @@ BANS = {
         "-nwE", "state_log|reconvergence_duration", ("src",),
         "Recorders hold only what a reader in src reads: no per-feedback "
         "GCC signal log and no rate series kept for a metric nothing calls."),
+    "no-cca-rtt-column": (
+        "-nE", "cca_rtt|rtt_recorder",
+        ("src", "examples", "benchmarks/bench_*.py"),
+        "Summaries carry only the series a reader reads, and senders keep "
+        "no per-feedback RTT column."),
 }
 
 

@@ -4,9 +4,9 @@
 seq]``, GCC keeps a running byte total / newest arrival for its receive
 window, and the trendline slope sums column lists.  Every schedule
 below is replayed against the pre-frontier bodies and must hand the CCA
-the same reports, record the same ``(time, value)`` samples, leave the
-same GCC signal after each feedback and the same floats behind, step
-by step.
+the same reports, record the same ``(time, value)`` rate samples, leave
+the same GCC signal after each feedback and the same floats behind,
+step by step.
 """
 
 import random
@@ -62,7 +62,10 @@ class _Side:
         self.cca = cca_cls(initial_bps=1e6)
         self.sender = sender_cls(self.sim, FLOW, self.cca)
         self.sender.transmit = lambda packet: None
-        self.sender.rtt_recorder = SpyRecorder()
+        if sender_cls is ReferenceRtpSender:
+            # The frozen body records an RTT per received report
+            # unconditionally; the live sender keeps no RTT column.
+            self.sender.rtt_recorder = SpyRecorder()
         self.sender.rate_recorder = SpyRecorder()
         self.batches = []  # one report list per cca.on_feedback call
         self.signals = []  # cca.last_signal after each of those calls
@@ -89,7 +92,6 @@ class _Side:
         sender, cca = self.sender, self.cca
         return {
             "batches": self.batches,
-            "rtt": sender.rtt_recorder,
             "rate": sender.rate_recorder,
             "history": sender._history,
             "oldest": sender._oldest_seq,

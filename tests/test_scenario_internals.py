@@ -64,18 +64,6 @@ class TestOptions:
 
 
 class TestResultFields:
-    def test_cca_rtt_differs_from_network_rtt_under_zhuge(self):
-        trace = TraceSpec.for_family("W1", duration=25, seed=5)
-        result = TopologyBuilder(ScenarioSpec(trace=trace, protocol="rtp",
-                                              ap_mode="zhuge",
-                                              duration=25)).run()
-        flow = result.flows[0]
-        assert flow.cca_rtt.count > 0
-        assert flow.rtt.count > 0
-        # They measure different things; identical streams would mean the
-        # network recorder is accidentally reading the CCA's view.
-        assert flow.cca_rtt.rtts != flow.rtt.rtts
-
     def test_measured_duration(self):
         spec = ScenarioSpec(trace=short_trace(), duration=15,
                               warmup=5.0)

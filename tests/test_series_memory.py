@@ -2,13 +2,14 @@
 
 Traced with ``tracemalloc`` on a short headline cell (W1, rtp/gcc over
 Zhuge, two RTC flows, 8 s with 2 s of warm-up: 3 728 post-warm-up RTT
-samples, 15 478 values across the six summary series).
+samples, 8 028 values across the four summary series).
 
 * ``ScenarioSummary``: bytes freed by dropping the summary once the
   builder and the result are gone, per RTT sample. Packed, it measures
-  33.9 B (8.2 B per value: one double, plus the array headers). As
-  Python lists it measured 90.0 B: a list slot plus a float object for
-  most values. Bound: 45 B.
+  19.0 B (8.8 B per value: one double, plus the array headers); with
+  the CCA-perceived RTT pair as two more series it measured 36.1 B. As
+  Python lists of six series it measured 90.0 B: a list slot plus a
+  float object for most values. Bound: 45 B.
 * ``FleetAccumulator``: bytes its exact-percentile records keep per
   retained sample, over summaries decoded from JSON (so nothing else
   holds the floats), net of an accumulator that collapsed to sketches
@@ -141,7 +142,7 @@ def test_collect_moves_series_without_a_copy(traced):
     for fr, flow in zip(forwarding.rtc, summary.flows):
         kept = [getattr(flow, name) for name in _SERIES]
         for recorder in (forwarding.network_rtt[fr.flow],
-                         fr.sender.rtt_recorder, fr.app.frame_recorder):
+                         fr.app.frame_recorder):
             columns = [getattr(recorder, f.name) for f in fields(recorder)]
             assert [len(column) for column in columns] == [0, 0]
             assert not any(column is series
@@ -191,7 +192,6 @@ def _contended(duration: float):
     competitors = builder.forwarding.competitors
     assert len(competitors) == 2 and summary.flows
     for fr in competitors:
-        assert fr.sender.rtt_recorder is None
         assert fr.sender.rate_recorder is None
     acks = sum(fr.receiver.acks_sent for fr in competitors)
     held = _traced_now()

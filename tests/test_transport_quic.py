@@ -5,7 +5,6 @@ import pytest
 from repro.cca.copa import CopaCca
 from repro.core.feedback_updater import OutOfBandFeedbackUpdater
 from repro.core.fortune_teller import FortuneTeller
-from repro.metrics.recorder import RttRecorder
 from repro.net.packet import Packet, PacketKind
 from repro.net.queue import DropTailQueue
 from repro.sim.random import DeterministicRandom
@@ -15,7 +14,6 @@ from repro.transport.quic import QuicReceiver, QuicSender
 @pytest.fixture
 def pair(sim, flow):
     sender = QuicSender(sim, flow, CopaCca(mss=1200), mss=1200)
-    sender.rtt_recorder = RttRecorder()
     receiver = QuicReceiver(sim, flow)
     return sender, receiver
 
@@ -47,7 +45,7 @@ class TestBasics:
         sim.run(until=1.0)
         assert len(delivered) == 3
         assert delivered[-1]["last_of_write"] is True
-        assert sender.rtt_recorder.count > 0
+        assert sender._srtt > 0
 
     def test_rtt_subtracts_ack_delay(self, sim, pair, flow):
         sender, _ = pair
@@ -57,7 +55,7 @@ class TestBasics:
         ack = Packet(flow.reversed(), 60, PacketKind.ACK)
         ack.headers["quic_sealed"] = {"acked": [0], "ack_delay": 0.020}
         sender.on_ack(ack)
-        assert sender.rtt_recorder.rtts[0] == pytest.approx(0.030, abs=1e-6)
+        assert sender._srtt == pytest.approx(0.030, abs=1e-6)
 
     def test_retransmission_uses_new_pn(self, sim, pair):
         sender, receiver = pair
@@ -107,7 +105,7 @@ class TestOpaqueness:
         receiver.transmit = up
         sender.write(3600)
         sim.run(until=1.0)
-        assert sender.rtt_recorder.count > 0
+        assert sender._srtt > 0
         # The sealed headers passed through unmodified.
         for packet in held:
             assert set(packet.headers["quic_sealed"]) == {"acked",
@@ -136,4 +134,4 @@ class TestOpaqueness:
         receiver.transmit = up
         sender.write(1200)
         sim.run(until=1.0)
-        assert sender.rtt_recorder.rtts[0] >= 0.060  # 20ms path + 50ms injected
+        assert sender._srtt >= 0.060  # 20ms path + 50ms injected

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cca.gcc import GccController
-from repro.metrics.recorder import RttRecorder
 from repro.net.packet import PacketKind
 from repro.transport.rtp import HISTORY_WINDOW, RtpReceiver, RtpSender
 
@@ -18,7 +17,6 @@ class RateSamples(list):
 @pytest.fixture
 def pair(sim, flow):
     sender = RtpSender(sim, flow, GccController(initial_bps=1e6))
-    sender.rtt_recorder = RttRecorder()
     sender.rate_recorder = RateSamples()
     receiver = RtpReceiver(sim, flow)
     return sender, receiver
@@ -63,11 +61,19 @@ class TestFeedbackProcessing:
     def test_cca_receives_reports(self, sim, pair):
         sender, receiver = pair
         wire_direct(sim, sender, receiver)
+        received = []
+        original = sender.cca.on_feedback
+
+        def spy(now, reports):
+            received.extend(r for r in reports if r.recv_time is not None)
+            original(now, reports)
+
+        sender.cca.on_feedback = spy
         for i in range(10):
             sim.schedule(i * 0.005, sender.send_packet)
         sim.run(until=0.2)
         assert sender.feedback_received >= 1
-        assert sender.rtt_recorder.count == 10
+        assert len(received) == 10
 
     def test_lost_packets_reported_as_lost(self, sim, pair):
         sender, receiver = pair
@@ -180,12 +186,10 @@ class TestReportFrontier:
         sender, batches = spied
         sender.on_feedback(self._feedback(flow, {3: 0.05, 4: 0.06}))
         samples = len(sender.rate_recorder)
-        rtts = sender.rtt_recorder.count
         # Older feedback overtaken in flight: max(arrivals) < frontier.
         sender.on_feedback(self._feedback(flow, {0: 0.02, 1: 0.03}))
         assert len(batches) == 1
         assert len(sender.rate_recorder) == samples
-        assert sender.rtt_recorder.count == rtts
         assert sender.feedback_received == 2
 
     def test_straggler_for_seq_declared_lost_ignored(self, spied, flow):

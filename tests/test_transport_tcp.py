@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cca.cubic import CubicCca
-from repro.metrics.recorder import RttRecorder
 from repro.net.packet import Packet
 from repro.transport.stream import MAX_BUFFER_BYTES
 from repro.transport.tcp import TcpReceiver, TcpSender
@@ -12,7 +11,6 @@ from repro.transport.tcp import TcpReceiver, TcpSender
 @pytest.fixture
 def pair(sim, flow):
     sender = TcpSender(sim, flow, CubicCca())
-    sender.rtt_recorder = RttRecorder()
     receiver = TcpReceiver(sim, flow)
     return sender, receiver
 
@@ -68,7 +66,6 @@ class TestBasicTransfer:
         sender.write(3000)
         sim.run(until=1.0)
         assert sender.srtt == pytest.approx(0.030, rel=0.2)
-        assert sender.rtt_recorder.count > 0
 
     def test_write_buffer_limit(self, sim, flow):
         sender = TcpSender(sim, flow, CubicCca())
