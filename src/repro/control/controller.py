@@ -93,24 +93,13 @@ class ZhugeController:
         # as a sensor but its direct demote/promote callbacks are
         # detached so policy application is the single writer of
         # passthrough state. A watchdog the fault plan armed is adopted;
-        # otherwise the AP gets one with the default WatchdogConfig.
+        # otherwise the AP gets one.
         if zhuge.watchdog is None:
             zhuge.enable_watchdog()
         self.watchdog = zhuge.watchdog
         self.watchdog.on_demote = None
         self.watchdog.on_promote = None
         zhuge.apply_policy(LADDER[GREEN])
-        # Queue drops (tail overflow, the SOFT_RED/RED clamp's head
-        # trim) leave unfalsifiable open predictions in the AP's join;
-        # drop them so a deliberate shed never reads as "the client
-        # vanished". Subscribed here, not in the AP, so controller-less
-        # runs keep their pinned trajectories (drops stay open there).
-        self._drop_hook = None
-        queue = getattr(zhuge, "downlink_queue", None)
-        if queue is not None:
-            join = self.watchdog.join
-            self._drop_hook = lambda packet, reason: join.drop(packet.pkt_id)
-            queue.on_drop.append(self._drop_hook)
         self._timer = Timer(sim, CHECK_INTERVAL, self._check)
 
     # -- signal voting -------------------------------------------------------
@@ -238,11 +227,6 @@ class ZhugeController:
 
     def stop(self) -> None:
         self._timer.stop()
-        if self._drop_hook is not None:
-            hooks = self.zhuge.downlink_queue.on_drop
-            if self._drop_hook in hooks:
-                hooks.remove(self._drop_hook)
-            self._drop_hook = None
 
 
 __all__ = ["ZhugeController", "CONTROL_STATES", "GREEN", "RED"]

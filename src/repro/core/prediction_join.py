@@ -3,10 +3,19 @@
 Fig. 19 and the AP's own safety rest on one join: the Fortune Teller's
 ``qLong + qShort + tx`` forecast for packet *p* at AP arrival against
 *p*'s delivery over the air. The watchdog reads its staleness, open
-count and pairs; the controller's queue-drop hook calls :meth:`drop`;
-Fig. 19 and the trace auditor read the ``predicted`` / ``actual``
-columns, filled only while ``record`` is set. An AP holds none until
-something subscribes (``ZhugeAP.predictions is None``).
+count and pairs; Fig. 19 and the trace auditor read the ``predicted``
+/ ``actual`` columns, filled only while ``record`` is set. An AP holds
+none until something subscribes (``ZhugeAP.predictions is None``).
+
+The join alone decides that a prediction will never pair. One AP's
+downlink delivers each flow's packets in order (``fifo``, ``codel``
+and ``fq_codel``'s per-flow sub-queues, and the AMPDU all keep it), so
+when packet *p* of flow *f* is delivered, every open prediction of *f*
+noted before *p* belongs to a lost packet — a tail drop, an AQM drop,
+the control clamp's head trim, a loss over the air or a roam flush.
+The delivery retires them and counts them in ``lost``. Every noted
+prediction ends joined, lost, evicted by the bound, cleared by a reset
+or still open.
 """
 
 from __future__ import annotations
@@ -15,6 +24,8 @@ from array import array
 from collections import OrderedDict
 from typing import Callable, Optional
 
+from repro.net.packet import FiveTuple
+
 #: Open-map cap: beyond it the oldest entry is evicted. During a
 #: blackout nothing is delivered, so the map would otherwise grow with
 #: every downlink packet the sender keeps pushing.
@@ -22,11 +33,12 @@ MAX_OPEN_PREDICTIONS = 4096
 
 
 class PredictionJoin:
-    """Bounded ``pkt_id -> (noted_at, predicted)`` map plus joined pairs,
-    appended in delivery order (``actual`` = delivery − noted_at)."""
+    """Bounded ``pkt_id -> (noted_at, predicted, flow)`` map in note
+    order, each flow's open ids in note order beside it, plus joined
+    pairs appended in delivery order (``actual`` = delivery − noted_at)."""
 
     __slots__ = ("sim", "record", "predicted", "actual", "on_pair",
-                 "evicted", "_open")
+                 "evicted", "lost", "_open", "_flows")
 
     def __init__(self, sim):
         self.sim = sim
@@ -37,24 +49,43 @@ class PredictionJoin:
         #: ``(predicted, actual)`` subscriber: the watchdog's error feed.
         self.on_pair: Optional[Callable[[float, float], None]] = None
         self.evicted = 0
-        self._open: OrderedDict[int, tuple[float, float]] = OrderedDict()
+        #: Predictions retired because a later packet of their flow
+        #: was delivered first: their packets were lost.
+        self.lost = 0
+        self._open: OrderedDict[int, tuple[float, float, FiveTuple]] = \
+            OrderedDict()
+        self._flows: dict[FiveTuple, OrderedDict[int, None]] = {}
 
-    def note(self, pkt_id: int, predicted: float) -> None:
-        """The AP predicted ``predicted`` seconds for packet ``pkt_id``."""
+    def note(self, pkt_id: int, flow: FiveTuple, predicted: float) -> None:
+        """The AP predicted ``predicted`` seconds for packet ``pkt_id``
+        of ``flow``."""
         opened = self._open
         if pkt_id in opened:
-            del opened[pkt_id]
+            del self._flows[opened.pop(pkt_id)[2]][pkt_id]
         elif len(opened) >= MAX_OPEN_PREDICTIONS:
-            opened.popitem(last=False)
+            oldest, (_, _, oldest_flow) = opened.popitem(last=False)
+            del self._flows[oldest_flow][oldest]
             self.evicted += 1
-        opened[pkt_id] = (self.sim.now, predicted)
+        opened[pkt_id] = (self.sim.now, predicted, flow)
+        order = self._flows.get(flow)
+        if order is None:
+            order = self._flows[flow] = OrderedDict()
+        order[pkt_id] = None
 
     def deliver(self, pkt_id: int) -> None:
-        """Packet ``pkt_id`` made it over the air: join it."""
-        entry = self._open.pop(pkt_id, None)
+        """Packet ``pkt_id`` made it over the air: join it, and retire
+        its flow's older open predictions as lost."""
+        opened = self._open
+        entry = opened.pop(pkt_id, None)
         if entry is None:
             return
-        noted_at, predicted = entry
+        noted_at, predicted, flow = entry
+        order = self._flows[flow]
+        older = order.popitem(last=False)[0]
+        while older != pkt_id:
+            del opened[older]
+            self.lost += 1
+            older = order.popitem(last=False)[0]
         actual = self.sim.now - noted_at
         if self.record:
             self.predicted.append(predicted)
@@ -62,14 +93,10 @@ class PredictionJoin:
         if self.on_pair is not None:
             self.on_pair(predicted, actual)
 
-    def drop(self, pkt_id: int) -> None:
-        """Packet ``pkt_id`` will never fly: its prediction can neither
-        join nor legitimately age into staleness."""
-        self._open.pop(pkt_id, None)
-
     def reset(self) -> None:
         """Forget every open prediction (the estimators were wiped)."""
         self._open.clear()
+        self._flows.clear()
 
     def __len__(self) -> int:
         """Open predictions (idle APs hold none)."""
@@ -78,6 +105,6 @@ class PredictionJoin:
     @property
     def oldest_noted_at(self) -> Optional[float]:
         """When the oldest open prediction was noted (``None`` if none)."""
-        for noted_at, _ in self._open.values():
-            return noted_at
+        for entry in self._open.values():
+            return entry[0]
         return None

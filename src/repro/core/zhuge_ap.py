@@ -149,7 +149,7 @@ class ZhugeAP:
 
     # -- graceful degradation (repro.faults) ---------------------------------
 
-    def enable_watchdog(self, config=None) -> None:
+    def enable_watchdog(self) -> None:
         """Attach an estimator-health watchdog that can demote the AP.
 
         Lazy import: ``repro.core`` stays importable without the fault
@@ -157,7 +157,7 @@ class ZhugeAP:
         """
         from repro.faults.watchdog import EstimatorHealthWatchdog
         self.watchdog = EstimatorHealthWatchdog(
-            self.sim, self.join_predictions(), config,
+            self.sim, self.join_predictions(),
             on_demote=self._on_watchdog_demote,
             on_promote=self._on_watchdog_promote)
         if self.trace is not None:
@@ -324,7 +324,7 @@ class ZhugeAP:
             updater.on_data_packet(packet)
             if self.predictions is not None:
                 self.predictions.note(
-                    packet.pkt_id,
+                    packet.pkt_id, packet.flow,
                     updater.fortune_teller.last_prediction.total)
         if self.forward_downlink is not None:
             self.forward_downlink(packet)
@@ -347,7 +347,8 @@ class ZhugeAP:
                 out(packet)
 
     def on_wireless_delivery(self, packet: Packet) -> None:
-        """The wireless hop delivered a packet: join its prediction."""
+        """The wireless hop delivered a packet: join its prediction
+        (and retire its flow's older, lost ones)."""
         if self.predictions is not None:
             self.predictions.deliver(packet.pkt_id)
 

@@ -18,8 +18,7 @@ or replayed from the campaign cache.
 from repro.faults.chaos import (CHAOS_ACTIONS, ChaosPlan, ChaosState,
                                 ChaosWorker, build_chaos, corrupt_entry)
 from repro.faults.injector import FaultInjector
-from repro.faults.spec import (FAULT_KINDS, FaultPlan, FaultSpec,
-                               WatchdogConfig)
+from repro.faults.spec import FAULT_KINDS, FaultPlan, FaultSpec
 from repro.faults.watchdog import (STATE_DEGRADED, STATE_HEALTHY,
                                    EstimatorHealthWatchdog)
 
@@ -32,7 +31,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",
-    "WatchdogConfig",
     "EstimatorHealthWatchdog",
     "STATE_DEGRADED",
     "STATE_HEALTHY",

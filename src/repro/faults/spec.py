@@ -1,8 +1,8 @@
 """Pure-data fault plans.
 
 A :class:`FaultPlan` is the declarative half of the fault layer: a list
-of typed :class:`FaultSpec` windows plus the watchdog configuration,
-all plain JSON values. It lives inside
+of typed :class:`FaultSpec` windows plus the watchdog switch, all
+plain JSON values. It lives inside
 :class:`~repro.campaign.spec.ScenarioSpec`, so it participates in the
 spec content hash (a faulted cell never aliases a healthy one in the
 campaign cache) and survives pickling across worker processes.
@@ -39,7 +39,7 @@ that need stacked faults should use disjoint windows.
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 FAULT_KINDS = ("blackout", "rate_crash", "loss_burst", "ap_reset", "roam")
@@ -147,53 +147,6 @@ class FaultSpec:
 
 
 @dataclass(frozen=True)
-class WatchdogConfig:
-    """Hysteresis parameters of the estimator-health watchdog.
-
-    The watchdog samples health every ``check_interval`` seconds.
-    Predictions older than ``stale_after`` with no matching delivery
-    mark the estimators stale; joined predictions within
-    ``health_window`` whose mean absolute error exceeds
-    ``error_threshold`` mark them inaccurate. Either condition must
-    persist for ``demote_after`` seconds before the AP falls back to
-    passthrough, and health (fresh joins, >= ``min_samples`` of them,
-    accurate, not stale) must persist for ``promote_after`` seconds
-    before Zhuge re-engages.
-    """
-
-    check_interval: float = 0.1
-    health_window: float = 1.0
-    stale_after: float = 0.5
-    error_threshold: float = 0.25
-    demote_after: float = 0.2
-    promote_after: float = 1.0
-    min_samples: int = 20
-
-    def __post_init__(self) -> None:
-        for name in ("check_interval", "health_window", "stale_after",
-                     "promote_after"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive: "
-                                 f"{getattr(self, name)}")
-        if self.demote_after < 0:
-            raise ValueError(f"demote_after must be >= 0: "
-                             f"{self.demote_after}")
-        if self.error_threshold <= 0:
-            raise ValueError(f"error_threshold must be positive: "
-                             f"{self.error_threshold}")
-        if self.min_samples < 1:
-            raise ValueError(f"min_samples must be >= 1: "
-                             f"{self.min_samples}")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "WatchdogConfig":
-        return cls(**payload)
-
-
-@dataclass(frozen=True)
 class FaultPlan:
     """A scenario's full fault schedule plus degradation policy.
 
@@ -211,7 +164,6 @@ class FaultPlan:
     faults: tuple[FaultSpec, ...] = ()
     seed: int = 1
     watchdog_enabled: bool = True
-    watchdog: WatchdogConfig = field(default_factory=WatchdogConfig)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "faults", tuple(self.faults))
@@ -275,17 +227,13 @@ class FaultPlan:
     def as_dict(self) -> dict:
         return {"faults": [f.as_dict() for f in self.faults],
                 "seed": self.seed,
-                "watchdog_enabled": self.watchdog_enabled,
-                "watchdog": self.watchdog.as_dict()}
+                "watchdog_enabled": self.watchdog_enabled}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FaultPlan":
         payload = dict(payload)
         payload["faults"] = tuple(FaultSpec.from_dict(f)
                                   for f in payload.get("faults", ()))
-        watchdog = payload.get("watchdog")
-        if watchdog is not None:
-            payload["watchdog"] = WatchdogConfig.from_dict(watchdog)
         unknown = sorted(set(payload) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown fault plan field(s): "

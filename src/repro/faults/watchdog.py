@@ -11,15 +11,17 @@ hysteresis:
 
 .. code-block:: text
 
-            unhealthy for >= demote_after
+            unhealthy for >= DEMOTE_AFTER
    HEALTHY ------------------------------> DEGRADED
            <------------------------------
-            healthy for >= promote_after
-            AND >= min_samples fresh joins
+            healthy for >= PROMOTE_AFTER
+            AND >= MIN_SAMPLES fresh joins
 
-"Unhealthy" means either *stale* (an un-joined prediction older than
-``stale_after`` — deliveries stopped) or *inaccurate* (mean absolute
-error of joins inside ``health_window`` above ``error_threshold``).
+"Unhealthy" means either *stale* (an open prediction older than
+:data:`STALE_AFTER` — deliveries stopped; the join retires a lost
+packet's prediction at its flow's next delivery, so a loss alone never
+reads as stale) or *inaccurate* (mean absolute error of joins inside
+:data:`HEALTH_WINDOW` above :data:`ERROR_THRESHOLD`).
 :meth:`notify_reset` short-circuits the demote delay: an estimator
 reset is a ground-truth signal that predictions are garbage *now*.
 
@@ -36,11 +38,25 @@ from operator import itemgetter
 from typing import Callable, Optional
 
 from repro.core.prediction_join import PredictionJoin
-from repro.faults.spec import WatchdogConfig
 from repro.sim.engine import Simulator, Timer
 
 STATE_HEALTHY = "healthy"
 STATE_DEGRADED = "degraded"
+
+#: Seconds between health checks.
+CHECK_INTERVAL = 0.1
+#: Joined errors younger than this (s) make up the accuracy window.
+HEALTH_WINDOW = 1.0
+#: An open prediction older than this (s) means deliveries stopped.
+STALE_AFTER = 0.5
+#: Mean windowed |predicted - actual| (s) above which joins are inaccurate.
+ERROR_THRESHOLD = 0.25
+#: Unhealthy dwell (s) before the AP falls back to passthrough.
+DEMOTE_AFTER = 0.2
+#: Healthy dwell (s) before Zhuge re-engages.
+PROMOTE_AFTER = 1.0
+#: Fresh joins inside the window a promotion needs.
+MIN_SAMPLES = 20
 
 #: The error of a ``(time, error)`` window entry.
 _error_of = itemgetter(1)
@@ -50,11 +66,9 @@ class EstimatorHealthWatchdog:
     """Periodic health checker over the AP's prediction ``join``."""
 
     def __init__(self, sim: Simulator, join: PredictionJoin,
-                 config: Optional[WatchdogConfig] = None,
                  on_demote: Optional[Callable[[str], None]] = None,
                  on_promote: Optional[Callable[[str], None]] = None):
         self.sim = sim
-        self.config = config or WatchdogConfig()
         self.on_demote = on_demote
         self.on_promote = on_promote
         self.state = STATE_HEALTHY
@@ -67,7 +81,7 @@ class EstimatorHealthWatchdog:
         self._healthy_since: Optional[float] = None
         self.trace = None
         self._track = "ap/watchdog"
-        self._timer = Timer(sim, self.config.check_interval, self._check)
+        self._timer = Timer(sim, CHECK_INTERVAL, self._check)
 
     # -- observation feed ----------------------------------------------------
 
@@ -120,20 +134,19 @@ class EstimatorHealthWatchdog:
         """
         oldest = self.join.oldest_noted_at
         return (oldest is not None
-                and self.sim.now - oldest > self.config.stale_after)
+                and self.sim.now - oldest > STALE_AFTER)
 
     def _expire_errors(self, now: float) -> None:
-        horizon = now - self.config.health_window
+        horizon = now - HEALTH_WINDOW
         while self._errors and self._errors[0][0] < horizon:
             self._errors.popleft()
 
     def _check(self) -> None:
         now = self.sim.now
         self._expire_errors(now)
-        config = self.config
         stale = self.stale
         fresh = len(self._errors)
-        inaccurate = fresh > 0 and self.mean_error > config.error_threshold
+        inaccurate = fresh > 0 and self.mean_error > ERROR_THRESHOLD
         unhealthy = stale or inaccurate
         if self.state == STATE_HEALTHY:
             self._healthy_since = None
@@ -142,18 +155,18 @@ class EstimatorHealthWatchdog:
                 return
             if self._unhealthy_since is None:
                 self._unhealthy_since = now
-            if now - self._unhealthy_since >= config.demote_after:
+            if now - self._unhealthy_since >= DEMOTE_AFTER:
                 self._transition(STATE_DEGRADED,
                                  "stale" if stale else "inaccurate")
         else:
             self._unhealthy_since = None
-            healthy = (not unhealthy and fresh >= config.min_samples)
+            healthy = (not unhealthy and fresh >= MIN_SAMPLES)
             if not healthy:
                 self._healthy_since = None
                 return
             if self._healthy_since is None:
                 self._healthy_since = now
-            if now - self._healthy_since >= config.promote_after:
+            if now - self._healthy_since >= PROMOTE_AFTER:
                 self._transition(STATE_HEALTHY, "recovered")
 
     def _transition(self, state: str, reason: str) -> None:

@@ -327,7 +327,7 @@ class TopologyBuilder:
         if plan.watchdog_enabled:
             for ap_rt in self.aps.values():
                 if ap_rt.zhuge is not None:
-                    ap_rt.zhuge.enable_watchdog(plan.watchdog)
+                    ap_rt.zhuge.enable_watchdog()
         self.fault_injector = FaultInjector(
             self.sim, plan,
             trace=self.trace_session.bus if self.trace_session else None,

@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
+import repro.faults.watchdog as watchdog
 from repro.faults.watchdog import (STATE_DEGRADED, STATE_HEALTHY,
                                   EstimatorHealthWatchdog)
 from repro.sim.random import DeterministicRandom
@@ -376,7 +377,7 @@ class SummingWatchdog(EstimatorHealthWatchdog):
         return self._error_sum.value() / len(self._errors)
 
     def _expire_errors(self, now: float) -> None:
-        horizon = now - self.config.health_window
+        horizon = now - watchdog.HEALTH_WINDOW
         while self._errors and self._errors[0][0] < horizon:
             _, error = self._errors.popleft()
             self._error_sum.subtract(error)

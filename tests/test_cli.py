@@ -383,6 +383,10 @@ class TestParser:
         '[{"trace": {"kind": "constant", "rate_bps": 1e6}, '
         '"faults": {"faults": [{"kind": "blackout", "start": 1.0, '
         '"duration": 0.5}], "watchdog_enable": false}}]',
+        # The watchdog's thresholds are module constants, not settings.
+        '[{"trace": {"kind": "constant", "rate_bps": 1e6}, '
+        '"faults": {"faults": [{"kind": "blackout", "start": 1.0, '
+        '"duration": 0.5}], "watchdog": {"stale_after": 0.5}}}]',
         '[{"trace": {"kind": "constant", "rate_bps": 1e6}, '
         '"control": {"controller": {"quorum": 1}}}]',
     ])

@@ -97,8 +97,11 @@ class TestControlSpecHashStability:
 # ---------------------------------------------------------------------------
 
 
+FLOW = FiveTuple("s", "c", 1, 2, "udp")
+
+
 def _pkt(size=1000, pkt_id=None):
-    return Packet(FiveTuple("s", "c", 1, 2, "udp"), size, pkt_id=pkt_id)
+    return Packet(FLOW, size, pkt_id=pkt_id)
 
 
 class TestQueueTrims:
@@ -188,9 +191,9 @@ class FakeZhuge:
         self.downlink_queue = DropTailQueue(capacity_bytes=capacity)
         self.applied = []
 
-    def enable_watchdog(self, config=None):
-        self.watchdog = EstimatorHealthWatchdog(
-            self.sim, PredictionJoin(self.sim), config)
+    def enable_watchdog(self):
+        self.watchdog = EstimatorHealthWatchdog(self.sim,
+                                                PredictionJoin(self.sim))
 
     def apply_policy(self, policy):
         self.policy = policy
@@ -236,7 +239,7 @@ class TestControllerStateMachine:
 
     def test_stale_on_unimpaired_link_goes_red(self, sim):
         zhuge, controller = self._controller(sim)
-        zhuge.watchdog.join.note(1, 0.010)  # never delivered
+        zhuge.watchdog.join.note(1, FLOW, 0.010)  # never delivered
         sim.run(until=2.0)
         assert controller.state == "red"
         assert zhuge.policy.passthrough is True
@@ -249,7 +252,7 @@ class TestControllerStateMachine:
                                queue=zhuge.downlink_queue,
                                channel=SimpleNamespace(fault_scale=1.0))
         controller = ZhugeController(sim, zhuge, edge=edge)
-        zhuge.watchdog.join.note(1, 0.010)  # stale, but link blocked
+        zhuge.watchdog.join.note(1, FLOW, 0.010)  # stale, but link blocked
         sim.run(until=2.0)
         assert controller.state == "soft_red"
         assert controller.last_votes["health"] == 2
@@ -272,20 +275,6 @@ class TestControllerStateMachine:
         assert zhuge.downlink_queue.is_empty
         assert zhuge.downlink_queue.stats.drop_reasons[
             "control-sojourn"] == 1
-
-    def test_queue_drop_unregisters_open_prediction(self, sim):
-        zhuge, controller = self._controller(sim)
-        zhuge.watchdog.join.note(5, 0.010)
-        queue = zhuge.downlink_queue
-        queue.enqueue(_pkt(pkt_id=5), now=0.0)
-        queue.trim_head(0, "control-trim")
-        assert len(zhuge.watchdog.join) == 0
-
-    def test_stop_detaches_drop_hook(self, sim):
-        zhuge, controller = self._controller(sim)
-        assert len(zhuge.downlink_queue.on_drop) == 1
-        controller.stop()
-        assert zhuge.downlink_queue.on_drop == []
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ class TestAccuracyTracking:
         join.record = True
         packet = Packet(flow, 1200)
         prediction = teller.predict()
-        join.note(packet.pkt_id, prediction.total)
+        join.note(packet.pkt_id, flow, prediction.total)
         sim.run(until=sim.now + 0.012)
         join.deliver(packet.pkt_id)
         assert list(join.predicted) == [prediction.total]
@@ -133,14 +133,14 @@ class TestAccuracyTracking:
     def test_undelivered_not_in_pairs(self, sim, queue, teller, flow):
         join = PredictionJoin(sim)
         join.record = True
-        join.note(Packet(flow, 1200).pkt_id, teller.predict().total)
+        join.note(Packet(flow, 1200).pkt_id, flow, teller.predict().total)
         assert len(join) == 1
         assert len(join.predicted) == len(join.actual) == 0
 
     def test_recording_disabled_by_default(self, sim, queue, teller, flow):
         join = PredictionJoin(sim)
         packet = Packet(flow, 1200)
-        join.note(packet.pkt_id, teller.predict().total)
+        join.note(packet.pkt_id, flow, teller.predict().total)
         join.deliver(packet.pkt_id)
         assert len(join) == 0
         assert len(join.predicted) == len(join.actual) == 0

@@ -39,7 +39,7 @@ from repro.sim.engine import SimulationError, Simulator
 from repro.topology import builder
 from repro.topology.presets import interference_topology
 from tests.reference_links import ClassicWiredLink, ClassicWirelessLink
-from tests.test_topology import GOLDEN_PATH, RESIMULATED, topology_specs
+from tests.test_topology import GOLDEN_PATH, golden_names, topology_specs
 
 
 def _on_reference_links(run, spec):
@@ -246,7 +246,7 @@ class TestCancelCompaction:
 @pytest.mark.bitexact
 class TestGoldenEquivalence:
     @pytest.mark.parametrize("links", LINK_SETS)
-    @pytest.mark.parametrize("name", RESIMULATED)
+    @pytest.mark.parametrize("name", golden_names())
     def test_resimulated_goldens_match_pins(self, links, name):
         """Both link sets reproduce the digest-v2 pins bit-exactly."""
         data = json.load(open(GOLDEN_PATH))

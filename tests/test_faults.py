@@ -19,6 +19,7 @@ import threading
 
 import pytest
 
+import repro.faults.watchdog as watchdog
 from repro.campaign import ResultCache, ScenarioSpec, TraceSpec, run_specs
 from repro.campaign.summary import ScenarioSummary
 from repro.core.feedback_updater import OutOfBandFeedbackUpdater
@@ -26,8 +27,8 @@ from repro.core.fortune_teller import FortuneTeller
 from repro.core.prediction_join import PredictionJoin
 from repro.core.sliding_window import MAX_TOKENS, TokenBank
 from repro.faults import (STATE_DEGRADED, STATE_HEALTHY,
-                          EstimatorHealthWatchdog, FaultPlan, FaultSpec,
-                          WatchdogConfig)
+                          EstimatorHealthWatchdog, FaultPlan, FaultSpec)
+from repro.net.packet import FiveTuple
 from repro.net.queue import DropTailQueue
 from repro.sim.engine import Simulator
 from repro.sim.random import DeterministicRandom
@@ -98,11 +99,13 @@ class TestFaultPlan:
 
     def test_unknown_keys_refused_by_name(self):
         """A misspelt key used to be dropped: ``watchdog_enable: false``
-        ran with the watchdog on."""
+        ran with the watchdog on. A ``watchdog`` settings dict is refused
+        too: the thresholds are constants of the watchdog's module."""
         payload = FaultPlan.parse("blackout@10+1").as_dict()
-        payload.update(watchdog_enable=False, sed=3)
-        with pytest.raises(ValueError,
-                           match=r"field\(s\): sed, watchdog_enable"):
+        payload.update(watchdog_enable=False, sed=3,
+                       watchdog={"stale_after": 0.5})
+        with pytest.raises(ValueError, match=r"field\(s\): sed, watchdog, "
+                                             r"watchdog_enable$"):
             FaultPlan.from_dict(payload)
 
 
@@ -143,28 +146,30 @@ class TestSpecHashStability:
         assert "watchdog_transitions" not in payload
 
 
+#: The flow the unit watchdogs' predictions belong to.
+FLOW = FiveTuple("server", "client", 5000, 5001, "udp")
+
+
 class TestWatchdog:
     def test_demotes_on_stale_within_bound(self):
         sim = Simulator()
-        config = WatchdogConfig()
-        dog = EstimatorHealthWatchdog(sim, PredictionJoin(sim), config)
-        dog.join.note(1, 0.010)  # never delivered
+        dog = EstimatorHealthWatchdog(sim, PredictionJoin(sim))
+        dog.join.note(1, FLOW, 0.010)  # never delivered
         sim.run(until=2.0)
         assert dog.state == STATE_DEGRADED
         when, state, reason = dog.transitions[0]
         assert (state, reason) == (STATE_DEGRADED, "stale")
-        assert when <= (config.stale_after + config.demote_after
-                        + 2 * config.check_interval)
+        assert when <= (watchdog.STALE_AFTER + watchdog.DEMOTE_AFTER
+                        + 2 * watchdog.CHECK_INTERVAL)
 
     def test_demotes_on_inaccurate(self):
         sim = Simulator()
-        dog = EstimatorHealthWatchdog(sim, PredictionJoin(sim),
-                                      WatchdogConfig())
+        dog = EstimatorHealthWatchdog(sim, PredictionJoin(sim))
         ids = iter(range(10_000))
 
         def feed():
             pkt = next(ids)
-            dog.join.note(pkt, 1.0)  # reality: instant delivery
+            dog.join.note(pkt, FLOW, 1.0)  # reality: instant delivery
             dog.join.deliver(pkt)
             sim.schedule(0.02, feed)
 
@@ -175,12 +180,11 @@ class TestWatchdog:
 
     def test_brief_staleness_does_not_demote(self):
         sim = Simulator()
-        config = WatchdogConfig()
-        dog = EstimatorHealthWatchdog(sim, PredictionJoin(sim), config)
+        dog = EstimatorHealthWatchdog(sim, PredictionJoin(sim))
         # Delivered (accurately) just after the stale threshold but
         # before the demote delay elapses: hysteresis holds.
-        delivery_at = config.stale_after + 0.15
-        dog.join.note(1, delivery_at)
+        delivery_at = watchdog.STALE_AFTER + 0.15
+        dog.join.note(1, FLOW, delivery_at)
         sim.schedule(delivery_at, lambda: dog.join.deliver(1))
         sim.run(until=2.0)
         assert dog.state == STATE_HEALTHY
@@ -188,22 +192,20 @@ class TestWatchdog:
 
     def test_reset_demotes_immediately(self):
         sim = Simulator()
-        dog = EstimatorHealthWatchdog(sim, PredictionJoin(sim),
-                                      WatchdogConfig())
+        dog = EstimatorHealthWatchdog(sim, PredictionJoin(sim))
         dog.notify_reset()
         assert dog.state == STATE_DEGRADED
         assert dog.transitions[0][2] == "reset"
 
     def test_promotes_after_sustained_health(self):
         sim = Simulator()
-        config = WatchdogConfig()
-        dog = EstimatorHealthWatchdog(sim, PredictionJoin(sim), config)
+        dog = EstimatorHealthWatchdog(sim, PredictionJoin(sim))
         dog.notify_reset()
         ids = iter(range(10_000))
 
         def feed():
             pkt = next(ids)
-            dog.join.note(pkt, 0.0)  # perfectly accurate joins
+            dog.join.note(pkt, FLOW, 0.0)  # perfectly accurate joins
             dog.join.deliver(pkt)
             sim.schedule(0.02, feed)
 
@@ -214,12 +216,11 @@ class TestWatchdog:
 
     def test_redemote_after_promote_serves_full_dwell(self):
         """Audit pin: a promotion clears both dwell clocks, so the next
-        demotion needs a *fresh* ``demote_after`` window — promote must
+        demotion needs a *fresh* ``DEMOTE_AFTER`` window — promote must
         never inherit a stale ``_unhealthy_since`` and re-demote early.
         """
         sim = Simulator()
-        config = WatchdogConfig()
-        dog = EstimatorHealthWatchdog(sim, PredictionJoin(sim), config)
+        dog = EstimatorHealthWatchdog(sim, PredictionJoin(sim))
         dog.notify_reset()  # degraded at t=0
         ids = iter(range(10_000))
         feeding = {"on": True}
@@ -228,7 +229,7 @@ class TestWatchdog:
             if not feeding["on"]:
                 return
             pkt = next(ids)
-            dog.join.note(pkt, 0.0)
+            dog.join.note(pkt, FLOW, 0.0)
             dog.join.deliver(pkt)
             sim.schedule(0.02, feed)
 
@@ -237,7 +238,7 @@ class TestWatchdog:
 
         def relapse():
             feeding["on"] = False
-            dog.join.note(99_999, 0.010)  # never delivered
+            dog.join.note(99_999, FLOW, 0.010)  # never delivered
 
         sim.schedule(relapse_at, relapse)
         sim.run(until=8.0)
@@ -246,22 +247,22 @@ class TestWatchdog:
         assert promote_at < relapse_at
         redemote_at, state, reason = dog.transitions[-1]
         assert (state, reason) == (STATE_DEGRADED, "stale")
-        # Staleness starts at relapse + stale_after; the demotion may
-        # fire no earlier than a full demote_after after that.
-        floor = relapse_at + config.stale_after + config.demote_after
-        ceiling = floor + 2 * config.check_interval
+        # Staleness starts at relapse + STALE_AFTER; the demotion may
+        # fire no earlier than a full DEMOTE_AFTER after that.
+        floor = relapse_at + watchdog.STALE_AFTER + watchdog.DEMOTE_AFTER
+        ceiling = floor + 2 * watchdog.CHECK_INTERVAL
         assert floor <= redemote_at <= ceiling
 
-    def test_no_promotion_without_min_samples(self):
+    def test_no_promotion_without_min_samples(self, monkeypatch):
+        monkeypatch.setattr(watchdog, "MIN_SAMPLES", 1000)
         sim = Simulator()
-        config = WatchdogConfig(min_samples=1000)
-        dog = EstimatorHealthWatchdog(sim, PredictionJoin(sim), config)
+        dog = EstimatorHealthWatchdog(sim, PredictionJoin(sim))
         dog.notify_reset()
         ids = iter(range(10_000))
 
         def feed():
             pkt = next(ids)
-            dog.join.note(pkt, 0.0)
+            dog.join.note(pkt, FLOW, 0.0)
             dog.join.deliver(pkt)
             sim.schedule(0.1, feed)  # ~10/s: never 1000 inside 1 s window
 
@@ -270,18 +271,21 @@ class TestWatchdog:
         assert dog.state == STATE_DEGRADED
 
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 9")
-    def test_controller_less_queue_drop_does_not_strand_the_watchdog(self):
-        """Known defect: without a controller nothing forgets a queue
-        drop, so the RTC flow's first CoDel drop (0.79 s) leaves a
-        prediction that can never join. The watchdog demotes Zhuge as
-        ``stale`` at 1.4 s and stays degraded to the end, its open map
-        holding exactly the 22 dropped packets."""
+class TestLostPacketsDoNotStrandTheWatchdog:
+    """Without a controller, a lost RTC packet's prediction is retired
+    by its flow's next delivery, so neither CoDel drops nor a loss
+    burst over the air reads as "deliveries stopped". W1 seed 1 fades
+    to 0.3–0.6 Mb/s at 18.6–19.0 s; a correct watchdog demotes as
+    ``stale`` there, and nowhere before."""
+
+    FADE_START = 18.6
+
+    def _run(self, queue_kind, competitors, faults):
         spec = ScenarioSpec(
             trace=TraceSpec.for_family("W1", duration=20, seed=1),
-            protocol="rtp", ap_mode="zhuge", queue_kind="codel",
-            competitors=2, duration=20,
-            faults=FaultPlan.parse("loss@19.5+0.01*0.01"))
+            protocol="rtp", ap_mode="zhuge", queue_kind=queue_kind,
+            competitors=competitors, duration=20,
+            faults=FaultPlan.parse(faults))
         builder = TopologyBuilder(spec)
         zhuge = builder.zhuge
         rtc = builder.forwarding.rtc[0].flow
@@ -289,10 +293,47 @@ class TestWatchdog:
         zhuge.downlink_queue.on_drop.append(
             lambda packet, reason: dropped.add(packet.pkt_id)
             if packet.flow == rtc else None)
-        builder.run()
-        assert dropped
-        assert not dropped & set(zhuge.predictions._open)
-        assert zhuge.watchdog.state == STATE_HEALTHY
+        injector = builder.fault_injector
+        loss_predicate = injector._loss_predicate
+
+        def recording_predicate(fault, index, direction):
+            drop = loss_predicate(fault, index, direction)
+
+            def recorded(packet):
+                lost = drop(packet)
+                if lost and packet.flow == rtc:
+                    dropped.add(packet.pkt_id)
+                return lost
+            return recorded
+
+        injector._loss_predicate = recording_predicate
+        last = []
+        on_delivery = zhuge.on_wireless_delivery
+
+        def delivered(packet):
+            if packet.flow == rtc:
+                last[:] = [packet.pkt_id]
+            on_delivery(packet)
+
+        zhuge.on_wireless_delivery = delivered
+        summary = builder.run()
+        # RTC packet ids rise in send order, which is the AP's note order.
+        before_last = {pkt_id for pkt_id in dropped if pkt_id < last[0]}
+        assert before_last
+        assert not before_last & set(zhuge.predictions._open)
+        assert all(when >= self.FADE_START
+                   for when, _, _ in summary.watchdog_transitions)
+
+    def test_controller_less_queue_drop_does_not_strand_the_watchdog(self):
+        """The RTC flow's CoDel drops (the first at 0.79 s) used to
+        leave predictions that never join: the watchdog demoted Zhuge
+        as ``stale`` at 1.4 s and stayed degraded to the end."""
+        self._run("codel", 2, "loss@19.5+0.01*0.01")
+
+    def test_loss_burst_does_not_strand_the_watchdog(self):
+        """30 % of the downlink lost over the air for 2 s used to demote
+        at 5.9 s and never recover, 212 lost packets left open."""
+        self._run("fifo", 0, "loss@5+2*0.3")
 
 
 class TestTokenBank:
@@ -496,9 +537,8 @@ class TestResilienceAcceptance:
 
     def test_watchdog_demotes_within_hysteresis_bound(self, rows):
         from repro.experiments.drivers.resilience import FAULT_START
-        config = WatchdogConfig()
-        bound = (FAULT_START + config.stale_after + config.demote_after
-                 + 2 * config.check_interval)
+        bound = (FAULT_START + watchdog.STALE_AFTER + watchdog.DEMOTE_AFTER
+                 + 2 * watchdog.CHECK_INTERVAL)
         assert rows["zhuge"].demote_at is not None
         assert FAULT_START < rows["zhuge"].demote_at <= bound
 

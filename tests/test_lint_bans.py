@@ -112,6 +112,12 @@ BANS = {
         ("src", "examples", "benchmarks/bench_*.py"),
         "Summaries carry only the series a reader reads, and senders keep "
         "no per-feedback RTT column."),
+    "one-loss-rule": (
+        "-nwE", r"WatchdogConfig|_drop_hook|join\.drop",
+        ("src", "tests", "examples", "benchmarks"),
+        "The prediction join alone retires a lost packet's prediction, at "
+        "its flow's next delivery: no queue-drop hook may feed it, and the "
+        "watchdog's thresholds are module constants with no config object."),
 }
 
 

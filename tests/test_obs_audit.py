@@ -9,12 +9,19 @@ from repro.obs.audit import BINS, AuditReport, PredictionAuditor, bin_index
 from repro.sim.engine import Simulator
 
 
+#: The one flow every note below belongs to.
+FLOW = "f"
+
+
 def _run(*steps):
-    """Drive a recording join with ``(time, method, *args)`` steps."""
+    """Drive a recording join with ``(time, method, *args)`` steps;
+    a ``note`` step's packet belongs to :data:`FLOW`."""
     sim = Simulator()
     join = PredictionJoin(sim)
     join.record = True
     for time, method, *args in steps:
+        if method == "note":
+            args.insert(1, FLOW)
         sim.call_at(time, lambda m=method, a=args: getattr(join, m)(*a))
     sim.run()
     return join
@@ -37,14 +44,16 @@ class TestLiveJoin:
         assert _auditor(join).pairs == []
 
     def test_drop_evicts_open_prediction(self):
-        join = _run((1.0, "note", 3, 0.02), (1.001, "drop", 3),
-                    (1.5, "deliver", 3))
-        assert _auditor(join).pairs == []
-        assert len(join) == 0
+        """Packet 3 was dropped: the flow's next delivery (4) retires
+        its prediction as lost, and nothing of 3 pairs later."""
+        join = _run((1.0, "note", 3, 0.02), (1.001, "note", 4, 0.02),
+                    (1.02, "deliver", 4), (1.5, "deliver", 3))
+        assert _auditor(join).pairs == [(0.02, pytest.approx(1.02 - 1.001))]
+        assert len(join) == 0 and join.lost == 1
 
     def test_drop_of_unknown_packet_not_counted(self):
-        join = _run((1.0, "note", 1, 0.02), (1.001, "drop", 42))
-        assert len(join) == 1 and join.evicted == 0
+        join = _run((1.0, "note", 1, 0.02), (1.001, "deliver", 42))
+        assert len(join) == 1 and join.evicted == join.lost == 0
         assert join.oldest_noted_at == 1.0
 
     def test_live_matches_from_pairs(self):

@@ -20,11 +20,13 @@ import math
 import random
 import sys
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.faults.watchdog as watchdog
 from repro.core.feedback_updater import FeedbackKind
 from repro.core.prediction_join import PredictionJoin
 from repro.core.sliding_window import (
@@ -35,7 +37,6 @@ from repro.core.sliding_window import (
     TokenBank,
 )
 from repro.core.zhuge_ap import ZhugeAP
-from repro.faults.spec import WatchdogConfig
 from repro.faults.watchdog import EstimatorHealthWatchdog
 from repro.net.packet import ACK_SIZE, FiveTuple, Packet, PacketKind
 from repro.net.queue import DropTailQueue
@@ -200,10 +201,13 @@ class TestReadSumsMatchRunningSums:
                st.tuples(st.just("reset"))), min_size=4, max_size=150))
     @settings(max_examples=200)
     def test_watchdog_error_window(self, health_window, ops):
-        config = WatchdogConfig(health_window=health_window)
+        with mock.patch.object(watchdog, "HEALTH_WINDOW", health_window):
+            self._watchdog_error_window(ops)
+
+    def _watchdog_error_window(self, ops):
         sim = Simulator()
-        new = EstimatorHealthWatchdog(sim, PredictionJoin(sim), config)
-        old = SummingWatchdog(sim, PredictionJoin(sim), config)
+        new = EstimatorHealthWatchdog(sim, PredictionJoin(sim))
+        old = SummingWatchdog(sim, PredictionJoin(sim))
         for op in ops:
             if op[0] == "deliver":
                 sim.now += op[1]
