@@ -9,11 +9,14 @@ one fresh-child round of ``W`` per side through that checkout's own
 code it ships), in a scratch directory made for the round, and the
 side that goes first alternates from pair to pair so a drifting host
 charges both sides alike.  Prints each side's median and quartiles,
-the win count and a verdict, and appends one record — both shas, every
-pair's samples, the verdict — to ``BENCH_ledger.json`` at the root of
-the checkout this file lives in.
+the win count and a verdict per timed metric, and appends one record —
+both shas, every pair's samples, the verdicts — to ``BENCH_ledger.json``
+at the root of the checkout this file lives in.
 
-The verdict is the ledger's rule for claiming a gain: ``better`` when B
+Each timed metric (``cpu_s``, ``peak_rss_mb``, ``setup_s``) gets its
+own verdict; none of them stands for the others, so a claim is read off
+the metric it names.  The verdict is the ledger's rule for claiming a
+gain: ``better`` when B
 wins at least nine tenths of the pairs (ties count for neither side)
 and the medians differ by more than A's own interquartile range;
 ``worse`` is the mirror image; anything else is ``unresolved``.  The
@@ -44,7 +47,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = "ledger-pairs/v1"
-#: Lower is better for each of these; ``cpu_s`` carries the verdict.
+#: Lower is better for each of these; each is judged on its own.
 TIMED = ("cpu_s", "peak_rss_mb", "setup_s")
 #: Equal on both sides and on every round.
 EXACT = ("digest", "packets", "sim_delay_p99_ms", "sim_goodput_mbps")
@@ -170,7 +173,8 @@ def paired_rounds(dir_a: Path, dir_b: Path, workload: str, seed: int,
         "samples": {name: [[ra[name], rb[name]]
                            for ra, rb in zip(rounds["a"], rounds["b"])]
                     for name in TIMED},
-        "metrics": metrics, "verdict": metrics["cpu_s"]["verdict"],
+        "metrics": metrics,
+        "verdicts": {name: m["verdict"] for name, m in metrics.items()},
         "exact_equal": exact, "packets": rounds["a"][0]["packets"],
         "counts": counts, "checks_ok": checks_ok,
         "calls_per_pkt": calls, "calls_repeated": repeated,
@@ -227,7 +231,9 @@ def main(argv: list) -> int:
         if not same:
             print(f"  calls/pkt: side {side.upper()}'s traced rounds "
                   "DISAGREE")
-    print(f"  verdict (cpu_s): {record['verdict']}; appended to {args.out}")
+    verdicts = ", ".join(f"{name} {verdict}"
+                         for name, verdict in record["verdicts"].items())
+    print(f"  verdicts: {verdicts}; appended to {args.out}")
     repeated = all(len(values) == 1 for per_side in record["counts"].values()
                    for values in per_side.values())
     repeated = repeated and all(record["calls_repeated"].values())

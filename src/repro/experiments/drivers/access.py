@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from repro.campaign import run_specs
 from repro.experiments.drivers.traces_eval import (grid_specs, pooled,
                                                    seed_split)
-from repro.metrics.stats import ccdf_points, percentile, tail_fraction
+from repro.metrics.stats import ccdf_points, quantiles, tail_fraction
 
 ACCESS_TYPES = (
     ("Ethernet", "eth"),
@@ -45,10 +45,11 @@ def fig2_access_comparison(duration: float = 60.0,
     rows = []
     for (_, label, _), chunk in zip(grid, seed_split(summaries, seeds)):
         rtts, delays, fps = pooled(chunk, duration)
+        median_rtt, p99_rtt = quantiles(rtts, (50, 99))
         rows.append(AccessRow(
             access=label,
-            median_rtt=percentile(rtts, 50),
-            p99_rtt=percentile(rtts, 99),
+            median_rtt=median_rtt,
+            p99_rtt=p99_rtt,
             delayed_frame_ratio=tail_fraction(delays, 0.400),
             low_fps_ratio=tail_fraction(fps, 10.0, above=False),
             rtt_ccdf=ccdf_points(rtts, points=30),

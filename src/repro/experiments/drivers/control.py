@@ -31,7 +31,7 @@ from repro.campaign import ScenarioSpec, TraceSpec, run_specs
 from repro.control import ControlSpec
 from repro.experiments.drivers.traces_eval import seed_split
 from repro.faults.spec import FaultPlan
-from repro.metrics.stats import percentile
+from repro.metrics.stats import percentile, quantiles
 from repro.topology.presets import roaming_topology
 
 #: Default per-AP storm: two rate crashes bracketing a blackout, each
@@ -179,11 +179,13 @@ def fig_control(seeds: tuple[int, ...] = (1, 2),
             if summary.control_transitions:
                 when = summary.control_transitions[0][0]
                 first = when if first is None else min(first, when)
+        fault_p50, fault_p99 = (quantiles(window, (50, 99)) if window
+                                else (0.0, 0.0))
         rows.append(ControlRow(
             scheme=label,
             steady_p50_ms=percentile(steady, 50) * 1000 if steady else 0.0,
-            fault_p50_ms=percentile(window, 50) * 1000 if window else 0.0,
-            fault_p99_ms=percentile(window, 99) * 1000 if window else 0.0,
+            fault_p50_ms=fault_p50 * 1000,
+            fault_p99_ms=fault_p99 * 1000,
             fault_samples=len(window),
             transitions=transitions,
             first_reaction=first))
@@ -198,12 +200,12 @@ def fig_control(seeds: tuple[int, ...] = (1, 2),
             for summary in chunk:
                 window.extend(_window_samples(summary, fleet_spans))
                 moves += len(summary.steering_moves)
+            fault_p50, fault_p99 = (quantiles(window, (50, 99)) if window
+                                    else (0.0, 0.0))
             fleet_rows.append(FleetRow(
                 scheme=label,
-                fault_p50_ms=(percentile(window, 50) * 1000
-                              if window else 0.0),
-                fault_p99_ms=(percentile(window, 99) * 1000
-                              if window else 0.0),
+                fault_p50_ms=fault_p50 * 1000,
+                fault_p99_ms=fault_p99 * 1000,
                 fault_samples=len(window),
                 moves=moves))
     return rows, fleet_rows

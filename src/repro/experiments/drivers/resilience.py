@@ -23,7 +23,7 @@ from typing import Optional
 from repro.campaign import ScenarioSpec, TraceSpec, run_specs
 from repro.experiments.drivers.traces_eval import seed_split
 from repro.faults.spec import FaultPlan, FaultSpec
-from repro.metrics.stats import percentile
+from repro.metrics.stats import percentile, quantiles
 
 #: Blackouts start here — well past warmup, so the estimator window is
 #: fully primed (worst case for stale predictions).
@@ -130,15 +130,15 @@ def fig_resilience(blackout_lengths: tuple[float, ...] = (0.5, 1.0, 2.0),
                     promote_at = _first_transition(
                         summary.watchdog_transitions, "healthy",
                         after=demote_at)
+        fault_p50, fault_p99 = (quantiles(window, (50, 99)) if window
+                                else (0.0, 0.0))
         rows.append(ResilienceRow(
             scheme=label,
             blackout_s=length,
             steady_p50_ms=(percentile(steady, 50) * 1000
                            if steady else 0.0),
-            fault_p50_ms=(percentile(window, 50) * 1000
-                          if window else 0.0),
-            fault_p99_ms=(percentile(window, 99) * 1000
-                          if window else 0.0),
+            fault_p50_ms=fault_p50 * 1000,
+            fault_p99_ms=fault_p99 * 1000,
             fault_samples=len(window),
             demote_at=demote_at,
             promote_at=promote_at,

@@ -7,32 +7,46 @@ are usable in post-processing and tests alike.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 
 def quantiles(samples: Sequence[float],
               qs: Sequence[float]) -> list[float]:
     """Linear-interpolated percentiles ``qs`` (each in [0, 100]), all
     read from one sorted copy of ``samples``."""
-    if not samples:
+    ordered = sorted(samples)
+    return ranked_quantiles(ordered.__getitem__, len(ordered), qs)
+
+
+def ranked_quantiles(value_at: Callable[[int], float], count: int,
+                     qs: Sequence[float]) -> list[float]:
+    """Linear-interpolated percentiles ``qs`` (each in [0, 100]) of
+    ``count`` samples, where ``value_at(rank)`` returns the sample of
+    that 0-based rank in ascending order.
+
+    The one rank-and-interpolate rule: :func:`quantiles` feeds it a
+    sorted copy, the fleet merge an exact selection that never sorts
+    the whole population.
+    """
+    if not count:
         raise ValueError("percentile of empty sample set")
     for q in qs:
         if not 0 <= q <= 100:
             raise ValueError(f"q must be in [0, 100]: {q}")
-    ordered = sorted(samples)
-    last = len(ordered) - 1
+    last = count - 1
     out = []
     for q in qs:
         rank = (q / 100) * last
         low = math.floor(rank)
         high = math.ceil(rank)
         if low == high:
-            out.append(ordered[low])
+            out.append(value_at(low))
             continue
         weight = rank - low
+        below = value_at(low)
         # This form is exact when both neighbours are equal (no float
         # drift).
-        out.append(ordered[low] + (ordered[high] - ordered[low]) * weight)
+        out.append(below + (value_at(high) - below) * weight)
     return out
 
 

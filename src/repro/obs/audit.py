@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.metrics.stats import cdf_points, percentile
+from repro.metrics.stats import cdf_points, quantiles
 
 #: Log-spaced delay bin edges (seconds) of the Fig. 19 heatmap.
 BINS = (0.001, 0.004, 0.016, 0.064, 0.256, 10.0)
@@ -83,14 +83,12 @@ class PredictionAuditor:
             key = (bin_index(predicted), bin_index(actual))
             heatmap[key] = heatmap.get(key, 0) + 1
         if errors:
-            quantiles = {q: percentile(errors, q) for q in (50, 90, 95, 99)}
+            p50, p90, p95, p99 = quantiles(errors, (50, 90, 95, 99))
             mean = sum(errors) / len(errors)
         else:
-            quantiles = {q: math.nan for q in (50, 90, 95, 99)}
-            mean = math.nan
+            p50 = p90 = p95 = p99 = mean = math.nan
         return AuditReport(pairs=len(self.pairs),
-                           p50=quantiles[50], p90=quantiles[90],
-                           p95=quantiles[95], p99=quantiles[99],
+                           p50=p50, p90=p90, p95=p95, p99=p99,
                            mean_abs_error=mean,
                            error_cdf=cdf_points(errors, points=cdf_resolution),
                            heatmap=heatmap)
