@@ -8,6 +8,7 @@ exactness, streaming memory release) supports that contract.
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,9 @@ from repro.campaign import ScenarioSpec, TraceSpec, execute_spec, run_campaign
 from repro.campaign.summary import FlowSummary, ScenarioSummary
 from repro.city import (CITY_PRESETS, CityGenSpec, DelayCdfSketch,
                         FleetAccumulator, ShardingError, partition_topology)
+from repro.city.merge import SKETCH_FLOOR, exact_quantiles
 from repro.experiments.drivers.city import city_specs, run_city
-from repro.metrics.stats import percentile
+from repro.metrics.stats import percentile, quantiles
 from repro.topology.builder import TopologyBuilder
 from repro.topology.presets import roaming_topology
 from repro.topology.spec import EdgeSpec, FlowSpec, NodeSpec, TopologySpec
@@ -302,6 +304,47 @@ class TestDelayCdfSketch:
 # -- FleetAccumulator ---------------------------------------------------------
 
 
+def _bucket_edge(index):
+    return DelayCdfSketch.bucket_edges(index)[0]
+
+
+#: Samples that stress the selection: any delay, zeros of both signs
+#: and values at or under the floor (bucket 0), and each bucket's
+#: lower edge with the double just below it (the last of the bucket
+#: before).
+_SAMPLES = st.one_of(
+    st.floats(min_value=0.0, max_value=5.0),
+    st.sampled_from([0.0, -0.0, SKETCH_FLOOR, SKETCH_FLOOR / 2]),
+    st.integers(min_value=1, max_value=600).map(_bucket_edge),
+    st.integers(min_value=1, max_value=600).map(
+        lambda index: math.nextafter(_bucket_edge(index), -math.inf)),
+)
+
+
+@st.composite
+def _sharded_columns(draw, shards, min_size):
+    """One column of samples (with repeats) cut into ``shards``
+    pieces, some of them possibly empty."""
+    values = draw(st.lists(_SAMPLES, min_size=min_size, max_size=60))
+    if values:
+        values += draw(st.lists(st.sampled_from(values), max_size=20))
+    cuts = sorted(draw(st.lists(st.integers(0, len(values)),
+                                min_size=shards - 1, max_size=shards - 1)))
+    bounds = [0, *cuts, len(values)]
+    return [values[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+@st.composite
+def _fleets(draw):
+    shards = draw(st.integers(min_value=1, max_value=8))
+    return (draw(_sharded_columns(shards, min_size=1)),
+            draw(_sharded_columns(shards, min_size=0)))
+
+
+def _bits(values):
+    return [value.hex() for value in values]
+
+
 class TestFleetAccumulator:
     def _flows(self, rtts, goodput=1e6):
         return [FlowSummary(rtt_values=list(rtts),
@@ -330,6 +373,36 @@ class TestFleetAccumulator:
         assert fleet.rtt_samples == 5
         # Tail ratios stay exact (counted, not sketched).
         assert fleet.rtt_tail_ratio == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(fleet=_fleets())
+    def test_selection_equals_sort(self, fleet):
+        """Exact fleet percentiles are the sorted pool's, bit for bit."""
+        rtt_columns, frame_columns = fleet
+        acc = FleetAccumulator()
+        for index, (rtts, frames) in enumerate(zip(rtt_columns,
+                                                   frame_columns)):
+            acc.add(index, _summary([FlowSummary(rtt_values=rtts,
+                                                 frame_delays=frames)]))
+        out = acc.finalize()
+        assert out.exact
+        rtts = [v for column in rtt_columns for v in column]
+        frames = [v for column in frame_columns for v in column]
+        assert _bits([out.rtt_p50, out.rtt_p95, out.rtt_p99]) == _bits(
+            quantiles(rtts, (50, 95, 99)))
+        assert _bits([out.frame_p99]) == _bits(
+            quantiles(frames, (99,)) if frames else [0.0])
+        sketch = DelayCdfSketch()
+        sketch.add_many(rtts)
+        qs = (0, 50, 95, 99, 100)
+        assert _bits(exact_quantiles(sketch, rtt_columns, qs)) == _bits(
+            quantiles(rtts, qs))
+
+    def test_selection_rejects_a_sketch_that_disagrees(self):
+        sketch = DelayCdfSketch()
+        sketch.add_many([0.01, 0.02, 0.03])
+        with pytest.raises(RuntimeError, match="bucket"):
+            exact_quantiles(sketch, [[0.01, 0.02], [0.05]], (100,))
 
     def test_duplicate_shard_rejected(self):
         acc = FleetAccumulator()
