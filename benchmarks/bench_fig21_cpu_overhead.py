@@ -40,13 +40,12 @@ def test_per_component_cost_breakdown(once):
     reports = once(measure_component_costs, packets=5000)
     table = [(r["stage"], f"{r['seconds_per_call'] * 1e6:.2f}us",
               f"{r['ops_per_sec']:,.0f}/s",
-              r["stats"]["predictions"], r["stats"]["cache_hits"],
-              r["stats"]["estimator_ops"])
+              r["stats"]["predictions"], r["stats"]["estimator_ops"])
              for r in reports]
     print()
     print(format_table(
         "Fig. 21 — per-component per-packet cost",
-        ("stage", "cost", "throughput", "pred", "cachehit", "est-ops"),
+        ("stage", "cost", "throughput", "pred", "est-ops"),
         table))
     for report in reports:
         # Each stage must stay well under the 1 ms/packet budget the

@@ -40,7 +40,8 @@ from fractions import Fraction
 from typing import Dict, Optional
 
 from repro.campaign.summary import ScenarioSummary
-from repro.metrics.recorder import column
+from repro.metrics.recorder import (FRAME_DELAY_THRESHOLD, RTT_TAIL_THRESHOLD,
+                                    column)
 from repro.metrics.stats import ranked_quantiles
 
 #: Delays below this resolve to bucket 0 (0.1 ms).
@@ -317,12 +318,14 @@ class FleetAccumulator:
         if shard_index in self._records:
             raise ValueError(f"shard {shard_index} added twice")
         record = _ShardRecord()
+        # Locals, so the per-sample tests below read no global.
+        rtt_tail, frame_tail = RTT_TAIL_THRESHOLD, FRAME_DELAY_THRESHOLD
         for flow in summary.flows:
             record.rtt_sketch.add_many(flow.rtt_values)
             record.frame_sketch.add_many(flow.frame_delays)
-            record.rtt_tail += sum(1 for v in flow.rtt_values if v > 0.200)
+            record.rtt_tail += sum(1 for v in flow.rtt_values if v > rtt_tail)
             record.frame_tail += sum(1 for v in flow.frame_delays
-                                     if v > 0.400)
+                                     if v > frame_tail)
             if not self._collapsed:
                 record.rtt_values.extend(flow.rtt_values)
                 record.frame_values.extend(flow.frame_delays)

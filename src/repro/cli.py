@@ -48,47 +48,28 @@ from repro.traces.trace import BandwidthTrace
 
 TRACE_CHOICES = list(TRACE_NAMES) + ["eth", "abc-legacy"]
 
-#: Multi-AP presets emitted by ``repro topology`` (see repro.topology).
-TOPOLOGY_PRESETS = ("interference", "roaming", "first-mile")
 
-def _positive(unit: str, zero: bool = False):
-    """argparse ``type=`` for a finite float above zero (at least zero
-    with ``zero``), in ``unit``."""
-    def parse(text: str) -> float:
+def _number(kind=float, minimum=0, strict=True, unit: str = ""):
+    """argparse ``type=`` for a finite ``kind`` (float or int) above
+    ``minimum`` (at least ``minimum`` unless ``strict``), in ``unit``."""
+    def parse(text: str):
         try:
-            value = float(text)
+            value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"not a number: {text!r}") from None
-        if not (0 <= value < math.inf if zero else 0 < value < math.inf):
+                f"not {'a number' if kind is float else 'an integer'}: "
+                f"{text!r}") from None
+        if not ((value > minimum if strict else value >= minimum)
+                and value < math.inf):
             raise argparse.ArgumentTypeError(
-                f"must be {'>=' if zero else '>'} 0 {unit}: {text!r}")
+                f"must be {'>' if strict else '>='} {minimum}"
+                f"{' ' + unit if unit else ''}: {text!r}")
         return value
     return parse
 
 
-_duration = _positive("seconds")
-_rate_mbps = _positive("Mb/s")
-_megabytes = _positive("MB", zero=True)
-
-
-def _at_least(minimum: int):
-    """argparse ``type=`` for an integer of ``minimum`` or more."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"not an integer: {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(
-                f"must be >= {minimum}: {text!r}")
-        return value
-    return parse
-
-
-_count = _at_least(0)
-_positive_count = _at_least(1)
+_duration = _number(unit="seconds")
+_count = _number(int, 0, strict=False)
 
 
 def _comma_list(element=str, choices=None):
@@ -113,79 +94,58 @@ def _comma_list(element=str, choices=None):
     return parse
 
 
-def _fault_dsl(text: str) -> str:
-    """argparse ``type=`` for fault-plan DSL strings: parse to validate,
-    keep the text (the seed and watchdog policy are applied later)."""
-    try:
-        FaultPlan.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _checked(parse, file: bool = False):
+    """argparse ``type=`` calling ``parse(text)`` at parse time: a bad
+    DSL string (``ValueError``) or input ``file`` (any load error) is
+    one argparse error naming it, not a traceback from inside a cell."""
+    errors = ((OSError, ValueError, TypeError, KeyError, AttributeError)
+              if file else ValueError)
+
+    def check(text: str):
+        try:
+            return parse(text)
+        except errors as exc:
+            raise argparse.ArgumentTypeError(
+                f"cannot load {text}: {type(exc).__name__}: {exc}"
+                if file else str(exc)) from None
+    return check
+
+
+def _fault_text(text: str) -> str:
+    FaultPlan.parse(text)  # validate; the seed is applied later
     return text
 
 
-def _chaos_plan(text: str) -> str:
-    """argparse ``type=`` for ``--chaos``: parse to validate, keep the
-    canonical text (the state directory comes from ``--chaos-dir``)."""
-    try:
-        return ChaosPlan.parse(text).as_spec()
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _loaded(path: str, load):
-    """``load(path)`` at parse time: a bad input file is one argparse
-    error naming it, not a traceback from inside a cell."""
-    try:
-        return load(path)
-    except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
-        raise argparse.ArgumentTypeError(
-            f"cannot load {path}: {type(exc).__name__}: {exc}") from None
-
-
-def _topology_file(path: str) -> TopologySpec:
-    """argparse ``type=`` for ``--topology``: the parsed graph."""
-    return _loaded(path, lambda p: TopologySpec.from_dict(
-        json.loads(Path(p).read_text())))
-
-
-def _trace_file(path: str) -> TraceSpec:
-    """argparse ``type=`` for ``--trace-file``: a checked file spec."""
-    _loaded(path, BandwidthTrace.load)
+def _trace_file_spec(path: str) -> TraceSpec:
+    BandwidthTrace.load(path)
     return TraceSpec.from_file(path)
 
 
-def _specs_file(path: str) -> list[ScenarioSpec]:
-    """argparse ``type=`` for ``campaign --specs``: every spec built
-    (and so validated) before any cell runs."""
-    return _loaded(path, lambda p: [
-        ScenarioSpec.from_dict(entry)
-        for entry in json.loads(Path(p).read_text())])
+def _json_file(path: str):
+    return json.loads(Path(path).read_text())
 
 
-def _trace_config_from_args(args, out: str | None = None) -> TraceConfig | None:
-    out = out or args.trace_out
-    if not out:
-        return None
-    return TraceConfig(events=args.trace_events, out=out,
-                       fmt=args.trace_format)
+_fault_dsl = _checked(_fault_text)
+# The canonical plan text; the state directory comes from --chaos-dir.
+_chaos_plan = _checked(lambda text: ChaosPlan.parse(text).as_spec())
+_trace_file = _checked(_trace_file_spec, file=True)
+_topology_file = _checked(
+    lambda path: TopologySpec.from_dict(_json_file(path)), file=True)
+# Every spec is built, and so validated, before any cell runs.
+_specs_file = _checked(lambda path: [ScenarioSpec.from_dict(entry)
+                                     for entry in _json_file(path)],
+                       file=True)
 
 
 def _fault_plan_from_args(args) -> FaultPlan | None:
-    text = getattr(args, "faults", None)
-    if not text:
+    if not args.faults:
         return None
-    return FaultPlan.parse(text, seed=getattr(args, "fault_seed", 1))
-
-
-def _control_from_args(args) -> ControlSpec | None:
-    """``--control`` enables the controllers and fleet steering."""
-    if not getattr(args, "control", False):
-        return None
-    return ControlSpec(steering=True)
+    return FaultPlan.parse(args.faults, seed=args.fault_seed)
 
 
 def _spec_from_args(args, ap_mode: str,
                     trace_out: str | None = None) -> ScenarioSpec:
+    out = trace_out or args.trace_out
     return ScenarioSpec(
         # +5 s of trace so playback never wraps during the measured window.
         trace=args.trace_file or TraceSpec.for_family(
@@ -199,37 +159,71 @@ def _spec_from_args(args, ap_mode: str,
         max_bps=args.max_mbps * 1e6,
         competitors=args.competitors,
         interferers=args.interferers,
-        trace_config=_trace_config_from_args(args, out=trace_out),
+        trace_config=(TraceConfig(events=args.trace_events, out=out,
+                                  fmt=args.trace_format) if out else None),
         faults=_fault_plan_from_args(args),
         topology=args.topology,
-        control=_control_from_args(args),
+        # --control enables the controllers and fleet steering.
+        control=ControlSpec(steering=True) if args.control else None,
     )
 
 
-def _resolve_cache_args(args):
-    """The ``cache=`` value for the runner from --cache-dir/--no-cache."""
-    if getattr(args, "no_cache", False):
-        return None
-    cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir:
-        return ResultCache(root=cache_dir)
-    return True  # default root (~/.cache/repro-campaign or $REPRO_CACHE_DIR)
+def _cache_store(args) -> ResultCache:
+    """The result cache at --cache-dir, or at the default root."""
+    if args.cache_dir:
+        return ResultCache(root=args.cache_dir)
+    return ResultCache()
 
 
-def _maybe_prune_cache(args, cache) -> None:
-    """Honor ``--cache-prune MB`` after a campaign-style run."""
-    budget_mb = getattr(args, "cache_prune", None)
-    if budget_mb is None:
-        return
-    from repro.campaign.cache import resolve_cache
-    store = resolve_cache(cache)
-    if store is None:
+def _runner(args) -> dict:
+    """The runner's keyword arguments from the cached-runner flags."""
+    return {"jobs": args.jobs, "timeout": args.timeout,
+            "retries": args.retries,
+            "cache": None if args.no_cache else _cache_store(args)}
+
+
+def _campaign_runner(args) -> dict:
+    """``_runner`` plus the progress printer and the --chaos worker."""
+    progress = None if args.quiet else ProgressPrinter()
+    worker = None
+    if args.chaos:
+        worker, progress = build_chaos(args.chaos, args.chaos_dir,
+                                       progress=progress)
+    return {**_runner(args), "progress": progress, "worker": worker}
+
+
+def _finish(args, cache, payload, campaign=None, noun="cells") -> int:
+    """The cached commands' epilogue: --cache-prune, ``payload()`` to
+    --out, and the exit status (--assert-cached on ``campaign``)."""
+    if args.cache_prune is not None and cache is None:
         print("--cache-prune ignored: caching is disabled")
-        return
-    pruned = store.prune(int(budget_mb * 1e6))
-    print(f"cache prune: kept {pruned.kept} entries "
-          f"({pruned.kept_bytes / 1e6:.1f} MB), removed {pruned.pruned} "
-          f"({pruned.pruned_bytes / 1e6:.1f} MB)")
+    elif args.cache_prune is not None:
+        pruned = cache.prune(int(args.cache_prune * 1e6))
+        print(f"cache prune: kept {pruned.kept} entries "
+              f"({pruned.kept_bytes / 1e6:.1f} MB), removed {pruned.pruned} "
+              f"({pruned.pruned_bytes / 1e6:.1f} MB)")
+    if args.out:
+        Path(args.out).write_text(json.dumps(payload(), indent=2))
+        print(f"wrote {args.out}")
+    if campaign is not None and args.assert_cached \
+            and campaign.progress.cached != len(campaign.cells):
+        print(f"--assert-cached: only {campaign.progress.cached}/"
+              f"{len(campaign.cells)} {noun} came from the cache")
+        return 1
+    return 0
+
+
+def _trace_config(args, name: str) -> TraceConfig | None:
+    """An event trace to ``name`` in --trace-dir (created), if given."""
+    if not args.trace_dir:
+        return None
+    trace_dir = Path(args.trace_dir)
+    trace_dir.mkdir(parents=True, exist_ok=True)
+    return TraceConfig(out=str(trace_dir / name))
+
+
+def _at(value) -> str:
+    return f"{value:.2f}s" if value is not None else "-"
 
 
 def cmd_run(args) -> int:
@@ -249,16 +243,14 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _suffixed(path: str, tag: str) -> str:
-    p = Path(path)
-    return str(p.with_name(f"{p.stem}-{tag}{p.suffix}"))
-
-
 def cmd_compare(args) -> int:
     modes = args.ap_modes
     # One artifact per mode: `--trace-out t.json` -> t-none.json, ...
-    outs = [(_suffixed(args.trace_out, mode) if args.trace_out else None)
-            for mode in modes]
+    outs = [None] * len(modes)
+    if args.trace_out:
+        path = Path(args.trace_out)
+        outs = [str(path.with_name(f"{path.stem}-{mode}{path.suffix}"))
+                for mode in modes]
     specs = [_spec_from_args(args, mode, trace_out=out)
              for mode, out in zip(modes, outs)]
     summaries = run_specs(specs, jobs=args.jobs)
@@ -270,37 +262,18 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _chaos_from_args(args, progress):
-    """``(worker, progress)`` for --chaos, or ``(None, progress)``."""
-    spec = getattr(args, "chaos", None)
-    if not spec:
-        return None, progress
-    return build_chaos(spec, args.chaos_dir, progress=progress)
-
-
 def cmd_city_campaign(args) -> int:
     """The ``campaign --city`` path: generate, shard, simulate, merge."""
     from repro.experiments.drivers.city import CITY_DURATION, run_city
 
     gen = CityGenSpec.for_preset(args.city, aps=args.aps,
                                  seed=args.city_seed)
-    trace_config = None
-    if args.trace_dir:
-        trace_dir = Path(args.trace_dir)
-        trace_dir.mkdir(parents=True, exist_ok=True)
-        trace_config = TraceConfig(
-            out=str(trace_dir / "city-trace.json"))
     duration = args.duration if args.duration is not None else CITY_DURATION
-    progress = None if args.quiet else ProgressPrinter()
-    worker, progress = _chaos_from_args(args, progress)
-    cache = _resolve_cache_args(args)
+    runner = _campaign_runner(args)
     print(gen.describe())
     result = run_city(gen, duration=duration, shard_aps=args.shard_aps,
-                      jobs=args.jobs, cache=cache, timeout=args.timeout,
-                      retries=args.retries, progress=progress,
-                      trace_config=trace_config,
-                      sample_budget=args.sample_budget,
-                      worker=worker)
+                      trace_config=_trace_config(args, "city-trace.json"),
+                      sample_budget=args.sample_budget, **runner)
     fleet = result.fleet
     print("\n".join(fleet.lines(f"fleet — {args.city}/{args.aps} APs")))
     telemetry = result.campaign.progress
@@ -308,23 +281,11 @@ def cmd_city_campaign(args) -> int:
           f"{telemetry.ok} computed, {telemetry.cached} cached, "
           f"{telemetry.retries} retries in "
           f"{result.campaign.wall_s:.1f}s")
-    _maybe_prune_cache(args, cache)
-    if args.out:
-        payload = {"gen": gen.as_dict(),
-                   "gen_hash": gen.content_hash(),
-                   "duration": duration,
-                   "fleet": fleet.as_dict(),
-                   "digest": fleet.digest(),
-                   "progress": telemetry.as_dict(),
-                   "wall_s": result.campaign.wall_s}
-        with open(args.out, "w") as handle:
-            json.dump(payload, handle, indent=2)
-        print(f"wrote {args.out}")
-    if args.assert_cached and telemetry.cached != len(result.campaign.cells):
-        print(f"--assert-cached: only {telemetry.cached}/"
-              f"{len(result.campaign.cells)} shards came from the cache")
-        return 1
-    return 0
+    return _finish(args, runner["cache"], lambda: {
+        "gen": gen.as_dict(), "gen_hash": gen.content_hash(),
+        "duration": duration, "fleet": fleet.as_dict(),
+        "digest": fleet.digest(), "progress": telemetry.as_dict(),
+        "wall_s": result.campaign.wall_s}, result.campaign, "shards")
 
 
 def cmd_campaign(args) -> int:
@@ -348,36 +309,24 @@ def cmd_campaign(args) -> int:
                   file=sys.stderr)
             raise SystemExit(2)
 
-    if getattr(args, "control", False):
-        # The control spec is part of each spec (and its content hash),
-        # so controlled cells never alias static ones in the cache.
-        specs = [dataclasses.replace(spec, control=_control_from_args(args))
-                 for spec in specs]
-
+    # The control spec, the topology (one explicit graph for the whole
+    # grid) and the per-cell event-trace artifact are each part of the
+    # spec and its content hash, so controlled, multi-AP and traced
+    # cells never alias static, single-AP or untraced ones in the cache.
+    overrides = {}
+    if args.control:
+        overrides["control"] = ControlSpec(steering=True)
     if args.topology is not None:
-        # One explicit graph for the whole grid; the topology is part
-        # of each spec (and its content hash), so multi-AP cells never
-        # alias single-AP ones in the result cache.
-        specs = [dataclasses.replace(spec, topology=args.topology)
-                 for spec in specs]
-
-    if args.trace_dir:
-        # Per-cell event-trace artifacts. The trace config is part of
-        # each spec (and its content hash), so traced cells never alias
-        # untraced ones in the result cache.
-        trace_dir = Path(args.trace_dir)
-        trace_dir.mkdir(parents=True, exist_ok=True)
-        specs = [dataclasses.replace(
-                     spec, trace_config=TraceConfig(
-                         out=str(trace_dir / f"cell-{index:03d}-trace.json")))
+        overrides["topology"] = args.topology
+    if overrides or args.trace_dir:
+        specs = [dataclasses.replace(spec, **overrides, **(
+                     {"trace_config": _trace_config(
+                         args, f"cell-{index:03d}-trace.json")}
+                     if args.trace_dir else {}))
                  for index, spec in enumerate(specs)]
 
-    progress = None if args.quiet else ProgressPrinter()
-    worker, progress = _chaos_from_args(args, progress)
-    cache = _resolve_cache_args(args)
-    result = run_campaign(specs, jobs=args.jobs, cache=cache,
-                          timeout=args.timeout, retries=args.retries,
-                          progress=progress, worker=worker)
+    runner = _campaign_runner(args)
+    result = run_campaign(specs, **runner)
 
     rows = []
     if grid is not None and not result.failures():
@@ -397,43 +346,24 @@ def cmd_campaign(args) -> int:
           f"{telemetry.cached} cached, {telemetry.failed} failed, "
           f"{telemetry.retries} retries in {result.wall_s:.1f}s "
           f"({telemetry.cells_per_sec():.2f} cells/s)")
-    _maybe_prune_cache(args, cache)
-
-    if args.out:
-        payload = {
-            "progress": telemetry.as_dict(),
-            "wall_s": result.wall_s,
-            "cells": [{"index": c.index, "status": c.status,
-                       "cached": c.cached, "attempts": c.attempts,
-                       "error": c.error, "spec": c.spec.as_dict()}
-                      for c in result.cells],
-            "rows": [dataclasses.asdict(r) for r in rows],
-        }
-        with open(args.out, "w") as handle:
-            json.dump(payload, handle, indent=2)
-        print(f"wrote {args.out}")
-
-    if result.failures():
-        return 1
-    if args.assert_cached and telemetry.cached != len(result.cells):
-        print(f"--assert-cached: only {telemetry.cached}/"
-              f"{len(result.cells)} cells came from the cache")
-        return 1
-    return 0
+    status = _finish(args, runner["cache"], lambda: {
+        "progress": telemetry.as_dict(),
+        "wall_s": result.wall_s,
+        "cells": [{"index": c.index, "status": c.status,
+                   "cached": c.cached, "attempts": c.attempts,
+                   "error": c.error, "spec": c.spec.as_dict()}
+                  for c in result.cells],
+        "rows": [dataclasses.asdict(r) for r in rows],
+    }, None if result.failures() else result)
+    return 1 if result.failures() else status
 
 
 def cmd_resilience(args) -> int:
     from repro.experiments.drivers.resilience import fig_resilience
-    cache = _resolve_cache_args(args)
+    runner = _runner(args)
     rows = fig_resilience(blackout_lengths=args.lengths,
                           duration=args.duration, seeds=args.seeds,
-                          protocol=args.protocol, cca=args.cca,
-                          jobs=args.jobs, cache=cache,
-                          timeout=args.timeout, retries=args.retries)
-
-    def _at(value):
-        return f"{value:.2f}s" if value is not None else "-"
-
+                          protocol=args.protocol, cca=args.cca, **runner)
     print(format_table(
         f"resilience — blackout sweep over seeds {args.seeds}",
         ("scheme", "blackout", "steady P50", "fault P50", "fault P99",
@@ -441,34 +371,18 @@ def cmd_resilience(args) -> int:
         [(r.scheme, f"{r.blackout_s:g}s", f"{r.steady_p50_ms:.0f} ms",
           f"{r.fault_p50_ms:.0f} ms", f"{r.fault_p99_ms:.0f} ms",
           _at(r.demote_at), _at(r.promote_at)) for r in rows]))
-    _maybe_prune_cache(args, cache)
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump([dataclasses.asdict(r) for r in rows], handle,
-                      indent=2)
-        print(f"wrote {args.out}")
-    return 0
+    return _finish(args, runner["cache"],
+                   lambda: [dataclasses.asdict(r) for r in rows])
 
 
 def cmd_control(args) -> int:
     from repro.experiments.drivers import control as driver
-    cache = _resolve_cache_args(args)
+    runner = _runner(args)
     rows, fleet_rows = driver.fig_control(
         seeds=args.seeds,
         duration=(args.duration if args.duration is not None
                   else driver.DURATION),
-        storm=args.storm or driver.STORM,
-        fleet=not args.no_fleet,
-        fleet_storm=args.fleet_storm or driver.FLEET_STORM,
-        fleet_duration=(args.fleet_duration
-                        if args.fleet_duration is not None
-                        else driver.FLEET_DURATION),
-        jobs=args.jobs, cache=cache,
-        timeout=args.timeout, retries=args.retries)
-
-    def _at(value):
-        return f"{value:.2f}s" if value is not None else "-"
-
+        storm=args.storm or driver.STORM, **runner)
     print(format_table(
         f"control — static vs controller over seeds {args.seeds} "
         f"(pooled fault windows)",
@@ -477,22 +391,15 @@ def cmd_control(args) -> int:
         [(r.scheme, f"{r.steady_p50_ms:.0f} ms", f"{r.fault_p50_ms:.0f} ms",
           f"{r.fault_p99_ms:.0f} ms", str(r.fault_samples),
           str(r.transitions), _at(r.first_reaction)) for r in rows]))
-    if fleet_rows:
-        print(format_table(
-            "control — fleet steering on the two-AP roaming topology",
-            ("scheme", "fault P50", "fault P99", "samples", "moves"),
-            [(r.scheme, f"{r.fault_p50_ms:.0f} ms",
-              f"{r.fault_p99_ms:.0f} ms", str(r.fault_samples),
-              str(r.moves)) for r in fleet_rows]))
-    _maybe_prune_cache(args, cache)
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump({"control": [dataclasses.asdict(r) for r in rows],
-                       "fleet": [dataclasses.asdict(r)
-                                 for r in fleet_rows]},
-                      handle, indent=2)
-        print(f"wrote {args.out}")
-    return 0
+    print(format_table(
+        "control — fleet steering on the two-AP roaming topology",
+        ("scheme", "fault P50", "fault P99", "samples", "moves"),
+        [(r.scheme, f"{r.fault_p50_ms:.0f} ms",
+          f"{r.fault_p99_ms:.0f} ms", str(r.fault_samples),
+          str(r.moves)) for r in fleet_rows]))
+    return _finish(args, runner["cache"], lambda: {
+        "control": [dataclasses.asdict(r) for r in rows],
+        "fleet": [dataclasses.asdict(r) for r in fleet_rows]})
 
 
 def cmd_cache(args) -> int:
@@ -503,10 +410,8 @@ def cmd_cache(args) -> int:
     damaged entries are already quarantined by the time we report, so
     a rerun exits 0.
     """
-    from repro.campaign.cache import ResultCache, default_cache_root
-    root = Path(args.cache_dir) if args.cache_dir else default_cache_root()
-    store = ResultCache(root=root)
-    print(f"cache root: {root}")
+    store = _cache_store(args)
+    print(f"cache root: {store.root}")
     report = store.verify()
     print("\n".join(report.lines()))
     return 0 if report.clean else 2
@@ -537,16 +442,14 @@ def cmd_topology(args) -> int:
         spec = roaming_topology(ap_mode=args.ap, queue_kind=args.queue)
     else:  # first-mile
         spec = first_mile_topology(duration=args.duration)
-    payload = spec.as_dict()
+    text = json.dumps(spec.as_dict(), indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+        Path(args.out).write_text(text)
         print(f"wrote {args.out}: {len(spec.nodes)} nodes, "
               f"{len(spec.edges)} edges, {len(spec.flows)} flows "
               f"({sum(1 for n in spec.nodes if n.role == 'ap')} APs)")
     else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
+        print(text)
     return 0
 
 
@@ -563,17 +466,42 @@ def cmd_trace_stats(args) -> int:
     return 0
 
 
-def _add_trace_options(parser: argparse.ArgumentParser) -> None:
-    """Bandwidth-trace selection, shared by every scenario command."""
+def _add_spec_options(parser: argparse.ArgumentParser) -> None:
+    """Explicit experiment graphs (repro.topology) and the adaptive
+    control plane (repro.control), shared by the scenario commands and
+    ``campaign``."""
+    group = parser.add_argument_group(
+        "topology and adaptive control (repro.topology, repro.control)")
+    group.add_argument("--topology", default=None, metavar="JSON",
+                       type=_topology_file,
+                       help="TopologySpec JSON file declaring an explicit "
+                            "(possibly multi-AP) experiment graph; "
+                            "generate presets with 'repro topology'")
+    group.add_argument("--control", action="store_true",
+                       help="attach the adaptive per-AP controller (and, "
+                            "on multi-AP topologies, the fleet steering "
+                            "daemon)")
+
+
+def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
+    """The flags of one scenario (``run`` and ``compare``)."""
     group = parser.add_argument_group("bandwidth trace")
     group.add_argument("--trace", default="W1", choices=TRACE_CHOICES)
     group.add_argument("--trace-file", default=None, type=_trace_file,
                        help="JSON trace file (overrides --trace)")
-
-
-def _add_obs_options(parser: argparse.ArgumentParser) -> None:
-    """Event tracing (repro.obs). Named --trace-out/--trace-events
-    because --trace already selects the bandwidth-trace family."""
+    parser.add_argument("--protocol", default="rtp", choices=PROTOCOLS)
+    parser.add_argument("--cca", default="gcc",
+                        help="gcc/nada/scream (rtp) or copa/bbr/cubic/abc "
+                             "(tcp, quic)")
+    parser.add_argument("--queue", default="fifo", choices=QUEUE_KINDS)
+    parser.add_argument("--duration", type=_duration, default=30.0)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--max-mbps", type=_number(unit="Mb/s"), default=4.0)
+    parser.add_argument("--competitors", type=_count, default=0)
+    parser.add_argument("--interferers", type=_count, default=0)
+    _add_spec_options(parser)
+    # Named --trace-out/--trace-events because --trace already selects
+    # the bandwidth-trace family.
     group = parser.add_argument_group("event tracing (repro.obs)")
     group.add_argument("--trace-out", default=None,
                        help="write an event trace of the run here "
@@ -584,10 +512,6 @@ def _add_obs_options(parser: argparse.ArgumentParser) -> None:
                             "(default: all)")
     group.add_argument("--trace-format", default="chrome",
                        choices=FORMATS)
-
-
-def _add_fault_options(parser: argparse.ArgumentParser) -> None:
-    """Fault injection (repro.faults)."""
     group = parser.add_argument_group("fault injection (repro.faults)")
     group.add_argument("--faults", default=None, type=_fault_dsl,
                        help="fault plan DSL: comma list of "
@@ -602,77 +526,45 @@ def _add_fault_options(parser: argparse.ArgumentParser) -> None:
                        help="seed for stochastic faults (loss bursts)")
 
 
-def _add_control_options(parser: argparse.ArgumentParser) -> None:
-    """Adaptive control plane (repro.control)."""
-    group = parser.add_argument_group("adaptive control (repro.control)")
-    group.add_argument("--control", action="store_true",
-                       help="attach the adaptive per-AP controller (and, "
-                            "on multi-AP topologies, the fleet steering "
-                            "daemon)")
-
-
-def _add_topology_options(parser: argparse.ArgumentParser) -> None:
-    """Explicit experiment graphs (repro.topology)."""
-    group = parser.add_argument_group("topology (repro.topology)")
-    group.add_argument("--topology", default=None, metavar="JSON",
-                       type=_topology_file,
-                       help="TopologySpec JSON file declaring an explicit "
-                            "(possibly multi-AP) experiment graph; "
-                            "generate presets with 'repro topology'")
-
-
-def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
-    _add_trace_options(parser)
-    parser.add_argument("--protocol", default="rtp", choices=PROTOCOLS)
-    parser.add_argument("--cca", default="gcc",
-                        help="gcc/nada/scream (rtp) or copa/bbr/cubic/abc "
-                             "(tcp, quic)")
-    parser.add_argument("--queue", default="fifo", choices=QUEUE_KINDS)
-    parser.add_argument("--duration", type=_duration, default=30.0)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--max-mbps", type=_rate_mbps, default=4.0)
-    parser.add_argument("--competitors", type=_count, default=0)
-    parser.add_argument("--interferers", type=_count, default=0)
-    _add_topology_options(parser)
-    _add_obs_options(parser)
-    _add_fault_options(parser)
-    _add_control_options(parser)
-
-
-def _add_campaign_exec_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=0,
-                        help="worker processes (<=1 runs in-process)")
+def _add_cache_dir(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None,
                         help="result-cache directory "
                              "(default: $REPRO_CACHE_DIR or ~/.cache/"
                              "repro-campaign); re-running a killed "
                              "campaign on it computes only the lost cells")
+
+
+def _add_city_gen(parser, help_suffix: str = "") -> None:
+    """--aps and --city-seed of the city generator (repro.city)."""
+    parser.add_argument("--aps", type=_number(int, 1, strict=False),
+                        default=100,
+                        help="AP count of the generated city" + help_suffix)
+    parser.add_argument("--city-seed", type=int, default=1,
+                        help="generator seed (same seed, same city)"
+                             + help_suffix)
+
+
+def _add_campaign_exec_args(parser: argparse.ArgumentParser,
+                            seeds: str) -> None:
+    """The cached-runner flags of ``campaign``, ``resilience`` and
+    ``control``; ``seeds`` is the default of their --seeds."""
+    parser.add_argument("--seeds", default=seeds, type=_comma_list(int),
+                        help="comma list of seeds per cell")
+    parser.add_argument("--jobs", type=int, default=0,
+                        help="worker processes (<=1 runs in-process)")
+    _add_cache_dir(parser)
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the result cache")
     parser.add_argument("--timeout", type=_duration, default=None,
                         help="per-cell wall-clock budget in seconds")
     parser.add_argument("--retries", type=_count, default=1,
                         help="extra attempts per failing cell")
-    parser.add_argument("--cache-prune", type=_megabytes, default=None,
-                        metavar="MB",
+    parser.add_argument("--cache-prune", default=None, metavar="MB",
+                        type=_number(strict=False, unit="MB"),
                         help="after the run, shrink the result cache to "
                              "this many megabytes (LRU by last use)")
-
-
-def _add_robustness_args(parser: argparse.ArgumentParser) -> None:
-    """Harness-fault drills (campaign subcommand only)."""
-    group = parser.add_argument_group("chaos drills (repro.faults.chaos)")
-    group.add_argument("--chaos", default=None, metavar="PLAN",
-                       type=_chaos_plan,
-                       help="deterministic harness-fault plan, e.g. "
-                            "'kill-worker@2,oom@4' or 'exit-run@3' "
-                            "(kinds: kill-worker, oom, hang, exit-run; "
-                            "counts are 1-based campaign-wide; hang "
-                            "needs --timeout to end)")
-    group.add_argument("--chaos-dir", default=None, metavar="DIR",
-                       help="scratch directory for the chaos plan's "
-                            "cross-process counters and fire-once "
-                            "markers (required with --chaos)")
+    parser.add_argument("--out", default=None,
+                        help="write the rows (and telemetry) JSON here")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -680,13 +572,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", description="Zhuge (SIGCOMM 2022) reproduction")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_parser = sub.add_parser("run", help="run one scenario")
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        command_parser = sub.add_parser(name, help=help)
+        command_parser.set_defaults(func=func)
+        return command_parser
+
+    run_parser = command("run", cmd_run, "run one scenario")
     _add_scenario_args(run_parser)
     run_parser.add_argument("--ap", default="zhuge", choices=AP_MODES)
-    run_parser.set_defaults(func=cmd_run)
 
-    compare_parser = sub.add_parser("compare",
-                                    help="run plain AP vs Zhuge AP")
+    compare_parser = command("compare", cmd_compare,
+                             "run plain AP vs Zhuge AP")
     _add_scenario_args(compare_parser)
     compare_parser.add_argument("--ap-modes", default="none,zhuge",
                                 type=_comma_list(choices=AP_MODES),
@@ -694,12 +590,11 @@ def build_parser() -> argparse.ArgumentParser:
     compare_parser.add_argument("--jobs", type=int, default=0,
                                 help="run the AP modes in parallel "
                                      "worker processes")
-    compare_parser.set_defaults(func=cmd_compare)
 
-    campaign_parser = sub.add_parser(
-        "campaign",
-        help="run a (traces x schemes x seeds) grid through the "
-             "parallel cached campaign runner")
+    campaign_parser = command(
+        "campaign", cmd_campaign,
+        "run a (traces x schemes x seeds) grid through the "
+        "parallel cached campaign runner")
     campaign_parser.add_argument("--traces", default="W1",
                                  type=_comma_list(choices=TRACE_CHOICES),
                                  help="comma list of trace families")
@@ -709,9 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      choices=sorted(SCHEMES_BY_NAME)),
                                  help="comma list of scheme names "
                                       "(see drivers/traces_eval.py)")
-    campaign_parser.add_argument("--seeds", default="1,2",
-                                 type=_comma_list(int),
-                                 help="comma list of seeds per cell")
     campaign_parser.add_argument("--duration", type=_duration, default=None,
                                  help="simulated seconds per cell "
                                       "(default 30, or 20 with --city)")
@@ -724,10 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "domains, and report fleet-wide delay "
                                  "percentiles (replaces the trace/scheme "
                                  "grid)")
-    city_group.add_argument("--aps", type=_positive_count, default=100,
-                            help="AP count of the generated city")
-    city_group.add_argument("--city-seed", type=int, default=1,
-                            help="generator seed (same seed, same city)")
+    _add_city_gen(city_group)
     city_group.add_argument("--shard-aps", type=int, default=32,
                             help="max APs per shard (<=0: run the city "
                                  "as one unsharded cell)")
@@ -741,8 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="JSON file with a list of raw "
                                       "ScenarioSpec dicts (overrides the "
                                       "grid flags)")
-    campaign_parser.add_argument("--out", default=None,
-                                 help="write rows + telemetry JSON here")
     campaign_parser.add_argument("--quiet", action="store_true",
                                  help="suppress per-cell progress lines")
     campaign_parser.add_argument("--assert-cached", action="store_true",
@@ -751,95 +638,78 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_parser.add_argument("--trace-dir", default=None,
                                  help="write one event-trace artifact per "
                                       "cell into this directory")
-    _add_topology_options(campaign_parser)
-    _add_control_options(campaign_parser)
-    _add_campaign_exec_args(campaign_parser)
-    _add_robustness_args(campaign_parser)
-    campaign_parser.set_defaults(func=cmd_campaign)
+    _add_spec_options(campaign_parser)
+    _add_campaign_exec_args(campaign_parser, seeds="1,2")
+    chaos_group = campaign_parser.add_argument_group(
+        "chaos drills (repro.faults.chaos)")
+    chaos_group.add_argument("--chaos", default=None, metavar="PLAN",
+                       type=_chaos_plan,
+                       help="deterministic harness-fault plan, e.g. "
+                            "'kill-worker@2,oom@4' or 'exit-run@3' "
+                            "(kinds: kill-worker, oom, hang, exit-run; "
+                            "counts are 1-based campaign-wide; hang "
+                            "needs --timeout to end)")
+    chaos_group.add_argument("--chaos-dir", default=None, metavar="DIR",
+                       help="scratch directory for the chaos plan's "
+                            "cross-process counters and fire-once "
+                            "markers (required with --chaos)")
 
-    cache_parser = sub.add_parser(
-        "cache",
-        help="inspect the campaign result cache (verify checksums, "
-             "quarantine damage)")
+    cache_parser = command(
+        "cache", cmd_cache,
+        "inspect the campaign result cache (verify checksums, "
+        "quarantine damage)")
     cache_parser.add_argument("action", choices=("verify",),
                               help="verify: checksum-audit every entry; "
                                    "corrupt ones are quarantined under "
                                    "<root>/quarantine/")
-    cache_parser.add_argument("--cache-dir", default=None,
-                              help="cache root (default: $REPRO_CACHE_DIR "
-                                   "or ~/.cache/repro-campaign)")
-    cache_parser.set_defaults(func=cmd_cache)
+    _add_cache_dir(cache_parser)
 
-    resilience_parser = sub.add_parser(
-        "resilience",
-        help="blackout sweep: Zhuge vs passthrough vs FastAck under "
-             "injected faults (repro.faults)")
+    resilience_parser = command(
+        "resilience", cmd_resilience,
+        "blackout sweep: Zhuge vs passthrough vs FastAck under "
+        "injected faults (repro.faults)")
     resilience_parser.add_argument("--lengths", default="0.5,1,2",
                                    type=_comma_list(_duration),
                                    help="comma list of blackout lengths "
                                         "in seconds")
     resilience_parser.add_argument("--duration", type=_duration, default=25.0)
-    resilience_parser.add_argument("--seeds", default="1",
-                                   type=_comma_list(int),
-                                   help="comma list of seeds per cell")
     resilience_parser.add_argument("--protocol", default="tcp",
                                    choices=("rtp", "tcp"))
     resilience_parser.add_argument("--cca", default="copa")
-    resilience_parser.add_argument("--out", default=None,
-                                   help="write rows JSON here")
-    _add_campaign_exec_args(resilience_parser)
-    resilience_parser.set_defaults(func=cmd_resilience)
+    _add_campaign_exec_args(resilience_parser, seeds="1")
 
-    control_parser = sub.add_parser(
-        "control",
-        help="fault-storm comparison: static Zhuge vs the adaptive "
-             "controller, plus fleet steering on a two-AP topology "
-             "(repro.control)")
-    control_parser.add_argument("--seeds", default="1,2",
-                                type=_comma_list(int),
-                                help="comma list of seeds per scheme")
+    control_parser = command(
+        "control", cmd_control,
+        "fault-storm comparison: static Zhuge vs the adaptive "
+        "controller, plus fleet steering on a two-AP topology "
+        "(repro.control)")
     control_parser.add_argument("--duration", type=_duration, default=None,
                                 help="per-AP storm run length")
     control_parser.add_argument("--storm", default=None, type=_fault_dsl,
                                 help="per-AP fault-plan DSL override")
-    control_parser.add_argument("--no-fleet", action="store_true",
-                                help="skip the two-AP steering comparison")
-    control_parser.add_argument("--fleet-storm", default=None,
-                                type=_fault_dsl,
-                                help="fleet fault-plan DSL override")
-    control_parser.add_argument("--fleet-duration", type=_duration,
-                                default=None)
-    control_parser.add_argument("--out", default=None,
-                                help="write rows JSON here")
-    _add_campaign_exec_args(control_parser)
-    control_parser.set_defaults(func=cmd_control)
+    _add_campaign_exec_args(control_parser, seeds="1,2")
 
-    trace_parser = sub.add_parser(
-        "trace",
-        help="generate a bandwidth-trace file (event traces of a "
-             "scenario: run --trace-out)")
+    trace_parser = command(
+        "trace", cmd_trace,
+        "generate a bandwidth-trace file (event traces of a "
+        "scenario: run --trace-out)")
     trace_parser.add_argument("--family", default="W1",
                               choices=TRACE_CHOICES)
     trace_parser.add_argument("--duration", type=_duration, default=60.0)
     trace_parser.add_argument("--seed", type=int, default=1)
     trace_parser.add_argument("--out", required=True)
-    trace_parser.set_defaults(func=cmd_trace)
 
-    topology_parser = sub.add_parser(
-        "topology",
-        help="emit a multi-AP TopologySpec JSON preset for --topology "
-             "('generate' emits a seeded repro.city topology)")
-    topology_parser.add_argument("preset",
-                                 choices=TOPOLOGY_PRESETS + ("generate",))
+    topology_parser = command(
+        "topology", cmd_topology,
+        "emit a multi-AP TopologySpec JSON preset for --topology "
+        "('generate' emits a seeded repro.city topology)")
+    topology_parser.add_argument("preset", choices=(
+        "interference", "roaming", "first-mile", "generate"))
     topology_parser.add_argument("--city", default="grid",
                                  choices=sorted(CITY_PRESETS),
                                  help="city layout preset "
                                       "(generate preset)")
-    topology_parser.add_argument("--aps", type=_positive_count,
-                                 default=100,
-                                 help="AP count (generate preset)")
-    topology_parser.add_argument("--city-seed", type=int, default=1,
-                                 help="generator seed (generate preset)")
+    _add_city_gen(topology_parser, " (generate preset)")
     topology_parser.add_argument("--ap", default="zhuge", choices=AP_MODES,
                                  help="optimization mode of the serving AP")
     topology_parser.add_argument("--queue", default="fq_codel",
@@ -853,12 +723,10 @@ def build_parser() -> argparse.ArgumentParser:
     topology_parser.add_argument("--out", default=None,
                                  help="write the JSON here "
                                       "(default: stdout)")
-    topology_parser.set_defaults(func=cmd_topology)
 
-    stats_parser = sub.add_parser("trace-stats",
-                                  help="summarize a trace file")
+    stats_parser = command("trace-stats", cmd_trace_stats,
+                           "summarize a trace file")
     stats_parser.add_argument("file")
-    stats_parser.set_defaults(func=cmd_trace_stats)
     return parser
 
 

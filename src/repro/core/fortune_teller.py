@@ -61,8 +61,7 @@ class FortuneTeller:
     def __init__(self, sim: Simulator, queue: DropTailQueue,
                  window: float = DEFAULT_WINDOW,
                  burst_correction: bool = True,
-                 flow=None,
-                 min_estimation_interval: float = 0.0):
+                 flow=None):
         self.sim = sim
         self.queue = queue
         # §4.1, "Calculation with queue disciplines": with flow-isolating
@@ -83,14 +82,7 @@ class FortuneTeller:
         self.tx_rate_long = SlidingWindowRate(window * 10)
         self.dequeue_intervals = DequeueIntervalEstimator(window)
         self.burst_tracker = BurstSizeTracker()
-        # §7.6 CPU optimization: with a positive interval, predictions
-        # within ``min_estimation_interval`` of the previous one reuse it
-        # instead of recomputing ("Zhuge could selectively update the
-        # network conditions ... as long as the interval is negligible").
-        self.min_estimation_interval = min_estimation_interval
-        self._cached_prediction: Optional[DelayPrediction] = None
-        self._cached_at = -1.0
-        self.cache_hits = 0
+        self._last_prediction: Optional[DelayPrediction] = None
         self.predictions_made = 0
         queue.on_departure.append(self.observe_departure if flow is None
                                   else self._observe_flow_departure)
@@ -129,12 +121,6 @@ class FortuneTeller:
     def predict(self) -> DelayPrediction:
         """Predict the remaining delay of a packet arriving right now."""
         now = self.sim.now
-        if (self.min_estimation_interval > 0
-                and self._cached_prediction is not None
-                and now - self._cached_at < self.min_estimation_interval):
-            self.cache_hits += 1
-            return self._cached_prediction
-
         # The queue read is all the discipline decides; the formula
         # below it is the same for every queue.
         q_bytes, front_wait = self.queue.backlog(now, self.flow)
@@ -151,14 +137,13 @@ class FortuneTeller:
 
         self.predictions_made += 1
         prediction = DelayPrediction(q_long, front_wait, tx)
-        self._cached_prediction = prediction
-        self._cached_at = now
+        self._last_prediction = prediction
         return prediction
 
     @property
     def last_prediction(self) -> Optional[DelayPrediction]:
         """The most recent prediction, or ``None`` before the first."""
-        return self._cached_prediction
+        return self._last_prediction
 
     def reset(self) -> None:
         """Wipe estimator state (AP restart / client handover)."""
@@ -166,8 +151,7 @@ class FortuneTeller:
         self.tx_rate_long.reset()
         self.dequeue_intervals.reset()
         self.burst_tracker.reset()
-        self._cached_prediction = None
-        self._cached_at = -1.0
+        self._last_prediction = None
 
 
 class NaiveQueueEstimator:

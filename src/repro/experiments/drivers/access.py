@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from repro.campaign import run_specs
 from repro.experiments.drivers.traces_eval import (grid_specs, pooled,
                                                    seed_split)
+from repro.metrics.recorder import FRAME_DELAY_THRESHOLD, LOW_FPS_THRESHOLD
 from repro.metrics.stats import ccdf_points, quantiles, tail_fraction
 
 ACCESS_TYPES = (
@@ -50,8 +51,8 @@ def fig2_access_comparison(duration: float = 60.0,
             access=label,
             median_rtt=median_rtt,
             p99_rtt=p99_rtt,
-            delayed_frame_ratio=tail_fraction(delays, 0.400),
-            low_fps_ratio=tail_fraction(fps, 10.0, above=False),
+            delayed_frame_ratio=tail_fraction(delays, FRAME_DELAY_THRESHOLD),
+            low_fps_ratio=tail_fraction(fps, LOW_FPS_THRESHOLD, above=False),
             rtt_ccdf=ccdf_points(rtts, points=30),
             frame_delay_ccdf=ccdf_points(delays, points=30),
         ))

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.campaign import ScenarioSpec, TraceSpec, run_specs
+from repro.metrics.recorder import FRAME_DELAY_THRESHOLD, RTT_TAIL_THRESHOLD
 from repro.topology.presets import interference_topology
 
 # Zhuge deploys on the system-default queue discipline, which is
@@ -73,10 +74,10 @@ def fig16_flow_competition(flow_counts=(0, 2, 5, 10),
         flow = summary.flows[0]
         rows.append(CompetitionRow(
             scheme=scheme, flows=count,
-            rtt_degradation_s=flow.rtt.degradation_duration(0.200,
-                                                            start=5.0),
+            rtt_degradation_s=flow.rtt.degradation_duration(
+                RTT_TAIL_THRESHOLD, start=5.0),
             frame_delay_degradation_s=flow.frames
-            .delay_degradation_duration(0.400, start=5.0),
+            .delay_degradation_duration(FRAME_DELAY_THRESHOLD, start=5.0),
             low_fps_duration_s=flow.frames.low_fps_duration(
                 duration - 5.0, start=5.0),
         ))

@@ -29,6 +29,8 @@ from typing import Optional
 
 from repro.campaign import ScenarioSpec, TraceSpec, run_specs
 from repro.control import ControlSpec
+from repro.experiments.drivers.resilience import (fault_windows,
+                                                  window_samples)
 from repro.experiments.drivers.traces_eval import seed_split
 from repro.faults.spec import FaultPlan
 from repro.metrics.stats import percentile, quantiles
@@ -66,21 +68,6 @@ FLEET_SCHEMES = (
 def storm_plan(storm: str = STORM, seed: int = 1) -> FaultPlan:
     """Parse ``storm`` with the watchdog disabled (see module docstring)."""
     return FaultPlan.parse(storm, seed=seed, watchdog_enabled=False)
-
-
-def fault_windows(plan: FaultPlan,
-                  recovery: float = RECOVERY_WINDOW) -> list[tuple[float,
-                                                                   float]]:
-    """Merged ``[start, end + recovery]`` spans of the windowed faults."""
-    spans = sorted((fault.start, fault.end + recovery)
-                   for fault in plan.faults if fault.duration > 0)
-    merged: list[tuple[float, float]] = []
-    for lo, hi in spans:
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
 
 
 def control_specs(seeds: tuple[int, ...], duration: float = DURATION,
@@ -144,28 +131,20 @@ class FleetRow:
     moves: int = 0           # steering re-homes across all seeds
 
 
-def _window_samples(summary, spans) -> list[float]:
-    rtt = summary.rtt
-    return [value for when, value in zip(rtt.times, rtt.rtts)
-            if any(lo <= when <= hi for lo, hi in spans)]
-
-
 def fig_control(seeds: tuple[int, ...] = (1, 2),
                 duration: float = DURATION, storm: str = STORM,
-                fleet: bool = True, fleet_storm: str = FLEET_STORM,
-                fleet_duration: float = FLEET_DURATION,
                 jobs: int = 0, cache=None, timeout=None,
                 retries: int = 1) -> tuple[list[ControlRow],
                                            list[FleetRow]]:
-    """Run both sweeps and aggregate pooled per scheme."""
-    specs = control_specs(seeds, duration, storm)
-    if fleet:
-        specs += fleet_specs(seeds, fleet_duration, fleet_storm)
+    """Run both sweeps (the fleet one on ``FLEET_STORM`` for
+    ``FLEET_DURATION``) and aggregate pooled per scheme."""
+    specs = (control_specs(seeds, duration, storm)
+             + fleet_specs(seeds, FLEET_DURATION, FLEET_STORM))
     summaries = run_specs(specs, jobs=jobs, cache=cache,
                           timeout=timeout, retries=retries)
 
     chunks = seed_split(summaries, seeds)
-    spans = fault_windows(storm_plan(storm))
+    spans = fault_windows(storm_plan(storm), RECOVERY_WINDOW)
     rows = []
     for (label, _control), chunk in zip(SCHEMES, chunks):
         steady: list[float] = []
@@ -174,7 +153,7 @@ def fig_control(seeds: tuple[int, ...] = (1, 2),
         first: Optional[float] = None
         for summary in chunk:
             steady.extend(summary.rtt.rtts)
-            window.extend(_window_samples(summary, spans))
+            window.extend(window_samples(summary, spans))
             transitions += len(summary.control_transitions)
             if summary.control_transitions:
                 when = summary.control_transitions[0][0]
@@ -191,21 +170,20 @@ def fig_control(seeds: tuple[int, ...] = (1, 2),
             first_reaction=first))
 
     fleet_rows = []
-    if fleet:
-        fleet_spans = fault_windows(storm_plan(fleet_storm))
-        for (label, _control), chunk in zip(FLEET_SCHEMES,
-                                            chunks[len(SCHEMES):]):
-            window = []
-            moves = 0
-            for summary in chunk:
-                window.extend(_window_samples(summary, fleet_spans))
-                moves += len(summary.steering_moves)
-            fault_p50, fault_p99 = (quantiles(window, (50, 99)) if window
-                                    else (0.0, 0.0))
-            fleet_rows.append(FleetRow(
-                scheme=label,
-                fault_p50_ms=fault_p50 * 1000,
-                fault_p99_ms=fault_p99 * 1000,
-                fault_samples=len(window),
-                moves=moves))
+    fleet_spans = fault_windows(storm_plan(FLEET_STORM), RECOVERY_WINDOW)
+    for (label, _control), chunk in zip(FLEET_SCHEMES,
+                                        chunks[len(SCHEMES):]):
+        window = []
+        moves = 0
+        for summary in chunk:
+            window.extend(window_samples(summary, fleet_spans))
+            moves += len(summary.steering_moves)
+        fault_p50, fault_p99 = (quantiles(window, (50, 99)) if window
+                                else (0.0, 0.0))
+        fleet_rows.append(FleetRow(
+            scheme=label,
+            fault_p50_ms=fault_p50 * 1000,
+            fault_p99_ms=fault_p99 * 1000,
+            fault_samples=len(window),
+            moves=moves))
     return rows, fleet_rows

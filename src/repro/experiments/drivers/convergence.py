@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from repro.campaign import ScenarioSpec, TraceSpec, run_specs
 from repro.experiments.drivers.traces_eval import RTP_SCHEMES, TCP_SCHEMES
+from repro.metrics.recorder import FRAME_DELAY_THRESHOLD, RTT_TAIL_THRESHOLD
 
 DROP_AT = 15.0
 OBSERVE = 15.0           # seconds after the drop
@@ -63,9 +64,9 @@ def _drop_rows(cells, seed: int, max_bps: float) -> list[DropRow]:
         rows.append(DropRow(
             scheme=scheme, k=k,
             rtt_degradation_s=flow.rtt.degradation_duration(
-                0.200, start=DROP_AT),
+                RTT_TAIL_THRESHOLD, start=DROP_AT),
             frame_delay_degradation_s=flow.frames.delay_degradation_duration(
-                0.400, start=DROP_AT),
+                FRAME_DELAY_THRESHOLD, start=DROP_AT),
             low_fps_duration_s=flow.frames.low_fps_duration(
                 OBSERVE, start=DROP_AT),
             rate_reconvergence_s=_reconvergence(result, k)))
@@ -85,7 +86,7 @@ def _reconvergence(result, k: float) -> float:
     # Re-convergence = last time network RTT exceeded 200 ms.
     rtt = result.flows[0].rtt
     violations = [t for t, r in zip(rtt.times, rtt.rtts)
-                  if t >= DROP_AT and r > 0.200]
+                  if t >= DROP_AT and r > RTT_TAIL_THRESHOLD]
     if not violations:
         return 0.0
     return max(violations) - DROP_AT

@@ -29,7 +29,8 @@ from repro.metrics.stats import percentile, quantiles
 #: fully primed (worst case for stale predictions).
 FAULT_START = 10.0
 #: Fault-window metrics cover [start, start + length + RECOVERY_WINDOW]
-#: so they include the recovery transient, not just the outage itself.
+#: (``fault_windows`` of the blackout) so they include the recovery
+#: transient, not just the outage itself.
 RECOVERY_WINDOW = 5.0
 
 #: (row label, ap_mode, watchdog_enabled).
@@ -54,6 +55,29 @@ def blackout_plan(start: float, length: float, *, reset: bool = True,
         faults.append(FaultSpec(kind="ap_reset", start=start + length))
     return FaultPlan(faults=tuple(faults), seed=seed,
                      watchdog_enabled=watchdog)
+
+
+def fault_windows(plan: FaultPlan,
+                  recovery: float) -> list[tuple[float, float]]:
+    """Merged ``[start, end + recovery]`` spans of the windowed faults
+    (an instant fault, such as an AP reset, opens none)."""
+    spans = sorted((fault.start, fault.end + recovery)
+                   for fault in plan.faults if fault.duration > 0)
+    merged: list[tuple[float, float]] = []
+    for lo, hi in spans:
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+def window_samples(summary, spans) -> list[float]:
+    """The RTT samples of ``summary`` inside any of ``spans``
+    (inclusive bounds)."""
+    rtt = summary.rtt
+    return [value for when, value in zip(rtt.times, rtt.rtts)
+            if any(lo <= when <= hi for lo, hi in spans)]
 
 
 @dataclass
@@ -117,12 +141,11 @@ def fig_resilience(blackout_lengths: tuple[float, ...] = (0.5, 1.0, 2.0),
         steady: list[float] = []
         window: list[float] = []
         demote_at = promote_at = None
-        lo, hi = FAULT_START, FAULT_START + length + RECOVERY_WINDOW
+        spans = fault_windows(blackout_plan(FAULT_START, length),
+                              RECOVERY_WINDOW)
         for summary in chunk:
-            rtt = summary.rtt
-            steady.extend(rtt.rtts)
-            window.extend(v for t, v in zip(rtt.times, rtt.rtts)
-                          if lo <= t <= hi)
+            steady.extend(summary.rtt.rtts)
+            window.extend(window_samples(summary, spans))
             if demote_at is None:
                 demote_at = _first_transition(
                     summary.watchdog_transitions, "degraded")

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.campaign import ScenarioSpec, TraceSpec, run_specs
+from repro.metrics.recorder import (FRAME_DELAY_THRESHOLD, LOW_FPS_THRESHOLD,
+                                    RTT_TAIL_THRESHOLD)
 from repro.metrics.stats import ccdf_points, tail_fraction
 
 RTP_SCHEMES = (
@@ -106,9 +108,9 @@ def row_from_summaries(trace_name: str, scheme_name: str, overrides: dict,
     return TraceRow(
         trace=trace_name,
         scheme=scheme_name,
-        rtt_tail_ratio=tail_fraction(rtts, 0.200),
-        delayed_frame_ratio=tail_fraction(delays, 0.400),
-        low_fps_ratio=tail_fraction(fps, 10.0, above=False),
+        rtt_tail_ratio=tail_fraction(rtts, RTT_TAIL_THRESHOLD),
+        delayed_frame_ratio=tail_fraction(delays, FRAME_DELAY_THRESHOLD),
+        low_fps_ratio=tail_fraction(fps, LOW_FPS_THRESHOLD, above=False),
         mean_bitrate_bps=sum(bitrates) / len(bitrates),
     )
 

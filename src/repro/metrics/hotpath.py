@@ -3,7 +3,7 @@
 The estimators in :mod:`repro.core.sliding_window` each count their
 operations in a plain ``.ops`` int (one add per record/query — cheap
 enough to leave on permanently), and the Fortune Teller / Feedback
-Updater keep their own prediction/cache/ACK counters. This module
+Updater keep their own prediction/ACK counters. This module
 gathers those into per-component snapshots so Fig. 21's one
 hand-driven datapath (:mod:`repro.experiments.drivers.overhead`) can
 report ops per component next to its per-packet cost, without timers
@@ -25,6 +25,8 @@ class HotpathStats:
 
     component: str
     predictions: int = 0
+    # No teller caches a prediction, so this stays 0; the ledger
+    # workloads still read it.
     cache_hits: int = 0
     estimator_ops: int = 0
     acks_delayed: int = 0
@@ -57,7 +59,6 @@ def snapshot_fortune_teller(teller, component: str = "fortune_teller"
     return HotpathStats(
         component=component,
         predictions=teller.predictions_made,
-        cache_hits=teller.cache_hits,
         estimator_ops=estimator_ops,
     )
 

@@ -70,20 +70,11 @@ TRACE_MODELS: dict[str, TraceModel] = {
 }
 
 
-def make_trace(name: str, duration: float = 300.0, seed: int = 1,
-               interval: float = 0.040) -> BandwidthTrace:
-    """Generate one synthetic trace of family ``name``.
-
-    ``interval`` defaults to 40 ms so that the 200 ms ABW windows of the
-    Fig. 3b analysis each average five samples, as in the paper's
-    methodology.
-    """
-    if name not in TRACE_MODELS:
-        raise ValueError(f"unknown trace {name!r}; expected one of {TRACE_NAMES}")
-    model = TRACE_MODELS[name]
-    rng = DeterministicRandom(seed).fork(f"trace-{name}")
-    count = max(2, round(duration / interval))
-
+def _walk(model: TraceModel, rng: DeterministicRandom, count: int,
+          interval: float) -> list[float]:
+    """``count`` raw rates of ``model`` (before the mean normalisation):
+    a bounded log-space random walk of the base rate, times lognormal
+    fading, times Poisson deep fades, floored at ``min_bps``."""
     rates: list[float] = []
     log_base = math.log(model.mean_bps)
     log_anchor = log_base
@@ -107,6 +98,22 @@ def make_trace(name: str, duration: float = 300.0, seed: int = 1,
         rate = math.exp(log_anchor) * fading * fade_factor
         rates.append(max(model.min_bps, rate))
         time += interval
+    return rates
+
+
+def make_trace(name: str, duration: float = 300.0, seed: int = 1,
+               interval: float = 0.040) -> BandwidthTrace:
+    """Generate one synthetic trace of family ``name``.
+
+    ``interval`` defaults to 40 ms so that the 200 ms ABW windows of the
+    Fig. 3b analysis each average five samples, as in the paper's
+    methodology.
+    """
+    if name not in TRACE_MODELS:
+        raise ValueError(f"unknown trace {name!r}; expected one of {TRACE_NAMES}")
+    model = TRACE_MODELS[name]
+    rates = _walk(model, DeterministicRandom(seed).fork(f"trace-{name}"),
+                  max(2, round(duration / interval)), interval)
 
     # Normalize so the realized mean matches the model mean.
     realized = sum(rates) / len(rates)
@@ -138,28 +145,11 @@ def abc_legacy_trace(duration: float = 300.0, seed: int = 1,
     model = TraceModel("abc-legacy", 3e6, fade_sigma=0.6, walk_sigma=0.10,
                        deep_fade_rate=0.15, deep_fade_depth=1.2,
                        deep_fade_duration=0.8, min_bps=50_000.0)
-    rng = DeterministicRandom(seed).fork("trace-abc-legacy")
-    count = max(2, round(duration / interval))
-    rates: list[float] = []
-    log_base = math.log(model.mean_bps)
-    log_anchor = log_base
-    fade_until = -1.0
-    fade_factor = 1.0
-    time = 0.0
-    for _ in range(count):
-        log_anchor += rng.gauss(0.0, model.walk_sigma)
-        log_anchor += 0.05 * (log_base - log_anchor)
-        if time >= fade_until and rng.random() < model.deep_fade_rate * interval:
-            collapse = 1.0 + rng.pareto(model.deep_fade_depth)
-            fade_factor = 1.0 / collapse
-            fade_until = time + rng.expovariate(1.0 / model.deep_fade_duration)
-        if time >= fade_until:
-            fade_factor = 1.0
-        fading = rng.lognormal(0.0, model.fade_sigma)
-        rates.append(max(model.min_bps,
-                         math.exp(log_anchor) * fading * fade_factor))
-        time += interval
+    rates = _walk(model, DeterministicRandom(seed).fork("trace-abc-legacy"),
+                  max(2, round(duration / interval)), interval)
     realized = sum(rates) / len(rates)
+    # Not make_trace's ``r * scale``: ``r * m / R`` rounds differently,
+    # and these traces keep their values.
     rates = [max(model.min_bps, r * model.mean_bps / realized) for r in rates]
     return BandwidthTrace(rates, interval, "abc-legacy",
                           extra={"family": "abc-legacy", "seed": seed})

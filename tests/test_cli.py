@@ -552,3 +552,93 @@ class TestCampaign:
     def test_rejects_unknown_scheme(self, tmp_path):
         with pytest.raises(SystemExit):
             main(self._argv(tmp_path)[:4] + ["--schemes", "Nope+FIFO"])
+
+
+#: subcommand -> (argv, option strings other than -h/--help, parsed
+#: defaults with ``func`` by name): the CLI's whole flag surface, so a
+#: change to the parser cannot drop, add or re-default a flag unseen.
+FLAG_INVENTORY = {
+    "run": (["run"], {
+        "--ap", "--cca", "--competitors", "--control", "--duration",
+        "--fault-seed", "--faults", "--interferers", "--max-mbps",
+        "--protocol", "--queue", "--seed", "--topology", "--trace",
+        "--trace-events", "--trace-file", "--trace-format", "--trace-out"},
+        {"trace": "W1", "trace_file": None, "protocol": "rtp", "cca": "gcc",
+         "queue": "fifo", "duration": 30.0, "seed": 1, "max_mbps": 4.0,
+         "competitors": 0, "interferers": 0, "topology": None,
+         "trace_out": None, "trace_events": CATEGORIES,
+         "trace_format": "chrome", "faults": None, "fault_seed": 1,
+         "control": False, "ap": "zhuge", "func": "cmd_run"}),
+    "compare": (["compare"], {
+        "--ap-modes", "--cca", "--competitors", "--control", "--duration",
+        "--fault-seed", "--faults", "--interferers", "--jobs", "--max-mbps",
+        "--protocol", "--queue", "--seed", "--topology", "--trace",
+        "--trace-events", "--trace-file", "--trace-format", "--trace-out"},
+        {"trace": "W1", "trace_file": None, "protocol": "rtp", "cca": "gcc",
+         "queue": "fifo", "duration": 30.0, "seed": 1, "max_mbps": 4.0,
+         "competitors": 0, "interferers": 0, "topology": None,
+         "trace_out": None, "trace_events": CATEGORIES,
+         "trace_format": "chrome", "faults": None, "fault_seed": 1,
+         "control": False, "ap_modes": ("none", "zhuge"), "jobs": 0,
+         "func": "cmd_compare"}),
+    "campaign": (["campaign"], {
+        "--aps", "--assert-cached", "--cache-dir", "--cache-prune",
+        "--chaos", "--chaos-dir", "--city", "--city-seed", "--control",
+        "--duration", "--jobs", "--no-cache", "--out", "--quiet",
+        "--retries", "--sample-budget", "--schemes", "--seeds",
+        "--shard-aps", "--specs", "--timeout", "--topology", "--trace-dir",
+        "--traces"},
+        {"traces": ("W1",), "schemes": ("Gcc+FIFO", "Gcc+CoDel",
+                                        "Gcc+Zhuge"),
+         "seeds": (1, 2), "duration": None, "city": None, "aps": 100,
+         "city_seed": 1, "shard_aps": 32, "sample_budget": 2_000_000,
+         "specs": None, "out": None, "quiet": False, "assert_cached": False,
+         "trace_dir": None, "topology": None, "control": False, "jobs": 0,
+         "cache_dir": None, "no_cache": False, "timeout": None,
+         "retries": 1, "cache_prune": None, "chaos": None,
+         "chaos_dir": None, "func": "cmd_campaign"}),
+    "cache": (["cache", "verify"], {"--cache-dir"},
+              {"action": "verify", "cache_dir": None, "func": "cmd_cache"}),
+    "resilience": (["resilience"], {
+        "--cache-dir", "--cache-prune", "--cca", "--duration", "--jobs",
+        "--lengths", "--no-cache", "--out", "--protocol", "--retries",
+        "--seeds", "--timeout"},
+        {"lengths": (0.5, 1.0, 2.0), "duration": 25.0, "seeds": (1,),
+         "protocol": "tcp", "cca": "copa", "out": None, "jobs": 0,
+         "cache_dir": None, "no_cache": False, "timeout": None,
+         "retries": 1, "cache_prune": None, "func": "cmd_resilience"}),
+    "control": (["control"], {
+        "--cache-dir", "--cache-prune", "--duration", "--jobs",
+        "--no-cache", "--out", "--retries", "--seeds", "--storm",
+        "--timeout"},
+        {"seeds": (1, 2), "duration": None, "storm": None, "out": None,
+         "jobs": 0, "cache_dir": None, "no_cache": False, "timeout": None,
+         "retries": 1, "cache_prune": None, "func": "cmd_control"}),
+    "trace": (["trace", "--out", "t.json"], {
+        "--duration", "--family", "--out", "--seed"},
+        {"family": "W1", "duration": 60.0, "seed": 1, "out": "t.json",
+         "func": "cmd_trace"}),
+    "topology": (["topology", "roaming"], {
+        "--ap", "--aps", "--city", "--city-seed", "--duration",
+        "--interferers", "--out", "--queue"},
+        {"preset": "roaming", "city": "grid", "aps": 100, "city_seed": 1,
+         "ap": "zhuge", "queue": "fq_codel", "interferers": 5,
+         "duration": 60.0, "out": None, "func": "cmd_topology"}),
+    "trace-stats": (["trace-stats", "t.json"], set(),
+                    {"file": "t.json", "func": "cmd_trace_stats"}),
+}
+
+
+def test_every_subcommand_keeps_its_flags():
+    parser = build_parser()
+    subcommands = next(action for action in parser._actions
+                       if action.dest == "command").choices
+    assert set(subcommands) == set(FLAG_INVENTORY)
+    assert sum(len(flags) for _, flags, _ in FLAG_INVENTORY.values()) == 96
+    for name, (argv, flags, defaults) in FLAG_INVENTORY.items():
+        options = {option for action in subcommands[name]._actions
+                   for option in action.option_strings} - {"-h", "--help"}
+        assert options == flags, name
+        parsed = vars(parser.parse_args(argv))
+        parsed["func"] = parsed["func"].__name__
+        assert parsed == {"command": name, **defaults}, name

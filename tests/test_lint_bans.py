@@ -118,6 +118,14 @@ BANS = {
         "The prediction join alone retires a lost packet's prediction, at "
         "its flow's next delivery: no queue-drop hook may feed it, and the "
         "watchdog's thresholds are module constants with no config object."),
+    "no-prediction-time-cache": (
+        "-nwE", "min_estimation_interval", ("src",),
+        "The Fortune Teller computes every prediction it is asked for: no "
+        "time-based reuse of the last one may come back."),
+    "one-fleet-storm": (
+        "-nwE", "no_fleet|fleet_storm|fleet_duration", ("src",),
+        "The control figure always runs its fleet comparison on "
+        "FLEET_STORM for FLEET_DURATION: no option may skip or retune it."),
 }
 
 

@@ -347,6 +347,16 @@ class TestHashCompat:
 # ---------------------------------------------------------------------------
 
 
+def test_campaign_smoke_manifest_is_plausible():
+    """The two cells of the CI campaign smoke job (a steps and a family
+    trace) meet the bounds the goldens meet."""
+    specs = [ScenarioSpec.from_dict(entry) for entry in
+             json.load(open("tests/data/campaign_smoke_specs.json"))]
+    assert len(specs) == 2
+    for spec, summary in zip(specs, run_specs(specs)):
+        plausible(summary, spec)
+
+
 @pytest.mark.bitexact
 class TestGoldenSummaries:
     @pytest.mark.parametrize("name", golden_names())

@@ -158,6 +158,45 @@ class TestSyntheticTraces:
         trace = make_trace("W1", duration=300, seed=4)
         assert min(trace.rates_bps) >= TRACE_MODELS["W1"].min_bps
 
+    #: sha256 (first 32 hex digits) of the little-endian doubles of each
+    #: 30 s trace, seeds 1, 2, 3: every scenario over a synthetic trace
+    #: depends on these values, so a generator change must keep them.
+    PINNED = {
+        "W1": ("6efa5f049caea5580df57f7f8d9d49c7",
+               "cc7e7ff2c9204b1b52d0edfdb238b49f",
+               "4e5343650ffc53c9d9c00cbb7d1fd010"),
+        "W2": ("dcd3a24157c0f28d65a426b5becd9642",
+               "1d3c7c00d665a9fdcd02a325a79ffa60",
+               "dcdfff5bcceffa92523d9755b4abc39e"),
+        "C1": ("aebfa73e3210e6f32192470f8e1060c9",
+               "62277267c48db4df4bb861823b375b2f",
+               "30743ab9f3e817c5792e876a5b0ee5fa"),
+        "C2": ("43c88373bba5885533ff17865827c74d",
+               "4f0093021cfba1acc6f3388aab7f67a7",
+               "325cda31fca4980568a29858e04e8edd"),
+        "C3": ("be31580e479983abab24846309be0b7c",
+               "c428d1eabd4e3a0899151d0dbf1069c5",
+               "348047afa17ef08c29e440324761e8f4"),
+        "abc-legacy": ("c8f1463cd5925a9b15e2c9e9e816ed19",
+                       "4a64fbfc116ac26d9e34eb31da01503a",
+                       "2fe97a12f9de43619cbb9a8cc7db7cf6"),
+    }
+
+    @pytest.mark.bitexact
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_values_are_pinned(self, name):
+        import hashlib
+        import struct
+        for seed, pinned in zip((1, 2, 3), self.PINNED[name]):
+            trace = (abc_legacy_trace(duration=30.0, seed=seed)
+                     if name == "abc-legacy"
+                     else make_trace(name, duration=30.0, seed=seed))
+            rates = trace.rates_bps
+            assert len(rates) == 750
+            digest = hashlib.sha256(
+                struct.pack(f"<{len(rates)}d", *rates)).hexdigest()
+            assert digest[:32] == pinned, (name, seed)
+
 
 class TestDropTrace:
     def test_step_shape(self):
