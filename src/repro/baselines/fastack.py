@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.baselines.passthrough import ForwardCallback, PassthroughAP
 from repro.net.packet import ACK_SIZE, FiveTuple, Packet, PacketKind
 from repro.sim.engine import Simulator
-
-ForwardCallback = Callable[[Packet], None]
 
 
 class FastAckProxy:
@@ -64,3 +63,38 @@ class FastAckProxy:
             self.suppressed_acks += 1
             return
         forward(packet)
+
+
+class FastAckAP(PassthroughAP):
+    """Access point running FastAck for its registered TCP flows.
+
+    Client ACKs a proxy has already counterfeited are suppressed (not
+    counted, not forwarded); every other uplink packet and every
+    counterfeit ACK goes out through :meth:`on_uplink`.
+    """
+
+    def __init__(self, sim: Simulator):
+        super().__init__()
+        self.sim = sim
+        #: Downlink flow -> its proxy.
+        self.proxies: dict[FiveTuple, FastAckProxy] = {}
+
+    def register_flow(self, flow: FiveTuple) -> None:
+        proxy = FastAckProxy(self.sim, flow)
+        proxy.forward_uplink = self.on_uplink
+        self.proxies[flow] = proxy
+
+    def on_ack_batch(self, packets: list) -> None:
+        proxies = self.proxies
+        on_uplink = self.on_uplink
+        for packet in packets:
+            proxy = proxies.get(packet.flow.reversed())
+            if proxy is not None:
+                proxy.on_uplink(packet, on_uplink)
+            else:
+                on_uplink(packet)
+
+    def on_wireless_delivery(self, packet: Packet) -> None:
+        proxy = self.proxies.get(packet.flow)
+        if proxy is not None:
+            proxy.on_wireless_delivery(packet)

@@ -10,7 +10,17 @@ ForwardCallback = Callable[[Packet], None]
 
 
 class PassthroughAP:
-    """Baseline access point with no feedback manipulation."""
+    """Baseline access point with no feedback manipulation.
+
+    Every AP mode shares its interface: ``on_downlink`` (WAN side, one
+    packet), ``on_uplink`` / ``on_ack_batch`` (client side, one packet
+    or one delivered list), ``on_wireless_delivery`` (the downlink
+    wireless hop delivered a packet; ``None`` when the mode does not
+    listen), ``packets_processed`` and the two ``forward_*`` next-hop
+    callbacks the topology installs.
+    """
+
+    on_wireless_delivery: Optional[ForwardCallback] = None
 
     def __init__(self) -> None:
         self.forward_downlink: Optional[ForwardCallback] = None
@@ -23,7 +33,9 @@ class PassthroughAP:
             self.forward_downlink(packet)
 
     def on_uplink(self, packet: Packet) -> None:
-        self.on_ack_batch([packet])
+        self.packets_processed += 1
+        if self.forward_uplink is not None:
+            self.forward_uplink(packet)
 
     def on_ack_batch(self, packets: list) -> None:
         self.packets_processed += len(packets)

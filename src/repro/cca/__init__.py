@@ -2,8 +2,9 @@
 
 Window-based CCAs (CUBIC, BBR, Copa, ABC-sender) plug into the TCP-like
 transport; the rate-based GCC plugs into the RTP sender. The ABC router
-half lives here too (:class:`AbcRouter`) since it is the network side of
-a host-router co-designed CCA.
+half lives here too (:class:`AbcRouter`, the AP object of
+``ap_mode="abc"``) since it is the network side of a host-router
+co-designed CCA.
 """
 
 from repro.cca.base import WindowCca, RateCca

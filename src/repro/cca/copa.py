@@ -49,9 +49,9 @@ class CopaCca(WindowCca):
         self._rtt_window.append((now, rtt))
 
         standing = self._standing_rtt(now)
-        queueing_delay = max(standing - self.min_rtt, 1e-6)
+        queue_delay = max(standing - self.min_rtt, 1e-6)
         # Target rate in packets/sec -> target window in packets.
-        target_rate = 1.0 / (DELTA * queueing_delay)
+        target_rate = 1.0 / (DELTA * queue_delay)
         target_window = target_rate * standing  # packets
 
         cwnd_pkts = self.cwnd / self.mss

@@ -529,22 +529,13 @@ class Timer:
     takes one seq, as a ``schedule`` would; ticks planted back to back
     at one instant share a heap entry (a tick group, DESIGN.md §13).
 
-    ``on_grid=True`` keeps every tick on the exact absolute grid
-    ``first_tick + k * interval`` (one multiplication per tick) instead
-    of accumulating ``now + interval`` per tick, whose floating-point
-    rounding drifts off the grid within a handful of ticks and keeps
-    drifting over long campaigns.  Changing ``interval`` re-anchors the
-    grid at the already-scheduled next tick.  The default remains the
-    legacy accumulating behaviour because the golden scenario digests
-    (tests/data/golden_summaries.json) pin bit-exact trajectories of
-    simulations built on it; new long-running campaigns should pass
-    ``on_grid=True``.
+    Each tick lands at ``now + interval`` of the one before, so float
+    rounding accumulates; the golden digests pin that trajectory.
     """
 
     def __init__(self, sim: Simulator, interval: float,
                  callback: Callable[[], None],
-                 first_delay: Optional[float] = None,
-                 on_grid: bool = False):
+                 first_delay: Optional[float] = None):
         if not interval > 0:
             raise SimulationError(f"timer interval must be positive: {interval}")
         self._sim = sim
@@ -554,15 +545,10 @@ class Timer:
         #: fires, and once stopped).
         self._group: Optional[_TickGroup] = None
         self._stopped = False
-        self._on_grid = on_grid
         delay = interval if first_delay is None else first_delay
         if not delay >= 0:
             raise SimulationError(f"negative delay: {delay}")
-        #: Grid anchor: the first tick's absolute time; tick ``k`` after
-        #: the anchor fires at exactly ``_anchor + k * _interval``.
-        self._anchor = sim.now + delay
-        self._plant(self._anchor)
-        self._ticks = 0
+        self._plant(sim.now + delay)
 
     @property
     def interval(self) -> float:
@@ -573,11 +559,6 @@ class Timer:
         if not value > 0:
             raise SimulationError(f"timer interval must be positive: {value}")
         self._interval = value
-        if self._on_grid and not self._stopped:
-            # Re-anchor: the next tick is already scheduled (or firing,
-            # at ``now``); ticks after it land on the new grid from there.
-            self._anchor = self._group.time if self._group else self._sim.now
-            self._ticks = 0
 
     def _plant(self, time: float) -> None:
         """Take a seq for the tick at ``time``: join the group planted
@@ -597,12 +578,7 @@ class Timer:
 
     def _fire(self) -> None:
         self._callback()
-        if self._stopped:
-            return
-        if self._on_grid:
-            self._ticks += 1
-            self._plant(self._anchor + self._ticks * self._interval)
-        else:
+        if not self._stopped:
             self._plant(self._sim.now + self._interval)
 
     def stop(self) -> None:

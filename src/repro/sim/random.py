@@ -24,10 +24,6 @@ class DeterministicRandom:
         # on the per-ACK sampling path without changing the sequence.
         self._randbelow = self._rng._randbelow
 
-    @property
-    def seed(self) -> int:
-        return self._seed
-
     def fork(self, name: str) -> "DeterministicRandom":
         """Derive an independent stream identified by ``name``.
 
@@ -60,9 +56,6 @@ class DeterministicRandom:
     def randint(self, low: int, high: int) -> int:
         return self._rng.randint(low, high)
 
-    def choice(self, seq: Sequence):
-        return self._rng.choice(seq)
-
     def sample_from(self, values: Sequence[float]) -> float:
         """Uniformly sample one element of a non-empty sequence."""
         if not values:
@@ -72,6 +65,3 @@ class DeterministicRandom:
     def randindex(self, n: int) -> int:
         """A uniform index in ``[0, n)`` — ``randrange(n)``, one draw."""
         return self._randbelow(n)
-
-    def shuffle(self, values: list) -> None:
-        self._rng.shuffle(values)

@@ -22,7 +22,7 @@ from typing import Optional
 from repro.aqm import make_queue
 from repro.app.bulk import BulkSenderApp, PeriodicBulkApp
 from repro.app.video import VideoEncoder
-from repro.baselines.fastack import FastAckProxy
+from repro.baselines.fastack import FastAckAP
 from repro.baselines.passthrough import PassthroughAP
 from repro.cca import make_window_cca
 from repro.cca.abc import AbcRouter
@@ -163,35 +163,30 @@ class TopologyBuilder:
         return wireless[0] if wireless else None
 
     def _build_ap(self, node: NodeSpec) -> ApRuntime:
-        spec = self.spec
+        """The AP object of ``node``'s mode."""
+        mode = node.ap_mode
+        if mode == "none":
+            return ApRuntime(node=node, ap=PassthroughAP())
+        if mode == "fastack":
+            return ApRuntime(node=node, ap=FastAckAP(self.sim))
         down = self._ap_downlink_edge(node.name)
-        runtime = ApRuntime(node=node, ap=None)
-        if node.ap_mode == "zhuge":
-            if down is None:
-                raise ValueError(
-                    f"zhuge AP {node.name!r} needs a wireless downlink edge")
-            label = node.seed_label or f"zhuge-{node.name}"
-            ap = ZhugeAP(self.sim, down.queue, rng=self.rng.fork(label))
-            if spec.record_predictions:
-                ap.join_predictions(record=True)
-            ap.track_name = node.name
-            runtime.zhuge = ap
-        else:
-            ap = PassthroughAP()
-            if node.ap_mode == "abc":
-                if down is None:
-                    raise ValueError(
-                        f"abc AP {node.name!r} needs a wireless downlink "
-                        f"edge")
-                share = 1.0
-                if down.spec.interferers > 0:
-                    share = 1.0 / (1.0 + down.spec.interferers)
-                runtime.abc_router = AbcRouter(
-                    down.queue,
-                    capacity_fn=lambda now, s=share, ch=down.channel:
-                        ch.rate_at(now) * s)
-        runtime.ap = ap
-        return runtime
+        if down is None:
+            raise ValueError(
+                f"{mode} AP {node.name!r} needs a wireless downlink edge")
+        if mode == "abc":
+            share = 1.0
+            if down.spec.interferers > 0:
+                share = 1.0 / (1.0 + down.spec.interferers)
+            return ApRuntime(node=node, ap=AbcRouter(
+                self.sim, down.queue,
+                capacity_fn=lambda now, s=share, ch=down.channel:
+                    ch.rate_at(now) * s))
+        label = node.seed_label or f"zhuge-{node.name}"
+        ap = ZhugeAP(self.sim, down.queue, rng=self.rng.fork(label))
+        if self.spec.record_predictions:
+            ap.join_predictions(record=True)
+        ap.track_name = node.name
+        return ApRuntime(node=node, ap=ap, zhuge=ap)
 
     # -- flows ---------------------------------------------------------------
 
@@ -252,9 +247,7 @@ class TopologyBuilder:
             fr.kind = kind
         if (ap_rt.node.ap_mode == "fastack" and fr.optimized
                 and fr.protocol == "tcp"):
-            proxy = FastAckProxy(self.sim, fr.flow)
-            proxy.forward_uplink = ap_rt.ap.on_uplink
-            ap_rt.fastack[fr.flow] = proxy
+            ap_rt.ap.register_flow(fr.flow)
 
     def _build_competitor(self, fspec: FlowSpec, index: int) -> None:
         flow = self._flow_tuple(fspec, "tcp", 7000, 8000, index)

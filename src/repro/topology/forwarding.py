@@ -16,10 +16,9 @@ computation after flipping edge ``enabled`` flags (see
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.cca.abc import AbcRouter
 from repro.core.feedback_updater import FeedbackKind
 from repro.core.zhuge_ap import ZhugeAP
 from repro.metrics.recorder import RttRecorder
@@ -45,13 +44,12 @@ class EdgeRuntime:
 
 @dataclass
 class ApRuntime:
-    """One live AP: forwarding element plus optional optimizer state."""
+    """One live AP: its mode's AP object (``zhuge`` repeats it when the
+    mode is Zhuge)."""
 
     node: NodeSpec
     ap: object
     zhuge: Optional[ZhugeAP] = None
-    abc_router: Optional[AbcRouter] = None
-    fastack: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -136,17 +134,19 @@ class Forwarding:
 
     def wire(self) -> None:
         """Install every AP's next-hop callback and every edge's
-        receiver."""
+        receiver: an edge into an AP delivers straight to the AP object
+        (``on_ack_batch`` from the client side, ``on_downlink`` from the
+        WAN)."""
         for name, ap_rt in self.aps.items():
             ap_rt.ap.forward_downlink = ap_rt.ap.forward_uplink = \
                 self._make_forward(name)
         for er in self.edges.values():
             if er.spec.dst in self.aps:
-                ap_rt = self.aps[er.spec.dst]
+                ap = self.aps[er.spec.dst].ap
                 if er.spec.wireless:
-                    er.link.deliver_batch = self._make_ap_wireless_in(ap_rt)
+                    er.link.deliver_batch = ap.on_ack_batch
                 else:
-                    er.link.deliver = self._make_ap_wired_in(ap_rt)
+                    er.link.deliver = ap.on_downlink
             else:
                 body = er.link.deliver_batch = self._make_terminal_in(er)
                 if not er.spec.wireless:
@@ -154,35 +154,9 @@ class Forwarding:
                     # (``WiredLink`` prefers the list body).
                     er.link.deliver = lambda packet, body=body: body([packet])
 
-    def _make_ap_wired_in(self, ap_rt: ApRuntime):
-        """WAN-side ingress: ABC marking, then the AP downlink path."""
-        def deliver(packet: Packet) -> None:
-            if (ap_rt.abc_router is not None
-                    and packet.kind == PacketKind.DATA):
-                ap_rt.abc_router.mark(packet, self.sim.now)
-            ap_rt.ap.on_downlink(packet)
-        return deliver
-
-    def _make_ap_wireless_in(self, ap_rt: ApRuntime):
-        """Client-side ingress: FastAck interception, then the uplink
-        path; without FastAck proxies the whole list goes to the AP's
-        ``on_ack_batch`` in one call."""
-        def deliver(packets: list) -> None:
-            fastack = ap_rt.fastack
-            if not fastack:
-                ap_rt.ap.on_ack_batch(packets)
-                return
-            on_uplink = ap_rt.ap.on_uplink
-            for packet in packets:
-                proxy = fastack.get(packet.flow.reversed())
-                if proxy is not None:
-                    proxy.on_uplink(packet, on_uplink)
-                else:
-                    on_uplink(packet)
-        return deliver
-
     def _make_terminal_in(self, er: EdgeRuntime):
-        """Delivery into a client/server node: bookkeeping + endpoint."""
+        """Delivery into a client/server node: the serving AP's
+        delivery hook, bookkeeping, endpoint."""
         src_ap = self.aps.get(er.spec.src) if er.spec.wireless else None
         node = er.spec.dst
 
@@ -191,14 +165,11 @@ class Forwarding:
             handlers = self._handlers[node]
             network_rtt = self.network_rtt
             return_delay = self._return_delay
-            zhuge = src_ap.zhuge if src_ap is not None else None
-            fastack = src_ap.fastack if src_ap is not None else None
+            on_delivery = (src_ap.ap.on_wireless_delivery
+                           if src_ap is not None else None)
             for packet in packets:
-                if zhuge is not None:
-                    zhuge.on_wireless_delivery(packet)
-                if fastack:
-                    for proxy in fastack.values():
-                        proxy.on_wireless_delivery(packet)
+                if on_delivery is not None:
+                    on_delivery(packet)
                 recorder = network_rtt.get(packet.flow)
                 if recorder is not None and packet.kind == PacketKind.DATA:
                     now = sim.now

@@ -1,7 +1,7 @@
 """Tests for FastAck and passthrough baselines."""
 
 
-from repro.baselines.fastack import FastAckProxy
+from repro.baselines.fastack import FastAckAP, FastAckProxy
 from repro.baselines.passthrough import PassthroughAP
 from repro.net.packet import FiveTuple, Packet, PacketKind
 
@@ -74,3 +74,21 @@ class TestFastAck:
         proxy.forward_uplink = acks.append
         proxy.on_wireless_delivery(Packet(flow, 60, PacketKind.ACK))
         assert acks == []
+
+
+class TestFastAckAp:
+    def test_counts_forwarded_acks_only(self, sim, flow):
+        ap = FastAckAP(sim)
+        ap.register_flow(flow)
+        up = []
+        ap.forward_uplink = up.append
+        data = Packet(flow, 1448, PacketKind.DATA, seq=0)
+        data.headers["end_seq"] = 1448
+        ap.on_wireless_delivery(data)          # counterfeit ack=1448
+        stale = Packet(flow.reversed(), 60, PacketKind.ACK, ack=1448)
+        newer = Packet(flow.reversed(), 60, PacketKind.ACK, ack=2896)
+        other = Packet(FiveTuple("x", "y", 9, 9), 60, PacketKind.ACK)
+        ap.on_ack_batch([stale, newer, other])
+        assert up[0].ack == 1448 and up[1:] == [newer, other]
+        assert ap.packets_processed == 3
+        assert ap.proxies[flow].suppressed_acks == 1

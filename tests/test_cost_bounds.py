@@ -8,11 +8,12 @@ bound is an exact assertion, not a timing.  Counts are CPython 3.11's,
 the interpreter the golden digests assume; the comment beside each
 bound gives the count it read when it was set.
 
-* An estimator query costs the same at window fill 16 and 256.  The
-  naive re-scan references of ``tests/reference_sliding_window.py``
-  cost >= 3x more at 256, so the count sees a re-scan.  Work done in C
-  (``math.fsum`` over a window) is one call at any fill, so each query
-  also stays within today's count.
+* An estimator query, and ABC's per-packet mark, costs the same at
+  window fill 16 and 256.  The naive re-scan references of
+  ``tests/reference_sliding_window.py`` cost >= 3x more at 256, so the
+  count sees a re-scan.  Work done in C (``math.fsum`` over a window)
+  is one call at any fill, so each query also stays within today's
+  count.
 * A packet through Fig. 21's one hand-driven datapath
   (``overhead.datapath`` / ``spin``) costs at most 5 % more at 100
   flows than at 1.
@@ -36,6 +37,7 @@ from fractions import Fraction
 import pytest
 
 from repro.campaign import ScenarioSpec, TraceSpec
+from repro.cca.abc import RATE_WINDOW, AbcRouter
 from repro.control import ControlSpec, ZhugeController
 from repro.control.controller import GREEN
 from repro.core.feedback_updater import OutOfBandFeedbackUpdater
@@ -46,8 +48,10 @@ from repro.core.sliding_window import (
     SlidingWindowRate,
 )
 from repro.experiments.drivers.overhead import datapath, spin
+from repro.net.packet import FiveTuple, Packet
 from repro.net.queue import DropTailQueue
 from repro.obs.bus import TraceBus
+from repro.sim.engine import Simulator
 from repro.sim.random import DeterministicRandom
 from repro.topology.builder import TopologyBuilder
 from tests.reference_sliding_window import (
@@ -156,6 +160,36 @@ def test_reference_query_cost_grows_with_the_window(name):
     small = _query_cost(name, 16, reference=True)
     large = _query_cost(name, 256, reference=True)
     assert large >= 3 * small, (name, small, large)
+
+
+def _abc_mark_cost(fill: int) -> Fraction:
+    """Opcodes per :meth:`AbcRouter.mark` with ``fill`` arrivals in its
+    rate window, at steady state: each mark expires exactly one."""
+    queue = DropTailQueue(capacity_bytes=1_000_000)
+    # A terabit link takes the accelerate branch on every mark.
+    router = AbcRouter(Simulator(), queue, capacity_fn=lambda now: 1e12)
+    assert queue.on_departure == []
+    # ``fill - 0.5`` spacings per window: every horizon falls half a
+    # spacing away from the nearest arrival.
+    spacing = RATE_WINDOW / (fill - 0.5)
+    packet = Packet(FiveTuple("server", "client", 5000, 6000), 1200)
+    for i in range(fill):
+        router.mark(packet, i * spacing)
+
+    def run():
+        for i in range(fill, fill + QUERIES):
+            router.mark(packet, i * spacing)
+
+    return Fraction(opcodes(run), QUERIES)
+
+
+def test_abc_mark_cost_does_not_grow_with_the_window():
+    """ABC's router keeps a running byte total of its arrival window
+    and observes no departures."""
+    # Set at 153.11 at both fills; the per-mark re-sum read 296.11 ->
+    # 2216.11.
+    small, large = _abc_mark_cost(16), _abc_mark_cost(256)
+    assert large == small, (small, large)
 
 
 # -- Fig. 21's datapath -----------------------------------------------------

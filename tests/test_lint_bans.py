@@ -126,6 +126,22 @@ BANS = {
         "-nwE", "no_fleet|fleet_storm|fleet_duration", ("src",),
         "The control figure always runs its fleet comparison on "
         "FLEET_STORM for FLEET_DURATION: no option may skip or retune it."),
+    # Perl syntax: the lookbehind lets ``repro.baselines.fastack``
+    # imports through.
+    "one-ap-object": (
+        "-nP", r"abc_router|(?<!baselines)\.fastack\b|_make_ap_wire",
+        ("src",),
+        "Every ap_mode is one AP object that the links deliver to: no "
+        "ABC router or FastAck proxy table may hang on ApRuntime beside "
+        "it, and Forwarding may not wrap AP ingress in a mode branch."),
+    "abc-arrivals-only": (
+        "-nE", "_departures|queueing_delay", ("src/repro/cca/abc.py",),
+        "ABC's router reads the link capacity and a running total of its "
+        "arrival window: no per-departure log may come back."),
+    "accumulating-timer": (
+        "-nwE", "on_grid", ("src", "tests"),
+        "Timer has one tick rule, now + interval: the unused absolute-grid "
+        "mode may come back only as the re-pin that makes it the rule."),
 }
 
 

@@ -8,7 +8,7 @@ one-event-per-tick ``Timer``: the same call log, clock, ``peek()`` and
 ``pending()`` after every ``run(until=...)`` step, never more
 dispatches.  The schedules mix dyadic intervals (whose accumulated
 ticks tie exactly) with decimal ones (which tie by coincidence),
-``first_delay=0``, ``on_grid``, interval changes, ``stop()`` from
+``first_delay=0``, interval changes, ``stop()`` from
 inside callbacks, foreign ``call_at``s on tick instants, spawned timers
 and callbacks that post, ``schedule(0.0)`` or schedule exactly one
 interval ahead.  Two seeded mutant dispatchers must be caught: one
@@ -39,11 +39,10 @@ ACTIONS = st.one_of(
     st.tuples(st.just("ahead"), _timer),
     st.tuples(st.just("stop"), _timer),
     st.tuples(st.just("interval"), _timer, _interval),
-    st.tuples(st.just("spawn"), _interval, st.sampled_from((None, 0.0)),
-              st.booleans()),
+    st.tuples(st.just("spawn"), _interval, st.sampled_from((None, 0.0))),
 )
 PROGRAMS = st.fixed_dictionaries({
-    "timers": st.lists(st.tuples(_interval, _first_delay, st.booleans()),
+    "timers": st.lists(st.tuples(_interval, _first_delay),
                        min_size=1, max_size=5),
     # Foreign ``call_at(k * base)``, planted after the first timer.
     "foreign": st.lists(st.tuples(st.integers(0, 20),
@@ -67,11 +66,11 @@ def _trajectory(timer_cls, program, sim_cls=Simulator):
     def note(tag):
         return lambda: log.append((tag, sim.now))
 
-    def make(interval, first_delay, on_grid):
+    def make(interval, first_delay):
         name = f"t{len(timers)}"
         timers.append(timer_cls(sim, INTERVALS[interval],
                                 lambda: react(name),
-                                first_delay=first_delay, on_grid=on_grid))
+                                first_delay=first_delay))
 
     def react(name):
         log.append((name, sim.now))

@@ -10,6 +10,7 @@ roaming with release-time monotonicity), and the campaign triangle
 import dataclasses
 import hashlib
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,9 @@ def plausible(summary, spec) -> None:
     # The flows together cannot carry more than the link offers.
     assert sum(flow.goodput_bps for flow in summary.flows) \
         <= spec.trace.build().mean_bps
+    # A joined prediction is a delay: finite and never negative
+    # (``mcs-interf``'s 1 343 pairs read 0 to 0.511 s).
+    assert all(math.isfinite(p) and p >= 0.0 for p in summary.predicted)
 
 
 def _canonical_sha(payload: dict) -> str:
