@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional
@@ -28,6 +28,7 @@ from typing import Optional
 from repro.control.spec import ControlSpec
 from repro.faults.spec import FaultPlan
 from repro.obs.session import TraceConfig
+from repro.spec_codec import SpecCodec, omittable
 from repro.topology.presets import single_ap_topology
 from repro.topology.spec import (AP_MODES, APPS, LINK_KINDS, PROTOCOLS,
                                  QUEUE_KINDS, TopologySpec)
@@ -39,10 +40,6 @@ from repro.traces.spec import EXTRA_FAMILIES, TraceSpec  # noqa: F401
 #: Bumping this invalidates every cache entry regardless of code changes
 #: (e.g. when the summary schema itself evolves).
 SPEC_SCHEMA_VERSION = 1
-
-#: Spec fields holding a nested pure-data spec, in payload order.
-_NESTED = (("trace_config", TraceConfig), ("faults", FaultPlan),
-           ("topology", TopologySpec), ("control", ControlSpec))
 
 
 @lru_cache(maxsize=1)
@@ -63,7 +60,7 @@ def code_fingerprint() -> str:
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(SpecCodec):
     """Everything one experiment run needs, as plain data.
 
     ``topology=None`` runs the paper's single-AP chain
@@ -103,17 +100,17 @@ class ScenarioSpec:
     #: faulted cell never aliases a healthy one. An empty plan is
     #: normalized to ``None`` so it hashes and behaves identically to
     #: no plan at all.
-    faults: Optional[FaultPlan] = None
+    faults: Optional[FaultPlan] = omittable()
     #: Explicit experiment graph (repro.topology). ``None`` — every
     #: pre-topology spec — means the canonical single-AP graph derived
     #: from the fields above. Omitted from the payload when ``None`` so
     #: legacy specs keep their historical content hashes.
-    topology: Optional[TopologySpec] = None
+    topology: Optional[TopologySpec] = omittable()
     #: Adaptive control plane (repro.control). ``None`` — the static
     #: configuration every pre-control spec ran — is omitted from the
     #: payload so legacy specs keep their historical content hashes; a
     #: :class:`ControlSpec` turns the per-AP controllers on.
-    control: Optional[ControlSpec] = None
+    control: Optional[ControlSpec] = omittable()
 
     def __post_init__(self) -> None:
         for name, allowed in (("protocol", PROTOCOLS), ("ap_mode", AP_MODES),
@@ -172,30 +169,6 @@ class ScenarioSpec:
         return " ".join(parts)
 
     # -- serialization -------------------------------------------------------
-
-    def as_dict(self) -> dict:
-        payload = {f.name: getattr(self, f.name) for f in fields(self)
-                   if f.name != "trace"}
-        if payload["zhuge_flow_mask"] is not None:
-            payload["zhuge_flow_mask"] = list(payload["zhuge_flow_mask"])
-        for name, _nested in _NESTED:
-            if payload[name] is not None:
-                payload[name] = payload[name].as_dict()
-            elif name != "trace_config":
-                # Absent, so a spec without faults, topology or control
-                # hashes exactly like one from before those layers.
-                del payload[name]
-        payload["trace"] = self.trace.as_dict()
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ScenarioSpec":
-        payload = dict(payload)
-        payload["trace"] = TraceSpec.from_dict(payload["trace"])
-        for name, nested in _NESTED:
-            if payload.get(name) is not None:
-                payload[name] = nested.from_dict(payload[name])
-        return cls(**payload)
 
     def content_hash(self) -> str:
         """Stable digest of (schema, code fingerprint, spec contents)."""

@@ -36,9 +36,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.sim.random import DeterministicRandom
+from repro.spec_codec import SpecCodec
 from repro.topology.spec import (EdgeSpec, FlowSpec, NodeSpec, TopologySpec)
 
 #: Bump when the generated-topology layout changes incompatibly.
@@ -59,7 +60,7 @@ CITY_PRESETS: dict[str, dict] = {
 
 
 @dataclass(frozen=True)
-class CityGenSpec:
+class CityGenSpec(SpecCodec):
     """Knobs of one generated city; deterministic per (spec, seed)."""
 
     preset: str = "grid"
@@ -123,13 +124,6 @@ class CityGenSpec:
         return cls(preset=preset, **values)
 
     # -- serialization -------------------------------------------------------
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CityGenSpec":
-        return cls(**payload)
 
     def content_hash(self) -> str:
         """Stable digest of the generator knobs (not the output graph;

@@ -34,6 +34,7 @@ import hashlib
 import itertools
 import json
 import math
+import struct
 from array import array
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -97,13 +98,19 @@ class DelayCdfSketch:
         self.counts[index] = self.counts.get(index, 0) + 1
         self.total += 1
 
-    def add_many(self, values) -> None:
+    def add_many(self, values, above: float = math.inf) -> int:
+        """Add every value; return how many exceed ``above`` (the fleet's
+        exact tail counts, taken in the same pass)."""
         counts = self.counts
         bucket_of = self.bucket_of
+        tail = 0
         for value in values:
+            if value > above:
+                tail += 1
             index = bucket_of(value)
             counts[index] = counts.get(index, 0) + 1
-        self.total = sum(counts.values())
+        self.total += len(values)
+        return tail
 
     def merge(self, other: "DelayCdfSketch") -> None:
         for index, count in other.counts.items():
@@ -148,6 +155,25 @@ def _lower_edge(index: int) -> float:
     return edge
 
 
+#: Most samples :func:`exact_quantiles` lists and sorts at once (~40 B
+#: each); above every wanted bucket of ``city_grid_sharded`` (7.7 k).
+SELECT_CAP = 16_384
+#: Parts a crowded range is tallied in per pass over the columns.
+SELECT_SPLITS = 256
+
+
+def _order_key(value: float) -> int:
+    """An int that orders as the double ``value`` does, one step per
+    double (``-0.0`` and ``0.0`` share one)."""
+    (bits,) = struct.unpack("<Q", struct.pack("<d", value))
+    return bits if bits < 1 << 63 else (1 << 63) - bits
+
+
+def _from_order_key(key: int) -> float:
+    bits = key if key >= 0 else (1 << 63) - key
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
 def exact_quantiles(sketch: DelayCdfSketch, columns: list,
                     qs) -> list:
     """``quantiles`` over the concatenation of ``columns``, bit for
@@ -159,28 +185,57 @@ def exact_quantiles(sketch: DelayCdfSketch, columns: list,
     that bucket's samples are picked out (by comparison with its exact
     edges, scanning ``columns`` in order, so that equal samples such as
     ``0.0`` and ``-0.0`` keep the pooled sort's order) and sorted. A
-    bucket whose picked samples disagree with its count raises
-    ``RuntimeError``.
+    bucket of more than :data:`SELECT_CAP` samples is narrowed first:
+    each pass tallies its range in :data:`SELECT_SPLITS` parts of equal
+    width in :func:`_order_key` (no list) and keeps the rank's part,
+    until that holds at most the cap or one double, whose equal samples
+    are read in scan order. A bucket whose samples disagree with its
+    count raises ``RuntimeError``.
     """
     buckets = sorted(sketch.counts)
     ends = list(itertools.accumulate(sketch.counts[b] for b in buckets))
-    picked: Dict[int, list] = {}
+    picked: dict = {}   # the last range listed, sorted: ranks ascend
+    tallies: dict = {}  # each crowded range's parts, for the next rank
+
+    def within(lo: float, hi: float):
+        return (v for shard in columns for v in shard if lo <= v < hi)
 
     def value_at(rank: int) -> float:
         slot = bisect.bisect_right(ends, rank)
-        index = buckets[slot]
-        count = sketch.counts[index]
-        if index not in picked:
-            lo, hi = DelayCdfSketch.bucket_edges(index)
-            values = [v for shard in columns for v in shard
-                      if lo <= v < hi]
+        count = sketch.counts[buckets[slot]]
+        rank -= ends[slot] - count
+        lo, hi = DelayCdfSketch.bucket_edges(buckets[slot])
+        while count > SELECT_CAP and _order_key(hi) - _order_key(lo) > 1:
+            if (lo, hi) not in tallies:
+                lo_key, hi_key = _order_key(lo), _order_key(hi)
+                edges = [_from_order_key(
+                    lo_key + (hi_key - lo_key) * i // SELECT_SPLITS)
+                    for i in range(SELECT_SPLITS + 1)]
+                tally = [0] * SELECT_SPLITS
+                for v in within(lo, hi):
+                    tally[bisect.bisect_right(edges, v, 1,
+                                              SELECT_SPLITS) - 1] += 1
+                if sum(tally) != count:
+                    raise RuntimeError(
+                        f"sketch bucket [{lo!r}, {hi!r}) counts {count} "
+                        f"samples, the columns hold {sum(tally)}")
+                tallies[lo, hi] = edges, tally
+            edges, tally = tallies[lo, hi]
+            part = 0
+            while rank >= tally[part]:
+                rank -= tally[part]
+                part += 1
+            lo, hi, count = edges[part], edges[part + 1], tally[part]
+        if count > SELECT_CAP:
+            return next(itertools.islice(within(lo, hi), rank, None))
+        if (lo, hi) not in picked:
+            picked.clear()
+            picked[lo, hi] = values = sorted(within(lo, hi))
             if len(values) != count:
                 raise RuntimeError(
-                    f"sketch bucket {index} counts {count} samples, "
-                    f"its edges [{lo!r}, {hi!r}) hold {len(values)}")
-            values.sort()
-            picked[index] = values
-        return picked[index][rank - (ends[slot] - count)]
+                    f"sketch bucket [{lo!r}, {hi!r}) counts {count} "
+                    f"samples, the columns hold {len(values)}")
+        return picked[lo, hi][rank]
 
     return ranked_quantiles(value_at, sketch.total, qs)
 
@@ -299,9 +354,8 @@ class FleetAccumulator:
     #: Default exact-percentile budget: 2M samples, packed as C doubles
     #: ≈ 16 MB (as Python floats in lists it would be ≈ 64 MB), far
     #: below the per-packet state of even one mid-size shard.
-    #: ``finalize`` adds only the sketch buckets that hold the wanted
-    #: ranks: 1.3 MiB over a log-normal fleet of 1.98M samples, where
-    #: pooling and sorting them took 81 MiB.
+    #: ``finalize`` lists at most ``SELECT_CAP`` samples at once, where
+    #: pooling and sorting a log-normal fleet of 1.98M took 81 MiB.
     DEFAULT_SAMPLE_BUDGET = 2_000_000
 
     def __init__(self, sample_budget: int = DEFAULT_SAMPLE_BUDGET) -> None:
@@ -318,14 +372,11 @@ class FleetAccumulator:
         if shard_index in self._records:
             raise ValueError(f"shard {shard_index} added twice")
         record = _ShardRecord()
-        # Locals, so the per-sample tests below read no global.
-        rtt_tail, frame_tail = RTT_TAIL_THRESHOLD, FRAME_DELAY_THRESHOLD
         for flow in summary.flows:
-            record.rtt_sketch.add_many(flow.rtt_values)
-            record.frame_sketch.add_many(flow.frame_delays)
-            record.rtt_tail += sum(1 for v in flow.rtt_values if v > rtt_tail)
-            record.frame_tail += sum(1 for v in flow.frame_delays
-                                     if v > frame_tail)
+            record.rtt_tail += record.rtt_sketch.add_many(
+                flow.rtt_values, RTT_TAIL_THRESHOLD)
+            record.frame_tail += record.frame_sketch.add_many(
+                flow.frame_delays, FRAME_DELAY_THRESHOLD)
             if not self._collapsed:
                 record.rtt_values.extend(flow.rtt_values)
                 record.frame_values.extend(flow.frame_delays)

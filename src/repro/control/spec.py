@@ -32,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.spec_codec import SpecCodec
+
 GREEN = "green"
 YELLOW = "yellow"
 SOFT_RED = "soft_red"
@@ -93,7 +95,7 @@ LADDER = {
 
 
 @dataclass(frozen=True)
-class ControlSpec:
+class ControlSpec(SpecCodec):
     """Controller on, plus fleet steering when ``steering`` is true."""
 
     steering: bool = False
@@ -101,14 +103,3 @@ class ControlSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.steering, bool):
             raise ValueError(f"steering must be a bool: {self.steering!r}")
-
-    def as_dict(self) -> dict:
-        return {"steering": self.steering}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ControlSpec":
-        unknown = sorted(set(payload) - {"steering"})
-        if unknown:
-            raise ValueError(f"unknown control field(s): "
-                             f"{', '.join(unknown)}")
-        return cls(**payload)

@@ -39,8 +39,10 @@ that need stacked faults should use disjoint windows.
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
+
+from repro.spec_codec import SpecCodec, omittable
 
 FAULT_KINDS = ("blackout", "rate_crash", "loss_burst", "ap_reset", "roam")
 
@@ -64,7 +66,7 @@ _FAULT_RE = re.compile(
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(SpecCodec):
     """One typed fault window.
 
     ``magnitude`` is kind-specific: the rate scale for ``rate_crash``,
@@ -76,7 +78,7 @@ class FaultSpec:
     kind: str
     start: float
     duration: float = 0.0
-    magnitude: Optional[float] = None
+    magnitude: Optional[float] = omittable()
     target: str = ""
     #: Topology-aware targeting (multi-AP graphs). ``edge`` aims the
     #: fault at one named edge instead of the legacy down/up pair;
@@ -84,9 +86,9 @@ class FaultSpec:
     #: detaches and re-attaches to the ``to`` AP) and let ``ap_reset``
     #: pick one AP. All three are empty on legacy single-AP plans and
     #: omitted from the payload, so old plans hash identically.
-    edge: str = ""
-    node: str = ""
-    to: str = ""
+    edge: str = omittable("")
+    node: str = omittable("")
+    to: str = omittable("")
 
     def __post_init__(self) -> None:
         kind = KIND_ALIASES.get(self.kind, self.kind)
@@ -130,24 +132,9 @@ class FaultSpec:
     def end(self) -> float:
         return self.start + self.duration
 
-    def as_dict(self) -> dict:
-        payload = asdict(self)
-        if payload["magnitude"] is None:
-            del payload["magnitude"]
-        # Topology-targeting fields are omitted when unused so legacy
-        # plans keep their historical payloads (and content hashes).
-        for key in ("edge", "node", "to"):
-            if not payload[key]:
-                del payload[key]
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FaultSpec":
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(SpecCodec):
     """A scenario's full fault schedule plus degradation policy.
 
     ``seed`` drives the injector's stochastic faults (loss bursts) via
@@ -221,21 +208,3 @@ class FaultPlan:
                 target=target, edge=edge, node=node, to=to))
         return cls(faults=tuple(faults), seed=seed,
                    watchdog_enabled=watchdog_enabled)
-
-    # -- serialization -------------------------------------------------------
-
-    def as_dict(self) -> dict:
-        return {"faults": [f.as_dict() for f in self.faults],
-                "seed": self.seed,
-                "watchdog_enabled": self.watchdog_enabled}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FaultPlan":
-        payload = dict(payload)
-        payload["faults"] = tuple(FaultSpec.from_dict(f)
-                                  for f in payload.get("faults", ()))
-        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown fault plan field(s): "
-                             f"{', '.join(unknown)}")
-        return cls(**payload)

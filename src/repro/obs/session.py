@@ -14,7 +14,7 @@ event list and dumps its tail into a dying exception.
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -22,12 +22,13 @@ from repro.obs.audit import PredictionAuditor
 from repro.obs.bus import TraceBus
 from repro.obs.events import CATEGORIES
 from repro.obs.export import write_chrome_trace, write_jsonl
+from repro.spec_codec import SpecCodec, omittable
 
 FORMATS = ("chrome", "jsonl")
 
 
 @dataclass(frozen=True)
-class TraceConfig:
+class TraceConfig(SpecCodec):
     """What to trace and where the artifact goes.
 
     ``events`` selects probe categories (a subset of
@@ -43,8 +44,9 @@ class TraceConfig:
     #: sharded city campaign): becomes the Chrome-trace process name
     #: suffix / a ``tag`` field on every JSONL record, and is appended
     #: to ``out`` (before the extension) so per-shard artifacts never
-    #: overwrite each other.
-    tag: Optional[str] = None
+    #: overwrite each other. Omitted when None: untagged payloads keep
+    #: their historical hashes.
+    tag: Optional[str] = omittable()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "events",
@@ -56,19 +58,6 @@ class TraceConfig:
         if self.fmt not in FORMATS:
             raise ValueError(f"unknown trace format {self.fmt!r}; "
                              f"expected one of {FORMATS}")
-
-    def as_dict(self) -> dict:
-        payload = asdict(self)
-        payload["events"] = list(self.events)
-        # Omitted when None so untagged configs (every pre-city spec)
-        # keep their historical content hashes and cache entries.
-        if payload["tag"] is None:
-            del payload["tag"]
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TraceConfig":
-        return cls(**payload)
 
 
 class TraceSession:

@@ -12,7 +12,8 @@ A :class:`TopologySpec` declares the whole experiment graph:
 
 Everything is a plain JSON value, so a spec can participate in the
 campaign content hash, be pickled to worker processes, and be stored in
-manifests. The live simulation graph is materialized by
+manifests; a ``None`` field is left out of its payload. The live
+simulation graph is materialized by
 :class:`repro.topology.builder.TopologyBuilder`.
 
 :mod:`repro.topology.presets` builds the canonical graphs from these
@@ -22,10 +23,11 @@ types.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.cca import WINDOW_CCAS
+from repro.spec_codec import SpecCodec, omittable
 from repro.traces.spec import TraceSpec
 
 #: Bump when the topology payload schema changes incompatibly.
@@ -41,12 +43,8 @@ QUEUE_KINDS = ("droptail", "fifo", "codel", "fq_codel")
 APPS = ("video", "bulk")
 
 
-def _clean(payload: dict) -> dict:
-    return {k: v for k, v in payload.items() if v is not None}
-
-
 @dataclass(frozen=True)
-class NodeSpec:
+class NodeSpec(SpecCodec):
     """One vertex of the graph: a server, an AP, or a client station."""
 
     name: str
@@ -56,7 +54,7 @@ class NodeSpec:
     #: RNG fork label for this node's stochastic state (Zhuge's jitter
     #: stream). ``None`` -> ``"zhuge-<name>"``. The canonical single-AP
     #: topology pins the historical label ``"zhuge"``.
-    seed_label: Optional[str] = None
+    seed_label: Optional[str] = omittable()
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -66,18 +64,9 @@ class NodeSpec:
         if self.role == "ap" and self.ap_mode not in AP_MODES:
             raise ValueError(f"unknown ap_mode {self.ap_mode!r}")
 
-    def as_dict(self) -> dict:
-        return _clean({"name": self.name, "role": self.role,
-                       "ap_mode": self.ap_mode,
-                       "seed_label": self.seed_label})
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "NodeSpec":
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
-class EdgeSpec:
+class EdgeSpec(SpecCodec):
     """One directed link of the graph.
 
     ``kind == "wired"`` uses ``rate_bps`` (``None`` = pure delay) and
@@ -94,21 +83,21 @@ class EdgeSpec:
     dst: str
     name: str = ""
     kind: str = "wired"
-    rate_bps: Optional[float] = None
+    rate_bps: Optional[float] = omittable()
     delay: float = 0.0
-    trace: Optional[TraceSpec] = None
+    trace: Optional[TraceSpec] = omittable()
     trace_scale: float = 1.0
     queue_kind: str = "droptail"
     queue_capacity: int = 375_000
     interferers: int = 0
     max_ampdu_packets: int = 16
-    mcs_group: Optional[str] = None
-    mcs_period: Optional[float] = None
-    channel_group: Optional[str] = None
+    mcs_group: Optional[str] = omittable()
+    mcs_period: Optional[float] = omittable()
+    channel_group: Optional[str] = omittable()
     #: RNG fork label for this edge's interference stream. ``None`` ->
     #: ``"intf-<name>"``; the canonical single-AP topology pins the
     #: historical labels ``"intf"`` / ``"intf-up"``.
-    seed_label: Optional[str] = None
+    seed_label: Optional[str] = omittable()
     enabled: bool = True
 
     def __post_init__(self) -> None:
@@ -150,23 +139,9 @@ class EdgeSpec:
     def wireless(self) -> bool:
         return self.kind in LINK_KINDS
 
-    def as_dict(self) -> dict:
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        if self.trace is not None:
-            payload["trace"] = self.trace.as_dict()
-        return _clean(payload)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "EdgeSpec":
-        payload = dict(payload)
-        trace = payload.get("trace")
-        if trace is not None:
-            payload["trace"] = TraceSpec.from_dict(trace)
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
-class FlowSpec:
+class FlowSpec(SpecCodec):
     """One transport flow between two nodes.
 
     ``protocol``/``cca``/``app`` default to ``None`` meaning "inherit
@@ -181,20 +156,20 @@ class FlowSpec:
     src: str
     dst: str
     role: str = "rtc"
-    protocol: Optional[str] = None
-    cca: Optional[str] = None
-    app: Optional[str] = None
+    protocol: Optional[str] = omittable()
+    cca: Optional[str] = omittable()
+    app: Optional[str] = omittable()
     optimized: bool = True
-    src_port: Optional[int] = None
-    dst_port: Optional[int] = None
-    period: Optional[float] = None
+    src_port: Optional[int] = omittable()
+    dst_port: Optional[int] = omittable()
+    period: Optional[float] = omittable()
     #: RNG fork label for this flow's stochastic state (the video
     #: encoder's frame-size stream). ``None`` -> ``"enc-<build index>"``,
     #: the historical per-run counter. Generated city topologies pin an
     #: explicit label per flow so a flow's RNG stream is a function of
     #: the spec alone — the property that makes a decomposable topology
     #: simulate bit-identically whole or shard-by-shard.
-    seed_label: Optional[str] = None
+    seed_label: Optional[str] = omittable()
 
     def __post_init__(self) -> None:
         if self.role not in FLOW_ROLES:
@@ -212,16 +187,9 @@ class FlowSpec:
             raise ValueError(f"flow {self.src}->{self.dst} period must be "
                              f"finite and positive: {self.period}")
 
-    def as_dict(self) -> dict:
-        return _clean({f.name: getattr(self, f.name) for f in fields(self)})
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FlowSpec":
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(SpecCodec):
     """A whole experiment graph: nodes, directed edges, flows."""
 
     nodes: tuple[NodeSpec, ...]
@@ -325,20 +293,3 @@ class TopologySpec:
             members.setdefault(find(name), []).append(name)
         return tuple(tuple(group) for group in
                      sorted(members.values(), key=lambda g: order[g[0]]))
-
-    # -- serialization -------------------------------------------------------
-
-    def as_dict(self) -> dict:
-        return {"version": self.version,
-                "nodes": [n.as_dict() for n in self.nodes],
-                "edges": [e.as_dict() for e in self.edges],
-                "flows": [f.as_dict() for f in self.flows]}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TopologySpec":
-        return cls(
-            version=payload.get("version", TOPOLOGY_SCHEMA_VERSION),
-            nodes=tuple(NodeSpec.from_dict(n) for n in payload["nodes"]),
-            edges=tuple(EdgeSpec.from_dict(e) for e in payload["edges"]),
-            flows=tuple(FlowSpec.from_dict(f) for f in payload.get("flows",
-                                                                   ())))

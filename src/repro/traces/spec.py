@@ -13,9 +13,11 @@ not in :mod:`repro.campaign`, so topology edges can reference traces;
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
+
+from repro.spec_codec import SpecCodec, omittable
 
 from repro.traces.synthetic import (TRACE_NAMES, abc_legacy_trace,
                                     drop_steps, ethernet_trace, make_trace)
@@ -33,7 +35,7 @@ def _canonical_family(name: str) -> str:
 
 
 @dataclass(frozen=True)
-class TraceSpec:
+class TraceSpec(SpecCodec):
     """Reference to a bandwidth trace, buildable in any process.
 
     ``kind`` selects the source:
@@ -44,17 +46,19 @@ class TraceSpec:
     * ``"steps"`` — ``(seconds, bps)`` segments sampled every
       ``interval`` (the bandwidth-drop microbenchmarks);
     * ``"file"`` — a JSON trace file (the hash covers the file bytes).
+
+    A ``None`` field is left out of the payload.
     """
 
     kind: str
-    family: Optional[str] = None
+    family: Optional[str] = omittable()
     duration: float = 60.0
     seed: int = 1
-    interval: Optional[float] = None   # None -> the generator's default
-    rate_bps: Optional[float] = None
-    name: Optional[str] = None
-    path: Optional[str] = None
-    steps: Optional[tuple[tuple[float, float], ...]] = None
+    interval: Optional[float] = omittable()  # None -> the generator's default
+    rate_bps: Optional[float] = omittable()
+    name: Optional[str] = omittable()
+    path: Optional[str] = omittable()
+    steps: Optional[tuple[tuple[float, float], ...]] = omittable()
 
     def __post_init__(self) -> None:
         if self.kind not in ("family", "constant", "steps", "file"):
@@ -147,13 +151,6 @@ class TraceSpec:
         return Path(self.path).stem
 
     # -- serialization -------------------------------------------------------
-
-    def as_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TraceSpec":
-        return cls(**payload)
 
     def _hash_payload(self) -> dict:
         payload = self.as_dict()

@@ -9,6 +9,7 @@ exactness, streaming memory release) supports that contract.
 
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -397,6 +398,20 @@ class TestFleetAccumulator:
         qs = (0, 50, 95, 99, 100)
         assert _bits(exact_quantiles(sketch, rtt_columns, qs)) == _bits(
             quantiles(rtts, qs))
+
+    @settings(max_examples=200, deadline=None)
+    @given(fleet=_fleets(), cap=st.integers(min_value=1, max_value=4))
+    def test_narrowed_selection_equals_sort(self, fleet, cap):
+        """A bucket over the cap is narrowed by counting before it is
+        sorted; equal samples past the last split keep the scan order."""
+        rtt_columns, _frames = fleet
+        rtts = [v for column in rtt_columns for v in column]
+        sketch = DelayCdfSketch()
+        sketch.add_many(rtts)
+        qs = (0, 1, 50, 95, 99, 100)
+        with mock.patch("repro.city.merge.SELECT_CAP", cap):
+            selected = exact_quantiles(sketch, rtt_columns, qs)
+        assert _bits(selected) == _bits(quantiles(rtts, qs))
 
     def test_selection_rejects_a_sketch_that_disagrees(self):
         sketch = DelayCdfSketch()

@@ -321,6 +321,23 @@ class TestParser:
         assert f"error: argument {flag}: cannot load {path}" in err
         assert "competitor cca 'gcc'" in err and "Traceback" not in err
 
+    def test_misspelt_topology_key_exits_2_naming_it(self, tmp_path, capsys,
+                                                     monkeypatch):
+        """``flowz`` used to be dropped: the run then died inside the
+        builder with "topology declares no rtc flow"."""
+        from repro.topology.presets import interference_topology
+        self._refuse_commands(monkeypatch)
+        payload = interference_topology().as_dict()
+        payload["flowz"] = payload.pop("flows")
+        path = tmp_path / "topology.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--topology", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --topology: cannot load {path}" in err
+        assert "field(s): flowz" in err and "Traceback" not in err
+
     #: field -> (kind of the edge it is set on, what the refusal says)
     EDGE_REFUSALS = {
         "delay": ("wired", "must be finite"),

@@ -142,6 +142,15 @@ BANS = {
         "-nwE", "on_grid", ("src", "tests"),
         "Timer has one tick rule, now + interval: the unused absolute-grid "
         "mode may come back only as the re-pin that makes it the rule."),
+    "one-spec-codec": (
+        "-nE", r"def (as_dict|from_dict)\(|cls\(\*\*payload\)",
+        ("src/repro/topology/spec.py", "src/repro/faults/spec.py",
+         "src/repro/control/spec.py", "src/repro/traces/spec.py",
+         "src/repro/obs/session.py", "src/repro/city/gen.py",
+         "src/repro/campaign/spec.py"),
+        "Every spec serialises through repro.spec_codec's one rule, which "
+        "refuses unknown keys by name: no hand-written as_dict / from_dict "
+        "may come back to a spec module."),
 }
 
 

@@ -361,6 +361,21 @@ def test_campaign_smoke_manifest_is_plausible():
         plausible(summary, spec)
 
 
+def test_congested_pair_zhuge_cuts_the_rtt_tail():
+    """The paper's effect as a named row (Fig. 11): a re-pin that
+    erases it fails here, whatever the goldens say."""
+    def tail(ap_mode):
+        spec = ScenarioSpec(
+            trace=TraceSpec.for_family("W1", duration=20.0, seed=1),
+            protocol="rtp", cca="gcc", queue_kind="fifo", ap_mode=ap_mode,
+            duration=20.0, seed=1)
+        return TopologyBuilder(spec).run().rtt.tail_ratio()
+
+    # Zhuge shortens the loop, so fewer RTTs pass 200 ms: 0.0291 vs
+    # 0.0531 plain here (seeds 2 and 3: 0.0351 vs 0.0572, 0.0371 vs 0.0600).
+    assert tail("zhuge") < tail("none")
+
+
 @pytest.mark.bitexact
 class TestGoldenSummaries:
     @pytest.mark.parametrize("name", golden_names())
