@@ -42,10 +42,6 @@ class FqCoDelQueue(AqmQueue):
         """The sub-queue holding ``flow``'s packets, if it exists."""
         return self._flows.get(flow)
 
-    @property
-    def flow_count(self) -> int:
-        return len(self._flows)
-
     # -- aggregate state ---------------------------------------------------
 
     @property

@@ -80,9 +80,11 @@ class FastAckAP(PassthroughAP):
         self.proxies: dict[FiveTuple, FastAckProxy] = {}
 
     def register_flow(self, flow: FiveTuple) -> None:
-        proxy = FastAckProxy(self.sim, flow)
-        proxy.forward_uplink = self.on_uplink
-        self.proxies[flow] = proxy
+        """Proxy ``flow``; a flow already proxied keeps its proxy."""
+        if flow not in self.proxies:
+            proxy = FastAckProxy(self.sim, flow)
+            proxy.forward_uplink = self.on_uplink
+            self.proxies[flow] = proxy
 
     def on_ack_batch(self, packets: list) -> None:
         proxies = self.proxies

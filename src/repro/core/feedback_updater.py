@@ -252,6 +252,18 @@ class OutOfBandFeedbackUpdater:
         if floor > self._last_sent_time:
             self._last_sent_time = floor
 
+    def retune(self, policy) -> None:
+        """Adopt a :class:`~repro.control.spec.ControlPolicy`'s window,
+        delay cap and token-bank limits."""
+        self.window = policy.window
+        self.delta_history.window = policy.window
+        self.max_extra_delay = policy.max_extra_delay
+        self.token_history.set_limits(policy.token_bank_cap,
+                                      policy.token_ttl)
+
+    def stop(self) -> None:
+        """Nothing to stop: held ACKs still release on their own run."""
+
     def reset_state(self) -> None:
         """Forget the delay ledger (AP restart / client handover).
 

@@ -122,5 +122,10 @@ class InBandFeedbackUpdater:
         """
         self._predicted_arrivals.clear()
 
+    def retune(self, policy) -> None:
+        """Adopt a :class:`~repro.control.spec.ControlPolicy`'s feedback
+        interval (from the already-scheduled tick on)."""
+        self._timer.interval = policy.feedback_interval
+
     def stop(self) -> None:
         self._timer.stop()

@@ -59,14 +59,12 @@ class ZhugeAP:
         #: path of :meth:`on_ack_batch` share it.
         self._uplink_out_cb: ForwardCallback = self._uplink_out
 
-        self._oob: dict[FiveTuple, OutOfBandFeedbackUpdater] = {}
-        self._inband: dict[FiveTuple, InBandFeedbackUpdater] = {}
-        # Hot-path lookup tables: one merged dict per direction, so the
-        # per-packet path costs a single ``.get``. The uplink table is
-        # keyed by the *uplink* five-tuple, so the per-ACK path looks
-        # the updater up with the packet's own flow instead of building
-        # a reversed tuple per ACK.
-        self._downlink_updaters: dict[FiveTuple, object] = {}
+        #: Downlink flow -> its feedback updater (out-of-band or in-band),
+        #: in registration order.
+        self.updaters: dict[FiveTuple, object] = {}
+        # The same updaters keyed by the *uplink* five-tuple, so the
+        # per-ACK path looks one up with the packet's own flow instead
+        # of building a reversed tuple per ACK.
         self._uplink_updaters: dict[FiveTuple, object] = {}
         self.packets_processed = 0
         #: Prediction–truth join (:mod:`repro.core.prediction_join`);
@@ -97,30 +95,21 @@ class ZhugeAP:
 
     # -- flow registration (the AP's configurable IP list) -------------------
 
-    def register_flow(self, flow: FiveTuple, kind: FeedbackKind,
-                      distributional: bool = True) -> None:
-        """Enable Zhuge for ``flow`` (downlink direction five-tuple).
-
-        ``distributional`` selects §5.2's delta sampling for out-of-band
-        flows; ``False`` maps banked deltas onto ACKs one-to-one (the
-        per-packet ablation variant). It is ignored for in-band flows.
-        """
+    def register_flow(self, flow: FiveTuple, kind: FeedbackKind) -> None:
+        """Enable Zhuge for ``flow`` (downlink direction five-tuple)."""
         teller = self._teller_for(flow)
         if kind is FeedbackKind.OUT_OF_BAND:
             updater = OutOfBandFeedbackUpdater(
                 self.sim, teller,
                 rng=self.rng.fork(f"oob-{flow.src_port}-{flow.dst_port}"),
-                window=self.window,
-                distributional=distributional)
+                window=self.window)
             updater.release_forward = self._uplink_out_cb
-            self._oob[flow] = updater
         else:
             updater = InBandFeedbackUpdater(
                 self.sim, teller, flow,
                 feedback_interval=self.window)
             updater.send_uplink = self._uplink_out_cb
-            self._inband[flow] = updater
-        self._downlink_updaters[flow] = updater
+        self.updaters[flow] = updater
         self._uplink_updaters[flow.reversed()] = updater
         if self.trace is not None:
             updater.enable_trace(self.trace, self._flow_track(flow))
@@ -128,12 +117,12 @@ class ZhugeAP:
         # and one registered under an active control policy inherits it.
         updater.passthrough = self.passthrough
         if self.policy is not None:
-            self._retune_updater(updater, self.policy)
+            updater.retune(self.policy)
 
     def enable_trace(self, bus) -> None:
         """Attach a trace bus to the AP and all registered updaters."""
         self.trace = bus
-        for flow, updater in {**self._oob, **self._inband}.items():
+        for flow, updater in self.updaters.items():
             updater.enable_trace(bus, self._flow_track(flow))
         if self.watchdog is not None:
             self.watchdog.enable_trace(bus)
@@ -166,19 +155,14 @@ class ZhugeAP:
     def _on_watchdog_demote(self, reason: str) -> None:
         """Fall back to passthrough: forward everything undelayed."""
         self.passthrough = True
-        for updater in self._oob.values():
-            updater.passthrough = True
-            updater.reset_state()
-        for updater in self._inband.values():
+        for updater in self.updaters.values():
             updater.passthrough = True
             updater.reset_state()
 
     def _on_watchdog_promote(self, reason: str) -> None:
         """Re-engage Zhuge once predictions track reality again."""
         self.passthrough = False
-        for updater in self._oob.values():
-            updater.passthrough = False
-        for updater in self._inband.values():
+        for updater in self.updaters.values():
             updater.passthrough = False
 
     # -- adaptive control (repro.control) ------------------------------------
@@ -201,10 +185,8 @@ class ZhugeAP:
         self._retune_teller(self.fortune_teller, policy)
         for teller in self._flow_tellers.values():
             self._retune_teller(teller, policy)
-        for updater in self._oob.values():
-            self._retune_updater(updater, policy)
-        for updater in self._inband.values():
-            self._retune_updater(updater, policy)
+        for updater in self.updaters.values():
+            updater.retune(policy)
         if policy.passthrough and not self.passthrough:
             self._on_watchdog_demote("policy")
         elif not policy.passthrough and self.passthrough:
@@ -240,17 +222,6 @@ class ZhugeAP:
         teller.dequeue_intervals.window = policy.window
         teller.burst_correction = policy.burst_correction
 
-    @staticmethod
-    def _retune_updater(updater, policy) -> None:
-        if isinstance(updater, OutOfBandFeedbackUpdater):
-            updater.window = policy.window
-            updater.delta_history.window = policy.window
-            updater.max_extra_delay = policy.max_extra_delay
-            updater.token_history.set_limits(policy.token_bank_cap,
-                                             policy.token_ttl)
-        else:
-            updater._timer.interval = policy.feedback_interval
-
     def reset_state(self) -> None:
         """Simulate an AP restart / client handover: wipe learned state.
 
@@ -264,9 +235,7 @@ class ZhugeAP:
         self.fortune_teller.reset()
         for teller in self._flow_tellers.values():
             teller.reset()
-        for updater in self._oob.values():
-            updater.reset_state()
-        for updater in self._inband.values():
+        for updater in self.updaters.values():
             updater.reset_state()
         if self.predictions is not None:
             self.predictions.reset()
@@ -284,13 +253,6 @@ class ZhugeAP:
                 self.sim, self.downlink_queue, window=self.window, flow=flow)
         return self._flow_tellers[flow]
 
-    def registered_kind(self, flow: FiveTuple) -> Optional[FeedbackKind]:
-        if flow in self._oob:
-            return FeedbackKind.OUT_OF_BAND
-        if flow in self._inband:
-            return FeedbackKind.IN_BAND
-        return None
-
     def release_floor(self, flow: FiveTuple) -> float:
         """The flow's feedback release-time floor (0 if not applicable).
 
@@ -299,27 +261,22 @@ class ZhugeAP:
         old AP and :meth:`adopt_release_floor` it onto the new one so
         release times stay monotone across the move.
         """
-        updater = self._oob.get(flow)
-        return updater.release_floor if updater is not None else 0.0
+        updater = self.updaters.get(flow)
+        return (updater.release_floor
+                if isinstance(updater, OutOfBandFeedbackUpdater) else 0.0)
 
     def adopt_release_floor(self, flow: FiveTuple, floor: float) -> None:
         """Raise the flow's release floor to ``floor`` (handoff import)."""
-        updater = self._oob.get(flow)
-        if updater is not None:
+        updater = self.updaters.get(flow)
+        if isinstance(updater, OutOfBandFeedbackUpdater):
             updater.adopt_release_floor(floor)
-
-    def out_of_band_updater(self, flow: FiveTuple) -> OutOfBandFeedbackUpdater:
-        return self._oob[flow]
-
-    def in_band_updater(self, flow: FiveTuple) -> InBandFeedbackUpdater:
-        return self._inband[flow]
 
     # -- datapath ----------------------------------------------------------------
 
     def on_downlink(self, packet: Packet) -> None:
         """A packet arrived from the WAN heading to the wireless client."""
         self.packets_processed += 1
-        updater = self._downlink_updaters.get(packet.flow)
+        updater = self.updaters.get(packet.flow)
         if updater is not None:
             updater.on_data_packet(packet)
             if self.predictions is not None:
@@ -366,7 +323,7 @@ class ZhugeAP:
             self.forward_uplink(packet)
 
     def stop(self) -> None:
-        for updater in self._inband.values():
+        for updater in self.updaters.values():
             updater.stop()
         if self.watchdog is not None:
             self.watchdog.stop()

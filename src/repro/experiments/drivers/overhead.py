@@ -128,7 +128,7 @@ def measure_component_costs(packets: int = 20_000) -> list[dict]:
     """
     ap, flows, seconds = timed_spin(1, packets)
     stats = (snapshot_fortune_teller(ap.fortune_teller),
-             snapshot_updater(ap.out_of_band_updater(flows[0])))
+             snapshot_updater(ap.updaters[flows[0]]))
     return [{"stage": stage,
              "seconds_per_call": spent / packets,
              "ops_per_sec": packets / spent if spent > 0 else float("inf"),

@@ -3,8 +3,9 @@
 The injector is pure orchestration: it owns no link or AP state, it
 only flips the fault hooks the datapath components already expose
 (``link.block()/unblock()``, ``link.fault_drop``,
-``channel.fault_scale``, ``queue.drop_all()``, ``zhuge.reset_state()``)
-at the plan's scheduled times. All stochastic behaviour (loss-burst
+``channel.fault_scale``, ``zhuge.reset_state()``) and roams through the
+forwarding layer's ``begin_roam`` / ``complete_roam`` at the plan's
+scheduled times. All stochastic behaviour (loss-burst
 coin flips) draws from per-fault forked streams of the plan seed, so
 the same plan produces the same drop pattern regardless of how many
 other faults run, and regardless of process (serial, pool, cache
@@ -17,8 +18,6 @@ stacked same-kind faults should use disjoint windows.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.faults.spec import FaultPlan, FaultSpec
 from repro.sim.engine import Simulator
 from repro.sim.random import DeterministicRandom
@@ -30,11 +29,13 @@ class FaultInjector:
     ``mover`` is the topology's
     :class:`~repro.topology.forwarding.Forwarding`: faults aim at its
     ``edges`` and ``aps``, and its ``begin_roam`` / ``complete_roam``
-    perform node-targeted roams. A fault without an edge acts on the
-    first enabled wireless edge out of (``down``) and into (``up``) an
-    AP, and an untargeted ``ap_reset`` on the first Zhuge AP in node
-    order; where there is no such edge or AP (e.g. a passthrough
-    scenario has no Zhuge state) that part of the fault does nothing.
+    perform every roam. A fault without an edge acts on the first
+    enabled wireless edge out of (``down``) and into (``up``) an AP, a
+    roam without a node moves the client behind that ``down`` edge back
+    onto the same AP, and an untargeted ``ap_reset`` acts on the first
+    Zhuge AP in node order; where there is no such edge or AP (e.g. a
+    passthrough scenario has no Zhuge state) that part of the fault
+    does nothing.
 
     A fault aimed at a name the topology lacks is an error: arming
     raises ``ValueError`` for an ``edge`` that is unknown or wired, an
@@ -42,18 +43,17 @@ class FaultInjector:
     wireless attachment, or a ``roam`` target that is not an AP.
     """
 
-    def __init__(self, sim: Simulator, plan: FaultPlan, *, trace=None,
-                 mover=None):
+    def __init__(self, sim: Simulator, plan: FaultPlan, *, mover,
+                 trace=None):
         self.sim = sim
         self.plan = plan
         self.trace = trace
         self.mover = mover
-        self.edges = mover.edges if mover is not None else {}
-        self.aps = mover.aps if mover is not None else {}
+        self.edges = mover.edges
+        self.aps = mover.aps
         #: The untargeted directions' edges, fixed when the plan is armed.
-        self._directions = ({direction: mover.ap_edge(direction)
-                             for direction in ("down", "up")}
-                            if mover is not None else {})
+        self._directions = {direction: mover.ap_edge(direction)
+                            for direction in ("down", "up")}
         self.zhuge = next((ap_rt.zhuge for ap_rt in self.aps.values()
                            if ap_rt.zhuge is not None), None)
         self.rng = DeterministicRandom(plan.seed)
@@ -65,22 +65,6 @@ class FaultInjector:
         for fault in plan.faults:
             self._check(fault)
         self._arm()
-
-    # -- read-only views -----------------------------------------------------
-
-    def active_faults(self, now: Optional[float] = None):
-        """Windowed faults whose [start, end) covers ``now``.
-
-        A pure view over the plan (no injector state is consulted), in
-        plan order, defaulting to the current simulation time. Lets the
-        control layer and tests assert that state transitions line up
-        with fault windows without parsing trace events. Instantaneous
-        faults (``ap_reset``) have no window and never appear.
-        """
-        if now is None:
-            now = self.sim.now
-        return tuple(fault for fault in self.plan.faults
-                     if fault.duration > 0 and fault.start <= now < fault.end)
 
     # -- scheduling ----------------------------------------------------------
 
@@ -101,9 +85,8 @@ class FaultInjector:
         elif (fault.kind == "ap_reset" and fault.node
                 and fault.node not in self.aps):
             problem = f"node {fault.node!r} is not an AP"
-        elif fault.kind == "roam" and fault.node and (
-                self.mover is None
-                or not self.mover.attached_aps(fault.node)):
+        elif (fault.kind == "roam" and fault.node
+                and not self.mover.attached_aps(fault.node)):
             problem = f"node {fault.node!r} has no wireless attachment"
         elif fault.to and fault.to not in self.aps:
             problem = f"roam target {fault.to!r} is not an AP"
@@ -119,6 +102,15 @@ class FaultInjector:
             return [(edge, self.edges[edge])]
         return [(direction, er) for direction, er in self._directions.items()
                 if er is not None and target in (direction, "both")]
+
+    def _roam_ends(self, fault: FaultSpec):
+        """(client, AP) a roam moves: its ``node`` onto ``to``, else the
+        client behind the ``down`` edge back onto that edge's AP;
+        ``None`` when there is no such edge."""
+        if fault.node:
+            return fault.node, fault.to
+        down = self._directions["down"]
+        return (down.spec.dst, down.spec.src) if down is not None else None
 
     # -- fault phases --------------------------------------------------------
 
@@ -146,15 +138,10 @@ class FaultInjector:
             if zhuge is not None:
                 zhuge.reset_state()
         elif fault.kind == "roam":
-            if fault.node:
-                # Real inter-AP handoff: detach now, re-attach at _end.
-                self.roam_flushed += self.mover.begin_roam(fault.node)
-            else:
-                both = self._edges_for("both")
-                for _, er in both:
-                    er.link.block()
-                for _, er in both:
-                    self.roam_flushed += er.queue.drop_all("roam")
+            ends = self._roam_ends(fault)
+            if ends is not None:
+                # Detach now, re-attach at _end.
+                self.roam_flushed += self.mover.begin_roam(ends[0])
 
     def _end(self, fault: FaultSpec, index: int) -> None:
         self.log.append((self.sim.now, fault.kind, "end"))
@@ -171,18 +158,11 @@ class FaultInjector:
             for _, er in edges:
                 er.link.fault_drop = None
         elif fault.kind == "roam":
-            if fault.node:
-                # Re-association on the target AP: routes move, the new
+            ends = self._roam_ends(fault)
+            if ends is not None:
+                # Re-association on the target AP: routes move, the
                 # AP's estimators start fresh, the release floor carries.
-                self.mover.complete_roam(fault.node, fault.to)
-            else:
-                # Legacy same-AP re-association: links come back, but
-                # the client the AP learned is gone — estimator state
-                # restarts from scratch.
-                for _, er in self._edges_for("both"):
-                    er.link.unblock()
-                if self.zhuge is not None:
-                    self.zhuge.reset_state()
+                self.mover.complete_roam(*ends)
 
     def _loss_predicate(self, fault: FaultSpec, index: int, direction: str):
         rng = self.rng.fork(f"loss-{index}-{direction}")

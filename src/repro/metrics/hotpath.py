@@ -86,9 +86,10 @@ def snapshot_ap(ap) -> list[HotpathStats]:
     for flow, teller in getattr(ap, "_flow_tellers", {}).items():
         snapshots.append(snapshot_fortune_teller(
             teller, component=f"fortune_teller[{flow.dst_port}]"))
-    for flow, updater in getattr(ap, "_oob", {}).items():
-        snapshots.append(snapshot_updater(
-            updater, component=f"feedback_updater[{flow.dst_port}]"))
+    for flow, updater in ap.updaters.items():
+        if hasattr(updater, "delta_history"):  # out-of-band
+            snapshots.append(snapshot_updater(
+                updater, component=f"feedback_updater[{flow.dst_port}]"))
     total = HotpathStats(component="total")
     for snap in snapshots:
         total = total.merged_with(snap)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Sequence
 
 
 class DeterministicRandom:
@@ -55,12 +54,6 @@ class DeterministicRandom:
 
     def randint(self, low: int, high: int) -> int:
         return self._rng.randint(low, high)
-
-    def sample_from(self, values: Sequence[float]) -> float:
-        """Uniformly sample one element of a non-empty sequence."""
-        if not values:
-            raise ValueError("cannot sample from an empty sequence")
-        return values[self._randbelow(len(values))]
 
     def randindex(self, n: int) -> int:
         """A uniform index in ``[0, n)`` — ``randrange(n)``, one draw."""

@@ -26,7 +26,6 @@ from repro.baselines.fastack import FastAckAP
 from repro.baselines.passthrough import PassthroughAP
 from repro.cca import make_window_cca
 from repro.cca.abc import AbcRouter
-from repro.core.feedback_updater import FeedbackKind
 from repro.core.zhuge_ap import ZhugeAP
 from repro.metrics.recorder import RateRecorder
 from repro.net.link import WiredLink
@@ -233,21 +232,8 @@ class TopologyBuilder:
             app = stack.app(self.sim, sender, receiver, encoder, spec)
         fr = FlowRuntime(spec=fspec, flow=flow, protocol=protocol,
                          sender=sender, receiver=receiver, app=app,
-                         optimized=fspec.optimized)
+                         optimized=fspec.optimized, kind=stack.kind)
         self.forwarding.add_flow(fr, stack.feedback(sender))
-        self._register_rtc(fr, stack.kind)
-
-    def _register_rtc(self, fr: FlowRuntime, kind: FeedbackKind) -> None:
-        """Zhuge/FastAck registration on the flow's serving AP."""
-        ap_rt = self.aps.get(fr.serving_ap) if fr.serving_ap else None
-        if ap_rt is None:
-            return
-        if ap_rt.zhuge is not None and fr.optimized:
-            ap_rt.zhuge.register_flow(fr.flow, kind)
-            fr.kind = kind
-        if (ap_rt.node.ap_mode == "fastack" and fr.optimized
-                and fr.protocol == "tcp"):
-            ap_rt.ap.register_flow(fr.flow)
 
     def _build_competitor(self, fspec: FlowSpec, index: int) -> None:
         flow = self._flow_tuple(fspec, "tcp", 7000, 8000, index)

@@ -64,8 +64,9 @@ class FlowRuntime:
     app: object
     optimized: bool = False
     #: Name of the AP whose wireless hop serves this flow's last mile
-    #: (where Zhuge/FastAck registration lives); updated on roam.
+    #: (where :meth:`Forwarding._attach` registers it); updated on roam.
     serving_ap: Optional[str] = None
+    #: How Zhuge feeds the sender back (the RTC protocol's stack kind).
     kind: Optional[FeedbackKind] = None
 
 
@@ -197,9 +198,10 @@ class Forwarding:
     # -- routing -------------------------------------------------------------
 
     def add_flow(self, fr: FlowRuntime, on_feedback) -> None:
-        """Route ``fr`` and install its endpoints: the receiver's
-        ``on_data`` at the destination, ``on_feedback`` at the source.
-        RTC flows also get a network-RTT recorder."""
+        """Route ``fr``, install its endpoints (the receiver's
+        ``on_data`` at the destination, ``on_feedback`` at the source)
+        and attach it to its serving AP. RTC flows also get a
+        network-RTT recorder."""
         self._wire_flow_paths(fr)
         self._handlers[fr.spec.dst][fr.flow] = fr.receiver.on_data
         self._handlers[fr.spec.src][fr.flow.reversed()] = on_feedback
@@ -208,6 +210,26 @@ class Forwarding:
             self.rtc.append(fr)
         else:
             self.competitors.append(fr)
+        self._attach(fr)
+
+    def _attach(self, fr: FlowRuntime, floor: float = 0.0) -> None:
+        """Put an optimized flow on its serving AP's IP list (§7.1).
+
+        A Zhuge AP registers the flow with its stack's feedback kind
+        (once) and raises its release floor to ``floor``, the one the
+        flow's previous AP held; a FastAck AP proxies a TCP flow (an
+        existing proxy stays). Every other flow and AP pass through.
+        """
+        ap_rt = self.aps.get(fr.serving_ap)
+        if ap_rt is None or not fr.optimized:
+            return
+        zhuge = ap_rt.zhuge
+        if zhuge is not None:
+            if fr.flow not in zhuge.updaters:
+                zhuge.register_flow(fr.flow, fr.kind)
+            zhuge.adopt_release_floor(fr.flow, floor)
+        elif ap_rt.node.ap_mode == "fastack" and fr.protocol == "tcp":
+            ap_rt.ap.register_flow(fr.flow)
 
     def _out_edges(self, node: str) -> list[EdgeRuntime]:
         return [er for er in self.edges.values() if er.spec.src == node]
@@ -287,12 +309,15 @@ class Forwarding:
         return flushed
 
     def complete_roam(self, client: str, new_ap: str) -> None:
-        """Re-attach ``client`` on ``new_ap``'s wireless edges.
+        """Re-attach ``client`` on ``new_ap``'s wireless edges (which
+        may be the AP it left).
 
-        The old edges stay down; the new AP's Fortune Teller restarts
-        from scratch (its windows are empty or stale), but the
-        out-of-band release floor carries over from the old AP so
-        feedback release times stay monotone across the handoff.
+        The old edges stay down; each of the client's flows re-routes
+        and attaches to its new serving AP by the build-time rule
+        (:meth:`_attach`), carrying the out-of-band release floor over
+        from the old AP so feedback release times stay monotone across
+        the handoff. The new AP's Fortune Teller restarts from scratch
+        (its windows are empty or stale).
         Downlink frames the WAN delivered to the old AP during the
         blackout are forwarded to the new AP over the distribution
         system (802.11r-style buffered-frame forwarding) instead of
@@ -315,19 +340,14 @@ class Forwarding:
                     while packet is not None:
                         handover.append(packet)
                         packet = er.queue.dequeue(self.sim.now)
-        new_rt = self.aps[new_ap]
         for fr in self.flows_of(client):
-            old_rt = self.aps.get(fr.serving_ap) if fr.serving_ap else None
-            floor = 0.0
-            if (old_rt is not None and old_rt.zhuge is not None
-                    and fr.kind is not None):
-                floor = old_rt.zhuge.release_floor(fr.flow)
+            old_rt = self.aps.get(fr.serving_ap)
+            floor = (old_rt.zhuge.release_floor(fr.flow)
+                     if old_rt is not None and old_rt.zhuge is not None
+                     else 0.0)
             self._wire_flow_paths(fr)
-            if (fr.serving_ap == new_ap and new_rt.zhuge is not None
-                    and fr.optimized and fr.kind is not None):
-                if new_rt.zhuge.registered_kind(fr.flow) is None:
-                    new_rt.zhuge.register_flow(fr.flow, fr.kind)
-                new_rt.zhuge.adopt_release_floor(fr.flow, floor)
+            self._attach(fr, floor)
+        new_rt = self.aps[new_ap]
         if new_rt.zhuge is not None:
             # Fresh association: whatever the new AP learned before (or
             # never learned) is not this client — restart the Teller.

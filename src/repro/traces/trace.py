@@ -60,11 +60,6 @@ class BandwidthTrace:
                               self.interval, f"{self.name}*{factor:g}",
                               dict(self.extra))
 
-    def clipped(self, min_bps: float) -> "BandwidthTrace":
-        """A copy with rates floored at ``min_bps``."""
-        return BandwidthTrace([max(r, min_bps) for r in self.rates_bps],
-                              self.interval, self.name, dict(self.extra))
-
     def resampled(self, interval: float) -> "BandwidthTrace":
         """A copy resampled to a new step ``interval`` (nearest sample)."""
         if interval <= 0:

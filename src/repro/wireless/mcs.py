@@ -55,8 +55,3 @@ class McsController:
             self._index = rng.randint(min_index, len(MCS_TABLE_80211N) - 1)
 
         self._timer = Timer(sim, period, switch, first_delay=period)
-
-    def stop_switching(self) -> None:
-        if self._timer is not None:
-            self._timer.stop()
-            self._timer = None

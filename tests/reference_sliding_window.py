@@ -164,7 +164,8 @@ class ReferenceDelayDeltaHistory:
         self._expire(now)
         if not self._deltas:
             return 0.0
-        return self.rng.sample_from([d for _, d in self._deltas])  # O(n) copy
+        values = [d for _, d in self._deltas]  # O(n) copy
+        return values[self.rng.randindex(len(values))]
 
     def mean(self, now: float) -> float:
         self._expire(now)

@@ -106,7 +106,7 @@ class TestFqCoDel:
         queue.enqueue(Packet(flow_a, 500), 0.0)
         queue.dequeue(0.001)
         queue.dequeue(0.001)  # triggers cleanup of the empty sub-queue
-        assert queue.flow_count == 0
+        assert queue.flow_queue(flow_a) is None
 
     def test_overflow_counts_drop(self):
         queue = FqCoDelQueue(capacity_bytes=1000)

@@ -34,7 +34,6 @@ from repro.faults import FaultPlan
 from repro.faults.watchdog import EstimatorHealthWatchdog
 from repro.net.packet import FiveTuple, Packet
 from repro.net.queue import DropTailQueue
-from repro.sim.engine import Simulator
 
 # ---------------------------------------------------------------------------
 # Spec layer
@@ -298,7 +297,7 @@ class TestApplyPolicyOnZhugeAP:
         assert teller.tx_rate_long.window == pytest.approx(
             policy.window * 10)
         assert teller.burst_correction is False
-        updater = ap._oob[flow]
+        updater = ap.updaters[flow]
         assert updater.window == policy.window
         assert updater.max_extra_delay == policy.max_extra_delay
         bank = updater.token_history
@@ -320,7 +319,7 @@ class TestApplyPolicyOnZhugeAP:
         ap.register_flow(flow, FeedbackKind.OUT_OF_BAND)
         ap.apply_policy(LADDER["red"])
         assert ap.passthrough is True
-        assert ap._oob[flow].passthrough is True
+        assert ap.updaters[flow].passthrough is True
         ap.apply_policy(LADDER[GREEN])
         assert ap.passthrough is False
 
@@ -328,7 +327,7 @@ class TestApplyPolicyOnZhugeAP:
         policy = LADDER["yellow"]
         ap.apply_policy(policy)
         ap.register_flow(flow, FeedbackKind.OUT_OF_BAND)
-        assert ap._oob[flow].window == policy.window
+        assert ap.updaters[flow].window == policy.window
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +395,6 @@ class TestControlDeterminism:
         from repro.campaign.summary import ScenarioSummary
         restored = ScenarioSummary.from_dict(serial.as_dict())
         assert restored.control_transitions == serial.control_transitions
-
-    def test_active_faults_view_matches_plan(self):
-        plan = _controlled_spec().faults
-        sim = Simulator()
-        from repro.faults.injector import FaultInjector
-        injector = FaultInjector(sim, plan)
-        assert injector.active_faults(now=5.0) == (plan.faults[0],)
-        assert injector.active_faults(now=7.0) == ()
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ class TestZhugeApIsolation:
         ap = ZhugeAP(sim, queue)
         ap.register_flow(flows[0], FeedbackKind.OUT_OF_BAND)
         assert ap._flow_tellers == {}
-        updater = ap.out_of_band_updater(flows[0])
+        updater = ap.updaters[flows[0]]
         assert updater.fortune_teller is ap.fortune_teller
 
     def test_competitor_backlog_invisible_to_rtc_prediction(self, sim, fq,
@@ -94,7 +94,7 @@ class TestZhugeApIsolation:
         ap.forward_downlink = lambda p: None
         for _ in range(100):
             fq.enqueue(Packet(bulk, 1200), 0.0)
-        updater = ap.in_band_updater(rtc)
+        updater = ap.updaters[rtc]
         packet = Packet(rtc, 1200, headers={"twcc_seq": 0})
         ap.on_downlink(packet)
         predicted = updater._predicted_arrivals[0]

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.core.feedback_updater import FeedbackKind
+from repro.core.feedback_updater import (FeedbackKind,
+                                         OutOfBandFeedbackUpdater)
+from repro.core.inband import InBandFeedbackUpdater
 from repro.core.zhuge_ap import ZhugeAP
 from repro.net.packet import Packet, PacketKind
 from repro.net.queue import DropTailQueue
@@ -21,13 +23,12 @@ def ap(sim, queue):
 class TestRegistration:
     def test_registered_kind(self, ap, flow):
         ap.register_flow(flow, FeedbackKind.OUT_OF_BAND)
-        assert ap.registered_kind(flow) is FeedbackKind.OUT_OF_BAND
-        assert ap.registered_kind(flow.reversed()) is None
+        assert isinstance(ap.updaters[flow], OutOfBandFeedbackUpdater)
+        assert flow.reversed() not in ap.updaters
 
     def test_in_band_registration(self, ap, flow):
         ap.register_flow(flow, FeedbackKind.IN_BAND)
-        assert ap.registered_kind(flow) is FeedbackKind.IN_BAND
-        assert ap.in_band_updater(flow) is not None
+        assert isinstance(ap.updaters[flow], InBandFeedbackUpdater)
 
 
 class TestDatapath:
@@ -47,7 +48,7 @@ class TestDatapath:
 
     def test_oob_flow_acks_go_through_updater(self, sim, ap, flow):
         ap.register_flow(flow, FeedbackKind.OUT_OF_BAND)
-        updater = ap.out_of_band_updater(flow)
+        updater = ap.updaters[flow]
         forwarded = []
         ap.forward_uplink = forwarded.append
         ack = Packet(flow.reversed(), 60, PacketKind.ACK)
@@ -81,12 +82,11 @@ class TestPendingDeltaBoundedness:
         than data packets (delayed-ACK TCP) must not leak banked deltas
         without bound — entries older than the window age out."""
         ap = ZhugeAP(sim, queue)
-        ap.register_flow(flow, FeedbackKind.OUT_OF_BAND,
-                         distributional=False)
+        ap.register_flow(flow, FeedbackKind.OUT_OF_BAND)
         ap.forward_downlink = lambda p: None
         ap.forward_uplink = lambda p: None
-        updater = ap.out_of_band_updater(flow)
-        assert updater.distributional is False
+        updater = ap.updaters[flow]
+        updater.distributional = False
 
         # 500 data packets at 1 ms spacing, zero ACKs: the worst case of
         # the leak. With the 40 ms window, only ~window/spacing entries
@@ -105,7 +105,7 @@ class TestPendingDeltaBoundedness:
         ap.forward_downlink = lambda p: None
         for i in range(50):
             ap.on_downlink(Packet(flow, 1200, seq=i))
-        assert ap.out_of_band_updater(flow).pending_delta_count == 0
+        assert ap.updaters[flow].pending_delta_count == 0
 
     def test_hotpath_stats_surface(self, sim, queue, flow):
         ap = ZhugeAP(sim, queue)

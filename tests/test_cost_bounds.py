@@ -212,7 +212,7 @@ def _drive(packets: int, flows: int = 1, attach=None):
     spin(sim, queue, ap, flow_list, 0, WARMUP)
     count = opcodes(spin, sim, queue, ap, flow_list, WARMUP,
                     WARMUP + packets)
-    updater = ap.out_of_band_updater(flow_list[0])
+    updater = ap.updaters[flow_list[0]]
     fingerprint = (queue.stats.enqueued, queue.stats.dequeued,
                    round(updater.release_floor, 9),
                    round(updater.outstanding_tokens, 9))
@@ -316,7 +316,7 @@ def test_an_enabled_probe_trips_the_ceiling():
     costs a call per probe site."""
     def traced(sim, queue, ap, flow_list):
         bus = TraceBus(None, categories=())
-        queue.trace = ap.out_of_band_updater(flow_list[0]).trace = bus
+        queue.trace = ap.updaters[flow_list[0]].trace = bus
 
     injected = _drive(PACKETS, attach=traced)[0]
     # Set at 1604.195 / 1422.628 = x1.128.

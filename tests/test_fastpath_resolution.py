@@ -53,7 +53,7 @@ def test_queue_kind_resolution(kind, monkeypatch):
     builder, calls = _run_counting(monkeypatch, kind)
     down = builder.edges["down"]
     flow = builder.forwarding.rtc[0].flow
-    teller = builder.zhuge.in_band_updater(flow).fortune_teller
+    teller = builder.zhuge.updaters[flow].fortune_teller
     assert down.queue.stats.dequeued > 100
     assert 0 < calls[id(teller)] <= down.link.txops
     assert all(count <= down.link.txops for count in calls.values())

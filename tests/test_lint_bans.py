@@ -151,6 +151,16 @@ BANS = {
         "Every spec serialises through repro.spec_codec's one rule, which "
         "refuses unknown keys by name: no hand-written as_dict / from_dict "
         "may come back to a spec module."),
+    # ``\b`` lets the registration test ``test_registered_kind`` through.
+    "one-attach-rule": (
+        "-nE", r"_register_rtc|\bregistered_kind|out_of_band_updater|"
+        r"in_band_updater|_downlink_updaters|_retune_updater|\._oob\b|"
+        r"\._inband\b",
+        ("src", "tests"),
+        "Forwarding._attach is the one rule that registers a flow on its "
+        "serving AP, and ZhugeAP.updaters the one table of its updaters: "
+        "no second registration path, per-kind table or accessor may come "
+        "back."),
 }
 
 

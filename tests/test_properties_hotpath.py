@@ -253,9 +253,9 @@ class _Stack:
         self.per_packet = per_packet
         self.updaters = []
         for flow in FLOWS:
-            self.ap.register_flow(flow, FeedbackKind.OUT_OF_BAND,
-                                  distributional=distributional)
-            updater = self.ap.out_of_band_updater(flow)
+            self.ap.register_flow(flow, FeedbackKind.OUT_OF_BAND)
+            updater = self.ap.updaters[flow]
+            updater.distributional = distributional
             updater.use_tokens = use_tokens
             updater.token_history.ttl = token_ttl
             updater.fortune_teller.burst_correction = burst_correction

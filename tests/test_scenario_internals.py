@@ -84,5 +84,5 @@ class TestZhugeFlowMask:
                               zhuge_flow_mask=(True, False))
         builder = TopologyBuilder(spec)
         flows = [sender.flow for sender, _, _ in builder.video_apps]
-        assert builder.zhuge.registered_kind(flows[0]) is not None
-        assert builder.zhuge.registered_kind(flows[1]) is None
+        assert flows[0] in builder.zhuge.updaters
+        assert flows[1] not in builder.zhuge.updaters

@@ -1,7 +1,5 @@
 """Tests for the deterministic random source."""
 
-import pytest
-
 from repro.sim.random import DeterministicRandom
 
 
@@ -57,19 +55,10 @@ class TestDistributions:
         values = {rng.randint(0, 3) for _ in range(200)}
         assert values == {0, 1, 2, 3}
 
-    def test_sample_from_single(self):
+    def test_randindex_covers_all_indices(self):
         rng = DeterministicRandom(1)
-        assert rng.sample_from([4.2]) == 4.2
-
-    def test_sample_from_empty_raises(self):
-        rng = DeterministicRandom(1)
-        with pytest.raises(ValueError):
-            rng.sample_from([])
-
-    def test_sample_from_covers_all_values(self):
-        rng = DeterministicRandom(1)
-        seen = {rng.sample_from([1.0, 2.0, 3.0]) for _ in range(200)}
-        assert seen == {1.0, 2.0, 3.0}
+        seen = {rng.randindex(3) for _ in range(200)}
+        assert seen == {0, 1, 2}
 
     def test_lognormal_positive(self):
         rng = DeterministicRandom(1)

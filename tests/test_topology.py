@@ -486,7 +486,7 @@ class TestRoaming:
         floor_a = zhuge_a.release_floor(fr.flow)
         assert floor_a > 0.0
         builder.sim.run(until=spec.duration)
-        assert zhuge_b.registered_kind(fr.flow) is not None
+        assert fr.flow in zhuge_b.updaters
         assert zhuge_b.release_floor(fr.flow) >= floor_a
 
     def test_node_targeted_roam_under_steering_is_pinned(self):
@@ -513,6 +513,38 @@ class TestRoaming:
     def test_roam_without_target_ap_rejected(self):
         with pytest.raises(ValueError, match="target AP"):
             FaultPlan.parse("roam@3+0.4/client:")
+
+    def test_fastack_proxy_follows_the_roam(self):
+        """The target AP proxies the flow after the handoff: its
+        counterfeit ACKs reach the sender."""
+        spec = _scenario(roaming_topology(ap_mode="fastack"), duration=8.0,
+                         protocol="tcp", cca="copa", faults=self.ROAM)
+        builder = TopologyBuilder(spec)
+        builder.run()
+        fr = builder.forwarding.rtc[0]
+        proxy = builder.aps["ap-b"].ap.proxies.get(fr.flow)
+        assert proxy is not None and proxy.counterfeit_acks > 0
+        assert builder.aps["ap-a"].ap.proxies[fr.flow].counterfeit_acks > 0
+
+    @pytest.mark.parametrize("protocol,cca", [("rtp", "gcc"),
+                                              ("tcp", "copa")])
+    def test_roam_onto_a_zhuge_ap_registers_the_flow(self, protocol, cca):
+        """A flow built on a passthrough AP is registered by the Zhuge
+        AP it roams onto, and that AP's updater serves its feedback."""
+        topology = roaming_topology()
+        topology = dataclasses.replace(topology, nodes=tuple(
+            dataclasses.replace(node, ap_mode="none")
+            if node.name == "ap-a" else node for node in topology.nodes))
+        spec = _scenario(topology, duration=8.0, protocol=protocol,
+                         cca=cca, faults=self.ROAM)
+        builder = TopologyBuilder(spec)
+        builder.run()
+        fr = builder.forwarding.rtc[0]
+        assert builder.aps["ap-a"].zhuge is None
+        updater = builder.aps["ap-b"].zhuge.updaters[fr.flow]
+        served = (updater.feedback_constructed if protocol == "rtp"
+                  else updater.acks_delayed)
+        assert served > 0
 
 
 class TestCampaignTriangle:

@@ -58,10 +58,6 @@ class TestBandwidthTrace:
         with pytest.raises(ValueError):
             BandwidthTrace([1e6]).scaled(0.0)
 
-    def test_clipped(self):
-        trace = BandwidthTrace([1e5, 2e6])
-        assert trace.clipped(5e5).rates_bps == [5e5, 2e6]
-
     def test_windows_mean(self):
         trace = BandwidthTrace([1e6, 3e6, 5e6, 7e6], interval=0.1)
         assert trace.windows(0.2) == [2e6, 6e6]

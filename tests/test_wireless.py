@@ -43,15 +43,6 @@ class TestMcsController:
         sim.run(until=5.0)
         assert mcs.index >= 3
 
-    def test_stop_switching(self, sim, rng):
-        mcs = McsController()
-        mcs.start_random_switching(sim, period=0.1, rng=rng)
-        sim.run(until=1.0)
-        mcs.stop_switching()
-        index = mcs.index
-        sim.run(until=2.0)
-        assert mcs.index == index
-
 
 class TestWirelessChannel:
     def test_rate_from_trace(self):
@@ -69,7 +60,7 @@ class TestWirelessChannel:
 
     def test_rate_floor(self):
         trace = BandwidthTrace([0.0], interval=1.0)
-        channel = WirelessChannel(trace.clipped(0.0))
+        channel = WirelessChannel(trace)
         assert channel.rate_at(0.0) >= 1_000.0
 
     def test_invalid_efficiency(self):
